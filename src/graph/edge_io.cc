@@ -4,17 +4,18 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace qcm {
 
 namespace {
 
-/// "file:line: why: 'offending text'" -- the offending line is clipped and
-/// stripped of its newline so the message stays one line.
+/// "file:line: why: 'offending text'" -- the offending line (`len` bytes,
+/// newline excluded) is cut at its first NUL and clipped so the message
+/// stays one line.
 Status MalformedLine(const std::string& path, size_t lineno,
-                     const std::string& why, const char* line) {
-  std::string excerpt(line);
-  if (!excerpt.empty() && excerpt.back() == '\n') excerpt.pop_back();
+                     const std::string& why, const char* line, size_t len) {
+  std::string excerpt(line, strnlen(line, len));
   constexpr size_t kMaxExcerpt = 60;
   if (excerpt.size() > kMaxExcerpt) {
     excerpt.resize(kMaxExcerpt);
@@ -42,85 +43,162 @@ bool ParseId(const char** p, uint64_t* out) {
   return true;
 }
 
-}  // namespace
+/// Parses one line, which ends at its first '\n', '\r' or NUL. Returns why
+/// it is malformed, or nullptr with `*has_edge` false for a blank or
+/// comment line and true for an edge "u v".
+const char* ParseLine(const char* p, bool* has_edge, uint64_t* u,
+                      uint64_t* v) {
+  *has_edge = false;
+  while (*p == ' ' || *p == '\t') ++p;
+  if (*p == '#' || *p == '%' || *p == '\n' || *p == '\r' || *p == '\0') {
+    return nullptr;
+  }
+  if (!ParseId(&p, u)) return "malformed edge line (expected source id)";
+  if (*p != ' ' && *p != '\t') {
+    return "malformed edge line (expected \"u v\")";
+  }
+  while (*p == ' ' || *p == '\t') ++p;
+  if (!ParseId(&p, v)) return "malformed edge line (expected target id)";
+  while (*p == ' ' || *p == '\t') ++p;
+  if (*p != '\n' && *p != '\r' && *p != '\0') {
+    return "malformed edge line (trailing characters after edge)";
+  }
+  *has_edge = true;
+  return nullptr;
+}
 
-StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+/// Edge endpoints as read, in file order, and the range of their ids.
+struct RawEdges {
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  uint64_t min_id = UINT64_MAX;
+  uint64_t max_id = 0;
+};
+
+struct FileCloser {
+  void operator()(FILE* f) const { std::fclose(f); }
+};
+
+/// One buffered pass over the file: checks every line and collects its
+/// edge, if any, into `*raw`.
+Status ReadEdges(const std::string& path, RawEdges* raw) {
+  std::unique_ptr<FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
     return Status::IOError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  std::vector<std::pair<uint64_t, uint64_t>> raw_edges;
-  char line[512];
+  // buf[begin, end) holds unparsed bytes; the spare byte terminates a last
+  // line that has no newline.
+  std::vector<char> buf(kEdgeListReadBuffer + 1);
+  size_t begin = 0;
+  size_t end = 0;
+  bool eof = false;
   size_t lineno = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
+  for (;;) {
+    char* line = buf.data() + begin;
+    const size_t avail = end - begin;
+    char* nl = static_cast<char*>(std::memchr(line, '\n', avail));
+    const bool terminated = nl != nullptr;
+    if (!terminated) {
+      if (avail > kEdgeListMaxLine) {
+        return MalformedLine(path, lineno + 1, "edge line too long", line,
+                             avail);
+      }
+      if (!eof) {
+        // Carry the partial line to the front and refill behind it.
+        std::memmove(buf.data(), line, avail);
+        begin = 0;
+        end = avail + std::fread(buf.data() + avail, 1,
+                                 kEdgeListReadBuffer - avail, file.get());
+        if (std::ferror(file.get())) {
+          return Status::IOError("error reading " + path);
+        }
+        eof = end < kEdgeListReadBuffer;
+        continue;
+      }
+      if (avail == 0) return Status::OK();
+      nl = line + avail;
+      *nl = '\0';
+    }
     ++lineno;
-    if (std::strchr(line, '\n') == nullptr && !std::feof(f)) {
-      std::fclose(f);
-      return MalformedLine(path, lineno, "edge line too long", line);
+    const size_t len = static_cast<size_t>(nl - line);
+    // The limit of the fgets-based reader this replaces, which also failed
+    // a NUL byte before the newline as an over-long line.
+    if (len > kEdgeListMaxLine ||
+        (terminated && std::memchr(line, '\0', len) != nullptr)) {
+      return MalformedLine(path, lineno, "edge line too long", line, len);
     }
-    const char* p = line;
-    while (*p == ' ' || *p == '\t') ++p;
-    if (*p == '#' || *p == '%' || *p == '\n' || *p == '\r' || *p == '\0') {
-      continue;
-    }
+    bool has_edge = false;
     uint64_t u = 0, v = 0;
-    if (!ParseId(&p, &u)) {
-      std::fclose(f);
-      return MalformedLine(path, lineno,
-                           "malformed edge line (expected source id)",
-                           line);
+    if (const char* why = ParseLine(line, &has_edge, &u, &v)) {
+      return MalformedLine(path, lineno, why, line, len);
     }
-    if (*p != ' ' && *p != '\t') {
-      std::fclose(f);
-      return MalformedLine(
-          path, lineno, "malformed edge line (expected \"u v\")", line);
+    if (has_edge) {
+      raw->edges.emplace_back(u, v);
+      raw->min_id = std::min({raw->min_id, u, v});
+      raw->max_id = std::max({raw->max_id, u, v});
     }
-    while (*p == ' ' || *p == '\t') ++p;
-    if (!ParseId(&p, &v)) {
-      std::fclose(f);
-      return MalformedLine(path, lineno,
-                           "malformed edge line (expected target id)",
-                           line);
-    }
-    while (*p == ' ' || *p == '\t') ++p;
-    if (*p != '\n' && *p != '\r' && *p != '\0') {
-      std::fclose(f);
-      return MalformedLine(
-          path, lineno,
-          "malformed edge line (trailing characters after edge)", line);
-    }
-    raw_edges.emplace_back(u, v);
+    if (!terminated) return Status::OK();
+    begin += len + 1;
   }
-  std::fclose(f);
+}
 
-  // Compact ids by sorted rank.
-  std::vector<uint64_t> ids;
-  ids.reserve(raw_edges.size() * 2);
-  for (const auto& [u, v] : raw_edges) {
-    ids.push_back(u);
-    ids.push_back(v);
+/// Compacts ids by sorted rank into `*ids` (dense id -> original id) and
+/// returns the relabeled edges; the raw ids are freed on return.
+StatusOr<std::vector<Edge>> CompactIds(RawEdges raw, const std::string& path,
+                                       std::vector<uint64_t>* ids) {
+  const uint64_t endpoints = 2 * static_cast<uint64_t>(raw.edges.size());
+  const uint64_t min_id = raw.min_id;
+  // Dense ids get a rank table indexed by id - min_id. Its span is below
+  // the endpoint count, so it is never bigger than the endpoints held.
+  std::vector<VertexId> table;
+  if (endpoints > 0 && raw.max_id - min_id < endpoints) {
+    table.assign(raw.max_id - min_id + 1, 0);
+    for (const auto& [u, v] : raw.edges) {
+      table[u - min_id] = 1;
+      table[v - min_id] = 1;
+    }
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (table[i] == 0) continue;
+      table[i] = static_cast<VertexId>(ids->size());
+      ids->push_back(min_id + i);
+    }
+  } else {
+    // Sparse ids: sort them all and binary-search each endpoint.
+    ids->reserve(endpoints);
+    for (const auto& [u, v] : raw.edges) {
+      ids->push_back(u);
+      ids->push_back(v);
+    }
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  if (ids.size() > static_cast<size_t>(UINT32_MAX)) {
+  if (ids->size() > static_cast<size_t>(UINT32_MAX)) {
     return Status::OutOfRange(path + ": too many distinct vertex ids");
   }
-  auto rank = [&ids](uint64_t x) {
+  const auto rank = [&](uint64_t id) {
+    if (!table.empty()) return table[id - min_id];
     return static_cast<VertexId>(
-        std::lower_bound(ids.begin(), ids.end(), x) - ids.begin());
+        std::lower_bound(ids->begin(), ids->end(), id) - ids->begin());
   };
   std::vector<Edge> edges;
-  edges.reserve(raw_edges.size());
-  for (const auto& [u, v] : raw_edges) {
-    edges.emplace_back(rank(u), rank(v));
-  }
-  auto graph = Graph::FromEdges(static_cast<uint32_t>(ids.size()),
-                                std::move(edges));
-  QCM_RETURN_IF_ERROR(graph.status());
+  edges.reserve(raw.edges.size());
+  for (const auto& [u, v] : raw.edges) edges.emplace_back(rank(u), rank(v));
+  return edges;
+}
+
+}  // namespace
+
+StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
+  RawEdges raw;
+  QCM_RETURN_IF_ERROR(ReadEdges(path, &raw));
   LoadedGraph out;
+  auto edges = CompactIds(std::move(raw), path, &out.original_ids);
+  QCM_RETURN_IF_ERROR(edges.status());
+  auto graph =
+      Graph::FromEdges(static_cast<uint32_t>(out.original_ids.size()),
+                       std::move(edges).value());
+  QCM_RETURN_IF_ERROR(graph.status());
   out.graph = std::move(graph).value();
-  out.original_ids = std::move(ids);
   return out;
 }
 

@@ -5,11 +5,15 @@
 
 namespace qcm {
 
-StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {
+StatusOr<EngineReport> ParallelMiner::RunUnfiltered(const Graph& graph) {
   QCM_RETURN_IF_ERROR(config_.Validate());
   QCApp app(config_);
   Engine engine(&graph, config_, &app);
-  auto report = engine.Run();
+  return engine.Run();
+}
+
+StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {
+  auto report = RunUnfiltered(graph);
   QCM_RETURN_IF_ERROR(report.status());
 
   ParallelMineResult result;

@@ -34,6 +34,11 @@ class ParallelMiner {
   /// Mines `graph` to completion.
   StatusOr<ParallelMineResult> Run(const Graph& graph);
 
+  /// Mines `graph` to completion and returns the engine's report, whose
+  /// `results` are the raw candidates: for callers that filter them (or
+  /// not) themselves instead of paying for Run's copy.
+  StatusOr<EngineReport> RunUnfiltered(const Graph& graph);
+
  private:
   EngineConfig config_;
 };

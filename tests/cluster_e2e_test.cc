@@ -210,6 +210,47 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   EXPECT_NE(json.find("\"merged\""), std::string::npos);
   EXPECT_NE(json.find("\"tasks_completed\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit_ratio\""), std::string::npos);
+
+  // The merged raw candidate count is the ranks' total, not what is left
+  // after the candidates move on to the maximality filter.
+  const size_t merged_at = json.find("\"merged\"");
+  ASSERT_NE(merged_at, std::string::npos) << json;
+  long long rank_total = 0;
+  int ranks = 0;
+  for (size_t at = json.find("\"raw_result_sets\"");
+       at != std::string::npos && at < merged_at;
+       at = json.find("\"raw_result_sets\"", at + 1)) {
+    rank_total += JsonCounter(json, "raw_result_sets", at);
+    ++ranks;
+  }
+  EXPECT_EQ(ranks, 3) << json;
+  const long long merged = JsonCounter(json, "raw_result_sets", merged_at);
+  EXPECT_GT(merged, 0) << json;
+  EXPECT_EQ(merged, rank_total) << json;
+  std::remove(json_path.c_str());
+}
+
+// qcm_mine's --stats-json counts every raw candidate the engine emitted,
+// and --no-filter prints exactly those candidates.
+TEST(ClusterE2ETest, MineStatsJsonCountsRawCandidates) {
+  const std::string json_path = ::testing::TempDir() + "/qcm_mine_stats.json";
+  for (const std::string filter : {"", " --no-filter"}) {
+    const RunResult mined = RunCommand(
+        BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
+        kMiningFlags + " --machines 3 --threads 1 --stats-json " +
+        json_path + filter);
+    ASSERT_EQ(mined.exit_code, 0) << mined.output;
+    const std::string json = ReadFile(json_path);
+    const long long raw = JsonCounter(json, "raw_result_sets");
+    EXPECT_GT(raw, 0) << json;
+    EXPECT_EQ(raw, JsonCounter(json, "mining_emitted")) << json;
+    if (!filter.empty()) {
+      EXPECT_NE(mined.output.find(std::to_string(raw) +
+                                  " candidate quasi-cliques"),
+                std::string::npos)
+          << mined.output;
+    }
+  }
   std::remove(json_path.c_str());
 }
 

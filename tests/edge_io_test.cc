@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <tuple>
 
 #include "graph/edge_io.h"
 
@@ -114,6 +117,199 @@ TEST(EdgeIoTest, OverlongLineIsRejected) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find(":2:"), std::string::npos)
       << loaded.status().ToString();
+}
+
+/// Loading `content` must fail with "file:`line`: `why`".
+void ExpectCorrupt(const std::string& name, const std::string& content,
+                   size_t line, const std::string& why) {
+  const std::string path = WriteTempFile(name, content);
+  auto loaded = LoadEdgeList(path);
+  ASSERT_FALSE(loaded.ok()) << name << ": corrupt input was accepted";
+  const std::string message = loaded.status().ToString();
+  EXPECT_NE(message.find(path + ":" + std::to_string(line) + ": " + why),
+            std::string::npos)
+      << name << ": " << message;
+}
+
+TEST(EdgeIoTest, ErrorOnLastLineWithoutNewline) {
+  ExpectCorrupt("edges_last_bad.txt", "1 2\n3 4\n5 x", 3,
+                "malformed edge line (expected target id): '5 x'");
+  ExpectCorrupt("edges_last_bad_crlf.txt", "1 2\r\n3 4\r\n-5 6", 3,
+                "malformed edge line (expected source id): '-5 6'");
+}
+
+TEST(EdgeIoTest, EmbeddedNulByteIsRejected) {
+  ExpectCorrupt("edges_nul.txt", std::string("1 2\n3 4\0 junk\n5 6\n", 18),
+                2, "edge line too long: '3 4'");
+  ExpectCorrupt("edges_nul_comment.txt",
+                std::string("# ok\n# a\0b\n1 2\n", 15), 2,
+                "edge line too long: '# a'");
+}
+
+TEST(EdgeIoTest, LineLengthLimitIs510Characters) {
+  // "1", a run of spaces, "2": a valid edge of exactly `len` characters.
+  const auto edge_line = [](size_t len) {
+    return "1" + std::string(len - 2, ' ') + "2";
+  };
+  ASSERT_EQ(kEdgeListMaxLine, 510u);
+  for (const char* ending : {"\n", "\r\n", ""}) {
+    const std::string tail = ending;
+    // CRLF: the '\r' counts toward the limit, like any other character.
+    const size_t limit = kEdgeListMaxLine - (tail == "\r\n" ? 1 : 0);
+    auto ok = LoadEdgeList(
+        WriteTempFile("edges_510.txt", "0 1\n" + edge_line(limit) + tail));
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->graph.NumEdges(), 2u);
+    ExpectCorrupt("edges_511.txt", "0 1\n" + edge_line(limit + 1) + tail, 2,
+                  "edge line too long: '1" + std::string(59, ' ') + "...'");
+  }
+  // Longer than the read buffer itself.
+  ExpectCorrupt("edges_huge_line.txt",
+                "0 1\n" + std::string(kEdgeListReadBuffer + 100, '7') + "\n",
+                2, "edge line too long: '" + std::string(60, '7') + "...'");
+}
+
+/// Comment lines of `bytes` bytes in total (at least 2).
+std::string CommentLines(size_t bytes) {
+  std::string text;
+  while (bytes - text.size() > 200) text += "#" + std::string(98, 'c') + "\n";
+  return text + "#" + std::string(bytes - text.size() - 2, 'c') + "\n";
+}
+
+TEST(EdgeIoTest, LinesStraddlingTheReadBuffer) {
+  // Comments fill the buffer up to `k` bytes before its end, so the next
+  // lines straddle the boundary at every offset in turn.
+  for (size_t k = 0; k <= 16; ++k) {
+    const std::string filler = CommentLines(kEdgeListReadBuffer - k);
+    const size_t filler_lines = std::count(filler.begin(), filler.end(), '\n');
+    const std::string body = "123 456\r\n7\t\t8\n \n456 7";
+    auto loaded =
+        LoadEdgeList(WriteTempFile("edges_straddle.txt", filler + body));
+    ASSERT_TRUE(loaded.ok()) << "k=" << k << ": "
+                             << loaded.status().ToString();
+    EXPECT_EQ(loaded->original_ids,
+              (std::vector<uint64_t>{7, 8, 123, 456}))
+        << "k=" << k;
+    EXPECT_EQ(loaded->graph.NumEdges(), 3u) << "k=" << k;
+    // Errors keep their line number across the boundary.
+    ExpectCorrupt("edges_straddle_bad.txt", filler + "1 2\n3 4x\n",
+                  filler_lines + 2,
+                  "malformed edge line (trailing characters after edge): "
+                  "'3 4x'");
+  }
+  // A 510-character line across the boundary is fine; 511 is not.
+  const std::string filler = CommentLines(kEdgeListReadBuffer - 200);
+  const std::string line510 = "9" + std::string(507, ' ') + "10";
+  auto loaded = LoadEdgeList(
+      WriteTempFile("edges_straddle_510.txt", filler + line510 + "\n"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->original_ids, (std::vector<uint64_t>{9, 10}));
+  ExpectCorrupt("edges_straddle_511.txt", filler + line510 + " \n",
+                std::count(filler.begin(), filler.end(), '\n') + 1,
+                "edge line too long");
+}
+
+using RawEdgeList = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// The id compaction LoadEdgeList had before its rank table, kept as the
+/// oracle: sorted rank of every endpoint id, then Graph::FromEdges.
+LoadedGraph OracleGraph(const RawEdgeList& raw) {
+  std::vector<uint64_t> ids;
+  for (const auto& [u, v] : raw) {
+    ids.push_back(u);
+    ids.push_back(v);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto rank = [&ids](uint64_t x) {
+    return static_cast<VertexId>(
+        std::lower_bound(ids.begin(), ids.end(), x) - ids.begin());
+  };
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : raw) edges.emplace_back(rank(u), rank(v));
+  auto graph = Graph::FromEdges(static_cast<uint32_t>(ids.size()), edges);
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  return LoadedGraph{std::move(graph).value(), std::move(ids)};
+}
+
+/// Every edge written, in file order, with the file's text.
+struct GeneratedEdgeList {
+  std::string text;
+  RawEdgeList edges;
+};
+
+/// A valid edge list mixing every shape the format allows. `seed % 4`
+/// picks the ids: dense from 0, dense up to UINT64_MAX, sparse 32-bit, or
+/// sparse 64-bit.
+GeneratedEdgeList GenerateEdgeList(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto below = [&rng](uint64_t n) { return rng() % n; };
+  const auto chance = [&rng](double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+  };
+  const size_t lines = 8000 + below(8000);
+  const uint64_t span = lines / 2;  // below the endpoint count: dense
+  const int kind = static_cast<int>(seed % 4);
+  const auto id = [&]() -> uint64_t {
+    switch (kind) {
+      case 0: return below(span);
+      case 1: return UINT64_MAX - below(span);
+      case 2: return below(uint64_t{1} << 32);
+      default: return chance(0.02) ? (chance(0.5) ? 0 : UINT64_MAX) : rng();
+    }
+  };
+  const auto blanks = [&](size_t max) {
+    std::string s(below(max + 1), ' ');
+    for (char& c : s) c = chance(0.3) ? '\t' : ' ';
+    return s;
+  };
+  GeneratedEdgeList out;
+  for (size_t i = 0; i < lines; ++i) {
+    if (chance(0.06)) {
+      out.text += blanks(2) + (chance(0.5) ? "#" : "%") +
+                  std::string(below(chance(0.2) ? 500 : 40), 'x');
+    } else if (chance(0.04)) {
+      out.text += blanks(3);
+    } else {
+      uint64_t u = id(), v = id();
+      if (!out.edges.empty() && chance(0.1)) {  // duplicate, either way
+        std::tie(u, v) = out.edges[below(out.edges.size())];
+        if (chance(0.5)) std::swap(u, v);
+      } else if (chance(0.03)) {
+        v = u;  // self-loop
+      }
+      out.edges.emplace_back(u, v);
+      // An occasional near-limit run of spaces between the ids.
+      const std::string sep =
+          chance(0.01) ? std::string(400, ' ') : " " + blanks(3);
+      out.text += blanks(2) + std::to_string(u) + sep + std::to_string(v) +
+                  blanks(2);
+    }
+    out.text += chance(0.3) ? "\r\n" : "\n";
+  }
+  if (chance(0.5)) out.text.pop_back();  // no final newline
+  return out;
+}
+
+TEST(EdgeIoTest, MatchesSortedRankOracleOnGeneratedFiles) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const GeneratedEdgeList file = GenerateEdgeList(seed);
+    ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer) << "seed=" << seed;
+    auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
+    ASSERT_TRUE(loaded.ok()) << "seed=" << seed << ": "
+                             << loaded.status().ToString();
+    const LoadedGraph want = OracleGraph(file.edges);
+    ASSERT_EQ(loaded->original_ids, want.original_ids) << "seed=" << seed;
+    ASSERT_EQ(loaded->graph.NumVertices(), want.graph.NumVertices());
+    ASSERT_EQ(loaded->graph.NumEdges(), want.graph.NumEdges())
+        << "seed=" << seed;
+    for (VertexId v = 0; v < want.graph.NumVertices(); ++v) {
+      const auto got = loaded->graph.Neighbors(v);
+      const auto row = want.graph.Neighbors(v);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin(), row.end()))
+          << "seed=" << seed << " v=" << v;
+    }
+  }
 }
 
 }  // namespace

@@ -946,6 +946,9 @@ int main(int argc, char** argv) {
   }
   EngineReport merged = MergeEngineReports(rank_reports);
   const size_t raw_candidates = merged.results.size();
+  // Rendered while the report still holds the candidates it counts.
+  const std::string merged_json =
+      args.stats_json.empty() ? "" : EngineReportJson(merged);
   size_t duplicates_suppressed = 0;
   std::vector<VertexSet> results =
       args.no_filter
@@ -1056,7 +1059,7 @@ int main(int argc, char** argv) {
       if (r + 1 < rank_reports.size()) json += ",";
       json += "\n";
     }
-    json += "  ],\n  \"merged\": " + EngineReportJson(merged) + ",\n";
+    json += "  ],\n  \"merged\": " + merged_json + ",\n";
     json += "  \"recovery\": {\n    \"restarts\": [";
     for (size_t r = 0; r < restarts.size(); ++r) {
       json += std::to_string(restarts[r]);

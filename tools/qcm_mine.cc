@@ -449,20 +449,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown --mode %s\n", args.mode.c_str());
       return 2;
     }
+    // The raw candidates are filtered once, below, like the serial ones.
     ParallelMiner miner(config);
-    auto result = miner.Run(graph);
-    if (!result.ok()) {
+    auto report = miner.RunUnfiltered(graph);
+    if (!report.ok()) {
       std::fprintf(stderr, "mining failed: %s\n",
-                   result.status().ToString().c_str());
+                   report.status().ToString().c_str());
       return 1;
     }
-    candidates = std::move(result->report.results);
-    seconds = result->report.wall_seconds;
-    if (!args.stats_json.empty()) {
-      stats_json = EngineReportJson(result->report);
-    }
+    seconds = report->wall_seconds;
+    // Rendered while the report still holds the candidates it counts.
+    if (!args.stats_json.empty()) stats_json = EngineReportJson(*report);
+    candidates = std::move(report->results);
     if (args.stats) {
-      const EngineReport& r = result->report;
+      const EngineReport& r = *report;
       std::fprintf(stderr,
                    "engine: %lu tasks (%lu big/%lu small), spill %lu "
                    "tasks/%s, steals %lu, cache %lu/%lu (%.1f%% hit), busy "
