@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md): task-decomposition strategies head to head on
+// Ablation B: task-decomposition strategies head to head on
 // the hard dataset --
 //   * none           : one task per root, no decomposition (head-of-line
 //                      blocking on expensive roots);

@@ -1,4 +1,4 @@
-// Ablation A (DESIGN.md): the value of each pruning-rule family. The paper
+// Ablation A: the value of each pruning-rule family. The paper
 // motivates Quick's pruning arsenal (e.g. the lower-bound rule alone is
 // credited with 192x in [27]) and claims its own algorithm uses the rules
 // more effectively than Quick while never missing results. This bench

@@ -40,7 +40,8 @@ void Banner(const std::string& title);
 void Note(const std::string& text);
 
 /// The default simulated-cluster preset used by the table benches:
-/// 2 machines x 2 threads (the host has few cores; DESIGN.md §3).
+/// 2 machines x 2 threads, scaled down from the paper's 16 machines x 32
+/// threads so one few-core host can run every table.
 EngineConfig ClusterPreset();
 
 /// True if the QCM_BENCH_QUICK environment variable asks for reduced grids.

@@ -18,7 +18,8 @@ int main() {
   Banner("Table 1: Graph Datasets (synthetic stand-ins vs. paper)");
   Note("Paper inputs are SNAP/KONECT/GEO downloads; each is replaced by a "
        "planted-community recipe of the same topology class, scaled to "
-       "single-host benchmarking (DESIGN.md §5).");
+       "single-host benchmarking (the real inputs are not redistributable "
+       "offline, and the largest need CPU-days at paper scale).");
 
   Table table({"Data", "|V|", "|E|", "paper |V|", "paper |E|", "max deg",
                "avg deg", "k", "|k-core|", "gen time"});

@@ -1,9 +1,8 @@
 // Table-6 companion: does the VertexCache hide modeled network latency?
 //
 // Sweeps CommFabric delivery latency (0 / 1ms / 10ms wall-clock) on the
-// Hyves-like dataset, with the per-machine vertex cache enabled vs.
-// disabled, plus a CLOCK-policy row per latency for the eviction-policy
-// A/B. The paper's §5 claim to reproduce: because pulls are batched,
+// Hyves-like dataset, with the per-machine LRU vertex cache enabled vs.
+// disabled. The paper's §5 claim to reproduce: because pulls are batched,
 // cached, and overlapped with mining, injected network latency barely
 // moves the cache-enabled job time while the cache-off configuration
 // degrades with every forced re-pull. Evidence is recorded as JSON
@@ -39,13 +38,10 @@ int main() {
   struct Variant {
     const char* label;
     size_t cache_capacity;
-    CachePolicy policy;
   };
   const std::vector<Variant> variants = {
-      {"cache-lru", 1 << 16, CachePolicy::kLRU},
-      {"cache-clock", 1 << 16, CachePolicy::kClock},
-      {"cache-tinylfu", 1 << 16, CachePolicy::kTinyLFU},
-      {"cache-off", 0, CachePolicy::kLRU},
+      {"cache-lru", 1 << 16},
+      {"cache-off", 0},
   };
 
   Table table({"Net Latency", "Variant", "Job Time", "Suspensions",
@@ -63,7 +59,6 @@ int main() {
       config.tau_split = spec->tau_split;
       config.tau_time = spec->tau_time;
       config.vertex_cache_capacity = variant.cache_capacity;
-      config.cache_policy = variant.policy;
       config.net_latency_sec = latency;
       ParallelMiner miner(config);
       auto result = miner.Run(*graph);
@@ -91,8 +86,7 @@ int main() {
               ", \"variant\": \"" + variant.label + "\"" +
               ", \"cache_capacity\": " +
               std::to_string(variant.cache_capacity) +
-              ", \"cache_policy\": \"" + CachePolicyName(variant.policy) +
-              "\"" + ", \"job_seconds\": " + FmtDouble(r.wall_seconds, 6) +
+              ", \"job_seconds\": " + FmtDouble(r.wall_seconds, 6) +
               ", \"slowdown_vs_latency0\": " + FmtDouble(slowdown, 4) +
               ", \"results\": " + std::to_string(result->maximal.size()) +
               ", \"task_suspensions\": " +

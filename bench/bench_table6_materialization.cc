@@ -86,8 +86,7 @@ int main() {
             ", \"pull_batches\": " +
             std::to_string(r.counters.pull_batches) +
             ", \"pull_bytes\": " + std::to_string(r.counters.pull_bytes) +
-            ", \"fallback_bytes\": " +
-            std::to_string(r.counters.remote_bytes) + "}";
+            "}";
   }
   table.Print();
   json += "\n]\n";

@@ -5,7 +5,7 @@
 // The real inputs (SNAP / KONECT / NCBI GEO) are not redistributable in an
 // offline image and the largest need CPU-days at paper scale, so every
 // dataset is a planted-community recipe matched in topology class and
-// scaled in size; see DESIGN.md §5 for the substitution argument.
+// scaled in size.
 
 #ifndef QCM_BENCH_DATASETS_H_
 #define QCM_BENCH_DATASETS_H_

@@ -3,8 +3,10 @@
 // §5 (task_spawn and compute) plus a task codec.
 //
 // The app here counts, for every vertex, the size of its 2-hop
-// neighborhood, fanning out one subtask per first-hop neighbor so the
-// engine's queues, spilling and big-task routing all engage.
+// neighborhood, so the engine's queues, spilling and big-task routing all
+// engage. Adjacency owned by another machine is read the one way the
+// engine offers: Request() it, return kSuspended, and resume once the
+// batched pull has delivered it.
 //
 // Build & run:  ./build/examples/engine_tour
 
@@ -64,16 +66,25 @@ class TwoHopApp : public App {
   ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
     auto& t = static_cast<HopTask&>(task);
     if (t.stage_ == 0) {
+      // The root is local unless the task was stolen to another machine.
+      if (!ctx.Request(t.root())) return ComputeStatus::kSuspended;
       AdjRef adj = ctx.Fetch(t.root());
       t.frontier_.assign(adj.adj.begin(), adj.adj.end());
       t.stage_ = 1;
       return ComputeStatus::kRequeue;  // back through the queues
     }
+    // Request every neighbor; if any lives on another machine, yield the
+    // thread until one batched pull per machine has delivered them all.
+    bool all_available = true;
+    for (VertexId u : t.frontier_) {
+      all_available = ctx.Request(u) && all_available;
+    }
+    if (!all_available) return ComputeStatus::kSuspended;
     std::unordered_set<VertexId> seen(t.frontier_.begin(),
                                       t.frontier_.end());
     seen.insert(t.root());
     for (VertexId u : t.frontier_) {
-      AdjRef au = ctx.Fetch(u);  // remote fetches go through the cache
+      AdjRef au = ctx.Fetch(u);  // local, or pinned by the pull
       for (VertexId w : au.adj) seen.insert(w);
     }
     ctx.sink().Emit({t.root(), static_cast<VertexId>(seen.size() - 1)});
@@ -141,6 +152,11 @@ int main() {
               static_cast<unsigned long>(report->counters.steal_events),
               static_cast<unsigned long>(report->counters.stolen_tasks),
               static_cast<unsigned long>(report->counters.steal_bytes));
+  std::printf("  pulls: %lu suspensions, %lu vertices pulled in %lu "
+              "batches\n",
+              static_cast<unsigned long>(report->counters.task_suspensions),
+              static_cast<unsigned long>(report->counters.pulled_vertices),
+              static_cast<unsigned long>(report->counters.pull_batches));
   std::printf("  remote vertex cache: %lu hits, %lu misses, %lu evictions\n",
               static_cast<unsigned long>(report->counters.cache_hits),
               static_cast<unsigned long>(report->counters.cache_misses),

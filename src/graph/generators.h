@@ -1,6 +1,7 @@
 // Synthetic graph generators. These stand in for the paper's SNAP / KONECT /
-// NCBI-GEO datasets, which are not redistributable offline (see DESIGN.md
-// §5): gene-coexpression inputs are modeled as overlapping planted dense
+// NCBI-GEO datasets, which are not redistributable offline and the largest
+// of which need CPU-days at paper scale: gene-coexpression inputs are
+// modeled as overlapping planted dense
 // modules, social/collaboration networks as power-law backgrounds with
 // planted near-gamma-dense communities. All generators are deterministic
 // for a given seed.

@@ -646,8 +646,7 @@ StatusOr<EngineReport> Engine::Run() {
     auto w = std::make_unique<Worker>();
     w->id = m;
     w->data = std::make_unique<DataService>(
-        table_.get(), m, config_.vertex_cache_capacity, &counters_,
-        config_.cache_policy);
+        table_.get(), m, config_.vertex_cache_capacity, &counters_);
     w->broker = std::make_unique<PullBroker>(
         w->data.get(), m, config_.max_pull_batch, &counters_);
     w->small_spill = std::make_unique<SpillManager>(

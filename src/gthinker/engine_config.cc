@@ -18,38 +18,12 @@ const char* DecomposeModeName(DecomposeMode mode) {
   return "?";
 }
 
-const char* CachePolicyName(CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kLRU:
-      return "lru";
-    case CachePolicy::kClock:
-      return "clock";
-    case CachePolicy::kTinyLFU:
-      return "tinylfu";
-  }
-  return "?";
-}
-
 // Every config rejection names the exact check that fired: a bad flag
 // should cost one glance at engine_config.cc, not a bisection of
 // defaults that silently papered over it.
 #define QCM_CONFIG_ERROR(msg)                                         \
   Status::InvalidArgument(std::string("engine_config.cc:") +          \
                           std::to_string(__LINE__) + ": " + (msg))
-
-Status ParseCachePolicy(const std::string& name, CachePolicy* policy) {
-  if (name == "lru") {
-    *policy = CachePolicy::kLRU;
-  } else if (name == "clock") {
-    *policy = CachePolicy::kClock;
-  } else if (name == "tinylfu") {
-    *policy = CachePolicy::kTinyLFU;
-  } else {
-    return QCM_CONFIG_ERROR("unknown cache policy: \"" + name +
-                            "\" (expected lru | clock | tinylfu)");
-  }
-  return Status::OK();
-}
 
 Status EngineConfig::Validate() const {
   if (num_machines < 1) {
@@ -190,7 +164,6 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU8(config.enable_stealing ? 1 : 0);
   enc->PutU64(config.vertex_cache_capacity);
   enc->PutU64(config.max_pull_batch);
-  enc->PutU8(static_cast<uint8_t>(config.cache_policy));
   enc->PutU64(config.net_latency_ticks);
   enc->PutDouble(config.net_latency_sec);
   enc->PutI64(config.net_coalesce_bytes);
@@ -250,11 +223,6 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   config->vertex_cache_capacity = u64;
   QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
   config->max_pull_batch = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  if (u8 > static_cast<uint8_t>(CachePolicy::kTinyLFU)) {
-    return Status::Corruption("bad cache policy tag");
-  }
-  config->cache_policy = static_cast<CachePolicy>(u8);
   QCM_RETURN_IF_ERROR(dec->GetU64(&config->net_latency_ticks));
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->net_latency_sec));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_coalesce_bytes));

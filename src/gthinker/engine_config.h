@@ -3,8 +3,10 @@
 // The engine simulates a cluster in-process: `num_machines` Workers each own
 // a hash partition of the vertices, a global big-task queue, spill files and
 // `threads_per_machine` mining threads; a master thread rebalances big tasks
-// across workers ("task stealing"). See DESIGN.md §3 for the mapping between
-// the paper's distributed deployment and this simulation.
+// across workers ("task stealing"). A simulated machine stands in for one of
+// the paper's cluster nodes (16 machines x 32 threads there; the defaults
+// below are scaled to one host), and qcm_cluster runs the same engine with
+// one process per machine (README "Deployment").
 
 #ifndef QCM_GTHINKER_ENGINE_CONFIG_H_
 #define QCM_GTHINKER_ENGINE_CONFIG_H_
@@ -31,25 +33,6 @@ enum class DecomposeMode {
 };
 
 const char* DecomposeModeName(DecomposeMode mode);
-
-/// Eviction policy of the per-machine VertexCache (paper §5, Fig. 8).
-enum class CachePolicy {
-  /// Exact least-recently-used (list + map per shard).
-  kLRU,
-  /// CLOCK / second-chance: a ring with reference bits -- cheaper refresh
-  /// and more scan-resistant than LRU for pull-heavy workloads.
-  kClock,
-  /// LRU eviction behind a TinyLFU admission filter: a count-min sketch
-  /// estimates access frequency, and at capacity a new entry is admitted
-  /// only if it is at least as frequent as the eviction victim -- one-shot
-  /// scans cannot flush the hot working set.
-  kTinyLFU,
-};
-
-const char* CachePolicyName(CachePolicy policy);
-
-/// Parses "lru" / "clock" / "tinylfu" (the --cache-policy vocabulary).
-Status ParseCachePolicy(const std::string& name, CachePolicy* policy);
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
 /// single-host simulation.
@@ -84,15 +67,13 @@ struct EngineConfig {
   /// Balance big tasks across machines.
   bool enable_stealing = true;
 
-  /// Per-machine vertex-cache capacity in adjacency-list entries (paper
-  /// §5, Figure 8); 0 disables the cache, forcing every remote access
-  /// onto the pull/transfer path.
+  /// Per-machine LRU vertex-cache capacity in adjacency-list entries
+  /// (paper §5, Figure 8); 0 disables the cache, forcing every remote
+  /// access onto the pull/transfer path.
   size_t vertex_cache_capacity = 1 << 16;
   /// Maximum vertex ids per batched pull message: a broker flush sends
   /// one request per remote machine, split into chunks of this size.
   size_t max_pull_batch = 2048;
-  /// VertexCache eviction policy.
-  CachePolicy cache_policy = CachePolicy::kLRU;
 
   /// Spawn-time pull prefetch (sched/scheduler.h pipeline stage): a newly
   /// spawned task Want()s its first compute round's vertices through the
@@ -180,10 +161,10 @@ struct EngineConfig {
   int64_t stats_interval_ms = 500;
 
   /// Out-of-core graph storage (graph/csr_snapshot.h). graph_snapshot
-  /// names a packed .qcsr file: workers mmap it and serve their partition
-  /// straight from the mapping instead of re-parsing / re-generating the
-  /// full graph per rank (qcm_cluster packs once and fills this in).
-  /// Empty = legacy resident load from the job's input / generator spec.
+  /// names a packed .qcsr file: every cluster worker mmaps it and serves
+  /// its partition straight from the mapping (qcm_cluster packs once and
+  /// fills this in; a cluster job without one is rejected). Single-process
+  /// runs, which mine a resident Graph, leave it empty.
   std::string graph_snapshot;
   /// Page size (bytes) qcm_pack stamps into new snapshots and the
   /// residency granularity of the paged store. Power of two, >= 4096.

@@ -39,10 +39,7 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   s.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = c.cache_misses.load(std::memory_order_relaxed);
   s.cache_evictions = c.cache_evictions.load(std::memory_order_relaxed);
-  s.cache_admit_rejects =
-      c.cache_admit_rejects.load(std::memory_order_relaxed);
   s.pin_hits = c.pin_hits.load(std::memory_order_relaxed);
-  s.remote_bytes = c.remote_bytes.load(std::memory_order_relaxed);
   s.task_suspensions = c.task_suspensions.load(std::memory_order_relaxed);
   s.prefetch_tasks = c.prefetch_tasks.load(std::memory_order_relaxed);
   s.prefetch_issued = c.prefetch_issued.load(std::memory_order_relaxed);
@@ -183,10 +180,7 @@ constexpr CounterField kCounterFields[] = {
     {"cache_hits", &EngineCountersSnapshot::cache_hits, false},
     {"cache_misses", &EngineCountersSnapshot::cache_misses, false},
     {"cache_evictions", &EngineCountersSnapshot::cache_evictions, false},
-    {"cache_admit_rejects", &EngineCountersSnapshot::cache_admit_rejects,
-     false},
     {"pin_hits", &EngineCountersSnapshot::pin_hits, false},
-    {"remote_bytes", &EngineCountersSnapshot::remote_bytes, false},
     {"task_suspensions", &EngineCountersSnapshot::task_suspensions, false},
     {"prefetch_tasks", &EngineCountersSnapshot::prefetch_tasks, false},
     {"prefetch_issued", &EngineCountersSnapshot::prefetch_issued, false},

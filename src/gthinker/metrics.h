@@ -84,15 +84,9 @@ struct EngineCounters {
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
   std::atomic<uint64_t> cache_evictions{0};
-  /// Inserts the TinyLFU admission filter rejected (the candidate's
-  /// estimated frequency lost against the eviction victim's).
-  std::atomic<uint64_t> cache_admit_rejects{0};
   /// Fetch/Request served by an adjacency the task itself pinned from a
   /// prior pull round (no cache lookup, no transfer).
   std::atomic<uint64_t> pin_hits{0};
-  /// Bytes moved by synchronous fallback fetches (cache miss during a
-  /// compute round, outside the batched pull path).
-  std::atomic<uint64_t> remote_bytes{0};
   /// Compute rounds that ended in ComputeStatus::kSuspended (the paper's
   /// "add t back to the queue" while its vertex pull is outstanding).
   std::atomic<uint64_t> task_suspensions{0};
@@ -185,9 +179,7 @@ struct EngineCountersSnapshot {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  uint64_t cache_admit_rejects = 0;
   uint64_t pin_hits = 0;
-  uint64_t remote_bytes = 0;
   uint64_t task_suspensions = 0;
   uint64_t prefetch_tasks = 0;
   uint64_t prefetch_issued = 0;

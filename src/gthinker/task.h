@@ -34,8 +34,8 @@ namespace qcm {
 /// pulled adjacency copies, so a vertex a task requested stays available
 /// to it even after the vertex cache evicts the entry. Engine-managed;
 /// never serialized -- a task spilled to disk (or stolen to another
-/// machine as a kStealBatch message) simply re-pulls (or falls back to a
-/// synchronous fetch) after reload. While a pull is outstanding the task
+/// machine as a kStealBatch message) must Request() its remote vertices
+/// again after reload. While a pull is outstanding the task
 /// stays parked in its machine's PullBroker until the CommFabric delivers
 /// the kPullResponse, however long the modeled network latency delays it.
 class TaskPullState {
@@ -142,11 +142,12 @@ class ComputeContext {
  public:
   virtual ~ComputeContext() = default;
 
-  /// Pulls the adjacency list of v immediately: local table, the current
-  /// task's pinned pull responses, or the machine's vertex cache; a miss
-  /// falls back to a synchronous (unbatched) transfer that is counted as
-  /// remote traffic. UDFs that can tolerate latency should Request() the
-  /// vertices of their next round and suspend instead.
+  /// Reads the adjacency list of v immediately from the local table, the
+  /// current task's pinned pull responses, or the machine's vertex cache.
+  /// There is no transfer on this path: a remote v must have been
+  /// Request()ed -- in this round (returning true) or in an earlier round
+  /// the task suspended on -- or the read fails a QCM_CHECK naming the
+  /// pull-protocol violation, in simulated and multi-process runs alike.
   virtual AdjRef Fetch(VertexId v) = 0;
 
   /// Registers v for the engine's next batched pull round (one aggregated

@@ -4,62 +4,8 @@
 
 namespace qcm {
 
-void VertexCache::FreqSketch::Init(size_t capacity_entries) {
-  // 4 counters per cached entry keeps collision noise low; the halving
-  // budget of 8x capacity matches the classic TinyLFU "sample = 8C".
-  size_t size = 64;
-  while (size < capacity_entries * 4) size <<= 1;
-  counts.assign(size, 0);
-  mask = size - 1;
-  samples = 0;
-  sample_cap = static_cast<uint64_t>(capacity_entries) * 8;
-}
-
-namespace {
-
-/// Row hash: splitmix64 finalizer seeded per row. Distinct odd constants
-/// give four effectively independent index streams.
-inline uint64_t SketchHash(uint64_t key, uint64_t seed) {
-  uint64_t x = key + seed;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-constexpr uint64_t kSketchSeeds[4] = {0x9e3779b97f4a7c15ULL,
-                                      0xc2b2ae3d27d4eb4fULL,
-                                      0x165667b19e3779f9ULL,
-                                      0x27d4eb2f165667c5ULL};
-
-}  // namespace
-
-void VertexCache::FreqSketch::Touch(VertexId v) {
-  for (uint64_t seed : kSketchSeeds) {
-    uint8_t& c = counts[SketchHash(v, seed) & mask];
-    if (c < 0xFF) ++c;
-  }
-  if (++samples >= sample_cap) {
-    // Age: halve everything so yesterday's hot set cannot veto admission
-    // forever.
-    for (uint8_t& c : counts) c >>= 1;
-    samples >>= 1;
-  }
-}
-
-uint32_t VertexCache::FreqSketch::Estimate(VertexId v) const {
-  uint32_t est = 0xFF;
-  for (uint64_t seed : kSketchSeeds) {
-    est = std::min<uint32_t>(est, counts[SketchHash(v, seed) & mask]);
-  }
-  return est;
-}
-
-VertexCache::VertexCache(size_t capacity_entries, EngineCounters* counters,
-                         CachePolicy policy)
-    : capacity_(capacity_entries), counters_(counters), policy_(policy) {
+VertexCache::VertexCache(size_t capacity_entries, EngineCounters* counters)
+    : capacity_(capacity_entries), counters_(counters) {
   const size_t num_shards =
       capacity_ >= kShardThreshold ? kMaxShards : 1;
   shards_.reserve(num_shards);
@@ -67,40 +13,20 @@ VertexCache::VertexCache(size_t capacity_entries, EngineCounters* counters,
     shards_.push_back(std::make_unique<Shard>());
   }
   capacity_per_shard_ = std::max<size_t>(capacity_ / num_shards, 1);
-  if (enabled() && policy_ == CachePolicy::kTinyLFU) {
-    for (auto& shard : shards_) shard->sketch.Init(capacity_per_shard_);
-  }
 }
 
 VertexCache::AdjPtr VertexCache::Lookup(VertexId v, bool count_stats) {
   if (enabled()) {
     Shard& shard = ShardFor(v);
     std::lock_guard<std::mutex> lock(shard.mu);
-    // TinyLFU learns from every counted demand, hit or miss (internal
-    // re-probes with count_stats=false must not inflate frequency either).
-    if (policy_ == CachePolicy::kTinyLFU && count_stats) {
-      shard.sketch.Touch(v);
-    }
-    if (policy_ != CachePolicy::kClock) {
-      auto it = shard.map.find(v);
-      if (it != shard.map.end()) {
-        // Refresh: move to the most-recently-used position.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        if (count_stats && counters_ != nullptr) {
-          counters_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        return it->second->second;
+    auto it = shard.map.find(v);
+    if (it != shard.map.end()) {
+      // Refresh: move to the most-recently-used position.
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      if (count_stats && counters_ != nullptr) {
+        counters_->cache_hits.fetch_add(1, std::memory_order_relaxed);
       }
-    } else {
-      auto it = shard.slot.find(v);
-      if (it != shard.slot.end()) {
-        ClockEntry& entry = shard.ring[it->second];
-        entry.referenced = true;  // second chance
-        if (count_stats && counters_ != nullptr) {
-          counters_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        return entry.adj;
-      }
+      return it->second->second;
     }
   }
   if (count_stats && counters_ != nullptr) {
@@ -109,105 +35,24 @@ VertexCache::AdjPtr VertexCache::Lookup(VertexId v, bool count_stats) {
   return nullptr;
 }
 
-void VertexCache::InsertLru(Shard& shard, VertexId v, AdjPtr adj) {
-  auto it = shard.map.find(v);
-  if (it != shard.map.end()) {
-    it->second->second = std::move(adj);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.emplace_front(v, std::move(adj));
-  shard.map.emplace(v, shard.lru.begin());
-  while (shard.lru.size() > capacity_per_shard_) {
-    shard.map.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    if (counters_ != nullptr) {
-      counters_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void VertexCache::InsertClock(Shard& shard, VertexId v, AdjPtr adj) {
-  auto it = shard.slot.find(v);
-  if (it != shard.slot.end()) {
-    ClockEntry& entry = shard.ring[it->second];
-    entry.adj = std::move(adj);
-    entry.referenced = true;
-    return;
-  }
-  if (shard.ring.size() < capacity_per_shard_) {
-    shard.slot.emplace(v, shard.ring.size());
-    shard.ring.push_back(ClockEntry{v, std::move(adj), false});
-    return;
-  }
-  // Advance the hand, clearing reference bits, until an unreferenced
-  // victim is found (bounded: after one full revolution every bit is
-  // clear). The fresh entry starts unreferenced, so a pure scan evicts
-  // it before anything a hit has protected.
-  while (shard.ring[shard.hand].referenced) {
-    shard.ring[shard.hand].referenced = false;
-    shard.hand = (shard.hand + 1) % shard.ring.size();
-  }
-  ClockEntry& victim = shard.ring[shard.hand];
-  shard.slot.erase(victim.v);
-  if (counters_ != nullptr) {
-    counters_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  victim.v = v;
-  victim.adj = std::move(adj);
-  victim.referenced = false;
-  shard.slot.emplace(v, shard.hand);
-  shard.hand = (shard.hand + 1) % shard.ring.size();
-}
-
-void VertexCache::InsertTinyLfu(Shard& shard, VertexId v, AdjPtr adj) {
-  auto it = shard.map.find(v);
-  if (it != shard.map.end()) {
-    it->second->second = std::move(adj);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  // The arriving entry is itself a demand the sketch should know about
-  // (inserts come from pull responses, i.e. real remote reads).
-  shard.sketch.Touch(v);
-  if (shard.lru.size() >= capacity_per_shard_ && !shard.lru.empty()) {
-    // Admission duel: the newcomer must be at least as frequent as the
-    // LRU victim, otherwise the victim stays and the newcomer is dropped
-    // (a one-shot scan loses every duel against a warm working set).
-    const VertexId victim = shard.lru.back().first;
-    if (shard.sketch.Estimate(v) < shard.sketch.Estimate(victim)) {
-      if (counters_ != nullptr) {
-        counters_->cache_admit_rejects.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      }
-      return;
-    }
-  }
-  shard.lru.emplace_front(v, std::move(adj));
-  shard.map.emplace(v, shard.lru.begin());
-  while (shard.lru.size() > capacity_per_shard_) {
-    shard.map.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    if (counters_ != nullptr) {
-      counters_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
 void VertexCache::Insert(VertexId v, AdjPtr adj) {
   if (!enabled()) return;
   Shard& shard = ShardFor(v);
   std::lock_guard<std::mutex> lock(shard.mu);
-  switch (policy_) {
-    case CachePolicy::kLRU:
-      InsertLru(shard, v, std::move(adj));
-      break;
-    case CachePolicy::kClock:
-      InsertClock(shard, v, std::move(adj));
-      break;
-    case CachePolicy::kTinyLFU:
-      InsertTinyLfu(shard, v, std::move(adj));
-      break;
+  auto it = shard.map.find(v);
+  if (it != shard.map.end()) {
+    it->second->second = std::move(adj);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
+  }
+  shard.lru.emplace_front(v, std::move(adj));
+  shard.map.emplace(v, shard.lru.begin());
+  while (shard.lru.size() > capacity_per_shard_) {
+    shard.map.erase(shard.lru.back().first);
+    shard.lru.pop_back();
+    if (counters_ != nullptr) {
+      counters_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -215,7 +60,7 @@ size_t VertexCache::ApproxSize() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size() + shard->slot.size();
+    total += shard->map.size();
   }
   return total;
 }

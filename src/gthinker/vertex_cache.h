@@ -1,22 +1,8 @@
 // The per-machine vertex cache of the pull-based compute model (paper §5,
-// Figure 8): a capacity-bounded, sharded cache of remote adjacency lists.
-// Batched pull responses and synchronous fallback fetches both land here,
-// so a vertex pulled for one task is served to every later task on the
-// machine without another network transfer.
-//
-// Three eviction policies are selectable via EngineConfig::cache_policy:
-//   * kLRU     -- exact least-recently-used per shard (list + map).
-//   * kClock   -- CLOCK / second-chance: a ring of entries with reference
-//     bits; a hit only sets a bit (no list splice), and a full ring
-//     evicts the first entry the hand finds unreferenced. Cheaper per
-//     hit and more scan-resistant under pull-heavy workloads.
-//   * kTinyLFU -- LRU eviction behind a TinyLFU admission filter: a tiny
-//     count-min sketch (4 hashes, 8-bit saturating counters, periodic
-//     halving so estimates age) tracks how often each vertex is demanded;
-//     at capacity a new entry is admitted only if its estimated frequency
-//     beats the LRU victim's, so a one-shot scan of cold vertices cannot
-//     flush the hot working set the way it can under pure recency
-//     policies. Rejected admissions are counted in cache_admit_rejects.
+// Figure 8): a capacity-bounded, sharded LRU cache of remote adjacency
+// lists. Every batched pull response lands here, so a vertex pulled for
+// one task is served to every later task on the machine without another
+// network transfer.
 //
 // Entries are handed out as shared_ptrs ("pins"): eviction drops the
 // cache's reference, but a task holding a pin keeps the adjacency alive
@@ -37,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "gthinker/engine_config.h"
 #include "gthinker/metrics.h"
 #include "graph/graph.h"
 
@@ -50,23 +35,20 @@ class VertexCache {
   /// `capacity_entries` bounds the number of cached adjacency lists per
   /// machine; 0 disables the cache. `counters` may be null. Small caches
   /// (< kShardThreshold entries) use a single shard so eviction order is
-  /// exactly the policy's; larger ones shard by vertex id to cut lock
-  /// contention.
-  VertexCache(size_t capacity_entries, EngineCounters* counters,
-              CachePolicy policy = CachePolicy::kLRU);
+  /// exactly LRU; larger ones shard by vertex id to cut lock contention.
+  VertexCache(size_t capacity_entries, EngineCounters* counters);
 
   VertexCache(const VertexCache&) = delete;
   VertexCache& operator=(const VertexCache&) = delete;
 
-  /// Returns the cached adjacency of v (refreshing its LRU position or
-  /// setting its CLOCK reference bit), or null on a miss. Counts a cache
-  /// hit or miss unless `count_stats` is false (internal re-probes, e.g.
-  /// the broker checking whether a queued request got cached meanwhile,
-  /// must not double-count the demand).
+  /// Returns the cached adjacency of v (refreshing its LRU position), or
+  /// null on a miss. Counts a cache hit or miss unless `count_stats` is
+  /// false (internal re-probes, e.g. the broker checking whether a queued
+  /// request got cached meanwhile, must not double-count the demand).
   AdjPtr Lookup(VertexId v, bool count_stats = true);
 
-  /// Inserts (or refreshes) v, evicting per the policy while over
-  /// capacity. No-op when the cache is disabled.
+  /// Inserts (or refreshes) v, evicting least-recently-used entries while
+  /// over capacity. No-op when the cache is disabled.
   void Insert(VertexId v, AdjPtr adj);
 
   /// Total entries currently cached (sums shards; approximate only in the
@@ -75,57 +57,20 @@ class VertexCache {
 
   size_t capacity() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }
-  CachePolicy policy() const { return policy_; }
 
  private:
   /// Below this capacity a single shard keeps eviction globally ordered.
   static constexpr size_t kShardThreshold = 1024;
   static constexpr size_t kMaxShards = 8;
 
-  /// CLOCK ring slot.
-  struct ClockEntry {
-    VertexId v = 0;
-    AdjPtr adj;
-    bool referenced = false;
-  };
-
-  /// TinyLFU frequency estimator: a count-min sketch with 4 hash rows in
-  /// one power-of-two array of 8-bit saturating counters. Every counted
-  /// demand Touch()es the key; once the sample budget is spent all
-  /// counters halve, so stale popularity decays instead of pinning the
-  /// cache forever.
-  struct FreqSketch {
-    std::vector<uint8_t> counts;
-    uint64_t mask = 0;
-    uint64_t samples = 0;
-    uint64_t sample_cap = 0;
-
-    void Init(size_t capacity_entries);
-    void Touch(VertexId v);
-    uint32_t Estimate(VertexId v) const;
-  };
-
   struct Shard {
     mutable std::mutex mu;
-
-    // -- kLRU / kTinyLFU state: front = most recently used.
+    /// Front = most recently used.
     std::list<std::pair<VertexId, AdjPtr>> lru;
     std::unordered_map<VertexId,
                        std::list<std::pair<VertexId, AdjPtr>>::iterator>
         map;
-
-    // -- kClock state: ring + hand.
-    std::vector<ClockEntry> ring;
-    size_t hand = 0;
-    std::unordered_map<VertexId, size_t> slot;
-
-    // -- kTinyLFU admission state.
-    FreqSketch sketch;
   };
-
-  void InsertLru(Shard& shard, VertexId v, AdjPtr adj);
-  void InsertClock(Shard& shard, VertexId v, AdjPtr adj);
-  void InsertTinyLfu(Shard& shard, VertexId v, AdjPtr adj);
 
   // Only remote vertices are ever cached, and ownership is v %
   // num_machines -- a raw modulo here would alias with that partition and
@@ -141,7 +86,6 @@ class VertexCache {
   size_t capacity_ = 0;
   size_t capacity_per_shard_ = 0;
   EngineCounters* counters_;
-  CachePolicy policy_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

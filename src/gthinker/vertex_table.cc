@@ -15,35 +15,6 @@ VertexTable::VertexTable(const Graph* graph, int num_machines)
   }
 }
 
-VertexTable::VertexTable(const Graph& full, int num_machines,
-                         int local_rank)
-    : graph_(nullptr),
-      num_machines_(num_machines),
-      local_rank_(local_rank),
-      owned_(num_machines) {
-  QCM_CHECK(local_rank >= 0 && local_rank < num_machines)
-      << "bad local rank " << local_rank << "/" << num_machines;
-  const uint32_t n = full.NumVertices();
-  degrees_.resize(n);
-  local_offsets_.assign(n + 1, 0);
-  uint64_t local_entries = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degrees_[v] = full.Degree(v);
-    const int owner = Owner(v);
-    owned_[owner].push_back(v);
-    if (owner == local_rank) local_entries += degrees_[v];
-  }
-  local_adj_.reserve(local_entries);
-  for (VertexId v = 0; v < n; ++v) {
-    local_offsets_[v] = local_adj_.size();
-    if (Owner(v) == local_rank) {
-      auto adj = full.Neighbors(v);
-      local_adj_.insert(local_adj_.end(), adj.begin(), adj.end());
-    }
-  }
-  local_offsets_[n] = local_adj_.size();
-}
-
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
                          int num_machines, int local_rank,
                          uint64_t graph_memory_budget)
@@ -68,57 +39,28 @@ VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
 
 std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
   if (graph_ != nullptr) return graph_->Neighbors(v);
-  if (snapshot_ != nullptr) {
-    QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
-        << "adjacency of vertex " << v << " (owner " << Owner(v)
-        << ") read on rank " << local_rank_
-        << ": remote adjacency does not exist in a partitioned table";
-    return paged_->Adjacency(v);
-  }
-  QCM_CHECK(Owner(v) == local_rank_)
+  QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
       << "adjacency of vertex " << v << " (owner " << Owner(v)
       << ") read on rank " << local_rank_
       << ": remote adjacency does not exist in a partitioned table";
-  return {local_adj_.data() + local_offsets_[v],
-          local_adj_.data() + local_offsets_[v + 1]};
+  return paged_->Adjacency(v);
 }
 
 DataService::DataService(const VertexTable* table, int machine,
-                         size_t cache_capacity, EngineCounters* counters,
-                         CachePolicy policy)
-    : table_(table),
-      machine_(machine),
-      counters_(counters),
-      cache_(cache_capacity, counters, policy) {}
+                         size_t cache_capacity, EngineCounters* counters)
+    : table_(table), machine_(machine), cache_(cache_capacity, counters) {}
 
 AdjRef DataService::Fetch(VertexId v) {
   if (IsLocal(v)) {
     return AdjRef{table_->Adjacency(v), nullptr};
   }
-  if (auto cached = cache_.Lookup(v)) {
-    return AdjRef{std::span<const VertexId>(cached->data(), cached->size()),
-                  std::move(cached)};
-  }
-  // Synchronous fallback: v was never requested (or its pin was dropped by
-  // a spill round-trip); copy the adjacency from the owner's table and
-  // count the unbatched transfer. In process-per-machine mode there is no
-  // owner table to read -- every remote adjacency must arrive through the
-  // pull protocol, so reaching this line is a protocol violation.
-  QCM_CHECK(!table_->partitioned())
-      << "synchronous remote fetch of vertex " << v << " on rank "
-      << table_->local_rank()
+  auto cached = cache_.Lookup(v);
+  QCM_CHECK(cached != nullptr)
+      << "synchronous remote fetch of vertex " << v << " on machine "
+      << machine_
       << ": vertex was never Request()ed/pinned (pull-protocol violation)";
-  QCM_TRACE_INSTANT(trace::kPull, "cache_miss", static_cast<uint32_t>(v));
-  auto adj = table_->Adjacency(v);
-  auto copy =
-      std::make_shared<const std::vector<VertexId>>(adj.begin(), adj.end());
-  if (counters_ != nullptr) {
-    counters_->remote_bytes.fetch_add(copy->size() * sizeof(VertexId),
-                                      std::memory_order_relaxed);
-  }
-  cache_.Insert(v, copy);
-  return AdjRef{std::span<const VertexId>(copy->data(), copy->size()),
-                std::move(copy)};
+  return AdjRef{std::span<const VertexId>(cached->data(), cached->size()),
+                std::move(cached)};
 }
 
 PullBroker::PullBroker(DataService* data, int machine, size_t max_batch,
@@ -140,8 +82,8 @@ void PullBroker::Park(TaskPtr task) {
   Parked parked;
   parked.task = std::move(task);
   for (VertexId v : wanted) {
-    // Served since the task suspended (by another task's pull or a
-    // fallback fetch): pin without any transfer or waiting.
+    // Served since the task suspended (by another task's pull): pin
+    // without any transfer or waiting.
     if (auto cached = data_->cache().Lookup(v, /*count_stats=*/false)) {
       parked.task->pulls().Pin(v, std::move(cached));
       continue;
@@ -178,7 +120,7 @@ std::vector<TaskPtr> PullBroker::PumpRequests(CommFabric* fabric) {
       trace::Enabled() ? trace::TraceNowMicros() : 0;
 
   // Recheck the cache: ids cached since they were queued (by another
-  // task's pull round or a fallback fetch) are served without a message.
+  // task's pull round) are served without a message.
   const VertexTable& table = data_->table();
   std::vector<std::vector<VertexId>> groups(table.NumMachines());
   for (VertexId v : pending) {

@@ -3,8 +3,10 @@
 //     machine's "local vertex table" is the set of vertices it owns.
 //   * DataService -- the per-machine facade tasks fetch through: local
 //     vertices resolve to the local table, remote ones to the bounded
-//     VertexCache, and cold remote reads fall back to a synchronous
-//     (unbatched, metrics-counted) transfer.
+//     VertexCache. A remote vertex is readable only once the pull
+//     protocol has delivered it (cached here, or pinned into the task);
+//     a cold read that skipped Request() is a loud error in every
+//     deployment.
 //   * PullBroker -- the request/response protocol endpoint of a machine:
 //     tasks suspended on missing vertices park here; a request pump
 //     aggregates every outstanding id into one batched kPullRequest
@@ -39,31 +41,25 @@ namespace qcm {
 ///   * Simulated (in-process) mode wraps the full shared Graph -- every
 ///     machine's adjacency is readable because every "machine" lives in
 ///     this process.
-///   * Partitioned (process-per-machine) mode holds only the local rank's
-///     adjacency lists plus a replicated degree array: degree is vertex
-///     metadata every process keeps (spawn thresholds and frontier
-///     qualification read remote degrees), while reading a remote
-///     vertex's adjacency is impossible by construction and fails loudly
-///     -- exactly the discipline the pull protocol must satisfy.
+///   * Snapshot mode serves a mmap'd .qcsr snapshot. A process-per-machine
+///     worker opens it for its own rank only: degree is vertex metadata
+///     every process reads (spawn thresholds and frontier qualification
+///     read remote degrees), while reading a remote vertex's adjacency
+///     fails loudly -- exactly the discipline the pull protocol must
+///     satisfy.
 class VertexTable {
  public:
   /// Simulated mode: the full graph, hash-partitioned across
   /// `num_machines` in-process machines. `graph` must outlive the table.
   VertexTable(const Graph* graph, int num_machines);
 
-  /// Partitioned mode: copies only the adjacency lists `full` assigns to
-  /// `local_rank` (plus the degree metadata of every vertex) and does NOT
-  /// retain `full` -- the caller may free the full graph afterwards,
-  /// leaving this process with its partition only.
-  VertexTable(const Graph& full, int num_machines, int local_rank);
-
   /// Snapshot mode: serves degrees and adjacency straight out of a
   /// mmap'd .qcsr snapshot -- no transient full Graph is ever built, so
   /// startup peak RSS is the owned slice plus replicated metadata.
-  /// `local_rank` >= 0 behaves like partitioned mode (owned adjacency
-  /// only, remote reads fail loudly); -1 serves every vertex.
-  /// `graph_memory_budget` > 0 bounds resident adjacency bytes via the
-  /// PagedAdjacencyStore; 0 keeps the partition's pages resident on use.
+  /// `local_rank` >= 0 serves only that rank's adjacency (remote reads
+  /// fail loudly); -1 serves every vertex. `graph_memory_budget` > 0
+  /// bounds resident adjacency bytes via the PagedAdjacencyStore; 0 keeps
+  /// the partition's pages resident on use.
   VertexTable(std::shared_ptr<CsrSnapshot> snapshot, int num_machines,
               int local_rank, uint64_t graph_memory_budget);
 
@@ -73,28 +69,25 @@ class VertexTable {
 
   int NumMachines() const { return num_machines_; }
 
-  /// True in process-per-machine mode (only the local rank's adjacency
-  /// is readable). Simulated and single-process snapshot tables serve
-  /// every vertex and report false.
+  /// True for a snapshot table opened for one rank (only that rank's
+  /// adjacency is readable). Simulated and serve-every-vertex snapshot
+  /// tables report false.
   bool partitioned() const { return local_rank_ >= 0; }
 
-  /// The rank whose adjacency this partition holds (-1 when simulated).
+  /// The rank whose adjacency this partition holds (-1 when unpartitioned).
   int local_rank() const { return local_rank_; }
 
-  /// Adjacency of v. Partitioned mode: v must be owned by the local rank
-  /// (QCM_CHECK -- a remote adjacency physically is not here).
+  /// Adjacency of v. Partitioned tables: v must be owned by the local
+  /// rank (QCM_CHECK -- a remote adjacency is not served here).
   std::span<const VertexId> Adjacency(VertexId v) const;
 
   uint32_t Degree(VertexId v) const {
-    if (graph_ != nullptr) return graph_->Degree(v);
-    if (snapshot_ != nullptr) return snapshot_->Degree(v);
-    return degrees_[v];
+    return graph_ != nullptr ? graph_->Degree(v) : snapshot_->Degree(v);
   }
 
   uint32_t NumVertices() const {
-    if (graph_ != nullptr) return graph_->NumVertices();
-    if (snapshot_ != nullptr) return snapshot_->NumVertices();
-    return static_cast<uint32_t>(degrees_.size());
+    return graph_ != nullptr ? graph_->NumVertices()
+                             : snapshot_->NumVertices();
   }
 
   /// Vertices owned by `machine`, ascending.
@@ -110,16 +103,10 @@ class VertexTable {
   PagedAdjacencyStore* paged_store() const { return paged_.get(); }
 
  private:
-  const Graph* graph_;  // simulated mode; null when partitioned
+  const Graph* graph_;  // simulated mode; null in snapshot mode
   int num_machines_;
   int local_rank_ = -1;
   std::vector<std::vector<VertexId>> owned_;
-
-  // Partitioned-mode storage: degree of every vertex; CSR rows only for
-  // vertices owned by local_rank_ (others have zero extent).
-  std::vector<uint32_t> degrees_;
-  std::vector<uint64_t> local_offsets_;  // size NumVertices()+1
-  std::vector<VertexId> local_adj_;
 
   // Snapshot-mode storage: degrees/adjacency live in the mapping; the
   // paged store manages adjacency residency under the budget.
@@ -131,15 +118,16 @@ class VertexTable {
 class DataService {
  public:
   DataService(const VertexTable* table, int machine, size_t cache_capacity,
-              EngineCounters* counters,
-              CachePolicy policy = CachePolicy::kLRU);
+              EngineCounters* counters);
 
   bool IsLocal(VertexId v) const { return table_->Owner(v) == machine_; }
 
-  /// Immediate vertex pull: local table span, cached remote copy, or a
-  /// synchronous fallback transfer (copy from the owner, counted in
-  /// remote_bytes and inserted into the cache). Task pins are consulted
-  /// by the comper before it reaches this layer.
+  /// Immediate vertex read: the local table span or the cached remote
+  /// copy. Task pins are consulted by the comper before it reaches this
+  /// layer. Anything else is a pull-protocol violation (the caller never
+  /// Request()ed v) and fails a QCM_CHECK -- in simulated mode too, where
+  /// the owner's adjacency would be readable, so a UDF that skips the
+  /// protocol fails in-process tests instead of only on a cluster worker.
   AdjRef Fetch(VertexId v);
 
   /// Cache-only probe (counts hit/miss); null on miss.
@@ -153,7 +141,6 @@ class DataService {
  private:
   const VertexTable* table_;
   int machine_;
-  EngineCounters* counters_;
   VertexCache cache_;
 };
 

@@ -4,25 +4,20 @@
 
 namespace qcm {
 
-std::string EncodeJobSpec(const ClusterJobSpec& spec) {
+std::string EncodeJobSpec(const EngineConfig& config) {
   Encoder enc;
-  enc.PutString(spec.input);
-  enc.PutString(spec.gen_planted);
-  enc.PutU64(spec.seed);
-  EncodeEngineConfig(spec.config, &enc);
+  EncodeEngineConfig(config, &enc);
   return enc.Release();
 }
 
-Status DecodeJobSpec(const std::string& blob, ClusterJobSpec* spec) {
+Status DecodeJobSpec(const std::string& blob, EngineConfig* config) {
   Decoder dec(blob);
-  QCM_RETURN_IF_ERROR(dec.GetString(&spec->input));
-  QCM_RETURN_IF_ERROR(dec.GetString(&spec->gen_planted));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&spec->seed));
-  QCM_RETURN_IF_ERROR(DecodeEngineConfig(&dec, &spec->config));
+  QCM_RETURN_IF_ERROR(DecodeEngineConfig(&dec, config));
   if (!dec.Done()) return Status::Corruption("trailing bytes in job spec");
-  if (spec->input.empty() == spec->gen_planted.empty()) {
+  if (config->graph_snapshot.empty()) {
     return Status::InvalidArgument(
-        "job spec needs exactly one of input / gen_planted");
+        "job spec names no graph_snapshot (workers only load the "
+        "launcher's packed .qcsr)");
   }
   return Status::OK();
 }

@@ -1,9 +1,9 @@
-// ClusterJobSpec: everything a worker process needs to run its share of a
-// distributed mining job, shipped as the opaque config blob of the rank-
-// assignment handshake (wire.h kAssign). The graph itself is NOT shipped:
-// workers rebuild it deterministically from the spec (an edge-list path
-// readable by every process, or a seeded synthetic-generator spec) and
-// then keep only their own partition.
+// The cluster job blob: everything a worker process needs to run its share
+// of a distributed mining job, shipped as the opaque config blob of the
+// rank-assignment handshake (wire.h kAssign). It is the full EngineConfig.
+// The graph itself is NOT shipped: config.graph_snapshot names the .qcsr
+// snapshot the launcher packed once, which every worker mmaps and serves
+// its own partition from, so a blob without a snapshot path is rejected.
 
 #ifndef QCM_NET_JOB_SPEC_H_
 #define QCM_NET_JOB_SPEC_H_
@@ -15,19 +15,9 @@
 
 namespace qcm {
 
-struct ClusterJobSpec {
-  /// Exactly one of these is non-empty (same contract as qcm_mine).
-  std::string input;        // SNAP edge-list path
-  std::string gen_planted;  // planted-community generator spec
-  uint64_t seed = 1;        // generator seed (ignored for --input)
-
-  /// Full engine configuration; num_machines must equal the cluster's
-  /// world size.
-  EngineConfig config;
-};
-
-std::string EncodeJobSpec(const ClusterJobSpec& spec);
-Status DecodeJobSpec(const std::string& blob, ClusterJobSpec* spec);
+/// `config.num_machines` must equal the cluster's world size.
+std::string EncodeJobSpec(const EngineConfig& config);
+Status DecodeJobSpec(const std::string& blob, EngineConfig* config);
 
 }  // namespace qcm
 

@@ -476,6 +476,7 @@ Status TcpTransport::WriteTo(int fd, std::mutex& mu, const Frame& frame) {
 }
 
 void TcpTransport::MarkPeerDown(int peer, uint32_t epoch) {
+  std::lock_guard<std::mutex> transition(down_transition_mu_);
   int old_fd = -1;
   {
     std::lock_guard<std::mutex> lock(*peer_mus_[peer]);

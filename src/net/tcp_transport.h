@@ -168,7 +168,9 @@ class TcpTransport : public Transport {
   /// the peer dead, drops its parked frames, quiesces and joins its
   /// receive thread, resets sent_to_[peer], then fires the engine's
   /// on_peer_down hook. No-op when `epoch` is not newer than the peer's
-  /// current epoch.
+  /// current epoch -- but only once any transition already under way has
+  /// finished, so a caller that goes on to swap in the replacement's
+  /// connection never overtakes the hook.
   void MarkPeerDown(int peer, uint32_t epoch);
   /// kPeerUp handler: waits (bounded) for the accept thread to swap the
   /// replacement's connection in, then fires the engine's on_peer_up
@@ -244,6 +246,11 @@ class TcpTransport : public Transport {
   /// MarkPeerDown/Shutdown).
   std::mutex recv_threads_mu_;
   std::vector<std::thread> recv_peer_threads_;
+  /// Held for a whole MarkPeerDown. The coordinator's kPeerDown and the
+  /// replacement's kPeerHello race on different threads; without this, the
+  /// loser could see the epoch already bumped, return, and let the
+  /// replacement's frames be counted before the hook resets the pair.
+  std::mutex down_transition_mu_;
 };
 
 }  // namespace qcm

@@ -91,7 +91,12 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // launcher packs the graph once and ships the .qcsr path to every rank;
 // EngineReport grew the paged-store counters (page pins / page-ins /
 // evictions / fault-stall time).
-inline constexpr uint32_t kWireProtocolVersion = 6;
+// v7: one graph-access path. The kAssign job blob is the bare
+// EngineConfig (the edge-list path / planted spec / seed prefix is gone;
+// workers only mmap config.graph_snapshot); EngineConfig lost its cache
+// eviction-policy byte; EngineReport lost the admission-reject and
+// fallback-transfer byte counters.
+inline constexpr uint32_t kWireProtocolVersion = 7;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

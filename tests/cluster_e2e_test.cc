@@ -178,27 +178,6 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
 }
 
-// The legacy per-rank rebuild path (--no-snapshot) must stay alive and
-// bit-identical as the fallback when no snapshot can be shipped.
-TEST(ClusterE2ETest, LegacyNoSnapshotPathStillMatches) {
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 3 --threads 2");
-  ASSERT_EQ(single.exit_code, 0) << single.output;
-
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --no-snapshot");
-  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  EXPECT_EQ(cluster.output.find("packed"), std::string::npos)
-      << cluster.output;
-
-  const std::string single_digest = Digest(single.output);
-  ASSERT_EQ(single_digest.size(), 16u) << single.output;
-  EXPECT_EQ(single_digest, Digest(cluster.output))
-      << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
-}
-
 TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   const std::string json_path = ::testing::TempDir() + "/qcm_stats.json";
   const RunResult cluster = RunCommand(

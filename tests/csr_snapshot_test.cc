@@ -237,7 +237,7 @@ TEST(CsrSnapshotTest, PagedStoreMatchesResidentUnderEvictionChurn) {
 
   const int kMachines = 3;
   for (int rank = 0; rank < kMachines; ++rank) {
-    VertexTable resident(g, kMachines, rank);
+    VertexTable resident(&g, kMachines);
     // Two pages of budget against a multi-page partition: every pass over
     // the owned vertices must evict and repin mid-scan.
     VertexTable paged(*snap, kMachines, rank, /*graph_memory_budget=*/8192);

@@ -16,11 +16,14 @@ namespace qcm {
 namespace {
 
 /// Toy task: enumerate triangles {v, u, w} with v < u < w where v is the
-/// root. The spawned task (iteration 1) pulls Gamma(root) and requeues
+/// root. The spawned task (iteration 1) reads Gamma(root) and requeues
 /// itself (exercising the requeue path); iteration 2 fans out one subtask
 /// per pivot u (exercising AddTask bursts, the overflow/spill path and
 /// big/small routing); each subtask (iteration 3) emits the triangles of
-/// its pivot.
+/// its pivot. Every adjacency read follows the pull protocol: Request()
+/// first, and suspend until the engine has delivered a remote vertex (a
+/// stolen or spilled task re-requests after reload, since pins are not
+/// serialized).
 class TriTask : public Task {
  public:
   TriTask(VertexId root, uint64_t hint) : root_(root), hint_(hint) {}
@@ -65,6 +68,8 @@ class TriApp : public App {
   ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
     auto& t = static_cast<TriTask&>(task);
     if (t.iteration_ == 1) {
+      // The root is local unless the task was stolen to another machine.
+      if (!ctx.Request(t.root())) return ComputeStatus::kSuspended;
       AdjRef adj = ctx.Fetch(t.root());
       for (VertexId u : adj.adj) {
         if (u > t.root()) t.frontier_.push_back(u);
@@ -84,6 +89,7 @@ class TriApp : public App {
       return ComputeStatus::kDone;
     }
     // Iteration 3: emit triangles {root, pivot, w}.
+    if (!ctx.Request(t.pivot_)) return ComputeStatus::kSuspended;
     AdjRef au = ctx.Fetch(t.pivot_);
     std::set<VertexId> au_set(au.adj.begin(), au.adj.end());
     for (VertexId w : t.frontier_) {
@@ -279,6 +285,11 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
     config.tau_split = 0;  // every task is big -> stealable
     config.steal_period_sec = 0.001;
     config.enable_stealing = true;
+    // The subtasks' pivot pulls feed the per-link RTT estimates; keep the
+    // planner at its flat batch cap so a slow (or merely loaded) link
+    // cannot suppress every move. Latency-aware suppression is pinned by
+    // StealPlannerTest.SlowLinksSuppressDribbleMoves.
+    config.steal_rtt_reference_sec = 1.0;
     config.net_latency_ticks = lc.ticks;
     config.net_latency_sec = lc.sec;
     SkewedSlowTriApp app(kMachines);
@@ -347,8 +358,10 @@ TEST(EngineTest, RemoteFetchesHappenWithMultipleMachines) {
   Engine engine(&g, config, &app);
   auto report = engine.Run();
   ASSERT_TRUE(report.ok());
+  // Remote pivots arrive through batched pulls the subtasks suspend on.
   EXPECT_GT(report->counters.cache_misses, 0u);
-  EXPECT_GT(report->counters.remote_bytes, 0u);
+  EXPECT_GT(report->counters.task_suspensions, 0u);
+  EXPECT_GT(report->counters.pulled_vertices, 0u);
 }
 
 TEST(EngineTest, RunTwiceIsAnError) {

@@ -1,5 +1,6 @@
 // Unit tests for the exact Gamma arithmetic and the U_S / L_S bound
-// machinery (paper invariant I4 in DESIGN.md).
+// machinery. The invariant under test: the bounds must bracket the size of
+// every valid extension of S, so bounding never cuts a valid quasi-clique.
 
 #include <gtest/gtest.h>
 

@@ -177,7 +177,8 @@ TEST(IterativeBoundingTest, CriticalVertexDisabledStillCorrect) {
 }
 
 // Property: after bounding on random graphs, no vertex of any valid
-// quasi-clique containing S was Type-I-pruned (I3 in DESIGN.md).
+// quasi-clique containing S was Type-I-pruned (pruning must never change
+// the answer, only the work).
 class BoundingSoundness : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(BoundingSoundness, NeverPrunesValidExtensions) {

@@ -1,4 +1,4 @@
-// The central correctness suite (DESIGN.md invariant I1): the serial miner,
+// The central correctness suite: the serial miner,
 // after maximality postprocessing, must report exactly the same maximal
 // quasi-clique set as the exhaustive oracle -- across random graphs, gammas,
 // size thresholds, and every pruning-rule ablation (pruning rules must

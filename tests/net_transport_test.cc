@@ -2,20 +2,23 @@
 // sanitizer configs see every thread: the rank-assignment handshake, the
 // data-plane mesh, steal commands, distributed termination detection with
 // report collection, and -- the core §5 parity claim -- a full 3-"process"
-// distributed engine run (three TcpTransport-backed engines over
-// partitioned vertex tables, real loopback sockets between them) whose
-// merged maximal result set is bit-identical to simulated single-process
-// mode.
+// distributed engine run (three TcpTransport-backed engines, each serving
+// its own partition of one .qcsr snapshot like a qcm_worker does, real
+// loopback sockets between them) whose merged maximal result set is
+// bit-identical to simulated single-process mode.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/parallel_miner.h"
@@ -340,13 +343,20 @@ TEST(TcpTransportTest, LingerExpiryFlushesParkedFrames) {
 }
 
 // The §5 parity claim, in-process: three TcpTransport-backed engines over
-// partitioned tables mine the same maximal set as simulated mode.
+// per-rank snapshot tables mine the same maximal set as simulated mode.
 TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   auto spec = ParsePlantedSpec("n=900,communities=4,size=9..12,density=0.95",
                                7);
   ASSERT_TRUE(spec.ok());
   auto graph = GenPlantedCommunities(spec.value());
   ASSERT_TRUE(graph.ok());
+  // Workers only ever serve a packed snapshot; pack one like the launcher.
+  const std::string snapshot_path = ::testing::TempDir() +
+                                    "/net_transport_parity_" +
+                                    std::to_string(::getpid()) + ".qcsr";
+  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
+  auto snapshot = CsrSnapshot::Open(snapshot_path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
   EngineConfig config;
   config.num_machines = 3;
@@ -371,7 +381,7 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   // Distributed: one engine per rank, real sockets in between. Run once
   // with the given config; out-params get the canonical maximal set and
   // the merged cluster report.
-  auto run_distributed = [&graph](const EngineConfig& run_config,
+  auto run_distributed = [&snapshot](const EngineConfig& run_config,
                                   std::vector<VertexSet>* out_results,
                                   EngineReport* out_merged) {
     CoordinatorConfig coord_config;
@@ -387,8 +397,8 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
       auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       std::unique_ptr<TcpTransport> transport = std::move(t).value();
-      auto table =
-          std::make_unique<VertexTable>(*graph, 3, transport->rank());
+      auto table = std::make_unique<VertexTable>(
+          *snapshot, 3, transport->rank(), /*graph_memory_budget=*/0);
       QCApp app(run_config);
       Engine engine(std::move(table), run_config, &app, transport.get());
       auto report = engine.Run();
@@ -453,6 +463,7 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   EXPECT_GE(merged_coalesced.counters.net_flush_frames,
             merged_coalesced.counters.net_flushes);
   EXPECT_EQ(merged_coalesced.counters.net_flush_direct, 0u);
+  std::remove(snapshot_path.c_str());
 }
 
 }  // namespace

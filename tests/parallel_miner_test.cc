@@ -1,4 +1,4 @@
-// End-to-end correctness of the parallel pipeline (DESIGN.md invariant I2):
+// End-to-end correctness of the parallel pipeline:
 // for any machine/thread count, decomposition mode, tau_split/tau_time and
 // queue capacities, the maximal result set must equal the serial miner's
 // (and, on tiny graphs, the exhaustive oracle's).

@@ -298,16 +298,6 @@ TEST(EngineConfigValidationTest, RejectsNegativeLatencyWithFileLine) {
   EXPECT_NE(s.message().find("net_latency_sec"), std::string::npos);
 }
 
-TEST(EngineConfigValidationTest, RejectsUnknownCachePolicyWithFileLine) {
-  CachePolicy policy = CachePolicy::kLRU;
-  Status s = ParseCachePolicy("mru", &policy);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("engine_config.cc:"), std::string::npos)
-      << s.ToString();
-  EXPECT_NE(s.message().find("mru"), std::string::npos);
-  EXPECT_EQ(policy, CachePolicy::kLRU);  // never silently defaulted
-}
-
 TEST(EngineConfigValidationTest, RejectsContradictoryPrefetchSettings) {
   EngineConfig config = ValidBase();
   config.spawn_prefetch = true;

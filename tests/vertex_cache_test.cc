@@ -1,13 +1,15 @@
 // Tests for the pull-based vertex access subsystem (paper §5, Fig. 8):
-// VertexCache LRU/CLOCK eviction and the capacity=0 (cache off) mode, the
-// DataService fetch paths, the PullBroker request/response protocol over
-// the CommFabric, and the end-to-end invariant that ParallelMiner results
-// stay bit-identical to the direct-read path under cache pressure,
-// cross-machine pulls, and modeled network latency.
+// VertexCache LRU eviction and the capacity=0 (cache off) mode, the
+// DataService fetch paths (including the loud failure of a remote read
+// that skipped the pull protocol), the PullBroker request/response
+// protocol over the CommFabric, and the end-to-end invariant that
+// ParallelMiner results stay bit-identical to the direct-read path under
+// cache pressure, cross-machine pulls, and modeled network latency.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -82,114 +84,6 @@ TEST(VertexCacheTest, CapacityZeroDisablesCaching) {
   EXPECT_EQ(counters.cache_evictions.load(), 0u);
 }
 
-TEST(VertexCacheTest, ClockHitSetsReferenceBitAndSurvivesScan) {
-  EngineCounters counters;
-  VertexCache cache(3, &counters, CachePolicy::kClock);
-  EXPECT_EQ(cache.policy(), CachePolicy::kClock);
-  cache.Insert(10, Adj({1}));
-  cache.Insert(20, Adj({2}));
-  cache.Insert(30, Adj({3}));
-  // Reference 10: the next eviction must pick an unreferenced entry.
-  EXPECT_NE(cache.Lookup(10), nullptr);
-  cache.Insert(40, Adj({4}));
-  EXPECT_EQ(counters.cache_evictions.load(), 1u);
-  // 20 was the hand's first unreferenced victim; 10 survived its second
-  // chance.
-  EXPECT_EQ(cache.Lookup(20, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(10, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(40, /*count_stats=*/false), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 3u);
-}
-
-TEST(VertexCacheTest, ClockScanEvictsUnreferencedInsertionOrder) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kClock);
-  // A pure scan (no hits): insertions evict in ring order.
-  for (VertexId v = 0; v < 10; ++v) {
-    cache.Insert(v, Adj({v}));
-  }
-  EXPECT_EQ(counters.cache_evictions.load(), 8u);
-  EXPECT_LE(cache.ApproxSize(), 2u);
-  // The most recent inserts are resident.
-  EXPECT_NE(cache.Lookup(8, /*count_stats=*/false), nullptr);
-  EXPECT_NE(cache.Lookup(9, /*count_stats=*/false), nullptr);
-}
-
-TEST(VertexCacheTest, ClockCapacityZeroDisablesCaching) {
-  EngineCounters counters;
-  VertexCache cache(0, &counters, CachePolicy::kClock);
-  EXPECT_FALSE(cache.enabled());
-  cache.Insert(1, Adj({2}));
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 0u);
-}
-
-TEST(VertexCacheTest, TinyLfuAdmitsFrequentOverScan) {
-  EngineCounters counters;
-  // Single shard so the admission duel is against the true global LRU
-  // victim.
-  VertexCache cache(3, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(10, Adj({1}));
-  cache.Insert(20, Adj({2}));
-  cache.Insert(30, Adj({3}));
-  // Warm the working set: several counted demands per resident vertex.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(cache.Lookup(10), nullptr);
-    EXPECT_NE(cache.Lookup(20), nullptr);
-    EXPECT_NE(cache.Lookup(30), nullptr);
-  }
-  // A one-shot scan of cold vertices loses every admission duel: the
-  // working set survives untouched and the rejections are counted.
-  for (VertexId v = 100; v < 120; ++v) {
-    cache.Insert(v, Adj({v}));
-  }
-  EXPECT_EQ(counters.cache_admit_rejects.load(), 20u);
-  EXPECT_EQ(counters.cache_evictions.load(), 0u);
-  EXPECT_NE(cache.Lookup(10), nullptr);
-  EXPECT_NE(cache.Lookup(20), nullptr);
-  EXPECT_NE(cache.Lookup(30), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 3u);
-}
-
-TEST(VertexCacheTest, TinyLfuAdmitsWhenNewcomerIsAtLeastAsFrequent) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(1, Adj({1}));
-  cache.Insert(2, Adj({2}));
-  // Build demand for 9 (two counted misses) while the victim-to-be (the
-  // LRU tail, vertex 1) has only its insert-time touch.
-  EXPECT_EQ(cache.Lookup(9), nullptr);
-  EXPECT_EQ(cache.Lookup(9), nullptr);
-  EXPECT_NE(cache.Lookup(2), nullptr);  // 1 becomes the LRU victim
-  cache.Insert(9, Adj({9}));
-  EXPECT_NE(cache.Lookup(9), nullptr);  // admitted
-  EXPECT_EQ(cache.Lookup(1), nullptr);  // evicted
-  EXPECT_EQ(counters.cache_evictions.load(), 1u);
-}
-
-TEST(VertexCacheTest, TinyLfuRefreshOfResidentEntryIsNotADuel) {
-  EngineCounters counters;
-  VertexCache cache(2, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(1, Adj({1}));
-  cache.Insert(2, Adj({2}));
-  // Re-inserting a resident vertex (a pull response refreshing an entry)
-  // just updates it -- never a rejection, never an eviction.
-  cache.Insert(1, Adj({1, 5}));
-  EXPECT_EQ(counters.cache_admit_rejects.load(), 0u);
-  EXPECT_EQ(counters.cache_evictions.load(), 0u);
-  auto hit = cache.Lookup(1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, (std::vector<VertexId>{1, 5}));
-}
-
-TEST(VertexCacheTest, TinyLfuCapacityZeroDisablesCaching) {
-  EngineCounters counters;
-  VertexCache cache(0, &counters, CachePolicy::kTinyLFU);
-  cache.Insert(1, Adj({2}));
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 0u);
-}
-
 TEST(VertexCacheTest, ShardedCacheStaysNearCapacity) {
   EngineCounters counters;
   VertexCache cache(2048, &counters);  // sharded regime
@@ -200,7 +94,13 @@ TEST(VertexCacheTest, ShardedCacheStaysNearCapacity) {
   EXPECT_LE(cache.ApproxSize(), 2048u);
 }
 
-TEST(DataServiceTest, LocalVsRemoteFetch) {
+/// What a pull response would deliver for v: a copy of its adjacency.
+VertexCache::AdjPtr CopyOf(const Graph& g, VertexId v) {
+  auto adj = g.Neighbors(v);
+  return Adj(std::vector<VertexId>(adj.begin(), adj.end()));
+}
+
+TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
   VertexTable table(&g, 2);
   EngineCounters counters;
@@ -212,31 +112,31 @@ TEST(DataServiceTest, LocalVsRemoteFetch) {
   EXPECT_EQ(local_ref.pin, nullptr);
   EXPECT_EQ(counters.cache_misses.load(), 0u);
 
-  // Remote fetch: synchronous fallback miss, then a cache hit.
+  // Remote fetch of a delivered (cached) vertex: a pinned cache hit.
   VertexId remote_v = table.OwnedVertices(1)[0];
-  AdjRef r1 = svc.Fetch(remote_v);
-  EXPECT_NE(r1.pin, nullptr);
-  EXPECT_EQ(counters.cache_misses.load(), 1u);
-  AdjRef r2 = svc.Fetch(remote_v);
+  svc.cache().Insert(remote_v, CopyOf(g, remote_v));
+  AdjRef r = svc.Fetch(remote_v);
+  EXPECT_NE(r.pin, nullptr);
   EXPECT_EQ(counters.cache_hits.load(), 1u);
-  // Both refs see the same adjacency content as the source graph.
+  EXPECT_EQ(counters.cache_misses.load(), 0u);
   auto src = g.Neighbors(remote_v);
-  ASSERT_EQ(r2.adj.size(), src.size());
-  EXPECT_TRUE(std::equal(r2.adj.begin(), r2.adj.end(), src.begin()));
-  EXPECT_EQ(counters.remote_bytes.load(), src.size() * sizeof(VertexId));
+  ASSERT_EQ(r.adj.size(), src.size());
+  EXPECT_TRUE(std::equal(r.adj.begin(), r.adj.end(), src.begin()));
 }
 
-TEST(DataServiceTest, EvictsBeyondCapacity) {
-  auto g = std::move(GenErdosRenyi(400, 1200, 3)).value();
+// A simulated table could read the owner's adjacency, but a remote vertex
+// that was never Request()ed (nor cached) must fail exactly as it does on
+// a cluster worker, whose table does not hold it.
+TEST(DataServiceDeathTest, UnrequestedRemoteFetchAbortsOnSharedGraph) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
   VertexTable table(&g, 2);
+  ASSERT_FALSE(table.partitioned());
   EngineCounters counters;
-  // Tiny capacity forces evictions.
-  DataService svc(&table, /*machine=*/0, /*cache_capacity=*/16, &counters);
-  for (VertexId v : table.OwnedVertices(1)) {
-    svc.Fetch(v);
-  }
-  EXPECT_GT(counters.cache_evictions.load(), 0u);
-  EXPECT_LE(svc.cache().ApproxSize(), 16u);
+  DataService svc(&table, /*machine=*/0, /*cache_capacity=*/1024, &counters);
+  const VertexId remote_v = table.OwnedVertices(1)[0];
+  EXPECT_DEATH(svc.Fetch(remote_v),
+               "never Request\\(\\)ed/pinned \\(pull-protocol violation\\)");
 }
 
 /// Runs the full request/response protocol to completion over `fabric`:
@@ -334,7 +234,7 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
   CommFabric fabric(2, 0, 0, &counters);
 
   VertexId v = table.OwnedVertices(1)[0];
-  svc0.Fetch(v);  // populates the cache
+  svc0.cache().Insert(v, CopyOf(g, v));  // an earlier pull delivered v
   const uint64_t bytes_before = counters.pull_bytes.load();
 
   TaskPtr task = QCTask::MakeSpawn(0, 1);
@@ -395,7 +295,6 @@ Graph PlantedGraph() {
 
 struct MineOptions {
   size_t cache_capacity = 1 << 16;
-  CachePolicy policy = CachePolicy::kLRU;
   uint64_t latency_ticks = 0;
   double latency_sec = 0.0;
 };
@@ -412,7 +311,6 @@ std::vector<VertexSet> MineWith(const Graph& g, int machines,
   config.tau_time = 0.001;
   config.steal_period_sec = 0.005;
   config.vertex_cache_capacity = opts.cache_capacity;
-  config.cache_policy = opts.policy;
   config.net_latency_ticks = opts.latency_ticks;
   config.net_latency_sec = opts.latency_sec;
   ParallelMiner miner(config);
@@ -428,25 +326,34 @@ TEST(PullPathTest, CrossMachinePullsMatchDirectReadPath) {
   auto direct = MineWith(g, 1, {});
   ASSERT_FALSE(direct.empty());
 
-  // machines=4 with a tiny cache: heavy pulling, suspension and eviction.
-  EngineReport report;
-  auto pulled = MineWith(g, 4, {.cache_capacity = 8}, &report);
-  EXPECT_EQ(pulled, direct);
-  // The pull machinery actually ran -- over the fabric.
-  EXPECT_GT(report.counters.task_suspensions, 0u);
-  EXPECT_GT(report.counters.pull_rounds, 0u);
-  EXPECT_GT(report.counters.pull_batches, 0u);
-  EXPECT_GT(report.counters.pulled_vertices, 0u);
-  EXPECT_GT(report.counters.pull_bytes, 0u);
-  EXPECT_GT(report.counters.cache_evictions, 0u);
-  EXPECT_GT(report.counters.pin_hits, 0u);
-  const int req = static_cast<int>(MessageType::kPullRequest);
-  const int resp = static_cast<int>(MessageType::kPullResponse);
-  EXPECT_GT(report.counters.msg_sent[req], 0u);
-  EXPECT_EQ(report.counters.msg_sent[req], report.counters.msg_delivered[req]);
-  EXPECT_EQ(report.counters.msg_sent[resp],
-            report.counters.msg_delivered[resp]);
-  EXPECT_EQ(report.counters.msg_drained, 0u);
+  // machines=4 with tiny caches: heavy pulling, suspension and eviction.
+  // At 16 entries the cache must also still serve hits under that
+  // eviction pressure.
+  for (size_t capacity : {8, 16}) {
+    SCOPED_TRACE("cache_capacity=" + std::to_string(capacity));
+    EngineReport report;
+    auto pulled = MineWith(g, 4, {.cache_capacity = capacity}, &report);
+    EXPECT_EQ(pulled, direct);
+    // The pull machinery actually ran -- over the fabric.
+    EXPECT_GT(report.counters.task_suspensions, 0u);
+    EXPECT_GT(report.counters.pull_rounds, 0u);
+    EXPECT_GT(report.counters.pull_batches, 0u);
+    EXPECT_GT(report.counters.pulled_vertices, 0u);
+    EXPECT_GT(report.counters.pull_bytes, 0u);
+    EXPECT_GT(report.counters.cache_evictions, 0u);
+    EXPECT_GT(report.counters.pin_hits, 0u);
+    if (capacity == 16) {
+      EXPECT_GT(report.counters.cache_hits, 0u);
+    }
+    const int req = static_cast<int>(MessageType::kPullRequest);
+    const int resp = static_cast<int>(MessageType::kPullResponse);
+    EXPECT_GT(report.counters.msg_sent[req], 0u);
+    EXPECT_EQ(report.counters.msg_sent[req],
+              report.counters.msg_delivered[req]);
+    EXPECT_EQ(report.counters.msg_sent[resp],
+              report.counters.msg_delivered[resp]);
+    EXPECT_EQ(report.counters.msg_drained, 0u);
+  }
 }
 
 TEST(PullPathTest, CacheOffStillMatchesDirectReadPath) {
@@ -488,34 +395,6 @@ TEST(PullPathTest, WallLatencyDoesNotChangeResults) {
   // The modeled wire delay is observable in the delivery latencies.
   EXPECT_GT(report.counters.MeanDeliveryLatencySeconds(), 0.0004);
   EXPECT_EQ(report.counters.msg_drained, 0u);
-}
-
-TEST(PullPathTest, ClockPolicyMatchesDirectReadPath) {
-  Graph g = PlantedGraph();
-  auto direct = MineWith(g, 1, {});
-  ASSERT_FALSE(direct.empty());
-
-  EngineReport report;
-  auto clocked = MineWith(
-      g, 4, {.cache_capacity = 16, .policy = CachePolicy::kClock}, &report);
-  EXPECT_EQ(clocked, direct);
-  EXPECT_GT(report.counters.cache_hits, 0u);
-  EXPECT_GT(report.counters.cache_evictions, 0u);
-}
-
-TEST(PullPathTest, TinyLfuPolicyMatchesDirectReadPath) {
-  Graph g = PlantedGraph();
-  auto direct = MineWith(g, 1, {});
-  ASSERT_FALSE(direct.empty());
-
-  // A tiny cache under a multi-machine pull workload: the admission
-  // filter rejects and admits aggressively, results must not move.
-  EngineReport report;
-  auto filtered = MineWith(
-      g, 4, {.cache_capacity = 16, .policy = CachePolicy::kTinyLFU},
-      &report);
-  EXPECT_EQ(filtered, direct);
-  EXPECT_GT(report.counters.cache_hits, 0u);
 }
 
 }  // namespace

@@ -408,95 +408,109 @@ TEST(WireFrameTest, StatsSampleRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(JobSpecTest, RoundTripPreservesEveryField) {
-  ClusterJobSpec spec;
-  spec.gen_planted = "n=100,communities=2";
-  spec.seed = 77;
-  spec.config.num_machines = 3;
-  spec.config.threads_per_machine = 4;
-  spec.config.tau_split = 55;
-  spec.config.tau_time = 0.125;
-  spec.config.mode = DecomposeMode::kSizeThreshold;
-  spec.config.local_queue_capacity = 128;
-  spec.config.global_queue_capacity = 512;
-  spec.config.batch_size = 8;
-  spec.config.spill_dir = "/tmp/x";
-  spec.config.steal_period_sec = 0.5;
-  spec.config.enable_stealing = false;
-  spec.config.vertex_cache_capacity = 999;
-  spec.config.max_pull_batch = 33;
-  spec.config.cache_policy = CachePolicy::kTinyLFU;
-  spec.config.net_latency_ticks = 2;
-  spec.config.net_latency_sec = 0.001;
-  spec.config.net_coalesce_bytes = 1400;
-  spec.config.net_linger_usec = 100;
-  spec.config.spawn_prefetch = true;
-  spec.config.prefetch_limit = 21;
-  spec.config.steal_rtt_reference_sec = 0.002;
-  spec.config.steal_max_batch_factor = 5;
-  spec.config.record_task_log = true;
-  spec.config.checkpoint_dir = "/tmp/ckpt";
-  spec.config.checkpoint_interval_sec = 0.125;
-  spec.config.heartbeat_usec = 50000;
-  spec.config.mining.gamma = 0.75;
-  spec.config.mining.min_size = 6;
-  spec.config.mining.use_lookahead = false;
-  spec.config.mining.quick_compat = true;
-  spec.config.mining.dense_threshold = 512;
-  spec.config.trace_out = "/tmp/run_trace.json";
-  spec.config.trace_buffer_kb = 128;
-  spec.config.stats_interval_ms = 250;
-  spec.config.graph_snapshot = "/tmp/graph.qcsr";
-  spec.config.graph_page_size = 4096;
-  spec.config.graph_memory_budget = 1 << 20;
+  EngineConfig config;
+  config.num_machines = 3;
+  config.threads_per_machine = 4;
+  config.tau_split = 55;
+  config.tau_time = 0.125;
+  config.mode = DecomposeMode::kSizeThreshold;
+  config.local_queue_capacity = 128;
+  config.global_queue_capacity = 512;
+  config.batch_size = 8;
+  config.spill_dir = "/tmp/x";
+  config.steal_period_sec = 0.5;
+  config.enable_stealing = false;
+  config.vertex_cache_capacity = 999;
+  config.max_pull_batch = 33;
+  config.net_latency_ticks = 2;
+  config.net_latency_sec = 0.001;
+  config.net_coalesce_bytes = 1400;
+  config.net_linger_usec = 100;
+  config.spawn_prefetch = true;
+  config.prefetch_limit = 21;
+  config.steal_rtt_reference_sec = 0.002;
+  config.steal_max_batch_factor = 5;
+  config.record_task_log = true;
+  config.checkpoint_dir = "/tmp/ckpt";
+  config.checkpoint_interval_sec = 0.125;
+  config.heartbeat_usec = 50000;
+  config.mining.gamma = 0.75;
+  config.mining.min_size = 6;
+  config.mining.use_lookahead = false;
+  config.mining.quick_compat = true;
+  config.mining.dense_threshold = 512;
+  config.trace_out = "/tmp/run_trace.json";
+  config.trace_buffer_kb = 128;
+  config.stats_interval_ms = 250;
+  config.graph_snapshot = "/tmp/graph.qcsr";
+  config.graph_page_size = 4096;
+  config.graph_memory_budget = 1 << 20;
 
-  ClusterJobSpec out;
-  ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
-  EXPECT_EQ(out.gen_planted, spec.gen_planted);
-  EXPECT_EQ(out.input, "");
-  EXPECT_EQ(out.seed, 77u);
-  EXPECT_EQ(out.config.num_machines, 3);
-  EXPECT_EQ(out.config.threads_per_machine, 4);
-  EXPECT_EQ(out.config.tau_split, 55u);
-  EXPECT_EQ(out.config.tau_time, 0.125);
-  EXPECT_EQ(out.config.mode, DecomposeMode::kSizeThreshold);
-  EXPECT_EQ(out.config.local_queue_capacity, 128u);
-  EXPECT_EQ(out.config.global_queue_capacity, 512u);
-  EXPECT_EQ(out.config.batch_size, 8u);
-  EXPECT_EQ(out.config.spill_dir, "/tmp/x");
-  EXPECT_EQ(out.config.steal_period_sec, 0.5);
-  EXPECT_FALSE(out.config.enable_stealing);
-  EXPECT_EQ(out.config.vertex_cache_capacity, 999u);
-  EXPECT_EQ(out.config.max_pull_batch, 33u);
-  EXPECT_EQ(out.config.cache_policy, CachePolicy::kTinyLFU);
-  EXPECT_EQ(out.config.net_latency_ticks, 2u);
-  EXPECT_EQ(out.config.net_latency_sec, 0.001);
-  EXPECT_EQ(out.config.net_coalesce_bytes, 1400);
-  EXPECT_EQ(out.config.net_linger_usec, 100);
-  EXPECT_TRUE(out.config.spawn_prefetch);
-  EXPECT_EQ(out.config.prefetch_limit, 21u);
-  EXPECT_EQ(out.config.steal_rtt_reference_sec, 0.002);
-  EXPECT_EQ(out.config.steal_max_batch_factor, 5u);
-  EXPECT_TRUE(out.config.record_task_log);
-  EXPECT_EQ(out.config.checkpoint_dir, "/tmp/ckpt");
-  EXPECT_EQ(out.config.checkpoint_interval_sec, 0.125);
-  EXPECT_EQ(out.config.heartbeat_usec, 50000);
-  EXPECT_EQ(out.config.mining.gamma, 0.75);
-  EXPECT_EQ(out.config.mining.min_size, 6u);
-  EXPECT_FALSE(out.config.mining.use_lookahead);
-  EXPECT_TRUE(out.config.mining.quick_compat);
-  EXPECT_EQ(out.config.mining.dense_threshold, 512);
-  EXPECT_EQ(out.config.trace_out, "/tmp/run_trace.json");
-  EXPECT_EQ(out.config.trace_buffer_kb, 128);
-  EXPECT_EQ(out.config.stats_interval_ms, 250);
-  EXPECT_EQ(out.config.graph_snapshot, "/tmp/graph.qcsr");
-  EXPECT_EQ(out.config.graph_page_size, 4096);
-  EXPECT_EQ(out.config.graph_memory_budget, 1 << 20);
+  EngineConfig out;
+  ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(config), &out).ok());
+  EXPECT_EQ(out.num_machines, 3);
+  EXPECT_EQ(out.threads_per_machine, 4);
+  EXPECT_EQ(out.tau_split, 55u);
+  EXPECT_EQ(out.tau_time, 0.125);
+  EXPECT_EQ(out.mode, DecomposeMode::kSizeThreshold);
+  EXPECT_EQ(out.local_queue_capacity, 128u);
+  EXPECT_EQ(out.global_queue_capacity, 512u);
+  EXPECT_EQ(out.batch_size, 8u);
+  EXPECT_EQ(out.spill_dir, "/tmp/x");
+  EXPECT_EQ(out.steal_period_sec, 0.5);
+  EXPECT_FALSE(out.enable_stealing);
+  EXPECT_EQ(out.vertex_cache_capacity, 999u);
+  EXPECT_EQ(out.max_pull_batch, 33u);
+  EXPECT_EQ(out.net_latency_ticks, 2u);
+  EXPECT_EQ(out.net_latency_sec, 0.001);
+  EXPECT_EQ(out.net_coalesce_bytes, 1400);
+  EXPECT_EQ(out.net_linger_usec, 100);
+  EXPECT_TRUE(out.spawn_prefetch);
+  EXPECT_EQ(out.prefetch_limit, 21u);
+  EXPECT_EQ(out.steal_rtt_reference_sec, 0.002);
+  EXPECT_EQ(out.steal_max_batch_factor, 5u);
+  EXPECT_TRUE(out.record_task_log);
+  EXPECT_EQ(out.checkpoint_dir, "/tmp/ckpt");
+  EXPECT_EQ(out.checkpoint_interval_sec, 0.125);
+  EXPECT_EQ(out.heartbeat_usec, 50000);
+  EXPECT_EQ(out.mining.gamma, 0.75);
+  EXPECT_EQ(out.mining.min_size, 6u);
+  EXPECT_FALSE(out.mining.use_lookahead);
+  EXPECT_TRUE(out.mining.quick_compat);
+  EXPECT_EQ(out.mining.dense_threshold, 512);
+  EXPECT_EQ(out.trace_out, "/tmp/run_trace.json");
+  EXPECT_EQ(out.trace_buffer_kb, 128);
+  EXPECT_EQ(out.stats_interval_ms, 250);
+  EXPECT_EQ(out.graph_snapshot, "/tmp/graph.qcsr");
+  EXPECT_EQ(out.graph_page_size, 4096);
+  EXPECT_EQ(out.graph_memory_budget, 1 << 20);
 }
 
-TEST(JobSpecTest, RejectsAmbiguousGraphSource) {
-  ClusterJobSpec spec;  // neither input nor gen_planted
-  ClusterJobSpec out;
-  EXPECT_FALSE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
+TEST(JobSpecTest, RejectsTruncatedTrailingAndSnapshotlessBlobs) {
+  EngineConfig config;
+  config.num_machines = 3;
+  config.graph_snapshot = "/tmp/graph.qcsr";
+  const std::string blob = EncodeJobSpec(config);
+  EngineConfig out;
+  ASSERT_TRUE(DecodeJobSpec(blob, &out).ok());
+
+  // Every strict prefix is a truncated blob.
+  for (size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(DecodeJobSpec(blob.substr(0, len), &out).ok())
+        << "prefix of " << len << "/" << blob.size() << " bytes decoded";
+  }
+  // Trailing bytes are corruption, not padding.
+  Status trailing = DecodeJobSpec(blob + "x", &out);
+  EXPECT_EQ(trailing.code(), StatusCode::kCorruption) << trailing.ToString();
+
+  // A well-formed blob that names no snapshot leaves workers nothing to
+  // load.
+  config.graph_snapshot.clear();
+  Status snapshotless = DecodeJobSpec(EncodeJobSpec(config), &out);
+  EXPECT_EQ(snapshotless.code(), StatusCode::kInvalidArgument)
+      << snapshotless.ToString();
+  EXPECT_NE(snapshotless.message().find("graph_snapshot"), std::string::npos)
+      << snapshotless.ToString();
 }
 
 TEST(EngineReportSerdeTest, RoundTripAndMerge) {

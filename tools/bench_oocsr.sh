@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
-# Out-of-core CSR snapshot bench (ISSUE 10 acceptance): quantify what the
-# launcher-packed .qcsr snapshot buys a real 3-process qcm_cluster run,
-# before vs after, on one planted graph:
+# Out-of-core CSR snapshot bench: what the launcher-packed .qcsr snapshot
+# costs a real 3-process qcm_cluster run on one planted graph, with and
+# without a resident-adjacency budget:
 #
-#   before       --no-snapshot: every rank text-regenerates the FULL
-#                graph and transiently materializes it before dropping
-#                down to its partition (the legacy bring-up path).
 #   after_mmap   launcher packs once, workers mmap the snapshot with no
 #                adjacency budget (whole partition resident on demand).
 #   after_budget same, plus --graph-memory-budget capped at <= 1/4 of a
@@ -13,10 +10,10 @@
 #                partition LARGER than its adjacency budget, and the run
 #                fails unless the pager reports evictions > 0.
 #
-# Every run's digest must be bit-identical to the 'before' baseline --
-# out-of-core storage is a memory/startup optimization, never a results
-# change. Recorded per mode: end-to-end wall seconds, the slowest rank's
-# graph-ready time, per-rank peak RSS, and the paged-store counters.
+# The budgeted run's digest must be bit-identical to the unbudgeted one --
+# paging is a memory optimization, never a results change. Recorded per
+# mode: end-to-end wall seconds, the slowest rank's graph-ready time,
+# per-rank peak RSS, and the paged-store counters.
 #
 # Usage: tools/bench_oocsr.sh [build-dir] [out.json]
 set -u -o pipefail
@@ -32,8 +29,8 @@ for bin in "$CLUSTER" "$PACK"; do
   fi
 done
 
-# Dense enough that adjacency dwarfs the page budget; small enough that
-# the 'before' per-rank full rebuild still finishes fast in CI.
+# Dense enough that adjacency dwarfs the page budget; small enough to
+# finish fast in CI.
 GRAPH_SPEC="n=20000,communities=40,size=16..24,density=0.9"
 PARAMS="--gamma 0.85 --min-size 12 --workers 3 --threads 2 --seed 1"
 WORKERS=3
@@ -70,9 +67,8 @@ fi
 baseline_digest=""
 rows=""
 
-for mode in before after_mmap after_budget; do
+for mode in after_mmap after_budget; do
   case "$mode" in
-    before)       extra="--no-snapshot" ;;
     after_mmap)   extra="--snapshot $SNAP" ;;
     after_budget) extra="--snapshot $SNAP --graph-page-size $PAGE
                          --graph-memory-budget $BUDGET" ;;
@@ -94,7 +90,7 @@ for mode in before after_mmap after_budget; do
     baseline_digest="$digest"
   elif [[ "$digest" != "$baseline_digest" ]]; then
     echo "bench_oocsr: FAIL -- digest $digest (mode=$mode) != baseline" \
-      "$baseline_digest (out-of-core storage changed the results)" >&2
+      "$baseline_digest (out-of-core paging changed the results)" >&2
     exit 1
   fi
 
@@ -141,7 +137,7 @@ mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
   "bench": "oocsr_before_after",
-  "description": "Real 3-process qcm_cluster on $GRAPH_SPEC: 'before' = legacy --no-snapshot bring-up (every rank transiently materializes the full graph), 'after_mmap' = launcher packs one .qcsr and workers mmap it, 'after_budget' = same plus a per-rank adjacency budget of $BUDGET bytes (<= 1/4 of a rank's adjacency share), forcing CLOCK page eviction mid-mining. All digests bit-identical to 'before'.",
+  "description": "Real 3-process qcm_cluster on $GRAPH_SPEC: 'after_mmap' = launcher packs one .qcsr and workers mmap it, 'after_budget' = same plus a per-rank adjacency budget of $BUDGET bytes (<= 1/4 of a rank's adjacency share), forcing CLOCK page eviction mid-mining. Both digests bit-identical.",
   "graph_spec": "$GRAPH_SPEC",
   "page_size": $PAGE,
   "memory_budget_bytes": $BUDGET,

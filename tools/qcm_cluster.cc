@@ -14,8 +14,8 @@
 //   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N
 //               [--threads N] [--gamma F] [--min-size N] [--tau-split N]
 //               [--tau-time F] [--mode none|size|time]
-//               [--cache-capacity N] [--cache-policy lru|clock|tinylfu]
-//               [--pull-batch N] [--net-latency F] [--net-latency-ticks N]
+//               [--cache-capacity N] [--pull-batch N] [--net-latency F]
+//               [--net-latency-ticks N]
 //               [--net-coalesce-bytes N] [--net-linger-usec N]
 //               [--prefetch] [--prefetch-limit N] [--steal-rtt-ref F]
 //               [--steal-batch-factor N] [--dense-threshold N]
@@ -25,14 +25,13 @@
 //               [--stats-json PATH] [--worker-bin PATH] [--log-dir DIR]
 //               [--trace-out PATH] [--trace-buffer-kb N]
 //               [--stats-interval-ms N] [--log-level L]
-//               [--snapshot PATH.qcsr] [--no-snapshot]
+//               [--snapshot PATH.qcsr]
 //               [--graph-memory-budget BYTES] [--graph-page-size BYTES]
 //
-// Graph distribution: by default the launcher packs the input into a
-// .qcsr snapshot ONCE (<log-dir>/graph.qcsr) and ships only the path;
-// workers mmap it and fault in just their partition's pages, so no rank
-// ever materializes the full graph. --snapshot reuses a qcm_pack output,
-// --no-snapshot restores the legacy per-rank rebuild, and
+// Graph distribution: the launcher packs the input into a .qcsr snapshot
+// ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
+// and fault in just their partition's pages, so no rank ever materializes
+// the full graph. --snapshot reuses a qcm_pack output instead, and
 // --graph-memory-budget caps each rank's resident adjacency bytes
 // (evicted pages refault on demand -- out-of-core mining).
 //
@@ -55,7 +54,10 @@
 // launcher SIGKILL rank r's worker once it verifiably holds pending
 // work, exercising the detection -> kPeerDown -> relaunch -> checkpoint
 // replay -> kPeerUp recovery path end to end. The final digest must be
-// identical to an uninjected run.
+// identical to an uninjected run. The worker reads the same variable: in
+// its first incarnation, rank r parks the comper of its first compute
+// round until the kill lands, so the rank keeps pending work -- and the
+// cluster cannot terminate -- until the launcher has seen it and fired.
 
 #include <libgen.h>
 #include <limits.h>
@@ -95,13 +97,15 @@ namespace {
 using namespace qcm;
 
 struct Args {
-  ClusterJobSpec spec;
+  EngineConfig config;
+  /// Exactly one of these names the graph the launcher packs.
+  std::string input;        // SNAP edge-list path
+  std::string gen_planted;  // planted-community generator spec
+  uint64_t seed = 1;        // generator seed (ignored for --input)
   int workers = 3;
   std::string output;
   /// Pre-packed .qcsr to ship to workers (skips the launcher pack step).
   std::string snapshot;
-  /// Legacy bring-up: every rank re-parses / regenerates the full graph.
-  bool no_snapshot = false;
   bool no_filter = false;
   bool stats = false;
   std::string stats_json;
@@ -109,7 +113,6 @@ struct Args {
   std::string log_dir;
   std::string checkpoint_dir;
   int max_rank_restarts = 2;
-  std::string cache_policy = "lru";
   std::string mode = "time";
   /// --net-coalesce-bytes given without an explicit --net-linger-usec:
   /// the linger falls back to the classic ~100 us bound instead of
@@ -127,13 +130,12 @@ void Usage() {
                "[--checkpoint-interval F] [--checkpoint-dir DIR]\n"
                "                   [--max-rank-restarts N] "
                "[--worker-bin PATH] [--log-dir DIR]\n"
-               "                   [--snapshot PATH.qcsr] [--no-snapshot] "
-               "[--graph-memory-budget BYTES]\n"
-               "                   [--graph-page-size BYTES]\n");
+               "                   [--snapshot PATH.qcsr] "
+               "[--graph-memory-budget BYTES] [--graph-page-size BYTES]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  EngineConfig& config = args->spec.config;
+  EngineConfig& config = args->config;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -146,10 +148,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* v = nullptr;
     if (a == "--input") {
       if ((v = next("--input")) == nullptr) return false;
-      args->spec.input = v;
+      args->input = v;
     } else if (a == "--gen-planted") {
       if ((v = next("--gen-planted")) == nullptr) return false;
-      args->spec.gen_planted = v;
+      args->gen_planted = v;
     } else if (a == "--workers") {
       if ((v = next("--workers")) == nullptr) return false;
       args->workers = std::atoi(v);
@@ -184,9 +186,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--cache-capacity") {
       if ((v = next("--cache-capacity")) == nullptr) return false;
       config.vertex_cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--cache-policy") {
-      if ((v = next("--cache-policy")) == nullptr) return false;
-      args->cache_policy = v;
     } else if (a == "--pull-batch") {
       if ((v = next("--pull-batch")) == nullptr) return false;
       config.max_pull_batch = static_cast<size_t>(std::atoll(v));
@@ -264,8 +263,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (a == "--snapshot") {
       if ((v = next("--snapshot")) == nullptr) return false;
       args->snapshot = v;
-    } else if (a == "--no-snapshot") {
-      args->no_snapshot = true;
     } else if (a == "--graph-memory-budget") {
       if ((v = next("--graph-memory-budget")) == nullptr) return false;
       config.graph_memory_budget = std::atoll(v);
@@ -274,7 +271,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       config.graph_page_size = std::atoll(v);
     } else if (a == "--seed") {
       if ((v = next("--seed")) == nullptr) return false;
-      args->spec.seed = static_cast<uint64_t>(std::atoll(v));
+      args->seed = static_cast<uint64_t>(std::atoll(v));
     } else if (a == "--output") {
       if ((v = next("--output")) == nullptr) return false;
       args->output = v;
@@ -316,7 +313,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (args->spec.input.empty() == args->spec.gen_planted.empty()) {
+  if (args->input.empty() == args->gen_planted.empty()) {
     std::fprintf(stderr,
                  "exactly one of --input / --gen-planted is required\n");
     return false;
@@ -325,24 +322,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--workers must be in [1, 64]\n");
     return false;
   }
-  Status policy = ParseCachePolicy(args->cache_policy,
-                                   &config.cache_policy);
-  if (!policy.ok()) {
-    std::fprintf(stderr, "--cache-policy: %s\n", policy.ToString().c_str());
-    return false;
-  }
   if (args->linger_defaulted && config.net_coalesce_bytes > 0) {
     config.net_linger_usec = 100;
-  }
-  if (!args->snapshot.empty() && args->no_snapshot) {
-    std::fprintf(stderr, "--snapshot and --no-snapshot are contradictory\n");
-    return false;
-  }
-  if (args->no_snapshot && config.graph_memory_budget > 0) {
-    std::fprintf(stderr,
-                 "--graph-memory-budget needs a snapshot-backed run; drop "
-                 "--no-snapshot\n");
-    return false;
   }
   // NOTE: config.Validate() runs in main() AFTER the launcher pack step
   // fills in config.graph_snapshot -- validating here would flag the
@@ -441,73 +422,65 @@ int main(int argc, char** argv) {
 
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
-  // regenerating and transiently materializing the full graph.
-  // --snapshot reuses a pre-packed file; --no-snapshot keeps the legacy
-  // per-rank rebuild path alive as a fallback.
-  EngineConfig& config = args.spec.config;
-  if (!args.no_snapshot) {
-    if (!args.snapshot.empty()) {
-      config.graph_snapshot = args.snapshot;
-    } else {
-      WallTimer pack_timer;
-      Graph full;
-      if (!args.spec.input.empty()) {
-        auto loaded = LoadEdgeList(args.spec.input);
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "graph load failed: %s\n",
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(loaded->graph);
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        Status packed = WriteCsrSnapshot(full, loaded->original_ids,
-                                         log_dir + "/graph.qcsr", opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
-      } else {
-        auto parsed = ParsePlantedSpec(args.spec.gen_planted, args.spec.seed);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "bad planted spec: %s\n",
-                       parsed.status().ToString().c_str());
-          return 1;
-        }
-        auto generated = GenPlantedCommunities(parsed.value());
-        if (!generated.ok()) {
-          std::fprintf(stderr, "graph generation failed: %s\n",
-                       generated.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(generated).value();
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        opts.build_seed = args.spec.seed;
-        Status packed = WriteCsrSnapshot(full, {}, log_dir + "/graph.qcsr",
-                                         opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
+  // regenerating and materializing the full graph. --snapshot reuses a
+  // pre-packed file.
+  EngineConfig& config = args.config;
+  if (!args.snapshot.empty()) {
+    config.graph_snapshot = args.snapshot;
+  } else {
+    WallTimer pack_timer;
+    Graph full;
+    std::vector<uint64_t> original_ids;
+    CsrWriteOptions opts;
+    opts.page_size = static_cast<uint32_t>(config.graph_page_size);
+    if (!args.input.empty()) {
+      auto loaded = LoadEdgeList(args.input);
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "graph load failed: %s\n",
+                     loaded.status().ToString().c_str());
+        return 1;
       }
-      config.graph_snapshot = log_dir + "/graph.qcsr";
-      std::fprintf(stderr,
-                   "qcm_cluster: packed %s (%u vertices, %llu edges) in "
-                   "%.3f s\n",
-                   config.graph_snapshot.c_str(), full.NumVertices(),
-                   static_cast<unsigned long long>(full.NumEdges()),
-                   pack_timer.Seconds());
-      // `full` is dropped here -- the launcher, like the workers, does
-      // not hold a resident graph during the run.
+      full = std::move(loaded->graph);
+      original_ids = std::move(loaded->original_ids);
+    } else {
+      auto parsed = ParsePlantedSpec(args.gen_planted, args.seed);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "bad planted spec: %s\n",
+                     parsed.status().ToString().c_str());
+        return 1;
+      }
+      auto generated = GenPlantedCommunities(parsed.value());
+      if (!generated.ok()) {
+        std::fprintf(stderr, "graph generation failed: %s\n",
+                     generated.status().ToString().c_str());
+        return 1;
+      }
+      full = std::move(generated).value();
+      opts.build_seed = args.seed;
     }
-    // Early, launcher-side sanity check (metadata checksums only) so a
-    // bad --snapshot path fails before N workers are forked. The file's
-    // actual page size wins over the flag: a pre-packed --snapshot may
-    // have been built with a different --page-size, and the budget
-    // validation below must check against what the workers will map.
+    config.graph_snapshot = log_dir + "/graph.qcsr";
+    Status packed =
+        WriteCsrSnapshot(full, original_ids, config.graph_snapshot, opts);
+    if (!packed.ok()) {
+      std::fprintf(stderr, "snapshot pack failed: %s\n",
+                   packed.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "qcm_cluster: packed %s (%u vertices, %llu edges) in "
+                 "%.3f s\n",
+                 config.graph_snapshot.c_str(), full.NumVertices(),
+                 static_cast<unsigned long long>(full.NumEdges()),
+                 pack_timer.Seconds());
+    // `full` is dropped here -- the launcher, like the workers, does not
+    // hold a resident graph during the run.
+  }
+  // Early, launcher-side sanity check (metadata checksums only) so a bad
+  // --snapshot path fails before N workers are forked. The file's actual
+  // page size wins over the flag: a pre-packed --snapshot may have been
+  // built with a different --page-size, and the budget validation below
+  // must check against what the workers will map.
+  {
     auto snap = CsrSnapshot::Open(config.graph_snapshot);
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
@@ -542,40 +515,40 @@ int main(int argc, char** argv) {
   } else {
     ::mkdir(ckpt_dir.c_str(), 0755);
   }
-  args.spec.config.checkpoint_dir = ckpt_dir;
+  config.checkpoint_dir = ckpt_dir;
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The
   // workers start their own rings from the job spec.
-  const std::string trace_out = args.spec.config.trace_out;
+  const std::string trace_out = config.trace_out;
   if (!trace_out.empty()) {
-    trace::Start(static_cast<size_t>(args.spec.config.trace_buffer_kb));
+    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
     trace::SetThreadName("launcher");
   }
 
   // Bind the control-plane listener before spawning anyone.
   CoordinatorConfig coord_config;
   coord_config.world_size = args.workers;
-  coord_config.config_blob = EncodeJobSpec(args.spec);
+  coord_config.config_blob = EncodeJobSpec(config);
   coord_config.steal_period_sec =
-      args.spec.config.enable_stealing && args.workers >= 2
-          ? args.spec.config.steal_period_sec
+      config.enable_stealing && args.workers >= 2
+          ? config.steal_period_sec
           : 0.0;
-  coord_config.steal_batch_cap = args.spec.config.batch_size;
+  coord_config.steal_batch_cap = config.batch_size;
   coord_config.steal_rtt_reference_sec =
-      args.spec.config.steal_rtt_reference_sec;
+      config.steal_rtt_reference_sec;
   coord_config.steal_max_batch_factor =
-      args.spec.config.steal_max_batch_factor;
+      config.steal_max_batch_factor;
   coord_config.max_rank_restarts = args.max_rank_restarts;
   // Liveness deadline: many heartbeat periods of slack (slow CI, TSan),
   // but never so long that a hung rank stalls the run indefinitely.
   // Child-exit detection (the watchdog below) catches clean crashes far
   // faster; the deadline is the backstop for wedged-but-alive processes.
   coord_config.heartbeat_deadline_sec =
-      args.spec.config.heartbeat_usec > 0
+      config.heartbeat_usec > 0
           ? std::max(1.0, 50.0 * 1e-6 *
                               static_cast<double>(
-                                  args.spec.config.heartbeat_usec))
+                                  config.heartbeat_usec))
           : 0.0;
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
@@ -782,7 +755,11 @@ int main(int argc, char** argv) {
   });
 
   // Fault injection for the CI smoke: SIGKILL the named rank once it
-  // verifiably holds pending work, so recovery happens mid-mining.
+  // verifiably holds pending work, so recovery happens mid-mining. The
+  // victim's first incarnation stalls one compute round until this fires
+  // (see the file header), so its last status keeps pending > 0 and the
+  // poll below cannot miss it. Statuses are only acted on once the
+  // handshake has mapped ranks to process slots.
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
     const int kill_rank = std::atoi(kill_rank_env);
@@ -790,7 +767,8 @@ int main(int argc, char** argv) {
       killer = std::thread([&, kill_rank] {
         while (!run_done.load()) {
           WireRankStatus status;
-          if (coordinator->SnapshotStatus(kill_rank, &status) &&
+          if (handshake_done.load() &&
+              coordinator->SnapshotStatus(kill_rank, &status) &&
               status.pending > 0) {
             pid_t pid = -1;
             {
@@ -824,10 +802,10 @@ int main(int argc, char** argv) {
   // Live one-line ticker: a cross-rank rollup of the latest kStats
   // samples, printed at the sampling cadence once the first sample lands.
   std::thread ticker;
-  if (args.spec.config.stats_interval_ms > 0) {
+  if (config.stats_interval_ms > 0) {
     ticker = std::thread([&] {
       const int64_t interval_ms =
-          std::max<int64_t>(args.spec.config.stats_interval_ms, 250);
+          std::max<int64_t>(config.stats_interval_ms, 250);
       int64_t slept_ms = 0;
       while (!run_done.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -22,10 +22,8 @@
 //   --tau-split N         big-task |ext(S)| threshold       (default 100)
 //   --tau-time F          time-delayed timeout seconds      (default 0.01)
 //   --mode M              none | size | time                (default time)
-//   --cache-capacity N    per-machine vertex-cache entries; 0 disables
-//                         caching                           (default 65536)
-//   --cache-policy P      eviction policy: lru | clock | tinylfu
-//                                                           (default lru)
+//   --cache-capacity N    per-machine LRU vertex-cache entries; 0
+//                         disables caching                  (default 65536)
 //   --pull-batch N        max vertex ids per batched pull   (default 2048)
 //   --net-latency F       modeled delivery delay in seconds applied to
 //                         every cross-machine message       (default 0)
@@ -102,7 +100,6 @@ struct Args {
   double tau_time = 0.01;
   std::string mode = "time";
   size_t cache_capacity = 1 << 16;
-  std::string cache_policy = "lru";
   size_t pull_batch = 2048;
   double net_latency_sec = 0.0;
   uint64_t net_latency_ticks = 0;
@@ -189,10 +186,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--cache-capacity");
       if (!v) return false;
       args->cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--cache-policy") {
-      const char* v = next("--cache-policy");
-      if (!v) return false;
-      args->cache_policy = v;
     } else if (a == "--net-latency") {
       const char* v = next("--net-latency");
       if (!v) return false;
@@ -433,12 +426,6 @@ int main(int argc, char** argv) {
     config.trace_out = args.trace_out;
     config.trace_buffer_kb = args.trace_buffer_kb;
     config.stats_interval_ms = args.stats_interval_ms;
-    Status policy = ParseCachePolicy(args.cache_policy, &config.cache_policy);
-    if (!policy.ok()) {
-      std::fprintf(stderr, "--cache-policy: %s\n",
-                   policy.ToString().c_str());
-      return 2;
-    }
     if (args.mode == "none") {
       config.mode = DecomposeMode::kNone;
     } else if (args.mode == "size") {
@@ -479,14 +466,13 @@ int main(int argc, char** argv) {
                    HumanBytes(r.peak_rss_bytes).c_str());
       std::fprintf(stderr,
                    "pulls: %lu suspensions, %lu rounds, %lu batches, %lu "
-                   "vertices/%s pulled, %lu pin hits, fallback %s\n",
+                   "vertices/%s pulled, %lu pin hits\n",
                    static_cast<unsigned long>(r.counters.task_suspensions),
                    static_cast<unsigned long>(r.counters.pull_rounds),
                    static_cast<unsigned long>(r.counters.pull_batches),
                    static_cast<unsigned long>(r.counters.pulled_vertices),
                    HumanBytes(r.counters.pull_bytes).c_str(),
-                   static_cast<unsigned long>(r.counters.pin_hits),
-                   HumanBytes(r.counters.remote_bytes).c_str());
+                   static_cast<unsigned long>(r.counters.pin_hits));
       std::fprintf(
           stderr,
           "prefetch: %lu tasks staged, %lu vertices issued, %lu pins at "

@@ -2,14 +2,15 @@
 //
 // Spawned by qcm_cluster (one process per machine), it connects to the
 // coordinator, receives its rank and the job spec over the wire
-// handshake, rebuilds the input graph deterministically, keeps ONLY its
-// own hash partition (plus replicated degree metadata) in its
-// VertexTable, and runs the G-thinker engine over the TCP-backed
-// CommFabric: vertex pulls and stolen big-task batches are the same typed
-// messages as in simulated mode, but they cross process boundaries as
-// length-prefixed kData frames. Termination arrives from the
-// coordinator's distributed detection; the final EngineReport and raw
-// candidate results ship back as the kReport payload.
+// handshake, mmaps the launcher-packed .qcsr snapshot the spec names,
+// serves ONLY its own hash partition's adjacency from it (degree metadata
+// is replicated) through its VertexTable, and runs the G-thinker engine
+// over the TCP-backed CommFabric: vertex pulls and stolen big-task
+// batches are the same typed messages as in simulated mode, but they
+// cross process boundaries as length-prefixed kData frames. Termination
+// arrives from the coordinator's distributed detection; the final
+// EngineReport and raw candidate results ship back as the kReport
+// payload.
 //
 // Usage (normally via qcm_cluster):
 //   qcm_worker --coordinator-port P [--coordinator-host H]
@@ -19,6 +20,10 @@
 // this rank only -- safe because the dense and sparse kernels emit
 // bit-identical results, so a mixed-mode cluster still digests clean.
 //
+// QCM_SMOKE_KILL_RANK=<r> (inherited from the launcher, see qcm_cluster)
+// makes rank r's first incarnation park the comper of its first compute
+// round until the launcher's SIGKILL lands.
+//
 // Exit status: 0 only for a clean run (connected, mined, reported);
 // anything else is a loud failure the launcher must surface.
 
@@ -27,15 +32,16 @@
 #include <unistd.h>
 #endif
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/qc_app.h"
 #include "net/job_spec.h"
@@ -49,6 +55,25 @@
 namespace {
 
 using namespace qcm;
+
+/// The fault-injection victim's app: the first compute round never
+/// returns, so the rank holds pending work -- and can never report
+/// quiescence -- until the launcher, which sees pending > 0 in this rank's
+/// kStatus stream, SIGKILLs the process.
+class StallFirstComputeApp : public QCApp {
+ public:
+  using QCApp::QCApp;
+
+  ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
+    if (!stalled_.exchange(true)) {
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    }
+    return QCApp::Compute(task, ctx);
+  }
+
+ private:
+  std::atomic<bool> stalled_{false};
+};
 
 int Fail(TcpTransport* transport, const std::string& message) {
   std::fprintf(stderr, "qcm_worker: %s\n", message.c_str());
@@ -123,109 +148,74 @@ int main(int argc, char** argv) {
   std::unique_ptr<TcpTransport> transport = std::move(connected).value();
   const int rank = transport->rank();
 
-  ClusterJobSpec spec;
+  EngineConfig config;
   {
-    Status s = DecodeJobSpec(transport->config_blob(), &spec);
+    Status s = DecodeJobSpec(transport->config_blob(), &config);
     if (!s.ok()) {
       return Fail(transport.get(), "bad job spec: " + s.ToString());
     }
   }
-  if (spec.config.num_machines != transport->world_size()) {
+  if (config.num_machines != transport->world_size()) {
     return Fail(transport.get(), "job spec world size mismatch");
   }
   if (dense_threshold_override >= 0) {
-    spec.config.mining.dense_threshold = dense_threshold_override;
+    config.mining.dense_threshold = dense_threshold_override;
   }
   SetLogContext(rank, transport->epoch());
   // Tracing rides the job spec: every rank writes its own fragment file
   // beside the launcher's --trace-out path; qcm_cluster merges them into
   // one timeline after the run.
   const std::string trace_fragment =
-      spec.config.trace_out.empty()
+      config.trace_out.empty()
           ? ""
-          : spec.config.trace_out + ".rank" + std::to_string(rank) +
-                ".jsonl";
+          : config.trace_out + ".rank" + std::to_string(rank) + ".jsonl";
   if (!trace_fragment.empty()) {
-    trace::Start(static_cast<size_t>(spec.config.trace_buffer_kb));
+    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
     trace::SetThreadName("worker_main");
   }
 
-  // Graph load. Preferred path: mmap the launcher-packed .qcsr snapshot
-  // (metadata checksums verified, adjacency pages faulted lazily) --
-  // startup never materializes the full graph in this process. Legacy
-  // fallback: rebuild deterministically from the edge list / planted
-  // spec, then keep only this rank's partition.
-  std::unique_ptr<VertexTable> table;
+  // Graph load: mmap the launcher-packed .qcsr snapshot (metadata
+  // checksums verified, adjacency pages faulted lazily) -- startup never
+  // materializes the full graph in this process.
   WallTimer graph_timer;
-  if (!spec.config.graph_snapshot.empty()) {
-    auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
-    if (!snap.ok()) {
-      return Fail(transport.get(),
-                  "snapshot open failed: " + snap.status().ToString());
-    }
-    table = std::make_unique<VertexTable>(
-        std::move(snap).value(), transport->world_size(), rank,
-        static_cast<uint64_t>(spec.config.graph_memory_budget));
-    const PagedAdjacencyStore* store = table->paged_store();
-    std::fprintf(
-        stderr,
-        "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices "
-        "total, %zu owned, mapped %s vs resident %s%s%s\n",
-        rank, transport->world_size(), transport->epoch(),
-        spec.config.graph_snapshot.c_str(), table->NumVertices(),
-        table->OwnedVertices(rank).size(),
-        HumanBytes(table->snapshot()->MappedBytes()).c_str(),
-        HumanBytes(CurrentRssBytes()).c_str(),
-        store != nullptr && store->paging_enabled()
-            ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
-                  .c_str()
-            : "",
-        transport->epoch() > 0 ? " (replacement; replaying checkpoint)"
-                               : "");
-  } else {
-    Graph full;
-    if (!spec.input.empty()) {
-      auto loaded = LoadEdgeList(spec.input);
-      if (!loaded.ok()) {
-        return Fail(transport.get(),
-                    "graph load failed: " + loaded.status().ToString());
-      }
-      full = std::move(loaded->graph);
-    } else {
-      auto parsed = ParsePlantedSpec(spec.gen_planted, spec.seed);
-      if (!parsed.ok()) {
-        return Fail(transport.get(),
-                    "bad planted spec: " + parsed.status().ToString());
-      }
-      auto generated = GenPlantedCommunities(parsed.value());
-      if (!generated.ok()) {
-        return Fail(transport.get(),
-                    "graph generation failed: " +
-                        generated.status().ToString());
-      }
-      full = std::move(generated).value();
-    }
-    table = std::make_unique<VertexTable>(full, transport->world_size(),
-                                          rank);
-    std::fprintf(stderr,
-                 "qcm_worker rank %d/%d epoch %u: %u vertices total, "
-                 "%zu owned%s\n",
-                 rank, transport->world_size(), transport->epoch(),
-                 table->NumVertices(),
-                 table->OwnedVertices(rank).size(),
-                 transport->epoch() > 0
-                     ? " (replacement; replaying checkpoint)"
-                     : "");
+  auto snap = CsrSnapshot::Open(config.graph_snapshot);
+  if (!snap.ok()) {
+    return Fail(transport.get(),
+                "snapshot open failed: " + snap.status().ToString());
   }
+  auto table = std::make_unique<VertexTable>(
+      std::move(snap).value(), transport->world_size(), rank,
+      static_cast<uint64_t>(config.graph_memory_budget));
+  const PagedAdjacencyStore* store = table->paged_store();
+  std::fprintf(
+      stderr,
+      "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices total, "
+      "%zu owned, mapped %s vs resident %s%s%s\n",
+      rank, transport->world_size(), transport->epoch(),
+      config.graph_snapshot.c_str(), table->NumVertices(),
+      table->OwnedVertices(rank).size(),
+      HumanBytes(table->snapshot()->MappedBytes()).c_str(),
+      HumanBytes(CurrentRssBytes()).c_str(),
+      store->paging_enabled()
+          ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
+                .c_str()
+          : "",
+      transport->epoch() > 0 ? " (replacement; replaying checkpoint)" : "");
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
 
   // Liveness beacons must flow before the engine starts the transport:
   // the coordinator's deadline for this rank is already armed.
-  transport->SetHeartbeatInterval(spec.config.heartbeat_usec);
+  transport->SetHeartbeatInterval(config.heartbeat_usec);
 
-  QCApp app(spec.config);
-  Engine engine(std::move(table), spec.config, &app, transport.get());
+  const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK");
+  const bool fault_victim = kill_rank_env != nullptr &&
+                            std::atoi(kill_rank_env) == rank &&
+                            transport->epoch() == 0;
+  std::unique_ptr<QCApp> app =
+      fault_victim ? std::make_unique<StallFirstComputeApp>(config)
+                   : std::make_unique<QCApp>(config);
+  Engine engine(std::move(table), config, app.get(), transport.get());
   auto report = engine.Run();
   if (!report.ok()) {
     return Fail(transport.get(),

@@ -9,8 +9,7 @@
 // Usage:
 //   tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]
 //             [--per-decade N] [--machines N] [--threads N]
-//             [--net-latency SEC] [--net-latency-ticks N]
-//             [--cache-policy lru|clock] [--json PATH]
+//             [--net-latency SEC] [--net-latency-ticks N] [--json PATH]
 //
 //   --dataset NAME     bench registry name ("Hyves-like", "GSE1730-like",
 //                      or the paper's names)         (default Hyves-like)
@@ -45,7 +44,6 @@ struct Args {
   int threads = 0;
   double net_latency_sec = 0.0;
   uint64_t net_latency_ticks = 0;
-  std::string cache_policy = "lru";
   std::string json_path;
 };
 
@@ -54,8 +52,8 @@ void Usage() {
       stderr,
       "usage: tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]\n"
       "                 [--per-decade N] [--machines N] [--threads N]\n"
-      "                 [--net-latency SEC] [--net-latency-ticks N]\n"
-      "                 [--cache-policy lru|clock] [--json PATH]\n");
+      "                 [--net-latency SEC] [--net-latency-ticks N] "
+      "[--json PATH]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -102,9 +100,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
       args->net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--cache-policy") {
-      if ((v = next("--cache-policy")) == nullptr) return false;
-      args->cache_policy = v;
     } else if (a == "--json") {
       if ((v = next("--json")) == nullptr) return false;
       args->json_path = v;
@@ -123,11 +118,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   }
   if (args->per_decade < 1) {
     std::fprintf(stderr, "--per-decade must be >= 1\n");
-    return false;
-  }
-  if (args->cache_policy != "lru" && args->cache_policy != "clock") {
-    std::fprintf(stderr, "unknown --cache-policy %s\n",
-                 args->cache_policy.c_str());
     return false;
   }
   return true;
@@ -195,8 +185,6 @@ int main(int argc, char** argv) {
     if (args.threads > 0) config.threads_per_machine = args.threads;
     config.net_latency_sec = args.net_latency_sec;
     config.net_latency_ticks = args.net_latency_ticks;
-    config.cache_policy = args.cache_policy == "clock" ? CachePolicy::kClock
-                                                       : CachePolicy::kLRU;
     ParallelMiner miner(config);
     auto result = miner.Run(*graph);
     if (!result.ok()) {
@@ -221,8 +209,6 @@ int main(int argc, char** argv) {
             ", \"threads\": " + std::to_string(config.threads_per_machine) +
             ", \"net_latency_sec\": " +
             FmtDouble(config.net_latency_sec, 6) +
-            ", \"cache_policy\": \"" +
-            CachePolicyName(config.cache_policy) + "\"" +
             ", \"job_seconds\": " + FmtDouble(r.wall_seconds, 6) +
             ", \"mining_seconds\": " +
             FmtDouble(r.total_mining_seconds, 6) +
