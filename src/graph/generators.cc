@@ -1,10 +1,11 @@
 #include "graph/generators.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace qcm {
@@ -219,32 +220,37 @@ StatusOr<PlantedConfig> ParsePlantedSpec(const std::string& spec,
     }
     const std::string key = kv.substr(0, eq);
     const std::string value = kv.substr(eq + 1);
+    Status parsed;
     if (key == "n") {
-      config.num_vertices = static_cast<uint32_t>(std::atoi(value.c_str()));
+      parsed = ParseNumber(value, &config.num_vertices);
     } else if (key == "communities") {
-      config.num_communities =
-          static_cast<uint32_t>(std::atoi(value.c_str()));
+      parsed = ParseNumber(value, &config.num_communities);
     } else if (key == "size") {
       const size_t dots = value.find("..");
       if (dots == std::string::npos) {
-        config.community_min = config.community_max =
-            static_cast<uint32_t>(std::atoi(value.c_str()));
+        parsed = ParseNumber(value, &config.community_min);
+        config.community_max = config.community_min;
       } else {
-        config.community_min =
-            static_cast<uint32_t>(std::atoi(value.substr(0, dots).c_str()));
-        config.community_max = static_cast<uint32_t>(
-            std::atoi(value.substr(dots + 2).c_str()));
+        parsed = ParseNumber(std::string_view(value).substr(0, dots),
+                             &config.community_min);
+        if (parsed.ok()) {
+          parsed = ParseNumber(std::string_view(value).substr(dots + 2),
+                               &config.community_max);
+        }
       }
     } else if (key == "density") {
-      config.intra_density = std::atof(value.c_str());
+      parsed = ParseNumber(value, &config.intra_density);
     } else if (key == "overlap") {
-      config.overlap_fraction = std::atof(value.c_str());
+      parsed = ParseNumber(value, &config.overlap_fraction);
     } else if (key == "edges") {
       config.background = BackgroundModel::kErdosRenyi;
-      config.background_edges =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      parsed = ParseNumber(value, &config.background_edges);
     } else {
       return Status::InvalidArgument("unknown planted-spec key: " + key);
+    }
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("planted-spec " + key + ": " +
+                                     parsed.message());
     }
   }
   return config;

@@ -71,7 +71,9 @@ StatusOr<Graph> GenPlantedCommunities(
 
 /// Parses the tools' --gen-planted spec ("n=5000,communities=10,
 /// size=16..20,density=0.95,overlap=0.3,edges=12000") into a
-/// PlantedConfig with the given seed. Shared by qcm_mine and qcm_worker
+/// PlantedConfig with the given seed. Every value must parse strictly
+/// (util/parse.h): "n=-5", "n=1e4" or "density=0.9x" is InvalidArgument.
+/// Shared by every tool's --gen-planted and perfbench's per-layer probe,
 /// so a cluster job and its single-process reference build the exact same
 /// graph from the same spec string.
 StatusOr<PlantedConfig> ParsePlantedSpec(const std::string& spec,

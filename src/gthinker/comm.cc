@@ -39,11 +39,9 @@ StatusOr<uint32_t> StealBatchTaskCount(const std::string& payload) {
   return count;
 }
 
-CommFabric::CommFabric(int num_machines, uint64_t latency_ticks,
-                       double latency_sec, EngineCounters* counters,
-                       Transport* transport)
-    : latency_ticks_(latency_ticks),
-      latency_sec_(latency_sec),
+CommFabric::CommFabric(int num_machines, double latency_sec,
+                       EngineCounters* counters, Transport* transport)
+    : latency_sec_(latency_sec),
       counters_(counters),
       transport_(transport),
       local_rank_(transport != nullptr ? transport->rank() : -1) {
@@ -113,8 +111,6 @@ void CommFabric::Enqueue(Message m, bool count_send) {
   {
     Inbox& inbox = *inboxes_[dst];
     std::lock_guard<std::mutex> lock(inbox.mu);
-    m.enqueue_tick = inbox.tick;
-    m.due_tick = inbox.tick + latency_ticks_;
     inbox.q.push_back(std::move(m));
     depth = inbox.q.size();
   }
@@ -149,8 +145,7 @@ void CommFabric::CountDelivery(const Message& m, double now) {
   // would nudge the planner off the legacy flat plan; with either source
   // of delay present, inbox dwell is part of the effective transfer
   // delay the policy is supposed to amortize.
-  if (rtt_ != nullptr && (latency_ticks_ > 0 || latency_sec_ > 0.0 ||
-                          m.wire_transit_usec > 0)) {
+  if (rtt_ != nullptr && (latency_sec_ > 0.0 || m.wire_transit_usec > 0)) {
     rtt_->RecordOneWay(m.src, m.dst, latency);
   }
   if (counters_ == nullptr) return;
@@ -170,9 +165,7 @@ std::vector<Message> CommFabric::Service(int dst) {
   {
     Inbox& inbox = *inboxes_[dst];
     std::lock_guard<std::mutex> lock(inbox.mu);
-    ++inbox.tick;
-    while (!inbox.q.empty() && inbox.q.front().due_tick <= inbox.tick &&
-           inbox.q.front().due_sec <= now) {
+    while (!inbox.q.empty() && inbox.q.front().due_sec <= now) {
       due.push_back(std::move(inbox.q.front()));
       inbox.q.pop_front();
     }
@@ -217,12 +210,6 @@ uint64_t CommFabric::InFlightBytes() const {
     for (const Message& m : inbox->q) total += m.payload.size();
   }
   return total;
-}
-
-uint64_t CommFabric::Tick(int dst) const {
-  Inbox& inbox = *inboxes_[dst];
-  std::lock_guard<std::mutex> lock(inbox.mu);
-  return inbox.tick;
 }
 
 }  // namespace qcm

@@ -4,19 +4,18 @@
 // task steals -- overlaps with mining instead of blocking it).
 //
 // Each transfer is a typed message (kPullRequest, kPullResponse,
-// kStealBatch) carrying a serialized payload. A message enqueued while
-// the destination machine is at service tick T becomes deliverable at
-// tick T + net_latency_ticks, and no earlier than net_latency_sec of
-// wall time after the send. Compers advance their machine's tick once
-// per scheduling loop (Engine::Comper::ServiceComm), so with both knobs
-// at 0 a message is delivered on the destination's next service -- the
-// pre-fabric synchronous behavior -- while positive latency parks the
-// message in flight, which is exactly the window the VertexCache and the
-// big-task queues must hide.
+// kStealBatch) carrying a serialized payload. One latency model applies:
+// a message becomes deliverable net_latency_sec of wall time after the
+// send, and the destination's compers collect due messages once per
+// scheduling loop (Engine::Comper::ServiceComm). At 0 s a message is
+// delivered on the destination's next service -- the pre-fabric
+// synchronous behavior -- while positive latency parks the message in
+// flight, which is exactly the window the VertexCache and the big-task
+// queues must hide.
 //
 // Delivery is FIFO per destination: due times are monotone in enqueue
-// order (ticks and wall clock both only move forward), so popping from
-// the inbox head while the head is due preserves send order.
+// order (the fabric clock only moves forward), so popping from the inbox
+// head while the head is due preserves send order.
 //
 // The fabric never blocks and never loses messages: pending-task
 // accounting keeps the engine alive while anything meaningful is in
@@ -30,10 +29,10 @@
 // frame and ships it over the transport instead of enqueueing it
 // in-process; the transport's receive thread hands arriving frames back
 // through Inject(), which enqueues them into the local inbox under the
-// same tick/wall-clock latency model. Everything downstream of the inbox
-// -- Service cadence, FIFO order, drain semantics, metrics -- is one code
-// path shared by both modes, so a message's meaning never depends on
-// whether it crossed a thread boundary or a socket.
+// same latency model. Everything downstream of the inbox -- Service
+// cadence, FIFO order, drain semantics, metrics -- is one code path
+// shared by both modes, so a message's meaning never depends on whether
+// it crossed a thread boundary or a socket.
 
 #ifndef QCM_GTHINKER_COMM_H_
 #define QCM_GTHINKER_COMM_H_
@@ -78,9 +77,6 @@ struct Message {
   int src = 0;
   int dst = 0;
   std::string payload;
-  /// Destination service tick at enqueue / first tick deliverable.
-  uint64_t enqueue_tick = 0;
-  uint64_t due_tick = 0;
   /// Fabric clock (seconds since construction) at enqueue / earliest
   /// wall-clock delivery.
   double enqueue_sec = 0.0;
@@ -94,13 +90,13 @@ struct Message {
 
 class CommFabric {
  public:
-  /// `latency_ticks` / `latency_sec` model the network delay of every
-  /// message (see file comment). `counters` may be null. `transport`
-  /// null = simulated mode (all machines in-process); non-null =
-  /// process-per-machine mode, where only the transport's rank is local
-  /// and remote sends ride the wire (see file comment).
-  CommFabric(int num_machines, uint64_t latency_ticks, double latency_sec,
-             EngineCounters* counters, Transport* transport = nullptr);
+  /// `latency_sec` models the network delay of every message (see file
+  /// comment). `counters` may be null. `transport` null = simulated mode
+  /// (all machines in-process); non-null = process-per-machine mode,
+  /// where only the transport's rank is local and remote sends ride the
+  /// wire (see file comment).
+  CommFabric(int num_machines, double latency_sec, EngineCounters* counters,
+             Transport* transport = nullptr);
 
   CommFabric(const CommFabric&) = delete;
   CommFabric& operator=(const CommFabric&) = delete;
@@ -115,8 +111,8 @@ class CommFabric {
   /// outlive the fabric.
   void SetRttTracker(LinkRttTracker* tracker) { rtt_ = tracker; }
 
-  /// Enqueues a message. Never blocks; the destination's next due
-  /// service tick will deliver it. In process-per-machine mode a remote
+  /// Enqueues a message. Never blocks; the destination's first service
+  /// once it is due delivers it. In process-per-machine mode a remote
   /// destination ships the message over the transport instead.
   void Send(MessageType type, int src, int dst, std::string payload);
 
@@ -131,9 +127,9 @@ class CommFabric {
   void Inject(MessageType type, int src, std::string payload,
               uint64_t wire_transit_usec = 0);
 
-  /// Advances `dst`'s service tick and pops every message now due, in
-  /// enqueue order. Called by the destination machine's compers once per
-  /// scheduling loop.
+  /// Pops every message for `dst` that is now due, in enqueue order.
+  /// Called by the destination machine's compers once per scheduling
+  /// loop.
   std::vector<Message> Service(int dst);
 
   /// Pops every undelivered message for `dst` regardless of due time
@@ -146,23 +142,17 @@ class CommFabric {
   /// Undelivered payload bytes across all destinations.
   uint64_t InFlightBytes() const;
 
-  /// Current service tick of `dst`.
-  uint64_t Tick(int dst) const;
-
-  uint64_t latency_ticks() const { return latency_ticks_; }
   double latency_sec() const { return latency_sec_; }
 
  private:
   struct Inbox {
     mutable std::mutex mu;
     std::deque<Message> q;
-    uint64_t tick = 0;
   };
 
   void CountDelivery(const Message& m, double now);
   void Enqueue(Message m, bool count_send);
 
-  uint64_t latency_ticks_;
   double latency_sec_;
   EngineCounters* counters_;
   Transport* transport_;

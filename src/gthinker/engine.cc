@@ -533,8 +533,8 @@ void Engine::StealLoop() {
       if (tasks.empty()) continue;  // the plan's estimate was stale
 
       // Serialize the batch into one kStealBatch message; the fabric
-      // delivers it into the receiver's global queue on a later service
-      // tick, so the transfer overlaps with mining on both ends instead
+      // delivers it into the receiver's global queue on a later service,
+      // so the transfer overlaps with mining on both ends instead
       // of blocking this thread. The tasks remain counted in pending_
       // throughout the flight, so termination cannot race past them.
       std::string payload =
@@ -624,8 +624,8 @@ StatusOr<EngineReport> Engine::Run() {
     table_ = std::make_unique<VertexTable>(graph_, config_.num_machines);
   }
   fabric_ = std::make_unique<CommFabric>(
-      config_.num_machines, config_.net_latency_ticks,
-      config_.net_latency_sec, &counters_, transport_);
+      config_.num_machines, config_.net_latency_sec, &counters_,
+      transport_);
   // Per-link delivery-latency EWMAs, measured off fabric message
   // timestamps; the steal planner sizes batches from them. Alpha 0.25:
   // converge within a few deliveries yet absorb one-off stalls.

@@ -9,11 +9,11 @@
 // prefetch pipeline, local-queue spill/refill, park/resume -- lives in
 // the src/sched/ layer (one Scheduler per machine); the compute loop
 // here is a thin driver of it (the paper's reforged Alg. 3):
-//   0. Scheduler::ServiceFabric: advance the machine's service tick,
-//      deliver every due message (serve peer pull requests, accept pull
-//      responses and re-enqueue the tasks that were suspended on them,
-//      inject stolen big-task batches into the global queue), then pump
-//      the broker's outstanding vertex requests onto the fabric.
+//   0. Scheduler::ServiceFabric: deliver every due message (serve peer
+//      pull requests, accept pull responses and re-enqueue the tasks
+//      that were suspended on them, inject stolen big-task batches into
+//      the global queue), then pump the broker's outstanding vertex
+//      requests onto the fabric.
 //   1. Scheduler::NextTask: the machine's global big-task queue first
 //      (try-lock; refill from L_big when low), then the thread's local
 //      queue -- refilled from L_small, else by spawning a fresh batch

@@ -80,12 +80,6 @@ Status EngineConfig::Validate() const {
         "0 (an unbounded linger would park a lone frame forever; set "
         "both or neither)");
   }
-  if (spawn_prefetch && prefetch_limit == 0) {
-    return QCM_CONFIG_ERROR(
-        "contradictory: spawn_prefetch is on but prefetch_limit is 0 (a "
-        "zero-depth prefetch pipeline admits nothing; raise the limit or "
-        "disable prefetch)");
-  }
   if (steal_rtt_reference_sec <= 0) {
     return QCM_CONFIG_ERROR("steal_rtt_reference_sec must be > 0");
   }
@@ -107,12 +101,6 @@ Status EngineConfig::Validate() const {
         "mining.dense_threshold must be >= 0 (0 disables the dense bitset "
         "kernels; a positive value is the max subgraph size that gets "
         "bitmap rows)");
-  }
-  if (trace_buffer_kb < 1) {
-    return QCM_CONFIG_ERROR(
-        "trace_buffer_kb must be >= 1 (a zero-capacity trace ring would "
-        "drop every record; disable tracing by clearing trace_out "
-        "instead)");
   }
   if (stats_interval_ms < 0) {
     return QCM_CONFIG_ERROR(
@@ -164,12 +152,10 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU8(config.enable_stealing ? 1 : 0);
   enc->PutU64(config.vertex_cache_capacity);
   enc->PutU64(config.max_pull_batch);
-  enc->PutU64(config.net_latency_ticks);
   enc->PutDouble(config.net_latency_sec);
   enc->PutI64(config.net_coalesce_bytes);
   enc->PutI64(config.net_linger_usec);
   enc->PutU8(config.spawn_prefetch ? 1 : 0);
-  enc->PutU64(config.prefetch_limit);
   enc->PutDouble(config.steal_rtt_reference_sec);
   enc->PutU64(config.steal_max_batch_factor);
   enc->PutU8(config.record_task_log ? 1 : 0);
@@ -187,7 +173,6 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU8(config.mining.quick_compat ? 1 : 0);
   enc->PutI64(config.mining.dense_threshold);
   enc->PutString(config.trace_out);
-  enc->PutI64(config.trace_buffer_kb);
   enc->PutI64(config.stats_interval_ms);
   enc->PutString(config.graph_snapshot);
   enc->PutI64(config.graph_page_size);
@@ -223,14 +208,11 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   config->vertex_cache_capacity = u64;
   QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
   config->max_pull_batch = u64;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&config->net_latency_ticks));
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->net_latency_sec));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_coalesce_bytes));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_linger_usec));
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
   config->spawn_prefetch = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
-  config->prefetch_limit = u64;
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->steal_rtt_reference_sec));
   QCM_RETURN_IF_ERROR(dec->GetU64(&config->steal_max_batch_factor));
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
@@ -256,7 +238,6 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   config->mining.quick_compat = u8 != 0;
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->mining.dense_threshold));
   QCM_RETURN_IF_ERROR(dec->GetString(&config->trace_out));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->trace_buffer_kb));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->stats_interval_ms));
   QCM_RETURN_IF_ERROR(dec->GetString(&config->graph_snapshot));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->graph_page_size));

@@ -7,6 +7,10 @@
 // the paper's cluster nodes (16 machines x 32 threads there; the defaults
 // below are scaled to one host), and qcm_cluster runs the same engine with
 // one process per machine (README "Deployment").
+//
+// qcm_mine and qcm_cluster set these knobs through one shared flag table
+// (tools/cli.h) that only parses values; every range and contradiction
+// check lives in Validate().
 
 #ifndef QCM_GTHINKER_ENGINE_CONFIG_H_
 #define QCM_GTHINKER_ENGINE_CONFIG_H_
@@ -33,6 +37,10 @@ enum class DecomposeMode {
 };
 
 const char* DecomposeModeName(DecomposeMode mode);
+
+/// Max tasks parked in the spawn-prefetch stage per machine at once (the
+/// pipeline depth); further spawns are admitted without prefetch.
+inline constexpr size_t kSpawnPrefetchLimit = 64;
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
 /// single-host simulation.
@@ -79,13 +87,9 @@ struct EngineConfig {
   /// spawned task Want()s its first compute round's vertices through the
   /// fabric BEFORE its first schedule, so the first round finds pinned
   /// entries instead of suspending on a pull. Results are bit-identical
-  /// with the stage on or off (prefetch only changes availability).
+  /// with the stage on or off (prefetch only changes availability). The
+  /// pipeline depth is kSpawnPrefetchLimit tasks per machine.
   bool spawn_prefetch = false;
-  /// Max tasks parked in the kPrefetching stage per machine at once (the
-  /// pipeline depth; backpressure falls back to non-prefetched admission).
-  /// Must be >= 1 while spawn_prefetch is on -- a zero-depth prefetch
-  /// pipeline is a contradiction Validate() rejects.
-  size_t prefetch_limit = 64;
 
   /// Latency-aware steal planning (sched/steal_planner.h): per-move batch
   /// caps scale with the link's RTT EWMA in units of this reference RTT;
@@ -97,15 +101,10 @@ struct EngineConfig {
   uint64_t steal_max_batch_factor = 8;
 
   /// Modeled network latency of every CommFabric message (pull requests,
-  /// pull responses, steal batches). A message enqueued while the
-  /// destination machine is at service tick T becomes deliverable at tick
-  /// T + net_latency_ticks AND no earlier than net_latency_sec of wall
-  /// time after the send; both default to 0 = deliver on the next service
-  /// tick (the pre-latency behavior). Compers advance their machine's
-  /// tick once per scheduling loop, so tick latency is wall-clock-free
-  /// and deterministic per service cadence, while net_latency_sec models
-  /// real wire delay the vertex cache must hide.
-  uint64_t net_latency_ticks = 0;
+  /// pull responses, steal batches): a message becomes deliverable this
+  /// many seconds of wall time after the send, the wire delay the vertex
+  /// cache must hide. 0 = deliver on the destination's next service (the
+  /// pre-latency behavior). Must be >= 0.
   double net_latency_sec = 0.0;
 
   /// Transport send aggregation (process-per-machine mode; see
@@ -147,12 +146,8 @@ struct EngineConfig {
   /// the launcher merges into one timeline. Empty = tracing off (the
   /// default; every event site then costs a couple of relaxed atomic
   /// loads, keeping digests and kernel timings bit-identical to an
-  /// untraced build).
+  /// untraced build). Each thread records into a trace::kRingKb ring.
   std::string trace_out;
-  /// Per-thread trace ring capacity in KiB (24-byte records). A full ring
-  /// drops further records and counts them -- never blocks a comper.
-  /// Must be >= 1.
-  int64_t trace_buffer_kb = 256;
   /// Period of the engine's telemetry sampler in milliseconds: each tick
   /// records queue depth / in-flight bytes / cache hit ratio / busy
   /// compers as trace counters and, in distributed mode, ships them to

@@ -119,7 +119,7 @@ struct EngineCounters {
 
   /// Messages enqueued on the fabric, per type.
   std::atomic<uint64_t> msg_sent[kNumMessageTypes]{};
-  /// Messages delivered by a destination service tick, per type.
+  /// Messages delivered by a destination service, per type.
   std::atomic<uint64_t> msg_delivered[kNumMessageTypes]{};
   /// Serialized payload bytes enqueued, per type.
   std::atomic<uint64_t> msg_bytes[kNumMessageTypes]{};

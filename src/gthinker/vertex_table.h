@@ -11,7 +11,7 @@
 //     tasks suspended on missing vertices park here; a request pump
 //     aggregates every outstanding id into one batched kPullRequest
 //     CommFabric message per remote machine, the owner serves it into a
-//     kPullResponse on a later service tick, and accepting the response
+//     kPullResponse on a later service, and accepting the response
 //     populates the cache, pins the adjacencies into the waiting tasks,
 //     and releases tasks whose every request has been delivered.
 

@@ -96,7 +96,11 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // workers only mmap config.graph_snapshot); EngineConfig lost its cache
 // eviction-policy byte; EngineReport lost the admission-reject and
 // fallback-transfer byte counters.
-inline constexpr uint32_t kWireProtocolVersion = 7;
+// v8: one latency model. EngineConfig lost the service-tick delivery
+// delay (fabric latency is net_latency_sec only), prefetch_limit and
+// trace_buffer_kb (now the constants kSpawnPrefetchLimit and
+// trace::kRingKb).
+inline constexpr uint32_t kWireProtocolVersion = 8;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -194,8 +194,7 @@ bool Scheduler::AdmitSpawned(TaskPtr task, LocalQueue& local) {
   deps_.pending->fetch_add(1);
   const bool big = task->SizeHint() > deps_.config->tau_split;
   if (deps_.config->spawn_prefetch &&
-      prefetching_.load(std::memory_order_relaxed) <
-          deps_.config->prefetch_limit) {
+      prefetching_.load(std::memory_order_relaxed) < kSpawnPrefetchLimit) {
     SpawnPrefetchOracle oracle(deps_.data, task.get(), deps_.counters);
     deps_.app->SpawnPrefetch(*task, oracle);
     task->sched_info().prefetched = true;

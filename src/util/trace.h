@@ -60,6 +60,11 @@ static_assert(sizeof(Record) == 24, "trace records are packed to 24 bytes");
 /// True when tracing is on. One relaxed load; safe to call at any rate.
 bool Enabled();
 
+/// Per-thread ring capacity the tools trace with, in KiB (~10.9k
+/// records). A full ring drops further records and counts them -- it
+/// never blocks a comper.
+inline constexpr size_t kRingKb = 256;
+
 /// Turns tracing on. Threads allocate a `ring_kb` KiB ring lazily on
 /// first emit. Idempotent; a second Start keeps existing rings.
 void Start(size_t ring_kb);

@@ -1,6 +1,6 @@
-// CommFabric unit tests: FIFO ordering, tick- and wall-clock-delayed
-// delivery, drain-at-termination (no message lost), and the message
-// accounting counters (per-type sent/delivered/bytes, in-flight gauge,
+// CommFabric unit tests: FIFO ordering, wall-clock-delayed delivery,
+// drain-at-termination (no message lost), and the message accounting
+// counters (per-type sent/delivered/bytes, in-flight gauge,
 // queue depth, latency histogram, overlap sampling).
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@ namespace {
 
 TEST(CommFabricTest, ZeroLatencyDeliversOnNextServiceInFifoOrder) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_ticks=*/0, /*latency_sec=*/0, &counters);
+  CommFabric fabric(2, /*latency_sec=*/0, &counters);
   fabric.Send(MessageType::kPullRequest, 0, 1, "a");
   fabric.Send(MessageType::kPullResponse, 0, 1, "bb");
   fabric.Send(MessageType::kStealBatch, 0, 1, "ccc");
@@ -41,46 +41,11 @@ TEST(CommFabricTest, ZeroLatencyDeliversOnNextServiceInFifoOrder) {
   EXPECT_EQ(fabric.InFlightBytes(), 0u);
 }
 
-TEST(CommFabricTest, TickLatencyDelaysDelivery) {
-  EngineCounters counters;
-  CommFabric fabric(2, /*latency_ticks=*/3, /*latency_sec=*/0, &counters);
-  fabric.Send(MessageType::kPullRequest, 0, 1, "x");
-  // Due at tick 3; the first two services (ticks 1, 2) deliver nothing.
-  EXPECT_TRUE(fabric.Service(1).empty());
-  EXPECT_TRUE(fabric.Service(1).empty());
-  auto due = fabric.Service(1);  // tick 3
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].payload, "x");
-  EXPECT_EQ(due[0].enqueue_tick, 0u);
-  EXPECT_EQ(due[0].due_tick, 3u);
-
-  // Servicing another machine never advances this machine's clock.
-  fabric.Send(MessageType::kPullRequest, 1, 0, "y");
-  EXPECT_TRUE(fabric.Service(1).empty());
-  EXPECT_TRUE(fabric.Service(1).empty());
-  EXPECT_EQ(fabric.InFlight(), 1u);  // y still in flight for machine 0
-}
-
-TEST(CommFabricTest, LaterSendWaitsItsOwnLatency) {
-  EngineCounters counters;
-  CommFabric fabric(1, /*latency_ticks=*/2, /*latency_sec=*/0, &counters);
-  fabric.Send(MessageType::kPullRequest, 0, 0, "first");  // due tick 2
-  ASSERT_TRUE(fabric.Service(0).empty());                 // tick 1
-  fabric.Send(MessageType::kPullRequest, 0, 0, "second");  // due tick 3
-  auto due = fabric.Service(0);                            // tick 2
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].payload, "first");
-  due = fabric.Service(0);  // tick 3
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].payload, "second");
-}
-
 TEST(CommFabricTest, WallClockLatencyDelaysDelivery) {
   EngineCounters counters;
-  CommFabric fabric(1, /*latency_ticks=*/0, /*latency_sec=*/0.02,
-                    &counters);
+  CommFabric fabric(1, /*latency_sec=*/0.02, &counters);
   fabric.Send(MessageType::kStealBatch, 0, 0, "slow");
-  // Immediately due by ticks but not by wall clock.
+  // Not due until 20 ms of wall time have passed.
   EXPECT_TRUE(fabric.Service(0).empty());
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   auto due = fabric.Service(0);
@@ -96,8 +61,8 @@ TEST(CommFabricTest, WallClockLatencyDelaysDelivery) {
 
 TEST(CommFabricTest, DrainReturnsUndeliveredMessagesIntact) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_ticks=*/100, /*latency_sec=*/0,
-                    &counters);
+  // An hour of latency: nothing can become due during the test.
+  CommFabric fabric(2, /*latency_sec=*/3600, &counters);
   fabric.Send(MessageType::kPullRequest, 0, 1, "p");
   fabric.Send(MessageType::kStealBatch, 0, 1, "steal-payload");
   EXPECT_TRUE(fabric.Service(1).empty());  // far from due
@@ -120,7 +85,7 @@ TEST(CommFabricTest, DrainReturnsUndeliveredMessagesIntact) {
 
 TEST(CommFabricTest, CountersTrackBytesDepthAndOverlap) {
   EngineCounters counters;
-  CommFabric fabric(2, 0, 0, &counters);
+  CommFabric fabric(2, 0, &counters);
   int busy = 0;
   fabric.SetBusyProbe([&busy](int) { return busy; });
 

@@ -130,6 +130,51 @@ TEST(PlantedTest, RejectsBadConfig) {
   EXPECT_FALSE(GenPlantedCommunities(config).ok());
 }
 
+TEST(PlantedSpecTest, ParsesEveryKey) {
+  auto spec = ParsePlantedSpec(
+      "n=1134890,communities=160,size=27..27,density=0.92,overlap=0.25,"
+      "edges=12000",
+      7);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->num_vertices, 1134890u);
+  EXPECT_EQ(spec->num_communities, 160u);
+  EXPECT_EQ(spec->community_min, 27u);
+  EXPECT_EQ(spec->community_max, 27u);
+  EXPECT_EQ(spec->intra_density, 0.92);
+  EXPECT_EQ(spec->overlap_fraction, 0.25);
+  EXPECT_EQ(spec->background, BackgroundModel::kErdosRenyi);
+  EXPECT_EQ(spec->background_edges, 12000u);
+  EXPECT_EQ(spec->seed, 7u);
+
+  auto single = ParsePlantedSpec("n=200000,size=14..16,density=0.97", 1);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->community_min, 14u);
+  EXPECT_EQ(single->community_max, 16u);
+  EXPECT_EQ(single->background, BackgroundModel::kPowerLaw);
+  auto fixed = ParsePlantedSpec("size=12", 1);
+  ASSERT_TRUE(fixed.ok());
+  EXPECT_EQ(fixed->community_min, 12u);
+  EXPECT_EQ(fixed->community_max, 12u);
+}
+
+TEST(PlantedSpecTest, RejectsMalformedNumbers) {
+  // A negative count must not wrap to ~4 billion vertices, an exponent
+  // must not truncate to its mantissa, and no value may carry trailing
+  // junk or be missing.
+  for (const char* spec :
+       {"n=-5,communities=2,size=10..10,density=1", "n=1e4",
+        "density=0.9x", "size=10..", "size=..10", "communities=",
+        "edges=12k", "overlap=nan", "n=99999999999"}) {
+    auto parsed = ParsePlantedSpec(spec, 1);
+    ASSERT_FALSE(parsed.ok()) << spec;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  auto bad = ParsePlantedSpec("n=-5", 1);
+  EXPECT_NE(bad.status().message().find("'-5'"), std::string::npos)
+      << bad.status().ToString();
+  EXPECT_NE(bad.status().message().find("n:"), std::string::npos);
+}
+
 TEST(Figure4Test, MatchesPaperFacts) {
   Graph g = PaperFigure4Graph();
   EXPECT_EQ(g.NumVertices(), 9u);

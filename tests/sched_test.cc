@@ -298,20 +298,6 @@ TEST(EngineConfigValidationTest, RejectsNegativeLatencyWithFileLine) {
   EXPECT_NE(s.message().find("net_latency_sec"), std::string::npos);
 }
 
-TEST(EngineConfigValidationTest, RejectsContradictoryPrefetchSettings) {
-  EngineConfig config = ValidBase();
-  config.spawn_prefetch = true;
-  config.prefetch_limit = 0;
-  Status s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("contradictory"), std::string::npos)
-      << s.ToString();
-  EXPECT_NE(s.message().find("engine_config.cc:"), std::string::npos);
-  // The same limit with prefetch off is fine (the stage never runs).
-  config.spawn_prefetch = false;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(EngineConfigValidationTest, RejectsContradictoryStealSettings) {
   EngineConfig config = ValidBase();
   config.steal_max_batch_factor = 0;
@@ -381,7 +367,6 @@ TEST(EngineConfigValidationTest, RejectsOutOfRangeCoalescingSettings) {
 TEST(EngineConfigValidationTest, NewKnobsRoundTripThroughTheCodec) {
   EngineConfig config = ValidBase();
   config.spawn_prefetch = true;
-  config.prefetch_limit = 17;
   config.steal_rtt_reference_sec = 0.005;
   config.steal_max_batch_factor = 3;
   config.net_coalesce_bytes = 2800;
@@ -393,7 +378,6 @@ TEST(EngineConfigValidationTest, NewKnobsRoundTripThroughTheCodec) {
   EngineConfig decoded;
   ASSERT_TRUE(DecodeEngineConfig(&dec, &decoded).ok());
   EXPECT_TRUE(decoded.spawn_prefetch);
-  EXPECT_EQ(decoded.prefetch_limit, 17u);
   EXPECT_DOUBLE_EQ(decoded.steal_rtt_reference_sec, 0.005);
   EXPECT_EQ(decoded.steal_max_batch_factor, 3u);
   EXPECT_EQ(decoded.net_coalesce_bytes, 2800);
@@ -420,7 +404,7 @@ TEST(SchedEngineTest, PrefetchParityAtNonzeroLatency) {
   base.mining.min_size = 8;
   base.num_machines = 2;
   base.threads_per_machine = 2;
-  base.net_latency_ticks = 2;  // every pull really rides the fabric
+  base.net_latency_sec = 0.0005;  // every pull really rides the fabric
 
   EngineConfig off = base;
   off.spawn_prefetch = false;

@@ -1,4 +1,5 @@
-// Unit tests for util/: Status, StatusOr, serde, rng, mem, timer.
+// Unit tests for util/: Status, StatusOr, strict number parsing, serde,
+// rng, mem, timer.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include <vector>
 
 #include "util/mem.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/serde.h"
 #include "util/status.h"
@@ -55,6 +57,44 @@ TEST(StatusOrTest, MoveOutValue) {
   StatusOr<std::string> v(std::string(1000, 'x'));
   std::string s = std::move(v).value();
   EXPECT_EQ(s.size(), 1000u);
+}
+
+TEST(ParseTest, AcceptsWholeInRangeNumbers) {
+  uint32_t u32 = 0;
+  EXPECT_TRUE(ParseNumber("4294967295", &u32).ok());
+  EXPECT_EQ(u32, 4294967295u);
+  int64_t i64 = 0;
+  EXPECT_TRUE(ParseNumber("-12", &i64).ok());
+  EXPECT_EQ(i64, -12);
+  int i32 = 0;
+  EXPECT_TRUE(ParseNumber("0", &i32).ok());
+  double d = 0;
+  EXPECT_TRUE(ParseNumber("1e-3", &d).ok());
+  EXPECT_EQ(d, 1e-3);
+  EXPECT_TRUE(ParseNumber("-0.5", &d).ok());
+  EXPECT_EQ(d, -0.5);
+}
+
+TEST(ParseTest, RejectsPartialNegativeAndOutOfRangeText) {
+  uint32_t u32 = 7;
+  for (const char* bad : {"", "abc", "12abc", " 12", "12 ", "+12", "-5",
+                          "1e4", "4294967296", "0x10"}) {
+    Status s = ParseNumber(bad, &u32);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "'" << bad << "'";
+    EXPECT_NE(s.message().find(std::string("'") + bad + "'"),
+              std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_EQ(u32, 7u);  // untouched on error
+  uint64_t u64 = 0;
+  EXPECT_FALSE(ParseNumber("-1", &u64).ok());
+  EXPECT_FALSE(ParseNumber("18446744073709551616", &u64).ok());
+  int i32 = 0;
+  EXPECT_FALSE(ParseNumber("2147483648", &i32).ok());
+  double d = 0;
+  for (const char* bad : {"", "abc", "0.9x", "inf", "nan", "1e400", "1,5"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d).ok()) << "'" << bad << "'";
+  }
 }
 
 TEST(SerdeTest, RoundTripScalars) {

@@ -150,8 +150,8 @@ std::vector<TaskPtr> CompletePullRound(
   for (TaskPtr& t : brokers[0]->PumpRequests(&fabric)) {
     ready.push_back(std::move(t));
   }
-  // A bounded number of service sweeps: each sweep advances every
-  // machine's tick once, exactly like one comper scheduling loop each.
+  // A bounded number of service sweeps: each sweep services every
+  // machine once, exactly like one comper scheduling loop each.
   for (int sweep = 0; sweep < 64 && fabric.InFlight() > 0; ++sweep) {
     for (size_t m = 0; m < brokers.size(); ++m) {
       for (Message& msg : fabric.Service(static_cast<int>(m))) {
@@ -179,7 +179,7 @@ TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
   PullBroker b0(&svc0, 0, /*max_batch=*/4, &counters);
   PullBroker b1(&svc1, 1, /*max_batch=*/4, &counters);
   PullBroker b2(&svc2, 2, /*max_batch=*/4, &counters);
-  CommFabric fabric(3, /*latency_ticks=*/0, /*latency_sec=*/0, &counters);
+  CommFabric fabric(3, /*latency_sec=*/0, &counters);
 
   // A task wanting vertices owned by machines 1 and 2.
   TaskPtr task = QCTask::MakeSpawn(0, 1);
@@ -231,7 +231,7 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
   DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
   PullBroker b0(&svc0, 0, 1024, &counters);
   PullBroker b1(&svc1, 1, 1024, &counters);
-  CommFabric fabric(2, 0, 0, &counters);
+  CommFabric fabric(2, 0, &counters);
 
   VertexId v = table.OwnedVertices(1)[0];
   svc0.cache().Insert(v, CopyOf(g, v));  // an earlier pull delivered v
@@ -257,7 +257,7 @@ TEST(PullBrokerTest, SharedInFlightVertexRequestedOnce) {
   DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
   PullBroker b0(&svc0, 0, 1024, &counters);
   PullBroker b1(&svc1, 1, 1024, &counters);
-  CommFabric fabric(2, 0, 0, &counters);
+  CommFabric fabric(2, 0, &counters);
 
   // Two tasks wanting the same remote vertex: one request, two pins.
   VertexId v = table.OwnedVertices(1)[0];
@@ -295,7 +295,6 @@ Graph PlantedGraph() {
 
 struct MineOptions {
   size_t cache_capacity = 1 << 16;
-  uint64_t latency_ticks = 0;
   double latency_sec = 0.0;
 };
 
@@ -311,7 +310,6 @@ std::vector<VertexSet> MineWith(const Graph& g, int machines,
   config.tau_time = 0.001;
   config.steal_period_sec = 0.005;
   config.vertex_cache_capacity = opts.cache_capacity;
-  config.net_latency_ticks = opts.latency_ticks;
   config.net_latency_sec = opts.latency_sec;
   ParallelMiner miner(config);
   auto result = miner.Run(g);
@@ -369,18 +367,6 @@ TEST(PullPathTest, CacheOffStillMatchesDirectReadPath) {
   EXPECT_GT(report.counters.cache_misses, 0u);
   // Pins still satisfy the build after the pull round.
   EXPECT_GT(report.counters.pin_hits, 0u);
-}
-
-TEST(PullPathTest, TickLatencyDoesNotChangeResults) {
-  Graph g = PlantedGraph();
-  auto direct = MineWith(g, 1, {});
-  ASSERT_FALSE(direct.empty());
-
-  EngineReport report;
-  auto delayed = MineWith(g, 4, {.latency_ticks = 5}, &report);
-  EXPECT_EQ(delayed, direct);
-  EXPECT_GT(report.counters.MessagesSent(), 0u);
-  EXPECT_EQ(report.counters.msg_drained, 0u);
 }
 
 TEST(PullPathTest, WallLatencyDoesNotChangeResults) {

@@ -422,12 +422,10 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   config.enable_stealing = false;
   config.vertex_cache_capacity = 999;
   config.max_pull_batch = 33;
-  config.net_latency_ticks = 2;
   config.net_latency_sec = 0.001;
   config.net_coalesce_bytes = 1400;
   config.net_linger_usec = 100;
   config.spawn_prefetch = true;
-  config.prefetch_limit = 21;
   config.steal_rtt_reference_sec = 0.002;
   config.steal_max_batch_factor = 5;
   config.record_task_log = true;
@@ -440,7 +438,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   config.mining.quick_compat = true;
   config.mining.dense_threshold = 512;
   config.trace_out = "/tmp/run_trace.json";
-  config.trace_buffer_kb = 128;
   config.stats_interval_ms = 250;
   config.graph_snapshot = "/tmp/graph.qcsr";
   config.graph_page_size = 4096;
@@ -461,12 +458,10 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_FALSE(out.enable_stealing);
   EXPECT_EQ(out.vertex_cache_capacity, 999u);
   EXPECT_EQ(out.max_pull_batch, 33u);
-  EXPECT_EQ(out.net_latency_ticks, 2u);
   EXPECT_EQ(out.net_latency_sec, 0.001);
   EXPECT_EQ(out.net_coalesce_bytes, 1400);
   EXPECT_EQ(out.net_linger_usec, 100);
   EXPECT_TRUE(out.spawn_prefetch);
-  EXPECT_EQ(out.prefetch_limit, 21u);
   EXPECT_EQ(out.steal_rtt_reference_sec, 0.002);
   EXPECT_EQ(out.steal_max_batch_factor, 5u);
   EXPECT_TRUE(out.record_task_log);
@@ -479,7 +474,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_TRUE(out.mining.quick_compat);
   EXPECT_EQ(out.mining.dense_threshold, 512);
   EXPECT_EQ(out.trace_out, "/tmp/run_trace.json");
-  EXPECT_EQ(out.trace_buffer_kb, 128);
   EXPECT_EQ(out.stats_interval_ms, 250);
   EXPECT_EQ(out.graph_snapshot, "/tmp/graph.qcsr");
   EXPECT_EQ(out.graph_page_size, 4096);

@@ -8,14 +8,12 @@
 // JSON. Unlike bench_micro_kernels it needs no google-benchmark, so CI
 // can always run it.
 //
-// Usage: kernel_bitset_probe [--json PATH] [--target-ms N]
+// Usage: kernel_bitset_probe [--json PATH] [--target-ms N] (see --help)
 //
 // Exit status: 0 iff every dense/sparse parity check passed.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "quick/cover_vertex.h"
 #include "quick/mining_context.h"
 #include "quick/recursive_mine.h"
+#include "tools/cli.h"
 #include "util/timer.h"
 
 namespace {
@@ -108,18 +107,14 @@ Cell Measure(const char* kernel, const LocalGraph* g, double gamma,
 int main(int argc, char** argv) {
   std::string json_path;
   double target_ms = 30.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--target-ms") == 0 && i + 1 < argc) {
-      target_ms = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: kernel_bitset_probe [--json PATH] "
-                   "[--target-ms N]\n");
-      return 2;
-    }
-  }
+  cli::CommandLine(
+      "Times the dense and sparse paths of the four hybrid mining kernels "
+      "and checks they agree; exits 1 on any parity failure.",
+      {cli::Text("--json", "PATH", &json_path,
+                 "write the sweep here instead of stdout"),
+       cli::Number("--target-ms", "N", &target_ms,
+                   "wall time to accumulate per timed cell")})
+      .ParseOrExit(argc, argv);
 
   const uint32_t sizes[] = {64, 256, 1024, 4096};
   std::vector<Cell> cells;

@@ -10,23 +10,16 @@
 // (asserted by tests/cluster_e2e_test.cc and tools/check_smoke.sh), even
 // when a worker is killed mid-run and recovered from its checkpoint.
 //
-// Usage:
-//   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N
-//               [--threads N] [--gamma F] [--min-size N] [--tau-split N]
-//               [--tau-time F] [--mode none|size|time]
-//               [--cache-capacity N] [--pull-batch N] [--net-latency F]
-//               [--net-latency-ticks N]
-//               [--net-coalesce-bytes N] [--net-linger-usec N]
-//               [--prefetch] [--prefetch-limit N] [--steal-rtt-ref F]
-//               [--steal-batch-factor N] [--dense-threshold N]
-//               [--heartbeat-usec N] [--checkpoint-interval F]
-//               [--checkpoint-dir DIR] [--max-rank-restarts N]
-//               [--seed N] [--output PATH] [--no-filter] [--stats]
-//               [--stats-json PATH] [--worker-bin PATH] [--log-dir DIR]
-//               [--trace-out PATH] [--trace-buffer-kb N]
-//               [--stats-interval-ms N] [--log-level L]
-//               [--snapshot PATH.qcsr]
-//               [--graph-memory-budget BYTES] [--graph-page-size BYTES]
+//   qcm_cluster --gen-planted n=4000,communities=8,size=12..16,density=0.95
+//               --gamma 0.85 --min-size 9 --workers 3 --threads 2
+//
+// `qcm_cluster --help` lists every flag. The engine and mining flags are
+// the table shared with qcm_mine (tools/cli.h) and mean the same thing
+// here; --workers, the transport, heartbeat, checkpoint, snapshot and
+// paging knobs, --log-dir and --worker-bin are this tool's own. Flags
+// only parse: the whole configuration is checked once, by
+// EngineConfig::Validate(), before any worker starts, so e.g. a
+// coalescing threshold without a linger bound is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input into a .qcsr snapshot
 // ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
@@ -42,7 +35,8 @@
 // run is live, the kStats stream also drives a one-line telemetry ticker
 // on stderr (cadence --stats-interval-ms; 0 disables both).
 // --log-level sets the launcher's level; workers inherit QCM_LOG_LEVEL
-// from the environment.
+// from the environment, and every rank's EngineReport comes back inside
+// the launcher's --stats-json.
 //
 // Worker stdout/stderr are redirected to <log-dir>/worker<rank>.log
 // (a replacement incarnation logs to worker<rank>.r<restart>.log so the
@@ -80,13 +74,11 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
 #include "gthinker/metrics.h"
 #include "net/coordinator.h"
 #include "net/job_spec.h"
 #include "quick/maximality_filter.h"
-#include "util/logging.h"
+#include "tools/cli.h"
 #include "util/mem.h"
 #include "util/serde.h"
 #include "util/timer.h"
@@ -95,252 +87,6 @@
 namespace {
 
 using namespace qcm;
-
-struct Args {
-  EngineConfig config;
-  /// Exactly one of these names the graph the launcher packs.
-  std::string input;        // SNAP edge-list path
-  std::string gen_planted;  // planted-community generator spec
-  uint64_t seed = 1;        // generator seed (ignored for --input)
-  int workers = 3;
-  std::string output;
-  /// Pre-packed .qcsr to ship to workers (skips the launcher pack step).
-  std::string snapshot;
-  bool no_filter = false;
-  bool stats = false;
-  std::string stats_json;
-  std::string worker_bin;
-  std::string log_dir;
-  std::string checkpoint_dir;
-  int max_rank_restarts = 2;
-  std::string mode = "time";
-  /// --net-coalesce-bytes given without an explicit --net-linger-usec:
-  /// the linger falls back to the classic ~100 us bound instead of
-  /// tripping the linger-without-coalescing validation.
-  bool linger_defaulted = false;
-};
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: qcm_cluster (--input PATH | --gen-planted SPEC) "
-               "--workers N [--threads N]\n"
-               "                   [mining/engine flags, see file header] "
-               "[--output PATH]\n"
-               "                   [--heartbeat-usec N] "
-               "[--checkpoint-interval F] [--checkpoint-dir DIR]\n"
-               "                   [--max-rank-restarts N] "
-               "[--worker-bin PATH] [--log-dir DIR]\n"
-               "                   [--snapshot PATH.qcsr] "
-               "[--graph-memory-budget BYTES] [--graph-page-size BYTES]\n");
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  EngineConfig& config = args->config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--input") {
-      if ((v = next("--input")) == nullptr) return false;
-      args->input = v;
-    } else if (a == "--gen-planted") {
-      if ((v = next("--gen-planted")) == nullptr) return false;
-      args->gen_planted = v;
-    } else if (a == "--workers") {
-      if ((v = next("--workers")) == nullptr) return false;
-      args->workers = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      config.threads_per_machine = std::atoi(v);
-    } else if (a == "--gamma") {
-      if ((v = next("--gamma")) == nullptr) return false;
-      config.mining.gamma = std::atof(v);
-    } else if (a == "--min-size") {
-      if ((v = next("--min-size")) == nullptr) return false;
-      config.mining.min_size = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--dense-threshold") {
-      if ((v = next("--dense-threshold")) == nullptr) return false;
-      const long long threshold = std::atoll(v);
-      if (threshold < 0) {
-        std::fprintf(stderr,
-                     "--dense-threshold must be >= 0 (0 disables the dense "
-                     "bitset kernels)\n");
-        return false;
-      }
-      config.mining.dense_threshold = threshold;
-    } else if (a == "--tau-split") {
-      if ((v = next("--tau-split")) == nullptr) return false;
-      config.tau_split = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--tau-time") {
-      if ((v = next("--tau-time")) == nullptr) return false;
-      config.tau_time = std::atof(v);
-    } else if (a == "--mode") {
-      if ((v = next("--mode")) == nullptr) return false;
-      args->mode = v;
-    } else if (a == "--cache-capacity") {
-      if ((v = next("--cache-capacity")) == nullptr) return false;
-      config.vertex_cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--pull-batch") {
-      if ((v = next("--pull-batch")) == nullptr) return false;
-      config.max_pull_batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      config.net_latency_sec = std::atof(v);
-      if (config.net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        // A blind cast would wrap to a near-infinite delay and hang the
-        // cluster; reject loudly instead.
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      config.net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--net-coalesce-bytes") {
-      if ((v = next("--net-coalesce-bytes")) == nullptr) return false;
-      config.net_coalesce_bytes = std::atoll(v);
-      args->linger_defaulted = config.net_linger_usec == 0;
-    } else if (a == "--net-linger-usec") {
-      if ((v = next("--net-linger-usec")) == nullptr) return false;
-      config.net_linger_usec = std::atoll(v);
-      args->linger_defaulted = false;
-    } else if (a == "--prefetch") {
-      config.spawn_prefetch = true;
-    } else if (a == "--prefetch-limit") {
-      if ((v = next("--prefetch-limit")) == nullptr) return false;
-      const long long limit = std::atoll(v);
-      if (limit < 0) {
-        std::fprintf(stderr, "--prefetch-limit must be >= 0\n");
-        return false;
-      }
-      config.prefetch_limit = static_cast<size_t>(limit);
-    } else if (a == "--steal-rtt-ref") {
-      if ((v = next("--steal-rtt-ref")) == nullptr) return false;
-      config.steal_rtt_reference_sec = std::atof(v);
-    } else if (a == "--steal-batch-factor") {
-      if ((v = next("--steal-batch-factor")) == nullptr) return false;
-      const long long factor = std::atoll(v);
-      if (factor < 1) {
-        std::fprintf(stderr, "--steal-batch-factor must be >= 1\n");
-        return false;
-      }
-      config.steal_max_batch_factor = static_cast<uint64_t>(factor);
-    } else if (a == "--heartbeat-usec") {
-      if ((v = next("--heartbeat-usec")) == nullptr) return false;
-      const long long usec = std::atoll(v);
-      if (usec < 0) {
-        std::fprintf(stderr, "--heartbeat-usec must be >= 0\n");
-        return false;
-      }
-      config.heartbeat_usec = usec;
-    } else if (a == "--checkpoint-interval") {
-      if ((v = next("--checkpoint-interval")) == nullptr) return false;
-      config.checkpoint_interval_sec = std::atof(v);
-      if (config.checkpoint_interval_sec <= 0) {
-        std::fprintf(stderr, "--checkpoint-interval must be > 0\n");
-        return false;
-      }
-    } else if (a == "--checkpoint-dir") {
-      if ((v = next("--checkpoint-dir")) == nullptr) return false;
-      args->checkpoint_dir = v;
-    } else if (a == "--max-rank-restarts") {
-      if ((v = next("--max-rank-restarts")) == nullptr) return false;
-      args->max_rank_restarts = std::atoi(v);
-      if (args->max_rank_restarts < 0) {
-        std::fprintf(stderr, "--max-rank-restarts must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--snapshot") {
-      if ((v = next("--snapshot")) == nullptr) return false;
-      args->snapshot = v;
-    } else if (a == "--graph-memory-budget") {
-      if ((v = next("--graph-memory-budget")) == nullptr) return false;
-      config.graph_memory_budget = std::atoll(v);
-    } else if (a == "--graph-page-size") {
-      if ((v = next("--graph-page-size")) == nullptr) return false;
-      config.graph_page_size = std::atoll(v);
-    } else if (a == "--seed") {
-      if ((v = next("--seed")) == nullptr) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (a == "--output") {
-      if ((v = next("--output")) == nullptr) return false;
-      args->output = v;
-    } else if (a == "--no-filter") {
-      args->no_filter = true;
-    } else if (a == "--stats") {
-      args->stats = true;
-    } else if (a == "--stats-json") {
-      if ((v = next("--stats-json")) == nullptr) return false;
-      args->stats_json = v;
-    } else if (a == "--trace-out") {
-      if ((v = next("--trace-out")) == nullptr) return false;
-      config.trace_out = v;
-    } else if (a == "--trace-buffer-kb") {
-      if ((v = next("--trace-buffer-kb")) == nullptr) return false;
-      config.trace_buffer_kb = std::atoll(v);
-    } else if (a == "--stats-interval-ms") {
-      if ((v = next("--stats-interval-ms")) == nullptr) return false;
-      config.stats_interval_ms = std::atoll(v);
-    } else if (a == "--log-level") {
-      if ((v = next("--log-level")) == nullptr) return false;
-      LogLevel level;
-      if (!ParseLogLevel(v, &level)) {
-        std::fprintf(stderr, "unknown --log-level %s\n", v);
-        return false;
-      }
-      SetLogLevel(level);
-    } else if (a == "--worker-bin") {
-      if ((v = next("--worker-bin")) == nullptr) return false;
-      args->worker_bin = v;
-    } else if (a == "--log-dir") {
-      if ((v = next("--log-dir")) == nullptr) return false;
-      args->log_dir = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->input.empty() == args->gen_planted.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input / --gen-planted is required\n");
-    return false;
-  }
-  if (args->workers < 1 || args->workers > 64) {
-    std::fprintf(stderr, "--workers must be in [1, 64]\n");
-    return false;
-  }
-  if (args->linger_defaulted && config.net_coalesce_bytes > 0) {
-    config.net_linger_usec = 100;
-  }
-  // NOTE: config.Validate() runs in main() AFTER the launcher pack step
-  // fills in config.graph_snapshot -- validating here would flag the
-  // budget-without-snapshot contradiction on every budgeted run.
-  if (args->mode == "none") {
-    config.mode = DecomposeMode::kNone;
-  } else if (args->mode == "size") {
-    config.mode = DecomposeMode::kSizeThreshold;
-  } else if (args->mode == "time") {
-    config.mode = DecomposeMode::kTimeDelayed;
-  } else {
-    std::fprintf(stderr, "unknown --mode %s\n", args->mode.c_str());
-    return false;
-  }
-  config.num_machines = args->workers;
-  return true;
-}
 
 /// Default worker binary: qcm_worker next to this executable.
 std::string DefaultWorkerBin() {
@@ -395,19 +141,63 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  cli::RunOptions run;
+  EngineConfig& config = run.config;
+  config.num_machines = 3;
+  int max_rank_restarts = 2;
+  std::string worker_bin = DefaultWorkerBin();
+  std::string log_dir;
+  std::vector<cli::Flag> flags = cli::SharedFlags(&run);
+  flags.insert(
+      flags.end(),
+      {cli::Number("--workers", "N", &config.num_machines,
+                   "worker processes (one machine each), at most 64"),
+       cli::Number("--net-coalesce-bytes", "N", &config.net_coalesce_bytes,
+                   "per-peer send buffer that flushes as one writev; needs "
+                   "--net-linger-usec too"),
+       cli::Number("--net-linger-usec", "N", &config.net_linger_usec,
+                   "longest a data frame waits in the send buffer; needs "
+                   "--net-coalesce-bytes too"),
+       cli::Number("--heartbeat-usec", "N", &config.heartbeat_usec,
+                   "worker liveness beacon period; 0 disables"),
+       cli::Number("--checkpoint-interval", "F",
+                   &config.checkpoint_interval_sec,
+                   "seconds between flushes of each rank's progress log"),
+       cli::Text("--checkpoint-dir", "DIR", &config.checkpoint_dir,
+                 "shared checkpoint root (default: a temp dir removed "
+                 "after a clean run)"),
+       cli::Number("--max-rank-restarts", "N", &max_rank_restarts,
+                   "replacement incarnations allowed per rank"),
+       cli::Text("--snapshot", "PATH", &config.graph_snapshot,
+                 "ship this qcm_pack .qcsr instead of packing the input"),
+       cli::Number("--graph-memory-budget", "BYTES",
+                   &config.graph_memory_budget,
+                   "per-rank resident adjacency budget; 0 = unbounded"),
+       cli::Number("--graph-page-size", "BYTES", &config.graph_page_size,
+                   "page size of the snapshot the launcher packs"),
+       cli::Text("--worker-bin", "PATH", &worker_bin, "qcm_worker binary"),
+       cli::Text("--log-dir", "DIR", &log_dir,
+                 "worker logs and the packed graph (default: a fresh temp "
+                 "dir)")});
+  cli::CommandLine cmd(
+      "Mines every maximal gamma-quasi-clique of one graph with one "
+      "qcm_worker process per machine; exactly one of --input or "
+      "--gen-planted names the graph.",
+      std::move(flags));
+  cmd.ParseOrExit(argc, argv);
+  if (Status s = cli::CheckGraphSource(run.source); !s.ok()) {
+    cmd.Fail(s.message());
   }
-  const std::string worker_bin =
-      args.worker_bin.empty() ? DefaultWorkerBin() : args.worker_bin;
+  const int num_workers = config.num_machines;
+  if (num_workers < 1 || num_workers > 64) {
+    cmd.Fail("--workers must be in [1, 64]");
+  }
+  if (max_rank_restarts < 0) cmd.Fail("--max-rank-restarts must be >= 0");
   if (::access(worker_bin.c_str(), X_OK) != 0) {
     std::fprintf(stderr, "worker binary not executable: %s\n",
                  worker_bin.c_str());
     return 2;
   }
-  std::string log_dir = args.log_dir;
   if (log_dir.empty()) {
     char templ[] = "/tmp/qcm_cluster_XXXXXX";
     char* dir = ::mkdtemp(templ);
@@ -420,67 +210,16 @@ int main(int argc, char** argv) {
     ::mkdir(log_dir.c_str(), 0755);
   }
 
-  // Pack the graph ONCE in the launcher and ship only the snapshot path:
-  // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
-  // regenerating and materializing the full graph. --snapshot reuses a
-  // pre-packed file.
-  EngineConfig& config = args.config;
-  if (!args.snapshot.empty()) {
-    config.graph_snapshot = args.snapshot;
-  } else {
-    WallTimer pack_timer;
-    Graph full;
-    std::vector<uint64_t> original_ids;
-    CsrWriteOptions opts;
-    opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-    if (!args.input.empty()) {
-      auto loaded = LoadEdgeList(args.input);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "graph load failed: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      full = std::move(loaded->graph);
-      original_ids = std::move(loaded->original_ids);
-    } else {
-      auto parsed = ParsePlantedSpec(args.gen_planted, args.seed);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad planted spec: %s\n",
-                     parsed.status().ToString().c_str());
-        return 1;
-      }
-      auto generated = GenPlantedCommunities(parsed.value());
-      if (!generated.ok()) {
-        std::fprintf(stderr, "graph generation failed: %s\n",
-                     generated.status().ToString().c_str());
-        return 1;
-      }
-      full = std::move(generated).value();
-      opts.build_seed = args.seed;
-    }
+  // Workers mmap one .qcsr snapshot instead of each re-parsing or
+  // regenerating the graph: the launcher packs <log-dir>/graph.qcsr once
+  // below, or ships a --snapshot file. A pre-packed file is opened now
+  // (metadata checksums only) so a bad path fails before N workers are
+  // forked, and its page size wins over the flag: the budget check below
+  // must see what the workers will map.
+  const bool pack = config.graph_snapshot.empty();
+  if (pack) {
     config.graph_snapshot = log_dir + "/graph.qcsr";
-    Status packed =
-        WriteCsrSnapshot(full, original_ids, config.graph_snapshot, opts);
-    if (!packed.ok()) {
-      std::fprintf(stderr, "snapshot pack failed: %s\n",
-                   packed.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "qcm_cluster: packed %s (%u vertices, %llu edges) in "
-                 "%.3f s\n",
-                 config.graph_snapshot.c_str(), full.NumVertices(),
-                 static_cast<unsigned long long>(full.NumEdges()),
-                 pack_timer.Seconds());
-    // `full` is dropped here -- the launcher, like the workers, does not
-    // hold a resident graph during the run.
-  }
-  // Early, launcher-side sanity check (metadata checksums only) so a bad
-  // --snapshot path fails before N workers are forked. The file's actual
-  // page size wins over the flag: a pre-packed --snapshot may have been
-  // built with a different --page-size, and the budget validation below
-  // must check against what the workers will map.
-  {
+  } else {
     auto snap = CsrSnapshot::Open(config.graph_snapshot);
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
@@ -489,19 +228,11 @@ int main(int argc, char** argv) {
     }
     config.graph_page_size = (*snap)->page_size();
   }
-  // Surface contradictory settings with the validator's file:line message
-  // instead of shipping them to every worker first. Runs after the pack
-  // step so graph_snapshot / graph_memory_budget are seen together.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 valid.ToString().c_str());
-    return 2;
-  }
 
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
-  // it). A launcher-owned temp dir is removed on success; a caller-
-  // provided one is left alone.
-  std::string ckpt_dir = args.checkpoint_dir;
+  // it). A launcher-owned temp dir is removed unless a run fails after
+  // workers start; a caller-provided one is left alone.
+  std::string ckpt_dir = config.checkpoint_dir;
   bool owns_ckpt_dir = false;
   if (ckpt_dir.empty()) {
     char templ[] = "/tmp/qcm_ckpt_XXXXXX";
@@ -516,22 +247,64 @@ int main(int argc, char** argv) {
     ::mkdir(ckpt_dir.c_str(), 0755);
   }
   config.checkpoint_dir = ckpt_dir;
+  auto remove_owned_ckpt_dir = [&] {
+    std::error_code ec;
+    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
+  };
+
+  // The whole configuration, checked once with the validator's
+  // file:line message before the graph is loaded or any worker starts.
+  if (Status valid = config.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 valid.ToString().c_str());
+    remove_owned_ckpt_dir();
+    return 2;
+  }
+  if (pack) {
+    WallTimer pack_timer;
+    auto loaded = cli::LoadGraphSource(run.source);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "graph load failed: %s\n",
+                   loaded.status().ToString().c_str());
+      remove_owned_ckpt_dir();
+      return 1;
+    }
+    CsrWriteOptions opts;
+    opts.page_size = static_cast<uint32_t>(config.graph_page_size);
+    if (!run.source.gen_planted.empty()) opts.build_seed = run.source.seed;
+    Status packed = WriteCsrSnapshot(loaded->graph, loaded->original_ids,
+                                     config.graph_snapshot, opts);
+    if (!packed.ok()) {
+      std::fprintf(stderr, "snapshot pack failed: %s\n",
+                   packed.ToString().c_str());
+      remove_owned_ckpt_dir();
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "qcm_cluster: packed %s (%u vertices, %llu edges) in "
+                 "%.3f s\n",
+                 config.graph_snapshot.c_str(), loaded->graph.NumVertices(),
+                 static_cast<unsigned long long>(loaded->graph.NumEdges()),
+                 pack_timer.Seconds());
+    // The graph is dropped here -- the launcher, like the workers, does
+    // not hold a resident graph during the run.
+  }
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The
   // workers start their own rings from the job spec.
   const std::string trace_out = config.trace_out;
   if (!trace_out.empty()) {
-    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
+    trace::Start(trace::kRingKb);
     trace::SetThreadName("launcher");
   }
 
   // Bind the control-plane listener before spawning anyone.
   CoordinatorConfig coord_config;
-  coord_config.world_size = args.workers;
+  coord_config.world_size = num_workers;
   coord_config.config_blob = EncodeJobSpec(config);
   coord_config.steal_period_sec =
-      config.enable_stealing && args.workers >= 2
+      config.enable_stealing && num_workers >= 2
           ? config.steal_period_sec
           : 0.0;
   coord_config.steal_batch_cap = config.batch_size;
@@ -539,7 +312,7 @@ int main(int argc, char** argv) {
       config.steal_rtt_reference_sec;
   coord_config.steal_max_batch_factor =
       config.steal_max_batch_factor;
-  coord_config.max_rank_restarts = args.max_rank_restarts;
+  coord_config.max_rank_restarts = max_rank_restarts;
   // Liveness deadline: many heartbeat periods of slack (slow CI, TSan),
   // but never so long that a hung rank stalls the run indefinitely.
   // Child-exit detection (the watchdog below) catches clean crashes far
@@ -560,19 +333,19 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "
                "workers (logs in %s, checkpoints in %s)\n",
-               coordinator->port(), args.workers, log_dir.c_str(),
+               coordinator->port(), num_workers, log_dir.c_str(),
                ckpt_dir.c_str());
 
   // Worker process table, shared between the main thread, the child
   // watchdog, the recovery callbacks, and the fault-injection hook.
   const std::string port_str = std::to_string(coordinator->port());
-  std::vector<WorkerProcess> workers(args.workers);
+  std::vector<WorkerProcess> workers(num_workers);
   // The coordinator assigns ranks in CONNECT order, which need not match
   // the spawn order this table is indexed by. rank_slot[r] maps rank r to
   // its process-table slot; filled from the coordinator's rank->pid map
   // (kHello carries the pid) once the handshake completes. Guarded by
   // workers_mu.
-  std::vector<int> rank_slot(args.workers, -1);
+  std::vector<int> rank_slot(num_workers, -1);
   std::mutex workers_mu;
 
   // Forks one worker for `rank`; returns false on fork failure. The
@@ -604,7 +377,7 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     if (!spawn_worker(i)) {
       KillAll(&workers);
       return 1;
@@ -659,8 +432,8 @@ int main(int argc, char** argv) {
   // event lines ("ph":"C", pid = rank) for the merged timeline. The
   // callback runs on per-rank receiver threads.
   std::mutex stats_mu;
-  std::vector<WireStatsSample> latest_stats(args.workers);
-  std::vector<bool> stats_seen(args.workers, false);
+  std::vector<WireStatsSample> latest_stats(num_workers);
+  std::vector<bool> stats_seen(num_workers, false);
   std::vector<std::string> stats_events;
   coordinator->SetStatsCallback(
       [&](int rank, const WireStatsSample& sample) {
@@ -738,7 +511,7 @@ int main(int argc, char** argv) {
             int rank = -1;
             {
               std::lock_guard<std::mutex> lock(workers_mu);
-              for (int r = 0; r < args.workers; ++r) {
+              for (int r = 0; r < num_workers; ++r) {
                 if (rank_slot[r] == static_cast<int>(i)) rank = r;
               }
             }
@@ -762,8 +535,9 @@ int main(int argc, char** argv) {
   // handshake has mapped ranks to process slots.
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
-    const int kill_rank = std::atoi(kill_rank_env);
-    if (kill_rank >= 0 && kill_rank < args.workers) {
+    int kill_rank = -1;
+    if (ParseNumber(kill_rank_env, &kill_rank).ok() && kill_rank >= 0 &&
+        kill_rank < num_workers) {
       killer = std::thread([&, kill_rank] {
         while (!run_done.load()) {
           WireRankStatus status;
@@ -793,8 +567,8 @@ int main(int argc, char** argv) {
       });
     } else {
       std::fprintf(stderr,
-                   "qcm_cluster: ignoring QCM_SMOKE_KILL_RANK=%s (out of "
-                   "range)\n",
+                   "qcm_cluster: ignoring QCM_SMOKE_KILL_RANK=%s (not a "
+                   "rank)\n",
                    kill_rank_env);
     }
   }
@@ -817,7 +591,7 @@ int main(int argc, char** argv) {
         int seen = 0;
         {
           std::lock_guard<std::mutex> lock(stats_mu);
-          for (int r = 0; r < args.workers; ++r) {
+          for (int r = 0; r < num_workers; ++r) {
             if (!stats_seen[r]) continue;
             ++seen;
             const WireStatsSample& s = latest_stats[r];
@@ -840,7 +614,7 @@ int main(int argc, char** argv) {
                      "telemetry: %d/%d ranks | pending %llu | big-queue "
                      "%llu | busy %llu compers | in-flight %llu B | "
                      "cache-hit %.1f%% | %llu tasks done\n",
-                     seen, args.workers, pending, queue, busy, inflight,
+                     seen, num_workers, pending, queue, busy, inflight,
                      hit_pct, tasks);
       }
     });
@@ -853,9 +627,9 @@ int main(int argc, char** argv) {
     // order decides) BEFORE releasing the watchdog/killer onto the
     // recovery path.
     std::lock_guard<std::mutex> lock(workers_mu);
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       const uint64_t pid = coordinator->RankPid(r);
-      for (int s = 0; s < args.workers; ++s) {
+      for (int s = 0; s < num_workers; ++s) {
         if (static_cast<uint64_t>(workers[s].pid) == pid) rank_slot[r] = s;
       }
     }
@@ -881,7 +655,7 @@ int main(int argc, char** argv) {
   // the run (superseded incarnations died by design and were already
   // reaped by the watchdog or the kill callback).
   bool workers_ok = true;
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     WorkerProcess& w = workers[i];
     if (!w.reaped) {
       if (!run_status.ok()) ::kill(w.pid, SIGKILL);
@@ -926,29 +700,29 @@ int main(int argc, char** argv) {
   const size_t raw_candidates = merged.results.size();
   // Rendered while the report still holds the candidates it counts.
   const std::string merged_json =
-      args.stats_json.empty() ? "" : EngineReportJson(merged);
+      run.stats_json.empty() ? "" : EngineReportJson(merged);
   size_t duplicates_suppressed = 0;
   std::vector<VertexSet> results =
-      args.no_filter
+      run.no_filter
           ? std::move(merged.results)
           : FilterMaximal(std::move(merged.results), &duplicates_suppressed);
 
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
-               args.no_filter ? "candidate" : "maximal",
+               run.no_filter ? "candidate" : "maximal",
                merged.wall_seconds);
   // Canonical order + digest + output file, shared with qcm_mine so the
   // digest-parity gate compares one implementation against itself.
-  auto digest = EmitCanonicalResults(&results, args.output);
+  auto digest = EmitCanonicalResults(&results, run.output);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
     return 1;
   }
-  if (args.stats) {
+  if (run.stats) {
     std::fprintf(
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "
         "commands), %llu pulled vertices, %llu raw candidates\n",
-        args.workers,
+        num_workers,
         static_cast<unsigned long long>(merged.counters.tasks_completed),
         static_cast<unsigned long long>(merged.counters.stolen_tasks),
         static_cast<unsigned long long>(steal_commands),
@@ -988,7 +762,7 @@ int main(int argc, char** argv) {
   // rank-naming metadata into ONE Perfetto-loadable timeline.
   if (!trace_out.empty()) {
     std::vector<std::string> fragments;
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       fragments.push_back(trace_out + ".rank" + std::to_string(r) +
                           ".jsonl");
     }
@@ -997,7 +771,7 @@ int main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(stats_mu);
       extra = std::move(stats_events);
     }
-    const int launcher_pid = args.workers;
+    const int launcher_pid = num_workers;
     const std::string drained = trace::DrainJsonLines(launcher_pid);
     for (size_t start = 0; start < drained.size();) {
       size_t end = drained.find('\n', start);
@@ -1005,9 +779,9 @@ int main(int argc, char** argv) {
       if (end > start) extra.push_back(drained.substr(start, end - start));
       start = end + 1;
     }
-    for (int r = 0; r <= args.workers; ++r) {
+    for (int r = 0; r <= num_workers; ++r) {
       const std::string label =
-          r == args.workers ? "launcher" : "rank" + std::to_string(r);
+          r == num_workers ? "launcher" : "rank" + std::to_string(r);
       extra.push_back(
           "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":" +
           std::to_string(r) + ",\"tid\":0,\"args\":{\"name\":\"" + label +
@@ -1019,7 +793,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "trace: %s (%d rank fragments merged, %llu launcher "
                    "records dropped)\n",
-                   trace_out.c_str(), args.workers,
+                   trace_out.c_str(), num_workers,
                    static_cast<unsigned long long>(trace::DroppedRecords()));
     } else {
       std::fprintf(stderr, "trace merge failed: %s\n",
@@ -1027,7 +801,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.stats_json.empty()) {
+  if (!run.stats_json.empty()) {
     // One JSON object per rank plus the merged totals and the recovery
     // story, so CI can chart per-rank balance and fault-tolerance
     // overhead without re-deriving them.
@@ -1058,21 +832,18 @@ int main(int argc, char** argv) {
               "}";
     }
     json += "]\n  }\n}\n";
-    FILE* f = args.stats_json == "-"
+    FILE* f = run.stats_json == "-"
                   ? stdout
-                  : std::fopen(args.stats_json.c_str(), "w");
+                  : std::fopen(run.stats_json.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s for writing\n",
-                   args.stats_json.c_str());
+                   run.stats_json.c_str());
       return 1;
     }
     std::fputs(json.c_str(), f);
     if (f != stdout) std::fclose(f);
   }
 
-  if (owns_ckpt_dir) {
-    std::error_code ec;
-    std::filesystem::remove_all(ckpt_dir, ec);
-  }
+  remove_owned_ckpt_dir();
   return 0;
 }

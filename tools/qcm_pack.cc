@@ -4,158 +4,70 @@
 // mine many times: qcm_cluster runs this conversion in-process and ships
 // only the snapshot path to its workers.
 //
-// Usage:
 //   qcm_pack --input graph.txt --output graph.qcsr [--page-size N]
 //   qcm_pack --gen-planted n=5000,communities=10,size=16..20,density=0.95
 //            --seed 7 --output planted.qcsr --verify
 //
-// Options:
-//   --input PATH        SNAP edge list ('#' comments, "u v" lines)
-//   --gen-planted SPEC  synthetic planted-community graph (qcm_mine SPEC)
-//   --output PATH       snapshot file to write               (required)
-//   --page-size N       section alignment / paging granularity in bytes;
-//                       power of two >= 4096                 (default 65536)
-//   --seed N            generator seed                       (default 1)
-//   --verify            re-open the written file and stream-verify every
-//                       section checksum (including adjacency)
-//   --quiet             suppress the layout report
+// `qcm_pack --help` lists every flag; --input, --gen-planted and --seed
+// mean what they mean for qcm_mine (tools/cli.h).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
+#include "tools/cli.h"
 #include "util/mem.h"
 #include "util/timer.h"
 
-namespace {
-
 using namespace qcm;
 
-struct Args {
-  std::string input;
-  std::string gen_planted;
+int main(int argc, char** argv) {
+  cli::GraphSource source;
   std::string output;
   uint32_t page_size = kCsrDefaultPageSize;
-  uint64_t seed = 1;
   bool verify = false;
   bool quiet = false;
-};
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: qcm_pack (--input PATH | --gen-planted SPEC) "
-               "--output FILE.qcsr\n"
-               "                [--page-size N] [--seed N] [--verify] "
-               "[--quiet]\n");
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--input") {
-      const char* v = next("--input");
-      if (!v) return false;
-      args->input = v;
-    } else if (a == "--gen-planted") {
-      const char* v = next("--gen-planted");
-      if (!v) return false;
-      args->gen_planted = v;
-    } else if (a == "--output") {
-      const char* v = next("--output");
-      if (!v) return false;
-      args->output = v;
-    } else if (a == "--page-size") {
-      const char* v = next("--page-size");
-      if (!v) return false;
-      const long long page = std::atoll(v);
-      if (page < static_cast<long long>(kCsrMinPageSize) ||
-          (page & (page - 1)) != 0) {
-        std::fprintf(stderr,
-                     "--page-size must be a power of two >= %u\n",
-                     kCsrMinPageSize);
-        return false;
-      }
-      args->page_size = static_cast<uint32_t>(page);
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (a == "--verify") {
-      args->verify = true;
-    } else if (a == "--quiet") {
-      args->quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
+  std::vector<cli::Flag> flags = cli::GraphSourceFlags(&source);
+  flags.insert(flags.end(),
+               {cli::OutputFlag(&output, "snapshot file to write"),
+                cli::Number("--page-size", "N", &page_size,
+                            "section alignment and paging granularity in "
+                            "bytes, a power of two >= 4096"),
+                cli::Switch("--verify", &verify,
+                            "re-open the written file and verify every "
+                            "section checksum (including adjacency)"),
+                cli::Switch("--quiet", &quiet,
+                            "suppress the layout report")});
+  cli::CommandLine cmd(
+      "Packs one graph (exactly one of --input or --gen-planted) into a "
+      "page-aligned, checksummed .qcsr snapshot; --output is required.",
+      std::move(flags));
+  cmd.ParseOrExit(argc, argv);
+  if (Status s = cli::CheckGraphSource(source); !s.ok()) {
+    cmd.Fail(s.message());
   }
-  if (args->input.empty() == args->gen_planted.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input / --gen-planted is required\n");
-    return false;
-  }
-  if (args->output.empty()) {
-    std::fprintf(stderr, "--output is required\n");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  if (output.empty()) cmd.Fail("--output is required");
+  if (page_size < kCsrMinPageSize || (page_size & (page_size - 1)) != 0) {
+    cmd.Fail("--page-size must be a power of two >= " +
+             std::to_string(kCsrMinPageSize));
   }
 
   WallTimer load_timer;
-  Graph graph;
-  std::vector<uint64_t> original_ids;
-  if (!args.input.empty()) {
-    auto loaded = LoadEdgeList(args.input);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    graph = std::move(loaded->graph);
-    original_ids = std::move(loaded->original_ids);
-  } else {
-    auto spec = ParsePlantedSpec(args.gen_planted, args.seed);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
-    auto generated = GenPlantedCommunities(spec.value());
-    if (!generated.ok()) {
-      std::fprintf(stderr, "generation failed: %s\n",
-                   generated.status().ToString().c_str());
-      return 1;
-    }
-    graph = std::move(generated).value();
+  auto loaded = cli::LoadGraphSource(source);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "graph load failed: %s\n",
+                 loaded.status().ToString().c_str());
+    return 1;
   }
   const double load_seconds = load_timer.Seconds();
 
   CsrWriteOptions opts;
-  opts.page_size = args.page_size;
-  opts.build_seed = args.gen_planted.empty() ? 0 : args.seed;
+  opts.page_size = page_size;
+  opts.build_seed = source.gen_planted.empty() ? 0 : source.seed;
   WallTimer pack_timer;
-  if (Status s = WriteCsrSnapshot(graph, original_ids, args.output, opts);
+  if (Status s = WriteCsrSnapshot(loaded->graph, loaded->original_ids,
+                                  output, opts);
       !s.ok()) {
     std::fprintf(stderr, "pack failed: %s\n", s.ToString().c_str());
     return 1;
@@ -163,10 +75,10 @@ int main(int argc, char** argv) {
   const double pack_seconds = pack_timer.Seconds();
 
   CsrSnapshot::OpenOptions open_opts;
-  open_opts.verify_sections = args.verify;
-  open_opts.verify_adjacency = args.verify;
+  open_opts.verify_sections = verify;
+  open_opts.verify_adjacency = verify;
   WallTimer verify_timer;
-  auto snap = CsrSnapshot::Open(args.output, open_opts);
+  auto snap = CsrSnapshot::Open(output, open_opts);
   if (!snap.ok()) {
     std::fprintf(stderr, "re-open of packed snapshot failed: %s\n",
                  snap.status().ToString().c_str());
@@ -174,11 +86,11 @@ int main(int argc, char** argv) {
   }
   const double verify_seconds = verify_timer.Seconds();
 
-  if (!args.quiet) {
+  if (!quiet) {
     const CsrHeader& h = (*snap)->header();
     std::fprintf(stderr,
                  "packed %s: %u vertices, %llu edges, %s (page size %s)\n",
-                 args.output.c_str(), h.num_vertices,
+                 output.c_str(), h.num_vertices,
                  static_cast<unsigned long long>(h.num_edges),
                  HumanBytes(h.file_bytes).c_str(),
                  HumanBytes(h.page_size).c_str());
@@ -195,7 +107,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "pack: load %.3f s, pack %.3f s, %s %.3f s\n",
                  load_seconds, pack_seconds,
-                 args.verify ? "verify" : "re-open", verify_seconds);
+                 verify ? "verify" : "re-open", verify_seconds);
   }
   return 0;
 }

@@ -12,13 +12,13 @@
 // EngineReport and raw candidate results ship back as the kReport
 // payload.
 //
-// Usage (normally via qcm_cluster):
+// Usage (qcm_cluster spawns it this way):
 //   qcm_worker --coordinator-port P [--coordinator-host H]
-//              [--stats-json PATH] [--dense-threshold N]
 //
-// --dense-threshold overrides the job spec's mining.dense_threshold on
-// this rank only -- safe because the dense and sparse kernels emit
-// bit-identical results, so a mixed-mode cluster still digests clean.
+// Everything else arrives in the job spec: the worker has no engine
+// flags of its own. Its log level comes from QCM_LOG_LEVEL, inherited
+// from the launcher, and its EngineReport reaches the user through
+// qcm_cluster --stats-json, which embeds every rank's report.
 //
 // QCM_SMOKE_KILL_RANK=<r> (inherited from the launcher, see qcm_cluster)
 // makes rank r's first incarnation park the comper of its first compute
@@ -46,6 +46,7 @@
 #include "mining/qc_app.h"
 #include "net/job_spec.h"
 #include "net/tcp_transport.h"
+#include "tools/cli.h"
 #include "util/logging.h"
 #include "util/mem.h"
 #include "util/serde.h"
@@ -98,43 +99,16 @@ int main(int argc, char** argv) {
 #endif
   std::string host = "127.0.0.1";
   int port = 0;
-  std::string stats_json;
-  long long dense_threshold_override = -1;  // -1 = keep the job spec value
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--coordinator-port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (a == "--coordinator-host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (a == "--stats-json" && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (a == "--log-level" && i + 1 < argc) {
-      LogLevel level;
-      if (!ParseLogLevel(argv[++i], &level)) {
-        std::fprintf(stderr, "qcm_worker: unknown --log-level %s\n",
-                     argv[i]);
-        return 2;
-      }
-      SetLogLevel(level);
-    } else if (a == "--dense-threshold" && i + 1 < argc) {
-      dense_threshold_override = std::atoll(argv[++i]);
-      if (dense_threshold_override < 0) {
-        std::fprintf(stderr,
-                     "qcm_worker: --dense-threshold must be >= 0 (0 "
-                     "disables the dense bitset kernels)\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: qcm_worker --coordinator-port P "
-                   "[--coordinator-host H] [--stats-json PATH] "
-                   "[--log-level L] [--dense-threshold N]\n");
-      return 2;
-    }
-  }
+  cli::CommandLine cmd(
+      "One machine of a qcm_cluster run: connects to the coordinator, "
+      "receives its rank and the job spec, and mines its partition.",
+      {cli::Number("--coordinator-port", "P", &port,
+                   "the launcher's coordinator port (required)"),
+       cli::Text("--coordinator-host", "H", &host,
+                 "the launcher's coordinator host")});
+  cmd.ParseOrExit(argc, argv);
   if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "qcm_worker: --coordinator-port is required\n");
-    return 2;
+    cmd.Fail("--coordinator-port in [1, 65535] is required");
   }
 
   // Handshake: rank assignment + job spec + peer mesh.
@@ -158,9 +132,6 @@ int main(int argc, char** argv) {
   if (config.num_machines != transport->world_size()) {
     return Fail(transport.get(), "job spec world size mismatch");
   }
-  if (dense_threshold_override >= 0) {
-    config.mining.dense_threshold = dense_threshold_override;
-  }
   SetLogContext(rank, transport->epoch());
   // Tracing rides the job spec: every rank writes its own fragment file
   // beside the launcher's --trace-out path; qcm_cluster merges them into
@@ -170,7 +141,7 @@ int main(int argc, char** argv) {
           ? ""
           : config.trace_out + ".rank" + std::to_string(rank) + ".jsonl";
   if (!trace_fragment.empty()) {
-    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
+    trace::Start(trace::kRingKb);
     trace::SetThreadName("worker_main");
   }
 
@@ -209,9 +180,10 @@ int main(int argc, char** argv) {
   transport->SetHeartbeatInterval(config.heartbeat_usec);
 
   const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK");
-  const bool fault_victim = kill_rank_env != nullptr &&
-                            std::atoi(kill_rank_env) == rank &&
-                            transport->epoch() == 0;
+  int kill_rank = -1;
+  const bool fault_victim =
+      kill_rank_env != nullptr && ParseNumber(kill_rank_env, &kill_rank).ok() &&
+      kill_rank == rank && transport->epoch() == 0;
   std::unique_ptr<QCApp> app =
       fault_victim ? std::make_unique<StallFirstComputeApp>(config)
                    : std::make_unique<QCApp>(config);
@@ -238,17 +210,6 @@ int main(int argc, char** argv) {
     if (!ts.ok()) {
       std::fprintf(stderr, "qcm_worker rank %d: trace fragment failed: %s\n",
                    rank, ts.ToString().c_str());
-    }
-  }
-
-  if (!stats_json.empty()) {
-    const std::string json = EngineReportJson(report.value());
-    if (FILE* f = std::fopen(stats_json.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "qcm_worker: cannot write %s\n",
-                   stats_json.c_str());
     }
   }
 

@@ -9,18 +9,22 @@
 // Usage: steal_planner_probe [base_batch] [max_factor]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "sched/rtt.h"
 #include "sched/steal_planner.h"
+#include "util/parse.h"
 
 int main(int argc, char** argv) {
   using namespace qcm;
-  StealPlannerOptions opts;
-  opts.base_batch = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 16;
-  opts.max_batch_factor =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 8;
+  StealPlannerOptions opts;  // defaults: base batch 16, factor 8
+  if ((argc > 1 && !ParseNumber(argv[1], &opts.base_batch).ok()) ||
+      (argc > 2 && !ParseNumber(argv[2], &opts.max_batch_factor).ok()) ||
+      argc > 3) {
+    std::fprintf(stderr,
+                 "usage: steal_planner_probe [base_batch] [max_factor]\n");
+    return 2;
+  }
 
   // A heavily skewed 3-machine cluster: machine 0 holds all big tasks.
   const std::vector<uint64_t> pending = {600, 0, 0};

@@ -6,122 +6,26 @@
 // table plus a JSON array, instead of the fixed grids baked into the
 // individual benches.
 //
-// Usage:
-//   tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]
-//             [--per-decade N] [--machines N] [--threads N]
-//             [--net-latency SEC] [--net-latency-ticks N] [--json PATH]
-//
-//   --dataset NAME     bench registry name ("Hyves-like", "GSE1730-like",
-//                      or the paper's names)         (default Hyves-like)
-//   --tau-max F        largest tau_time of the sweep  (default 0.5)
-//   --tau-min F        smallest tau_time              (default 0.005)
-//   --per-decade N     sample points per decade       (default 2)
-//   --json PATH        write the JSON series here ("-" = stdout);
-//                      QCM_BENCH_JSON is honored as a fallback
+// `tau_sweep --help` lists every flag; --threads and --net-latency are
+// rows of the engine flag table qcm_mine and qcm_cluster share
+// (tools/cli.h). QCM_BENCH_JSON names the JSON file when --json is not
+// given.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/datasets.h"
 #include "mining/parallel_miner.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace qcm;
 using namespace qcm::bench;
-
-struct Args {
-  std::string dataset = "Hyves-like";
-  double tau_max = 0.5;
-  double tau_min = 0.005;
-  int per_decade = 2;
-  int machines = 0;  // 0 = ClusterPreset default
-  int threads = 0;
-  double net_latency_sec = 0.0;
-  uint64_t net_latency_ticks = 0;
-  std::string json_path;
-};
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]\n"
-      "                 [--per-decade N] [--machines N] [--threads N]\n"
-      "                 [--net-latency SEC] [--net-latency-ticks N] "
-      "[--json PATH]\n");
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--dataset") {
-      if ((v = next("--dataset")) == nullptr) return false;
-      args->dataset = v;
-    } else if (a == "--tau-max") {
-      if ((v = next("--tau-max")) == nullptr) return false;
-      args->tau_max = std::atof(v);
-    } else if (a == "--tau-min") {
-      if ((v = next("--tau-min")) == nullptr) return false;
-      args->tau_min = std::atof(v);
-    } else if (a == "--per-decade") {
-      if ((v = next("--per-decade")) == nullptr) return false;
-      args->per_decade = std::atoi(v);
-    } else if (a == "--machines") {
-      if ((v = next("--machines")) == nullptr) return false;
-      args->machines = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      args->threads = std::atoi(v);
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      args->net_latency_sec = std::atof(v);
-      if (args->net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      args->net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--json") {
-      if ((v = next("--json")) == nullptr) return false;
-      args->json_path = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->tau_max <= 0 || args->tau_min <= 0 ||
-      args->tau_min > args->tau_max) {
-    std::fprintf(stderr, "need 0 < --tau-min <= --tau-max\n");
-    return false;
-  }
-  if (args->per_decade < 1) {
-    std::fprintf(stderr, "--per-decade must be >= 1\n");
-    return false;
-  }
-  return true;
-}
 
 /// Decade grid from tau_max down to (at least) tau_min, `per_decade`
 /// logarithmically spaced samples per decade.
@@ -141,16 +45,45 @@ std::vector<double> TauGrid(double tau_max, double tau_min,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  std::string dataset = "Hyves-like";
+  double tau_max = 0.5;
+  double tau_min = 0.005;
+  int per_decade = 2;
+  std::string json_path;
+  EngineConfig preset = ClusterPreset();
+  std::vector<cli::Flag> flags = {
+      cli::Text("--dataset", "NAME", &dataset,
+                "bench registry name (\"Hyves-like\", \"GSE1730-like\", or "
+                "the paper's names)"),
+      cli::Number("--tau-max", "F", &tau_max,
+                  "largest tau_time of the sweep"),
+      cli::Number("--tau-min", "F", &tau_min,
+                  "smallest tau_time of the sweep"),
+      cli::Number("--per-decade", "N", &per_decade,
+                  "sample points per decade"),
+      cli::Number("--machines", "N", &preset.num_machines,
+                  "simulated machines"),
+  };
+  const std::vector<cli::Flag> shared =
+      cli::Select(cli::EngineFlags(&preset),
+                  {&preset.threads_per_machine, &preset.net_latency_sec});
+  flags.insert(flags.end(), shared.begin(), shared.end());
+  flags.push_back(cli::Text("--json", "PATH", &json_path,
+                            "write the JSON series here ('-' = stdout)"));
+  cli::CommandLine cmd(
+      "Sweeps tau_time across decades on one bench dataset and prints a "
+      "Table-3/4-style series.",
+      std::move(flags));
+  cmd.ParseOrExit(argc, argv);
+  if (tau_max <= 0 || tau_min <= 0 || tau_min > tau_max) {
+    cmd.Fail("need 0 < --tau-min <= --tau-max");
   }
+  if (per_decade < 1) cmd.Fail("--per-decade must be >= 1");
 
-  const DatasetSpec* spec = FindDataset(args.dataset);
+  const DatasetSpec* spec = FindDataset(dataset);
   if (spec == nullptr) {
     std::fprintf(stderr, "unknown dataset %s; known:\n",
-                 args.dataset.c_str());
+                 dataset.c_str());
     for (const DatasetSpec& d : AllDatasets()) {
       std::fprintf(stderr, "  %s (%s)\n", d.name.c_str(),
                    d.paper_name.c_str());
@@ -166,10 +99,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> taus =
-      TauGrid(args.tau_max, args.tau_min, args.per_decade);
-  if (QuickMode()) {
-    taus = TauGrid(args.tau_max, args.tau_min, 1);
-  }
+      TauGrid(tau_max, tau_min, QuickMode() ? 1 : per_decade);
 
   Table table({"tau_time", "Job Time", "Mining Time", "Materialize Time",
                "Ego Build Time", "Tasks Done", "Suspensions", "Results",
@@ -177,14 +107,10 @@ int main(int argc, char** argv) {
   std::string json = "[\n";
   bool first = true;
   for (double tau : taus) {
-    EngineConfig config = ClusterPreset();
+    EngineConfig config = preset;
     config.mining = spec->Mining();
     config.tau_split = spec->tau_split;
     config.tau_time = tau;
-    if (args.machines > 0) config.num_machines = args.machines;
-    if (args.threads > 0) config.threads_per_machine = args.threads;
-    config.net_latency_sec = args.net_latency_sec;
-    config.net_latency_ticks = args.net_latency_ticks;
     ParallelMiner miner(config);
     auto result = miner.Run(*graph);
     if (!result.ok()) {
@@ -227,7 +153,6 @@ int main(int argc, char** argv) {
   table.Print();
   json += "\n]\n";
 
-  std::string json_path = args.json_path;
   if (json_path.empty()) {
     const char* env = std::getenv("QCM_BENCH_JSON");
     if (env != nullptr) json_path = env;
