@@ -61,7 +61,6 @@ Status CheckpointLog::Open(const std::string& dir, uint32_t epoch,
                            double flush_interval_sec, LoadResult* replay) {
   std::lock_guard<std::mutex> lock(mu_);
   QCM_RETURN_IF_ERROR(EnsureDir(dir));
-  dir_ = dir;
   flush_interval_usec_ =
       static_cast<int64_t>(flush_interval_sec * 1e6);
   const std::string path = dir + "/log";
@@ -132,28 +131,6 @@ void CheckpointLog::Flush() {
   std::fflush(file_);
   last_flush_usec_ = NowMicros();
   ++flushes_;
-}
-
-Status CheckpointLog::WriteManifest(const std::string& contents) {
-  std::string dir;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dir = dir_;
-  }
-  if (dir.empty()) return Status::OK();
-  const std::string tmp = dir + "/manifest.tmp";
-  const std::string final_path = dir + "/manifest";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("manifest open failed: " + tmp);
-  }
-  const bool ok =
-      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  std::fclose(f);
-  if (!ok || ::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::IOError("manifest write failed: " + final_path);
-  }
-  return Status::OK();
 }
 
 uint64_t CheckpointLog::flushes() const {

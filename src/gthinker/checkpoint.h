@@ -20,11 +20,6 @@
 // FilterMaximal makes the doubly-mined results harmless. A torn tail
 // (flush cut mid-record) is detected by the length/checksum framing and
 // discarded on load.
-//
-// Alongside the log the rank periodically rewrites a human-readable
-// `manifest` (tmp + rename, so it is always either the old or the new
-// version) with its spawn cursor, task counters and spill-file listing --
-// observability for operators poking at a crash, not a recovery input.
 
 #ifndef QCM_GTHINKER_CHECKPOINT_H_
 #define QCM_GTHINKER_CHECKPOINT_H_
@@ -78,9 +73,6 @@ class CheckpointLog {
   /// Forces buffered records to the page cache.
   void Flush();
 
-  /// Atomically (tmp + rename) rewrites <dir>/manifest with `contents`.
-  Status WriteManifest(const std::string& contents);
-
   uint64_t flushes() const;
   uint64_t bytes_appended() const;
 
@@ -97,7 +89,6 @@ class CheckpointLog {
 
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;
-  std::string dir_;
   int64_t flush_interval_usec_ = 0;
   int64_t last_flush_usec_ = 0;
   uint64_t flushes_ = 0;

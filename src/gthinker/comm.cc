@@ -1,9 +1,11 @@
 #include "gthinker/comm.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/logging.h"
 #include "util/serde.h"
+#include "util/trace.h"
 
 namespace qcm {
 
@@ -16,6 +18,21 @@ void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
          !target->compare_exchange_weak(seen, value,
                                         std::memory_order_relaxed)) {
   }
+}
+
+/// Moves the messages of `q` that `pick` selects to the end of `out`,
+/// keeping the rest in order.
+template <typename Pick>
+void TakeIf(std::deque<Message>* q, Pick pick, std::vector<Message>* out) {
+  std::deque<Message> kept;
+  for (Message& m : *q) {
+    if (pick(m)) {
+      out->push_back(std::move(m));
+    } else {
+      kept.push_back(std::move(m));
+    }
+  }
+  q->swap(kept);
 }
 
 }  // namespace
@@ -50,6 +67,8 @@ CommFabric::CommFabric(int num_machines, double latency_sec,
     inboxes_.push_back(std::make_unique<Inbox>());
   }
 }
+
+CommFabric::~CommFabric() { StopResponder(); }
 
 void CommFabric::SetBusyProbe(std::function<int(int)> probe) {
   busy_probe_ = std::move(probe);
@@ -108,7 +127,18 @@ void CommFabric::Enqueue(Message m, bool count_send) {
   const int dst = m.dst;
   const uint64_t bytes = m.payload.size();
   size_t depth;
-  {
+  if (m.type == MessageType::kPullRequest) {
+    bool was_empty;
+    {
+      std::lock_guard<std::mutex> lock(responder_.mu);
+      was_empty = responder_.q.empty();
+      responder_.q.push_back(std::move(m));
+      depth = responder_.q.size();
+    }
+    // A non-empty queue's head is due no later than this request, so the
+    // responder's current wait already covers it.
+    if (was_empty) responder_.cv.notify_all();
+  } else {
     Inbox& inbox = *inboxes_[dst];
     std::lock_guard<std::mutex> lock(inbox.mu);
     inbox.q.push_back(std::move(m));
@@ -174,8 +204,77 @@ std::vector<Message> CommFabric::Service(int dst) {
   return due;
 }
 
+void CommFabric::StartResponder(PullServer serve,
+                                std::function<void(int src)> on_served) {
+  QCM_CHECK(!responder_.thread.joinable()) << "responder started twice";
+  responder_.serve = std::move(serve);
+  responder_.on_served = std::move(on_served);
+  responder_.thread = std::thread([this] { ResponderLoop(); });
+}
+
+void CommFabric::StopResponder() {
+  {
+    std::lock_guard<std::mutex> lock(responder_.mu);
+    responder_.stop = true;
+  }
+  responder_.cv.notify_all();
+  if (responder_.thread.joinable()) responder_.thread.join();
+}
+
+void CommFabric::ResponderLoop() {
+  trace::SetThreadName("pull_responder");
+  std::unique_lock<std::mutex> lock(responder_.mu);
+  for (;;) {
+    responder_.cv.wait(
+        lock, [this] { return responder_.stop || !responder_.q.empty(); });
+    if (responder_.stop) return;
+    const double wait = responder_.q.front().due_sec - clock_.Seconds();
+    if (wait > 0) {
+      responder_.cv.wait_for(lock, std::chrono::duration<double>(wait));
+      continue;
+    }
+    Message m = std::move(responder_.q.front());
+    responder_.q.pop_front();
+    responder_.serving_src = m.src;
+    responder_.serving_bytes = m.payload.size();
+    lock.unlock();
+    CountDelivery(m, clock_.Seconds());
+    // The response is counted as sent (in process-per-machine mode: onto
+    // the wire to the requester) before the request counts as processed.
+    Send(MessageType::kPullResponse, m.dst, m.src,
+         responder_.serve(m.dst, m.payload));
+    if (responder_.on_served) responder_.on_served(m.src);
+    lock.lock();
+    responder_.serving_src = -1;
+    responder_.serving_bytes = 0;
+    responder_.cv.notify_all();  // a DropRequestsFrom may wait on this
+  }
+}
+
+size_t CommFabric::DropRequestsFrom(int src) {
+  std::vector<Message> dropped;
+  {
+    std::unique_lock<std::mutex> lock(responder_.mu);
+    TakeIf(&responder_.q, [src](const Message& m) { return m.src == src; },
+           &dropped);
+    responder_.cv.wait(lock, [&] { return responder_.serving_src != src; });
+  }
+  if (counters_ != nullptr) {
+    for (const Message& m : dropped) {
+      counters_->msg_inflight_bytes.fetch_sub(m.payload.size(),
+                                              std::memory_order_relaxed);
+    }
+  }
+  return dropped.size();
+}
+
 std::vector<Message> CommFabric::Drain(int dst) {
   std::vector<Message> out;
+  {
+    std::lock_guard<std::mutex> lock(responder_.mu);
+    TakeIf(&responder_.q, [dst](const Message& m) { return m.dst == dst; },
+           &out);
+  }
   {
     Inbox& inbox = *inboxes_[dst];
     std::lock_guard<std::mutex> lock(inbox.mu);
@@ -194,8 +293,16 @@ std::vector<Message> CommFabric::Drain(int dst) {
   return out;
 }
 
+// Both sums read the responder before the inboxes: a request's answer
+// moves from the responder into an inbox, so reading in that direction
+// never misses an exchange in mid-move.
+
 size_t CommFabric::InFlight() const {
-  size_t total = 0;
+  size_t total;
+  {
+    std::lock_guard<std::mutex> lock(responder_.mu);
+    total = responder_.q.size() + (responder_.serving_src >= 0 ? 1 : 0);
+  }
   for (const auto& inbox : inboxes_) {
     std::lock_guard<std::mutex> lock(inbox->mu);
     total += inbox->q.size();
@@ -204,7 +311,12 @@ size_t CommFabric::InFlight() const {
 }
 
 uint64_t CommFabric::InFlightBytes() const {
-  uint64_t total = 0;
+  uint64_t total;
+  {
+    std::lock_guard<std::mutex> lock(responder_.mu);
+    total = responder_.serving_bytes;
+    for (const Message& m : responder_.q) total += m.payload.size();
+  }
   for (const auto& inbox : inboxes_) {
     std::lock_guard<std::mutex> lock(inbox->mu);
     for (const Message& m : inbox->q) total += m.payload.size();

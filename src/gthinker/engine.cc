@@ -310,7 +310,6 @@ void Engine::StatusLoop() {
   // in-flight work visible in every snapshot the coordinator can
   // assemble.
   trace::SetThreadName("status_loop");
-  uint64_t last_manifest_usec = 0;
   uint64_t last_stats_usec = 0;
   const uint64_t stats_interval_usec =
       config_.stats_interval_ms > 0
@@ -349,35 +348,8 @@ void Engine::StatusLoop() {
       }
     }
     if (done_.load()) return;
-    if (ckpt_log_ != nullptr) {
-      const uint64_t now = static_cast<uint64_t>(NowMicros());
-      if (now - last_manifest_usec > 1000000) {  // ~1s cadence
-        last_manifest_usec = now;
-        WriteCheckpointManifest();
-      }
-    }
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
-}
-
-void Engine::WriteCheckpointManifest() {
-  // Human-readable crash-scene observability (never a recovery input).
-  std::string m;
-  m += "rank: " + std::to_string(first_machine()) + "\n";
-  m += "epoch: " + std::to_string(transport_->epoch()) + "\n";
-  m += "spill_dir: " + spill_dir_ + "\n";
-  m += "spawn_cursor: " +
-       std::to_string(workers_[0]->sched->SpawnCursor()) + "\n";
-  m += "pending: " + std::to_string(pending_.load()) + "\n";
-  m += "tasks_completed: " +
-       std::to_string(counters_.tasks_completed.load(
-           std::memory_order_relaxed)) + "\n";
-  m += "tracked_roots: " +
-       std::to_string(root_progress_ != nullptr ? root_progress_->tracked()
-                                                : 0) + "\n";
-  m += "checkpoint_bytes: " +
-       std::to_string(ckpt_log_->bytes_appended()) + "\n";
-  (void)ckpt_log_->WriteManifest(m);
 }
 
 void Engine::ReinjectStealPayload(std::string payload, bool add_pending) {
@@ -393,9 +365,17 @@ void Engine::ReinjectStealPayload(std::string payload, bool add_pending) {
 
 void Engine::OnPeerDown(int peer) {
   // The transport joined the dead incarnation's receive thread before
-  // invoking this hook, so processed_from_[peer] is quiescent here and
-  // the reset pairs exactly with the transport's sent_to[peer] reset.
+  // invoking this hook, so no new frame from it can arrive. Its requests
+  // still at the responder are dropped (their responses could only be
+  // dropped too) and any one being answered finishes first, so
+  // processed_from_[peer] is quiescent here and the reset pairs exactly
+  // with the transport's sent_to[peer] reset.
+  const size_t dropped = fabric_->DropRequestsFrom(peer);
   processed_from_[peer].store(0, std::memory_order_release);
+  if (dropped > 0) {
+    QCM_ILOG << "rank " << first_machine() << ": dropped " << dropped
+             << " queued pull request(s) from dead rank " << peer;
+  }
   std::vector<std::string> retained;
   {
     std::lock_guard<std::mutex> lock(retained_mu_);
@@ -447,8 +427,11 @@ void Engine::OnWireData(int src, uint8_t type, std::string payload,
                       Fingerprint(payload));
     }
   }
-  frames_processed_.fetch_add(1, std::memory_order_acq_rel);
-  processed_from_[src].fetch_add(1, std::memory_order_acq_rel);
+  // A pull request counts as processed only once the responder has sent
+  // its response (the on_served hook in Run).
+  if (mtype != MessageType::kPullRequest) {
+    processed_from_[src].fetch_add(1, std::memory_order_acq_rel);
+  }
   fabric_->Inject(mtype, src, std::move(payload), wire_transit_usec);
 }
 
@@ -705,6 +688,21 @@ StatusOr<EngineReport> Engine::Run() {
     QCM_RETURN_IF_ERROR(transport_->Start());
   }
 
+  // The process's one pull responder answers every hosted machine's peer
+  // requests (any that arrived since Start wait in its queue); in
+  // distributed mode an answered request then counts as processed
+  // (transport.h). Stopped below once the compers have joined.
+  fabric_->StartResponder(
+      [this](int owner, const std::string& request) {
+        return workers_[owner - first_machine()]->broker->ServeRequest(
+            request);
+      },
+      [this](int src) {
+        if (distributed()) {
+          processed_from_[src].fetch_add(1, std::memory_order_acq_rel);
+        }
+      });
+
   std::vector<std::unique_ptr<Comper>> compers;
   for (const auto& w : workers_) {
     for (int t = 0; t < config_.threads_per_machine; ++t) {
@@ -736,6 +734,7 @@ StatusOr<EngineReport> Engine::Run() {
   for (std::thread& t : threads) t.join();
   if (control_thread.joinable()) control_thread.join();
   if (stats_thread.joinable()) stats_thread.join();
+  fabric_->StopResponder();
 
   if (distributed() && !transport_->healthy()) {
     return Status::Aborted(
@@ -744,8 +743,9 @@ StatusOr<EngineReport> Engine::Run() {
   }
   QCM_CHECK(pending_.load() == 0) << "engine finished with pending tasks";
   // Every meaningful message holds a pending task (parked or stolen), so
-  // a clean shutdown leaves the fabric empty; drain defensively and fail
-  // loudly if the invariant broke rather than silently losing work.
+  // a clean shutdown leaves the fabric -- inboxes and responder queue --
+  // empty; drain defensively and fail loudly if the invariant broke rather
+  // than silently losing work.
   for (const auto& worker : workers_) {
     auto leftover = fabric_->Drain(worker->id);
     QCM_CHECK(leftover.empty())
@@ -763,7 +763,6 @@ StatusOr<EngineReport> Engine::Run() {
                                        std::memory_order_relaxed);
     counters_.checkpoint_bytes.store(ckpt_log_->bytes_appended(),
                                      std::memory_order_relaxed);
-    WriteCheckpointManifest();
   }
 
   // Aggregate the report.

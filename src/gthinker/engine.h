@@ -9,11 +9,10 @@
 // prefetch pipeline, local-queue spill/refill, park/resume -- lives in
 // the src/sched/ layer (one Scheduler per machine); the compute loop
 // here is a thin driver of it (the paper's reforged Alg. 3):
-//   0. Scheduler::ServiceFabric: deliver every due message (serve peer
-//      pull requests, accept pull responses and re-enqueue the tasks
-//      that were suspended on them, inject stolen big-task batches into
-//      the global queue), then pump the broker's outstanding vertex
-//      requests onto the fabric.
+//   0. Scheduler::ServiceFabric: deliver every due inbox message (accept
+//      pull responses and re-enqueue the tasks that were suspended on
+//      them, inject stolen big-task batches into the global queue), then
+//      pump the broker's outstanding vertex requests onto the fabric.
 //   1. Scheduler::NextTask: the machine's global big-task queue first
 //      (try-lock; refill from L_big when low), then the thread's local
 //      queue -- refilled from L_small, else by spawning a fresh batch
@@ -27,8 +26,11 @@
 // pinned, nor cached returns kSuspended: it yields its comper and parks in
 // the machine's PullBroker until batched kPullRequest/kPullResponse
 // messages -- delayed by the fabric's modeled network latency -- have
-// delivered (and pinned) every missing adjacency. Steal transfers ride
-// the same fabric as kStealBatch messages, so transfer time overlaps
+// delivered (and pinned) every missing adjacency. Compers never answer a
+// peer's request: the fabric's one pull-responder thread per process
+// serves it from the owner's read-only vertex table while the owner's
+// compers keep mining (paper §5's communication thread). Steal transfers
+// ride the same fabric as kStealBatch messages, so transfer time overlaps
 // with mining on both machines instead of blocking the steal master; the
 // balancing plan itself (shared with the cluster Coordinator) comes from
 // sched/steal_planner.h, sized per link by the RTT EWMAs the fabric
@@ -121,11 +123,11 @@ class Engine {
                   uint64_t wire_transit_usec);
   void OnStealCommand(int receiver, uint64_t want);
   /// Rank `peer` was declared dead (transport hook, after its old
-  /// incarnation's receive path is fully quiesced): reset the pair's
-  /// processed counter and re-inject every steal batch this rank had
-  /// shipped there -- whatever the dead rank had not finished of them is
-  /// mined here instead (completed parts become duplicates the final
-  /// dedup discards).
+  /// incarnation's receive path is fully quiesced): drop its pull
+  /// requests still at the responder, reset the pair's processed counter
+  /// and re-inject every steal batch this rank had shipped there --
+  /// whatever the dead rank had not finished of them is mined here instead
+  /// (completed parts become duplicates the final dedup discards).
   void OnPeerDown(int peer);
   /// Rank `peer`'s replacement is up: re-request every vertex pull that
   /// was in flight toward the old incarnation.
@@ -135,8 +137,6 @@ class Engine {
   /// pending_ (shipped earlier; re-add them) from one caught before the
   /// ship (never decremented).
   void ReinjectStealPayload(std::string payload, bool add_pending);
-  /// Periodic observability manifest beside the checkpoint log.
-  void WriteCheckpointManifest();
   void MaybeFinish();
   bool SpawnExhausted() const;
 
@@ -175,10 +175,9 @@ class Engine {
 
   std::atomic<int64_t> pending_{0};
   std::atomic<int> active_spawners_{0};
-  /// Data frames fully folded into this process (distributed mode).
-  std::atomic<uint64_t> frames_processed_{0};
   /// Per-source-rank processed-frame counters (the per-pair half of the
-  /// termination contract; reset to zero when the source rank dies).
+  /// termination contract; reset to zero when the source rank dies). A
+  /// pull request counts once the responder has sent its response.
   std::vector<std::atomic<uint64_t>> processed_from_;
   std::atomic<bool> done_{false};
   bool ran_ = false;

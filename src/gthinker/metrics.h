@@ -119,7 +119,8 @@ struct EngineCounters {
 
   /// Messages enqueued on the fabric, per type.
   std::atomic<uint64_t> msg_sent[kNumMessageTypes]{};
-  /// Messages delivered by a destination service, per type.
+  /// Messages delivered by a destination service (a pull request: taken
+  /// up by the pull responder), per type.
   std::atomic<uint64_t> msg_delivered[kNumMessageTypes]{};
   /// Serialized payload bytes enqueued, per type.
   std::atomic<uint64_t> msg_bytes[kNumMessageTypes]{};
@@ -130,7 +131,8 @@ struct EngineCounters {
   /// Current serialized bytes in flight (gauge) and its observed peak.
   std::atomic<uint64_t> msg_inflight_bytes{0};
   std::atomic<uint64_t> msg_inflight_bytes_peak{0};
-  /// Deepest per-machine inbox observed (undelivered messages).
+  /// Deepest queue observed: a per-machine inbox or the pull responder's
+  /// (undelivered messages).
   std::atomic<uint64_t> msg_queue_depth_peak{0};
   /// Histogram of observed enqueue->delivery wall latency.
   std::atomic<uint64_t> msg_latency_hist[kMsgLatencyBuckets]{};

@@ -10,10 +10,11 @@
 //   * PullBroker -- the request/response protocol endpoint of a machine:
 //     tasks suspended on missing vertices park here; a request pump
 //     aggregates every outstanding id into one batched kPullRequest
-//     CommFabric message per remote machine, the owner serves it into a
-//     kPullResponse on a later service, and accepting the response
-//     populates the cache, pins the adjacencies into the waiting tasks,
-//     and releases tasks whose every request has been delivered.
+//     CommFabric message per remote machine, the owner's pull-responder
+//     thread serves it into a kPullResponse as soon as it is due (never a
+//     comper -- they keep mining), and accepting the response populates
+//     the cache, pins the adjacencies into the waiting tasks, and releases
+//     tasks whose every request has been delivered.
 
 #ifndef QCM_GTHINKER_VERTEX_TABLE_H_
 #define QCM_GTHINKER_VERTEX_TABLE_H_
@@ -147,10 +148,11 @@ class DataService {
 /// One machine's endpoint of the pull protocol (paper §5): the "request"
 /// side parks suspended tasks and pumps batched kPullRequest messages
 /// onto the CommFabric; the "respond" side serves a peer's request from
-/// the local vertex table; accepting a kPullResponse pins the delivered
-/// adjacencies and releases the tasks whose pulls completed. Transfer
-/// time is whatever the fabric's latency model says -- tasks stay parked
-/// (still counted in Engine::pending_) until delivery.
+/// the local vertex table (called on the fabric's pull-responder thread,
+/// concurrently with the compers); accepting a kPullResponse pins the
+/// delivered adjacencies and releases the tasks whose pulls completed.
+/// Transfer time is whatever the fabric's latency model says -- tasks stay
+/// parked (still counted in Engine::pending_) until delivery.
 class PullBroker {
  public:
   /// `data` is this machine's DataService (responses populate its cache);
@@ -173,7 +175,8 @@ class PullBroker {
   std::vector<TaskPtr> PumpRequests(CommFabric* fabric);
 
   /// Owner side: serves a kPullRequest payload (U32Vector of ids) from
-  /// the local table into a kPullResponse payload.
+  /// the local table into a kPullResponse payload. Thread-safe: reads
+  /// only the immutable table (and atomic counters).
   std::string ServeRequest(const std::string& request_payload) const;
 
   /// Requester side: accepts a kPullResponse payload -- inserts every

@@ -24,10 +24,6 @@ constexpr double kHandshakeTimeoutSec = 60.0;
 /// crash if no termination arrives within this window.
 constexpr double kPeerEofGraceSec = 10.0;
 
-/// The persistent accept loop polls at this granularity so Shutdown() is
-/// never stuck behind a blocking accept.
-constexpr double kAcceptPollSec = 0.25;
-
 /// Dial retry policy: a worker forked a moment before its target listens
 /// (the coordinator at launch, a survivor's listener while the host is
 /// briefly saturated) deserves a few patient attempts before the bring-up
@@ -544,8 +540,9 @@ void TcpTransport::HandlePeerUp(int peer, uint32_t epoch) {
 
 void TcpTransport::AcceptLoop() {
   while (!shutdown_.load() && !failed_.load()) {
-    auto fd = AcceptTcp(listen_fd_, kAcceptPollSec);
-    if (!fd.ok()) continue;  // poll timeout (or listener closing down)
+    // Blocks until a dial arrives or Shutdown() shuts the listener down.
+    auto fd = AcceptTcp(listen_fd_, /*timeout_sec=*/0);
+    if (!fd.ok()) continue;  // the loop condition sees a shutdown
     if (shutdown_.load() || failed_.load()) {
       CloseSocket(fd.value());
       return;
@@ -744,8 +741,10 @@ void TcpTransport::Shutdown() {
     (void)FlushPeerLocked(r, FlushCause::kForced);
   }
   NotifyStateChange();
-  // Unblock the receive threads first; fds stay valid until they joined
-  // (closing a socket another thread still reads from invites fd reuse).
+  // Unblock the receive and accept threads first; fds stay valid until
+  // they joined (closing a socket another thread still reads from invites
+  // fd reuse). Shutting the listener down wakes a blocked accept at once.
+  ShutdownSocket(listen_fd_);
   ShutdownSocket(coord_fd_);
   {
     std::lock_guard<std::mutex> lock(recv_threads_mu_);

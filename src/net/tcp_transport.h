@@ -159,7 +159,9 @@ class TcpTransport : public Transport {
   void RecvPeerLoop(int peer, int fd);
   /// Persistent accept loop on the peer listener: swaps a replacement
   /// rank's new connection in (running the down transition first when
-  /// its kPeerHello outruns the coordinator's kPeerDown).
+  /// its kPeerHello outruns the coordinator's kPeerDown). Blocks in
+  /// accept without a timeout; Shutdown() wakes it by shutting the
+  /// listener down.
   void AcceptLoop();
   /// Periodic kHeartbeat beacons to the coordinator.
   void HeartbeatLoop();

@@ -7,7 +7,7 @@
 // simulated mode. With a transport, the engine runs ONE machine (the
 // transport's rank): fabric sends whose destination is a remote rank are
 // handed to the transport as data frames, arriving frames are injected
-// into the local inbox by the transport's receive thread, and the control
+// into the local fabric by the transport's receive thread, and the control
 // plane (status publication up, steal commands and the termination signal
 // down) replaces the in-process steal master and MaybeFinish.
 //
@@ -22,12 +22,25 @@
 // sent *before* it can possibly be processed, and receivers fold a
 // frame's pending-task delta into `pending` *before* counting it
 // processed, so any in-flight or unprocessed frame shows up as either
-// sent > processed or pending > 0 in every consistent snapshot. The
-// per-pair form (rather than global totals) is what lets a rank be
+// sent > processed or pending > 0 in every consistent snapshot.
+//
+// Where a kPullRequest counts as processed: not on arrival, but on the
+// receiver's pull-responder thread (gthinker/comm.h) once it has served
+// the request and sent the kPullResponse. The response is therefore
+// counted as sent before its request counts as processed, so a request
+// waiting at the responder or being answered keeps sent > processed on
+// its pair, and its answer keeps sent > processed on the reverse pair
+// until the requester folds it in: no snapshot can show the exchange as
+// finished while either half is still in flight.
+//
+// The per-pair form (rather than global totals) is what lets a rank be
 // replaced mid-run: when rank R dies, every survivor resets sent_to[R]
 // and processed_from[R] to zero and R's replacement starts all its
 // counters at zero, so both sides of every dead pair stay consistent
-// while live pairs are untouched.
+// while live pairs are untouched. Before a survivor resets
+// processed_from[R], it drops R's requests still queued at its responder
+// and waits out one being answered, so no late increment from the dead
+// incarnation can land after the reset.
 
 #ifndef QCM_NET_TRANSPORT_H_
 #define QCM_NET_TRANSPORT_H_
@@ -51,7 +64,8 @@ struct RankStatus {
   /// batch.
   bool spawn_done = false;
   /// processed_from[i]: data frames from rank i fully folded into this
-  /// rank's state (counted after any pending-task delta was applied).
+  /// rank's state (counted after any pending-task delta was applied; a
+  /// pull request only once its response was sent -- see file comment).
   /// The engine fills this; the transport adds its own per-peer sent_to
   /// counters at publish time (processed is read first, keeping any
   /// inconsistency in the conservative sent > processed direction).
@@ -128,6 +142,8 @@ struct TransportFlushStats {
 class Transport {
  public:
   /// Invoked on a receive thread for every arriving fabric data frame.
+  /// It must neither block nor write to a socket: two ranks whose receive
+  /// threads each waited on the other would deadlock.
   /// `wire_transit_usec` is the receiver-measured transit time (now minus
   /// the frame's sender timestamp, clamped at 0): coalescing dwell plus
   /// wire time. Meaningful across processes on one machine; only
@@ -144,9 +160,9 @@ class Transport {
     std::function<void(int receiver, uint64_t want)> on_steal_command;
     /// Rank `peer` was declared dead. Invoked after the transport has
     /// stopped delivering frames from that peer's old incarnation and
-    /// reset its own sent_to[peer]; the engine resets
-    /// processed_from[peer] and re-injects any retained steal batches it
-    /// had shipped there.
+    /// reset its own sent_to[peer]; the engine drops that incarnation's
+    /// requests still at its pull responder, resets processed_from[peer]
+    /// and re-injects any retained steal batches it had shipped there.
     std::function<void(int peer)> on_peer_down;
     /// Rank `peer`'s replacement is connected and started; safe to
     /// re-request anything lost in flight (e.g. unanswered vertex pulls).

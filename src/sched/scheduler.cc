@@ -67,10 +67,10 @@ void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
   for (Message& m : fabric->Service(deps_.machine)) {
     switch (m.type) {
       case MessageType::kPullRequest:
-        // We own the requested vertices; serve from the local table and
-        // send the adjacency batch back through the modeled network.
-        fabric->Send(MessageType::kPullResponse, deps_.machine, m.src,
-                     deps_.broker->ServeRequest(m.payload));
+        // The fabric's pull responder answers every request; one here
+        // means a message was routed past it.
+        QCM_CHECK(false) << "pull request from machine " << m.src
+                         << " reached a comper of machine " << deps_.machine;
         break;
       case MessageType::kPullResponse:
         for (TaskPtr& task : deps_.broker->AcceptResponse(m.payload)) {

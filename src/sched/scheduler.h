@@ -97,11 +97,12 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// One fabric service round for this machine: deliver every due
-  /// message (serve peer pull requests, accept pull responses and resume
-  /// the tasks that were parked on them, inject stolen big-task batches
-  /// into the global queue), then pump the broker's outstanding requests
-  /// onto the fabric. Resumed tasks route through `local` when small.
+  /// One fabric service round for this machine: deliver every due inbox
+  /// message (accept pull responses and resume the tasks that were parked
+  /// on them, inject stolen big-task batches into the global queue), then
+  /// pump the broker's outstanding requests onto the fabric. Resumed
+  /// tasks route through `local` when small. Peer pull requests never
+  /// come here: the fabric's pull responder answers them.
   void ServiceFabric(CommFabric* fabric, LocalQueue& local);
 
   /// Next task for a comper (marked kRunning): the machine's global
@@ -129,10 +130,6 @@ class Scheduler {
   size_t PrefetchingCount() const {
     return prefetching_.load(std::memory_order_relaxed);
   }
-
-  /// Spawn progress: owned-vertex indices consumed so far (checkpoint
-  /// manifest observability; may briefly overshoot the owned count).
-  size_t SpawnCursor() const { return spawn_cursor_.load(); }
 
  private:
   class SpawnPrefetchOracle;

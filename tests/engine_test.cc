@@ -1,13 +1,15 @@
 // Engine behavior tests with a small toy application (triangle listing):
 // termination, requeue, subtask fan-out, result completeness under
-// machine/thread sweeps, forced spilling, and stealing. The toy app keeps
-// the mining logic out so these tests isolate the engine itself.
+// machine/thread sweeps, forced spilling, stealing, and a pull answered
+// while the owner's only comper is busy. The toy apps keep the mining
+// logic out so these tests isolate the engine itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
+#include "busy_owner_app.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/qc_task.h"
@@ -356,6 +358,30 @@ TEST(EngineTest, RemoteFetchesHappenWithMultipleMachines) {
   EXPECT_GT(report->counters.cache_misses, 0u);
   EXPECT_GT(report->counters.task_suspensions, 0u);
   EXPECT_GT(report->counters.pulled_vertices, 0u);
+}
+
+// Machine 1's only comper is stuck in a long task; machine 0's task pulls
+// a machine-1 vertex meanwhile. The pull responder answers it at once
+// instead of after the comper's task.
+TEST(EngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
+  // Owner(v) = v % 2: roots 0 (machine 0) and 1 (machine 1); vertex 3
+  // (machine 1) is pulled.
+  auto g = Graph::FromEdges(4, {{0, 1}, {0, 3}, {1, 3}, {2, 3}});
+  ASSERT_TRUE(g.ok());
+  EngineConfig config = BaseConfig();
+  config.num_machines = 2;
+  config.threads_per_machine = 1;
+  config.enable_stealing = false;
+  BusyOwnerProbe probe;
+  BusyOwnerApp app(&probe, /*requester_root=*/0, /*owner_root=*/1,
+                   /*pulled=*/3, /*wait_sec=*/10.0);
+  Engine engine(&g.value(), config, &app);
+  auto report = engine.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(probe.answered_while_busy.load())
+      << "the pull waited for the owner's busy comper";
+  EXPECT_EQ(report->counters.pulled_vertices, 1u);
+  EXPECT_EQ(report->results, std::vector<VertexSet>({{0, 3}}));
 }
 
 TEST(EngineTest, RunTwiceIsAnError) {

@@ -1,11 +1,12 @@
 // Transport/coordinator integration tests, run entirely in-process so the
 // sanitizer configs see every thread: the rank-assignment handshake, the
-// data-plane mesh, steal commands, distributed termination detection with
-// report collection, and -- the core §5 parity claim -- a full 3-"process"
-// distributed engine run (three TcpTransport-backed engines, each serving
-// its own partition of one .qcsr snapshot like a qcm_worker does, real
-// loopback sockets between them) whose merged maximal result set is
-// bit-identical to simulated single-process mode.
+// data-plane mesh, prompt shutdown, steal commands, distributed
+// termination detection with report collection, a pull answered while the
+// owner's only comper is busy, and -- the core §5 parity claim -- a full
+// 3-"process" distributed engine run (three TcpTransport-backed engines,
+// each serving its own partition of one .qcsr snapshot like a qcm_worker
+// does, real loopback sockets between them) whose merged maximal result
+// set is bit-identical to simulated single-process mode.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "busy_owner_app.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
@@ -28,6 +30,7 @@
 #include "net/tcp_transport.h"
 #include "quick/maximality_filter.h"
 #include "util/serde.h"
+#include "util/timer.h"
 
 namespace qcm {
 namespace {
@@ -127,6 +130,45 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   }
   for (auto& s : states) s.transport->Shutdown();
   (*coordinator)->Close();
+}
+
+// Shutdown of a started, idle mesh wakes every transport thread at once,
+// so a worker exits -- and its launcher reaps it -- promptly. Nine
+// shutdowns over three meshes keep a thread that only notices shutdown
+// on a periodic poll from passing by luck.
+TEST(TcpTransportTest, IdleMeshesShutDownPromptly) {
+  for (int mesh = 0; mesh < 3; ++mesh) {
+    SCOPED_TRACE("mesh " + std::to_string(mesh));
+    CoordinatorConfig config;
+    config.world_size = 3;
+    config.config_blob = "idle";
+    config.steal_period_sec = 0.0;
+    auto coordinator = Coordinator::Listen(std::move(config));
+    ASSERT_TRUE(coordinator.ok());
+    const uint16_t port = (*coordinator)->port();
+
+    std::vector<std::unique_ptr<TcpTransport>> transports(3);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 3; ++i) {
+      threads.emplace_back([&transports, port, i] {
+        auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        t.value()->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
+        t.value()->SetControlHooks({});
+        ASSERT_TRUE(t.value()->Start().ok());
+        transports[i] = std::move(t).value();
+      });
+    }
+    ASSERT_TRUE((*coordinator)->RunHandshake().ok());
+    for (auto& th : threads) th.join();
+    for (auto& t : transports) {
+      ASSERT_NE(t, nullptr);
+      WallTimer shutdown;
+      t->Shutdown();
+      EXPECT_LT(shutdown.Seconds(), 0.1);
+    }
+    (*coordinator)->Close();
+  }
 }
 
 TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
@@ -464,6 +506,74 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
             merged_coalesced.counters.net_flushes);
   EXPECT_EQ(merged_coalesced.counters.net_flush_direct, 0u);
   std::remove(snapshot_path.c_str());
+}
+
+// The responder half of the §5 design over real sockets: rank 1's only
+// comper is stuck in a long task while rank 0's task pulls a rank-1
+// vertex. Rank 1's pull responder answers at once.
+TEST(DistributedEngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
+  // Owner(v) = v % 3: roots 0 (rank 0) and 1 (rank 1); vertex 4 (rank 1)
+  // is pulled; rank 2 spawns nothing.
+  auto graph =
+      Graph::FromEdges(6, {{0, 1}, {0, 4}, {1, 4}, {2, 4}, {3, 5}});
+  ASSERT_TRUE(graph.ok());
+  const std::string snapshot_path = ::testing::TempDir() +
+                                    "/net_transport_busy_owner_" +
+                                    std::to_string(::getpid()) + ".qcsr";
+  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
+  auto snapshot = CsrSnapshot::Open(snapshot_path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  EngineConfig config;
+  config.num_machines = 3;
+  config.threads_per_machine = 1;
+  config.mining.gamma = 0.9;  // unused by the probe app but must validate
+  config.mining.min_size = 2;
+
+  CoordinatorConfig coord_config;
+  coord_config.world_size = 3;
+  coord_config.config_blob = "job";
+  coord_config.steal_period_sec = 0.0;
+  auto coordinator = Coordinator::Listen(std::move(coord_config));
+  ASSERT_TRUE(coordinator.ok());
+  const uint16_t port = (*coordinator)->port();
+
+  BusyOwnerProbe probe;
+  auto worker_main = [&] {
+    auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    std::unique_ptr<TcpTransport> transport = std::move(t).value();
+    auto table = std::make_unique<VertexTable>(
+        *snapshot, 3, transport->rank(), /*graph_memory_budget=*/0);
+    BusyOwnerApp app(&probe, /*requester_root=*/0, /*owner_root=*/1,
+                     /*pulled=*/4, /*wait_sec=*/10.0);
+    Engine engine(std::move(table), config, &app, transport.get());
+    auto report = engine.Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    Encoder enc;
+    EncodeEngineReport(report.value(), &enc);
+    ASSERT_TRUE(transport->SendReport(enc.Release()).ok());
+    transport->Shutdown();
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 3; ++i) threads.emplace_back(worker_main);
+  ASSERT_TRUE((*coordinator)->RunHandshake().ok());
+  auto blobs = (*coordinator)->RunToCompletion();
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+  (*coordinator)->Close();
+  std::remove(snapshot_path.c_str());
+
+  EXPECT_TRUE(probe.answered_while_busy.load())
+      << "the pull waited for the owner's busy comper";
+  std::vector<EngineReport> decoded(3);
+  for (int r = 0; r < 3; ++r) {
+    Decoder dec((*blobs)[r]);
+    ASSERT_TRUE(DecodeEngineReport(&dec, &decoded[r]).ok());
+  }
+  EngineReport merged = MergeEngineReports(decoded);
+  EXPECT_EQ(merged.counters.pulled_vertices, 1u);
+  EXPECT_EQ(merged.results, std::vector<VertexSet>({{0, 4}}));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // may replay a log written by an older one mid-rolling-restart), replay
 // semantics across incarnation epochs and crash phases, root-progress
 // taint rules, the coordinator's liveness-deadline bookkeeping, the
-// duplicate suppression that makes double-mined results harmless, and
-// the end-to-end acceptance bar: a 3-process cluster with one worker
+// duplicate suppression that makes double-mined results harmless, a
+// survivor dropping a dead rank's pull requests queued at its responder,
+// and the end-to-end acceptance bar: a 3-process cluster with one worker
 // SIGKILLed mid-mining finishes with a digest bit-identical to a
 // crash-free run.
 
@@ -12,18 +13,26 @@
 
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "graph/csr_snapshot.h"
 #include "gthinker/checkpoint.h"
+#include "gthinker/engine.h"
 #include "net/coordinator.h"
 #include "quick/maximality_filter.h"
 #include "util/serde.h"
+#include "util/timer.h"
 
 namespace qcm {
 namespace {
@@ -371,6 +380,145 @@ TEST(FilterMaximalTest, CountsSuppressedDuplicates) {
   std::vector<VertexSet> a = FilterMaximal(std::move(once));
   std::vector<VertexSet> b = FilterMaximal(std::move(twice));
   EXPECT_EQ(ResultSetDigest(a), ResultSetDigest(b));
+}
+
+// ---------------------------------------------------------------------------
+// A survivor's pull responder when the requesting rank dies: requests of
+// the dead incarnation still queued there are dropped before the pair's
+// processed counter resets, so no late answer counts a frame the
+// replacement never sent (which would keep termination from ever being
+// declared).
+// ---------------------------------------------------------------------------
+
+/// Rank 0 of a 2-rank cluster whose peer, rank 1, is played by the test:
+/// it injects rank 1's data frames and fires its peer events by hand.
+class ScriptedPeerTransport : public Transport {
+ public:
+  int rank() const override { return 0; }
+  int world_size() const override { return 2; }
+  void SetDataHandler(DataHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void SetControlHooks(ControlHooks hooks) override {
+    hooks_ = std::move(hooks);
+  }
+  Status Start() override {
+    started_.set_value();
+    return Status::OK();
+  }
+  Status SendData(int dst, uint8_t type, std::string payload) override {
+    (void)dst;
+    (void)payload;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (type == static_cast<uint8_t>(MessageType::kPullResponse)) {
+      ++responses_sent_;
+    }
+    ++frames_sent_;
+    return Status::OK();
+  }
+  uint64_t DataFramesSent() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return frames_sent_;
+  }
+  void PublishStatus(const RankStatus& status) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    processed_from_peer_ = status.processed_from.at(1);
+  }
+
+  void AwaitStart() { started_.get_future().wait(); }
+  void RequestFromPeer(std::vector<VertexId> ids) {
+    Encoder enc;
+    enc.PutU32Vector(ids);
+    handler_(1, static_cast<uint8_t>(MessageType::kPullRequest),
+             enc.Release(), 0);
+  }
+  void PeerDown() { hooks_.on_peer_down(1); }
+  void Terminate() { hooks_.on_terminate(); }
+  uint64_t responses_sent() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return responses_sent_;
+  }
+  /// processed_from[1] in the engine's latest status.
+  uint64_t processed_from_peer() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return processed_from_peer_;
+  }
+
+ private:
+  DataHandler handler_;
+  ControlHooks hooks_;
+  std::promise<void> started_;
+  mutable std::mutex mu_;
+  uint64_t frames_sent_ = 0;
+  uint64_t responses_sent_ = 0;
+  uint64_t processed_from_peer_ = 0;
+};
+
+/// Spawns nothing: the rank only answers its peer's pulls.
+class AnswerOnlyApp : public App {
+ public:
+  TaskPtr Spawn(VertexId, ComputeContext&) override { return nullptr; }
+  ComputeStatus Compute(Task&, ComputeContext&) override {
+    return ComputeStatus::kDone;
+  }
+  StatusOr<TaskPtr> DecodeTask(Decoder*) const override {
+    return Status::InvalidArgument("AnswerOnlyApp has no tasks");
+  }
+};
+
+TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
+  auto graph = Graph::FromEdges(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
+  ASSERT_TRUE(graph.ok());
+  const std::string snapshot_path = ::testing::TempDir() +
+                                    "/qcm_recovery_responder_" +
+                                    std::to_string(::getpid()) + ".qcsr";
+  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
+  auto snapshot = CsrSnapshot::Open(snapshot_path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  EngineConfig config;
+  config.num_machines = 2;
+  config.threads_per_machine = 1;
+  config.mining.gamma = 0.9;  // unused by the app but must validate
+  config.mining.min_size = 2;
+  // Each request waits a full second at the responder before it is due.
+  config.net_latency_sec = 1.0;
+  ScriptedPeerTransport transport;
+  AnswerOnlyApp app;
+  Engine engine(std::make_unique<VertexTable>(*snapshot, 2, /*local_rank=*/0,
+                                              /*graph_memory_budget=*/0),
+                config, &app, &transport);
+  StatusOr<EngineReport> report = Status::Aborted("engine did not run");
+  std::thread runner([&] { report = engine.Run(); });
+  transport.AwaitStart();
+
+  // Rank 1's first incarnation asks for rank-0 vertices, then dies while
+  // both requests still wait at the responder.
+  transport.RequestFromPeer({0, 2});
+  transport.RequestFromPeer({2});
+  transport.PeerDown();
+  // Past their due time, neither was answered or counted processed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  EXPECT_EQ(transport.responses_sent(), 0u);
+  EXPECT_EQ(transport.processed_from_peer(), 0u);
+
+  // The replacement's request is answered, and counts as processed once
+  // its response was sent.
+  transport.RequestFromPeer({0});
+  WallTimer waited;
+  while ((transport.responses_sent() < 1 ||
+          transport.processed_from_peer() < 1) &&
+         waited.Seconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(transport.responses_sent(), 1u);
+  EXPECT_EQ(transport.processed_from_peer(), 1u);
+
+  transport.Terminate();
+  runner.join();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->counters.pulled_vertices, 1u);
+  std::remove(snapshot_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "mining/parallel_miner.h"
 #include "mining/qc_task.h"
 #include "quick/maximality_filter.h"
+#include "util/timer.h"
 
 namespace qcm {
 namespace {
@@ -140,32 +141,33 @@ TEST(DataServiceDeathTest, UnrequestedRemoteFetchAbortsOnSharedGraph) {
 }
 
 /// Runs the full request/response protocol to completion over `fabric`:
-/// pump requests from machine 0's broker, service every peer machine
-/// (serving requests back over the fabric), then service machine 0 to
-/// accept the responses. Returns all resumed tasks. Brokers index per
-/// machine; brokers[0] is the requester.
+/// start the fabric's pull responder over the brokers (wired as the
+/// engine wires it), pump machine 0's requests, then service every
+/// machine's inbox -- one comper scheduling loop each -- accepting the
+/// responses until nothing is in flight. Returns all resumed tasks.
+/// Brokers index per machine; brokers[0] is the requester.
 std::vector<TaskPtr> CompletePullRound(
     CommFabric& fabric, std::vector<PullBroker*> brokers) {
+  fabric.StartResponder([&brokers](int owner, const std::string& request) {
+    return brokers[owner]->ServeRequest(request);
+  });
   std::vector<TaskPtr> ready;
   for (TaskPtr& t : brokers[0]->PumpRequests(&fabric)) {
     ready.push_back(std::move(t));
   }
-  // A bounded number of service sweeps: each sweep services every
-  // machine once, exactly like one comper scheduling loop each.
-  for (int sweep = 0; sweep < 64 && fabric.InFlight() > 0; ++sweep) {
+  // Bounded: the responder answers on its own thread.
+  WallTimer waited;
+  while (fabric.InFlight() > 0 && waited.Seconds() < 10.0) {
     for (size_t m = 0; m < brokers.size(); ++m) {
       for (Message& msg : fabric.Service(static_cast<int>(m))) {
-        if (msg.type == MessageType::kPullRequest) {
-          fabric.Send(MessageType::kPullResponse, static_cast<int>(m),
-                      msg.src, brokers[m]->ServeRequest(msg.payload));
-        } else if (msg.type == MessageType::kPullResponse) {
-          for (TaskPtr& t : brokers[m]->AcceptResponse(msg.payload)) {
-            ready.push_back(std::move(t));
-          }
+        EXPECT_EQ(msg.type, MessageType::kPullResponse);
+        for (TaskPtr& t : brokers[m]->AcceptResponse(msg.payload)) {
+          ready.push_back(std::move(t));
         }
       }
     }
   }
+  fabric.StopResponder();
   return ready;
 }
 

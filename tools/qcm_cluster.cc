@@ -63,6 +63,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -471,6 +472,16 @@ int main(int argc, char** argv) {
   // nothing to recover into, so it still fails the run promptly).
   std::atomic<bool> run_done{false};
   std::atomic<bool> handshake_done{false};
+  // The launcher's helper threads poll between naps; ending the run wakes
+  // them at once, so joining them never waits out a nap.
+  std::mutex run_done_mu;
+  std::condition_variable run_done_cv;
+  // Sleeps up to `ms` or until the run is done; returns whether it is.
+  auto nap_until_done = [&](int64_t ms) {
+    std::unique_lock<std::mutex> lock(run_done_mu);
+    return run_done_cv.wait_for(lock, std::chrono::milliseconds(ms),
+                                [&] { return run_done.load(); });
+  };
   std::thread watchdog([&] {
     while (!run_done.load()) {
       for (size_t i = 0; i < workers.size(); ++i) {
@@ -523,7 +534,7 @@ int main(int argc, char** argv) {
           }
         }
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      nap_until_done(20);
     }
   });
 
@@ -562,7 +573,7 @@ int main(int argc, char** argv) {
             }
             return;
           }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          nap_until_done(2);
         }
       });
     } else {
@@ -580,12 +591,7 @@ int main(int argc, char** argv) {
     ticker = std::thread([&] {
       const int64_t interval_ms =
           std::max<int64_t>(config.stats_interval_ms, 250);
-      int64_t slept_ms = 0;
-      while (!run_done.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        slept_ms += 20;
-        if (slept_ms < interval_ms) continue;
-        slept_ms = 0;
+      while (!nap_until_done(interval_ms)) {
         unsigned long long pending = 0, queue = 0, busy = 0, inflight = 0,
                            hits = 0, misses = 0, tasks = 0;
         int seen = 0;
@@ -645,7 +651,11 @@ int main(int argc, char** argv) {
   const std::vector<Coordinator::RecoveryEvent> recoveries =
       coordinator->recovery_events();
   const std::vector<int> restarts = coordinator->restarts();
-  run_done.store(true);
+  {
+    std::lock_guard<std::mutex> lock(run_done_mu);
+    run_done.store(true);
+  }
+  run_done_cv.notify_all();
   watchdog.join();
   if (killer.joinable()) killer.join();
   if (ticker.joinable()) ticker.join();

@@ -7,10 +7,11 @@
 // is replicated) through its VertexTable, and runs the G-thinker engine
 // over the TCP-backed CommFabric: vertex pulls and stolen big-task
 // batches are the same typed messages as in simulated mode, but they
-// cross process boundaries as length-prefixed kData frames. Termination
-// arrives from the coordinator's distributed detection; the final
-// EngineReport and raw candidate results ship back as the kReport
-// payload.
+// cross process boundaries as length-prefixed kData frames, and a peer's
+// vertex pull is answered by this process's pull-responder thread while
+// its compers keep mining. Termination arrives from the coordinator's
+// distributed detection; the final EngineReport and raw candidate results
+// ship back as the kReport payload.
 //
 // Usage (qcm_cluster spawns it this way):
 //   qcm_worker --coordinator-port P [--coordinator-host H]
@@ -22,7 +23,8 @@
 //
 // QCM_SMOKE_KILL_RANK=<r> (inherited from the launcher, see qcm_cluster)
 // makes rank r's first incarnation park the comper of its first compute
-// round until the launcher's SIGKILL lands.
+// round until the launcher's SIGKILL lands (its pull responder keeps
+// answering peers meanwhile).
 //
 // Exit status: 0 only for a clean run (connected, mined, reported);
 // anything else is a loud failure the launcher must surface.
