@@ -39,7 +39,7 @@ void Banner(const std::string& title);
 /// Prints a wrapped note paragraph.
 void Note(const std::string& text);
 
-/// The default simulated-cluster preset used by the table benches:
+/// The default in-process cluster preset used by the table benches:
 /// 2 machines x 2 threads, scaled down from the paper's 16 machines x 32
 /// threads so one few-core host can run every table.
 EngineConfig ClusterPreset();

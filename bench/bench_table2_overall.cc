@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const std::string only = argc > 1 ? argv[1] : "";
 
   Banner("Table 2: Results on All Datasets");
-  Note("Engine preset: 2 simulated machines x 2 threads, time-delayed task "
+  Note("Engine preset: 2 in-process machines x 2 threads, time-delayed task "
        "decomposition (the paper: 16 machines x 32 threads). Result # is "
        "the raw candidate count, mirroring the paper's released code which "
        "skips non-maximal postprocessing; the maximal count after "

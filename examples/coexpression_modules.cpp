@@ -76,7 +76,7 @@ int main() {
   }
   auto serial_modules = FilterMaximal(std::move(sink.results()));
 
-  // Parallel run on the simulated cluster.
+  // Parallel run on an in-process cluster.
   EngineConfig config;
   config.num_machines = 2;
   config.threads_per_machine = 2;

@@ -3,7 +3,7 @@
 // motivates (detecting dense communities in online interaction networks).
 //
 // Generates a power-law graph with planted overlapping communities, mines
-// maximal 0.9-quasi-cliques on the simulated G-thinker cluster, and prints
+// maximal 0.9-quasi-cliques on an in-process G-thinker cluster, and prints
 // both the communities and the engine's execution report (queues, spill,
 // stealing, load balance).
 //

@@ -15,7 +15,7 @@
 #include <unordered_set>
 
 #include "graph/generators.h"
-#include "gthinker/engine.h"
+#include "net/local_cluster.h"
 
 namespace {
 
@@ -109,7 +109,7 @@ int main() {
   const Graph& graph = *graph_or;
 
   EngineConfig config;
-  config.num_machines = 4;          // simulated cluster
+  config.num_machines = 4;          // in-process cluster ranks
   config.threads_per_machine = 2;
   config.tau_split = 64;            // degree > 64 => big task
   config.local_queue_capacity = 32; // small queues: watch the spilling
@@ -117,9 +117,10 @@ int main() {
   config.mining.gamma = 0.9;        // unused by this app; must validate
   config.mining.min_size = 2;
 
+  // Four engines, one per rank, as threads of this process under the
+  // cluster coordinator; every rank serves its partition of `graph`.
   TwoHopApp app;
-  Engine engine(&graph, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(graph, config, &app);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
@@ -148,7 +149,7 @@ int main() {
               static_cast<unsigned long>(report->counters.spilled_tasks),
               static_cast<unsigned long>(report->counters.spill_files));
   std::printf("  stealing: %lu transfers moved %lu big tasks (%lu bytes "
-              "simulated network)\n",
+              "over loopback)\n",
               static_cast<unsigned long>(report->counters.steal_events),
               static_cast<unsigned long>(report->counters.stolen_tasks),
               static_cast<unsigned long>(report->counters.steal_bytes));

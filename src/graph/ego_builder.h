@@ -14,8 +14,8 @@
 //     again, and compiles the survivors into a CSR LocalGraph.
 //
 // The builder is parameterized over EgoVertexSource so the serial miner
-// (direct CSR reads) and the G-thinker ComputeContext (simulated vertex
-// pulling, metrics-counted) drive the identical code.
+// (direct CSR reads) and the G-thinker ComputeContext (vertex pulling,
+// metrics-counted) drive the identical code.
 //
 // All intermediate state lives in an EgoScratch of flat epoch-marked
 // arrays: after warm-up, building an ego network performs zero heap

@@ -3,8 +3,8 @@
 // This is the "big graph" store of the system (paper §5): vertices are
 // identified by dense 32-bit ids, adjacency lists are sorted, and the
 // structure is immutable after construction so it can be shared read-only by
-// every mining thread and partitioned across simulated machines without
-// synchronization.
+// every mining thread and partitioned across the machines of an in-process
+// cluster without synchronization.
 
 #ifndef QCM_GRAPH_GRAPH_H_
 #define QCM_GRAPH_GRAPH_H_

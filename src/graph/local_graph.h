@@ -12,7 +12,7 @@
 //     whose cost is the "subgraph materialization time" measured in Table 6.
 //
 // They are serializable because tasks get spilled to disk and stolen across
-// simulated machines.
+// machines.
 
 #ifndef QCM_GRAPH_LOCAL_GRAPH_H_
 #define QCM_GRAPH_LOCAL_GRAPH_H_

@@ -43,9 +43,8 @@ struct PagedStoreConfig {
   /// Lists with at most this many entries live in the resident arena.
   uint32_t inline_degree = 8;
   int num_machines = 1;
-  /// Rank whose partition this store serves; -1 serves every vertex
-  /// (single-process mode).
-  int local_rank = -1;
+  /// Rank whose partition this store serves.
+  int local_rank = 0;
 };
 
 /// Counter snapshot; mirrors into EngineCountersSnapshot for the report.
@@ -65,8 +64,8 @@ class PagedAdjacencyStore {
   PagedAdjacencyStore(std::shared_ptr<CsrSnapshot> snapshot,
                       const PagedStoreConfig& config);
 
-  /// Sorted adjacency of v (which must belong to this store's partition
-  /// when local_rank >= 0). Thread-safe; the returned span stays valid
+  /// Sorted adjacency of v (which must belong to this store's
+  /// partition). Thread-safe; the returned span stays valid
   /// for the store's lifetime regardless of later evictions.
   std::span<const VertexId> Adjacency(VertexId v);
 
@@ -89,10 +88,9 @@ class PagedAdjacencyStore {
   };
 
   bool Owned(VertexId v) const {
-    return config_.local_rank < 0 ||
-           static_cast<int>(v % static_cast<uint32_t>(
+    return static_cast<int>(v % static_cast<uint32_t>(
                                     config_.num_machines)) ==
-               config_.local_rank;
+           config_.local_rank;
   }
 
   /// Ensures file page `page` has a frame; returns whether this call

@@ -56,78 +56,51 @@ StatusOr<uint32_t> StealBatchTaskCount(const std::string& payload) {
   return count;
 }
 
-CommFabric::CommFabric(int num_machines, double latency_sec,
-                       EngineCounters* counters, Transport* transport)
+CommFabric::CommFabric(double latency_sec, EngineCounters* counters,
+                       Transport* transport)
     : latency_sec_(latency_sec),
       counters_(counters),
       transport_(transport),
-      local_rank_(transport != nullptr ? transport->rank() : -1) {
-  inboxes_.reserve(num_machines);
-  for (int m = 0; m < num_machines; ++m) {
-    inboxes_.push_back(std::make_unique<Inbox>());
-  }
-}
+      rank_(transport->rank()) {}
 
 CommFabric::~CommFabric() { StopResponder(); }
 
-void CommFabric::SetBusyProbe(std::function<int(int)> probe) {
+void CommFabric::SetBusyProbe(std::function<int()> probe) {
   busy_probe_ = std::move(probe);
 }
 
-void CommFabric::Send(MessageType type, int src, int dst,
-                      std::string payload) {
-  if (transport_ != nullptr && dst != local_rank_) {
-    // Remote machine: the message leaves this process. The send is
-    // counted here; inbox/delivery metrics belong to the destination
-    // process, which mirrors this accounting in Inject().
-    if (counters_ != nullptr) {
-      const int t = static_cast<int>(type);
-      counters_->msg_sent[t].fetch_add(1, std::memory_order_relaxed);
-      counters_->msg_bytes[t].fetch_add(payload.size(),
-                                        std::memory_order_relaxed);
-    }
-    Status s = transport_->SendData(dst, static_cast<uint8_t>(type),
-                                    std::move(payload));
-    // A failed wire send means a lost message, which the termination
-    // protocol can never recover from: fail loudly, never silently.
-    QCM_CHECK(s.ok()) << "wire send of " << MessageTypeName(type)
-                      << " to rank " << dst << " failed: " << s.ToString();
-    return;
+void CommFabric::Send(MessageType type, int dst, std::string payload) {
+  QCM_CHECK(dst != rank_) << MessageTypeName(type) << " sent to itself";
+  // The send is counted here; inbox/delivery metrics belong to the
+  // destination, which mirrors this accounting in Inject().
+  if (counters_ != nullptr) {
+    const int t = static_cast<int>(type);
+    counters_->msg_sent[t].fetch_add(1, std::memory_order_relaxed);
+    counters_->msg_bytes[t].fetch_add(payload.size(),
+                                      std::memory_order_relaxed);
   }
-  Message m;
-  m.type = type;
-  m.src = src;
-  m.dst = dst;
-  m.payload = std::move(payload);
-  Enqueue(std::move(m), /*count_send=*/true);
+  Status s = transport_->SendData(dst, static_cast<uint8_t>(type),
+                                  std::move(payload));
+  // A failed wire send means a lost message, which the termination
+  // protocol can never recover from: fail loudly, never silently.
+  QCM_CHECK(s.ok()) << "wire send of " << MessageTypeName(type)
+                    << " to rank " << dst << " failed: " << s.ToString();
 }
 
 void CommFabric::Inject(MessageType type, int src, std::string payload,
                         uint64_t wire_transit_usec) {
-  QCM_CHECK(transport_ != nullptr && local_rank_ >= 0)
-      << "Inject without a transport";
+  const double now = clock_.Seconds();
   Message m;
   m.type = type;
   m.src = src;
-  m.dst = local_rank_;
   m.payload = std::move(payload);
-  m.wire_transit_usec = wire_transit_usec;
-  // The sender counted msg_sent in its own process; here the message
-  // (re-)enters a latency-modeled inbox, so in-flight/depth/overlap
-  // accounting resumes as if it had been enqueued locally.
-  Enqueue(std::move(m), /*count_send=*/false);
-}
-
-void CommFabric::Enqueue(Message m, bool count_send) {
-  const double now = clock_.Seconds();
   m.enqueue_sec = now;
   m.due_sec = now + latency_sec_;
+  m.wire_transit_usec = wire_transit_usec;
 
-  const int t = static_cast<int>(m.type);
-  const int dst = m.dst;
   const uint64_t bytes = m.payload.size();
   size_t depth;
-  if (m.type == MessageType::kPullRequest) {
+  if (type == MessageType::kPullRequest) {
     bool was_empty;
     {
       std::lock_guard<std::mutex> lock(responder_.mu);
@@ -139,46 +112,29 @@ void CommFabric::Enqueue(Message m, bool count_send) {
     // responder's current wait already covers it.
     if (was_empty) responder_.cv.notify_all();
   } else {
-    Inbox& inbox = *inboxes_[dst];
-    std::lock_guard<std::mutex> lock(inbox.mu);
-    inbox.q.push_back(std::move(m));
-    depth = inbox.q.size();
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    inbox_.push_back(std::move(m));
+    depth = inbox_.size();
   }
   if (counters_ != nullptr) {
-    if (count_send) {
-      counters_->msg_sent[t].fetch_add(1, std::memory_order_relaxed);
-      counters_->msg_bytes[t].fetch_add(bytes, std::memory_order_relaxed);
-    }
     const uint64_t inflight =
         counters_->msg_inflight_bytes.fetch_add(bytes,
                                                 std::memory_order_relaxed) +
         bytes;
     AtomicMax(&counters_->msg_inflight_bytes_peak, inflight);
     AtomicMax(&counters_->msg_queue_depth_peak, depth);
-    if (busy_probe_ && busy_probe_(dst) > 0) {
+    if (busy_probe_ && busy_probe_() > 0) {
       counters_->msg_overlapped.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
 void CommFabric::CountDelivery(const Message& m, double now) {
-  // Observed delivery latency: inbox time (enqueue to this service) plus
-  // any wire transit the transport measured before injection. In
-  // simulated mode wire_transit_usec is always 0 and this reduces to the
-  // pre-wire accounting bit for bit.
+  if (counters_ == nullptr) return;
+  // Observed delivery latency: queue time (enqueue to this service) plus
+  // the wire transit the transport measured before injection.
   const double latency = std::max(0.0, now - m.enqueue_sec) +
                          static_cast<double>(m.wire_transit_usec) * 1e-6;
-  // Feed the steal planner's RTT EWMAs only when there is real transfer
-  // delay to learn: modeled latency, or measured wire transit (which
-  // includes coalescing dwell). At zero modeled latency and zero wire
-  // transit, enqueue->delivery time is pure service-cadence noise that
-  // would nudge the planner off the legacy flat plan; with either source
-  // of delay present, inbox dwell is part of the effective transfer
-  // delay the policy is supposed to amortize.
-  if (rtt_ != nullptr && (latency_sec_ > 0.0 || m.wire_transit_usec > 0)) {
-    rtt_->RecordOneWay(m.src, m.dst, latency);
-  }
-  if (counters_ == nullptr) return;
   const int t = static_cast<int>(m.type);
   counters_->msg_delivered[t].fetch_add(1, std::memory_order_relaxed);
   counters_->msg_inflight_bytes.fetch_sub(m.payload.size(),
@@ -189,15 +145,14 @@ void CommFabric::CountDelivery(const Message& m, double now) {
       static_cast<uint64_t>(latency * 1e6), std::memory_order_relaxed);
 }
 
-std::vector<Message> CommFabric::Service(int dst) {
+std::vector<Message> CommFabric::Service() {
   const double now = clock_.Seconds();
   std::vector<Message> due;
   {
-    Inbox& inbox = *inboxes_[dst];
-    std::lock_guard<std::mutex> lock(inbox.mu);
-    while (!inbox.q.empty() && inbox.q.front().due_sec <= now) {
-      due.push_back(std::move(inbox.q.front()));
-      inbox.q.pop_front();
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    while (!inbox_.empty() && inbox_.front().due_sec <= now) {
+      due.push_back(std::move(inbox_.front()));
+      inbox_.pop_front();
     }
   }
   for (const Message& m : due) CountDelivery(m, now);
@@ -239,10 +194,9 @@ void CommFabric::ResponderLoop() {
     responder_.serving_bytes = m.payload.size();
     lock.unlock();
     CountDelivery(m, clock_.Seconds());
-    // The response is counted as sent (in process-per-machine mode: onto
-    // the wire to the requester) before the request counts as processed.
-    Send(MessageType::kPullResponse, m.dst, m.src,
-         responder_.serve(m.dst, m.payload));
+    // The response is counted as sent (onto the wire to the requester)
+    // before the request counts as processed.
+    Send(MessageType::kPullResponse, m.src, responder_.serve(m.payload));
     if (responder_.on_served) responder_.on_served(m.src);
     lock.lock();
     responder_.serving_src = -1;
@@ -268,20 +222,15 @@ size_t CommFabric::DropRequestsFrom(int src) {
   return dropped.size();
 }
 
-std::vector<Message> CommFabric::Drain(int dst) {
+std::vector<Message> CommFabric::Drain() {
   std::vector<Message> out;
   {
     std::lock_guard<std::mutex> lock(responder_.mu);
-    TakeIf(&responder_.q, [dst](const Message& m) { return m.dst == dst; },
-           &out);
+    TakeIf(&responder_.q, [](const Message&) { return true; }, &out);
   }
   {
-    Inbox& inbox = *inboxes_[dst];
-    std::lock_guard<std::mutex> lock(inbox.mu);
-    while (!inbox.q.empty()) {
-      out.push_back(std::move(inbox.q.front()));
-      inbox.q.pop_front();
-    }
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    TakeIf(&inbox_, [](const Message&) { return true; }, &out);
   }
   if (counters_ != nullptr) {
     for (const Message& m : out) {
@@ -293,21 +242,14 @@ std::vector<Message> CommFabric::Drain(int dst) {
   return out;
 }
 
-// Both sums read the responder before the inboxes: a request's answer
-// moves from the responder into an inbox, so reading in that direction
-// never misses an exchange in mid-move.
-
 size_t CommFabric::InFlight() const {
   size_t total;
   {
     std::lock_guard<std::mutex> lock(responder_.mu);
     total = responder_.q.size() + (responder_.serving_src >= 0 ? 1 : 0);
   }
-  for (const auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    total += inbox->q.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  return total + inbox_.size();
 }
 
 uint64_t CommFabric::InFlightBytes() const {
@@ -317,10 +259,8 @@ uint64_t CommFabric::InFlightBytes() const {
     total = responder_.serving_bytes;
     for (const Message& m : responder_.q) total += m.payload.size();
   }
-  for (const auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    for (const Message& m : inbox->q) total += m.payload.size();
-  }
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  for (const Message& m : inbox_) total += m.payload.size();
   return total;
 }
 

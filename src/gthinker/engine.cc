@@ -10,7 +10,6 @@
 
 #include "net/wire.h"
 #include "quick/mining_context.h"
-#include "sched/steal_planner.h"
 #include "util/logging.h"
 #include "util/mem.h"
 #include "util/serde.h"
@@ -18,29 +17,6 @@
 #include "util/trace.h"
 
 namespace qcm {
-
-// ---------------------------------------------------------------------------
-// Worker: one simulated machine.
-// ---------------------------------------------------------------------------
-
-struct Engine::Worker {
-  int id = 0;
-  std::unique_ptr<DataService> data;
-  std::unique_ptr<PullBroker> broker;         // batched vertex pulls
-  std::unique_ptr<SpillManager> small_spill;  // L_small
-  std::unique_ptr<SpillManager> big_spill;    // L_big
-  std::unique_ptr<GlobalQueue> global_queue;  // Q_global
-  std::unique_ptr<Scheduler> sched;           // the machine's policy object
-  /// Compers of this machine currently inside App::Compute; sampled by
-  /// the CommFabric at enqueue time for the overlap-ratio metric.
-  std::atomic<int> busy_compers{0};
-
-  /// Pending big tasks = Q_global + L_big (the quantity the steal master
-  /// balances across machines).
-  uint64_t PendingBig() const {
-    return global_queue->ApproxSize() + big_spill->PendingTasks();
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Comper: one mining thread. A thin driver of the machine's Scheduler --
@@ -52,9 +28,8 @@ struct Engine::Worker {
 
 class Engine::Comper : public ComputeContext {
  public:
-  Comper(Engine* engine, Worker* worker, int machine, int thread)
-      : engine_(engine), worker_(worker) {
-    metrics_.machine = machine;
+  Comper(Engine* engine, int thread) : engine_(engine) {
+    metrics_.machine = engine->rank_;
     metrics_.thread = thread;
     // Pre-size the materialization scratch so the first task already runs
     // allocation-free over the full vertex-id space.
@@ -68,7 +43,7 @@ class Engine::Comper : public ComputeContext {
                     metrics_.thread);
       trace::SetThreadName(buf);
     }
-    Scheduler* sched = worker_->sched.get();
+    Scheduler* sched = engine_->sched_.get();
     while (!engine_->done_.load()) {
       sched->ServiceFabric(engine_->fabric_.get(), local_);
       TaskPtr task = sched->NextTask(local_, *this);
@@ -78,13 +53,13 @@ class Engine::Comper : public ComputeContext {
         active_task_ = task.get();
         active_task_first_round_ = first_round;
         const size_t sink_before = sink_.results().size();
-        worker_->busy_compers.fetch_add(1, std::memory_order_relaxed);
+        engine_->busy_compers_.fetch_add(1, std::memory_order_relaxed);
         ComputeStatus status;
         {
           QCM_TRACE_SPAN(trace::kLifecycle, "compute", task->root());
           status = engine_->app_->Compute(*task, *this);
         }
-        worker_->busy_compers.fetch_sub(1, std::memory_order_relaxed);
+        engine_->busy_compers_.fetch_sub(1, std::memory_order_relaxed);
         active_task_ = nullptr;
         metrics_.busy_seconds += busy.Seconds();
         ++metrics_.tasks_processed;
@@ -101,13 +76,10 @@ class Engine::Comper : public ComputeContext {
         sched->OnComputeResult(std::move(task), status, local_);
         continue;
       }
-      // No work found anywhere: maybe everything is finished; otherwise
-      // nap briefly (other threads hold decomposable or suspended tasks).
+      // No work found here: nap briefly. Only the coordinator can tell
+      // whether the whole cluster is done (a peer may still send work).
       WallTimer idle;
-      engine_->MaybeFinish();
-      if (!engine_->done_.load()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
       metrics_.idle_seconds += idle.Seconds();
     }
   }
@@ -115,26 +87,28 @@ class Engine::Comper : public ComputeContext {
   // ---- ComputeContext ----
 
   AdjRef Fetch(VertexId v) override {
-    if (active_task_ != nullptr && !worker_->data->IsLocal(v)) {
+    DataService* data = engine_->data_.get();
+    if (active_task_ != nullptr && !data->IsLocal(v)) {
       if (const auto* pin = active_task_->pulls().Find(v)) {
         CountPinHit();
         return AdjRef{
             std::span<const VertexId>((*pin)->data(), (*pin)->size()), *pin};
       }
     }
-    return worker_->data->Fetch(v);
+    return data->Fetch(v);
   }
 
   bool Request(VertexId v) override {
     QCM_CHECK(active_task_ != nullptr)
         << "Request() outside a compute round";
-    if (worker_->data->IsLocal(v)) return true;
+    DataService* data = engine_->data_.get();
+    if (data->IsLocal(v)) return true;
     TaskPullState& pulls = active_task_->pulls();
     if (pulls.Find(v) != nullptr) {
       CountPinHit();
       return true;
     }
-    if (auto cached = worker_->data->TryCached(v)) {
+    if (auto cached = data->TryCached(v)) {
       // Pin the cache copy so a later Fetch cannot lose it to eviction.
       pulls.Pin(v, std::move(cached));
       return true;
@@ -143,10 +117,10 @@ class Engine::Comper : public ComputeContext {
     return false;
   }
 
-  uint32_t Degree(VertexId v) override { return worker_->data->Degree(v); }
+  uint32_t Degree(VertexId v) override { return engine_->table_->Degree(v); }
 
   void AddTask(TaskPtr task) override {
-    worker_->sched->SubmitNew(std::move(task), local_);
+    engine_->sched_->SubmitNew(std::move(task), local_);
   }
 
   ResultSink& sink() override { return sink_; }
@@ -171,7 +145,6 @@ class Engine::Comper : public ComputeContext {
   }
 
   Engine* engine_;
-  Worker* worker_;
   Task* active_task_ = nullptr;  // task currently in Compute (pull target)
   bool active_task_first_round_ = false;
   LocalQueue local_;
@@ -183,8 +156,6 @@ namespace {
 
 /// Serializes a stolen batch into a kStealBatch payload, moving each
 /// task's lifecycle to kStolen (the receiver rehydrates kStolen->kReady).
-/// Shared by the in-process steal master and the coordinator-commanded
-/// steal path so the wire format and lifecycle recording cannot drift.
 /// With checkpointing on, shipping a task taints its root: the subtree's
 /// completion is no longer locally observable, so the root must never be
 /// checkpointed as done.
@@ -201,43 +172,18 @@ std::string EncodeStealBatchPayload(const std::vector<TaskPtr>& tasks,
   return enc.Release();
 }
 
-/// Mirrors a telemetry sample into local trace counter tracks (the
-/// per-rank half of the kStats stream; the coordinator renders the
-/// cluster-wide half from the frames themselves).
-void RecordStatsCounters(const WireStatsSample& s) {
-  if (!trace::Enabled()) return;
-  trace::EmitCounter(QCM_TRACE_NAME("queue_depth"), trace::kStats,
-                     s.queue_depth);
-  trace::EmitCounter(QCM_TRACE_NAME("inflight_bytes"), trace::kStats,
-                     s.inflight_bytes);
-  trace::EmitCounter(QCM_TRACE_NAME("busy_compers"), trace::kStats,
-                     s.busy_compers);
-  trace::EmitCounter(QCM_TRACE_NAME("tasks_completed"), trace::kStats,
-                     s.tasks_completed);
-  trace::EmitCounter(QCM_TRACE_NAME("cache_hits"), trace::kStats,
-                     s.cache_hits);
-  trace::EmitCounter(QCM_TRACE_NAME("cache_misses"), trace::kStats,
-                     s.cache_misses);
-  trace::EmitCounter(
-      QCM_TRACE_NAME("pending_tasks"), trace::kStats,
-      static_cast<uint64_t>(s.pending < 0 ? 0 : s.pending));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(const Graph* graph, EngineConfig config, App* app)
-    : graph_(graph), config_(std::move(config)), app_(app) {}
-
 Engine::Engine(std::unique_ptr<VertexTable> table, EngineConfig config,
                App* app, Transport* transport)
-    : graph_(nullptr),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       app_(app),
       transport_(transport),
+      rank_(transport->rank()),
       table_(std::move(table)) {}
 
 Engine::~Engine() {
@@ -246,36 +192,17 @@ Engine::~Engine() {
   }
 }
 
-bool Engine::SpawnExhausted() const {
-  for (const auto& worker : workers_) {
-    if (!worker->sched->SpawnExhausted()) return false;
-  }
-  return true;
-}
-
-void Engine::MaybeFinish() {
-  // Distributed mode: local quiescence proves nothing -- a peer may still
-  // route work here. The coordinator's distributed detection (fed by
-  // StatusLoop) is the only authority that may set done_.
-  if (distributed()) return;
-  // Order matters: a spawner increments active_spawners_ before claiming a
-  // cursor slot, so reading spawners==0 after cursors-exhausted guarantees
-  // no task materializes after our pending_ read.
-  if (!SpawnExhausted()) return;
-  if (active_spawners_.load() != 0) return;
-  if (pending_.load() != 0) return;
-  done_.store(true);
+uint64_t Engine::PendingBig() const {
+  return global_queue_->ApproxSize() + big_spill_->PendingTasks();
 }
 
 WireStatsSample Engine::SampleStats() const {
   WireStatsSample s;
-  s.epoch = distributed() ? transport_->epoch() : 0;
+  s.epoch = transport_->epoch();
   s.ts_usec = static_cast<uint64_t>(NowMicros());
-  for (const auto& w : workers_) {
-    s.queue_depth += w->PendingBig();
-    s.busy_compers += static_cast<uint32_t>(
-        std::max(0, w->busy_compers.load(std::memory_order_relaxed)));
-  }
+  s.queue_depth = PendingBig();
+  s.busy_compers = static_cast<uint32_t>(
+      std::max(0, busy_compers_.load(std::memory_order_relaxed)));
   s.inflight_bytes =
       counters_.msg_inflight_bytes.load(std::memory_order_relaxed);
   s.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
@@ -286,29 +213,16 @@ WireStatsSample Engine::SampleStats() const {
   return s;
 }
 
-void Engine::StatsSamplerLoop() {
-  trace::SetThreadName("stats_sampler");
-  const int64_t interval_usec = config_.stats_interval_ms * 1000;
-  while (!done_.load()) {
-    RecordStatsCounters(SampleStats());
-    // Sleep one interval in small slices so termination is not delayed.
-    int64_t slept = 0;
-    while (!done_.load() && slept < interval_usec) {
-      const int64_t slice = std::min<int64_t>(1000, interval_usec - slept);
-      std::this_thread::sleep_for(std::chrono::microseconds(slice));
-      slept += slice;
-    }
-  }
-}
-
 void Engine::StatusLoop() {
   // Publish this rank's termination inputs until the coordinator declares
-  // global quiescence. Read order mirrors MaybeFinish: spawn state first,
-  // then processed frames, then pending -- the transport snapshots its
-  // per-peer sent counters after all of these inside PublishStatus --
-  // combined with the wire-boundary pending accounting this keeps
-  // in-flight work visible in every snapshot the coordinator can
-  // assemble.
+  // global quiescence. Read order: spawn state first (a spawner
+  // increments active_spawners_ before claiming a cursor slot, so reading
+  // spawners == 0 after the cursor is exhausted proves no task
+  // materializes later), then processed frames, then pending -- the
+  // transport snapshots its per-peer sent counters after all of these
+  // inside PublishStatus. Combined with the wire-boundary pending
+  // accounting this keeps in-flight work visible in every snapshot the
+  // coordinator can assemble.
   trace::SetThreadName("status_loop");
   uint64_t last_stats_usec = 0;
   const uint64_t stats_interval_usec =
@@ -317,14 +231,15 @@ void Engine::StatusLoop() {
           : 0;
   for (;;) {
     RankStatus status;
-    status.spawn_done = SpawnExhausted() && active_spawners_.load() == 0;
+    status.spawn_done =
+        sched_->SpawnExhausted() && active_spawners_.load() == 0;
     status.processed_from.resize(processed_from_.size());
     for (size_t r = 0; r < processed_from_.size(); ++r) {
       status.processed_from[r] =
           processed_from_[r].load(std::memory_order_acquire);
     }
     status.pending = pending_.load();
-    status.pending_big = workers_[0]->PendingBig();
+    status.pending_big = PendingBig();
     // Mean observed delivery latency so far: the coordinator's input to
     // latency-aware steal planning (it cannot see our fabric directly).
     uint64_t delivered = 0;
@@ -341,9 +256,8 @@ void Engine::StatusLoop() {
       const uint64_t now = static_cast<uint64_t>(NowMicros());
       if (now - last_stats_usec >= stats_interval_usec) {
         last_stats_usec = now;
-        // The coordinator renders these into the merged trace's counter
-        // tracks (and the launcher ticker); recording them locally too
-        // would double every track in the merged timeline.
+        // The launcher renders these into the merged trace's counter
+        // tracks (and qcm_cluster's ticker).
         transport_->PublishStats(SampleStats());
       }
     }
@@ -359,8 +273,7 @@ void Engine::ReinjectStealPayload(std::string payload, bool add_pending) {
   if (add_pending) pending_.fetch_add(count.value());
   counters_.replayed_tasks.fetch_add(count.value(),
                                      std::memory_order_relaxed);
-  fabric_->Inject(MessageType::kStealBatch, first_machine(),
-                  std::move(payload));
+  fabric_->Inject(MessageType::kStealBatch, rank_, std::move(payload));
 }
 
 void Engine::OnPeerDown(int peer) {
@@ -373,7 +286,7 @@ void Engine::OnPeerDown(int peer) {
   const size_t dropped = fabric_->DropRequestsFrom(peer);
   processed_from_[peer].store(0, std::memory_order_release);
   if (dropped > 0) {
-    QCM_ILOG << "rank " << first_machine() << ": dropped " << dropped
+    QCM_ILOG << "rank " << rank_ << ": dropped " << dropped
              << " queued pull request(s) from dead rank " << peer;
   }
   std::vector<std::string> retained;
@@ -388,9 +301,8 @@ void Engine::OnPeerDown(int peer) {
     ReinjectStealPayload(std::move(payload), /*add_pending=*/true);
   }
   if (!retained.empty()) {
-    QCM_ILOG << "rank " << first_machine() << ": re-injected "
-             << retained.size() << " steal batch(es) shipped to dead rank "
-             << peer;
+    QCM_ILOG << "rank " << rank_ << ": re-injected " << retained.size()
+             << " steal batch(es) shipped to dead rank " << peer;
   }
 }
 
@@ -399,10 +311,10 @@ void Engine::OnPeerUp(int peer) {
   // ask the replacement (same partition) again. Parked tasks stayed
   // counted in pending_ throughout, so termination never raced past
   // them.
-  const size_t requeued = workers_[0]->broker->RequeueInflightFor(peer);
+  const size_t requeued = broker_->RequeueInflightFor(peer);
   if (requeued > 0) {
-    QCM_ILOG << "rank " << first_machine() << ": re-requesting "
-             << requeued << " vertex pull(s) from recovered rank " << peer;
+    QCM_ILOG << "rank " << rank_ << ": re-requesting " << requeued
+             << " vertex pull(s) from recovered rank " << peer;
   }
 }
 
@@ -413,8 +325,8 @@ void Engine::OnWireData(int src, uint8_t type, std::string payload,
       << " from rank " << src;
   const MessageType mtype = static_cast<MessageType>(type);
   if (mtype == MessageType::kStealBatch) {
-    // The batch's tasks enter this process's pending accounting before
-    // the frame counts as processed (transport.h's counting discipline).
+    // The batch's tasks enter this engine's pending accounting before the
+    // frame counts as processed (transport.h's counting discipline).
     auto count = StealBatchTaskCount(payload);
     QCM_CHECK(count.ok()) << "corrupt steal batch from rank " << src << ": "
                           << count.status().ToString();
@@ -437,10 +349,10 @@ void Engine::OnWireData(int src, uint8_t type, std::string payload,
 
 void Engine::OnStealCommand(int receiver, uint64_t want) {
   QCM_CHECK(receiver >= 0 && receiver < config_.num_machines &&
-            receiver != first_machine())
+            receiver != rank_)
       << "steal command with bad receiver " << receiver;
   if (want == 0 || done_.load()) return;
-  std::vector<TaskPtr> tasks = workers_[0]->global_queue->StealBatch(want);
+  std::vector<TaskPtr> tasks = global_queue_->StealBatch(want);
   if (tasks.empty()) return;  // the coordinator's estimate was stale
   std::string payload =
       EncodeStealBatchPayload(tasks, &counters_, root_progress_.get());
@@ -461,7 +373,7 @@ void Engine::OnStealCommand(int receiver, uint64_t want) {
     retained_steals_[receiver].push_back(payload);
   }
   // Send first (the frame is counted as sent before the wire write), only
-  // then drop the tasks from this process's pending accounting: the
+  // then drop the tasks from this engine's pending accounting: the
   // coordinator always sees the batch as either local work or an
   // unprocessed frame, never as nothing.
   if (trace::Enabled()) {
@@ -469,76 +381,11 @@ void Engine::OnStealCommand(int receiver, uint64_t want) {
                     QCM_TRACE_NAME("steal_flow"), trace::kLifecycle,
                     Fingerprint(payload));
   }
-  fabric_->Send(MessageType::kStealBatch, first_machine(), receiver,
-                std::move(payload));
+  fabric_->Send(MessageType::kStealBatch, receiver, std::move(payload));
   pending_.fetch_sub(static_cast<int64_t>(tasks.size()));
   counters_.steal_events.fetch_add(1, std::memory_order_relaxed);
   counters_.stolen_tasks.fetch_add(tasks.size(), std::memory_order_relaxed);
   counters_.steal_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void Engine::StealLoop() {
-  // Nothing will ever be stolen: exit instead of waking every period
-  // forever (Engine::Run does not even spawn the thread in this case,
-  // but keep the guard for direct callers).
-  if (!config_.enable_stealing || workers_.size() < 2) return;
-
-  trace::SetThreadName("steal_loop");
-  WallTimer lifetime;
-  double active_seconds = 0.0;
-  while (!done_.load()) {
-    // Sleep one balancing period in small slices so termination is not
-    // delayed by a long period.
-    WallTimer napped;
-    while (!done_.load() && napped.Seconds() < config_.steal_period_sec) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min<int64_t>(1000, static_cast<int64_t>(
-                                      config_.steal_period_sec * 1e6) + 1)));
-    }
-    if (done_.load()) break;
-
-    // Periodic balancing round: the shared steal planner (the same plan
-    // the cluster Coordinator runs, paper §5) computes the moves, sized
-    // per link by the RTT EWMAs the fabric feeds -- larger, rarer
-    // batches on slow links.
-    WallTimer active;
-    std::vector<uint64_t> counts(workers_.size());
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      counts[i] = workers_[i]->PendingBig();
-    }
-    StealPlannerOptions opts;
-    opts.base_batch = config_.batch_size;
-    opts.rtt_reference_sec = config_.steal_rtt_reference_sec;
-    opts.max_batch_factor = config_.steal_max_batch_factor;
-    for (const StealMove& move : PlanSteals(counts, opts, rtt_.get())) {
-      std::vector<TaskPtr> tasks =
-          workers_[move.donor]->global_queue->StealBatch(move.want);
-      if (tasks.empty()) continue;  // the plan's estimate was stale
-
-      // Serialize the batch into one kStealBatch message; the fabric
-      // delivers it into the receiver's global queue on a later service,
-      // so the transfer overlaps with mining on both ends instead
-      // of blocking this thread. The tasks remain counted in pending_
-      // throughout the flight, so termination cannot race past them.
-      std::string payload =
-          EncodeStealBatchPayload(tasks, &counters_, root_progress_.get());
-      const uint64_t bytes = payload.size();
-      fabric_->Send(MessageType::kStealBatch, move.donor, move.receiver,
-                    std::move(payload));
-      counters_.steal_events.fetch_add(1, std::memory_order_relaxed);
-      counters_.stolen_tasks.fetch_add(tasks.size(),
-                                       std::memory_order_relaxed);
-      counters_.steal_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    }
-    active_seconds += active.Seconds();
-  }
-  counters_.steal_active_usec.fetch_add(
-      static_cast<uint64_t>(active_seconds * 1e6),
-      std::memory_order_relaxed);
-  counters_.steal_idle_usec.fetch_add(
-      static_cast<uint64_t>(
-          std::max(0.0, lifetime.Seconds() - active_seconds) * 1e6),
-      std::memory_order_relaxed);
 }
 
 StatusOr<EngineReport> Engine::Run() {
@@ -547,18 +394,15 @@ StatusOr<EngineReport> Engine::Run() {
   }
   ran_ = true;
   QCM_RETURN_IF_ERROR(config_.Validate());
-  if (distributed()) {
-    if (config_.num_machines != transport_->world_size()) {
-      return Status::InvalidArgument(
-          "num_machines (" + std::to_string(config_.num_machines) +
-          ") must equal the transport world size (" +
-          std::to_string(transport_->world_size()) + ")");
-    }
-    QCM_CHECK(table_ != nullptr && table_->partitioned() &&
-              table_->local_rank() == transport_->rank() &&
-              table_->NumMachines() == config_.num_machines)
-        << "distributed engine needs a matching partitioned vertex table";
+  if (config_.num_machines != transport_->world_size()) {
+    return Status::InvalidArgument(
+        "num_machines (" + std::to_string(config_.num_machines) +
+        ") must equal the transport world size (" +
+        std::to_string(transport_->world_size()) + ")");
   }
+  QCM_CHECK(table_ != nullptr && table_->rank() == rank_ &&
+            table_->NumMachines() == config_.num_machines)
+      << "engine needs the vertex table of its own rank";
 
   // Spill directory.
   if (config_.spill_dir.empty()) {
@@ -574,16 +418,16 @@ StatusOr<EngineReport> Engine::Run() {
     ::mkdir(spill_dir_.c_str(), 0755);
   }
 
-  // Durable progress checkpointing (distributed mode only: the recovery
-  // protocol that consumes it lives in the cluster coordinator). A
-  // replacement incarnation (epoch > 0) replays its predecessor's log
-  // before mining: replayed results join the final report, fully-mined
-  // roots are skipped at spawn time.
-  if (distributed() && !config_.checkpoint_dir.empty()) {
+  // Durable progress checkpointing (the recovery protocol that consumes
+  // it lives in the cluster coordinator). A replacement incarnation
+  // (epoch > 0) replays its predecessor's log before mining: replayed
+  // results join the final report, fully-mined roots are skipped at spawn
+  // time.
+  if (!config_.checkpoint_dir.empty()) {
     ckpt_log_ = std::make_unique<CheckpointLog>();
     CheckpointLog::LoadResult replay;
-    const std::string dir = config_.checkpoint_dir + "/rank" +
-                            std::to_string(transport_->rank());
+    const std::string dir =
+        config_.checkpoint_dir + "/rank" + std::to_string(rank_);
     QCM_RETURN_IF_ERROR(ckpt_log_->Open(dir, transport_->epoch(),
                                         config_.checkpoint_interval_sec,
                                         &replay));
@@ -593,8 +437,8 @@ StatusOr<EngineReport> Engine::Run() {
                                       std::memory_order_relaxed);
     root_progress_ = std::make_unique<RootProgress>(ckpt_log_.get());
     if (transport_->epoch() > 0) {
-      QCM_ILOG << "rank " << transport_->rank() << " epoch "
-               << transport_->epoch() << ": replayed " << replay.records
+      QCM_ILOG << "rank " << rank_ << " epoch " << transport_->epoch()
+               << ": replayed " << replay.records
                << " checkpoint record(s) (" << recovered_results_.size()
                << " results, " << completed_roots_.size()
                << " completed roots, " << replay.torn_bytes
@@ -603,157 +447,96 @@ StatusOr<EngineReport> Engine::Run() {
   }
 
   WallTimer wall;
-  if (!distributed()) {
-    table_ = std::make_unique<VertexTable>(graph_, config_.num_machines);
-  }
-  fabric_ = std::make_unique<CommFabric>(
-      config_.num_machines, config_.net_latency_sec, &counters_,
-      transport_);
-  // Per-link delivery-latency EWMAs, measured off fabric message
-  // timestamps; the steal planner sizes batches from them. Alpha 0.25:
-  // converge within a few deliveries yet absorb one-off stalls.
-  rtt_ = std::make_unique<LinkRttTracker>(config_.num_machines, 0.25);
-  fabric_->SetRttTracker(rtt_.get());
-  // Machines hosted by this process: all of them when simulated, exactly
-  // the transport's rank when distributed.
-  std::vector<int> local_machines;
-  if (distributed()) {
-    local_machines.push_back(transport_->rank());
-  } else {
-    for (int m = 0; m < config_.num_machines; ++m) {
-      local_machines.push_back(m);
-    }
-  }
-  workers_.clear();
-  for (int m : local_machines) {
-    auto w = std::make_unique<Worker>();
-    w->id = m;
-    w->data = std::make_unique<DataService>(
-        table_.get(), m, config_.vertex_cache_capacity, &counters_);
-    w->broker = std::make_unique<PullBroker>(
-        w->data.get(), m, config_.max_pull_batch, &counters_);
-    w->small_spill = std::make_unique<SpillManager>(
-        spill_dir_, "w" + std::to_string(m) + "_small", &counters_);
-    w->big_spill = std::make_unique<SpillManager>(
-        spill_dir_, "w" + std::to_string(m) + "_big", &counters_);
-    w->global_queue = std::make_unique<GlobalQueue>(
-        config_.global_queue_capacity, config_.batch_size,
-        w->big_spill.get(), app_, &counters_);
-    Scheduler::Deps deps;
-    deps.machine = m;
-    deps.config = &config_;
-    deps.app = app_;
-    deps.table = table_.get();
-    deps.data = w->data.get();
-    deps.broker = w->broker.get();
-    deps.global_queue = w->global_queue.get();
-    deps.small_spill = w->small_spill.get();
-    deps.counters = &counters_;
-    deps.pending = &pending_;
-    deps.active_spawners = &active_spawners_;
-    deps.root_progress = root_progress_.get();
-    deps.completed_roots =
-        root_progress_ != nullptr ? &completed_roots_ : nullptr;
-    w->sched = std::make_unique<Scheduler>(deps);
-    workers_.push_back(std::move(w));
-  }
-  fabric_->SetBusyProbe([this](int machine) {
-    for (const auto& w : workers_) {
-      if (w->id == machine) {
-        return w->busy_compers.load(std::memory_order_relaxed);
-      }
-    }
-    return 0;
+  fabric_ = std::make_unique<CommFabric>(config_.net_latency_sec, &counters_,
+                                         transport_);
+  data_ = std::make_unique<DataService>(
+      table_.get(), config_.vertex_cache_capacity, &counters_);
+  broker_ = std::make_unique<PullBroker>(data_.get(), config_.max_pull_batch,
+                                         &counters_);
+  const std::string prefix = "w" + std::to_string(rank_);
+  small_spill_ =
+      std::make_unique<SpillManager>(spill_dir_, prefix + "_small", &counters_);
+  big_spill_ =
+      std::make_unique<SpillManager>(spill_dir_, prefix + "_big", &counters_);
+  global_queue_ = std::make_unique<GlobalQueue>(
+      config_.global_queue_capacity, config_.batch_size, big_spill_.get(),
+      app_, &counters_);
+  Scheduler::Deps deps;
+  deps.config = &config_;
+  deps.app = app_;
+  deps.table = table_.get();
+  deps.data = data_.get();
+  deps.broker = broker_.get();
+  deps.global_queue = global_queue_.get();
+  deps.small_spill = small_spill_.get();
+  deps.counters = &counters_;
+  deps.pending = &pending_;
+  deps.active_spawners = &active_spawners_;
+  deps.root_progress = root_progress_.get();
+  deps.completed_roots =
+      root_progress_ != nullptr ? &completed_roots_ : nullptr;
+  sched_ = std::make_unique<Scheduler>(deps);
+  fabric_->SetBusyProbe(
+      [this] { return busy_compers_.load(std::memory_order_relaxed); });
+
+  transport_->SetDataHandler([this](int src, uint8_t type,
+                                    std::string payload,
+                                    uint64_t wire_transit_usec) {
+    OnWireData(src, type, std::move(payload), wire_transit_usec);
   });
+  processed_from_ = std::vector<std::atomic<uint64_t>>(config_.num_machines);
+  retained_steals_.resize(config_.num_machines);
+  Transport::ControlHooks hooks;
+  hooks.on_terminate = [this] { done_.store(true); };
+  hooks.on_steal_command = [this](int receiver, uint64_t want) {
+    OnStealCommand(receiver, want);
+  };
+  hooks.on_peer_down = [this](int peer) { OnPeerDown(peer); };
+  hooks.on_peer_up = [this](int peer) { OnPeerUp(peer); };
+  transport_->SetControlHooks(std::move(hooks));
+  transport_->ConfigureCoalescing(
+      {config_.net_coalesce_bytes, config_.net_linger_usec});
+  QCM_RETURN_IF_ERROR(transport_->Start());
 
-  if (distributed()) {
-    transport_->SetDataHandler(
-        [this](int src, uint8_t type, std::string payload,
-               uint64_t wire_transit_usec) {
-          OnWireData(src, type, std::move(payload), wire_transit_usec);
-        });
-    processed_from_ =
-        std::vector<std::atomic<uint64_t>>(config_.num_machines);
-    retained_steals_.resize(config_.num_machines);
-    Transport::ControlHooks hooks;
-    hooks.on_terminate = [this] { done_.store(true); };
-    hooks.on_steal_command = [this](int receiver, uint64_t want) {
-      OnStealCommand(receiver, want);
-    };
-    hooks.on_peer_down = [this](int peer) { OnPeerDown(peer); };
-    hooks.on_peer_up = [this](int peer) { OnPeerUp(peer); };
-    transport_->SetControlHooks(std::move(hooks));
-    transport_->ConfigureCoalescing(
-        {config_.net_coalesce_bytes, config_.net_linger_usec});
-    QCM_RETURN_IF_ERROR(transport_->Start());
-  }
-
-  // The process's one pull responder answers every hosted machine's peer
-  // requests (any that arrived since Start wait in its queue); in
-  // distributed mode an answered request then counts as processed
-  // (transport.h). Stopped below once the compers have joined.
+  // The pull responder answers peers' requests (any that arrived since
+  // Start wait in its queue); an answered request then counts as
+  // processed (transport.h). Stopped below once the compers have joined.
   fabric_->StartResponder(
-      [this](int owner, const std::string& request) {
-        return workers_[owner - first_machine()]->broker->ServeRequest(
-            request);
+      [this](const std::string& request) {
+        return broker_->ServeRequest(request);
       },
       [this](int src) {
-        if (distributed()) {
-          processed_from_[src].fetch_add(1, std::memory_order_acq_rel);
-        }
+        processed_from_[src].fetch_add(1, std::memory_order_acq_rel);
       });
 
   std::vector<std::unique_ptr<Comper>> compers;
-  for (const auto& w : workers_) {
-    for (int t = 0; t < config_.threads_per_machine; ++t) {
-      compers.push_back(std::make_unique<Comper>(this, w.get(), w->id, t));
-    }
+  for (int t = 0; t < config_.threads_per_machine; ++t) {
+    compers.push_back(std::make_unique<Comper>(this, t));
   }
-
   std::vector<std::thread> threads;
   threads.reserve(compers.size() + 1);
   for (auto& comper : compers) {
     threads.emplace_back([&comper] { comper->Run(); });
   }
-  // Simulated mode runs the in-process steal master (when it could ever
-  // move work); distributed mode instead reports status upward and lets
-  // the coordinator master steals and termination.
-  std::thread control_thread;
-  if (distributed()) {
-    control_thread = std::thread([this] { StatusLoop(); });
-  } else if (config_.enable_stealing && workers_.size() >= 2) {
-    control_thread = std::thread([this] { StealLoop(); });
-  }
-  // Distributed mode samples from StatusLoop; simulated mode needs its
-  // own cadence thread, and only when the samples have somewhere to go
-  // (the trace).
-  std::thread stats_thread;
-  if (!distributed() && trace::Enabled() && config_.stats_interval_ms > 0) {
-    stats_thread = std::thread([this] { StatsSamplerLoop(); });
-  }
+  threads.emplace_back([this] { StatusLoop(); });
   for (std::thread& t : threads) t.join();
-  if (control_thread.joinable()) control_thread.join();
-  if (stats_thread.joinable()) stats_thread.join();
   fabric_->StopResponder();
 
-  if (distributed() && !transport_->healthy()) {
+  if (!transport_->healthy()) {
     return Status::Aborted(
         "transport failed before global termination; partial mining state "
         "discarded");
   }
   QCM_CHECK(pending_.load() == 0) << "engine finished with pending tasks";
   // Every meaningful message holds a pending task (parked or stolen), so
-  // a clean shutdown leaves the fabric -- inboxes and responder queue --
+  // a clean shutdown leaves the fabric -- inbox and responder queue --
   // empty; drain defensively and fail loudly if the invariant broke rather
   // than silently losing work.
-  for (const auto& worker : workers_) {
-    auto leftover = fabric_->Drain(worker->id);
-    QCM_CHECK(leftover.empty())
-        << "engine finished with " << leftover.size()
-        << " undelivered fabric message(s) for machine " << worker->id
-        << " (first type: "
-        << MessageTypeName(leftover.front().type) << ")";
-  }
+  auto leftover = fabric_->Drain();
+  QCM_CHECK(leftover.empty())
+      << "engine finished with " << leftover.size()
+      << " undelivered fabric message(s) on rank " << rank_
+      << " (first type: " << MessageTypeName(leftover.front().type) << ")";
 
   // Final checkpoint flush, then freeze the log's totals into the
   // counters before the snapshot below captures them.
@@ -769,18 +552,15 @@ StatusOr<EngineReport> Engine::Run() {
   EngineReport report;
   report.wall_seconds = wall.Seconds();
   report.counters = EngineCountersSnapshot::From(counters_);
-  if (distributed()) {
-    // Shutdown's forced flush has not run yet, but the engine only gets
-    // here after termination drained every frame, so the buffers are
-    // already empty and the stats are final.
-    report.counters.AddFlushStats(transport_->FlushStats());
-  }
-  if (table_ != nullptr && table_->paged_store() != nullptr) {
+  // Shutdown's forced flush has not run yet, but the engine only gets
+  // here after termination drained every frame, so the buffers are
+  // already empty and the stats are final.
+  report.counters.AddFlushStats(transport_->FlushStats());
+  if (table_->paged_store() != nullptr) {
     report.counters.AddPagedStoreStats(table_->paged_store()->stats());
   }
   report.peak_rss_bytes = PeakRssBytes();
 
-  std::unordered_map<VertexId, RootTaskAgg> root_aggs;
   for (auto& comper : compers) {
     ThreadMetrics& tm = comper->metrics_;
     report.mining.Add(tm.mining_stats);
@@ -802,20 +582,11 @@ StatusOr<EngineReport> Engine::Run() {
       report.results.push_back(std::move(set));
     }
     for (const auto& [root, agg] : tm.root_agg) {
-      RootTaskAgg& merged = root_aggs[root];
-      merged.root = root;
-      merged.mining_seconds += agg.mining_seconds;
-      merged.tasks += agg.tasks;
-      if (agg.subgraph_vertices != 0) {
-        merged.subgraph_vertices = agg.subgraph_vertices;
-        merged.subgraph_edges = agg.subgraph_edges;
-      }
+      report.root_tasks.push_back(agg);
     }
   }
-  report.root_tasks.reserve(root_aggs.size());
-  for (auto& [root, agg] : root_aggs) {
-    report.root_tasks.push_back(agg);
-  }
+  // A root's subtasks may have run on several compers.
+  FoldRootTasks(&report.root_tasks);
   // Results replayed from a crashed predecessor's checkpoint join the
   // freshly mined ones; overlap between the two (roots the predecessor
   // finished partially) is exact duplicates the downstream FilterMaximal
@@ -826,10 +597,8 @@ StatusOr<EngineReport> Engine::Run() {
   recovered_results_.clear();
 
   // All spill files should have been consumed; clean up defensively.
-  for (auto& worker : workers_) {
-    worker->small_spill->RemoveAll();
-    worker->big_spill->RemoveAll();
-  }
+  small_spill_->RemoveAll();
+  big_spill_->RemoveAll();
   return report;
 }
 

@@ -1,9 +1,15 @@
-// The reforged G-thinker engine (paper §5): an in-process simulation of a
-// cluster of machines, each running mining threads ("compers") over
-// thread-local small-task queues plus a machine-wide global big-task queue,
-// with disk spilling (L_small / L_big), prioritized big-task scheduling,
-// batched task spawning, and master-coordinated stealing of big tasks
-// between machines.
+// The reforged G-thinker engine (paper §5): ONE machine of a cluster,
+// running mining threads ("compers") over thread-local small-task queues
+// plus a machine-wide global big-task queue, with disk spilling (L_small /
+// L_big), prioritized big-task scheduling, batched task spawning, and
+// coordinator-commanded stealing of big tasks between machines.
+//
+// A cluster is N engines, one per rank, each over its own Transport and
+// its rank's partition of the graph (VertexTable), under the Coordinator
+// (net/coordinator.h), the paper's master. Two launchers build it:
+// net/local_cluster.h runs the ranks as threads of one process (qcm_mine,
+// ParallelMiner), and qcm_cluster runs one qcm_worker process per rank.
+// The engine cannot tell the two apart.
 //
 // Scheduling policy -- task lifecycle, admission/routing, the spawn-time
 // prefetch pipeline, local-queue spill/refill, park/resume -- lives in
@@ -20,36 +26,27 @@
 //      prefetch stage runs) -- stopping early if a spawned task is big.
 //   2. Scheduler::OnComputeResult folds the round's outcome back into
 //      the lifecycle.
-//   3. No work anywhere: idle briefly and re-check for termination.
+//   3. No work anywhere: idle briefly and look again.
 //
 // A task whose compute round Request()ed vertices that are neither local,
 // pinned, nor cached returns kSuspended: it yields its comper and parks in
 // the machine's PullBroker until batched kPullRequest/kPullResponse
-// messages -- delayed by the fabric's modeled network latency -- have
-// delivered (and pinned) every missing adjacency. Compers never answer a
-// peer's request: the fabric's one pull-responder thread per process
-// serves it from the owner's read-only vertex table while the owner's
-// compers keep mining (paper §5's communication thread). Steal transfers
-// ride the same fabric as kStealBatch messages, so transfer time overlaps
-// with mining on both machines instead of blocking the steal master; the
-// balancing plan itself (shared with the cluster Coordinator) comes from
-// sched/steal_planner.h, sized per link by the RTT EWMAs the fabric
-// feeds into a LinkRttTracker.
+// messages have delivered (and pinned) every missing adjacency. Compers
+// never answer a peer's request: the fabric's pull-responder thread
+// serves it from the read-only vertex table while the compers keep mining
+// (paper §5's communication thread). Steal batches ride the same fabric
+// as kStealBatch messages, so transfer time overlaps with mining on both
+// machines.
 //
-// Process-per-machine mode: constructed with a Transport and a
-// partitioned VertexTable, the engine hosts exactly ONE machine (the
-// transport's rank) of a real multi-process cluster. The compute path is
-// identical -- same fabric message types, same scheduling discipline, same
-// pull protocol -- but remote fabric sends ride the wire, the in-process
-// steal master is replaced by the cluster coordinator's kStealCmd frames
-// (executed here against the local global queue), and local quiescence is
-// only reported upward (StatusLoop): termination arrives from the
-// coordinator's distributed detection instead of MaybeFinish. Pending-
-// task accounting crosses the wire with the tasks: a shipped steal batch
-// leaves this process's pending_ only after its frame was counted as
-// sent, and enters the receiver's pending_ before the frame is counted
-// as processed, so the coordinator can never observe a state where work
-// exists but no rank shows it.
+// Control plane: a status thread (StatusLoop) publishes this rank's
+// termination inputs and load upward; the coordinator answers with
+// kStealCmd frames (executed here against the local global queue) and,
+// once its distributed detection proves global quiescence, the
+// termination signal. Pending-task accounting crosses the wire with the
+// tasks: a shipped steal batch leaves this engine's pending count only
+// after its frame was counted as sent, and enters the receiver's before
+// the frame is counted as processed, so the coordinator can never observe
+// a state where work exists but no rank shows it.
 
 #ifndef QCM_GTHINKER_ENGINE_H_
 #define QCM_GTHINKER_ENGINE_H_
@@ -69,9 +66,7 @@
 #include "gthinker/task.h"
 #include "gthinker/task_queue.h"
 #include "gthinker/vertex_table.h"
-#include "graph/graph.h"
 #include "net/transport.h"
-#include "sched/rtt.h"
 #include "sched/scheduler.h"
 #include "util/status.h"
 
@@ -79,16 +74,11 @@ namespace qcm {
 
 class Engine {
  public:
-  /// Simulated mode: all of config.num_machines live in this process.
-  /// `graph` and `app` must outlive the engine.
-  Engine(const Graph* graph, EngineConfig config, App* app);
-
-  /// Process-per-machine mode: this engine runs machine
-  /// `transport->rank()` of a `transport->world_size()`-machine cluster
-  /// over a partitioned vertex table (config.num_machines must equal the
-  /// world size). `app` and `transport` must outlive the engine; the
-  /// transport must be connected but not yet started (Run() installs the
-  /// handlers and starts it).
+  /// Runs machine `transport->rank()` of a `transport->world_size()`-
+  /// machine cluster over that rank's vertex table (config.num_machines
+  /// must equal the world size). `app` and `transport` must outlive the
+  /// engine; the transport must be connected but not yet started (Run()
+  /// installs the handlers and starts it).
   Engine(std::unique_ptr<VertexTable> table, EngineConfig config, App* app,
          Transport* transport);
 
@@ -97,28 +87,20 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Executes the job to completion and returns the merged report (this
-  /// process's machines only; a cluster launcher merges per-rank
+  /// Executes the job until the coordinator declares global termination
+  /// and returns this rank's report (a launcher merges the ranks'
   /// reports). Run() may be called once per Engine instance.
   StatusOr<EngineReport> Run();
 
  private:
-  struct Worker;
   class Comper;
 
-  bool distributed() const { return transport_ != nullptr; }
-  /// Machine id of workers_[0] (the only worker in distributed mode).
-  int first_machine() const { return distributed() ? transport_->rank() : 0; }
-
-  void StealLoop();
   void StatusLoop();
-  /// One telemetry sample of this rank's live gauges (kStats payload /
-  /// trace counter tracks).
+  /// One telemetry sample of this rank's live gauges (kStats payload).
   WireStatsSample SampleStats() const;
-  /// Simulated-mode twin of StatusLoop's kStats cadence: records counter
-  /// trace events locally (there is no coordinator to ship them to).
-  /// Spawned only when tracing is on and stats_interval_ms > 0.
-  void StatsSamplerLoop();
+  /// Pending big tasks = Q_global + L_big (the quantity the coordinator's
+  /// steal planner balances across machines).
+  uint64_t PendingBig() const;
   void OnWireData(int src, uint8_t type, std::string payload,
                   uint64_t wire_transit_usec);
   void OnStealCommand(int receiver, uint64_t want);
@@ -137,26 +119,30 @@ class Engine {
   /// pending_ (shipped earlier; re-add them) from one caught before the
   /// ship (never decremented).
   void ReinjectStealPayload(std::string payload, bool add_pending);
-  void MaybeFinish();
-  bool SpawnExhausted() const;
 
-  const Graph* graph_;
   EngineConfig config_;
   App* app_;
-  Transport* transport_ = nullptr;
+  Transport* transport_;
+  const int rank_;
 
   std::unique_ptr<VertexTable> table_;
   std::unique_ptr<CommFabric> fabric_;
-  /// Per-link delivery-latency EWMAs (fed by the fabric, read by the
-  /// steal planner).
-  std::unique_ptr<LinkRttTracker> rtt_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // The machine's parts, built by Run().
+  std::unique_ptr<DataService> data_;
+  std::unique_ptr<PullBroker> broker_;         // batched vertex pulls
+  std::unique_ptr<SpillManager> small_spill_;  // L_small
+  std::unique_ptr<SpillManager> big_spill_;    // L_big
+  std::unique_ptr<GlobalQueue> global_queue_;  // Q_global
+  std::unique_ptr<Scheduler> sched_;           // the machine's policy
+  /// Compers currently inside App::Compute; sampled by the CommFabric at
+  /// enqueue time for the overlap-ratio metric.
+  std::atomic<int> busy_compers_{0};
   EngineCounters counters_;
 
   std::string spill_dir_;
   bool owns_spill_dir_ = false;
 
-  // ---- fault-tolerance state (distributed mode with checkpointing) ----
+  // ---- fault-tolerance state (with checkpointing) ----
   /// Durable progress log + replay of a crashed predecessor (see
   /// gthinker/checkpoint.h). Null when config_.checkpoint_dir is empty.
   std::unique_ptr<CheckpointLog> ckpt_log_;

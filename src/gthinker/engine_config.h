@@ -1,12 +1,12 @@
 // Configuration of the reforged G-thinker engine (paper §5-§6).
 //
-// The engine simulates a cluster in-process: `num_machines` Workers each own
-// a hash partition of the vertices, a global big-task queue, spill files and
-// `threads_per_machine` mining threads; a master thread rebalances big tasks
-// across workers ("task stealing"). A simulated machine stands in for one of
-// the paper's cluster nodes (16 machines x 32 threads there; the defaults
-// below are scaled to one host), and qcm_cluster runs the same engine with
-// one process per machine (README "Deployment").
+// A run is a cluster of `num_machines` engines, one per machine: each owns
+// a hash partition of the vertices, a global big-task queue, spill files
+// and `threads_per_machine` mining threads, and the coordinator rebalances
+// big tasks across machines ("task stealing"). qcm_mine runs the machines
+// as threads of one process and qcm_cluster as one process each (README
+// "Deployment"); either stands in for the paper's cluster (16 machines x
+// 32 threads there; the defaults below are scaled to one host).
 //
 // qcm_mine and qcm_cluster set these knobs through one shared flag table
 // (tools/cli.h) that only parses values; every range and contradiction
@@ -43,9 +43,9 @@ const char* DecomposeModeName(DecomposeMode mode);
 inline constexpr size_t kSpawnPrefetchLimit = 64;
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
-/// single-host simulation.
+/// single host.
 struct EngineConfig {
-  /// Simulated machines (the paper uses 16).
+  /// Machines, i.e. cluster ranks (the paper uses 16).
   int num_machines = 1;
   /// Mining threads per machine (the paper uses 32).
   int threads_per_machine = 2;
@@ -69,8 +69,8 @@ struct EngineConfig {
   /// system temp dir, removed after the run.
   std::string spill_dir;
 
-  /// Master load-balancing period (the paper uses 1 s; scaled down to
-  /// match single-host task granularity).
+  /// The coordinator's load-balancing period (the paper uses 1 s; scaled
+  /// down to match single-host task granularity).
   double steal_period_sec = 0.02;
   /// Balance big tasks across machines.
   bool enable_stealing = true;
@@ -107,8 +107,7 @@ struct EngineConfig {
   /// pre-latency behavior). Must be >= 0.
   double net_latency_sec = 0.0;
 
-  /// Transport send aggregation (process-per-machine mode; see
-  /// net/transport.h CoalesceConfig). Data frames park in a per-peer
+  /// Transport send aggregation (see net/transport.h CoalesceConfig). Data frames park in a per-peer
   /// buffer until it holds net_coalesce_bytes or the oldest frame has
   /// waited net_linger_usec, then the buffer flushes as one writev.
   /// Both 0 = coalescing off (every frame flushes immediately; the
@@ -123,12 +122,12 @@ struct EngineConfig {
   /// time) for the figure-reproduction benches.
   bool record_task_log = false;
 
-  /// Fault tolerance (process-per-machine mode). checkpoint_dir is the
+  /// Fault tolerance (qcm_cluster). checkpoint_dir is the
   /// shared root under which every rank keeps an append-only progress log
   /// at <checkpoint_dir>/rank<R>/log: emitted result sets and completed
   /// root ids, replayed by a replacement worker of the same rank so a
   /// crash never loses finished work. Empty = checkpointing off (the
-  /// single-process default; qcm_cluster supplies a directory).
+  /// default; qcm_cluster supplies a directory).
   std::string checkpoint_dir;
   /// Seconds between durability flushes of the progress log (appends are
   /// buffered in between; a crash re-mines at most this much work).
@@ -137,7 +136,7 @@ struct EngineConfig {
   /// Worker -> coordinator liveness beacon period in microseconds; the
   /// coordinator declares a rank dead when nothing (heartbeat, status,
   /// report) has arrived from it within its deadline. 0 = no heartbeat
-  /// thread (single-process runs).
+  /// thread. Worker processes only: in-process ranks send none.
   int64_t heartbeat_usec = 100000;
 
   /// Tracing + telemetry (util/trace.h). trace_out names the Chrome
@@ -148,18 +147,18 @@ struct EngineConfig {
   /// loads, keeping digests and kernel timings bit-identical to an
   /// untraced build). Each thread records into a trace::kRingKb ring.
   std::string trace_out;
-  /// Period of the engine's telemetry sampler in milliseconds: each tick
-  /// records queue depth / in-flight bytes / cache hit ratio / busy
-  /// compers as trace counters and, in distributed mode, ships them to
-  /// the coordinator as a kStats frame (the qcm_cluster ticker). 0 =
-  /// sampler off. Must be >= 0.
+  /// Period of the engine's telemetry samples in milliseconds: each rank
+  /// ships its queue depth / in-flight bytes / cache hits / busy compers
+  /// to the coordinator as a kStats frame, which the launcher renders as
+  /// trace counter tracks (and qcm_cluster's ticker). 0 = no samples.
+  /// Must be >= 0.
   int64_t stats_interval_ms = 500;
 
   /// Out-of-core graph storage (graph/csr_snapshot.h). graph_snapshot
   /// names a packed .qcsr file: every cluster worker mmaps it and serves
   /// its partition straight from the mapping (qcm_cluster packs once and
-  /// fills this in; a cluster job without one is rejected). Single-process
-  /// runs, which mine a resident Graph, leave it empty.
+  /// fills this in; a cluster job without one is rejected). In-process
+  /// ranks, which share a resident Graph, leave it empty.
   std::string graph_snapshot;
   /// Page size (bytes) qcm_pack stamps into new snapshots and the
   /// residency granularity of the paged store. Power of two, >= 4096.

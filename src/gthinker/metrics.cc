@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "graph/paged_adjacency.h"
 #include "util/serde.h"
@@ -68,8 +69,6 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   s.msg_latency_usec_sum =
       c.msg_latency_usec_sum.load(std::memory_order_relaxed);
   s.msg_overlapped = c.msg_overlapped.load(std::memory_order_relaxed);
-  s.steal_idle_usec = c.steal_idle_usec.load(std::memory_order_relaxed);
-  s.steal_active_usec = c.steal_active_usec.load(std::memory_order_relaxed);
   s.replayed_tasks = c.replayed_tasks.load(std::memory_order_relaxed);
   s.recovered_results = c.recovered_results.load(std::memory_order_relaxed);
   s.completed_roots_skipped =
@@ -200,7 +199,6 @@ constexpr CounterField kCounterFields[] = {
     {"msg_latency_usec_sum", &EngineCountersSnapshot::msg_latency_usec_sum,
      false},
     {"msg_overlapped", &EngineCountersSnapshot::msg_overlapped, false},
-    {"steal_idle_usec", &EngineCountersSnapshot::steal_idle_usec, false},
     {"steal_active_usec", &EngineCountersSnapshot::steal_active_usec, false},
     {"replayed_tasks", &EngineCountersSnapshot::replayed_tasks, false},
     {"recovered_results", &EngineCountersSnapshot::recovered_results, false},
@@ -376,9 +374,30 @@ Status DecodeEngineReport(Decoder* dec, EngineReport* report) {
   return Status::OK();
 }
 
-EngineReport MergeEngineReports(const std::vector<EngineReport>& reports) {
+void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks) {
+  std::unordered_map<VertexId, RootTaskAgg> by_root;
+  for (const RootTaskAgg& agg : *root_tasks) {
+    RootTaskAgg& merged = by_root[agg.root];
+    merged.root = agg.root;
+    merged.mining_seconds += agg.mining_seconds;
+    merged.tasks += agg.tasks;
+    // Only the spawned task records the root's subgraph size.
+    if (agg.subgraph_vertices != 0) {
+      merged.subgraph_vertices = agg.subgraph_vertices;
+      merged.subgraph_edges = agg.subgraph_edges;
+    }
+  }
+  root_tasks->clear();
+  root_tasks->reserve(by_root.size());
+  for (auto& [root, agg] : by_root) root_tasks->push_back(agg);
+}
+
+EngineReport MergeEngineReports(std::vector<EngineReport> reports) {
   EngineReport merged;
-  for (const EngineReport& r : reports) {
+  size_t results = 0;
+  for (const EngineReport& r : reports) results += r.results.size();
+  merged.results.reserve(results);
+  for (EngineReport& r : reports) {
     merged.wall_seconds = std::max(merged.wall_seconds, r.wall_seconds);
     merged.peak_rss_bytes += r.peak_rss_bytes;
     merged.total_mining_seconds += r.total_mining_seconds;
@@ -415,11 +434,15 @@ EngineReport MergeEngineReports(const std::vector<EngineReport>& reports) {
     merged.mining.Add(r.mining);
     merged.threads.insert(merged.threads.end(), r.threads.begin(),
                           r.threads.end());
-    merged.results.insert(merged.results.end(), r.results.begin(),
-                          r.results.end());
+    merged.results.insert(merged.results.end(),
+                          std::make_move_iterator(r.results.begin()),
+                          std::make_move_iterator(r.results.end()));
+    r.results = {};
     merged.root_tasks.insert(merged.root_tasks.end(), r.root_tasks.begin(),
                              r.root_tasks.end());
   }
+  // A stolen subtask puts one root on two ranks.
+  FoldRootTasks(&merged.root_tasks);
   return merged;
 }
 

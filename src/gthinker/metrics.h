@@ -21,7 +21,7 @@
 namespace qcm {
 
 /// Message types carried by the CommFabric (every cross-machine transfer
-/// of the simulation goes through exactly one of these).
+/// goes through exactly one of these).
 inline constexpr int kNumMessageTypes = 3;
 
 /// Buckets of the message delivery-latency histogram: log-decade bounds
@@ -143,11 +143,6 @@ struct EngineCounters {
   /// transfer's flight time was hidden behind computation).
   std::atomic<uint64_t> msg_overlapped{0};
 
-  /// Wall time the steal master spent sleeping between balancing rounds
-  /// vs. actively planning/serializing steals (microseconds).
-  std::atomic<uint64_t> steal_idle_usec{0};
-  std::atomic<uint64_t> steal_active_usec{0};
-
   // -- Fault tolerance (gthinker/checkpoint.h; all zero when
   // checkpointing is off or the run never lost a rank) --
 
@@ -203,7 +198,8 @@ struct EngineCountersSnapshot {
   uint64_t msg_latency_usec_sum = 0;
   uint64_t msg_overlapped = 0;
 
-  uint64_t steal_idle_usec = 0;
+  /// Always 0: nothing writes it since steals are planned by the
+  /// coordinator. Kept because perfbench/run.py reads the JSON key.
   uint64_t steal_active_usec = 0;
 
   uint64_t replayed_tasks = 0;
@@ -212,9 +208,8 @@ struct EngineCountersSnapshot {
   uint64_t checkpoint_flushes = 0;
   uint64_t checkpoint_bytes = 0;
 
-  // -- Transport data-plane flush accounting (process-per-machine mode
-  // only; all zero in simulated runs). Copied from the transport's
-  // TransportFlushStats after the run via AddFlushStats. --
+  // -- Transport data-plane flush accounting. Copied from the
+  // transport's TransportFlushStats after the run via AddFlushStats. --
 
   /// Write syscalls issued for data frames.
   uint64_t net_flushes = 0;
@@ -328,10 +323,17 @@ class Decoder;
 void EncodeEngineReport(const EngineReport& report, Encoder* enc);
 Status DecodeEngineReport(Decoder* dec, EngineReport* report);
 
+/// Folds entries of the same root into one (subtasks of a root can run
+/// on several threads and ranks): times and task counts sum, and the
+/// subgraph size comes from the spawned task's entry. Order unspecified.
+void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks);
+
 /// Merges per-rank reports into one cluster-wide report: counters and
-/// cumulative times sum, gauge peaks take the max, wall time is the
-/// slowest rank, thread summaries and raw results concatenate.
-EngineReport MergeEngineReports(const std::vector<EngineReport>& reports);
+/// cumulative times sum (peak RSS too, right for one process per rank),
+/// gauge peaks take the max, wall time is the slowest rank, thread
+/// summaries and raw results concatenate (results are moved), and root
+/// task aggregates fold by root.
+EngineReport MergeEngineReports(std::vector<EngineReport> reports);
 
 /// Machine-readable EngineReport (counters, derived ratios, per-thread
 /// summaries, result count) as a self-contained JSON object -- the

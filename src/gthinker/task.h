@@ -147,7 +147,7 @@ class ComputeContext {
   /// There is no transfer on this path: a remote v must have been
   /// Request()ed -- in this round (returning true) or in an earlier round
   /// the task suspended on -- or the read fails a QCM_CHECK naming the
-  /// pull-protocol violation, in simulated and multi-process runs alike.
+  /// pull-protocol violation, in every deployment alike.
   virtual AdjRef Fetch(VertexId v) = 0;
 
   /// Registers v for the engine's next batched pull round (one aggregated

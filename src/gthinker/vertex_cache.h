@@ -6,7 +6,7 @@
 //
 // Entries are handed out as shared_ptrs ("pins"): eviction drops the
 // cache's reference, but a task holding a pin keeps the adjacency alive
-// for as long as it needs it -- the simulation analogue of G-thinker's
+// for as long as it needs it -- the analogue of G-thinker's
 // rule that cached vertices in use by a comper are not evictable.
 //
 // A capacity of 0 disables caching entirely: Lookup always misses and

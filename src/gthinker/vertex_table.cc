@@ -8,47 +8,55 @@
 
 namespace qcm {
 
-VertexTable::VertexTable(const Graph* graph, int num_machines)
-    : graph_(graph), num_machines_(num_machines), owned_(num_machines) {
-  for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
-    owned_[Owner(v)].push_back(v);
+namespace {
+
+/// The vertices of an n-vertex graph that `rank` owns, ascending.
+std::vector<VertexId> RankVertices(uint32_t n, int num_machines, int rank) {
+  QCM_CHECK(rank >= 0 && rank < num_machines)
+      << "bad rank " << rank << "/" << num_machines;
+  std::vector<VertexId> owned;
+  for (uint64_t v = static_cast<uint64_t>(rank); v < n;
+       v += static_cast<uint64_t>(num_machines)) {
+    owned.push_back(static_cast<VertexId>(v));
   }
+  return owned;
 }
 
+}  // namespace
+
+VertexTable::VertexTable(const Graph* graph, int num_machines, int rank)
+    : graph_(graph),
+      num_machines_(num_machines),
+      rank_(rank),
+      owned_(RankVertices(graph->NumVertices(), num_machines, rank)) {}
+
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
-                         int num_machines, int local_rank,
+                         int num_machines, int rank,
                          uint64_t graph_memory_budget)
     : graph_(nullptr),
       num_machines_(num_machines),
-      local_rank_(local_rank),
-      owned_(num_machines),
+      rank_(rank),
       snapshot_(std::move(snapshot)) {
   QCM_CHECK(snapshot_ != nullptr);
-  QCM_CHECK(local_rank >= -1 && local_rank < num_machines)
-      << "bad local rank " << local_rank << "/" << num_machines;
-  const uint32_t n = snapshot_->NumVertices();
-  for (VertexId v = 0; v < n; ++v) {
-    owned_[Owner(v)].push_back(v);
-  }
+  owned_ = RankVertices(snapshot_->NumVertices(), num_machines, rank);
   PagedStoreConfig store_config;
   store_config.memory_budget_bytes = graph_memory_budget;
   store_config.num_machines = num_machines;
-  store_config.local_rank = local_rank;
+  store_config.local_rank = rank;
   paged_ = std::make_unique<PagedAdjacencyStore>(snapshot_, store_config);
 }
 
 std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
-  if (graph_ != nullptr) return graph_->Neighbors(v);
-  QCM_CHECK(local_rank_ < 0 || Owner(v) == local_rank_)
+  QCM_CHECK(IsLocal(v))
       << "adjacency of vertex " << v << " (owner " << Owner(v)
-      << ") read on rank " << local_rank_
+      << ") read on rank " << rank_
       << ": remote adjacency does not exist in a partitioned table";
-  return paged_->Adjacency(v);
+  return graph_ != nullptr ? graph_->Neighbors(v) : paged_->Adjacency(v);
 }
 
-DataService::DataService(const VertexTable* table, int machine,
-                         size_t cache_capacity, EngineCounters* counters)
-    : table_(table), machine_(machine), cache_(cache_capacity, counters) {}
+DataService::DataService(const VertexTable* table, size_t cache_capacity,
+                         EngineCounters* counters)
+    : table_(table), cache_(cache_capacity, counters) {}
 
 AdjRef DataService::Fetch(VertexId v) {
   if (IsLocal(v)) {
@@ -57,16 +65,15 @@ AdjRef DataService::Fetch(VertexId v) {
   auto cached = cache_.Lookup(v);
   QCM_CHECK(cached != nullptr)
       << "synchronous remote fetch of vertex " << v << " on machine "
-      << machine_
+      << table_->rank()
       << ": vertex was never Request()ed/pinned (pull-protocol violation)";
   return AdjRef{std::span<const VertexId>(cached->data(), cached->size()),
                 std::move(cached)};
 }
 
-PullBroker::PullBroker(DataService* data, int machine, size_t max_batch,
+PullBroker::PullBroker(DataService* data, size_t max_batch,
                        EngineCounters* counters)
     : data_(data),
-      machine_(machine),
       max_batch_(std::max<size_t>(max_batch, 1)),
       counters_(counters) {}
 
@@ -154,8 +161,8 @@ std::vector<TaskPtr> PullBroker::PumpRequests(CommFabric* fabric) {
       const size_t n = std::min(max_batch_, group.size() - off);
       Encoder enc;
       enc.PutU32Span(group.data() + off, n);
-      fabric->Send(MessageType::kPullRequest, machine_,
-                   static_cast<int>(owner), enc.Release());
+      fabric->Send(MessageType::kPullRequest, static_cast<int>(owner),
+                   enc.Release());
       ++batches_sent;
     }
   }

@@ -1,6 +1,7 @@
-// The distributed graph store of the simulation (paper §5, Figure 8):
-//   * VertexTable -- the graph hash-partitioned across machines; each
-//     machine's "local vertex table" is the set of vertices it owns.
+// The distributed graph store (paper §5, Figure 8), one machine's view:
+//   * VertexTable -- the machine's "local vertex table": its hash
+//     partition of the graph (the vertices it owns) plus every vertex's
+//     degree.
 //   * DataService -- the per-machine facade tasks fetch through: local
 //     vertices resolve to the local table, remote ones to the bounded
 //     VertexCache. A remote vertex is readable only once the pull
@@ -36,33 +37,30 @@
 
 namespace qcm {
 
-/// Hash partitioning of an immutable graph across machines.
+/// One rank's partition of an immutable graph hash-partitioned across
+/// machines (vertex v is owned by rank v % num_machines).
 ///
-/// Two storage modes share one interface:
-///   * Simulated (in-process) mode wraps the full shared Graph -- every
-///     machine's adjacency is readable because every "machine" lives in
-///     this process.
-///   * Snapshot mode serves a mmap'd .qcsr snapshot. A process-per-machine
-///     worker opens it for its own rank only: degree is vertex metadata
-///     every process reads (spawn thresholds and frontier qualification
-///     read remote degrees), while reading a remote vertex's adjacency
-///     fails loudly -- exactly the discipline the pull protocol must
-///     satisfy.
+/// Degree is vertex metadata every rank reads (spawn thresholds and
+/// frontier qualification read remote degrees); adjacency is served for
+/// the rank's own vertices only, and reading a remote vertex's adjacency
+/// fails loudly -- exactly the discipline the pull protocol must satisfy.
+/// Two storage backends share this interface:
+///   * a resident Graph, shared read-only by every rank of the process
+///     (the in-process launcher, net/local_cluster.h);
+///   * a mmap'd .qcsr snapshot, as a cluster worker process opens it.
 class VertexTable {
  public:
-  /// Simulated mode: the full graph, hash-partitioned across
-  /// `num_machines` in-process machines. `graph` must outlive the table.
-  VertexTable(const Graph* graph, int num_machines);
+  /// Rank `rank`'s partition of a resident graph. `graph` must outlive
+  /// the table.
+  VertexTable(const Graph* graph, int num_machines, int rank);
 
-  /// Snapshot mode: serves degrees and adjacency straight out of a
-  /// mmap'd .qcsr snapshot -- no transient full Graph is ever built, so
-  /// startup peak RSS is the owned slice plus replicated metadata.
-  /// `local_rank` >= 0 serves only that rank's adjacency (remote reads
-  /// fail loudly); -1 serves every vertex. `graph_memory_budget` > 0
-  /// bounds resident adjacency bytes via the PagedAdjacencyStore; 0 keeps
-  /// the partition's pages resident on use.
+  /// Rank `rank`'s partition served straight out of a mmap'd .qcsr
+  /// snapshot -- no transient full Graph is ever built, so startup peak
+  /// RSS is the owned slice plus replicated metadata.
+  /// `graph_memory_budget` > 0 bounds resident adjacency bytes via the
+  /// PagedAdjacencyStore; 0 keeps the partition's pages resident on use.
   VertexTable(std::shared_ptr<CsrSnapshot> snapshot, int num_machines,
-              int local_rank, uint64_t graph_memory_budget);
+              int rank, uint64_t graph_memory_budget);
 
   int Owner(VertexId v) const {
     return static_cast<int>(v % static_cast<uint32_t>(num_machines_));
@@ -70,16 +68,13 @@ class VertexTable {
 
   int NumMachines() const { return num_machines_; }
 
-  /// True for a snapshot table opened for one rank (only that rank's
-  /// adjacency is readable). Simulated and serve-every-vertex snapshot
-  /// tables report false.
-  bool partitioned() const { return local_rank_ >= 0; }
+  /// The rank whose adjacency this partition holds.
+  int rank() const { return rank_; }
 
-  /// The rank whose adjacency this partition holds (-1 when unpartitioned).
-  int local_rank() const { return local_rank_; }
+  bool IsLocal(VertexId v) const { return Owner(v) == rank_; }
 
-  /// Adjacency of v. Partitioned tables: v must be owned by the local
-  /// rank (QCM_CHECK -- a remote adjacency is not served here).
+  /// Adjacency of v, which must be owned by this rank (QCM_CHECK -- a
+  /// remote adjacency is not served here).
   std::span<const VertexId> Adjacency(VertexId v) const;
 
   uint32_t Degree(VertexId v) const {
@@ -91,10 +86,8 @@ class VertexTable {
                              : snapshot_->NumVertices();
   }
 
-  /// Vertices owned by `machine`, ascending.
-  const std::vector<VertexId>& OwnedVertices(int machine) const {
-    return owned_[machine];
-  }
+  /// Vertices this rank owns, ascending.
+  const std::vector<VertexId>& OwnedVertices() const { return owned_; }
 
   /// Non-null in snapshot mode.
   const CsrSnapshot* snapshot() const { return snapshot_.get(); }
@@ -104,10 +97,10 @@ class VertexTable {
   PagedAdjacencyStore* paged_store() const { return paged_.get(); }
 
  private:
-  const Graph* graph_;  // simulated mode; null in snapshot mode
+  const Graph* graph_;  // resident backend; null in snapshot mode
   int num_machines_;
-  int local_rank_ = -1;
-  std::vector<std::vector<VertexId>> owned_;
+  int rank_;
+  std::vector<VertexId> owned_;
 
   // Snapshot-mode storage: degrees/adjacency live in the mapping; the
   // paged store manages adjacency residency under the budget.
@@ -115,20 +108,20 @@ class VertexTable {
   std::unique_ptr<PagedAdjacencyStore> paged_;
 };
 
-/// Per-machine data access facade.
+/// Per-machine data access facade over the machine's own table.
 class DataService {
  public:
-  DataService(const VertexTable* table, int machine, size_t cache_capacity,
+  DataService(const VertexTable* table, size_t cache_capacity,
               EngineCounters* counters);
 
-  bool IsLocal(VertexId v) const { return table_->Owner(v) == machine_; }
+  bool IsLocal(VertexId v) const { return table_->IsLocal(v); }
 
   /// Immediate vertex read: the local table span or the cached remote
   /// copy. Task pins are consulted by the comper before it reaches this
   /// layer. Anything else is a pull-protocol violation (the caller never
-  /// Request()ed v) and fails a QCM_CHECK -- in simulated mode too, where
-  /// the owner's adjacency would be readable, so a UDF that skips the
-  /// protocol fails in-process tests instead of only on a cluster worker.
+  /// Request()ed v) and fails a QCM_CHECK -- also over a resident graph
+  /// that another rank of the process holds, so a UDF that skips the
+  /// protocol fails in-process tests too.
   AdjRef Fetch(VertexId v);
 
   /// Cache-only probe (counts hit/miss); null on miss.
@@ -141,7 +134,6 @@ class DataService {
 
  private:
   const VertexTable* table_;
-  int machine_;
   VertexCache cache_;
 };
 
@@ -156,10 +148,8 @@ class DataService {
 class PullBroker {
  public:
   /// `data` is this machine's DataService (responses populate its cache);
-  /// `machine` is its id (message source); `max_batch` caps ids per
-  /// batched request message.
-  PullBroker(DataService* data, int machine, size_t max_batch,
-             EngineCounters* counters);
+  /// `max_batch` caps ids per batched request message.
+  PullBroker(DataService* data, size_t max_batch, EngineCounters* counters);
 
   /// Parks `task` until every id in its TaskPullState wanted-set has been
   /// delivered. The wanted-set is consumed (deduplicated; ids already in
@@ -207,7 +197,6 @@ class PullBroker {
   };
 
   DataService* data_;
-  int machine_;
   size_t max_batch_;
   EngineCounters* counters_;
 

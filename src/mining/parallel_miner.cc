@@ -1,6 +1,7 @@
 #include "mining/parallel_miner.h"
 
 #include "mining/qc_app.h"
+#include "net/local_cluster.h"
 #include "quick/maximality_filter.h"
 
 namespace qcm {
@@ -8,8 +9,7 @@ namespace qcm {
 StatusOr<EngineReport> ParallelMiner::RunUnfiltered(const Graph& graph) {
   QCM_RETURN_IF_ERROR(config_.Validate());
   QCApp app(config_);
-  Engine engine(&graph, config_, &app);
-  return engine.Run();
+  return RunLocalCluster(graph, config_, &app);
 }
 
 StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {

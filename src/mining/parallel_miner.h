@@ -1,14 +1,16 @@
 // High-level facade: run the full parallel maximal quasi-clique pipeline
-// (spawn -> build -> mine -> decompose -> postprocess) on a graph and
-// return both the exact maximal result set and the engine's run report.
+// (spawn -> build -> mine -> decompose -> postprocess) on a graph, with
+// EngineConfig::num_machines in-process cluster ranks
+// (net/local_cluster.h), and return both the exact maximal result set and
+// the merged run report.
 
 #ifndef QCM_MINING_PARALLEL_MINER_H_
 #define QCM_MINING_PARALLEL_MINER_H_
 
 #include <vector>
 
-#include "gthinker/engine.h"
 #include "gthinker/engine_config.h"
+#include "gthinker/metrics.h"
 #include "graph/graph.h"
 #include "quick/quasi_clique.h"
 #include "util/status.h"

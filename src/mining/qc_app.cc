@@ -11,7 +11,7 @@ namespace qcm {
 
 namespace {
 
-/// EgoVertexSource over the engine's simulated vertex storage: adjacency
+/// EgoVertexSource over the engine's vertex storage: adjacency
 /// pulls go through ComputeContext::Fetch, so remote reads are cached and
 /// metrics-counted exactly like any other vertex pulling.
 class ContextVertexSource final : public EgoVertexSource {
@@ -66,9 +66,9 @@ ComputeStatus QCApp::Compute(Task& task, ComputeContext& ctx) {
     // The root's own adjacency must be pullable too: a task stolen to a
     // machine that does not own its root (or reloaded from a spill file
     // after its pins were dropped) rides the same batched request/
-    // response protocol instead of a synchronous fallback fetch -- in
-    // process-per-machine mode the remote adjacency physically is not
-    // here, so this is the only correct path.
+    // response protocol instead of a synchronous fallback fetch -- the
+    // machine's table does not serve a remote adjacency, so this is the
+    // only correct path.
     if (!ctx.Request(t.root())) return ComputeStatus::kSuspended;
     // Iteration 1 (Alg. 6 lines 1-3): request the 1-hop frontier.
     WallTimer build;
@@ -145,7 +145,7 @@ QCApp::FirstHop QCApp::RequestFirstHop(QCTask& t, ComputeContext& ctx) {
 
 bool QCApp::BuildEgoGraph(QCTask& t, ComputeContext& ctx) {
   // Full Alg. 6-7 through the shared materialization layer, pulling
-  // vertices via the engine's simulated storage and reusing this comper's
+  // vertices via the engine's vertex storage and reusing this comper's
   // scratch across tasks.
   ContextVertexSource source(&ctx);
   EgoBuilder builder(&ctx.ego_scratch());

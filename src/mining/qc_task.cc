@@ -62,7 +62,7 @@ StatusOr<TaskPtr> QCTask::Decode(Decoder* dec) {
   // still-cached vertices are answered without a transfer, and the rebuild
   // is deterministic -- the result set cannot change. Without this reset
   // the task would fall back to synchronous remote fetches, which do not
-  // exist in process-per-machine mode.
+  // exist.
   if (t->NeedsBuild()) t->iteration_ = 1;
   return TaskPtr(std::move(t));
 }

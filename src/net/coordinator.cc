@@ -108,6 +108,17 @@ void Coordinator::SetStatsCallback(StatsCallback cb) {
 }
 
 Status Coordinator::RunHandshake() {
+  Status s = Handshake();
+  // A step that failed because another thread aborted the run (its
+  // worker closed the connection) reports the abort's reason.
+  if (!s.ok() && failed_.load()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Status::Aborted(failure_);
+  }
+  return s;
+}
+
+Status Coordinator::Handshake() {
   const int world = config_.world_size;
 
   // Accept and rank-assign in connection order. The accept poll is kept
@@ -635,9 +646,8 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
     }
     have_candidate = false;
 
-    // Steal mastering: the shared sched/steal_planner.h plan (identical
-    // to the simulated engine's steal master), with link RTTs estimated
-    // from the per-rank delivery latencies the workers publish.
+    // Steal mastering: the sched/steal_planner.h plan, with link RTTs
+    // estimated from the per-rank delivery latencies the workers publish.
     if (config_.steal_period_sec > 0 && world >= 2 &&
         steal_timer.Seconds() >= config_.steal_period_sec) {
       steal_timer.Reset();
@@ -710,6 +720,26 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
     for (int r = 0; r < world; ++r) reports[r] = workers_[r].report;
   }
   return reports;
+}
+
+void AppendStatsCounterEvents(int rank, const WireStatsSample& sample,
+                              std::vector<std::string>* events) {
+  auto counter = [&](const char* name, uint64_t value) {
+    events->push_back("{\"name\":\"" + std::string(name) +
+                      "\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":" +
+                      std::to_string(sample.ts_usec) +
+                      ",\"pid\":" + std::to_string(rank) +
+                      ",\"tid\":0,\"args\":{\"value\":" +
+                      std::to_string(value) + "}}");
+  };
+  counter("queue_depth", sample.queue_depth);
+  counter("inflight_bytes", sample.inflight_bytes);
+  counter("busy_compers", sample.busy_compers);
+  counter("tasks_completed", sample.tasks_completed);
+  counter("cache_hits", sample.cache_hits);
+  counter("cache_misses", sample.cache_misses);
+  counter("pending_tasks",
+          sample.pending < 0 ? 0 : static_cast<uint64_t>(sample.pending));
 }
 
 void Coordinator::Close() {

@@ -1,6 +1,6 @@
-// Coordinator: the cluster-side control plane of the multi-process
-// deployment (the role the in-process engine's MaybeFinish + StealLoop
-// play in simulated mode, lifted out of the worker processes).
+// Coordinator: the control plane of the cluster deployment -- the
+// paper's master, for ranks that are threads of one process
+// (net/local_cluster.h) or worker processes (tools/qcm_cluster) alike.
 //
 // It accepts exactly `world_size` workers, runs the rank-assignment
 // handshake (wire.h), releases the start barrier, and then drives three
@@ -17,12 +17,11 @@
 //     guarantees any in-flight or unprocessed frame breaks one of the two
 //     sweeps, so the drain invariant holds across processes.
 //
-//   * Steal mastering. THE SAME balancing plan object as the simulated
-//     engine's steal master (sched/steal_planner.h: move at most one
+//   * Steal mastering. The sched/steal_planner.h plan (move at most one
 //     batch per donor per period toward the average pending-big count,
 //     with per-link batch caps scaled by RTT estimates -- larger, rarer
-//     batches on slow links), except the move is a kStealCmd to the
-//     donor, which ships the batch rank-to-rank as a kStealBatch fabric
+//     batches on slow links); each move is a kStealCmd to the donor,
+//     which ships the batch rank-to-rank as a kStealBatch fabric
 //     message. The coordinator cannot observe fabric timestamps itself,
 //     so its RTT input is the per-rank mean delivery latency every
 //     worker publishes in its kStatus stream.
@@ -42,7 +41,8 @@
 //     run loudly, exactly like the pre-recovery behavior.
 //
 // After kTerminate it collects one kReport per rank and hands the payloads
-// to the caller (tools/qcm_cluster merges them).
+// to the caller (tools/qcm_cluster merges them; the in-process launcher
+// keeps each rank's report in memory and ships an empty kReport).
 
 #ifndef QCM_NET_COORDINATOR_H_
 #define QCM_NET_COORDINATOR_H_
@@ -165,9 +165,9 @@ class Coordinator {
                             std::function<Status(int)> relaunch);
 
   /// Installs the kStats telemetry consumer (the qcm_cluster ticker /
-  /// merged-trace counter tracks). Invoked from per-rank receiver
-  /// threads; the callback must be thread-safe. Call before
-  /// RunHandshake.
+  /// merged-trace counter tracks, see AppendStatsCounterEvents). Invoked
+  /// from per-rank receiver threads; the callback must be thread-safe.
+  /// Call before RunHandshake.
   using StatsCallback =
       std::function<void(int rank, const WireStatsSample& sample)>;
   void SetStatsCallback(StatsCallback cb);
@@ -205,7 +205,8 @@ class Coordinator {
   /// Thread-safe.
   void OnRankDeath(int rank);
 
-  /// Fails the run from another thread: RunHandshake stops accepting and
+  /// Fails the run from another thread: RunHandshake stops accepting (or,
+  /// when a worker's connection then fails, returns this reason) and
   /// RunToCompletion returns Aborted promptly.
   void Abort(const std::string& reason);
 
@@ -239,6 +240,8 @@ class Coordinator {
   explicit Coordinator(CoordinatorConfig config)
       : config_(std::move(config)) {}
 
+  /// RunHandshake's steps.
+  Status Handshake();
   void RecvLoop(int rank);
   void Fail(const std::string& reason);
   Status Broadcast(FrameKind kind, const std::string& payload);
@@ -285,6 +288,12 @@ class Coordinator {
   std::vector<RecoveryEvent> recovery_events_;
   std::vector<int> restarts_;
 };
+
+/// Appends one Chrome trace counter event ("ph":"C", pid = `rank`) per
+/// kStats gauge of `sample` to `events`: the counter tracks of a
+/// launcher's merged timeline.
+void AppendStatsCounterEvents(int rank, const WireStatsSample& sample,
+                              std::vector<std::string>* events);
 
 }  // namespace qcm
 

@@ -1,15 +1,14 @@
-// Transport: the process-boundary seam of the CommFabric (paper §5 run as
-// a real distributed system instead of an in-process simulation).
+// Transport: the machine-boundary seam of the CommFabric (paper §5: one
+// engine per machine, coordinated by a master).
 //
-// The engine and fabric are written against this interface only. With no
-// transport injected (nullptr), every machine is local and the CommFabric
-// delivers through its in-memory inboxes exactly as before -- the
-// simulated mode. With a transport, the engine runs ONE machine (the
-// transport's rank): fabric sends whose destination is a remote rank are
-// handed to the transport as data frames, arriving frames are injected
-// into the local fabric by the transport's receive thread, and the control
-// plane (status publication up, steal commands and the termination signal
-// down) replaces the in-process steal master and MaybeFinish.
+// The engine and fabric are written against this interface only. Every
+// engine runs ONE machine (the transport's rank), whether the ranks are
+// threads of one process (net/local_cluster.h) or processes
+// (qcm_cluster): fabric sends to another rank are handed to the
+// transport as data frames, arriving frames are injected into the local
+// fabric by the transport's receive thread, and the control plane (status
+// publication up, steal commands and the termination signal down)
+// connects the engine to the coordinator.
 //
 // Termination-detection contract (the engine's drain invariant across
 // processes): a rank publishes {pending, spawn_done, sent_to[],

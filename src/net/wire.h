@@ -26,9 +26,8 @@
 // checksum mismatch -- a worker never mines on a frame it cannot prove it
 // received intact. This framing is the process-boundary twin of the
 // CommFabric message contract: a kData frame carries exactly one fabric
-// message as [MessageType u8][send timestamp usec u64][the same serialized
-// payload the in-process fabric would enqueue], so simulated and
-// distributed runs share one payload format end to end. The timestamp is
+// message as [MessageType u8][send timestamp usec u64][the fabric
+// message's serialized payload]. The timestamp is
 // the sender's monotonic clock at the moment the message entered the send
 // path (BEFORE any coalescing dwell), so the receiver can measure real
 // wire transit including time parked in a send buffer; it is meaningful
@@ -100,7 +99,9 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // delay (fabric latency is net_latency_sec only), prefetch_limit and
 // trace_buffer_kb (now the constants kSpawnPrefetchLimit and
 // trace::kRingKb).
-inline constexpr uint32_t kWireProtocolVersion = 8;
+// v9: one engine mode. EngineReport lost steal_idle_usec, which only the
+// retired in-process steal master wrote.
+inline constexpr uint32_t kWireProtocolVersion = 9;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -46,7 +46,7 @@ void CanonicalizeResults(std::vector<VertexSet>* sets,
 /// Order-sensitive FNV-1a digest over a canonical result set; two runs
 /// mined the same quasi-cliques iff their digests match (used by the
 /// cluster launcher and the smoke check to compare a multi-process run
-/// against single-process simulated mode).
+/// against qcm_mine).
 uint64_t ResultSetDigest(const std::vector<VertexSet>& sets);
 
 /// The one implementation of canonical result emission shared by

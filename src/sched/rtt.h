@@ -1,15 +1,14 @@
 // Per-link latency estimation for the scheduling layer (paper §5: with
 // slow links the steal master should prefer larger, rarer batches). The
 // tracker keeps one exponentially-weighted moving average of observed
-// one-way delivery latency per (src, dst) machine pair, fed by the
-// CommFabric off its own message timestamps (enqueue -> delivery), plus a
+// one-way delivery latency per (src, dst) machine pair, plus a
 // per-destination inbound fallback for observers that only see scalar
-// per-rank latencies (the cluster Coordinator, which learns them from
-// RankStatus publications rather than from the fabric directly).
+// per-rank latencies -- the cluster Coordinator, which learns them from
+// RankStatus publications.
 //
-// Updates ride the fabric's delivery hot path, so they are lock-free:
-// each EWMA is an atomic bit-cast double updated with a relaxed CAS loop
-// (an occasionally lost update only delays convergence of an estimate).
+// Updates are lock-free: each EWMA is an atomic bit-cast double updated
+// with a relaxed CAS loop (an occasionally lost update only delays
+// convergence of an estimate).
 
 #ifndef QCM_SCHED_RTT_H_
 #define QCM_SCHED_RTT_H_

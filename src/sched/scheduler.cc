@@ -64,13 +64,14 @@ Scheduler::Scheduler(Deps deps) : deps_(deps) {
 }
 
 void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
-  for (Message& m : fabric->Service(deps_.machine)) {
+  for (Message& m : fabric->Service()) {
     switch (m.type) {
       case MessageType::kPullRequest:
         // The fabric's pull responder answers every request; one here
         // means a message was routed past it.
         QCM_CHECK(false) << "pull request from machine " << m.src
-                         << " reached a comper of machine " << deps_.machine;
+                         << " reached a comper of machine "
+                         << deps_.table->rank();
         break;
       case MessageType::kPullResponse:
         for (TaskPtr& task : deps_.broker->AcceptResponse(m.payload)) {
@@ -159,8 +160,7 @@ void Scheduler::SubmitNew(TaskPtr task, LocalQueue& local) {
 }
 
 bool Scheduler::SpawnExhausted() const {
-  return spawn_cursor_.load() >=
-         deps_.table->OwnedVertices(deps_.machine).size();
+  return spawn_cursor_.load() >= deps_.table->OwnedVertices().size();
 }
 
 void Scheduler::Enqueue(TaskPtr task, LocalQueue& local) {
@@ -275,8 +275,7 @@ void Scheduler::RefillLocal(LocalQueue& local, ComputeContext& ctx) {
   const uint64_t spawn_begin_usec =
       trace::Enabled() ? trace::TraceNowMicros() : 0;
   size_t admitted = 0;
-  const std::vector<VertexId>& owned =
-      deps_.table->OwnedVertices(deps_.machine);
+  const std::vector<VertexId>& owned = deps_.table->OwnedVertices();
   deps_.active_spawners->fetch_add(1);
   size_t spawned_small = 0;
   while (spawned_small < deps_.config->batch_size) {

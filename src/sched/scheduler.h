@@ -3,8 +3,7 @@
 // inlined across Engine::Comper (admission, routing, spawn batching,
 // local-queue spilling), the PullBroker call sites (park/resume), the
 // GlobalQueue (big-task routing) and the steal paths. The engine's
-// compute loop, its StealLoop, and the cluster Coordinator's steal
-// mastering are thin drivers over this layer: a comper asks the
+// compute loop is a thin driver over this layer: a comper asks the
 // scheduler for work, hands back the compute outcome, and services the
 // fabric through it; every task state move funnels through the checked
 // lifecycle helpers.
@@ -23,8 +22,8 @@
 //     prefetch_hits / first_schedule_pins).
 //
 //   * Latency-aware steal planning lives in the sibling
-//     sched/steal_planner.h, shared by Engine::StealLoop and the cluster
-//     Coordinator and fed by sched/rtt.h EWMAs off fabric timestamps.
+//     sched/steal_planner.h, run by the cluster Coordinator and fed by
+//     sched/rtt.h EWMAs of the delivery latencies the ranks publish.
 //
 // Threading: one Scheduler per machine, shared by that machine's compers.
 // The scheduler itself holds only atomics; mutual exclusion lives where
@@ -71,7 +70,6 @@ class Scheduler {
   /// must outlive the scheduler; `pending`/`active_spawners` are the
   /// engine-wide termination-accounting atomics.
   struct Deps {
-    int machine = 0;
     const EngineConfig* config = nullptr;
     App* app = nullptr;
     const VertexTable* table = nullptr;

@@ -1,8 +1,6 @@
-// The steal planner: the single balancing-plan implementation behind both
-// steal masters -- the in-process Engine::StealLoop (simulated cluster)
-// and the multi-process Coordinator's kStealCmd mastering. Before this
-// layer the two reimplemented the same plan independently and both were
-// latency-blind.
+// The steal planner: the balancing plan behind the cluster Coordinator's
+// kStealCmd mastering (net/coordinator.h), the one steal master of every
+// deployment.
 //
 // Base plan (paper §5): collect per-machine pending big-task counts,
 // compute the average, and move at most one batch per donor per planning
@@ -13,12 +11,11 @@
 // message on a slow link pays its round-trip time regardless of batch
 // size, so the per-task cost of a steal falls as the batch grows. The
 // planner therefore scales the per-move batch cap with the link's RTT
-// EWMA (measured off fabric message timestamps by LinkRttTracker) --
-// slow links carry LARGER batches -- and suppresses moves whose gain
-// would not fill half a cap on a link slower than the reference RTT --
-// slow links carry RARER batches. With an unmeasured or sub-reference
-// RTT the plan degenerates to exactly the legacy flat-batch behavior,
-// which is what keeps result digests bit-identical across modes.
+// EWMA (LinkRttTracker, fed from the delivery latencies the ranks
+// publish) -- slow links carry LARGER batches -- and suppresses moves
+// whose gain would not fill half a cap on a link slower than the
+// reference RTT -- slow links carry RARER batches. With an unmeasured or
+// sub-reference RTT the plan degenerates to the flat-batch plan.
 
 #ifndef QCM_SCHED_STEAL_PLANNER_H_
 #define QCM_SCHED_STEAL_PLANNER_H_

@@ -1,5 +1,5 @@
 // Binary encoding/decoding used for task spilling to disk and for the
-// simulated inter-machine transfer of stolen tasks. Little-endian
+// inter-machine transfer of stolen tasks. Little-endian
 // fixed-width integers plus varint-free length-prefixed containers; the
 // format carries a small magic + checksum per blob so corrupted spill files
 // surface as Status::Corruption instead of undefined behavior.

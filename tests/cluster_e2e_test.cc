@@ -1,7 +1,7 @@
 // End-to-end multi-process test (the PR's acceptance criterion): fork a
 // real 3-process `qcm_cluster` run on an example graph and assert its
 // maximal quasi-clique set is bit-identical -- same canonical result
-// file, same digest -- to single-process simulated `qcm_mine`. This
+// file, same digest -- to the in-process cluster of `qcm_mine`. This
 // drives the actual shipped binaries (launcher, workers, TCP mesh,
 // distributed termination, report merging), not a test harness replica.
 //

@@ -3,48 +3,77 @@
 // never reach an inbox, are answered once due, and a dead source's
 // requests can be dropped), and the message accounting counters
 // (per-type sent/delivered/bytes, in-flight gauge, queue depth, latency
-// histogram, overlap sampling).
+// histogram, overlap sampling). Each machine has its own fabric; the
+// fabrics talk over an in-memory transport and share one counter set.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gthinker/comm.h"
+#include "memory_transport.h"
 #include "util/timer.h"
 
 namespace qcm {
 namespace {
 
-/// Services `dst` until a message arrives or 10 s pass (the responder
+/// Services `fabric` until a message arrives or 10 s pass (the responder
 /// answers on its own thread).
-std::vector<Message> AwaitService(CommFabric& fabric, int dst) {
+std::vector<Message> AwaitService(CommFabric& fabric) {
   WallTimer waited;
-  std::vector<Message> due = fabric.Service(dst);
+  std::vector<Message> due = fabric.Service();
   while (due.empty() && waited.Seconds() < 10.0) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
-    due = fabric.Service(dst);
+    due = fabric.Service();
   }
   return due;
 }
 
+/// `n` machines, each with its own fabric over one in-memory network;
+/// every fabric models `latency_sec` and counts into `counters`.
+struct Fabrics {
+  Fabrics(int n, double latency_sec, EngineCounters* counters) : net(n) {
+    for (int r = 0; r < n; ++r) {
+      fabrics.push_back(
+          std::make_unique<CommFabric>(latency_sec, counters, net.at(r)));
+      CommFabric* f = fabrics.back().get();
+      net.at(r)->SetDataHandler(
+          [f](int src, uint8_t type, std::string payload, uint64_t transit) {
+            f->Inject(static_cast<MessageType>(type), src, std::move(payload),
+                      transit);
+          });
+    }
+  }
+  /// A responder may still be inside another fabric's Inject: stop them
+  /// all before any fabric goes.
+  ~Fabrics() {
+    for (auto& f : fabrics) f->StopResponder();
+  }
+  CommFabric& operator[](int r) { return *fabrics[r]; }
+
+  MemoryNetwork net;
+  std::vector<std::unique_ptr<CommFabric>> fabrics;
+};
+
 TEST(CommFabricTest, ZeroLatencyDeliversOnNextServiceInFifoOrder) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_sec=*/0, &counters);
-  fabric.Send(MessageType::kStealBatch, 0, 1, "a");
-  fabric.Send(MessageType::kPullResponse, 0, 1, "bb");
-  fabric.Send(MessageType::kStealBatch, 0, 1, "ccc");
-  EXPECT_EQ(fabric.InFlight(), 3u);
-  EXPECT_EQ(fabric.InFlightBytes(), 6u);
+  Fabrics fabric(2, /*latency_sec=*/0, &counters);
+  fabric[0].Send(MessageType::kStealBatch, 1, "a");
+  fabric[0].Send(MessageType::kPullResponse, 1, "bb");
+  fabric[0].Send(MessageType::kStealBatch, 1, "ccc");
+  EXPECT_EQ(fabric[1].InFlight(), 3u);
+  EXPECT_EQ(fabric[1].InFlightBytes(), 6u);
 
   // Nothing for machine 0.
-  EXPECT_TRUE(fabric.Service(0).empty());
+  EXPECT_TRUE(fabric[0].Service().empty());
 
-  auto due = fabric.Service(1);
+  auto due = fabric[1].Service();
   ASSERT_EQ(due.size(), 3u);
   EXPECT_EQ(due[0].payload, "a");
   EXPECT_EQ(due[1].payload, "bb");
@@ -53,37 +82,33 @@ TEST(CommFabricTest, ZeroLatencyDeliversOnNextServiceInFifoOrder) {
   EXPECT_EQ(due[1].type, MessageType::kPullResponse);
   EXPECT_EQ(due[2].type, MessageType::kStealBatch);
   EXPECT_EQ(due[0].src, 0);
-  EXPECT_EQ(due[0].dst, 1);
-  EXPECT_EQ(fabric.InFlight(), 0u);
-  EXPECT_EQ(fabric.InFlightBytes(), 0u);
+  EXPECT_EQ(fabric[1].InFlight(), 0u);
+  EXPECT_EQ(fabric[1].InFlightBytes(), 0u);
 }
 
 TEST(CommFabricTest, PullRequestsAreAnsweredByTheResponderNeverAComper) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_sec=*/0, &counters);
-  fabric.Send(MessageType::kPullRequest, 0, 1, "req");
+  Fabrics fabric(2, /*latency_sec=*/0, &counters);
+  fabric[0].Send(MessageType::kPullRequest, 1, "req");
   // The request waits for the responder, not in machine 1's inbox.
-  EXPECT_TRUE(fabric.Service(1).empty());
-  EXPECT_EQ(fabric.InFlight(), 1u);
-  EXPECT_EQ(fabric.InFlightBytes(), 3u);
+  EXPECT_TRUE(fabric[1].Service().empty());
+  EXPECT_EQ(fabric[1].InFlight(), 1u);
+  EXPECT_EQ(fabric[1].InFlightBytes(), 3u);
 
   std::atomic<int> served_src{-1};
-  fabric.StartResponder(
-      [](int owner, const std::string& request) {
-        return "adj" + std::to_string(owner) + ":" + request;
-      },
+  fabric[1].StartResponder(
+      [](const std::string& request) { return "adj:" + request; },
       [&served_src](int src) { served_src.store(src); });
-  auto due = AwaitService(fabric, 0);
+  auto due = AwaitService(fabric[0]);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].type, MessageType::kPullResponse);
   EXPECT_EQ(due[0].src, 1);
-  EXPECT_EQ(due[0].dst, 0);
-  EXPECT_EQ(due[0].payload, "adj1:req");
+  EXPECT_EQ(due[0].payload, "adj:req");
   // The served hook runs only after the response was sent.
-  fabric.StopResponder();
+  fabric[1].StopResponder();
   EXPECT_EQ(served_src.load(), 0);
-  EXPECT_TRUE(fabric.Service(1).empty());
-  EXPECT_EQ(fabric.InFlight(), 0u);
+  EXPECT_TRUE(fabric[1].Service().empty());
+  EXPECT_EQ(fabric[1].InFlight(), 0u);
   const int req = static_cast<int>(MessageType::kPullRequest);
   const int resp = static_cast<int>(MessageType::kPullResponse);
   EXPECT_EQ(counters.msg_delivered[req].load(), 1u);
@@ -94,12 +119,11 @@ TEST(CommFabricTest, PullRequestsAreAnsweredByTheResponderNeverAComper) {
 
 TEST(CommFabricTest, ResponderAnswersOnlyOnceTheRequestIsDue) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_sec=*/0.03, &counters);
-  fabric.StartResponder(
-      [](int, const std::string& request) { return request; });
+  Fabrics fabric(2, /*latency_sec=*/0.03, &counters);
+  fabric[1].StartResponder([](const std::string& request) { return request; });
   WallTimer round_trip;
-  fabric.Send(MessageType::kPullRequest, 0, 1, "r");
-  auto due = AwaitService(fabric, 0);
+  fabric[0].Send(MessageType::kPullRequest, 1, "r");
+  auto due = AwaitService(fabric[0]);
   ASSERT_EQ(due.size(), 1u);
   // Both legs paid the modeled latency: the request at the responder,
   // the response in the requester's inbox.
@@ -109,20 +133,20 @@ TEST(CommFabricTest, ResponderAnswersOnlyOnceTheRequestIsDue) {
 TEST(CommFabricTest, DropRequestsFromDiscardsOnlyThatSource) {
   EngineCounters counters;
   // An hour of latency: nothing can become due during the test.
-  CommFabric fabric(3, /*latency_sec=*/3600, &counters);
+  Fabrics fabric(3, /*latency_sec=*/3600, &counters);
   std::atomic<int> served{0};
-  fabric.StartResponder([](int, const std::string& r) { return r; },
-                        [&served](int) { served.fetch_add(1); });
-  fabric.Send(MessageType::kPullRequest, 0, 2, "a");
-  fabric.Send(MessageType::kPullRequest, 1, 2, "bb");
-  fabric.Send(MessageType::kPullRequest, 0, 2, "ccc");
-  EXPECT_EQ(fabric.DropRequestsFrom(0), 2u);
-  EXPECT_EQ(fabric.DropRequestsFrom(0), 0u);
-  EXPECT_EQ(fabric.InFlight(), 1u);
-  EXPECT_EQ(fabric.InFlightBytes(), 2u);
+  fabric[2].StartResponder([](const std::string& r) { return r; },
+                           [&served](int) { served.fetch_add(1); });
+  fabric[0].Send(MessageType::kPullRequest, 2, "a");
+  fabric[1].Send(MessageType::kPullRequest, 2, "bb");
+  fabric[0].Send(MessageType::kPullRequest, 2, "ccc");
+  EXPECT_EQ(fabric[2].DropRequestsFrom(0), 2u);
+  EXPECT_EQ(fabric[2].DropRequestsFrom(0), 0u);
+  EXPECT_EQ(fabric[2].InFlight(), 1u);
+  EXPECT_EQ(fabric[2].InFlightBytes(), 2u);
   EXPECT_EQ(counters.msg_inflight_bytes.load(), 2u);
-  fabric.StopResponder();
-  auto drained = fabric.Drain(2);
+  fabric[2].StopResponder();
+  auto drained = fabric[2].Drain();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].src, 1);
   EXPECT_EQ(drained[0].payload, "bb");
@@ -131,24 +155,24 @@ TEST(CommFabricTest, DropRequestsFromDiscardsOnlyThatSource) {
 
 TEST(CommFabricTest, DropRequestsFromWaitsOutTheRequestBeingServed) {
   EngineCounters counters;
-  CommFabric fabric(2, /*latency_sec=*/0, &counters);
+  Fabrics fabric(2, /*latency_sec=*/0, &counters);
   std::promise<void> entered;
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   std::atomic<int> served{0};
-  fabric.StartResponder(
-      [&entered, released](int, const std::string& r) {
+  fabric[1].StartResponder(
+      [&entered, released](const std::string& r) {
         entered.set_value();
         released.wait();
         return r;
       },
       [&served](int) { served.fetch_add(1); });
-  fabric.Send(MessageType::kPullRequest, 0, 1, "x");
+  fabric[0].Send(MessageType::kPullRequest, 1, "x");
   entered.get_future().wait();  // the responder is answering it now
 
   std::atomic<bool> drop_returned{false};
   std::thread dropper([&] {
-    EXPECT_EQ(fabric.DropRequestsFrom(0), 0u);
+    EXPECT_EQ(fabric[1].DropRequestsFrom(0), 0u);
     drop_returned.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -163,12 +187,12 @@ TEST(CommFabricTest, DropRequestsFromWaitsOutTheRequestBeingServed) {
 
 TEST(CommFabricTest, WallClockLatencyDelaysDelivery) {
   EngineCounters counters;
-  CommFabric fabric(1, /*latency_sec=*/0.02, &counters);
-  fabric.Send(MessageType::kStealBatch, 0, 0, "slow");
+  Fabrics fabric(2, /*latency_sec=*/0.02, &counters);
+  fabric[0].Send(MessageType::kStealBatch, 1, "slow");
   // Not due until 20 ms of wall time have passed.
-  EXPECT_TRUE(fabric.Service(0).empty());
+  EXPECT_TRUE(fabric[1].Service().empty());
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  auto due = fabric.Service(0);
+  auto due = fabric[1].Service();
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].payload, "slow");
   // The observed latency lands in the >=10ms histogram buckets.
@@ -182,19 +206,19 @@ TEST(CommFabricTest, WallClockLatencyDelaysDelivery) {
 TEST(CommFabricTest, DrainReturnsUndeliveredMessagesIntact) {
   EngineCounters counters;
   // An hour of latency: nothing can become due during the test.
-  CommFabric fabric(2, /*latency_sec=*/3600, &counters);
-  fabric.Send(MessageType::kPullRequest, 0, 1, "p");
-  fabric.Send(MessageType::kStealBatch, 0, 1, "steal-payload");
-  EXPECT_TRUE(fabric.Service(1).empty());  // far from due
-  EXPECT_EQ(fabric.InFlight(), 2u);
+  Fabrics fabric(2, /*latency_sec=*/3600, &counters);
+  fabric[0].Send(MessageType::kPullRequest, 1, "p");
+  fabric[0].Send(MessageType::kStealBatch, 1, "steal-payload");
+  EXPECT_TRUE(fabric[1].Service().empty());  // far from due
+  EXPECT_EQ(fabric[1].InFlight(), 2u);
 
   // Termination: nothing may be lost even though nothing was due.
-  auto drained = fabric.Drain(1);
+  auto drained = fabric[1].Drain();
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[0].payload, "p");
   EXPECT_EQ(drained[1].payload, "steal-payload");
-  EXPECT_EQ(fabric.InFlight(), 0u);
-  EXPECT_EQ(fabric.InFlightBytes(), 0u);
+  EXPECT_EQ(fabric[1].InFlight(), 0u);
+  EXPECT_EQ(fabric[1].InFlightBytes(), 0u);
   EXPECT_EQ(counters.msg_drained.load(), 2u);
   // Drained messages are not "delivered".
   for (int t = 0; t < kNumMessageTypes; ++t) {
@@ -205,13 +229,13 @@ TEST(CommFabricTest, DrainReturnsUndeliveredMessagesIntact) {
 
 TEST(CommFabricTest, CountersTrackBytesDepthAndOverlap) {
   EngineCounters counters;
-  CommFabric fabric(2, 0, &counters);
+  Fabrics fabric(2, 0, &counters);
   int busy = 0;
-  fabric.SetBusyProbe([&busy](int) { return busy; });
+  fabric[1].SetBusyProbe([&busy] { return busy; });
 
-  fabric.Send(MessageType::kStealBatch, 0, 1, "1234");  // idle dst
+  fabric[0].Send(MessageType::kStealBatch, 1, "1234");  // idle dst
   busy = 2;
-  fabric.Send(MessageType::kPullResponse, 0, 1, "56");  // busy dst
+  fabric[0].Send(MessageType::kPullResponse, 1, "56");  // busy dst
   const int steal = static_cast<int>(MessageType::kStealBatch);
   const int resp = static_cast<int>(MessageType::kPullResponse);
   EXPECT_EQ(counters.msg_sent[steal].load(), 1u);
@@ -222,7 +246,7 @@ TEST(CommFabricTest, CountersTrackBytesDepthAndOverlap) {
   EXPECT_EQ(counters.msg_queue_depth_peak.load(), 2u);
   EXPECT_EQ(counters.msg_overlapped.load(), 1u);
 
-  auto due = fabric.Service(1);
+  auto due = fabric[1].Service();
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(counters.msg_delivered[steal].load(), 1u);
   EXPECT_EQ(counters.msg_delivered[resp].load(), 1u);

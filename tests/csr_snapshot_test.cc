@@ -237,15 +237,15 @@ TEST(CsrSnapshotTest, PagedStoreMatchesResidentUnderEvictionChurn) {
 
   const int kMachines = 3;
   for (int rank = 0; rank < kMachines; ++rank) {
-    VertexTable resident(&g, kMachines);
+    VertexTable resident(&g, kMachines, rank);
     // Two pages of budget against a multi-page partition: every pass over
     // the owned vertices must evict and repin mid-scan.
     VertexTable paged(*snap, kMachines, rank, /*graph_memory_budget=*/8192);
-    ASSERT_TRUE(paged.partitioned());
     ASSERT_NE(paged.paged_store(), nullptr);
+    ASSERT_EQ(paged.OwnedVertices(), resident.OwnedVertices());
 
     // Randomized access order, several passes: churn the CLOCK ring.
-    std::vector<VertexId> order = resident.OwnedVertices(rank);
+    std::vector<VertexId> order = resident.OwnedVertices();
     std::mt19937 rng(rank + 1);
     for (int pass = 0; pass < 3; ++pass) {
       std::shuffle(order.begin(), order.end(), rng);
@@ -270,28 +270,28 @@ TEST(CsrSnapshotTest, PagedStoreMatchesResidentUnderEvictionChurn) {
   }
 }
 
-TEST(CsrSnapshotTest, UnboundedSnapshotTableServesAllVertices) {
+TEST(CsrSnapshotTest, UnboundedSnapshotTableServesItsPartition) {
   const Graph g = MakePlanted(300, 13);
-  const std::string path = TempPath("serve_all.qcsr");
+  const std::string path = TempPath("serve_partition.qcsr");
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
 
-  // local_rank -1 + budget 0: the single-process resident-equivalent
-  // table; every adjacency is a direct mmap span.
-  VertexTable table(*snap, /*num_machines=*/2, /*local_rank=*/-1,
-                    /*graph_memory_budget=*/0);
-  EXPECT_FALSE(table.partitioned());
-  EXPECT_EQ(table.NumVertices(), g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    auto want = g.Neighbors(v);
-    auto got = table.Adjacency(v);
-    ASSERT_TRUE(
-        std::equal(want.begin(), want.end(), got.begin(), got.end()));
+  // Budget 0: every owned adjacency is a direct mmap span.
+  for (int rank = 0; rank < 2; ++rank) {
+    VertexTable table(*snap, /*num_machines=*/2, rank,
+                      /*graph_memory_budget=*/0);
+    EXPECT_EQ(table.NumVertices(), g.NumVertices());
+    for (VertexId v : table.OwnedVertices()) {
+      auto want = g.Neighbors(v);
+      auto got = table.Adjacency(v);
+      ASSERT_TRUE(
+          std::equal(want.begin(), want.end(), got.begin(), got.end()));
+    }
+    const PagedStoreStatsSnapshot stats = table.paged_store()->stats();
+    EXPECT_EQ(stats.page_ins, 0u);  // paging disabled entirely
+    EXPECT_EQ(stats.page_evictions, 0u);
   }
-  const PagedStoreStatsSnapshot stats = table.paged_store()->stats();
-  EXPECT_EQ(stats.page_ins, 0u);  // paging disabled entirely
-  EXPECT_EQ(stats.page_evictions, 0u);
 }
 
 TEST(CsrSnapshotTest, ValidateRejectsBadGraphStorageKnobs) {

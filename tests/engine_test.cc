@@ -1,18 +1,25 @@
 // Engine behavior tests with a small toy application (triangle listing):
 // termination, requeue, subtask fan-out, result completeness under
 // machine/thread sweeps, forced spilling, stealing, and a pull answered
-// while the owner's only comper is busy. The toy apps keep the mining
-// logic out so these tests isolate the engine itself.
+// while the owner's only comper is busy. Every run is an in-process
+// cluster (net/local_cluster.h): one engine per rank over loopback TCP
+// under the coordinator. The toy apps keep the mining logic out so these
+// tests isolate the engine itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
+#include <thread>
 
-#include "busy_owner_app.h"
 #include "graph/generators.h"
 #include "gthinker/engine.h"
+#include "memory_transport.h"
 #include "mining/qc_task.h"
+#include "net/local_cluster.h"
 
 namespace qcm {
 namespace {
@@ -132,8 +139,7 @@ EngineConfig BaseConfig() {
 
 std::vector<VertexSet> RunTriangles(const Graph& g, EngineConfig config) {
   TriApp app;
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g, config, &app);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   auto results = std::move(report->results);
   std::sort(results.begin(), results.end());
@@ -196,8 +202,7 @@ TEST(EngineTest, SpillCountersMoveWhenForced) {
   config.local_queue_capacity = 4;
   config.batch_size = 4;
   TriApp app;
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g, config, &app);
   ASSERT_TRUE(report.ok());
   // The iteration-2 fan-out (one subtask per pivot) bursts past the tiny
   // local queue capacity and must spill to L_small ...
@@ -215,8 +220,7 @@ TEST(EngineTest, BigTaskRoutingBySizeHint) {
   config.threads_per_machine = 2;
   config.tau_split = 10;  // spawned tasks with degree > 10 are big
   TriApp app;
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g, config, &app);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->counters.big_tasks, 0u);
   EXPECT_GT(report->counters.small_tasks, 0u);
@@ -235,7 +239,7 @@ TEST(EngineTest, StealingKeepsResultsCorrect) {
 
 /// TriApp variant that skews all spawning onto machine 0 (only vertices
 /// it owns spawn tasks) and burns a little CPU per compute round, so the
-/// steal master reliably moves big-task batches to the starved machines.
+/// coordinator reliably moves big-task batches to the starved machines.
 class SkewedSlowTriApp : public TriApp {
  public:
   explicit SkewedSlowTriApp(int machines) : machines_(machines) {}
@@ -246,7 +250,7 @@ class SkewedSlowTriApp : public TriApp {
   }
 
   ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
-    // Busy-wait (not sleep) so the steal master sees a loaded donor.
+    // Busy-wait (not sleep) so the coordinator sees a loaded donor.
     WallTimer t;
     while (t.Seconds() < 0.0003) {
     }
@@ -289,8 +293,7 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
     config.steal_rtt_reference_sec = 1.0;
     config.net_latency_sec = latency_sec;
     SkewedSlowTriApp app(kMachines);
-    Engine engine(&g, config, &app);
-    auto report = engine.Run();
+    auto report = RunLocalCluster(g, config, &app);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     auto results = std::move(report->results);
     std::sort(results.begin(), results.end());
@@ -309,40 +312,24 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
   }
 }
 
-TEST(EngineTest, DisabledStealingDoesNotSpinTheStealThread) {
+// With stealing off, or with one machine, there is nothing to balance:
+// a long steal period must not delay termination, and nothing moves.
+TEST(EngineTest, NoStealingNeverWaitsOutTheStealPeriod) {
   auto g = std::move(GenErdosRenyi(60, 300, 7)).value();
-  EngineConfig config = BaseConfig();
-  config.num_machines = 1;  // workers < 2: nothing could ever be stolen
-  config.threads_per_machine = 2;
-  config.steal_period_sec = 10.0;  // would stall termination if slept on
-  TriApp app;
-  Engine engine(&g, config, &app);
-  WallTimer wall;
-  auto report = engine.Run();
-  ASSERT_TRUE(report.ok());
-  // The steal thread is never spawned: the run terminates promptly and
-  // records no steal-master activity at all.
-  EXPECT_LT(wall.Seconds(), 5.0);
-  EXPECT_EQ(report->counters.steal_idle_usec, 0u);
-  EXPECT_EQ(report->counters.steal_active_usec, 0u);
-  EXPECT_EQ(report->counters.steal_events, 0u);
-}
-
-TEST(EngineTest, StealThreadReportsIdleTime) {
-  auto g = std::move(GenBarabasiAlbert(200, 4, 13)).value();
-  EngineConfig config = BaseConfig();
-  config.num_machines = 2;
-  config.threads_per_machine = 1;
-  config.steal_period_sec = 0.002;
-  config.enable_stealing = true;
-  // The slow app keeps the run alive long enough for the master to nap
-  // through at least one balancing period.
-  SkewedSlowTriApp app(2);
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
-  ASSERT_TRUE(report.ok());
-  // The master existed and spent (almost all of) its life sleeping.
-  EXPECT_GT(report->counters.steal_idle_usec, 0u);
+  for (const int machines : {1, 2}) {
+    EngineConfig config = BaseConfig();
+    config.num_machines = machines;
+    config.threads_per_machine = 2;
+    config.enable_stealing = machines == 1;
+    config.steal_period_sec = 10.0;  // would stall termination if waited on
+    TriApp app;
+    WallTimer wall;
+    auto report = RunLocalCluster(g, config, &app);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_LT(wall.Seconds(), 5.0) << "machines=" << machines;
+    EXPECT_EQ(report->counters.steal_events, 0u) << "machines=" << machines;
+    EXPECT_EQ(report->counters.stolen_tasks, 0u) << "machines=" << machines;
+  }
 }
 
 TEST(EngineTest, RemoteFetchesHappenWithMultipleMachines) {
@@ -351,14 +338,100 @@ TEST(EngineTest, RemoteFetchesHappenWithMultipleMachines) {
   config.num_machines = 4;
   config.threads_per_machine = 1;
   TriApp app;
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g, config, &app);
   ASSERT_TRUE(report.ok());
   // Remote pivots arrive through batched pulls the subtasks suspend on.
   EXPECT_GT(report->counters.cache_misses, 0u);
   EXPECT_GT(report->counters.task_suspensions, 0u);
   EXPECT_GT(report->counters.pulled_vertices, 0u);
 }
+
+// A two-task probe app for where vertex pulls are answered (paper §5: a
+// communication thread serves vertex requests, never a comper). The
+// owner machine's only comper blocks inside Compute until the requester's
+// task has had its pull of an owner vertex delivered. If only a comper
+// could answer the request, the owner waits out its bound instead and
+// records that the pull was not answered while it was busy -- a broken
+// build fails rather than hangs.
+struct BusyOwnerProbe {
+  /// The owner's task is inside Compute, holding its machine's comper.
+  std::atomic<bool> owner_busy{false};
+  /// The requester's task read the pulled adjacency.
+  std::atomic<bool> pull_delivered{false};
+  /// The owner's verdict: the pull was delivered while it was busy.
+  std::atomic<bool> answered_while_busy{false};
+};
+
+class BusyOwnerApp : public App {
+ public:
+  /// `requester_root`'s task pulls `pulled`, a vertex of
+  /// `owner_root`'s machine, once `owner_root`'s task is busy; every wait
+  /// gives up after `wait_sec`.
+  BusyOwnerApp(BusyOwnerProbe* probe, VertexId requester_root,
+               VertexId owner_root, VertexId pulled, double wait_sec)
+      : probe_(probe),
+        requester_root_(requester_root),
+        owner_root_(owner_root),
+        pulled_(pulled),
+        wait_sec_(wait_sec) {}
+
+  TaskPtr Spawn(VertexId v, ComputeContext& ctx) override {
+    (void)ctx;
+    if (v != requester_root_ && v != owner_root_) return nullptr;
+    return std::make_unique<ProbeTask>(v);
+  }
+
+  ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
+    if (task.root() == owner_root_) {
+      probe_->owner_busy.store(true);
+      probe_->answered_while_busy.store(Await(probe_->pull_delivered));
+      return ComputeStatus::kDone;
+    }
+    Await(probe_->owner_busy);
+    if (!ctx.Request(pulled_)) return ComputeStatus::kSuspended;
+    // Emits the pair when the delivered adjacency holds the edge back to
+    // the root (the tests' graphs have it).
+    AdjRef adj = ctx.Fetch(pulled_);
+    for (VertexId u : adj.adj) {
+      if (u == task.root()) ctx.sink().Emit({task.root(), pulled_});
+    }
+    probe_->pull_delivered.store(true);
+    return ComputeStatus::kDone;
+  }
+
+  StatusOr<TaskPtr> DecodeTask(Decoder* dec) const override {
+    VertexId root = 0;
+    QCM_RETURN_IF_ERROR(dec->GetU32(&root));
+    return TaskPtr(std::make_unique<ProbeTask>(root));
+  }
+
+ private:
+  class ProbeTask : public Task {
+   public:
+    explicit ProbeTask(VertexId root) : root_(root) {}
+    VertexId root() const override { return root_; }
+    uint64_t SizeHint() const override { return 1; }
+    void Encode(Encoder* enc) const override { enc->PutU32(root_); }
+
+   private:
+    VertexId root_;
+  };
+
+  /// Waits until `flag` is set or the bound runs out; returns the flag.
+  bool Await(const std::atomic<bool>& flag) const {
+    WallTimer waited;
+    while (!flag.load() && waited.Seconds() < wait_sec_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return flag.load();
+  }
+
+  BusyOwnerProbe* probe_;
+  VertexId requester_root_;
+  VertexId owner_root_;
+  VertexId pulled_;
+  double wait_sec_;
+};
 
 // Machine 1's only comper is stuck in a long task; machine 0's task pulls
 // a machine-1 vertex meanwhile. The pull responder answers it at once
@@ -375,8 +448,7 @@ TEST(EngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
   BusyOwnerProbe probe;
   BusyOwnerApp app(&probe, /*requester_root=*/0, /*owner_root=*/1,
                    /*pulled=*/3, /*wait_sec=*/10.0);
-  Engine engine(&g.value(), config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g.value(), config, &app);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(probe.answered_while_busy.load())
       << "the pull waited for the owner's busy comper";
@@ -388,7 +460,11 @@ TEST(EngineTest, RunTwiceIsAnError) {
   auto g = std::move(GenErdosRenyi(20, 40, 1)).value();
   EngineConfig config = BaseConfig();
   TriApp app;
-  Engine engine(&g, config, &app);
+  // A world of one needs no coordinator: idle is globally quiescent.
+  MemoryNetwork net(1);
+  net.TerminateWhenIdle();
+  Engine engine(std::make_unique<VertexTable>(&g, 1, 0), config, &app,
+                net.at(0));
   ASSERT_TRUE(engine.Run().ok());
   EXPECT_FALSE(engine.Run().ok());
 }
@@ -398,8 +474,9 @@ TEST(EngineTest, InvalidConfigRejected) {
   EngineConfig config = BaseConfig();
   config.num_machines = 0;
   TriApp app;
-  Engine engine(&g, config, &app);
-  EXPECT_FALSE(engine.Run().ok());
+  WallTimer wall;
+  EXPECT_FALSE(RunLocalCluster(g, config, &app).ok());
+  EXPECT_LT(wall.Seconds(), 5.0);
 }
 
 TEST(EngineTest, ThreadSummariesCoverAllThreads) {
@@ -408,8 +485,7 @@ TEST(EngineTest, ThreadSummariesCoverAllThreads) {
   config.num_machines = 2;
   config.threads_per_machine = 3;
   TriApp app;
-  Engine engine(&g, config, &app);
-  auto report = engine.Run();
+  auto report = RunLocalCluster(g, config, &app);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->threads.size(), 6u);
   uint64_t total_tasks = 0;

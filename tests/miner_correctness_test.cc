@@ -133,17 +133,23 @@ struct SweepParam {
 
 class MinerOracleSweep : public testing::TestWithParam<SweepParam> {};
 
+// Both kernel families: every task here is below the default dense
+// threshold, so 0 is what sends them through the sparse kernels.
 TEST_P(MinerOracleSweep, MatchesOracle) {
   const SweepParam& p = GetParam();
   auto g = std::move(GenErdosRenyi(p.n, p.m, p.seed)).value();
-  MiningOptions opts;
-  opts.gamma = p.gamma;
-  opts.min_size = p.min_size;
-  auto mined = MineMaximal(g, opts);
   auto oracle = Oracle(g, p.gamma, p.min_size);
-  EXPECT_EQ(mined, oracle) << "seed=" << p.seed << " n=" << p.n
-                           << " m=" << p.m << " gamma=" << p.gamma
-                           << " min_size=" << p.min_size;
+  for (const int64_t dense_threshold : {int64_t{0}, int64_t{4096}}) {
+    MiningOptions opts;
+    opts.gamma = p.gamma;
+    opts.min_size = p.min_size;
+    opts.dense_threshold = dense_threshold;
+    auto mined = MineMaximal(g, opts);
+    EXPECT_EQ(mined, oracle) << "seed=" << p.seed << " n=" << p.n
+                             << " m=" << p.m << " gamma=" << p.gamma
+                             << " min_size=" << p.min_size
+                             << " dense_threshold=" << dense_threshold;
+  }
 }
 
 std::vector<SweepParam> MakeSweep() {

@@ -1,12 +1,11 @@
 // Transport/coordinator integration tests, run entirely in-process so the
 // sanitizer configs see every thread: the rank-assignment handshake, the
 // data-plane mesh, prompt shutdown, steal commands, distributed
-// termination detection with report collection, a pull answered while the
-// owner's only comper is busy, and -- the core §5 parity claim -- a full
-// 3-"process" distributed engine run (three TcpTransport-backed engines,
-// each serving its own partition of one .qcsr snapshot like a qcm_worker
-// does, real loopback sockets between them) whose merged maximal result
-// set is bit-identical to simulated single-process mode.
+// termination detection with report collection, and -- the core §5
+// parity claim -- a full 3-rank cluster run through the in-process
+// launcher (three TcpTransport-backed engines, real loopback sockets
+// between them) whose merged maximal result set is bit-identical to the
+// serial miner's, with and without send coalescing.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,16 +18,14 @@
 #include <thread>
 #include <vector>
 
-#include "busy_owner_app.h"
-#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
-#include "gthinker/engine.h"
-#include "mining/parallel_miner.h"
 #include "mining/qc_app.h"
 #include "net/coordinator.h"
 #include "net/job_spec.h"
+#include "net/local_cluster.h"
 #include "net/tcp_transport.h"
 #include "quick/maximality_filter.h"
+#include "quick/serial_miner.h"
 #include "util/serde.h"
 #include "util/timer.h"
 
@@ -384,21 +381,15 @@ TEST(TcpTransportTest, LingerExpiryFlushesParkedFrames) {
   EXPECT_GE(result.sender_stats.park_usec_sum, 1900u);
 }
 
-// The §5 parity claim, in-process: three TcpTransport-backed engines over
-// per-rank snapshot tables mine the same maximal set as simulated mode.
-TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
+// The §5 parity claim: three TcpTransport-backed engines, each serving
+// its own partition, under the coordinator, mine the serial miner's
+// maximal set.
+TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSerialMiner) {
   auto spec = ParsePlantedSpec("n=900,communities=4,size=9..12,density=0.95",
                                7);
   ASSERT_TRUE(spec.ok());
   auto graph = GenPlantedCommunities(spec.value());
   ASSERT_TRUE(graph.ok());
-  // Workers only ever serve a packed snapshot; pack one like the launcher.
-  const std::string snapshot_path = ::testing::TempDir() +
-                                    "/net_transport_parity_" +
-                                    std::to_string(::getpid()) + ".qcsr";
-  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
-  auto snapshot = CsrSnapshot::Open(snapshot_path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
   EngineConfig config;
   config.num_machines = 3;
@@ -410,80 +401,37 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   config.max_pull_batch = 64;
   config.steal_period_sec = 0.002;
 
-  // Reference: simulated single-process run.
   std::vector<VertexSet> expected;
   {
-    ParallelMiner miner(config);
-    auto result = miner.Run(*graph);
-    ASSERT_TRUE(result.ok());
-    expected = std::move(result->maximal);
+    VectorSink sink;
+    auto report = SerialMiner(config.mining).Run(*graph, &sink);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    expected = FilterMaximal(std::move(sink.results()));
   }
   ASSERT_FALSE(expected.empty());
-
-  // Distributed: one engine per rank, real sockets in between. Run once
-  // with the given config; out-params get the canonical maximal set and
-  // the merged cluster report.
-  auto run_distributed = [&snapshot](const EngineConfig& run_config,
-                                  std::vector<VertexSet>* out_results,
-                                  EngineReport* out_merged) {
-    CoordinatorConfig coord_config;
-    coord_config.world_size = 3;
-    coord_config.config_blob = "job";
-    coord_config.steal_period_sec = run_config.steal_period_sec;
-    coord_config.steal_batch_cap = run_config.batch_size;
-    auto coordinator = Coordinator::Listen(std::move(coord_config));
-    ASSERT_TRUE(coordinator.ok());
-    const uint16_t port = (*coordinator)->port();
-
-    auto worker_main = [&] {
-      auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      std::unique_ptr<TcpTransport> transport = std::move(t).value();
-      auto table = std::make_unique<VertexTable>(
-          *snapshot, 3, transport->rank(), /*graph_memory_budget=*/0);
-      QCApp app(run_config);
-      Engine engine(std::move(table), run_config, &app, transport.get());
-      auto report = engine.Run();
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      Encoder enc;
-      EncodeEngineReport(report.value(), &enc);
-      ASSERT_TRUE(transport->SendReport(enc.Release()).ok());
-      EXPECT_TRUE(transport->terminated());
-      EXPECT_FALSE(transport->failed());
-      transport->Shutdown();
-    };
-
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 3; ++i) threads.emplace_back(worker_main);
-    ASSERT_TRUE((*coordinator)->RunHandshake().ok());
-    auto blobs = (*coordinator)->RunToCompletion();
-    for (auto& th : threads) th.join();
-    ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
-    (*coordinator)->Close();
-
-    // Merge the raw candidates of all ranks (from the shipped blobs,
-    // like qcm_cluster does) and postprocess once.
-    std::vector<EngineReport> decoded(3);
-    for (int r = 0; r < 3; ++r) {
-      Decoder dec((*blobs)[r]);
-      ASSERT_TRUE(DecodeEngineReport(&dec, &decoded[r]).ok());
-    }
-    *out_merged = MergeEngineReports(decoded);
-    *out_results = FilterMaximal(std::move(out_merged->results));
-    CanonicalizeResults(out_results);
-  };
-
   CanonicalizeResults(&expected);
 
+  // Runs the cluster with `run_config`; returns the merged report, whose
+  // raw candidates are postprocessed once into `out_results`.
+  auto run_cluster = [&graph](const EngineConfig& run_config,
+                              std::vector<VertexSet>* out_results) {
+    QCApp app(run_config);
+    auto merged = RunLocalCluster(*graph, run_config, &app);
+    EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+    if (!merged.ok()) return EngineReport{};
+    *out_results = FilterMaximal(std::move(merged->results));
+    CanonicalizeResults(out_results);
+    return std::move(merged).value();
+  };
+
   std::vector<VertexSet> actual;
-  EngineReport merged;
-  run_distributed(config, &actual, &merged);
+  EngineReport merged = run_cluster(config, &actual);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(ResultSetDigest(actual), ResultSetDigest(expected));
 
-  // The distributed run must have moved real vertex traffic between the
-  // ranks (every rank holds only a third of the adjacency). Without
-  // coalescing every data frame flushed directly.
+  // The run must have moved real vertex traffic between the ranks (every
+  // rank reads only a third of the adjacency). Without coalescing every
+  // data frame flushed directly.
   EXPECT_GT(merged.counters.pulled_vertices, 0u);
   EXPECT_GT(merged.counters.msg_sent[0], 0u);  // pull requests
   EXPECT_GT(merged.counters.net_flush_direct, 0u);
@@ -496,8 +444,7 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   coalesced.net_coalesce_bytes = 1400;
   coalesced.net_linger_usec = 100;
   std::vector<VertexSet> actual_coalesced;
-  EngineReport merged_coalesced;
-  run_distributed(coalesced, &actual_coalesced, &merged_coalesced);
+  EngineReport merged_coalesced = run_cluster(coalesced, &actual_coalesced);
   EXPECT_EQ(actual_coalesced, expected);
   EXPECT_EQ(ResultSetDigest(actual_coalesced), ResultSetDigest(expected));
   EXPECT_GT(merged_coalesced.counters.net_flushes, 0u);
@@ -505,75 +452,6 @@ TEST(DistributedEngineTest, ThreeRanksBitIdenticalToSimulatedMode) {
   EXPECT_GE(merged_coalesced.counters.net_flush_frames,
             merged_coalesced.counters.net_flushes);
   EXPECT_EQ(merged_coalesced.counters.net_flush_direct, 0u);
-  std::remove(snapshot_path.c_str());
-}
-
-// The responder half of the §5 design over real sockets: rank 1's only
-// comper is stuck in a long task while rank 0's task pulls a rank-1
-// vertex. Rank 1's pull responder answers at once.
-TEST(DistributedEngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
-  // Owner(v) = v % 3: roots 0 (rank 0) and 1 (rank 1); vertex 4 (rank 1)
-  // is pulled; rank 2 spawns nothing.
-  auto graph =
-      Graph::FromEdges(6, {{0, 1}, {0, 4}, {1, 4}, {2, 4}, {3, 5}});
-  ASSERT_TRUE(graph.ok());
-  const std::string snapshot_path = ::testing::TempDir() +
-                                    "/net_transport_busy_owner_" +
-                                    std::to_string(::getpid()) + ".qcsr";
-  ASSERT_TRUE(WriteCsrSnapshot(*graph, {}, snapshot_path).ok());
-  auto snapshot = CsrSnapshot::Open(snapshot_path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-
-  EngineConfig config;
-  config.num_machines = 3;
-  config.threads_per_machine = 1;
-  config.mining.gamma = 0.9;  // unused by the probe app but must validate
-  config.mining.min_size = 2;
-
-  CoordinatorConfig coord_config;
-  coord_config.world_size = 3;
-  coord_config.config_blob = "job";
-  coord_config.steal_period_sec = 0.0;
-  auto coordinator = Coordinator::Listen(std::move(coord_config));
-  ASSERT_TRUE(coordinator.ok());
-  const uint16_t port = (*coordinator)->port();
-
-  BusyOwnerProbe probe;
-  auto worker_main = [&] {
-    auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-    std::unique_ptr<TcpTransport> transport = std::move(t).value();
-    auto table = std::make_unique<VertexTable>(
-        *snapshot, 3, transport->rank(), /*graph_memory_budget=*/0);
-    BusyOwnerApp app(&probe, /*requester_root=*/0, /*owner_root=*/1,
-                     /*pulled=*/4, /*wait_sec=*/10.0);
-    Engine engine(std::move(table), config, &app, transport.get());
-    auto report = engine.Run();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    Encoder enc;
-    EncodeEngineReport(report.value(), &enc);
-    ASSERT_TRUE(transport->SendReport(enc.Release()).ok());
-    transport->Shutdown();
-  };
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) threads.emplace_back(worker_main);
-  ASSERT_TRUE((*coordinator)->RunHandshake().ok());
-  auto blobs = (*coordinator)->RunToCompletion();
-  for (auto& th : threads) th.join();
-  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
-  (*coordinator)->Close();
-  std::remove(snapshot_path.c_str());
-
-  EXPECT_TRUE(probe.answered_while_busy.load())
-      << "the pull waited for the owner's busy comper";
-  std::vector<EngineReport> decoded(3);
-  for (int r = 0; r < 3; ++r) {
-    Decoder dec((*blobs)[r]);
-    ASSERT_TRUE(DecodeEngineReport(&dec, &decoded[r]).ok());
-  }
-  EngineReport merged = MergeEngineReports(decoded);
-  EXPECT_EQ(merged.counters.pulled_vertices, 1u);
-  EXPECT_EQ(merged.results, std::vector<VertexSet>({{0, 4}}));
 }
 
 }  // namespace

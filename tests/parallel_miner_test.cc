@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "graph/generators.h"
@@ -52,12 +53,19 @@ TEST(ParallelMinerTest, PaperFigure4MatchesOracle) {
   EXPECT_EQ(result.maximal, oracle);
 }
 
+// Both kernel families: every task of a tiny graph is below the default
+// dense threshold, so 0 is what sends them through the sparse kernels.
 TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     auto g = std::move(GenErdosRenyi(14, 50, seed)).value();
-    auto result = ParallelRun(g, SmallConfig(0.7, 3));
     auto oracle = std::move(NaiveMaximalQuasiCliques(g, 0.7, 3)).value();
-    EXPECT_EQ(result.maximal, oracle) << "seed=" << seed;
+    for (const int64_t dense_threshold : {int64_t{0}, int64_t{4096}}) {
+      EngineConfig config = SmallConfig(0.7, 3);
+      config.mining.dense_threshold = dense_threshold;
+      auto result = ParallelRun(g, config);
+      EXPECT_EQ(result.maximal, oracle)
+          << "seed=" << seed << " dense_threshold=" << dense_threshold;
+    }
   }
 }
 
@@ -185,9 +193,14 @@ TEST(ParallelMinerTest, TaskLogRecordsRoots) {
   config.record_task_log = true;
   auto result = ParallelRun(g, config);
   ASSERT_FALSE(result.report.root_tasks.empty());
+  std::set<VertexId> roots;
   for (const auto& agg : result.report.root_tasks) {
     EXPECT_GT(agg.tasks, 0u);
     EXPECT_GE(agg.mining_seconds, 0.0);
+    // Subtasks of one root may run on several threads and ranks; the
+    // report folds them into one entry.
+    EXPECT_TRUE(roots.insert(agg.root).second)
+        << "root " << agg.root << " appears twice";
   }
 }
 

@@ -485,7 +485,7 @@ TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
   config.net_latency_sec = 1.0;
   ScriptedPeerTransport transport;
   AnswerOnlyApp app;
-  Engine engine(std::make_unique<VertexTable>(*snapshot, 2, /*local_rank=*/0,
+  Engine engine(std::make_unique<VertexTable>(*snapshot, 2, /*rank=*/0,
                                               /*graph_memory_budget=*/0),
                 config, &app, &transport);
   StatusOr<EngineReport> report = Status::Aborted("engine did not run");

@@ -126,13 +126,14 @@ TEST(SpillManagerTest, RemoveAllWithFilesStillPendingDeletesThem) {
 
 TEST(VertexTableTest, PartitionsCoverAllVertices) {
   auto g = std::move(GenErdosRenyi(100, 300, 1)).value();
-  VertexTable table(&g, 4);
   size_t total = 0;
   for (int m = 0; m < 4; ++m) {
-    for (VertexId v : table.OwnedVertices(m)) {
+    VertexTable table(&g, 4, m);
+    for (VertexId v : table.OwnedVertices()) {
       EXPECT_EQ(table.Owner(v), m);
+      EXPECT_TRUE(table.IsLocal(v));
     }
-    total += table.OwnedVertices(m).size();
+    total += table.OwnedVertices().size();
   }
   EXPECT_EQ(total, g.NumVertices());
 }

@@ -289,6 +289,8 @@ TEST(TraceE2ETest, SingleProcessDigestUnchangedByTracing) {
   ASSERT_FALSE(trace.empty()) << on.output;
   EXPECT_EQ(trace.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"busy_compers\""), std::string::npos)
+      << "kStats counter tracks missing from the timeline";
   ::remove(trace_path.c_str());
 }
 

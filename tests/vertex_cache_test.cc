@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "gthinker/comm.h"
 #include "gthinker/vertex_cache.h"
 #include "gthinker/vertex_table.h"
+#include "memory_transport.h"
 #include "mining/parallel_miner.h"
 #include "mining/qc_task.h"
 #include "quick/maximality_filter.h"
@@ -103,18 +105,18 @@ VertexCache::AdjPtr CopyOf(const Graph& g, VertexId v) {
 
 TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
-  VertexTable table(&g, 2);
+  VertexTable table(&g, 2, /*rank=*/0);
   EngineCounters counters;
-  DataService svc(&table, /*machine=*/0, /*cache_capacity=*/1024, &counters);
+  DataService svc(&table, /*cache_capacity=*/1024, &counters);
 
   // Local fetch: no pin, no cache traffic.
-  VertexId local_v = table.OwnedVertices(0)[0];
+  VertexId local_v = table.OwnedVertices()[0];
   AdjRef local_ref = svc.Fetch(local_v);
   EXPECT_EQ(local_ref.pin, nullptr);
   EXPECT_EQ(counters.cache_misses.load(), 0u);
 
   // Remote fetch of a delivered (cached) vertex: a pinned cache hit.
-  VertexId remote_v = table.OwnedVertices(1)[0];
+  const VertexId remote_v = VertexTable(&g, 2, 1).OwnedVertices()[0];
   svc.cache().Insert(remote_v, CopyOf(g, remote_v));
   AdjRef r = svc.Fetch(remote_v);
   EXPECT_NE(r.pin, nullptr);
@@ -125,70 +127,115 @@ TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
   EXPECT_TRUE(std::equal(r.adj.begin(), r.adj.end(), src.begin()));
 }
 
-// A simulated table could read the owner's adjacency, but a remote vertex
-// that was never Request()ed (nor cached) must fail exactly as it does on
-// a cluster worker, whose table does not hold it.
+// The resident graph behind a table holds the owner's adjacency too, but
+// a remote vertex that was never Request()ed (nor cached) must fail
+// exactly as it does on a cluster worker, whose snapshot table does not
+// serve it.
 TEST(DataServiceDeathTest, UnrequestedRemoteFetchAbortsOnSharedGraph) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
-  VertexTable table(&g, 2);
-  ASSERT_FALSE(table.partitioned());
+  VertexTable table(&g, 2, /*rank=*/0);
   EngineCounters counters;
-  DataService svc(&table, /*machine=*/0, /*cache_capacity=*/1024, &counters);
-  const VertexId remote_v = table.OwnedVertices(1)[0];
+  DataService svc(&table, /*cache_capacity=*/1024, &counters);
+  const VertexId remote_v = VertexTable(&g, 2, 1).OwnedVertices()[0];
   EXPECT_DEATH(svc.Fetch(remote_v),
                "never Request\\(\\)ed/pinned \\(pull-protocol violation\\)");
 }
 
-/// Runs the full request/response protocol to completion over `fabric`:
-/// start the fabric's pull responder over the brokers (wired as the
-/// engine wires it), pump machine 0's requests, then service every
-/// machine's inbox -- one comper scheduling loop each -- accepting the
-/// responses until nothing is in flight. Returns all resumed tasks.
-/// Brokers index per machine; brokers[0] is the requester.
-std::vector<TaskPtr> CompletePullRound(
-    CommFabric& fabric, std::vector<PullBroker*> brokers) {
-  fabric.StartResponder([&brokers](int owner, const std::string& request) {
-    return brokers[owner]->ServeRequest(request);
-  });
+/// One machine of an n-machine cluster over a resident graph: its
+/// partition, data service, pull broker and fabric, wired to the other
+/// machines through `net` as the engine wires them.
+struct TestMachine {
+  TestMachine(const Graph& g, int n, int rank, MemoryNetwork* net,
+              size_t max_batch, EngineCounters* counters)
+      : table(&g, n, rank),
+        data(&table, /*cache_capacity=*/1024, counters),
+        broker(&data, max_batch, counters),
+        fabric(/*latency_sec=*/0, counters, net->at(rank)) {
+    net->at(rank)->SetDataHandler([this](int src, uint8_t type,
+                                         std::string payload,
+                                         uint64_t transit) {
+      fabric.Inject(static_cast<MessageType>(type), src, std::move(payload),
+                    transit);
+    });
+  }
+
+  VertexTable table;
+  DataService data;
+  PullBroker broker;
+  CommFabric fabric;
+};
+
+/// `n` machines sharing one counter set; machine 0 is the requester.
+struct TestCluster {
+  TestCluster(const Graph& g, int n, size_t max_batch) : net(n) {
+    for (int r = 0; r < n; ++r) {
+      machines.push_back(
+          std::make_unique<TestMachine>(g, n, r, &net, max_batch, &counters));
+    }
+  }
+  TestMachine& operator[](int r) { return *machines[r]; }
+
+  /// Messages in flight anywhere. Reads the owners before the requester:
+  /// an answer moves from an owner's responder into machine 0's inbox,
+  /// so this order never misses one in mid-move.
+  size_t InFlight() {
+    size_t total = 0;
+    for (size_t r = machines.size(); r-- > 0;) {
+      total += machines[r]->fabric.InFlight();
+    }
+    return total;
+  }
+
+  EngineCounters counters;
+  MemoryNetwork net;
+  std::vector<std::unique_ptr<TestMachine>> machines;
+};
+
+/// Runs the full request/response protocol to completion: start every
+/// machine's pull responder over its broker (wired as the engine wires
+/// it), pump machine 0's requests, then service every machine's inbox --
+/// one comper scheduling loop each -- accepting the responses until
+/// nothing is in flight. Returns all resumed tasks.
+std::vector<TaskPtr> CompletePullRound(TestCluster& cluster) {
+  for (auto& m : cluster.machines) {
+    PullBroker* broker = &m->broker;
+    m->fabric.StartResponder([broker](const std::string& request) {
+      return broker->ServeRequest(request);
+    });
+  }
   std::vector<TaskPtr> ready;
-  for (TaskPtr& t : brokers[0]->PumpRequests(&fabric)) {
+  for (TaskPtr& t : cluster[0].broker.PumpRequests(&cluster[0].fabric)) {
     ready.push_back(std::move(t));
   }
-  // Bounded: the responder answers on its own thread.
+  // Bounded: the responders answer on their own threads.
   WallTimer waited;
-  while (fabric.InFlight() > 0 && waited.Seconds() < 10.0) {
-    for (size_t m = 0; m < brokers.size(); ++m) {
-      for (Message& msg : fabric.Service(static_cast<int>(m))) {
+  while (cluster.InFlight() > 0 && waited.Seconds() < 10.0) {
+    for (auto& m : cluster.machines) {
+      for (Message& msg : m->fabric.Service()) {
         EXPECT_EQ(msg.type, MessageType::kPullResponse);
-        for (TaskPtr& t : brokers[m]->AcceptResponse(msg.payload)) {
+        for (TaskPtr& t : m->broker.AcceptResponse(msg.payload)) {
           ready.push_back(std::move(t));
         }
       }
     }
   }
-  fabric.StopResponder();
+  for (auto& m : cluster.machines) m->fabric.StopResponder();
   return ready;
 }
 
 TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
   auto g = std::move(GenErdosRenyi(60, 300, 4)).value();
-  VertexTable table(&g, 3);
-  EngineCounters counters;
-  DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
-  DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
-  DataService svc2(&table, 2, /*cache_capacity=*/1024, &counters);
-  PullBroker b0(&svc0, 0, /*max_batch=*/4, &counters);
-  PullBroker b1(&svc1, 1, /*max_batch=*/4, &counters);
-  PullBroker b2(&svc2, 2, /*max_batch=*/4, &counters);
-  CommFabric fabric(3, /*latency_sec=*/0, &counters);
+  TestCluster cluster(g, 3, /*max_batch=*/4);
+  EngineCounters& counters = cluster.counters;
+  PullBroker& b0 = cluster[0].broker;
 
   // A task wanting vertices owned by machines 1 and 2.
   TaskPtr task = QCTask::MakeSpawn(0, 1);
   std::vector<VertexId> wanted;
   for (int m : {1, 2}) {
     for (size_t i = 0; i < 6; ++i) {
-      wanted.push_back(table.OwnedVertices(m)[i]);
+      wanted.push_back(cluster[m].table.OwnedVertices()[i]);
     }
   }
   for (VertexId v : wanted) task->pulls().Want(v);
@@ -196,7 +243,7 @@ TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
   EXPECT_EQ(b0.ParkedCount(), 1u);
   EXPECT_EQ(b0.InFlightVertices(), wanted.size());
 
-  auto ready = CompletePullRound(fabric, {&b0, &b1, &b2});
+  auto ready = CompletePullRound(cluster);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(b0.ParkedCount(), 0u);
   EXPECT_EQ(b0.InFlightVertices(), 0u);
@@ -218,31 +265,28 @@ TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
     auto src = g.Neighbors(v);
     EXPECT_TRUE(std::equal((*pin)->begin(), (*pin)->end(), src.begin(),
                            src.end()));
-    EXPECT_NE(svc0.cache().Lookup(v, /*count_stats=*/false), nullptr);
+    EXPECT_NE(cluster[0].data.cache().Lookup(v, /*count_stats=*/false),
+              nullptr);
   }
   // Nothing left: a second pump sends nothing and resumes nothing.
-  EXPECT_TRUE(b0.PumpRequests(&fabric).empty());
-  EXPECT_EQ(fabric.InFlight(), 0u);
+  EXPECT_TRUE(b0.PumpRequests(&cluster[0].fabric).empty());
+  EXPECT_EQ(cluster.InFlight(), 0u);
 }
 
 TEST(PullBrokerTest, CachedRequestsTransferNothing) {
   auto g = std::move(GenErdosRenyi(40, 200, 5)).value();
-  VertexTable table(&g, 2);
-  EngineCounters counters;
-  DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
-  DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
-  PullBroker b0(&svc0, 0, 1024, &counters);
-  PullBroker b1(&svc1, 1, 1024, &counters);
-  CommFabric fabric(2, 0, &counters);
+  TestCluster cluster(g, 2, /*max_batch=*/1024);
+  EngineCounters& counters = cluster.counters;
 
-  VertexId v = table.OwnedVertices(1)[0];
-  svc0.cache().Insert(v, CopyOf(g, v));  // an earlier pull delivered v
+  VertexId v = cluster[1].table.OwnedVertices()[0];
+  // An earlier pull delivered v.
+  cluster[0].data.cache().Insert(v, CopyOf(g, v));
   const uint64_t bytes_before = counters.pull_bytes.load();
 
   TaskPtr task = QCTask::MakeSpawn(0, 1);
   task->pulls().Want(v);
-  b0.Park(std::move(task));
-  auto ready = CompletePullRound(fabric, {&b0, &b1});
+  cluster[0].broker.Park(std::move(task));
+  auto ready = CompletePullRound(cluster);
   ASSERT_EQ(ready.size(), 1u);
   // Served from cache at park time: pinned, no message, no transfer.
   EXPECT_NE(ready[0]->pulls().Find(v), nullptr);
@@ -253,16 +297,11 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
 
 TEST(PullBrokerTest, SharedInFlightVertexRequestedOnce) {
   auto g = std::move(GenErdosRenyi(40, 200, 6)).value();
-  VertexTable table(&g, 2);
-  EngineCounters counters;
-  DataService svc0(&table, 0, /*cache_capacity=*/1024, &counters);
-  DataService svc1(&table, 1, /*cache_capacity=*/1024, &counters);
-  PullBroker b0(&svc0, 0, 1024, &counters);
-  PullBroker b1(&svc1, 1, 1024, &counters);
-  CommFabric fabric(2, 0, &counters);
+  TestCluster cluster(g, 2, /*max_batch=*/1024);
+  PullBroker& b0 = cluster[0].broker;
 
   // Two tasks wanting the same remote vertex: one request, two pins.
-  VertexId v = table.OwnedVertices(1)[0];
+  VertexId v = cluster[1].table.OwnedVertices()[0];
   TaskPtr a = QCTask::MakeSpawn(0, 1);
   TaskPtr b = QCTask::MakeSpawn(2, 1);
   a->pulls().Want(v);
@@ -271,9 +310,9 @@ TEST(PullBrokerTest, SharedInFlightVertexRequestedOnce) {
   b0.Park(std::move(b));
   EXPECT_EQ(b0.InFlightVertices(), 1u);
 
-  auto ready = CompletePullRound(fabric, {&b0, &b1});
+  auto ready = CompletePullRound(cluster);
   EXPECT_EQ(ready.size(), 2u);
-  EXPECT_EQ(counters.pulled_vertices.load(), 1u);
+  EXPECT_EQ(cluster.counters.pulled_vertices.load(), 1u);
   for (const TaskPtr& t : ready) {
     EXPECT_NE(t->pulls().Find(v), nullptr);
   }

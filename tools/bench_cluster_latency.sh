@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Cluster-scale latency bench (ROADMAP "cluster-scale benches"): sweep
 # --net-latency through tools/qcm_cluster -- a REAL 3-process run over
-# loopback TCP sockets, not the in-process simulation bench_table6_latency
+# loopback TCP sockets, not the in-process cluster bench_table6_latency
 # measures -- and record, per latency point and for prefetch off ("before",
 # with flat steal batching) vs on ("after", with latency-aware steal
 # planning), the per-rank balance and scheduling counters from

@@ -78,6 +78,7 @@
 #include "gthinker/metrics.h"
 #include "net/coordinator.h"
 #include "net/job_spec.h"
+#include "net/local_cluster.h"
 #include "quick/maximality_filter.h"
 #include "tools/cli.h"
 #include "util/mem.h"
@@ -300,30 +301,12 @@ int main(int argc, char** argv) {
     trace::SetThreadName("launcher");
   }
 
-  // Bind the control-plane listener before spawning anyone.
-  CoordinatorConfig coord_config;
-  coord_config.world_size = num_workers;
+  // Bind the control-plane listener before spawning anyone. Its liveness
+  // deadline is the backstop for wedged-but-alive workers; the child
+  // watchdog below catches crashes far faster.
+  CoordinatorConfig coord_config = CoordinatorConfigFor(config);
   coord_config.config_blob = EncodeJobSpec(config);
-  coord_config.steal_period_sec =
-      config.enable_stealing && num_workers >= 2
-          ? config.steal_period_sec
-          : 0.0;
-  coord_config.steal_batch_cap = config.batch_size;
-  coord_config.steal_rtt_reference_sec =
-      config.steal_rtt_reference_sec;
-  coord_config.steal_max_batch_factor =
-      config.steal_max_batch_factor;
   coord_config.max_rank_restarts = max_rank_restarts;
-  // Liveness deadline: many heartbeat periods of slack (slow CI, TSan),
-  // but never so long that a hung rank stalls the run indefinitely.
-  // Child-exit detection (the watchdog below) catches clean crashes far
-  // faster; the deadline is the backstop for wedged-but-alive processes.
-  coord_config.heartbeat_deadline_sec =
-      config.heartbeat_usec > 0
-          ? std::max(1.0, 50.0 * 1e-6 *
-                              static_cast<double>(
-                                  config.heartbeat_usec))
-          : 0.0;
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
     std::fprintf(stderr, "coordinator listen failed: %s\n",
@@ -446,25 +429,7 @@ int main(int argc, char** argv) {
         // default 500 ms cadence stays well under typical trace sizes,
         // but cap the buffer so a pathological cadence cannot eat RAM.
         if (stats_events.size() > 2'000'000) return;
-        auto counter = [&](const char* name, uint64_t value) {
-          stats_events.push_back(
-              "{\"name\":\"" + std::string(name) +
-              "\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":" +
-              std::to_string(sample.ts_usec) +
-              ",\"pid\":" + std::to_string(rank) +
-              ",\"tid\":0,\"args\":{\"value\":" + std::to_string(value) +
-              "}}");
-        };
-        counter("queue_depth", sample.queue_depth);
-        counter("inflight_bytes", sample.inflight_bytes);
-        counter("busy_compers", sample.busy_compers);
-        counter("tasks_completed", sample.tasks_completed);
-        counter("cache_hits", sample.cache_hits);
-        counter("cache_misses", sample.cache_misses);
-        counter("pending_tasks",
-                sample.pending < 0
-                    ? 0
-                    : static_cast<uint64_t>(sample.pending));
+        AppendStatsCounterEvents(rank, sample, &stats_events);
       });
 
   // Child watchdog: a worker that dies mid-run is routed into the
@@ -706,7 +671,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  EngineReport merged = MergeEngineReports(rank_reports);
+  // Per-rank JSON is rendered before the merge moves the candidates out.
+  std::vector<std::string> rank_json;
+  if (!run.stats_json.empty()) {
+    for (const EngineReport& r : rank_reports) {
+      rank_json.push_back(EngineReportJson(r));
+    }
+  }
+  EngineReport merged = MergeEngineReports(std::move(rank_reports));
   const size_t raw_candidates = merged.results.size();
   // Rendered while the report still holds the candidates it counts.
   const std::string merged_json =
@@ -816,9 +788,9 @@ int main(int argc, char** argv) {
     // story, so CI can chart per-rank balance and fault-tolerance
     // overhead without re-deriving them.
     std::string json = "{\n  \"ranks\": [\n";
-    for (size_t r = 0; r < rank_reports.size(); ++r) {
-      json += EngineReportJson(rank_reports[r]);
-      if (r + 1 < rank_reports.size()) json += ",";
+    for (size_t r = 0; r < rank_json.size(); ++r) {
+      json += rank_json[r];
+      if (r + 1 < rank_json.size()) json += ",";
       json += "\n";
     }
     json += "  ],\n  \"merged\": " + merged_json + ",\n";

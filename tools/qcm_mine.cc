@@ -2,7 +2,10 @@
 //
 // Load a SNAP-format edge list, a qcm_pack snapshot, or a synthetic
 // planted-community graph, mine all maximal gamma-quasi-cliques serially
-// or on the simulated G-thinker cluster, and write results / statistics.
+// or on the G-thinker cluster -- --machines ranks as threads of this
+// process, over loopback TCP under the cluster coordinator, all serving
+// the one loaded graph (net/local_cluster.h) -- and write results /
+// statistics.
 //
 //   qcm_mine --input graph.txt --gamma 0.9 --min-size 10
 //   qcm_mine --gen-planted n=5000,communities=10,size=16..20,density=0.95
@@ -14,14 +17,17 @@
 //
 // The stderr summary always includes "result-digest: <16 hex>" -- the
 // canonical-order FNV digest of the result set, comparable across serial,
-// simulated and multi-process (qcm_cluster) runs.
+// in-process and multi-process (qcm_cluster) runs.
 
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "mining/parallel_miner.h"
+#include "gthinker/comm.h"
+#include "mining/qc_app.h"
+#include "net/local_cluster.h"
 #include "quick/maximality_filter.h"
 #include "quick/serial_miner.h"
 #include "tools/cli.h"
@@ -62,7 +68,7 @@ int main(int argc, char** argv) {
                 cli::Switch("--serial", &serial,
                             "single-thread reference miner"),
                 cli::Number("--machines", "N", &config.num_machines,
-                            "simulated machines")});
+                            "in-process ranks")});
   cli::CommandLine cmd(
       "Mines every maximal gamma-quasi-clique of one graph: exactly one of "
       "--input, --input-snapshot or --gen-planted names it.",
@@ -99,6 +105,7 @@ int main(int argc, char** argv) {
 
   std::vector<VertexSet> candidates;
   std::string stats_json;
+  std::vector<std::string> stats_events;
   double seconds = 0;
   if (serial) {
     VectorSink sink;
@@ -129,9 +136,19 @@ int main(int argc, char** argv) {
           static_cast<unsigned long>(report->stats.bitset_words_touched));
     }
   } else {
+    // With --trace-out, every rank's kStats samples become counter tracks
+    // (pid = rank) of the timeline.
+    std::mutex stats_mu;
+    Coordinator::StatsCallback on_stats;
+    if (!config.trace_out.empty()) {
+      on_stats = [&](int rank, const WireStatsSample& sample) {
+        std::lock_guard<std::mutex> lock(stats_mu);
+        AppendStatsCounterEvents(rank, sample, &stats_events);
+      };
+    }
     // The raw candidates are filtered once, below, like the serial ones.
-    ParallelMiner miner(config);
-    auto report = miner.RunUnfiltered(graph);
+    QCApp app(config);
+    auto report = RunLocalCluster(graph, config, &app, std::move(on_stats));
     if (!report.ok()) {
       std::fprintf(stderr, "mining failed: %s\n",
                    report.status().ToString().c_str());
@@ -181,7 +198,7 @@ int main(int argc, char** argv) {
           stderr,
           "comm: %lu msgs (%lu req/%lu resp/%lu steal), %s sent, "
           "mean delivery %.3f ms, overlap %.1f%%, peak in-flight %s, "
-          "peak depth %lu, steal master %.3f s idle/%.3f s active\n",
+          "peak depth %lu\n",
           static_cast<unsigned long>(r.counters.MessagesSent()),
           static_cast<unsigned long>(r.counters.msg_sent[req]),
           static_cast<unsigned long>(r.counters.msg_sent[resp]),
@@ -190,9 +207,7 @@ int main(int argc, char** argv) {
           1e3 * r.counters.MeanDeliveryLatencySeconds(),
           100.0 * r.counters.MessageOverlapRatio(),
           HumanBytes(r.counters.msg_inflight_bytes_peak).c_str(),
-          static_cast<unsigned long>(r.counters.msg_queue_depth_peak),
-          1e-6 * static_cast<double>(r.counters.steal_idle_usec),
-          1e-6 * static_cast<double>(r.counters.steal_active_usec));
+          static_cast<unsigned long>(r.counters.msg_queue_depth_peak));
       std::fprintf(
           stderr,
           "kernels: %lu dense / %lu sparse tasks, %lu bitset words "
@@ -242,7 +257,7 @@ int main(int argc, char** argv) {
   // Single-process run: the whole timeline is local, so merge straight
   // from the in-memory rings (no fragment files).
   if (!config.trace_out.empty()) {
-    std::vector<std::string> events;
+    std::vector<std::string> events = std::move(stats_events);
     const std::string drained = trace::DrainJsonLines(/*pid=*/0);
     size_t start = 0;
     while (start < drained.size()) {

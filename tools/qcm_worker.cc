@@ -6,8 +6,8 @@
 // serves ONLY its own hash partition's adjacency from it (degree metadata
 // is replicated) through its VertexTable, and runs the G-thinker engine
 // over the TCP-backed CommFabric: vertex pulls and stolen big-task
-// batches are the same typed messages as in simulated mode, but they
-// cross process boundaries as length-prefixed kData frames, and a peer's
+// batches cross process boundaries as length-prefixed kData frames (the
+// same stack qcm_mine runs with threads, net/local_cluster.h), and a peer's
 // vertex pull is answered by this process's pull-responder thread while
 // its compers keep mining. Termination arrives from the coordinator's
 // distributed detection; the final EngineReport and raw candidate results
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       "%zu owned, mapped %s vs resident %s%s%s\n",
       rank, transport->world_size(), transport->epoch(),
       config.graph_snapshot.c_str(), table->NumVertices(),
-      table->OwnedVertices(rank).size(),
+      table->OwnedVertices().size(),
       HumanBytes(table->snapshot()->MappedBytes()).c_str(),
       HumanBytes(CurrentRssBytes()).c_str(),
       store->paging_enabled()

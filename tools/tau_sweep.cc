@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       cli::Number("--per-decade", "N", &per_decade,
                   "sample points per decade"),
       cli::Number("--machines", "N", &preset.num_machines,
-                  "simulated machines"),
+                  "in-process ranks"),
   };
   const std::vector<cli::Flag> shared =
       cli::Select(cli::EngineFlags(&preset),
