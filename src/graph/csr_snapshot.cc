@@ -33,6 +33,25 @@ uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
+// Reads up to `len` bytes at `offset`, retrying EINTR and short reads.
+// Returns the bytes read -- fewer than `len` only at end of file -- or -1
+// on an I/O error (errno set).
+ssize_t PreadFull(int fd, void* buf, size_t len, uint64_t offset) {
+  char* p = static_cast<char*>(buf);
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t r = ::pread(fd, p + done, len - done,
+                              static_cast<off_t>(offset + done));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (r == 0) break;
+    done += static_cast<size_t>(r);
+  }
+  return static_cast<ssize_t>(done);
+}
+
 // Serializes the header into its fixed 144-byte image. The checksum field
 // is computed over the first 136 bytes, so callers fill it after a first
 // pass with checksum 0.
@@ -303,15 +322,9 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   // Parse + validate the header from a pread (the page size that governs
   // the mapping is not known until the header is read).
   char raw[kCsrHeaderBytes];
-  for (size_t done = 0; done < sizeof(raw);) {
-    const ssize_t r = ::pread(fd, raw + done, sizeof(raw) - done, done);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(path + ": pread header: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (r == 0) break;
-    done += static_cast<size_t>(r);
+  if (PreadFull(fd, raw, sizeof(raw), 0) < 0) {
+    return Status::IOError(path + ": pread header: " +
+                           std::string(std::strerror(errno)));
   }
   CsrHeader& h = snap->hdr_;
   Decoder dec(raw, sizeof(raw));
@@ -377,17 +390,9 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   }
 
   uint64_t tail = 0;
-  for (size_t done = 0; done < sizeof(tail);) {
-    const ssize_t r =
-        ::pread(fd, reinterpret_cast<char*>(&tail) + done,
-                sizeof(tail) - done, h.file_bytes - sizeof(tail) + done);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(path + ": pread tail: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (r == 0) break;
-    done += static_cast<size_t>(r);
+  if (PreadFull(fd, &tail, sizeof(tail), h.file_bytes - sizeof(tail)) < 0) {
+    return Status::IOError(path + ": pread tail: " +
+                           std::string(std::strerror(errno)));
   }
   if (tail != kCsrTailMagic) {
     return Status::Corruption(
@@ -449,6 +454,23 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
     }
   }
   return snap;
+}
+
+Status CsrSnapshot::ReadNeighbors(VertexId v,
+                                  std::vector<VertexId>* out) const {
+  out->resize(offsets_[v + 1] - offsets_[v]);
+  const size_t len = out->size() * sizeof(VertexId);
+  const uint64_t offset = hdr_.sections[kCsrAdjacency].file_offset +
+                          offsets_[v] * sizeof(VertexId);
+  const ssize_t got = PreadFull(fd_, out->data(), len, offset);
+  if (got == static_cast<ssize_t>(len)) return Status::OK();
+  return Status::IOError(At(
+      path_, offset,
+      "pread of vertex " + std::to_string(v) + "'s " + std::to_string(len) +
+          "-byte adjacency list: " +
+          (got < 0 ? std::string(std::strerror(errno))
+                   : "end of file after " + std::to_string(got) +
+                         " bytes (the file shrank after it was opened)")));
 }
 
 CsrSnapshot::~CsrSnapshot() {

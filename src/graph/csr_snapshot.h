@@ -26,8 +26,10 @@
 //   tail          u64       tail magic at file_bytes-8 (torn-tail guard)
 //
 // The adjacency section is deliberately last: a rank validates the three
-// metadata sections (a contiguous prefix) and then faults adjacency pages
-// on demand through PagedAdjacencyStore.
+// metadata sections (a contiguous prefix) and then reads adjacency on
+// demand -- through the mapping, or, under a memory budget, one list at a
+// time with pread (ReadNeighbors; gthinker/vertex_table.h caches the
+// copies).
 
 #ifndef QCM_GRAPH_CSR_SNAPSHOT_H_
 #define QCM_GRAPH_CSR_SNAPSHOT_H_
@@ -100,10 +102,9 @@ Status WriteCsrSnapshot(const Graph& g,
 /// adjacency section only, because streaming it faults every page (a
 /// budget-constrained rank wants to avoid exactly that).
 ///
-/// All accessors return pointers/spans into the mapping; they stay valid
-/// for the lifetime of the CsrSnapshot even if pages are transiently
-/// evicted with madvise(MADV_DONTNEED) -- a read-only file-backed mapping
-/// refaults evicted pages with identical content.
+/// Neighbors() returns a span into the mapping, valid for the lifetime of
+/// the CsrSnapshot; ReadNeighbors() copies a list out of the file and
+/// never touches the mapping.
 class CsrSnapshot {
  public:
   struct OpenOptions {
@@ -143,10 +144,11 @@ class CsrSnapshot {
     return {adj_ + offsets_[v], adj_ + offsets_[v + 1]};
   }
 
-  /// Base of the mapping and of the adjacency section within it (the
-  /// paged store advises page residency against these).
-  const uint8_t* map_base() const { return map_; }
-  const VertexId* adjacency_base() const { return adj_; }
+  /// Reads v's adjacency list into `out` (resized to fit) with pread on
+  /// the file, retrying EINTR and short reads. An I/O error, or an end of
+  /// file before the list ends (the file shrank after Open), is an
+  /// IOError naming the file, the vertex and the offset.
+  Status ReadNeighbors(VertexId v, std::vector<VertexId>* out) const;
 
   /// Materializes a fully resident in-memory Graph (the qcm_mine
   /// resident-load path; also the parity reference in tests).

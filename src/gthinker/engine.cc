@@ -556,9 +556,7 @@ StatusOr<EngineReport> Engine::Run() {
   // here after termination drained every frame, so the buffers are
   // already empty and the stats are final.
   report.counters.AddFlushStats(transport_->FlushStats());
-  if (table_->paged_store() != nullptr) {
-    report.counters.AddPagedStoreStats(table_->paged_store()->stats());
-  }
+  table_->AddGraphCounters(&report.counters);
   report.peak_rss_bytes = PeakRssBytes();
 
   for (auto& comper : compers) {

@@ -121,12 +121,6 @@ Status EngineConfig::Validate() const {
     return QCM_CONFIG_ERROR("graph_memory_budget must be >= 0 (0 = "
                             "unbounded resident adjacency)");
   }
-  if (graph_memory_budget > 0 && graph_memory_budget < graph_page_size) {
-    return QCM_CONFIG_ERROR(
-        "graph_memory_budget " + std::to_string(graph_memory_budget) +
-        " is smaller than one " + std::to_string(graph_page_size) +
-        "-byte page (the paged store cannot hold even a single frame)");
-  }
   if (graph_memory_budget > 0 && graph_snapshot.empty()) {
     return QCM_CONFIG_ERROR(
         "contradictory: graph_memory_budget is set but graph_snapshot is "

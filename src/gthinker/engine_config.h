@@ -160,14 +160,17 @@ struct EngineConfig {
   /// fills this in; a cluster job without one is rejected). In-process
   /// ranks, which share a resident Graph, leave it empty.
   std::string graph_snapshot;
-  /// Page size (bytes) qcm_pack stamps into new snapshots and the
-  /// residency granularity of the paged store. Power of two, >= 4096.
+  /// Page size (bytes) the launcher stamps into the snapshot it packs:
+  /// the alignment of the file's sections. Power of two, >= 4096.
   int64_t graph_page_size = 1 << 16;
-  /// Resident-adjacency budget (bytes) of the PagedAdjacencyStore: a rank
-  /// whose partition exceeds it mines anyway, faulting pages in on demand
-  /// and evicting under CLOCK. 0 = unbounded (fully resident on use).
-  /// Requires graph_snapshot -- a budget with no snapshot to page against
-  /// is a contradiction Validate() rejects.
+  /// Per-rank budget (bytes) for the rank's own adjacency lists: a budgeted
+  /// rank reads each list from the snapshot with pread on a miss and keeps
+  /// the copies in an LRU whose charge (list bytes plus
+  /// kListChargeOverhead each, gthinker/vertex_table.h) stays within it;
+  /// a list whose charge exceeds the budget is read from the file every
+  /// time. 0 = unbounded (lists are read straight from the mapping).
+  /// Requires graph_snapshot -- a budget with no snapshot to read from is
+  /// a contradiction Validate() rejects.
   int64_t graph_memory_budget = 0;
 
   /// Quasi-clique parameters and pruning toggles.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <iterator>
 
-#include "graph/paged_adjacency.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -111,15 +110,6 @@ double EngineCountersSnapshot::MeanDeliveryLatencySeconds() const {
          static_cast<double>(delivered);
 }
 
-void EngineCountersSnapshot::AddPagedStoreStats(
-    const PagedStoreStatsSnapshot& ps) {
-  graph_page_pins += ps.page_pins;
-  graph_page_ins += ps.page_ins;
-  graph_page_evictions += ps.page_evictions;
-  graph_fault_stall_usec += ps.fault_stall_usec;
-  graph_inline_served += ps.inline_served;
-}
-
 void EngineCountersSnapshot::AddFlushStats(const TransportFlushStats& fs) {
   net_flushes += fs.flushes;
   net_flush_frames += fs.flushed_frames;
@@ -222,8 +212,6 @@ constexpr CounterField kCounterFields[] = {
      false},
     {"graph_fault_stall_usec",
      &EngineCountersSnapshot::graph_fault_stall_usec, false},
-    {"graph_inline_served", &EngineCountersSnapshot::graph_inline_served,
-     false},
 };
 
 constexpr uint64_t MiningStats::* kMiningFields[] = {

@@ -228,19 +228,19 @@ struct EngineCountersSnapshot {
   /// Bytes-per-flush histogram (buckets of FlushBytesBucketIndex).
   uint64_t net_flush_bytes_hist[kFlushBytesBuckets] = {};
 
-  // -- Paged adjacency store (snapshot-backed tables only; all zero when
-  // the graph is resident). Copied from PagedAdjacencyStore::stats()
-  // after the run via AddPagedStoreStats. --
+  // -- Budgeted graph reads (a snapshot-backed table under a graph
+  // memory budget; all zero otherwise). Added after the run by
+  // VertexTable::AddGraphCounters. The names predate the list cache and
+  // are kept because perfbench/run.py reads them. --
 
-  /// Page references taken through the pager (repins included).
+  /// Own-list reads through the budgeted table (cache hits plus misses).
   uint64_t graph_page_pins = 0;
-  /// Pages faulted into the frame pool / dropped via MADV_DONTNEED.
+  /// Lists read from the .qcsr file (cache misses) / evicted from the
+  /// cache.
   uint64_t graph_page_ins = 0;
   uint64_t graph_page_evictions = 0;
-  /// Wall microseconds mining threads stalled on page-in faults.
+  /// Wall microseconds spent in those reads' pread calls.
   uint64_t graph_fault_stall_usec = 0;
-  /// Small-list reads served by the resident inline arena.
-  uint64_t graph_inline_served = 0;
 
   /// Plain-value copy of the lifecycle transition matrix.
   uint64_t lifecycle_transitions[kNumTaskStates][kNumTaskStates] = {};
@@ -249,9 +249,6 @@ struct EngineCountersSnapshot {
 
   /// Folds a transport's flush statistics into the net_flush_* fields.
   void AddFlushStats(const TransportFlushStats& fs);
-
-  /// Folds a paged adjacency store's counters into the graph_* fields.
-  void AddPagedStoreStats(const struct PagedStoreStatsSnapshot& ps);
 
   /// Mean data frames per write syscall (0.0 before any flush).
   double FramesPerFlush() const;

@@ -130,8 +130,10 @@ class Task {
 
 using TaskPtr = std::unique_ptr<Task>;
 
-/// Adjacency handle returned by vertex fetches. `pin` keeps a cached remote
-/// copy alive while the span is in use; it is null for machine-local reads.
+/// Adjacency handle returned by vertex fetches. `pin` keeps a cached copy
+/// (a pulled remote list, or a budgeted table's own list) alive while the
+/// span is in use; it is null when the span points into memory that
+/// outlives the read (a resident graph or an unbudgeted mapping).
 struct AdjRef {
   std::span<const VertexId> adj;
   std::shared_ptr<const std::vector<VertexId>> pin;
@@ -215,8 +217,9 @@ class PrefetchContext {
   /// Degree of v (vertex metadata, never a transfer).
   virtual uint32_t Degree(VertexId v) const = 0;
 
-  /// Adjacency of a machine-local vertex (IsLocal(v) must hold).
-  virtual std::span<const VertexId> LocalAdjacency(VertexId v) const = 0;
+  /// Adjacency of a machine-local vertex (IsLocal(v) must hold), valid
+  /// while the returned AdjRef is held.
+  virtual AdjRef LocalAdjacency(VertexId v) const = 0;
 
   /// Request()-equivalent at spawn time: returns true when v is already
   /// available without a transfer (local, pinned, or a cache hit that is

@@ -1,9 +1,11 @@
 #include "gthinker/vertex_table.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.h"
 #include "util/serde.h"
+#include "util/timer.h"
 #include "util/trace.h"
 
 namespace qcm {
@@ -22,6 +24,19 @@ std::vector<VertexId> RankVertices(uint32_t n, int num_machines, int rank) {
   return owned;
 }
 
+/// What a budgeted table charges for caching a list of `degree` entries.
+uint64_t ListCharge(size_t degree) {
+  return degree * sizeof(VertexId) + kListChargeOverhead;
+}
+
+/// The counters DataService's remote cache counts into; none for a null
+/// `counters`.
+VertexCache::Counters RemoteCacheCounters(EngineCounters* counters) {
+  if (counters == nullptr) return {};
+  return {&counters->cache_hits, &counters->cache_misses,
+          &counters->cache_evictions};
+}
+
 }  // namespace
 
 VertexTable::VertexTable(const Graph* graph, int num_machines, int rank)
@@ -29,6 +44,21 @@ VertexTable::VertexTable(const Graph* graph, int num_machines, int rank)
       num_machines_(num_machines),
       rank_(rank),
       owned_(RankVertices(graph->NumVertices(), num_machines, rank)) {}
+
+// Budgeted snapshot mode's list cache and the counters behind the
+// report's graph_* fields. `max_charge` is the charge of the largest
+// owned list: the cache shards only if every shard can hold it, so any
+// list within the budget is cached.
+struct VertexTable::ListCache {
+  ListCache(uint64_t budget, uint64_t max_charge)
+      : cache(budget, {&hits, &reads, &evictions}, max_charge) {}
+
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> reads{0};  // lists read from the file
+  std::atomic<uint64_t> evictions{0};
+  std::atomic<uint64_t> pread_nsec{0};
+  VertexCache cache;
+};
 
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
                          int num_machines, int rank,
@@ -39,29 +69,72 @@ VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
       snapshot_(std::move(snapshot)) {
   QCM_CHECK(snapshot_ != nullptr);
   owned_ = RankVertices(snapshot_->NumVertices(), num_machines, rank);
-  PagedStoreConfig store_config;
-  store_config.memory_budget_bytes = graph_memory_budget;
-  store_config.num_machines = num_machines;
-  store_config.local_rank = rank;
-  paged_ = std::make_unique<PagedAdjacencyStore>(snapshot_, store_config);
+  if (graph_memory_budget > 0) {
+    uint32_t max_degree = 0;
+    for (VertexId v : owned_) {
+      max_degree = std::max(max_degree, snapshot_->Degree(v));
+    }
+    lists_ = std::make_unique<ListCache>(graph_memory_budget,
+                                         ListCharge(max_degree));
+  }
 }
 
-std::span<const VertexId> VertexTable::Adjacency(VertexId v) const {
+VertexTable::~VertexTable() = default;
+
+AdjRef VertexTable::Adjacency(VertexId v) const {
   QCM_CHECK(IsLocal(v))
       << "adjacency of vertex " << v << " (owner " << Owner(v)
       << ") read on rank " << rank_
       << ": remote adjacency does not exist in a partitioned table";
-  return graph_ != nullptr ? graph_->Neighbors(v) : paged_->Adjacency(v);
+  if (graph_ != nullptr) return AdjRef{graph_->Neighbors(v), nullptr};
+  if (lists_ == nullptr) return AdjRef{snapshot_->Neighbors(v), nullptr};
+
+  VertexCache::AdjPtr list = lists_->cache.Lookup(v);
+  if (list == nullptr) {
+    // A miss reads the list outside any lock; two threads missing on the
+    // same vertex both read it, and the later insert replaces the earlier.
+    auto copy =
+        std::make_shared<std::vector<VertexId>>(snapshot_->Degree(v));
+    {
+      QCM_TRACE_SPAN(trace::kPage, "pread", copy->size());
+      WallTimer read;
+      const Status s = snapshot_->ReadNeighbors(v, copy.get());
+      lists_->pread_nsec.fetch_add(
+          static_cast<uint64_t>(read.Seconds() * 1e9),
+          std::memory_order_relaxed);
+      QCM_CHECK(s.ok()) << "budgeted adjacency read on rank " << rank_
+                        << " failed: " << s.ToString();
+    }
+    lists_->cache.Insert(v, copy, ListCharge(copy->size()));
+    list = std::move(copy);
+  }
+  const std::span<const VertexId> adj(*list);
+  return AdjRef{adj, std::move(list)};
+}
+
+uint64_t VertexTable::CachedBytes() const {
+  return lists_ != nullptr ? lists_->cache.ApproxCharge() : 0;
+}
+
+void VertexTable::AddGraphCounters(EngineCountersSnapshot* out) const {
+  if (lists_ == nullptr) return;
+  const uint64_t hits = lists_->hits.load(std::memory_order_relaxed);
+  const uint64_t reads = lists_->reads.load(std::memory_order_relaxed);
+  out->graph_page_pins += hits + reads;
+  out->graph_page_ins += reads;
+  out->graph_page_evictions +=
+      lists_->evictions.load(std::memory_order_relaxed);
+  out->graph_fault_stall_usec +=
+      lists_->pread_nsec.load(std::memory_order_relaxed) / 1000;
 }
 
 DataService::DataService(const VertexTable* table, size_t cache_capacity,
                          EngineCounters* counters)
-    : table_(table), cache_(cache_capacity, counters) {}
+    : table_(table),
+      cache_(cache_capacity, RemoteCacheCounters(counters)) {}
 
 AdjRef DataService::Fetch(VertexId v) {
-  if (IsLocal(v)) {
-    return AdjRef{table_->Adjacency(v), nullptr};
-  }
+  if (IsLocal(v)) return table_->Adjacency(v);
   auto cached = cache_.Lookup(v);
   QCM_CHECK(cached != nullptr)
       << "synchronous remote fetch of vertex " << v << " on machine "
@@ -194,9 +267,9 @@ std::string PullBroker::ServeRequest(const std::string& request_payload)
   enc.PutU32Vector(ids);
   uint64_t adj_bytes = 0;
   for (VertexId v : ids) {
-    auto adj = table.Adjacency(v);
-    enc.PutU32Span(adj.data(), adj.size());
-    adj_bytes += adj.size() * sizeof(VertexId);
+    const AdjRef ref = table.Adjacency(v);
+    enc.PutU32Span(ref.adj.data(), ref.adj.size());
+    adj_bytes += ref.adj.size() * sizeof(VertexId);
   }
   if (counters_ != nullptr) {
     counters_->pulled_vertices.fetch_add(ids.size(),
@@ -223,7 +296,7 @@ std::vector<TaskPtr> PullBroker::AcceptResponse(
     QCM_CHECK(s.ok()) << "corrupt pull response: " << s.ToString();
     auto copy =
         std::make_shared<const std::vector<VertexId>>(std::move(adj));
-    data_->cache().Insert(v, copy);
+    data_->cache().Insert(v, copy, /*charge=*/1);
     inflight_.erase(v);
     auto it = waiters_.find(v);
     if (it == waiters_.end()) continue;

@@ -1,7 +1,8 @@
 // The distributed graph store (paper §5, Figure 8), one machine's view:
 //   * VertexTable -- the machine's "local vertex table": its hash
 //     partition of the graph (the vertices it owns) plus every vertex's
-//     degree.
+//     degree. Under a graph memory budget its own lists live in a bounded
+//     cache too, read from the .qcsr file one list per miss.
 //   * DataService -- the per-machine facade tasks fetch through: local
 //     vertices resolve to the local table, remote ones to the bounded
 //     VertexCache. A remote vertex is readable only once the pull
@@ -33,9 +34,16 @@
 #include "gthinker/vertex_cache.h"
 #include "graph/csr_snapshot.h"
 #include "graph/graph.h"
-#include "graph/paged_adjacency.h"
 
 namespace qcm {
+
+/// Heap bytes a budgeted VertexTable charges per cached list on top of the
+/// list's own adjacency bytes: the vector and its allocation, the
+/// shared_ptr control block, and the LRU's list node and hash-map entry
+/// (155-176 B measured with glibc on x86-64, for lists of 1-30 entries).
+/// The budget bounds the sum of the charges, so it bounds the heap the
+/// cache holds, not only the list bytes.
+inline constexpr uint64_t kListChargeOverhead = 176;
 
 /// One rank's partition of an immutable graph hash-partitioned across
 /// machines (vertex v is owned by rank v % num_machines).
@@ -48,19 +56,27 @@ namespace qcm {
 ///   * a resident Graph, shared read-only by every rank of the process
 ///     (the in-process launcher, net/local_cluster.h);
 ///   * a mmap'd .qcsr snapshot, as a cluster worker process opens it.
+///     Under a graph memory budget the rank reads its own lists one at a
+///     time with pread into a VertexCache whose total charge (list bytes
+///     plus kListChargeOverhead each) the budget bounds; the adjacency
+///     section of the mapping is then never read. Any list whose charge
+///     fits the budget is cached, hubs included: the cache shards only
+///     when every shard holds the largest owned list.
 class VertexTable {
  public:
   /// Rank `rank`'s partition of a resident graph. `graph` must outlive
   /// the table.
   VertexTable(const Graph* graph, int num_machines, int rank);
 
-  /// Rank `rank`'s partition served straight out of a mmap'd .qcsr
-  /// snapshot -- no transient full Graph is ever built, so startup peak
-  /// RSS is the owned slice plus replicated metadata.
-  /// `graph_memory_budget` > 0 bounds resident adjacency bytes via the
-  /// PagedAdjacencyStore; 0 keeps the partition's pages resident on use.
+  /// Rank `rank`'s partition served out of a mmap'd .qcsr snapshot -- no
+  /// transient full Graph is ever built, so startup peak RSS is the owned
+  /// slice plus replicated metadata. `graph_memory_budget` > 0 bounds the
+  /// cached adjacency bytes as above; 0 serves lists straight from the
+  /// mapping.
   VertexTable(std::shared_ptr<CsrSnapshot> snapshot, int num_machines,
               int rank, uint64_t graph_memory_budget);
+
+  ~VertexTable();
 
   int Owner(VertexId v) const {
     return static_cast<int>(v % static_cast<uint32_t>(num_machines_));
@@ -74,8 +90,12 @@ class VertexTable {
   bool IsLocal(VertexId v) const { return Owner(v) == rank_; }
 
   /// Adjacency of v, which must be owned by this rank (QCM_CHECK -- a
-  /// remote adjacency is not served here).
-  std::span<const VertexId> Adjacency(VertexId v) const;
+  /// remote adjacency is not served here). Thread-safe. The pin is null,
+  /// and no lock is taken, unless the table is budgeted: then it keeps the
+  /// cached copy alive for as long as the caller holds it, whatever the
+  /// cache evicts meanwhile. A failed read aborts, naming the file, the
+  /// vertex and the offset.
+  AdjRef Adjacency(VertexId v) const;
 
   uint32_t Degree(VertexId v) const {
     return graph_ != nullptr ? graph_->Degree(v) : snapshot_->Degree(v);
@@ -92,33 +112,43 @@ class VertexTable {
   /// Non-null in snapshot mode.
   const CsrSnapshot* snapshot() const { return snapshot_.get(); }
 
-  /// Non-null in snapshot mode: the paged local store (paging may be
-  /// disabled inside it when the budget is 0).
-  PagedAdjacencyStore* paged_store() const { return paged_.get(); }
+  /// Charge currently cached by a budgeted table (0 otherwise); never
+  /// more than the budget.
+  uint64_t CachedBytes() const;
+
+  /// Adds the budgeted read counters to the report's graph_* fields
+  /// (metrics.h); a table that is not budgeted adds nothing.
+  void AddGraphCounters(EngineCountersSnapshot* out) const;
 
  private:
+  struct ListCache;
+
   const Graph* graph_;  // resident backend; null in snapshot mode
   int num_machines_;
   int rank_;
   std::vector<VertexId> owned_;
 
-  // Snapshot-mode storage: degrees/adjacency live in the mapping; the
-  // paged store manages adjacency residency under the budget.
+  // Snapshot-mode storage: degrees live in the mapping, and so do the
+  // lists unless `lists_` (budgeted mode only) caches them.
   std::shared_ptr<CsrSnapshot> snapshot_;
-  std::unique_ptr<PagedAdjacencyStore> paged_;
+  std::unique_ptr<ListCache> lists_;
 };
 
 /// Per-machine data access facade over the machine's own table.
 class DataService {
  public:
+  /// The remote cache holds up to `cache_capacity` lists and counts its
+  /// traffic in `counters`' cache_* fields (nowhere if `counters` is
+  /// null).
   DataService(const VertexTable* table, size_t cache_capacity,
               EngineCounters* counters);
 
   bool IsLocal(VertexId v) const { return table_->IsLocal(v); }
 
-  /// Immediate vertex read: the local table span or the cached remote
-  /// copy. Task pins are consulted by the comper before it reaches this
-  /// layer. Anything else is a pull-protocol violation (the caller never
+  /// Immediate vertex read: the local table's list or the cached remote
+  /// copy, either one pinned for as long as the caller holds the AdjRef.
+  /// Task pins are consulted by the comper before it reaches this layer.
+  /// Anything else is a pull-protocol violation (the caller never
   /// Request()ed v) and fails a QCM_CHECK -- also over a resident graph
   /// that another rank of the process holds, so a UDF that skips the
   /// protocol fails in-process tests too.
@@ -166,7 +196,7 @@ class PullBroker {
 
   /// Owner side: serves a kPullRequest payload (U32Vector of ids) from
   /// the local table into a kPullResponse payload. Thread-safe: reads
-  /// only the immutable table (and atomic counters).
+  /// only the local table (and atomic counters).
   std::string ServeRequest(const std::string& request_payload) const;
 
   /// Requester side: accepts a kPullResponse payload -- inserts every

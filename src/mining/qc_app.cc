@@ -27,7 +27,7 @@ class ContextVertexSource final : public EgoVertexSource {
 
  private:
   ComputeContext* ctx_;
-  AdjRef ref_;  // keeps the most recent remote copy pinned
+  AdjRef ref_;  // keeps the most recent copy pinned
 };
 
 }  // namespace
@@ -53,7 +53,8 @@ void QCApp::SpawnPrefetch(Task& task, PrefetchContext& ctx) {
   // frontier); the root is machine-local by construction -- tasks spawn
   // on their owner -- so the frontier is computable without a transfer.
   if (t.iteration() != 1 || !ctx.IsLocal(t.root())) return;
-  for (VertexId u : ctx.LocalAdjacency(t.root())) {
+  const AdjRef root_adj = ctx.LocalAdjacency(t.root());
+  for (VertexId u : root_adj.adj) {
     if (u <= t.root()) continue;
     if (ctx.Degree(u) < k_) continue;
     ctx.Want(u);

@@ -101,7 +101,10 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // trace::kRingKb).
 // v9: one engine mode. EngineReport lost steal_idle_usec, which only the
 // retired in-process steal master wrote.
-inline constexpr uint32_t kWireProtocolVersion = 9;
+// v10: budgeted ranks read their own lists with pread into an LRU.
+// EngineReport lost graph_inline_served, always 0 since the mmap pager
+// it counted for was deleted.
+inline constexpr uint32_t kWireProtocolVersion = 10;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -25,7 +25,7 @@ class Scheduler::SpawnPrefetchOracle : public PrefetchContext {
 
   uint32_t Degree(VertexId v) const override { return data_->Degree(v); }
 
-  std::span<const VertexId> LocalAdjacency(VertexId v) const override {
+  AdjRef LocalAdjacency(VertexId v) const override {
     QCM_CHECK(data_->IsLocal(v))
         << "SpawnPrefetch read of non-local adjacency " << v;
     return data_->table().Adjacency(v);

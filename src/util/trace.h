@@ -33,7 +33,7 @@ enum Category : uint8_t {
   kRecovery = 4,   // coordinator detect/kill/relaunch phases
   kKernel = 5,     // dense vs sparse kernel selection
   kStats = 6,      // periodic counter samples
-  kPage = 7,       // paged adjacency store page-in stalls
+  kPage = 7,       // budgeted adjacency list reads (pread)
   kNumCategories = 8,
 };
 

@@ -107,9 +107,9 @@ long long JsonCounter(const std::string& json, const std::string& key,
 }
 
 // Out-of-core acceptance: pack once with qcm_pack, hand the snapshot to a
-// 3-process cluster whose per-rank adjacency budget is a tiny fraction of
-// the partition (two 4 KiB frames), and require the digest to stay
-// bit-identical to resident qcm_mine while the pager demonstrably churns
+// 3-process cluster whose per-rank adjacency budget (8 KiB) is a tiny
+// fraction of the partition, and require the digest to stay bit-identical
+// to resident qcm_mine while the budgeted list cache demonstrably churns
 // (evictions > 0 in the merged report).
 TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   const std::string snap_path = ::testing::TempDir() + "/qcm_e2e.qcsr";
@@ -129,7 +129,7 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   const RunResult cluster = RunCommand(
       BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
       kMiningFlags + " --workers 3 --threads 2 --snapshot " + snap_path +
-      " --graph-page-size 4096 --graph-memory-budget 8192 --log-dir " +
+      " --graph-memory-budget 8192 --log-dir " +
       log_dir + " --stats-json " + json_path);
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
 
@@ -138,7 +138,7 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   EXPECT_EQ(single_digest, Digest(cluster.output))
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
 
-  // The merged report must show real paging activity under the budget.
+  // The merged report must show lists read and evicted under the budget.
   const std::string json = ReadFile(json_path);
   const size_t merged_at = json.find("\"merged\"");
   ASSERT_NE(merged_at, std::string::npos) << json;
@@ -155,8 +155,8 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
   std::remove(json_path.c_str());
 }
 
-// Same budgeted snapshot machinery, single-worker topology: the pager
-// must not depend on partitioning to stay bit-identical.
+// Same budgeted snapshot machinery, single-worker topology: the list
+// cache must not depend on partitioning to stay bit-identical.
 TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
   const RunResult single = RunCommand(
       BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
@@ -165,8 +165,8 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
 
   const RunResult cluster = RunCommand(
       BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 1 --threads 2 --graph-page-size 4096 "
-      "--graph-memory-budget 8192 --stats");
+      kMiningFlags + " --workers 1 --threads 2 --graph-memory-budget 8192 "
+      "--stats");
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
   // The launcher packed the graph itself (no --snapshot given).
   EXPECT_NE(cluster.output.find("packed"), std::string::npos)

@@ -1,14 +1,16 @@
 // Tests for the pull-based vertex access subsystem (paper §5, Fig. 8):
-// VertexCache LRU eviction and the capacity=0 (cache off) mode, the
-// DataService fetch paths (including the loud failure of a remote read
-// that skipped the pull protocol), the PullBroker request/response
-// protocol over the CommFabric, and the end-to-end invariant that
-// ParallelMiner results stay bit-identical to the direct-read path under
-// cache pressure, cross-machine pulls, and modeled network latency.
+// VertexCache LRU eviction by count and by charge and the capacity=0
+// (cache off) mode, the DataService fetch paths (including the loud
+// failure of a remote read that skipped the pull protocol), the
+// PullBroker request/response protocol over the CommFabric, and the
+// end-to-end invariant that ParallelMiner results stay bit-identical to
+// the direct-read path under cache pressure, cross-machine pulls, and
+// modeled network latency.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,12 +32,17 @@ VertexCache::AdjPtr Adj(std::vector<VertexId> v) {
   return std::make_shared<const std::vector<VertexId>>(std::move(v));
 }
 
+/// The counters DataService hands its remote cache.
+VertexCache::Counters RemoteCounters(EngineCounters* c) {
+  return {&c->cache_hits, &c->cache_misses, &c->cache_evictions};
+}
+
 TEST(VertexCacheTest, LookupCountsHitsAndMisses) {
   EngineCounters counters;
-  VertexCache cache(8, &counters);
+  VertexCache cache(8, RemoteCounters(&counters));
   EXPECT_EQ(cache.Lookup(1), nullptr);
   EXPECT_EQ(counters.cache_misses.load(), 1u);
-  cache.Insert(1, Adj({2, 3}));
+  cache.Insert(1, Adj({2, 3}), 1);
   auto hit = cache.Lookup(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, (std::vector<VertexId>{2, 3}));
@@ -48,40 +55,63 @@ TEST(VertexCacheTest, LookupCountsHitsAndMisses) {
 TEST(VertexCacheTest, LruEvictsLeastRecentlyUsed) {
   EngineCounters counters;
   // Capacity below the shard threshold -> one shard -> exact global LRU.
-  VertexCache cache(3, &counters);
-  cache.Insert(10, Adj({1}));
-  cache.Insert(20, Adj({2}));
-  cache.Insert(30, Adj({3}));
+  VertexCache cache(3, RemoteCounters(&counters));
+  cache.Insert(10, Adj({1}), 1);
+  cache.Insert(20, Adj({2}), 1);
+  cache.Insert(30, Adj({3}), 1);
   // Touch 10 so 20 becomes the least recently used.
   EXPECT_NE(cache.Lookup(10), nullptr);
-  cache.Insert(40, Adj({4}));
+  cache.Insert(40, Adj({4}), 1);
   EXPECT_EQ(counters.cache_evictions.load(), 1u);
   EXPECT_EQ(cache.Lookup(20), nullptr);  // evicted
   EXPECT_NE(cache.Lookup(10), nullptr);
   EXPECT_NE(cache.Lookup(30), nullptr);
   EXPECT_NE(cache.Lookup(40), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 3u);
+  EXPECT_EQ(cache.ApproxCharge(), 3u);
 }
 
 TEST(VertexCacheTest, EvictedEntriesSurviveWhilePinned) {
   EngineCounters counters;
-  VertexCache cache(1, &counters);
-  cache.Insert(1, Adj({7, 8, 9}));
+  VertexCache cache(1, RemoteCounters(&counters));
+  cache.Insert(1, Adj({7, 8, 9}), 1);
   auto pin = cache.Lookup(1);
   ASSERT_NE(pin, nullptr);
-  cache.Insert(2, Adj({5}));  // evicts 1
+  cache.Insert(2, Adj({5}), 1);  // evicts 1
   EXPECT_EQ(cache.Lookup(1), nullptr);
   // The pinned copy is still intact.
   EXPECT_EQ(*pin, (std::vector<VertexId>{7, 8, 9}));
 }
 
+TEST(VertexCacheTest, ChargesBoundTheCapacity) {
+  // A byte-charged cache (a budgeted table's own lists), counting only
+  // evictions.
+  std::atomic<uint64_t> evictions{0};
+  VertexCache cache(100, {nullptr, nullptr, &evictions});
+  cache.Insert(1, Adj({1}), 40);
+  cache.Insert(2, Adj({2}), 40);
+  cache.Insert(3, Adj({3}), 40);  // 120 > 100: evicts 1
+  EXPECT_EQ(evictions.load(), 1u);
+  EXPECT_EQ(cache.ApproxCharge(), 80u);
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  // Refreshing an entry replaces its charge.
+  cache.Insert(2, Adj({2}), 10);
+  EXPECT_EQ(cache.ApproxCharge(), 50u);
+  // An entry charged more than the whole capacity is not kept, and does
+  // not flush the others.
+  cache.Insert(4, Adj({4}), 101);
+  EXPECT_EQ(cache.Lookup(4), nullptr);
+  EXPECT_NE(cache.Lookup(2), nullptr);
+  EXPECT_NE(cache.Lookup(3), nullptr);
+  EXPECT_EQ(evictions.load(), 1u);
+}
+
 TEST(VertexCacheTest, CapacityZeroDisablesCaching) {
   EngineCounters counters;
-  VertexCache cache(0, &counters);
+  VertexCache cache(0, RemoteCounters(&counters));
   EXPECT_FALSE(cache.enabled());
-  cache.Insert(1, Adj({2}));
+  cache.Insert(1, Adj({2}), 1);
   EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.ApproxSize(), 0u);
+  EXPECT_EQ(cache.ApproxCharge(), 0u);
   EXPECT_EQ(counters.cache_hits.load(), 0u);
   EXPECT_EQ(counters.cache_misses.load(), 1u);
   EXPECT_EQ(counters.cache_evictions.load(), 0u);
@@ -89,12 +119,24 @@ TEST(VertexCacheTest, CapacityZeroDisablesCaching) {
 
 TEST(VertexCacheTest, ShardedCacheStaysNearCapacity) {
   EngineCounters counters;
-  VertexCache cache(2048, &counters);  // sharded regime
+  VertexCache cache(2048, RemoteCounters(&counters));  // sharded regime
   for (VertexId v = 0; v < 5000; ++v) {
-    cache.Insert(v, Adj({v}));
+    cache.Insert(v, Adj({v}), 1);
   }
   EXPECT_GT(counters.cache_evictions.load(), 0u);
-  EXPECT_LE(cache.ApproxSize(), 2048u);
+  EXPECT_LE(cache.ApproxCharge(), 2048u);
+}
+
+TEST(VertexCacheTest, ShardsOnlyWhenEveryShardHoldsTheLargestCharge) {
+  // 8 shards of 1024: an entry charged 3000 fits none and is not kept.
+  VertexCache sharded(8192, {});
+  sharded.Insert(1, Adj({1}), 3000);
+  EXPECT_EQ(sharded.Lookup(1), nullptr);
+  // Declaring that charge keeps the cache in one shard, which holds it.
+  VertexCache whole(8192, {}, /*max_charge=*/3000);
+  whole.Insert(1, Adj({1}), 3000);
+  EXPECT_NE(whole.Lookup(1), nullptr);
+  EXPECT_EQ(whole.ApproxCharge(), 3000u);
 }
 
 /// What a pull response would deliver for v: a copy of its adjacency.
@@ -117,7 +159,7 @@ TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
 
   // Remote fetch of a delivered (cached) vertex: a pinned cache hit.
   const VertexId remote_v = VertexTable(&g, 2, 1).OwnedVertices()[0];
-  svc.cache().Insert(remote_v, CopyOf(g, remote_v));
+  svc.cache().Insert(remote_v, CopyOf(g, remote_v), 1);
   AdjRef r = svc.Fetch(remote_v);
   EXPECT_NE(r.pin, nullptr);
   EXPECT_EQ(counters.cache_hits.load(), 1u);
@@ -280,7 +322,7 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
 
   VertexId v = cluster[1].table.OwnedVertices()[0];
   // An earlier pull delivered v.
-  cluster[0].data.cache().Insert(v, CopyOf(g, v));
+  cluster[0].data.cache().Insert(v, CopyOf(g, v), 1);
   const uint64_t bytes_before = counters.pull_bytes.load();
 
   TaskPtr task = QCTask::MakeSpawn(0, 1);

@@ -196,10 +196,10 @@ echo "check_smoke: OK -- scalar-kernel cluster digest matches" \
 
 # ---- Out-of-core snapshot phase ----------------------------------------
 # Pack the same graph into a checksummed .qcsr snapshot (qcm_pack
-# --verify re-reads every section), then mine it with a per-rank
-# adjacency budget of two 4 KiB pages -- a small fraction of any rank's
-# partition. The digest must stay bit-identical to the resident run while
-# the pager demonstrably evicts, and the --stats rollup must report the
+# --verify re-reads every section), then mine it with an 8 KiB per-rank
+# adjacency budget -- a small fraction of any rank's partition. The
+# digest must stay bit-identical to the resident run while the budgeted
+# list cache demonstrably evicts, and the --stats rollup must report the
 # bounded aggregate peak RSS.
 PACK_BIN="$(dirname "$BIN")/qcm_pack"
 if [[ -x "$PACK_BIN" ]]; then
@@ -217,7 +217,7 @@ if [[ -x "$PACK_BIN" ]]; then
   oocsr_out=$("$CLUSTER_BIN" \
     --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
     --gamma 0.85 --min-size 8 --workers 3 --threads 2 --stats \
-    --snapshot "$SNAP" --graph-page-size 4096 --graph-memory-budget 8192 \
+    --snapshot "$SNAP" --graph-memory-budget 8192 \
     --log-dir "$LOG_DIR" "$@" 2>&1)
   oocsr_status=$?
   echo "$oocsr_out"
@@ -230,15 +230,15 @@ if [[ -x "$PACK_BIN" ]]; then
     sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
   if [[ "$oocsr_digest" != "$single_digest" ]]; then
     echo "check_smoke: FAIL -- snapshot+budget digest $oocsr_digest !=" \
-      "single-process digest $single_digest (out-of-core paging must not" \
-      "change results; worker logs in $LOG_DIR)" >&2
+      "single-process digest $single_digest (the budgeted list cache must" \
+      "not change results; worker logs in $LOG_DIR)" >&2
     exit 1
   fi
   evictions=$(printf '%s\n' "$oocsr_out" |
     sed -n 's/^graph: .* \([0-9][0-9]*\) evictions.*/\1/p' | tail -1)
   if [[ -z "$evictions" || "$evictions" -eq 0 ]]; then
-    echo "check_smoke: FAIL -- budgeted run reported no page evictions" \
-      "(the paged adjacency store silently stopped engaging)" >&2
+    echo "check_smoke: FAIL -- budgeted run reported no list evictions" \
+      "(the budgeted list cache silently stopped engaging)" >&2
     exit 1
   fi
   peak_rss=$(printf '%s\n' "$oocsr_out" |

@@ -16,17 +16,18 @@
 // `qcm_cluster --help` lists every flag. The engine and mining flags are
 // the table shared with qcm_mine (tools/cli.h) and mean the same thing
 // here; --workers, the transport, heartbeat, checkpoint, snapshot and
-// paging knobs, --log-dir and --worker-bin are this tool's own. Flags
+// graph-budget knobs, --log-dir and --worker-bin are this tool's own. Flags
 // only parse: the whole configuration is checked once, by
 // EngineConfig::Validate(), before any worker starts, so e.g. a
 // coalescing threshold without a linger bound is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input into a .qcsr snapshot
 // ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
-// and fault in just their partition's pages, so no rank ever materializes
+// and read just their partition's lists, so no rank ever materializes
 // the full graph. --snapshot reuses a qcm_pack output instead, and
-// --graph-memory-budget caps each rank's resident adjacency bytes
-// (evicted pages refault on demand -- out-of-core mining).
+// --graph-memory-budget caps the bytes each rank keeps of its own lists:
+// a budgeted rank reads a list from the file with pread whenever its LRU
+// of lists misses (out-of-core mining).
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + kStats counter
@@ -174,9 +175,10 @@ int main(int argc, char** argv) {
                  "ship this qcm_pack .qcsr instead of packing the input"),
        cli::Number("--graph-memory-budget", "BYTES",
                    &config.graph_memory_budget,
-                   "per-rank resident adjacency budget; 0 = unbounded"),
+                   "per-rank budget for the rank's cached adjacency "
+                   "lists; 0 = unbounded"),
        cli::Number("--graph-page-size", "BYTES", &config.graph_page_size,
-                   "page size of the snapshot the launcher packs"),
+                   "section alignment of the snapshot the launcher packs"),
        cli::Text("--worker-bin", "PATH", &worker_bin, "qcm_worker binary"),
        cli::Text("--log-dir", "DIR", &log_dir,
                  "worker logs and the packed graph (default: a fresh temp "
@@ -216,8 +218,7 @@ int main(int argc, char** argv) {
   // regenerating the graph: the launcher packs <log-dir>/graph.qcsr once
   // below, or ships a --snapshot file. A pre-packed file is opened now
   // (metadata checksums only) so a bad path fails before N workers are
-  // forked, and its page size wins over the flag: the budget check below
-  // must see what the workers will map.
+  // forked.
   const bool pack = config.graph_snapshot.empty();
   if (pack) {
     config.graph_snapshot = log_dir + "/graph.qcsr";
@@ -228,7 +229,6 @@ int main(int argc, char** argv) {
                    snap.status().ToString().c_str());
       return 1;
     }
-    config.graph_page_size = (*snap)->page_size();
   }
 
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
@@ -712,14 +712,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(raw_candidates));
     std::fprintf(
         stderr,
-        "graph: %llu page pins, %llu page-ins, %llu evictions, "
-        "%llu inline-served, fault stall %.1f ms; aggregate peak rss %s\n",
+        "graph: %llu list reads, %llu from file, %llu evictions, "
+        "pread %.1f ms; aggregate peak rss %s\n",
         static_cast<unsigned long long>(merged.counters.graph_page_pins),
         static_cast<unsigned long long>(merged.counters.graph_page_ins),
         static_cast<unsigned long long>(
             merged.counters.graph_page_evictions),
-        static_cast<unsigned long long>(
-            merged.counters.graph_inline_served),
         static_cast<double>(merged.counters.graph_fault_stall_usec) / 1e3,
         HumanBytes(merged.peak_rss_bytes).c_str());
   }

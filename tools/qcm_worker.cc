@@ -148,8 +148,9 @@ int main(int argc, char** argv) {
   }
 
   // Graph load: mmap the launcher-packed .qcsr snapshot (metadata
-  // checksums verified, adjacency pages faulted lazily) -- startup never
-  // materializes the full graph in this process.
+  // checksums verified; adjacency is read on demand, under a budget one
+  // list at a time with pread) -- startup never materializes the full
+  // graph in this process.
   WallTimer graph_timer;
   auto snap = CsrSnapshot::Open(config.graph_snapshot);
   if (!snap.ok()) {
@@ -159,7 +160,11 @@ int main(int argc, char** argv) {
   auto table = std::make_unique<VertexTable>(
       std::move(snap).value(), transport->world_size(), rank,
       static_cast<uint64_t>(config.graph_memory_budget));
-  const PagedAdjacencyStore* store = table->paged_store();
+  const std::string budget =
+      config.graph_memory_budget > 0
+          ? ", adjacency budget " +
+                HumanBytes(static_cast<uint64_t>(config.graph_memory_budget))
+          : "";
   std::fprintf(
       stderr,
       "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices total, "
@@ -168,11 +173,7 @@ int main(int argc, char** argv) {
       config.graph_snapshot.c_str(), table->NumVertices(),
       table->OwnedVertices().size(),
       HumanBytes(table->snapshot()->MappedBytes()).c_str(),
-      HumanBytes(CurrentRssBytes()).c_str(),
-      store->paging_enabled()
-          ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
-                .c_str()
-          : "",
+      HumanBytes(CurrentRssBytes()).c_str(), budget.c_str(),
       transport->epoch() > 0 ? " (replacement; replaying checkpoint)" : "");
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
