@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "util/logging.h"
+
 namespace qcm {
 
 StatusOr<Graph> Graph::FromEdges(uint32_t num_vertices,
@@ -45,6 +47,17 @@ StatusOr<Graph> Graph::FromEdges(uint32_t num_vertices,
     std::sort(g.adj_.begin() + static_cast<int64_t>(g.offsets_[v]),
               g.adj_.begin() + static_cast<int64_t>(g.offsets_[v + 1]));
   }
+  return g;
+}
+
+Graph Graph::FromCsr(std::vector<uint64_t> offsets,
+                     std::vector<VertexId> adj) {
+  QCM_CHECK(!offsets.empty() && offsets.front() == 0 &&
+            offsets.back() == adj.size())
+      << "malformed CSR offsets";
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
   return g;
 }
 

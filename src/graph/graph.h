@@ -37,6 +37,14 @@ class Graph {
   static StatusOr<Graph> FromEdges(uint32_t num_vertices,
                                    std::vector<Edge> edges);
 
+  /// Adopts a ready CSR: `offsets` has NumVertices()+1 entries from 0 to
+  /// adj.size(), and each vertex's range of `adj` is sorted, free of
+  /// self-loops and duplicates, and symmetric. The caller guarantees this
+  /// (KCoreSubgraph filters an existing graph's lists); only the offsets'
+  /// shape is checked.
+  static Graph FromCsr(std::vector<uint64_t> offsets,
+                       std::vector<VertexId> adj);
+
   /// Number of vertices (ids are 0 .. NumVertices()-1).
   uint32_t NumVertices() const {
     return offsets_.empty() ? 0 : static_cast<uint32_t>(offsets_.size() - 1);

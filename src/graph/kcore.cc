@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/trace.h"
+
 namespace qcm {
 
 std::vector<uint32_t> CoreDecomposition(const Graph& g) {
@@ -58,12 +60,28 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
 }
 
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k) {
-  std::vector<uint32_t> core = CoreDecomposition(g);
-  std::vector<uint8_t> mask(g.NumVertices(), 0);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    mask[v] = core[v] >= k ? 1 : 0;
+  const uint32_t n = g.NumVertices();
+  std::vector<uint8_t> alive(n, 1);
+  std::vector<uint32_t> degree(n);  // live degree of every live vertex
+  std::vector<VertexId> peeled;     // dead, neighbors not yet decremented
+  for (VertexId v = 0; v < n; ++v) {
+    degree[v] = g.Degree(v);
+    if (degree[v] < k) {
+      alive[v] = 0;
+      peeled.push_back(v);
+    }
   }
-  return mask;
+  while (!peeled.empty()) {
+    const VertexId v = peeled.back();
+    peeled.pop_back();
+    for (VertexId u : g.Neighbors(v)) {
+      if (alive[u] && --degree[u] < k) {
+        alive[u] = 0;
+        peeled.push_back(u);
+      }
+    }
+  }
+  return alive;
 }
 
 uint64_t KCoreSize(const Graph& g, uint32_t k) {
@@ -71,6 +89,31 @@ uint64_t KCoreSize(const Graph& g, uint32_t k) {
   uint64_t count = 0;
   for (uint8_t m : mask) count += m;
   return count;
+}
+
+Graph KCoreSubgraph(const Graph& g, uint32_t k) {
+  QCM_TRACE_SPAN(trace::kLifecycle, "kcore_subgraph", g.NumVertices());
+  const std::vector<uint8_t> alive = KCoreMask(g, k);
+  const uint32_t n = g.NumVertices();
+  // Each kept list is the input's sorted list filtered by the mask, so it
+  // stays sorted: count, then copy, with no re-sort.
+  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    uint64_t kept = 0;
+    if (alive[v]) {
+      for (VertexId u : g.Neighbors(v)) kept += alive[u];
+    }
+    offsets[v + 1] = offsets[v] + kept;
+  }
+  std::vector<VertexId> adj(offsets[n]);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!alive[v]) continue;
+    VertexId* out = adj.data() + offsets[v];
+    for (VertexId u : g.Neighbors(v)) {
+      if (alive[u]) *out++ = u;
+    }
+  }
+  return Graph::FromCsr(std::move(offsets), std::move(adj));
 }
 
 }  // namespace qcm

@@ -98,7 +98,17 @@ void CommFabric::Inject(MessageType type, int src, std::string payload,
   m.due_sec = now + latency_sec_;
   m.wire_transit_usec = wire_transit_usec;
 
-  const uint64_t bytes = m.payload.size();
+  // The bytes are counted before the message becomes visible: once it is
+  // queued, the responder or a comper's Service() may deliver it and
+  // subtract them, which must never run ahead of this add.
+  if (counters_ != nullptr) {
+    const uint64_t bytes = m.payload.size();
+    const uint64_t inflight =
+        counters_->msg_inflight_bytes.fetch_add(bytes,
+                                                std::memory_order_relaxed) +
+        bytes;
+    AtomicMax(&counters_->msg_inflight_bytes_peak, inflight);
+  }
   size_t depth;
   if (type == MessageType::kPullRequest) {
     bool was_empty;
@@ -117,11 +127,6 @@ void CommFabric::Inject(MessageType type, int src, std::string payload,
     depth = inbox_.size();
   }
   if (counters_ != nullptr) {
-    const uint64_t inflight =
-        counters_->msg_inflight_bytes.fetch_add(bytes,
-                                                std::memory_order_relaxed) +
-        bytes;
-    AtomicMax(&counters_->msg_inflight_bytes_peak, inflight);
     AtomicMax(&counters_->msg_queue_depth_peak, depth);
     if (busy_probe_ && busy_probe_() > 0) {
       counters_->msg_overlapped.fetch_add(1, std::memory_order_relaxed);

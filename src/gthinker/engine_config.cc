@@ -1,6 +1,5 @@
 #include "gthinker/engine_config.h"
 
-#include "graph/csr_snapshot.h"
 #include "net/wire.h"
 #include "util/serde.h"
 
@@ -107,16 +106,6 @@ Status EngineConfig::Validate() const {
         "stats_interval_ms must be >= 0 (0 disables the telemetry "
         "sampler)");
   }
-  if (graph_page_size <= 0) {
-    return QCM_CONFIG_ERROR("graph_page_size must be > 0");
-  }
-  if (graph_page_size < static_cast<int64_t>(kCsrMinPageSize) ||
-      (graph_page_size & (graph_page_size - 1)) != 0) {
-    return QCM_CONFIG_ERROR(
-        "graph_page_size must be a power of two >= " +
-        std::to_string(kCsrMinPageSize) + ", got " +
-        std::to_string(graph_page_size));
-  }
   if (graph_memory_budget < 0) {
     return QCM_CONFIG_ERROR("graph_memory_budget must be >= 0 (0 = "
                             "unbounded resident adjacency)");
@@ -169,7 +158,6 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutString(config.trace_out);
   enc->PutI64(config.stats_interval_ms);
   enc->PutString(config.graph_snapshot);
-  enc->PutI64(config.graph_page_size);
   enc->PutI64(config.graph_memory_budget);
 }
 
@@ -234,7 +222,6 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   QCM_RETURN_IF_ERROR(dec->GetString(&config->trace_out));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->stats_interval_ms));
   QCM_RETURN_IF_ERROR(dec->GetString(&config->graph_snapshot));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->graph_page_size));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->graph_memory_budget));
   return Status::OK();
 }

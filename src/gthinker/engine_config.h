@@ -160,9 +160,6 @@ struct EngineConfig {
   /// fills this in; a cluster job without one is rejected). In-process
   /// ranks, which share a resident Graph, leave it empty.
   std::string graph_snapshot;
-  /// Page size (bytes) the launcher stamps into the snapshot it packs:
-  /// the alignment of the file's sections. Power of two, >= 4096.
-  int64_t graph_page_size = 1 << 16;
   /// Per-rank budget (bytes) for the rank's own adjacency lists: a budgeted
   /// rank reads each list from the snapshot with pread on a miss and keeps
   /// the copies in an LRU whose charge (list bytes plus

@@ -1,8 +1,10 @@
 // High-level facade: run the full parallel maximal quasi-clique pipeline
-// (spawn -> build -> mine -> decompose -> postprocess) on a graph, with
-// EngineConfig::num_machines in-process cluster ranks
+// (k-core -> spawn -> build -> mine -> decompose -> postprocess) on a
+// graph, with EngineConfig::num_machines in-process cluster ranks
 // (net/local_cluster.h), and return both the exact maximal result set and
-// the merged run report.
+// the merged run report. The ranks serve the graph's k-core
+// (KCoreSubgraph, graph/kcore.h), so tasks, pulls and counters cover only
+// k-core vertices.
 
 #ifndef QCM_MINING_PARALLEL_MINER_H_
 #define QCM_MINING_PARALLEL_MINER_H_

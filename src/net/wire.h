@@ -104,7 +104,9 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // v10: budgeted ranks read their own lists with pread into an LRU.
 // EngineReport lost graph_inline_served, always 0 since the mmap pager
 // it counted for was deleted.
-inline constexpr uint32_t kWireProtocolVersion = 10;
+// v11: EngineConfig lost graph_page_size; the launcher packs its
+// snapshot at kCsrDefaultPageSize.
+inline constexpr uint32_t kWireProtocolVersion = 11;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -11,20 +11,32 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
                                   std::span<const LocalId> candidates,
                                   LocalId v) {
   const LocalGraph& g = ctx.g();
+  // reach starts as {v} ∪ Gamma(v). When v has fewer neighbors than there
+  // are candidates, it grows to the whole ball B(v) = reach ∪
+  // Gamma(Gamma(v)) once, and each candidate costs one test. Otherwise a
+  // candidate outside reach is within 2 hops iff one of its neighbors is
+  // in reach. Intermediate hops may pass through any vertex of the task
+  // subgraph, exactly like B(v) in the paper (computed on t.g).
+  const bool whole_ball = g.Degree(v) < candidates.size();
+  std::vector<LocalId> kept;
+  kept.reserve(candidates.size());
   if (ctx.dense()) {
-    // Word-parallel twin: reach = {v} ∪ Gamma(v) as one bitset; u is
-    // within 2 hops iff its own bit is in reach or its row intersects it.
     const uint32_t words = ctx.words();
     const uint64_t* row_v = ctx.Row(v);
     uint64_t* reach = ctx.WordBuf(0);
     std::copy(row_v, row_v + words, reach);
     reach[v >> 6] |= uint64_t{1} << (v & 63);
     uint64_t touched = words;
-    std::vector<LocalId> kept;
-    kept.reserve(candidates.size());
+    if (whole_ball) {
+      for (LocalId w : g.Neighbors(v)) {
+        const uint64_t* row_w = ctx.Row(w);
+        for (uint32_t i = 0; i < words; ++i) reach[i] |= row_w[i];
+      }
+      touched += uint64_t{g.Degree(v)} * words;
+    }
     for (LocalId u : candidates) {
       bool within = (reach[u >> 6] >> (u & 63)) & 1;
-      if (!within) {
+      if (!within && !whole_ball) {
         const uint64_t* row_u = ctx.Row(u);
         for (uint32_t w = 0; w < words; ++w) {
           ++touched;
@@ -43,18 +55,18 @@ std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
     ctx.stats.bitset_words_touched += touched;
     return kept;
   }
-  // Mark {v} ∪ Gamma(v); u is within 2 hops iff u or one of its neighbors
-  // is marked. Intermediate hops may pass through any vertex of the task
-  // subgraph, exactly like B(v) in the paper (computed on t.g).
+  // The scalar twin marks reach under one epoch tag.
   const uint32_t tag = ctx.NewMark();
   ctx.Mark(v, tag);
   for (LocalId w : g.Neighbors(v)) ctx.Mark(w, tag);
-
-  std::vector<LocalId> kept;
-  kept.reserve(candidates.size());
+  if (whole_ball) {
+    for (LocalId w : g.Neighbors(v)) {
+      for (LocalId x : g.Neighbors(w)) ctx.Mark(x, tag);
+    }
+  }
   for (LocalId u : candidates) {
     bool within = ctx.Marked(u, tag);
-    if (!within) {
+    if (!within && !whole_ball) {
       for (LocalId w : g.Neighbors(u)) {
         if (ctx.Marked(w, tag)) {
           within = true;

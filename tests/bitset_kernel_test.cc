@@ -187,20 +187,60 @@ TEST(KernelParityTest, ComputeDegrees) {
   }
 }
 
+// Both kernels against a brute-force B(v) = {v} ∪ Gamma(v) ∪
+// Gamma(Gamma(v)) on the task graph, for every v: candidate lists longer
+// than deg(v) take the precomputed-ball path, lists no longer than deg(v)
+// the per-candidate scan. Candidates come in shuffled order, which the
+// filter must keep.
 TEST(KernelParityTest, TwoHopFilter) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    // Sparse graphs so 2-hop reach is a strict subset.
-    auto src = std::move(GenErdosRenyi(120, 300, seed)).value();
+  Rng rng(404);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    // Sparse graphs (two words per row) so the ball is a strict subset.
+    auto src = std::move(GenErdosRenyi(120, seed % 2 ? 300 : 480, seed))
+                   .value();
     KernelPair kp(src, 0.85);
-    std::vector<LocalId> candidates;
-    for (LocalId u = 1; u < kp.graph.n(); ++u) candidates.push_back(u);
-    auto kept_sparse = TwoHopFilter(*kp.sparse, candidates, 0);
-    auto kept_dense = TwoHopFilter(*kp.dense, candidates, 0);
-    // Both kernels preserve candidate order, so exact equality.
-    EXPECT_EQ(kept_sparse, kept_dense) << "seed=" << seed;
-    EXPECT_LT(kept_sparse.size(), candidates.size()) << "filter was a no-op";
-    EXPECT_EQ(kp.sparse->stats.diameter_filtered,
-              kp.dense->stats.diameter_filtered);
+    const LocalGraph& g = kp.graph;
+    const LocalId n = g.n();
+    std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
+    for (LocalId v = 0; v < n; ++v) {
+      for (LocalId w : g.Neighbors(v)) adj[v][w] = true;
+    }
+    auto within = [&](LocalId v, LocalId u) {
+      if (u == v || adj[v][u]) return true;
+      for (LocalId w = 0; w < n; ++w) {
+        if (adj[v][w] && adj[w][u]) return true;
+      }
+      return false;
+    };
+    bool filtered_some = false;
+    for (LocalId v = 0; v < n; ++v) {
+      std::vector<LocalId> longer;
+      for (LocalId u = 0; u < n; ++u) {
+        if (u != v) longer.push_back(u);
+      }
+      for (size_t i = longer.size(); i > 1; --i) {
+        std::swap(longer[i - 1], longer[rng.Uniform(i)]);
+      }
+      ASSERT_GT(longer.size(), g.Degree(v));
+      std::vector<LocalId> shorter(longer.begin(),
+                                   longer.begin() + g.Degree(v));
+      for (const std::vector<LocalId>* candidates : {&longer, &shorter}) {
+        std::vector<LocalId> want;
+        for (LocalId u : *candidates) {
+          if (within(v, u)) want.push_back(u);
+        }
+        filtered_some |= want.size() < candidates->size();
+        for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
+          const uint64_t filtered = ctx->stats.diameter_filtered;
+          EXPECT_EQ(TwoHopFilter(*ctx, *candidates, v), want)
+              << "seed=" << seed << " v=" << v << " dense=" << ctx->dense()
+              << " candidates=" << candidates->size();
+          EXPECT_EQ(ctx->stats.diameter_filtered - filtered,
+                    candidates->size() - want.size());
+        }
+      }
+    }
+    EXPECT_TRUE(filtered_some) << "seed=" << seed << ": filter was a no-op";
   }
 }
 

@@ -3,7 +3,8 @@
 // never reach an inbox, are answered once due, and a dead source's
 // requests can be dropped), and the message accounting counters
 // (per-type sent/delivered/bytes, in-flight gauge, queue depth, latency
-// histogram, overlap sampling). Each machine has its own fabric; the
+// histogram, overlap sampling; the in-flight gauge never wraps while
+// other threads deliver). Each machine has its own fabric; the
 // fabrics talk over an in-memory transport and share one counter set.
 
 #include <gtest/gtest.h>
@@ -256,6 +257,51 @@ TEST(CommFabricTest, CountersTrackBytesDepthAndOverlap) {
   EXPECT_EQ(snap.MessagesSent(), 2u);
   EXPECT_EQ(snap.MessageBytes(), 6u);
   EXPECT_DOUBLE_EQ(snap.MessageOverlapRatio(), 0.5);
+}
+
+TEST(CommFabricTest, InFlightBytesNeverWrapUnderConcurrentDelivery) {
+  // Eight threads inject pull requests and steal batches into machine 1
+  // while its responder answers the requests and a comper thread services
+  // both inboxes, so a message is often delivered, on another thread,
+  // right after it is queued. A delivery that subtracted its bytes before
+  // the injection added them would wrap the unsigned gauge, and the next
+  // injection would record a peak near 2^64.
+  constexpr int kInjectors = 8;
+  constexpr int kMessages = 10000;
+  static constexpr size_t kTotal = size_t{kInjectors} * kMessages;
+  EngineCounters counters;
+  Fabrics fabric(2, /*latency_sec=*/0, &counters);
+  fabric[1].StartResponder(
+      [](const std::string& request) { return request + request; });
+  std::thread comper([&fabric] {
+    size_t delivered = 0;
+    WallTimer waited;
+    while (delivered < kTotal && waited.Seconds() < 30.0) {
+      delivered += fabric[1].Service().size();  // steal batches
+      delivered += fabric[0].Service().size();  // pull responses
+    }
+    EXPECT_EQ(delivered, kTotal);
+  });
+  std::vector<std::thread> injectors;
+  for (int i = 0; i < kInjectors; ++i) {
+    injectors.emplace_back([&fabric] {
+      for (int m = 0; m < kMessages; ++m) {
+        fabric[0].Send(m % 2 == 0 ? MessageType::kPullRequest
+                                  : MessageType::kStealBatch,
+                       1, "msg");
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& t : injectors) t.join();
+  comper.join();
+  fabric[1].StopResponder();
+
+  const uint64_t injected =
+      EngineCountersSnapshot::From(counters).MessageBytes();
+  EXPECT_EQ(injected, kTotal / 2 * (3 + 3 + 6));
+  EXPECT_LE(counters.msg_inflight_bytes_peak.load(), injected);
+  EXPECT_EQ(counters.msg_inflight_bytes.load(), 0u);
 }
 
 TEST(CommFabricTest, LatencyBucketBoundaries) {

@@ -456,17 +456,6 @@ TEST(CsrSnapshotTest, ValidateRejectsBadGraphStorageKnobs) {
   EngineConfig config;
   ASSERT_TRUE(config.Validate().ok());
 
-  config.graph_page_size = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config.graph_page_size = -4096;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config.graph_page_size = 12345;  // not a power of two
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config.graph_page_size = 2048;  // < kCsrMinPageSize
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config.graph_page_size = 65536;
-  ASSERT_TRUE(config.Validate().ok());
-
   config.graph_memory_budget = -1;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 

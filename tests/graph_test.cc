@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "graph/edge_io.h"
@@ -160,6 +161,64 @@ TEST(KCoreTest, CoreMonotoneInK) {
     uint64_t size = KCoreSize(g, k);
     EXPECT_LE(size, prev);
     prev = size;
+  }
+}
+
+TEST(KCoreTest, SubgraphKeepsIdsAndOnlyCoreEdges) {
+  // Property: KCoreSubgraph keeps every vertex id, and each list is the
+  // input's list filtered by KCoreMask -- the graph FromEdges builds from
+  // the edges between k-core vertices.
+  std::vector<Graph> graphs;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    graphs.push_back(std::move(GenErdosRenyi(80, 240, seed)).value());
+    graphs.push_back(std::move(GenBarabasiAlbert(150, 3, seed)).value());
+    PlantedConfig planted;
+    planted.num_vertices = 300;
+    planted.num_communities = 4;
+    planted.community_min = 8;
+    planted.community_max = 12;
+    planted.seed = seed;
+    graphs.push_back(std::move(GenPlantedCommunities(planted)).value());
+  }
+  for (const Graph& g : graphs) {
+    for (uint32_t k : {0u, 1u, 2u, 3u, 5u, 8u}) {
+      SCOPED_TRACE("n=" + std::to_string(g.NumVertices()) +
+                   " k=" + std::to_string(k));
+      const std::vector<uint8_t> mask = KCoreMask(g, k);
+      const Graph core = KCoreSubgraph(g, k);
+      ASSERT_EQ(core.NumVertices(), g.NumVertices());
+      std::vector<Edge> core_edges;
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        std::vector<VertexId> want;
+        if (mask[v]) {
+          for (VertexId u : g.Neighbors(v)) {
+            if (mask[u]) want.push_back(u);
+          }
+        }
+        const auto got = core.Neighbors(v);
+        EXPECT_EQ(std::vector<VertexId>(got.begin(), got.end()), want)
+            << "v=" << v;
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "v=" << v;
+        if (mask[v]) {
+          EXPECT_GE(core.Degree(v), k) << "v=" << v;
+        } else {
+          EXPECT_EQ(core.Degree(v), 0u) << "v=" << v;
+        }
+        for (VertexId u : want) {
+          if (v < u) core_edges.emplace_back(v, u);
+        }
+      }
+      const Graph rebuilt = std::move(Graph::FromEdges(
+                                          g.NumVertices(), core_edges))
+                                .value();
+      ASSERT_EQ(core.NumEdges(), rebuilt.NumEdges());
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        EXPECT_TRUE(std::ranges::equal(core.Neighbors(v),
+                                       rebuilt.Neighbors(v)))
+            << "v=" << v;
+      }
+      EXPECT_EQ(KCoreSize(core, k), KCoreSize(g, k));
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "mining/parallel_miner.h"
 #include "quick/maximality_filter.h"
 #include "quick/naive_enum.h"
@@ -44,6 +45,36 @@ EngineConfig SmallConfig(double gamma, uint32_t min_size) {
   config.tau_time = 0.001;
   config.steal_period_sec = 0.005;
   return config;
+}
+
+// Only the k-core can hold a result, so the engine mines only the k-core:
+// a background vertex of degree >= k outside it does not even spawn.
+// A Barabasi-Albert background that links each new vertex to 3 earlier
+// ones has core numbers of at most 3, so at k = 6 its hubs qualify by
+// degree alone.
+TEST(ParallelMinerTest, SpawnsOnlyKCoreVertices) {
+  PlantedConfig planted;
+  planted.num_vertices = 600;
+  planted.background = BackgroundModel::kPowerLaw;
+  planted.ba_attach = 3;
+  planted.num_communities = 4;
+  planted.community_min = 10;
+  planted.community_max = 12;
+  planted.seed = 7;
+  const Graph g = std::move(GenPlantedCommunities(planted)).value();
+  EngineConfig config = SmallConfig(0.85, 8);
+  config.mode = DecomposeMode::kNone;  // every task is a spawn
+  const uint32_t k = config.mining.MinDegreeK();
+  ASSERT_EQ(k, 6u);
+  uint64_t degree_k = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) degree_k += g.Degree(v) >= k;
+  const uint64_t core = KCoreSize(g, k);
+  ASSERT_LT(core, degree_k) << "no periphery of degree >= k to skip";
+
+  const ParallelMineResult result = ParallelRun(g, config);
+  EXPECT_LE(result.report.counters.tasks_completed, core);
+  EXPECT_FALSE(result.maximal.empty());
+  EXPECT_EQ(result.maximal, SerialMaximal(g, config.mining));
 }
 
 TEST(ParallelMinerTest, PaperFigure4MatchesOracle) {

@@ -440,7 +440,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   config.trace_out = "/tmp/run_trace.json";
   config.stats_interval_ms = 250;
   config.graph_snapshot = "/tmp/graph.qcsr";
-  config.graph_page_size = 4096;
   config.graph_memory_budget = 1 << 20;
 
   EngineConfig out;
@@ -476,7 +475,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(out.trace_out, "/tmp/run_trace.json");
   EXPECT_EQ(out.stats_interval_ms, 250);
   EXPECT_EQ(out.graph_snapshot, "/tmp/graph.qcsr");
-  EXPECT_EQ(out.graph_page_size, 4096);
   EXPECT_EQ(out.graph_memory_budget, 1 << 20);
 }
 

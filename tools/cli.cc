@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "graph/generators.h"
+#include "graph/kcore.h"
 #include "util/logging.h"
 
 namespace qcm::cli {
@@ -104,6 +105,20 @@ StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source) {
   LoadedGraph loaded;
   QCM_ASSIGN_OR_RETURN(loaded.graph, GenPlantedCommunities(*spec));
   return loaded;
+}
+
+Graph MinedKCore(const Graph& graph, const EngineConfig& config,
+                 bool stats) {
+  const uint32_t k = config.mining.MinDegreeK();
+  Graph core = KCoreSubgraph(graph, k);
+  if (stats) {
+    std::fprintf(stderr, "k-core: %llu of %u vertices, %llu of %llu edges\n",
+                 static_cast<unsigned long long>(KCoreSize(core, k)),
+                 graph.NumVertices(),
+                 static_cast<unsigned long long>(core.NumEdges()),
+                 static_cast<unsigned long long>(graph.NumEdges()));
+  }
+  return core;
 }
 
 Flag OutputFlag(std::string* path, const char* help) {

@@ -1,7 +1,8 @@
 // The command-line layer of the tools: one table of the engine and mining
 // flags qcm_mine and qcm_cluster share, the strict parser every tool runs
-// its flag list through, generated --help, and the one loader for an
-// edge-list-or-planted graph source.
+// its flag list through, generated --help, the one loader for an
+// edge-list-or-planted graph source, and the k-core reduction both
+// launchers apply to it.
 //
 // A flag row names the flag, the field it sets and its help; the field's
 // value at table-build time is the default the help shows. Values go
@@ -87,6 +88,11 @@ Status CheckGraphSource(const GraphSource& source);
 /// passed CheckGraphSource. original_ids is filled for an edge list only;
 /// a caller that does not pack a snapshot should drop it before mining.
 StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
+
+/// The k-core subgraph the engine mines (KCoreSubgraph, graph/kcore.h),
+/// k = config.mining.MinDegreeK(). With `stats`, prints "k-core: K of N
+/// vertices, E of M edges" to stderr.
+Graph MinedKCore(const Graph& graph, const EngineConfig& config, bool stats);
 
 /// --output PATH, with a tool-specific meaning.
 Flag OutputFlag(std::string* path, const char* help);

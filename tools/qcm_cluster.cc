@@ -21,10 +21,14 @@
 // EngineConfig::Validate(), before any worker starts, so e.g. a
 // coalescing threshold without a linger bound is rejected, not patched.
 //
-// Graph distribution: the launcher packs the input into a .qcsr snapshot
-// ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
-// and read just their partition's lists, so no rank ever materializes
-// the full graph. --snapshot reuses a qcm_pack output instead, and
+// Graph distribution: the launcher packs the input's k-core
+// (KCoreSubgraph, graph/kcore.h: the same vertex ids, only the edges
+// between k-core vertices) into a .qcsr snapshot ONCE
+// (<log-dir>/graph.qcsr) and ships only the path; workers mmap it and
+// read just their partition's lists, so no rank ever materializes the
+// graph. --snapshot ships a qcm_pack output as given instead: the
+// launcher never loads its adjacency, so that run is not reduced (its
+// results are the same, its ranks just spawn and pull more). And
 // --graph-memory-budget caps the bytes each rank keeps of its own lists:
 // a budgeted rank reads a list from the file with pread whenever its LRU
 // of lists misses (out-of-core mining).
@@ -172,13 +176,12 @@ int main(int argc, char** argv) {
        cli::Number("--max-rank-restarts", "N", &max_rank_restarts,
                    "replacement incarnations allowed per rank"),
        cli::Text("--snapshot", "PATH", &config.graph_snapshot,
-                 "ship this qcm_pack .qcsr instead of packing the input"),
+                 "ship this qcm_pack .qcsr as given instead of packing the "
+                 "input's k-core"),
        cli::Number("--graph-memory-budget", "BYTES",
                    &config.graph_memory_budget,
                    "per-rank budget for the rank's cached adjacency "
                    "lists; 0 = unbounded"),
-       cli::Number("--graph-page-size", "BYTES", &config.graph_page_size,
-                   "section alignment of the snapshot the launcher packs"),
        cli::Text("--worker-bin", "PATH", &worker_bin, "qcm_worker binary"),
        cli::Text("--log-dir", "DIR", &log_dir,
                  "worker logs and the packed graph (default: a fresh temp "
@@ -262,6 +265,14 @@ int main(int argc, char** argv) {
     remove_owned_ckpt_dir();
     return 2;
   }
+  // Launcher-side tracing must be live before the pack step (its k-core
+  // span) and the coordinator (recovery spans: rank_declared_dead,
+  // recover_*). The workers start their own rings from the job spec.
+  const std::string trace_out = config.trace_out;
+  if (!trace_out.empty()) {
+    trace::Start(trace::kRingKb);
+    trace::SetThreadName("launcher");
+  }
   if (pack) {
     WallTimer pack_timer;
     auto loaded = cli::LoadGraphSource(run.source);
@@ -271,10 +282,12 @@ int main(int argc, char** argv) {
       remove_owned_ckpt_dir();
       return 1;
     }
+    // (T1) Only the k-core is packed, so no rank spawns, pulls or reads a
+    // vertex outside it. Ids, and so the results, are unchanged.
+    const Graph core = cli::MinedKCore(loaded->graph, config, run.stats);
     CsrWriteOptions opts;
-    opts.page_size = static_cast<uint32_t>(config.graph_page_size);
     if (!run.source.gen_planted.empty()) opts.build_seed = run.source.seed;
-    Status packed = WriteCsrSnapshot(loaded->graph, loaded->original_ids,
+    Status packed = WriteCsrSnapshot(core, loaded->original_ids,
                                      config.graph_snapshot, opts);
     if (!packed.ok()) {
       std::fprintf(stderr, "snapshot pack failed: %s\n",
@@ -285,20 +298,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "qcm_cluster: packed %s (%u vertices, %llu edges) in "
                  "%.3f s\n",
-                 config.graph_snapshot.c_str(), loaded->graph.NumVertices(),
-                 static_cast<unsigned long long>(loaded->graph.NumEdges()),
+                 config.graph_snapshot.c_str(), core.NumVertices(),
+                 static_cast<unsigned long long>(core.NumEdges()),
                  pack_timer.Seconds());
-    // The graph is dropped here -- the launcher, like the workers, does
+    // The graphs are dropped here -- the launcher, like the workers, does
     // not hold a resident graph during the run.
-  }
-
-  // Launcher-side tracing must be live before the coordinator runs so
-  // recovery spans (rank_declared_dead, recover_*) land in a ring. The
-  // workers start their own rings from the job spec.
-  const std::string trace_out = config.trace_out;
-  if (!trace_out.empty()) {
-    trace::Start(trace::kRingKb);
-    trace::SetThreadName("launcher");
   }
 
   // Bind the control-plane listener before spawning anyone. Its liveness

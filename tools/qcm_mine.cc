@@ -4,8 +4,8 @@
 // planted-community graph, mine all maximal gamma-quasi-cliques serially
 // or on the G-thinker cluster -- --machines ranks as threads of this
 // process, over loopback TCP under the cluster coordinator, all serving
-// the one loaded graph (net/local_cluster.h) -- and write results /
-// statistics.
+// the loaded graph's k-core (net/local_cluster.h, graph/kcore.h) -- and
+// write results / statistics.
 //
 //   qcm_mine --input graph.txt --gamma 0.9 --min-size 10
 //   qcm_mine --gen-planted n=5000,communities=10,size=16..20,density=0.95
@@ -98,10 +98,13 @@ int main(int argc, char** argv) {
                  loaded.status().ToString().c_str());
     return 1;
   }
-  const Graph graph = std::move(loaded).value();
+  Graph graph = std::move(loaded).value();
   std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
                graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()));
+  // (T1) The engine mines the k-core only, and the full graph is freed
+  // before mining. (SerialMiner masks its own ego builds instead.)
+  if (!serial) graph = cli::MinedKCore(graph, config, run.stats);
 
   std::vector<VertexSet> candidates;
   std::string stats_json;
