@@ -22,8 +22,8 @@ namespace qcm {
 // Comper: one mining thread. A thin driver of the machine's Scheduler --
 // it owns the thread-local LocalQueue and implements the ComputeContext
 // the application UDFs run against; every scheduling decision (routing,
-// spawn batching, prefetch, park/resume, spilling, lifecycle) happens in
-// the sched layer.
+// spawn batching, park/resume, spilling, lifecycle) happens in the sched
+// layer.
 // ---------------------------------------------------------------------------
 
 class Engine::Comper : public ComputeContext {
@@ -49,9 +49,7 @@ class Engine::Comper : public ComputeContext {
       TaskPtr task = sched->NextTask(local_, *this);
       if (task != nullptr) {
         WallTimer busy;
-        const bool first_round = !task->sched_info().computed_once;
         active_task_ = task.get();
-        active_task_first_round_ = first_round;
         const size_t sink_before = sink_.results().size();
         engine_->busy_compers_.fetch_add(1, std::memory_order_relaxed);
         ComputeStatus status;
@@ -90,7 +88,7 @@ class Engine::Comper : public ComputeContext {
     DataService* data = engine_->data_.get();
     if (active_task_ != nullptr && !data->IsLocal(v)) {
       if (const auto* pin = active_task_->pulls().Find(v)) {
-        CountPinHit();
+        engine_->counters_.pin_hits.fetch_add(1, std::memory_order_relaxed);
         return AdjRef{
             std::span<const VertexId>((*pin)->data(), (*pin)->size()), *pin};
       }
@@ -105,7 +103,7 @@ class Engine::Comper : public ComputeContext {
     if (data->IsLocal(v)) return true;
     TaskPullState& pulls = active_task_->pulls();
     if (pulls.Find(v) != nullptr) {
-      CountPinHit();
+      engine_->counters_.pin_hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     if (auto cached = data->TryCached(v)) {
@@ -133,20 +131,8 @@ class Engine::Comper : public ComputeContext {
   VectorSink sink_;
 
  private:
-  /// A read served by a task-held pin; when it happens in the first
-  /// compute round of a prefetched task, it is a read the spawn-time
-  /// prefetch turned from a suspension-and-transfer into a pin hit.
-  void CountPinHit() {
-    engine_->counters_.pin_hits.fetch_add(1, std::memory_order_relaxed);
-    if (active_task_first_round_ && active_task_->sched_info().prefetched) {
-      engine_->counters_.prefetch_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    }
-  }
-
   Engine* engine_;
   Task* active_task_ = nullptr;  // task currently in Compute (pull target)
-  bool active_task_first_round_ = false;
   LocalQueue local_;
   EgoScratch ego_scratch_;
   MiningScratch mining_scratch_;
@@ -240,17 +226,6 @@ void Engine::StatusLoop() {
     }
     status.pending = pending_.load();
     status.pending_big = PendingBig();
-    // Mean observed delivery latency so far: the coordinator's input to
-    // latency-aware steal planning (it cannot see our fabric directly).
-    uint64_t delivered = 0;
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      delivered += counters_.msg_delivered[t].load(std::memory_order_relaxed);
-    }
-    status.delivery_latency_usec =
-        delivered == 0
-            ? 0
-            : counters_.msg_latency_usec_sum.load(std::memory_order_relaxed) /
-                  delivered;
     transport_->PublishStatus(status);
     if (stats_interval_usec > 0) {
       const uint64_t now = static_cast<uint64_t>(NowMicros());
@@ -465,7 +440,6 @@ StatusOr<EngineReport> Engine::Run() {
   deps.config = &config_;
   deps.app = app_;
   deps.table = table_.get();
-  deps.data = data_.get();
   deps.broker = broker_.get();
   deps.global_queue = global_queue_.get();
   deps.small_spill = small_spill_.get();

@@ -11,10 +11,10 @@
 // ParallelMiner), and qcm_cluster runs one qcm_worker process per rank.
 // The engine cannot tell the two apart.
 //
-// Scheduling policy -- task lifecycle, admission/routing, the spawn-time
-// prefetch pipeline, local-queue spill/refill, park/resume -- lives in
-// the src/sched/ layer (one Scheduler per machine); the compute loop
-// here is a thin driver of it (the paper's reforged Alg. 3):
+// Scheduling policy -- task lifecycle, admission/routing, local-queue
+// spill/refill, park/resume -- lives in the src/sched/ layer (one
+// Scheduler per machine); the compute loop here is a thin driver of it
+// (the paper's reforged Alg. 3):
 //   0. Scheduler::ServiceFabric: deliver every due inbox message (accept
 //      pull responses and re-enqueue the tasks that were suspended on
 //      them, inject stolen big-task batches into the global queue), then
@@ -22,8 +22,8 @@
 //   1. Scheduler::NextTask: the machine's global big-task queue first
 //      (try-lock; refill from L_big when low), then the thread's local
 //      queue -- refilled from L_small, else by spawning a fresh batch
-//      from the machine's unspawned vertices (where the spawn-time
-//      prefetch stage runs) -- stopping early if a spawned task is big.
+//      from the machine's unspawned vertices -- stopping early if a
+//      spawned task is big.
 //   2. Scheduler::OnComputeResult folds the round's outcome back into
 //      the lifecycle.
 //   3. No work anywhere: idle briefly and look again.

@@ -79,14 +79,6 @@ Status EngineConfig::Validate() const {
         "0 (an unbounded linger would park a lone frame forever; set "
         "both or neither)");
   }
-  if (steal_rtt_reference_sec <= 0) {
-    return QCM_CONFIG_ERROR("steal_rtt_reference_sec must be > 0");
-  }
-  if (steal_max_batch_factor < 1) {
-    return QCM_CONFIG_ERROR(
-        "contradictory: steal_max_batch_factor 0 would cap every steal "
-        "batch at nothing; use 1 to disable latency scaling");
-  }
   if (!checkpoint_dir.empty() && checkpoint_interval_sec <= 0) {
     return QCM_CONFIG_ERROR(
         "contradictory: checkpoint_dir is set but checkpoint_interval_sec "
@@ -138,9 +130,6 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutDouble(config.net_latency_sec);
   enc->PutI64(config.net_coalesce_bytes);
   enc->PutI64(config.net_linger_usec);
-  enc->PutU8(config.spawn_prefetch ? 1 : 0);
-  enc->PutDouble(config.steal_rtt_reference_sec);
-  enc->PutU64(config.steal_max_batch_factor);
   enc->PutU8(config.record_task_log ? 1 : 0);
   enc->PutString(config.checkpoint_dir);
   enc->PutDouble(config.checkpoint_interval_sec);
@@ -193,10 +182,6 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->net_latency_sec));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_coalesce_bytes));
   QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_linger_usec));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->spawn_prefetch = u8 != 0;
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&config->steal_rtt_reference_sec));
-  QCM_RETURN_IF_ERROR(dec->GetU64(&config->steal_max_batch_factor));
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
   config->record_task_log = u8 != 0;
   QCM_RETURN_IF_ERROR(dec->GetString(&config->checkpoint_dir));

@@ -38,10 +38,6 @@ enum class DecomposeMode {
 
 const char* DecomposeModeName(DecomposeMode mode);
 
-/// Max tasks parked in the spawn-prefetch stage per machine at once (the
-/// pipeline depth); further spawns are admitted without prefetch.
-inline constexpr size_t kSpawnPrefetchLimit = 64;
-
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
 /// single host.
 struct EngineConfig {
@@ -82,23 +78,6 @@ struct EngineConfig {
   /// Maximum vertex ids per batched pull message: a broker flush sends
   /// one request per remote machine, split into chunks of this size.
   size_t max_pull_batch = 2048;
-
-  /// Spawn-time pull prefetch (sched/scheduler.h pipeline stage): a newly
-  /// spawned task Want()s its first compute round's vertices through the
-  /// fabric BEFORE its first schedule, so the first round finds pinned
-  /// entries instead of suspending on a pull. Results are bit-identical
-  /// with the stage on or off (prefetch only changes availability). The
-  /// pipeline depth is kSpawnPrefetchLimit tasks per machine.
-  bool spawn_prefetch = false;
-
-  /// Latency-aware steal planning (sched/steal_planner.h): per-move batch
-  /// caps scale with the link's RTT EWMA in units of this reference RTT;
-  /// links at or above it also suppress sub-half-cap moves ("larger,
-  /// rarer batches on slow links"). Must be > 0.
-  double steal_rtt_reference_sec = 1e-3;
-  /// Hard cap multiplier: one steal move never exceeds
-  /// batch_size * steal_max_batch_factor tasks. Must be >= 1.
-  uint64_t steal_max_batch_factor = 8;
 
   /// Modeled network latency of every CommFabric message (pull requests,
   /// pull responses, steal batches): a message becomes deliverable this

@@ -41,11 +41,6 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   s.cache_evictions = c.cache_evictions.load(std::memory_order_relaxed);
   s.pin_hits = c.pin_hits.load(std::memory_order_relaxed);
   s.task_suspensions = c.task_suspensions.load(std::memory_order_relaxed);
-  s.prefetch_tasks = c.prefetch_tasks.load(std::memory_order_relaxed);
-  s.prefetch_issued = c.prefetch_issued.load(std::memory_order_relaxed);
-  s.prefetch_hits = c.prefetch_hits.load(std::memory_order_relaxed);
-  s.first_schedule_pins =
-      c.first_schedule_pins.load(std::memory_order_relaxed);
   s.pull_rounds = c.pull_rounds.load(std::memory_order_relaxed);
   s.pull_batches = c.pull_batches.load(std::memory_order_relaxed);
   s.pulled_vertices = c.pulled_vertices.load(std::memory_order_relaxed);
@@ -171,11 +166,6 @@ constexpr CounterField kCounterFields[] = {
     {"cache_evictions", &EngineCountersSnapshot::cache_evictions, false},
     {"pin_hits", &EngineCountersSnapshot::pin_hits, false},
     {"task_suspensions", &EngineCountersSnapshot::task_suspensions, false},
-    {"prefetch_tasks", &EngineCountersSnapshot::prefetch_tasks, false},
-    {"prefetch_issued", &EngineCountersSnapshot::prefetch_issued, false},
-    {"prefetch_hits", &EngineCountersSnapshot::prefetch_hits, false},
-    {"first_schedule_pins", &EngineCountersSnapshot::first_schedule_pins,
-     false},
     {"pull_rounds", &EngineCountersSnapshot::pull_rounds, false},
     {"pull_batches", &EngineCountersSnapshot::pull_batches, false},
     {"pulled_vertices", &EngineCountersSnapshot::pulled_vertices, false},

@@ -90,20 +90,6 @@ struct EngineCounters {
   /// Compute rounds that ended in ComputeStatus::kSuspended (the paper's
   /// "add t back to the queue" while its vertex pull is outstanding).
   std::atomic<uint64_t> task_suspensions{0};
-
-  // -- Spawn-time prefetch (sched/scheduler.h pipeline stage) --
-
-  /// Tasks that entered the kPrefetching stage (parked on a spawn-time
-  /// pull before their first schedule).
-  std::atomic<uint64_t> prefetch_tasks{0};
-  /// Vertex ids queued for a spawn-time pull (a transfer was needed).
-  std::atomic<uint64_t> prefetch_issued{0};
-  /// Pin hits during the FIRST compute round of a prefetched task -- the
-  /// reads the prefetch pipeline turned from transfers into pins.
-  std::atomic<uint64_t> prefetch_hits{0};
-  /// Adjacencies already pinned when a prefetched task became kReady for
-  /// its first schedule (the "first compute round finds pins" evidence).
-  std::atomic<uint64_t> first_schedule_pins{0};
   /// Broker flushes that transferred at least one batched request.
   std::atomic<uint64_t> pull_rounds{0};
   /// Machine-to-machine batched pull messages (one per remote machine per
@@ -178,10 +164,6 @@ struct EngineCountersSnapshot {
   uint64_t cache_evictions = 0;
   uint64_t pin_hits = 0;
   uint64_t task_suspensions = 0;
-  uint64_t prefetch_tasks = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t first_schedule_pins = 0;
   uint64_t pull_rounds = 0;
   uint64_t pull_batches = 0;
   uint64_t pulled_vertices = 0;

@@ -58,9 +58,6 @@ class TaskPullState {
   /// Records a delivered adjacency for v.
   void Pin(VertexId v, AdjPtr adj) { pins_[v] = std::move(adj); }
 
-  /// Adjacencies currently pinned into the task.
-  size_t PinCount() const { return pins_.size(); }
-
   /// The pinned adjacency of v, or null if v was never delivered.
   const AdjPtr* Find(VertexId v) const {
     auto it = pins_.find(v);
@@ -80,17 +77,11 @@ class TaskPullState {
   std::unordered_map<VertexId, AdjPtr> pins_;
 };
 
-/// Scheduling metadata the src/sched layer attaches to every task:
-/// its lifecycle state (sched/lifecycle.h) plus the two bits the
-/// spawn-time prefetch policy needs. Engine-managed; never serialized --
-/// a decoded task is rehydrated via RehydrateTaskState.
+/// Scheduling metadata the src/sched layer attaches to every task: its
+/// lifecycle state (sched/lifecycle.h). Engine-managed; never serialized
+/// -- a decoded task is rehydrated via RehydrateTaskState.
 struct TaskSchedInfo {
   TaskState state = TaskState::kSpawned;
-  /// The spawn-time prefetch hook ran for this task.
-  bool prefetched = false;
-  /// The task has finished at least one compute round (prefetch hit
-  /// attribution stops after the first).
-  bool computed_once = false;
 };
 
 /// A unit of work. Concrete tasks belong to the application; the engine
@@ -117,7 +108,7 @@ class Task {
   TaskPullState& pulls() { return pulls_; }
   const TaskPullState& pulls() const { return pulls_; }
 
-  /// Lifecycle + prefetch metadata (scheduler-managed; mutate the state
+  /// Lifecycle metadata (scheduler-managed; mutate the state
   /// only through AdvanceTaskState/RehydrateTaskState so every move is
   /// legality-checked and counted).
   TaskSchedInfo& sched_info() { return sched_info_; }
@@ -203,31 +194,6 @@ enum class ComputeStatus {
   kSuspended,
 };
 
-/// What a spawn-time prefetch hook may touch (App::SpawnPrefetch): read
-/// machine-local graph data and register the vertex wants of the task's
-/// first compute round, so the scheduler can issue them through the pull
-/// fabric before the task is first scheduled.
-class PrefetchContext {
- public:
-  virtual ~PrefetchContext() = default;
-
-  /// True if v's adjacency lives on the spawning machine.
-  virtual bool IsLocal(VertexId v) const = 0;
-
-  /// Degree of v (vertex metadata, never a transfer).
-  virtual uint32_t Degree(VertexId v) const = 0;
-
-  /// Adjacency of a machine-local vertex (IsLocal(v) must hold), valid
-  /// while the returned AdjRef is held.
-  virtual AdjRef LocalAdjacency(VertexId v) const = 0;
-
-  /// Request()-equivalent at spawn time: returns true when v is already
-  /// available without a transfer (local, pinned, or a cache hit that is
-  /// pinned into the task); otherwise queues v for the task's spawn-time
-  /// batched pull and returns false.
-  virtual bool Want(VertexId v) = 0;
-};
-
 /// A G-thinker application: the two UDFs plus the task codec.
 class App {
  public:
@@ -242,17 +208,6 @@ class App {
 
   /// Decodes a task previously written by Task::Encode.
   virtual StatusOr<TaskPtr> DecodeTask(Decoder* dec) const = 0;
-
-  /// Optional spawn-time prefetch stage (EngineConfig::spawn_prefetch):
-  /// Want() the vertices the task's first compute round will need. Only
-  /// availability may change -- the first round must compute the same
-  /// thing whether or not its wants were prefetched, which is what keeps
-  /// result digests identical with the policy on or off. Default: no
-  /// prefetch.
-  virtual void SpawnPrefetch(Task& task, PrefetchContext& ctx) {
-    (void)task;
-    (void)ctx;
-  }
 };
 
 }  // namespace qcm

@@ -40,8 +40,8 @@ class GlobalQueue {
   /// Steal support: removes up to `max_tasks` from the tail.
   std::vector<TaskPtr> StealBatch(size_t max_tasks);
 
-  /// Steal support: stolen tasks are prefetched work -- they go to the
-  /// front so the receiving machine processes them right away.
+  /// Steal support: stolen tasks go to the front so the receiving
+  /// machine processes them right away.
   void PushStolenFront(std::vector<TaskPtr> tasks);
 
   /// Lock-free approximate size (in-memory only; excludes L_big).

@@ -46,21 +46,6 @@ StatusOr<TaskPtr> QCApp::DecodeTask(Decoder* dec) const {
   return QCTask::Decode(dec);
 }
 
-void QCApp::SpawnPrefetch(Task& task, PrefetchContext& ctx) {
-  auto& t = static_cast<QCTask&>(task);
-  // Only freshly spawned tasks have a first round worth prefetching
-  // (iteration 1 reads the root's adjacency plus the qualifying 1-hop
-  // frontier); the root is machine-local by construction -- tasks spawn
-  // on their owner -- so the frontier is computable without a transfer.
-  if (t.iteration() != 1 || !ctx.IsLocal(t.root())) return;
-  const AdjRef root_adj = ctx.LocalAdjacency(t.root());
-  for (VertexId u : root_adj.adj) {
-    if (u <= t.root()) continue;
-    if (ctx.Degree(u) < k_) continue;
-    ctx.Want(u);
-  }
-}
-
 ComputeStatus QCApp::Compute(Task& task, ComputeContext& ctx) {
   auto& t = static_cast<QCTask&>(task);
   if (t.iteration() == 1) {

@@ -33,13 +33,6 @@ class QCApp : public App {
   ComputeStatus Compute(Task& task, ComputeContext& ctx) override;
   StatusOr<TaskPtr> DecodeTask(Decoder* dec) const override;
 
-  /// Spawn-time prefetch (EngineConfig::spawn_prefetch): Want() the
-  /// qualifying 1-hop frontier {u in Gamma(root): u > root, deg(u) >= k}
-  /// -- exactly the set iteration 1 will Request() -- so the pull rides
-  /// the fabric before the task's first schedule and the first compute
-  /// round runs against pins instead of suspending.
-  void SpawnPrefetch(Task& task, PrefetchContext& ctx) override;
-
  private:
   enum class FirstHop { kDead, kReady, kMissing };
 

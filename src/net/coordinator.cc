@@ -84,9 +84,6 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Listen(
   c->rank_epoch_.assign(c->config_.world_size, 0);
   c->rank_pid_.assign(c->config_.world_size, 0);
   c->restarts_.assign(c->config_.world_size, 0);
-  // Alpha 0.5: status-borne latency estimates are already EWMAs of many
-  // deliveries, so the coordinator tracks them tightly.
-  c->rtt_ = std::make_unique<LinkRttTracker>(c->config_.world_size, 0.5);
   c->clock_ = std::make_unique<WallTimer>();
   c->liveness_ = std::make_unique<LivenessTracker>(
       c->config_.world_size, c->config_.heartbeat_deadline_sec);
@@ -646,25 +643,14 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
     }
     have_candidate = false;
 
-    // Steal mastering: the sched/steal_planner.h plan, with link RTTs
-    // estimated from the per-rank delivery latencies the workers publish.
+    // Steal mastering: the sched/steal_planner.h plan.
     if (config_.steal_period_sec > 0 && world >= 2 &&
         steal_timer.Seconds() >= config_.steal_period_sec) {
       steal_timer.Reset();
       std::vector<uint64_t> counts(world);
-      for (int r = 0; r < world; ++r) {
-        counts[r] = statuses[r].pending_big;
-        if (statuses[r].delivery_latency_usec != 0) {
-          rtt_->RecordInbound(
-              r, 1e-6 * static_cast<double>(
-                            statuses[r].delivery_latency_usec));
-        }
-      }
-      StealPlannerOptions opts;
-      opts.base_batch = config_.steal_batch_cap;
-      opts.rtt_reference_sec = config_.steal_rtt_reference_sec;
-      opts.max_batch_factor = config_.steal_max_batch_factor;
-      for (const StealMove& move : PlanSteals(counts, opts, rtt_.get())) {
+      for (int r = 0; r < world; ++r) counts[r] = statuses[r].pending_big;
+      for (const StealMove& move :
+           PlanSteals(counts, config_.steal_batch_cap)) {
         Status s = SendTo(
             move.donor, FrameKind::kStealCmd,
             EncodeStealCmd(static_cast<uint32_t>(move.receiver),

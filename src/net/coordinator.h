@@ -17,14 +17,11 @@
 //     guarantees any in-flight or unprocessed frame breaks one of the two
 //     sweeps, so the drain invariant holds across processes.
 //
-//   * Steal mastering. The sched/steal_planner.h plan (move at most one
-//     batch per donor per period toward the average pending-big count,
-//     with per-link batch caps scaled by RTT estimates -- larger, rarer
-//     batches on slow links); each move is a kStealCmd to the donor,
+//   * Steal mastering. The sched/steal_planner.h plan (the paper's §5:
+//     move at most one batch of C tasks per donor per period toward the
+//     average pending-big count); each move is a kStealCmd to the donor,
 //     which ships the batch rank-to-rank as a kStealBatch fabric
-//     message. The coordinator cannot observe fabric timestamps itself,
-//     so its RTT input is the per-rank mean delivery latency every
-//     worker publishes in its kStatus stream.
+//     message.
 //
 //   * Liveness + recovery. Every frame a rank sends (heartbeats fill the
 //     silences) refreshes its liveness deadline. A rank that goes silent
@@ -57,7 +54,6 @@
 #include <vector>
 
 #include "net/wire.h"
-#include "sched/rtt.h"
 #include "sched/steal_planner.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -73,15 +69,8 @@ struct CoordinatorConfig {
   double sweep_period_sec = 0.001;
   /// Steal-mastering period; <= 0 disables stealing.
   double steal_period_sec = 0.02;
-  /// Base tasks per steal command (the engine's batch size C); the
-  /// latency-aware planner may grow a command up to
-  /// steal_batch_cap * steal_max_batch_factor on slow links.
+  /// Max tasks per steal command (the engine's batch size C).
   uint64_t steal_batch_cap = 16;
-  /// Link RTT granting one extra base batch (EngineConfig::
-  /// steal_rtt_reference_sec's cluster-side twin).
-  double steal_rtt_reference_sec = 1e-3;
-  /// Hard cap multiplier for latency-scaled steal commands.
-  uint64_t steal_max_batch_factor = 8;
   /// Bring-up / report-collection guard.
   double timeout_sec = 120.0;
   /// A rank silent (no frame of any kind) for this long is declared dead
@@ -274,9 +263,6 @@ class Coordinator {
   std::atomic<bool> terminate_sent_{false};
   std::atomic<bool> failed_{false};
   uint64_t steal_commands_ = 0;
-  /// Per-rank delivery-latency EWMAs assembled from kStatus publications
-  /// (the planner's RTT input). Created by Listen().
-  std::unique_ptr<LinkRttTracker> rtt_;
   /// Monotonic clock for liveness deadlines; created by Listen().
   std::unique_ptr<WallTimer> clock_;
 

@@ -22,8 +22,6 @@ CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config) {
                            ? config.steal_period_sec
                            : 0.0;
   c.steal_batch_cap = config.batch_size;
-  c.steal_rtt_reference_sec = config.steal_rtt_reference_sec;
-  c.steal_max_batch_factor = config.steal_max_batch_factor;
   // Many heartbeat periods of slack (slow CI, TSan), but never so long
   // that a hung rank stalls the run indefinitely.
   c.heartbeat_deadline_sec =

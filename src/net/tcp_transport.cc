@@ -415,7 +415,6 @@ void TcpTransport::PublishStatus(const RankStatus& status) {
     wire.sent_to[r] = sent_to_[r];
   }
   wire.pending_big = status.pending_big;
-  wire.delivery_latency_usec = status.delivery_latency_usec;
   // Failures surface through the coordinator receive loop; a lost status
   // frame only delays detection.
   (void)WriteTo(coord_fd_, coord_mu_,
@@ -717,7 +716,7 @@ void TcpTransport::RecvPeerLoop(int peer, int fd) {
     // Receiver-measured transit: coalescing dwell + wire time. The
     // steady clock is shared across processes on one machine; clamp at
     // zero so cross-host clock offset can only under-report, never
-    // poison the latency EWMAs with garbage.
+    // poison the delivery-latency counters with garbage.
     const uint64_t now = static_cast<uint64_t>(NowMicros());
     const uint64_t transit = now > send_ts_usec ? now - send_ts_usec : 0;
     data_handler_(peer, type, std::move(body), transit);

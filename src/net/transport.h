@@ -72,15 +72,6 @@ struct RankStatus {
   /// Big tasks available for stealing (global queue + L_big), the input
   /// of the coordinator's balancing plan.
   uint64_t pending_big = 0;
-  /// Mean observed fabric delivery latency at this rank (microseconds;
-  /// 0 = nothing delivered yet). The coordinator's input to latency-
-  /// aware steal planning: it approximates the RTT of a link as the sum
-  /// of the two endpoint ranks' delivery latencies. Covers modeled
-  /// latency, inbox dwell, AND real wire transit: data frames carry the
-  /// sender's monotonic send timestamp (stamped before any coalescing
-  /// dwell), so time parked in a send buffer and on the wire is visible
-  /// to the steal planner's RTT EWMAs.
-  uint64_t delivery_latency_usec = 0;
 };
 
 /// Send-aggregation knobs (EngineConfig::net_coalesce_bytes /

@@ -320,7 +320,6 @@ std::string EncodeRankStatus(const WireRankStatus& status) {
   enc.PutU64Vector(status.sent_to);
   enc.PutU64Vector(status.processed_from);
   enc.PutU64(status.pending_big);
-  enc.PutU64(status.delivery_latency_usec);
   return enc.Release();
 }
 
@@ -331,7 +330,6 @@ Status DecodeRankStatus(const std::string& payload, WireRankStatus* status) {
   QCM_RETURN_IF_ERROR(dec.GetU64Vector(&status->sent_to));
   QCM_RETURN_IF_ERROR(dec.GetU64Vector(&status->processed_from));
   QCM_RETURN_IF_ERROR(dec.GetU64(&status->pending_big));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&status->delivery_latency_usec));
   if (!dec.Done()) return Status::Corruption("trailing bytes in status");
   return Status::OK();
 }

@@ -68,7 +68,7 @@ namespace qcm {
 /// First four bytes of every frame.
 inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 /// Bump on any incompatible frame/payload change; checked in kHello.
-// v2: WireRankStatus grew delivery_latency_usec (latency-aware steal
+// v2: WireRankStatus grew a mean delivery latency (latency-aware steal
 // planning input).
 // v3: kData payloads carry the sender's monotonic send timestamp between
 // the type byte and the fabric payload (real wire-transit measurement,
@@ -97,7 +97,7 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // fallback-transfer byte counters.
 // v8: one latency model. EngineConfig lost the service-tick delivery
 // delay (fabric latency is net_latency_sec only), prefetch_limit and
-// trace_buffer_kb (now the constants kSpawnPrefetchLimit and
+// trace_buffer_kb (now a spawn-prefetch depth constant and
 // trace::kRingKb).
 // v9: one engine mode. EngineReport lost steal_idle_usec, which only the
 // retired in-process steal master wrote.
@@ -106,7 +106,12 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // it counted for was deleted.
 // v11: EngineConfig lost graph_page_size; the launcher packs its
 // snapshot at kCsrDefaultPageSize.
-inline constexpr uint32_t kWireProtocolVersion = 11;
+// v12: spawn-time prefetch and latency-aware steal batching are gone.
+// EngineConfig lost three fields (the prefetch switch, the steal reference
+// RTT and batch factor); WireRankStatus lost its mean delivery latency;
+// EngineReport lost four prefetch counters and the prefetching lifecycle
+// state.
+inline constexpr uint32_t kWireProtocolVersion = 12;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.
@@ -234,9 +239,6 @@ struct WireRankStatus {
   std::vector<uint64_t> sent_to;
   std::vector<uint64_t> processed_from;
   uint64_t pending_big = 0;
-  /// Mean fabric delivery latency observed at the rank (microseconds) --
-  /// the coordinator's latency-aware steal-planning input.
-  uint64_t delivery_latency_usec = 0;
 };
 
 std::string EncodeRankStatus(const WireRankStatus& status);

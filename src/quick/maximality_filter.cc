@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "util/output.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -122,19 +123,15 @@ StatusOr<uint64_t> EmitCanonicalResults(std::vector<VertexSet>* sets,
   std::fprintf(stderr, "result-digest: %016llx\n",
                static_cast<unsigned long long>(digest));
   if (!output_path.empty()) {
-    FILE* f = output_path == "-" ? stdout
-                                 : std::fopen(output_path.c_str(), "w");
-    if (f == nullptr) {
-      return Status::IOError("cannot open " + output_path +
-                             " for writing");
-    }
+    auto f = OpenOutput(output_path);
+    QCM_RETURN_IF_ERROR(f.status());
     for (const VertexSet& s : *sets) {
       for (size_t i = 0; i < s.size(); ++i) {
-        std::fprintf(f, "%s%u", i ? " " : "", s[i]);
+        std::fprintf(*f, "%s%u", i ? " " : "", s[i]);
       }
-      std::fprintf(f, "\n");
+      std::fprintf(*f, "\n");
     }
-    if (f != stdout) std::fclose(f);
+    QCM_RETURN_IF_ERROR(CloseOutput(*f, output_path));
   }
   return digest;
 }

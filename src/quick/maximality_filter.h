@@ -55,7 +55,8 @@ uint64_t ResultSetDigest(const std::vector<VertexSet>& sets);
 /// non-empty -- writes one space-separated set per line ("-" = stdout).
 /// check_smoke.sh and the cluster e2e test compare these exact bytes
 /// across the two tools, so the format must never drift between them.
-/// Returns the digest, or IOError when the output file cannot be opened.
+/// Returns the digest, or IOError naming the path when the output cannot
+/// be opened or written in full.
 /// `canon_stats` (optional) receives the CanonicalizeResults counters.
 StatusOr<uint64_t> EmitCanonicalResults(std::vector<VertexSet>* sets,
                                         const std::string& output_path,

@@ -12,10 +12,10 @@ namespace {
 /// TaskState value; order matches the enum).
 uint16_t LifecycleTraceName(TaskState to) {
   static const uint16_t ids[] = {
-      trace::InternName("to_spawned"),   trace::InternName("to_prefetching"),
-      trace::InternName("to_ready"),     trace::InternName("to_running"),
-      trace::InternName("to_suspended"), trace::InternName("to_spilled"),
-      trace::InternName("to_stolen"),    trace::InternName("to_done"),
+      trace::InternName("to_spawned"),   trace::InternName("to_ready"),
+      trace::InternName("to_running"),   trace::InternName("to_suspended"),
+      trace::InternName("to_spilled"),   trace::InternName("to_stolen"),
+      trace::InternName("to_done"),
   };
   return ids[static_cast<int>(to)];
 }
@@ -26,8 +26,6 @@ const char* TaskStateName(TaskState state) {
   switch (state) {
     case TaskState::kSpawned:
       return "spawned";
-    case TaskState::kPrefetching:
-      return "prefetching";
     case TaskState::kReady:
       return "ready";
     case TaskState::kRunning:
@@ -47,10 +45,7 @@ const char* TaskStateName(TaskState state) {
 bool IsLegalTransition(TaskState from, TaskState to) {
   switch (from) {
     case TaskState::kSpawned:
-      // Admission: straight to a queue, or through the prefetch stage.
-      return to == TaskState::kReady || to == TaskState::kPrefetching;
-    case TaskState::kPrefetching:
-      // The prefetch pull delivered (or nothing was actually remote).
+      // Admission: straight to a queue.
       return to == TaskState::kReady;
     case TaskState::kReady:
       // Scheduled, spilled out of an overflowing queue, or stolen away.

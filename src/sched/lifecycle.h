@@ -2,14 +2,12 @@
 // (paper §5 codesign): every task moves through one state machine no
 // matter which component currently holds it --
 //
-//     Spawned --+--> Prefetching --+
-//               |                  v
-//               +---------------> Ready <---> Running --> Done
-//                                  ^  |          |
-//                                  |  +--> Spilled   (disk round trip)
-//                                  |  +--> Stolen    (machine round trip)
-//                                  |                 |
-//                                  +---- Suspended <-+   (pull outstanding)
+//     Spawned ---> Ready <---> Running --> Done
+//                   ^  |          |
+//                   |  +--> Spilled   (disk round trip)
+//                   |  +--> Stolen    (machine round trip)
+//                   |                 |
+//                   +---- Suspended <-+   (pull outstanding)
 //
 // Before this layer existed the same lifecycle was implicit and scattered:
 // the Engine's compute loop knew about running/requeue, the PullBroker
@@ -18,10 +16,8 @@
 // could see (let alone assert) the whole picture. Centralizing the state
 // vocabulary and the legality table here lets every component record its
 // transition through one checked helper, gives the metrics layer a full
-// transition matrix for free, and is what makes scheduling policies
-// (spawn-time prefetch, latency-aware stealing) tractable to add: a new
-// pipeline stage is a new state plus a few table rows, not a hunt through
-// five files.
+// transition matrix for free, and keeps a new pipeline stage down to a
+// new state plus a few table rows, not a hunt through five files.
 //
 // This header is a leaf: it must not include engine or task headers (they
 // include it).
@@ -36,34 +32,31 @@ namespace qcm {
 
 class Task;
 
-/// Where in its lifecycle a task currently is. Values are stable (they
-/// index the transition matrix and appear in reports).
+/// Where in its lifecycle a task currently is. Values index the transition
+/// matrix, which EngineReport encodes by index (changing them bumps
+/// kWireProtocolVersion); JSON reports name states by TaskStateName.
 enum class TaskState : uint8_t {
   /// Created by App::Spawn or ComputeContext::AddTask; not yet admitted.
   kSpawned = 0,
-  /// Spawn-time prefetch pipeline stage: the task's first-round vertex
-  /// requests ride the fabric before its first schedule; the task is
-  /// parked in the PullBroker until every response pinned.
-  kPrefetching = 1,
   /// Admitted to a queue (thread-local, global, or broker-released),
   /// waiting for a comper.
-  kReady = 2,
+  kReady = 1,
   /// Inside App::Compute on a mining thread.
-  kRunning = 3,
+  kRunning = 2,
   /// A compute round Request()ed vertices that are in flight; parked in
   /// the PullBroker until the pull completes (Alg. 3's "add t back").
-  kSuspended = 4,
+  kSuspended = 3,
   /// Serialized into an L_small/L_big spill file (disk round trip; the
   /// in-memory object is destroyed and rehydrated on refill).
-  kSpilled = 5,
+  kSpilled = 4,
   /// Serialized into a kStealBatch transfer to another machine (the
   /// receiving machine rehydrates it into its global queue).
-  kStolen = 6,
+  kStolen = 5,
   /// Compute returned kDone; the task is finished and destroyed.
-  kDone = 7,
+  kDone = 6,
 };
 
-inline constexpr int kNumTaskStates = 8;
+inline constexpr int kNumTaskStates = 7;
 
 const char* TaskStateName(TaskState state);
 

@@ -6,60 +6,12 @@
 
 namespace qcm {
 
-// ---------------------------------------------------------------------------
-// Spawn-time prefetch oracle: the PrefetchContext App::SpawnPrefetch runs
-// against. Want() mirrors ComputeContext::Request exactly -- local, pinned
-// and cached vertices are available without a transfer (cache hits are
-// pinned into the task so eviction cannot lose them before the first
-// round) -- except that a miss queues the id for the task's SPAWN-TIME
-// pull instead of suspending a compute round.
-// ---------------------------------------------------------------------------
-
-class Scheduler::SpawnPrefetchOracle : public PrefetchContext {
- public:
-  SpawnPrefetchOracle(DataService* data, Task* task,
-                      EngineCounters* counters)
-      : data_(data), task_(task), counters_(counters) {}
-
-  bool IsLocal(VertexId v) const override { return data_->IsLocal(v); }
-
-  uint32_t Degree(VertexId v) const override { return data_->Degree(v); }
-
-  AdjRef LocalAdjacency(VertexId v) const override {
-    QCM_CHECK(data_->IsLocal(v))
-        << "SpawnPrefetch read of non-local adjacency " << v;
-    return data_->table().Adjacency(v);
-  }
-
-  bool Want(VertexId v) override {
-    if (data_->IsLocal(v)) return true;
-    TaskPullState& pulls = task_->pulls();
-    if (pulls.Find(v) != nullptr) return true;
-    if (auto cached = data_->TryCached(v)) {
-      pulls.Pin(v, std::move(cached));
-      return true;
-    }
-    pulls.Want(v);
-    counters_->prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
- private:
-  DataService* data_;
-  Task* task_;
-  EngineCounters* counters_;
-};
-
-// ---------------------------------------------------------------------------
-// Scheduler
-// ---------------------------------------------------------------------------
-
 Scheduler::Scheduler(Deps deps) : deps_(deps) {
   QCM_CHECK(deps_.config != nullptr && deps_.app != nullptr &&
-            deps_.table != nullptr && deps_.data != nullptr &&
-            deps_.broker != nullptr && deps_.global_queue != nullptr &&
-            deps_.small_spill != nullptr && deps_.counters != nullptr &&
-            deps_.pending != nullptr && deps_.active_spawners != nullptr)
+            deps_.table != nullptr && deps_.broker != nullptr &&
+            deps_.global_queue != nullptr && deps_.small_spill != nullptr &&
+            deps_.counters != nullptr && deps_.pending != nullptr &&
+            deps_.active_spawners != nullptr)
       << "Scheduler constructed with missing dependencies";
 }
 
@@ -79,8 +31,8 @@ void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
         }
         break;
       case MessageType::kStealBatch: {
-        // Stolen big tasks arrive as prefetched work for this machine's
-        // global queue; they stayed counted in pending_ during flight.
+        // Stolen big tasks arrive for this machine's global queue; they
+        // stayed counted in pending_ during flight.
         Decoder dec(m.payload);
         uint32_t count = 0;
         Status s = dec.GetU32(&count);
@@ -116,7 +68,6 @@ TaskPtr Scheduler::NextTask(LocalQueue& local, ComputeContext& ctx) {
 
 void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
                                 LocalQueue& local) {
-  task->sched_info().computed_once = true;
   if (status == ComputeStatus::kRequeue) {
     AdvanceTaskState(*task, TaskState::kReady, lifecycle());
     Enqueue(std::move(task), local);  // still counted in pending_
@@ -177,44 +128,13 @@ void Scheduler::Enqueue(TaskPtr task, LocalQueue& local) {
 }
 
 void Scheduler::OnResumed(TaskPtr task, LocalQueue& local) {
-  const bool was_prefetching =
-      task->sched_info().state == TaskState::kPrefetching;
   AdvanceTaskState(*task, TaskState::kReady, lifecycle());
-  if (was_prefetching) {
-    prefetching_.fetch_sub(1, std::memory_order_relaxed);
-    // The pipeline's payoff, measured: these pins are sitting in the
-    // task BEFORE its first schedule.
-    deps_.counters->first_schedule_pins.fetch_add(
-        task->pulls().PinCount(), std::memory_order_relaxed);
-  }
   Enqueue(std::move(task), local);
 }
 
 bool Scheduler::AdmitSpawned(TaskPtr task, LocalQueue& local) {
   deps_.pending->fetch_add(1);
   const bool big = task->SizeHint() > deps_.config->tau_split;
-  if (deps_.config->spawn_prefetch &&
-      prefetching_.load(std::memory_order_relaxed) < kSpawnPrefetchLimit) {
-    SpawnPrefetchOracle oracle(deps_.data, task.get(), deps_.counters);
-    deps_.app->SpawnPrefetch(*task, oracle);
-    task->sched_info().prefetched = true;
-    if (task->pulls().HasWanted()) {
-      // Transfer needed: enter the prefetch pipeline stage. The task
-      // parks in the broker exactly like a suspended one; the next
-      // request pump ships its wants as batched kPullRequests, and the
-      // task is first scheduled only once every response has pinned.
-      deps_.counters->prefetch_tasks.fetch_add(1,
-                                               std::memory_order_relaxed);
-      prefetching_.fetch_add(1, std::memory_order_relaxed);
-      AdvanceTaskState(*task, TaskState::kPrefetching, lifecycle());
-      deps_.broker->Park(std::move(task));
-      return big;
-    }
-    // Everything the first round needs is already here; any cache hits
-    // Want() pinned count as first-schedule pins too.
-    deps_.counters->first_schedule_pins.fetch_add(
-        task->pulls().PinCount(), std::memory_order_relaxed);
-  }
   AdvanceTaskState(*task, TaskState::kReady, lifecycle());
   Enqueue(std::move(task), local);
   return big;

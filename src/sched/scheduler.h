@@ -8,22 +8,11 @@
 // fabric through it; every task state move funnels through the checked
 // lifecycle helpers.
 //
-// The scheduler also owns the two ROADMAP policies this centralization
-// exists to make tractable:
-//
-//   * Spawn-time prefetch (EngineConfig::spawn_prefetch): admission of a
-//     freshly spawned task runs App::SpawnPrefetch, which Want()s the
-//     vertices the task's first compute round will read. A task with a
-//     transfer outstanding enters the kPrefetching pipeline stage --
-//     parked in the PullBroker, its batched kPullRequest riding the
-//     fabric while compers mine other tasks -- and is first scheduled
-//     only once every response has pinned, so the first round runs
-//     pin-hit-only instead of suspending mid-build (counted by
-//     prefetch_hits / first_schedule_pins).
-//
-//   * Latency-aware steal planning lives in the sibling
-//     sched/steal_planner.h, run by the cluster Coordinator and fed by
-//     sched/rtt.h EWMAs of the delivery latencies the ranks publish.
+// A freshly spawned task has one admission path: kSpawned -> kReady ->
+// its queue. Its first compute round Request()s what it reads and
+// suspends on whatever is remote. Which machine mines a big task is the
+// steal planner's call (sched/steal_planner.h), run by the cluster
+// Coordinator.
 //
 // Threading: one Scheduler per machine, shared by that machine's compers.
 // The scheduler itself holds only atomics; mutual exclusion lives where
@@ -73,7 +62,6 @@ class Scheduler {
     const EngineConfig* config = nullptr;
     App* app = nullptr;
     const VertexTable* table = nullptr;
-    DataService* data = nullptr;
     PullBroker* broker = nullptr;
     GlobalQueue* global_queue = nullptr;
     SpillManager* small_spill = nullptr;
@@ -106,8 +94,7 @@ class Scheduler {
   /// Next task for a comper (marked kRunning): the machine's global
   /// big-task queue first, then the comper's local queue -- refilled from
   /// L_small or, failing that, by spawning a fresh batch from the
-  /// machine's unspawned vertices (which is where the spawn-time
-  /// prefetch stage runs). Null when nothing is available.
+  /// machine's unspawned vertices. Null when nothing is available.
   TaskPtr NextTask(LocalQueue& local, ComputeContext& ctx);
 
   /// Folds one compute round's outcome back into the lifecycle:
@@ -124,25 +111,18 @@ class Scheduler {
   /// Every owned vertex has been offered to Spawn.
   bool SpawnExhausted() const;
 
-  /// Tasks currently parked in the kPrefetching stage.
-  size_t PrefetchingCount() const {
-    return prefetching_.load(std::memory_order_relaxed);
-  }
-
  private:
-  class SpawnPrefetchOracle;
-
   /// Routes a kReady task already counted in pending_: big tasks to the
   /// machine's global queue, small ones to `local`.
   void Enqueue(TaskPtr task, LocalQueue& local);
 
-  /// A task released by the PullBroker (prefetch or suspension pull
-  /// complete): advance it to kReady and route it.
+  /// A task released by the PullBroker (suspension pull complete):
+  /// advance it to kReady and route it.
   void OnResumed(TaskPtr task, LocalQueue& local);
 
-  /// Admission of one freshly spawned task, including the prefetch
-  /// stage. Returns true when the task was big (the spawn batch stops
-  /// early, the paper's "avoid generating many big tasks").
+  /// Admission of one freshly spawned task. Returns true when the task
+  /// was big (the spawn batch stops early, the paper's "avoid generating
+  /// many big tasks").
   bool AdmitSpawned(TaskPtr task, LocalQueue& local);
 
   void PushLocal(LocalQueue& local, TaskPtr task);
@@ -153,7 +133,6 @@ class Scheduler {
 
   Deps deps_;
   std::atomic<size_t> spawn_cursor_{0};
-  std::atomic<size_t> prefetching_{0};
 };
 
 }  // namespace qcm

@@ -4,32 +4,8 @@
 
 namespace qcm {
 
-namespace {
-
-/// a * b clamped at uint64 max (absurdly large flag values must degrade
-/// to "huge cap", never wrap around to a tiny or zero one).
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  if (b != 0 && a > UINT64_MAX / b) return UINT64_MAX;
-  return a * b;
-}
-
-}  // namespace
-
-uint64_t LatencyAwareBatchCap(const StealPlannerOptions& opts,
-                              double rtt_sec) {
-  const uint64_t base = std::max<uint64_t>(1, opts.base_batch);
-  const uint64_t factor = std::max<uint64_t>(1, opts.max_batch_factor);
-  const uint64_t max_cap = SaturatingMul(base, factor);
-  if (rtt_sec <= 0.0 || opts.rtt_reference_sec <= 0.0) return base;
-  const double extra = rtt_sec / opts.rtt_reference_sec;
-  if (extra >= static_cast<double>(factor)) return max_cap;
-  return std::min<uint64_t>(
-      max_cap, SaturatingMul(base, 1 + static_cast<uint64_t>(extra)));
-}
-
 std::vector<StealMove> PlanSteals(const std::vector<uint64_t>& pending_big,
-                                  const StealPlannerOptions& opts,
-                                  const LinkRttTracker* rtt) {
+                                  uint64_t batch_cap) {
   std::vector<StealMove> moves;
   const size_t n = pending_big.size();
   if (n < 2) return moves;
@@ -48,20 +24,9 @@ std::vector<StealMove> PlanSteals(const std::vector<uint64_t>& pending_big,
     }
     if (receiver == donor || counts[receiver] >= avg) continue;
 
-    const double link_rtt =
-        rtt != nullptr
-            ? rtt->Rtt(static_cast<int>(donor), static_cast<int>(receiver))
-            : 0.0;
-    const uint64_t cap = LatencyAwareBatchCap(opts, link_rtt);
     const uint64_t want = std::min<uint64_t>(
-        {counts[donor] - avg, avg - counts[receiver], cap});
+        {counts[donor] - avg, avg - counts[receiver], batch_cap});
     if (want == 0) continue;
-    // Rarer on slow links: a transfer pays ~one RTT whatever it carries,
-    // so past the reference RTT refuse moves that would not fill half a
-    // cap -- the imbalance is cheaper to leave than the message is to
-    // send, and a later round can still move it once it has grown.
-    if (link_rtt >= opts.rtt_reference_sec && want * 2 < cap) continue;
-
     moves.push_back(StealMove{static_cast<int>(donor),
                               static_cast<int>(receiver), want});
     counts[donor] -= want;

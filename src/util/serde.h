@@ -92,7 +92,8 @@ class Decoder {
   Status GetU32Vector(std::vector<uint32_t>* out) {
     uint64_t n = 0;
     QCM_RETURN_IF_ERROR(GetU64(&n));
-    if (n * sizeof(uint32_t) > Remaining()) return Underflow();
+    // Divide rather than multiply: a huge n would wrap the product.
+    if (n > Remaining() / sizeof(uint32_t)) return Underflow();
     out->resize(n);
     return n == 0 ? Status::OK() : GetRaw(out->data(), n * sizeof(uint32_t));
   }
@@ -100,7 +101,7 @@ class Decoder {
   Status GetU64Vector(std::vector<uint64_t>* out) {
     uint64_t n = 0;
     QCM_RETURN_IF_ERROR(GetU64(&n));
-    if (n * sizeof(uint64_t) > Remaining()) return Underflow();
+    if (n > Remaining() / sizeof(uint64_t)) return Underflow();
     out->resize(n);
     return n == 0 ? Status::OK() : GetRaw(out->data(), n * sizeof(uint64_t));
   }

@@ -5,12 +5,14 @@
 // cluster_e2e_test: every tool exits 2 -- naming the flag -- on an
 // unknown flag, a missing value or a malformed number, before it loads
 // any graph; retired flags are unknown; contradictory settings are
-// rejected by EngineConfig::Validate() instead of being patched; and
+// rejected by EngineConfig::Validate() instead of being patched; a
+// results or stats file that cannot be written in full exits 1; and
 // --help lists exactly the flags the tool accepts. The table test checks
 // that every shared row sets the field it names.
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -56,15 +58,18 @@ constexpr char kTinyGraph[] =
     "--gen-planted n=200,communities=2,size=8..8,density=1";
 
 /// Flags the retired tick latency model, prefetch depth, steal reference
-/// RTT, trace ring size and packed snapshot page size used to have.
-/// Assembled from parts so that a search of the sources for the retired
-/// spellings finds no live use.
+/// RTT, trace ring size, packed snapshot page size, spawn-time prefetch
+/// and latency-scaled steal batches used to have. Assembled from parts so
+/// that a search of the sources for the retired spellings finds no live
+/// use.
 std::vector<std::string> RetiredEngineFlags() {
   return {std::string("--net-latency") + "-ticks",
           std::string("--prefetch") + "-limit",
           std::string("--steal-rtt") + "-ref",
           std::string("--trace-buffer") + "-kb",
-          std::string("--graph-page") + "-size"};
+          std::string("--graph-page") + "-size",
+          std::string("--pre") + "fetch",
+          std::string("--steal-batch") + "-factor"};
 }
 
 struct BadUsage {
@@ -166,6 +171,28 @@ TEST(CliContractTest, RangeChecksComeFromTheValidator) {
   EXPECT_EQ(coalesce.output.find("coordinator on"), std::string::npos);
 }
 
+TEST(CliContractTest, FailedResultOrStatsWriteExitsOne) {
+  // Every write to /dev/full fails with ENOSPC, usually only when stdio
+  // flushes its buffer at close.
+  struct stat st {};
+  ASSERT_EQ(::stat("/dev/full", &st), 0);
+  ASSERT_TRUE(S_ISCHR(st.st_mode));
+  const std::string log_dir = ::testing::TempDir() + "/cli_test_logs";
+  for (const std::string tool : {"qcm_mine", "qcm_cluster"}) {
+    for (const char* flag : {"--output", "--stats-json"}) {
+      SCOPED_TRACE(tool + " " + flag);
+      // The two 8-cliques are the results, so the file is not empty.
+      std::string args = std::string(kTinyGraph) + " --min-size 8 " + flag +
+                         " /dev/full";
+      if (tool == "qcm_cluster") args += " --log-dir " + log_dir;
+      const RunResult r = RunTool(tool, args);
+      EXPECT_EQ(r.exit_code, 1) << r.output;
+      EXPECT_NE(r.output.find("error writing /dev/full"), std::string::npos)
+          << r.output;
+    }
+  }
+}
+
 /// Every "  --flag" entry of a --help listing.
 std::set<std::string> ListedFlags(const std::string& help) {
   std::set<std::string> flags;
@@ -199,8 +226,8 @@ TEST(CliContractTest, HelpListsExactlyTheAcceptedFlags) {
                                       "--quiet"};
   const std::set<std::string> worker = {"--coordinator-port",
                                         "--coordinator-host"};
-  EXPECT_EQ(mine.size(), 25u);
-  EXPECT_EQ(cluster.size(), 33u);
+  EXPECT_EQ(mine.size(), 23u);
+  EXPECT_EQ(cluster.size(), 31u);
   const std::pair<const char*, const std::set<std::string>*> tools[] = {
       {"qcm_mine", &mine},
       {"qcm_cluster", &cluster},
@@ -270,9 +297,6 @@ TEST(CliFlagTableTest, EveryRowSetsTheFieldItNames) {
       {"--pull-batch", "99", [](O& o) { o.config.max_pull_batch = 99; }},
       {"--net-latency", "0.003",
        [](O& o) { o.config.net_latency_sec = 0.003; }},
-      {"--prefetch", nullptr, [](O& o) { o.config.spawn_prefetch = true; }},
-      {"--steal-batch-factor", "3",
-       [](O& o) { o.config.steal_max_batch_factor = 3; }},
       {"--dense-threshold", "17",
        [](O& o) { o.config.mining.dense_threshold = 17; }},
       {"--trace-out", "t.json", [](O& o) { o.config.trace_out = "t.json"; }},

@@ -286,11 +286,6 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
     config.tau_split = 0;  // every task is big -> stealable
     config.steal_period_sec = 0.001;
     config.enable_stealing = true;
-    // The subtasks' pivot pulls feed the per-link RTT estimates; keep the
-    // planner at its flat batch cap so a slow (or merely loaded) link
-    // cannot suppress every move. Latency-aware suppression is pinned by
-    // StealPlannerTest.SlowLinksSuppressDribbleMoves.
-    config.steal_rtt_reference_sec = 1.0;
     config.net_latency_sec = latency_sec;
     SkewedSlowTriApp app(kMachines);
     auto report = RunLocalCluster(g, config, &app);

@@ -1,22 +1,15 @@
-// The src/sched/ scheduling layer in isolation and end to end: the task
-// lifecycle state machine (legality table, transition counting, spill and
-// steal round trips, illegal-transition assertions), the per-link RTT
-// EWMA tracker, the latency-aware steal planner (flat-parity at zero
-// RTT, cap growth and move suppression with synthetic RTTs), EngineConfig
-// validation rejects (file:line, contradictions), and the engine-level
-// parity guarantee: spawn-time prefetch must not change one bit of the
-// mined result set at nonzero network latency -- only availability.
+// The src/sched/ scheduling layer in isolation: the task lifecycle state
+// machine (legality table, transition counting, spill and steal round
+// trips, illegal-transition assertions), the paper's flat steal plan, and
+// EngineConfig validation rejects (file:line, contradictions).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "graph/generators.h"
 #include "gthinker/engine_config.h"
-#include "mining/parallel_miner.h"
 #include "mining/qc_task.h"
 #include "sched/lifecycle.h"
-#include "sched/rtt.h"
 #include "sched/steal_planner.h"
 
 namespace qcm {
@@ -28,7 +21,6 @@ namespace {
 
 TEST(LifecycleTest, StateNamesAreStable) {
   EXPECT_STREQ(TaskStateName(TaskState::kSpawned), "spawned");
-  EXPECT_STREQ(TaskStateName(TaskState::kPrefetching), "prefetching");
   EXPECT_STREQ(TaskStateName(TaskState::kReady), "ready");
   EXPECT_STREQ(TaskStateName(TaskState::kRunning), "running");
   EXPECT_STREQ(TaskStateName(TaskState::kSuspended), "suspended");
@@ -41,8 +33,7 @@ TEST(LifecycleTest, LegalityTableMatchesTheDiagram) {
   using S = TaskState;
   // The full legal set, row by row.
   const std::pair<S, S> legal[] = {
-      {S::kSpawned, S::kReady},      {S::kSpawned, S::kPrefetching},
-      {S::kPrefetching, S::kReady},  {S::kReady, S::kRunning},
+      {S::kSpawned, S::kReady},      {S::kReady, S::kRunning},
       {S::kReady, S::kSpilled},      {S::kReady, S::kStolen},
       {S::kRunning, S::kReady},      {S::kRunning, S::kSuspended},
       {S::kRunning, S::kDone},       {S::kSuspended, S::kReady},
@@ -62,7 +53,7 @@ TEST(LifecycleTest, LegalityTableMatchesTheDiagram) {
       legal_count += expect ? 1 : 0;
     }
   }
-  EXPECT_EQ(legal_count, 12);
+  EXPECT_EQ(legal_count, 10);
   // kDone is terminal: nothing leaves it.
   for (int to = 0; to < kNumTaskStates; ++to) {
     EXPECT_FALSE(IsLegalTransition(S::kDone, static_cast<S>(to)));
@@ -160,66 +151,26 @@ TEST(LifecycleDeathTest, IllegalTransitionsAssert) {
 }
 
 // ---------------------------------------------------------------------------
-// LinkRttTracker
-// ---------------------------------------------------------------------------
-
-TEST(LinkRttTrackerTest, FirstSampleSeedsThenEwmaConverges) {
-  LinkRttTracker rtt(3, /*alpha=*/0.5);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(0, 1), 0.0);  // unmeasured
-  rtt.RecordOneWay(0, 1, 0.010);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(0, 1), 0.010);  // seeded, not halved
-  rtt.RecordOneWay(0, 1, 0.020);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(0, 1), 0.015);  // 0.5*20ms + 0.5*10ms
-  // Directionality: the reverse link is independent.
-  EXPECT_DOUBLE_EQ(rtt.OneWay(1, 0), 0.0);
-  rtt.RecordOneWay(1, 0, 0.001);
-  EXPECT_DOUBLE_EQ(rtt.Rtt(0, 1), 0.015 + 0.001);
-}
-
-TEST(LinkRttTrackerTest, InboundFallbackFillsUnmeasuredLinks) {
-  LinkRttTracker rtt(3, 0.5);
-  // The coordinator only knows per-rank scalars.
-  rtt.RecordInbound(1, 0.004);
-  rtt.RecordInbound(2, 0.002);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(0, 1), 0.004);  // any src -> 1
-  EXPECT_DOUBLE_EQ(rtt.OneWay(2, 1), 0.004);
-  EXPECT_DOUBLE_EQ(rtt.Rtt(1, 2), 0.004 + 0.002);
-  // A direct per-link measurement beats the fallback.
-  rtt.RecordOneWay(0, 1, 0.010);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(0, 1), 0.010);
-  EXPECT_DOUBLE_EQ(rtt.OneWay(2, 1), 0.004);  // still the fallback
-}
-
-// ---------------------------------------------------------------------------
 // Steal planner
 // ---------------------------------------------------------------------------
 
-StealPlannerOptions Opts(uint64_t base, double ref = 1e-3,
-                         uint64_t factor = 8) {
-  StealPlannerOptions opts;
-  opts.base_batch = base;
-  opts.rtt_reference_sec = ref;
-  opts.max_batch_factor = factor;
-  return opts;
-}
-
 TEST(StealPlannerTest, ZeroRttMatchesTheLegacyFlatPlan) {
   // counts {10, 0}: avg 5, one move of min(10-5, 5-0, batch 4) = 4.
-  auto moves = PlanSteals({10, 0}, Opts(4), nullptr);
+  auto moves = PlanSteals({10, 0}, 4);
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].donor, 0);
   EXPECT_EQ(moves[0].receiver, 1);
   EXPECT_EQ(moves[0].want, 4u);
 
   // Balanced inputs plan nothing.
-  EXPECT_TRUE(PlanSteals({5, 5, 5}, Opts(4), nullptr).empty());
-  EXPECT_TRUE(PlanSteals({6, 5}, Opts(4), nullptr).empty());  // <= avg+1
-  EXPECT_TRUE(PlanSteals({42}, Opts(4), nullptr).empty());    // one machine
+  EXPECT_TRUE(PlanSteals({5, 5, 5}, 4).empty());
+  EXPECT_TRUE(PlanSteals({6, 5}, 4).empty());  // <= avg+1
+  EXPECT_TRUE(PlanSteals({42}, 4).empty());    // one machine
 
   // Multiple donors adjust counts move by move: {12, 12, 0} -> avg 8;
   // donor 0 moves 4 into machine 2 (now 4), donor 1 moves
   // min(12-8, 8-4, 4) = 4 into machine 2 as well.
-  moves = PlanSteals({12, 12, 0}, Opts(4), nullptr);
+  moves = PlanSteals({12, 12, 0}, 4);
   ASSERT_EQ(moves.size(), 2u);
   EXPECT_EQ(moves[0].donor, 0);
   EXPECT_EQ(moves[0].receiver, 2);
@@ -227,54 +178,15 @@ TEST(StealPlannerTest, ZeroRttMatchesTheLegacyFlatPlan) {
   EXPECT_EQ(moves[1].donor, 1);
   EXPECT_EQ(moves[1].receiver, 2);
   EXPECT_EQ(moves[1].want, 4u);
-}
 
-TEST(StealPlannerTest, BatchCapGrowsWithLinkRtt) {
-  const auto opts = Opts(4, /*ref=*/1e-3, /*factor=*/8);
-  EXPECT_EQ(LatencyAwareBatchCap(opts, 0.0), 4u);      // unmeasured
-  EXPECT_EQ(LatencyAwareBatchCap(opts, 0.5e-3), 4u);   // below reference
-  EXPECT_EQ(LatencyAwareBatchCap(opts, 1.0e-3), 8u);   // 1 ref -> 2 batches
-  EXPECT_EQ(LatencyAwareBatchCap(opts, 3.5e-3), 16u);  // 3.5 refs -> 4
-  EXPECT_EQ(LatencyAwareBatchCap(opts, 1.0), 32u);     // clamped at 8x
-
-  // Absurd factors saturate instead of wrapping to a tiny/zero cap (a
-  // wrapped cap of 0 would silently disable stealing on slow links).
-  auto absurd = Opts(16, 1e-3, uint64_t{1} << 60);
-  EXPECT_EQ(LatencyAwareBatchCap(absurd, 0.0), 16u);
-  EXPECT_GE(LatencyAwareBatchCap(absurd, 1.0), 16u * 1001u);
-}
-
-TEST(StealPlannerTest, SlowLinksCarryLargerBatches) {
-  // A heavily skewed pair; on a fast link the move is one base batch...
-  auto fast = PlanSteals({100, 0}, Opts(4), nullptr);
-  ASSERT_EQ(fast.size(), 1u);
-  EXPECT_EQ(fast[0].want, 4u);
-
-  // ... while a 5 ms RTT link (5x the 1 ms reference) carries 6 batches.
-  LinkRttTracker rtt(2, 1.0);
-  rtt.RecordOneWay(0, 1, 0.0025);
-  rtt.RecordOneWay(1, 0, 0.0025);
-  auto slow = PlanSteals({100, 0}, Opts(4), &rtt);
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].want, 24u);
-  EXPECT_GT(slow[0].want, fast[0].want);
-}
-
-TEST(StealPlannerTest, SlowLinksSuppressDribbleMoves) {
-  LinkRttTracker rtt(2, 1.0);
-  rtt.RecordOneWay(0, 1, 0.005);
-  rtt.RecordOneWay(1, 0, 0.005);
-  // Surplus of 3 over the average: a fast link would move it ...
-  auto fast = PlanSteals({9, 0}, Opts(8), nullptr);
-  ASSERT_EQ(fast.size(), 1u);
-  EXPECT_EQ(fast[0].want, 4u);
-  // ... but at 10 ms RTT the cap is 8 * (1 + 10) = 88 -> clamped to 64,
-  // and a 4-task move cannot fill half of it: not worth one RTT.
-  EXPECT_TRUE(PlanSteals({9, 0}, Opts(8), &rtt).empty());
-  // A real imbalance still moves, and moves big.
-  auto big = PlanSteals({200, 0}, Opts(8), &rtt);
-  ASSERT_EQ(big.size(), 1u);
-  EXPECT_EQ(big[0].want, 64u);
+  // However skewed the pair, one round moves at most one batch C, and a
+  // small surplus moves whole: nothing is suppressed.
+  moves = PlanSteals({100, 0}, 4);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].want, 4u);
+  moves = PlanSteals({9, 0}, 8);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].want, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,20 +208,6 @@ TEST(EngineConfigValidationTest, RejectsNegativeLatencyWithFileLine) {
   EXPECT_NE(s.message().find("engine_config.cc:"), std::string::npos)
       << s.ToString();
   EXPECT_NE(s.message().find("net_latency_sec"), std::string::npos);
-}
-
-TEST(EngineConfigValidationTest, RejectsContradictoryStealSettings) {
-  EngineConfig config = ValidBase();
-  config.steal_max_batch_factor = 0;
-  Status s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("contradictory"), std::string::npos);
-
-  config = ValidBase();
-  config.steal_rtt_reference_sec = 0.0;
-  s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("steal_rtt_reference_sec"), std::string::npos);
 }
 
 TEST(EngineConfigValidationTest, RejectsContradictoryCoalescingSettings) {
@@ -366,9 +264,6 @@ TEST(EngineConfigValidationTest, RejectsOutOfRangeCoalescingSettings) {
 
 TEST(EngineConfigValidationTest, NewKnobsRoundTripThroughTheCodec) {
   EngineConfig config = ValidBase();
-  config.spawn_prefetch = true;
-  config.steal_rtt_reference_sec = 0.005;
-  config.steal_max_batch_factor = 3;
   config.net_coalesce_bytes = 2800;
   config.net_linger_usec = 250;
   Encoder enc;
@@ -377,74 +272,8 @@ TEST(EngineConfigValidationTest, NewKnobsRoundTripThroughTheCodec) {
   Decoder dec(blob);
   EngineConfig decoded;
   ASSERT_TRUE(DecodeEngineConfig(&dec, &decoded).ok());
-  EXPECT_TRUE(decoded.spawn_prefetch);
-  EXPECT_DOUBLE_EQ(decoded.steal_rtt_reference_sec, 0.005);
-  EXPECT_EQ(decoded.steal_max_batch_factor, 3u);
   EXPECT_EQ(decoded.net_coalesce_bytes, 2800);
   EXPECT_EQ(decoded.net_linger_usec, 250);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level prefetch parity: bit-identical results, pins at first
-// schedule
-// ---------------------------------------------------------------------------
-
-TEST(SchedEngineTest, PrefetchParityAtNonzeroLatency) {
-  PlantedConfig spec;
-  spec.num_vertices = 600;
-  spec.num_communities = 4;
-  spec.community_min = 9;
-  spec.community_max = 12;
-  spec.intra_density = 0.95;
-  spec.seed = 5;
-  auto graph = std::move(GenPlantedCommunities(spec)).value();
-
-  EngineConfig base;
-  base.mining.gamma = 0.85;
-  base.mining.min_size = 8;
-  base.num_machines = 2;
-  base.threads_per_machine = 2;
-  base.net_latency_sec = 0.0005;  // every pull really rides the fabric
-
-  EngineConfig off = base;
-  off.spawn_prefetch = false;
-  EngineConfig on = base;
-  on.spawn_prefetch = true;
-
-  auto run_off = ParallelMiner(off).Run(graph);
-  ASSERT_TRUE(run_off.ok()) << run_off.status().ToString();
-  auto run_on = ParallelMiner(on).Run(graph);
-  ASSERT_TRUE(run_on.ok()) << run_on.status().ToString();
-
-  // Bit-identical maximal sets (ParallelMiner canonicalizes order).
-  EXPECT_EQ(run_on->maximal, run_off->maximal);
-  ASSERT_FALSE(run_on->maximal.empty());
-
-  // The pipeline demonstrably ran: tasks entered kPrefetching, their
-  // first compute rounds found pins, and the transition matrix shows the
-  // stage.
-  const EngineCountersSnapshot& c_on = run_on->report.counters;
-  const EngineCountersSnapshot& c_off = run_off->report.counters;
-  EXPECT_GT(c_on.prefetch_tasks, 0u);
-  EXPECT_GT(c_on.prefetch_issued, 0u);
-  EXPECT_GT(c_on.first_schedule_pins, 0u);
-  EXPECT_GT(c_on.prefetch_hits, 0u);
-  EXPECT_EQ(c_off.prefetch_tasks, 0u);
-  EXPECT_EQ(c_off.first_schedule_pins, 0u);
-  EXPECT_EQ(c_on.LifecycleTransitions(TaskState::kSpawned,
-                                      TaskState::kPrefetching),
-            c_on.LifecycleTransitions(TaskState::kPrefetching,
-                                      TaskState::kReady));
-  EXPECT_EQ(c_off.LifecycleTransitions(TaskState::kSpawned,
-                                       TaskState::kPrefetching),
-            0u);
-
-  // Lifecycle bookkeeping closes: every task that ever ran eventually
-  // retired, on both sides.
-  for (const EngineCountersSnapshot* c : {&c_on, &c_off}) {
-    EXPECT_EQ(c->LifecycleTransitions(TaskState::kRunning, TaskState::kDone),
-              c->tasks_completed);
-  }
 }
 
 }  // namespace

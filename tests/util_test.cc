@@ -159,6 +159,18 @@ TEST(SerdeTest, TruncatedVectorIsCorruption) {
   Decoder dec(enc.buffer());
   std::vector<uint32_t> out;
   EXPECT_EQ(dec.GetU32Vector(&out).code(), StatusCode::kCorruption);
+
+  // Lengths whose byte count wraps to 0 in 64 bits: 2^62 four-byte and
+  // 2^61 eight-byte elements.
+  Encoder huge32;
+  huge32.PutU64(uint64_t{1} << 62);
+  Decoder dec32(huge32.buffer());
+  EXPECT_EQ(dec32.GetU32Vector(&out).code(), StatusCode::kCorruption);
+  Encoder huge64;
+  huge64.PutU64(uint64_t{1} << 61);
+  Decoder dec64(huge64.buffer());
+  std::vector<uint64_t> out64;
+  EXPECT_EQ(dec64.GetU64Vector(&out64).code(), StatusCode::kCorruption);
 }
 
 TEST(SerdeTest, FramedBlobRoundTrip) {

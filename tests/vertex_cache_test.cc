@@ -464,6 +464,12 @@ TEST(PullPathTest, WallLatencyDoesNotChangeResults) {
   // The modeled wire delay is observable in the delivery latencies.
   EXPECT_GT(report.counters.MeanDeliveryLatencySeconds(), 0.0004);
   EXPECT_EQ(report.counters.msg_drained, 0u);
+  // Lifecycle bookkeeping closes at nonzero latency: every task that ever
+  // ran eventually retired.
+  EXPECT_GT(report.counters.tasks_completed, 0u);
+  EXPECT_EQ(report.counters.LifecycleTransitions(TaskState::kRunning,
+                                                 TaskState::kDone),
+            report.counters.tasks_completed);
 }
 
 }  // namespace

@@ -56,44 +56,6 @@ if [[ -z "$single_digest" ]]; then
   exit 1
 fi
 
-# ---- Spawn-time prefetch phase -----------------------------------------
-# The prefetch pipeline stage only changes vertex AVAILABILITY, never
-# results: the same run with --prefetch must produce the bit-identical
-# digest, and its stats must show the stage actually staged tasks.
-prefetch_out=$("$BIN" \
-  --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
-  --gamma 0.85 --min-size 8 --machines 2 --threads 2 --stats --prefetch \
-  "$@" 2>&1)
-prefetch_status=$?
-echo "$prefetch_out"
-
-if [[ $prefetch_status -ne 0 ]]; then
-  echo "check_smoke: FAIL -- qcm_mine --prefetch exited with status" \
-    "$prefetch_status" >&2
-  exit 1
-fi
-prefetch_digest=$(printf '%s\n' "$prefetch_out" |
-  sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
-if [[ "$prefetch_digest" != "$single_digest" ]]; then
-  echo "check_smoke: FAIL -- prefetch digest $prefetch_digest !=" \
-    "default digest $single_digest (prefetch must not change results)" >&2
-  exit 1
-fi
-staged=$(printf '%s\n' "$prefetch_out" |
-  sed -n 's/^prefetch: \([0-9][0-9]*\) tasks staged.*/\1/p' | tail -1)
-if [[ -z "$staged" ]]; then
-  echo "check_smoke: FAIL -- no prefetch stats line in --prefetch run" >&2
-  exit 1
-fi
-if [[ "$staged" -eq 0 ]]; then
-  # The 2-machine planted graph always has remote frontier vertices; a
-  # run that staged nothing means the prefetch stage silently stopped
-  # running, which is exactly what this phase exists to catch.
-  echo "check_smoke: FAIL -- --prefetch run staged 0 tasks" >&2
-  exit 1
-fi
-echo "check_smoke: OK -- prefetch digest matches ($staged tasks staged)"
-
 # ---- Scalar-kernel phase -----------------------------------------------
 # --dense-threshold 0 forces the scalar CSR kernels everywhere; the
 # hybrid dense/sparse kernel split must not change results by a bit.

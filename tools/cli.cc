@@ -158,12 +158,6 @@ std::vector<Flag> EngineFlags(EngineConfig* c) {
       Number("--net-latency", "F", &c->net_latency_sec,
              "modeled delivery delay in seconds of every cross-machine "
              "message"),
-      Switch("--prefetch", &c->spawn_prefetch,
-             "spawn-time pull prefetch: spawned tasks request their 1-hop "
-             "frontier before first schedule (results are bit-identical "
-             "either way)"),
-      Number("--steal-batch-factor", "N", &c->steal_max_batch_factor,
-             "hard cap multiplier for latency-scaled steal batches"),
       Number("--dense-threshold", "N", &c->mining.dense_threshold,
              "task subgraphs with <= N vertices run the bitset kernels; 0 "
              "forces the scalar CSR path (results are bit-identical either "

@@ -87,6 +87,7 @@
 #include "quick/maximality_filter.h"
 #include "tools/cli.h"
 #include "util/mem.h"
+#include "util/output.h"
 #include "util/serde.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -701,6 +702,7 @@ int main(int argc, char** argv) {
   auto digest = EmitCanonicalResults(&results, run.output);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
+    remove_owned_ckpt_dir();
     return 1;
   }
   if (run.stats) {
@@ -816,16 +818,11 @@ int main(int argc, char** argv) {
               "}";
     }
     json += "]\n  }\n}\n";
-    FILE* f = run.stats_json == "-"
-                  ? stdout
-                  : std::fopen(run.stats_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   run.stats_json.c_str());
+    if (Status s = WriteOutput(run.stats_json, json); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      remove_owned_ckpt_dir();
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    if (f != stdout) std::fclose(f);
   }
 
   remove_owned_ckpt_dir();

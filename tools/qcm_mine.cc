@@ -32,6 +32,7 @@
 #include "quick/serial_miner.h"
 #include "tools/cli.h"
 #include "util/mem.h"
+#include "util/output.h"
 #include "util/trace.h"
 
 namespace {
@@ -186,14 +187,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long>(r.counters.pulled_vertices),
                    HumanBytes(r.counters.pull_bytes).c_str(),
                    static_cast<unsigned long>(r.counters.pin_hits));
-      std::fprintf(
-          stderr,
-          "prefetch: %lu tasks staged, %lu vertices issued, %lu pins at "
-          "first schedule, %lu first-round pin hits\n",
-          static_cast<unsigned long>(r.counters.prefetch_tasks),
-          static_cast<unsigned long>(r.counters.prefetch_issued),
-          static_cast<unsigned long>(r.counters.first_schedule_pins),
-          static_cast<unsigned long>(r.counters.prefetch_hits));
       const int req = static_cast<int>(MessageType::kPullRequest);
       const int resp = static_cast<int>(MessageType::kPullResponse);
       const int steal = static_cast<int>(MessageType::kStealBatch);
@@ -245,16 +238,10 @@ int main(int argc, char** argv) {
   }
 
   if (!run.stats_json.empty()) {
-    FILE* f = run.stats_json == "-" ? stdout
-                                     : std::fopen(run.stats_json.c_str(),
-                                                  "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   run.stats_json.c_str());
+    if (Status s = WriteOutput(run.stats_json, stats_json); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::fputs(stats_json.c_str(), f);
-    if (f != stdout) std::fclose(f);
   }
 
   // Single-process run: the whole timeline is local, so merge straight
