@@ -108,6 +108,12 @@ StatusOr<LocalGraph> LocalGraph::Decode(Decoder* dec) {
   QCM_RETURN_IF_ERROR(dec->GetU32Vector(&g.offsets_));
   QCM_RETURN_IF_ERROR(dec->GetU32Vector(&g.adj_));
   // Structural validation: decoded blobs come from disk spill files.
+  // FindLocal binary-searches vids, so they must be strictly increasing.
+  for (size_t i = 1; i < g.vids_.size(); ++i) {
+    if (g.vids_[i] <= g.vids_[i - 1]) {
+      return Status::Corruption("LocalGraph: vids not strictly increasing");
+    }
+  }
   if (g.offsets_.size() != g.vids_.size() + 1 &&
       !(g.vids_.empty() && g.offsets_.empty())) {
     return Status::Corruption("LocalGraph: offsets/vids size mismatch");

@@ -208,6 +208,7 @@ constexpr uint64_t MiningStats::* kMiningFields[] = {
     &MiningStats::nodes_explored,
     &MiningStats::bounding_iterations,
     &MiningStats::emitted,
+    &MiningStats::subsumed,
     &MiningStats::type1_degree_pruned,
     &MiningStats::type1_upper_pruned,
     &MiningStats::type1_lower_pruned,
@@ -463,7 +464,9 @@ std::string EngineReportJson(const EngineReport& report) {
   json += "    \"mining_bitset_words_touched\": " +
           std::to_string(report.mining.bitset_words_touched) + ",\n";
   json += "    \"mining_emitted\": " +
-          std::to_string(report.mining.emitted) + "\n";
+          std::to_string(report.mining.emitted) + ",\n";
+  json += "    \"mining_subsumed\": " +
+          std::to_string(report.mining.subsumed) + "\n";
   json += "  },\n";
   json += "  \"net_flush_bytes_hist\": [";
   for (int b = 0; b < kFlushBytesBuckets; ++b) {

@@ -22,8 +22,8 @@ StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {
 
   ParallelMineResult result;
   result.report = std::move(report).value();
-  result.raw_candidates = result.report.results.size();
-  result.maximal = FilterMaximal(result.report.results);
+  result.raw_candidates = result.report.mining.emitted;
+  result.maximal = FilterMaximal(std::move(result.report.results));
   return result;
 }
 

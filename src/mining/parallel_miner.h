@@ -23,11 +23,14 @@ namespace qcm {
 struct ParallelMineResult {
   /// Exactly the maximal quasi-cliques (after FilterMaximal postprocessing).
   std::vector<VertexSet> maximal;
-  /// Raw candidate count before postprocessing (the paper's tables report
-  /// this as "Result #": its GitHub release "do[es] not include a
-  /// processing step to remove non-maximal results").
+  /// Raw candidate count before postprocessing: every set the kernel
+  /// emitted (report.mining.emitted), including those each task's own
+  /// filter dropped. The paper's tables report this as "Result #": its
+  /// GitHub release "do[es] not include a processing step to remove
+  /// non-maximal results".
   uint64_t raw_candidates = 0;
-  /// Full engine metrics and per-thread/per-root accounting.
+  /// Full engine metrics and per-thread/per-root accounting. Its `results`
+  /// were moved into FilterMaximal and are empty.
   EngineReport report;
 };
 
@@ -39,8 +42,8 @@ class ParallelMiner {
   StatusOr<ParallelMineResult> Run(const Graph& graph);
 
   /// Mines `graph` to completion and returns the engine's report, whose
-  /// `results` are the raw candidates: for callers that filter them (or
-  /// not) themselves instead of paying for Run's copy.
+  /// `results` are the candidates that survived their own task's filter:
+  /// for callers that filter them (or not) themselves.
   StatusOr<EngineReport> RunUnfiltered(const Graph& graph);
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/ego_builder.h"
+#include "quick/maximality_filter.h"
 #include "quick/mining_context.h"
 #include "quick/recursive_mine.h"
 #include "util/timer.h"
@@ -171,7 +172,9 @@ void QCApp::MineTask(QCTask& t, ComputeContext& ctx) {
   ext_local.reserve(t.ext().size());
   for (VertexId vid : t.ext()) ext_local.push_back(g.FindLocal(vid));
 
-  MiningContext mctx(&g, config_.mining, &ctx.sink(), ctx.mining_scratch());
+  // The task mines into a sink of its own (see the filter below).
+  VectorSink task_sink;
+  MiningContext mctx(&g, config_.mining, &task_sink, ctx.mining_scratch());
 
   // Decomposition policy (paper §6).
   const bool decompose =
@@ -211,12 +214,24 @@ void QCApp::MineTask(QCTask& t, ComputeContext& ctx) {
 
   WallTimer mine;
   const double mat_before = ctx.metrics().materialize_seconds;
-  RecursiveMine(mctx, std::move(s_local), std::move(ext_local));
+  RecursiveMine(mctx, s_local, ext_local);
   // Attribute time spent materializing subtasks to materialization, not
   // mining (Table 6 separates the two).
   const double mine_seconds =
       mine.Seconds() - (ctx.metrics().materialize_seconds - mat_before);
   ctx.metrics().mining_seconds += mine_seconds;
+
+  // Only the candidates no other candidate of this task contains reach the
+  // comper's sink. The miner emits every maximal set, so a set strictly
+  // inside another candidate is never a result (§3.1), and the global
+  // FilterMaximal still runs over every task's survivors.
+  std::vector<VertexSet>& candidates = task_sink.results();
+  if (candidates.size() >= 2) {
+    const size_t emitted = candidates.size();
+    candidates = FilterMaximal(std::move(candidates));
+    mctx.stats.subsumed = emitted - candidates.size();
+  }
+  for (VertexSet& set : candidates) ctx.sink().Emit(std::move(set));
   ctx.metrics().mining_stats.Add(mctx.stats);
 
   if (config_.record_task_log) {

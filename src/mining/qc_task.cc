@@ -2,6 +2,42 @@
 
 namespace qcm {
 
+namespace {
+
+/// The mining state MineTask hands to the kernel, which indexes it without
+/// checks: S and ext(S) strictly increasing, disjoint, and inside the
+/// subgraph. MakeSubtask and PromoteToMining produce nothing else.
+Status CheckMiningState(const std::vector<VertexId>& s,
+                        const std::vector<VertexId>& ext,
+                        const LocalGraph& g) {
+  for (const std::vector<VertexId>* ids : {&s, &ext}) {
+    for (size_t i = 0; i < ids->size(); ++i) {
+      if (i > 0 && (*ids)[i] <= (*ids)[i - 1]) {
+        return Status::Corruption(
+            "QCTask: S or ext(S) not strictly increasing");
+      }
+      if (g.FindLocal((*ids)[i]) == g.n()) {
+        return Status::Corruption(
+            "QCTask: S or ext(S) names a vertex outside the subgraph");
+      }
+    }
+  }
+  // Both lists are sorted, so one merge walk finds any shared member.
+  for (size_t i = 0, j = 0; i < s.size() && j < ext.size();) {
+    if (s[i] == ext[j]) {
+      return Status::Corruption("QCTask: S and ext(S) overlap");
+    }
+    if (s[i] < ext[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 TaskPtr QCTask::MakeSpawn(VertexId root, uint64_t size_hint) {
   auto t = std::make_unique<QCTask>();
   t->root_ = root;
@@ -55,6 +91,9 @@ StatusOr<TaskPtr> QCTask::Decode(Decoder* dec) {
   t->g_ = std::move(g).value();
   if (t->iteration_ < 1 || t->iteration_ > 3) {
     return Status::Corruption("QCTask: bad iteration tag");
+  }
+  if (!t->s_.empty()) {
+    QCM_RETURN_IF_ERROR(CheckMiningState(t->s_, t->ext_, t->g_));
   }
   // Pull pins are transient (never serialized): a spawn task that crossed
   // a spill file or a steal transfer mid-build lost every adjacency it had

@@ -111,7 +111,9 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // RTT and batch factor); WireRankStatus lost its mean delivery latency;
 // EngineReport lost four prefetch counters and the prefetching lifecycle
 // state.
-inline constexpr uint32_t kWireProtocolVersion = 12;
+// v13: EngineReport's MiningStats gained `subsumed`, the candidates each
+// task's own maximality filter dropped.
+inline constexpr uint32_t kWireProtocolVersion = 13;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -6,28 +6,24 @@ namespace qcm {
 
 namespace {
 
-/// Shared input of Eq. (4) and Eq. (8): sum of dS over S, and prefix sums
-/// of dS(u_i) with ext sorted by dS non-increasing (Figures 6 and 7).
-struct PrefixInput {
+/// Shared input of Eq. (4) and Eq. (8): fills the pooled `prefix` buffer
+/// with prefix[t] = sum of the t largest dS(u) over ext (Figures 6 and 7)
+/// and returns the sum of dS over S.
+int64_t BuildPrefixSums(MiningContext& ctx, const std::vector<LocalId>& s,
+                        const std::vector<LocalId>& ext) {
   int64_t sum_ds_s = 0;
-  std::vector<int64_t> prefix;  // prefix[t] = sum of t largest dS(u)
-};
-
-PrefixInput BuildPrefixInput(MiningContext& ctx,
-                             const std::vector<LocalId>& s,
-                             const std::vector<LocalId>& ext) {
-  PrefixInput in;
-  for (LocalId v : s) in.sum_ds_s += ctx.ds()[v];
-  std::vector<uint32_t> ds_ext;
-  ds_ext.reserve(ext.size());
-  for (LocalId u : ext) ds_ext.push_back(ctx.ds()[u]);
-  std::sort(ds_ext.begin(), ds_ext.end(), std::greater<>());
-  in.prefix.resize(ext.size() + 1);
-  in.prefix[0] = 0;
-  for (size_t i = 0; i < ds_ext.size(); ++i) {
-    in.prefix[i + 1] = in.prefix[i] + ds_ext[i];
+  for (LocalId v : s) sum_ds_s += ctx.ds()[v];
+  std::vector<uint32_t>& sorted_ds = ctx.buffers().sorted_ds;
+  std::vector<int64_t>& prefix = ctx.buffers().prefix;
+  sorted_ds.clear();
+  for (LocalId u : ext) sorted_ds.push_back(ctx.ds()[u]);
+  std::sort(sorted_ds.begin(), sorted_ds.end(), std::greater<>());
+  prefix.resize(ext.size() + 1);
+  prefix[0] = 0;
+  for (size_t i = 0; i < sorted_ds.size(); ++i) {
+    prefix[i + 1] = prefix[i] + sorted_ds[i];
   }
-  return in;
+  return sum_ds_s;
 }
 
 }  // namespace
@@ -40,13 +36,13 @@ Bounds ComputeBounds(MiningContext& ctx, const std::vector<LocalId>& s,
   const MiningOptions& opts = ctx.opts();
 
   const bool need_prefix = opts.use_upper_bound || opts.use_lower_bound;
-  PrefixInput in;
-  if (need_prefix) in = BuildPrefixInput(ctx, s, ext);
+  const int64_t sum_ds_s = need_prefix ? BuildPrefixSums(ctx, s, ext) : 0;
+  const std::vector<int64_t>& prefix = ctx.buffers().prefix;
 
   // Lemma 2 feasibility of adding exactly t vertices:
   //   sum_{v in S} dS(v) + sum_{i<=t} dS(u_i) >= |S| * ceil(gamma(|S|+t-1))
   auto feasible = [&](int64_t t) {
-    return in.sum_ds_s + in.prefix[static_cast<size_t>(t)] >=
+    return sum_ds_s + prefix[static_cast<size_t>(t)] >=
            s_size * ctx.CeilGamma(s_size + t - 1);
   };
 

@@ -11,10 +11,9 @@ namespace {
 /// same early skips/breaks (popcounted sizes equal the scalar list sizes at
 /// every decision point), so it selects the same winning cover SET -- only
 /// the element order of the result differs, which callers never observe.
-std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
-                                           const std::vector<LocalId>& s,
-                                           const std::vector<LocalId>& ext,
-                                           int64_t thresh) {
+void FindBestCoverSetDense(MiningContext& ctx, const std::vector<LocalId>& s,
+                           const std::vector<LocalId>& ext, int64_t thresh,
+                           std::vector<LocalId>* best) {
   const uint32_t words = ctx.words();
   uint64_t* s_mask = ctx.WordBuf(1);
   uint64_t* ext_mask = ctx.WordBuf(2);
@@ -34,12 +33,13 @@ std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
     touched += words;
     return d;
   };
-  std::vector<int64_t> ds_s(s.size());
+  std::vector<int64_t>& ds_s = ctx.buffers().ds_s;
+  std::vector<int64_t>& ds_ext = ctx.buffers().ds_ext;
+  ds_s.resize(s.size());
   for (size_t i = 0; i < s.size(); ++i) ds_s[i] = ds_of(s[i]);
-  std::vector<int64_t> ds_ext(ext.size());
+  ds_ext.resize(ext.size());
   for (size_t i = 0; i < ext.size(); ++i) ds_ext[i] = ds_of(ext[i]);
 
-  std::vector<LocalId> best;
   for (size_t ui = 0; ui < ext.size(); ++ui) {
     const LocalId u = ext[ui];
     if (ds_ext[ui] < thresh) continue;
@@ -63,7 +63,7 @@ std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
       csize += std::popcount(cover[w]);
     }
     touched += words;
-    if (csize <= static_cast<int64_t>(best.size())) continue;
+    if (csize <= static_cast<int64_t>(best->size())) continue;
 
     // Intersect with Gamma(v) of every non-neighbor v in S (Eq. 9).
     for (LocalId v : s) {
@@ -75,34 +75,36 @@ std::vector<LocalId> FindBestCoverSetDense(MiningContext& ctx,
         csize += std::popcount(cover[w]);
       }
       touched += words;
-      if (csize <= static_cast<int64_t>(best.size())) break;
+      if (csize <= static_cast<int64_t>(best->size())) break;
     }
-    if (csize > static_cast<int64_t>(best.size())) {
-      best.clear();
-      best.reserve(static_cast<size_t>(csize));
+    if (csize > static_cast<int64_t>(best->size())) {
+      best->clear();
       for (uint32_t w = 0; w < words; ++w) {
         uint64_t bits = cover[w];
         while (bits) {
           const int b = std::countr_zero(bits);
-          best.push_back((w << 6) + static_cast<LocalId>(b));
+          best->push_back((w << 6) + static_cast<LocalId>(b));
           bits &= bits - 1;
         }
       }
     }
   }
   ctx.stats.bitset_words_touched += touched;
-  return best;
 }
 
 }  // namespace
 
-std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
-                                      const std::vector<LocalId>& s,
-                                      const std::vector<LocalId>& ext) {
-  if (!ctx.opts().use_cover_vertex || ext.empty() || s.empty()) return {};
+void FindBestCoverSet(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext,
+                      std::vector<LocalId>* best) {
+  best->clear();
+  if (!ctx.opts().use_cover_vertex || ext.empty() || s.empty()) return;
   const LocalGraph& g = ctx.g();
   const int64_t thresh = ctx.CeilGamma(static_cast<int64_t>(s.size()));
-  if (ctx.dense()) return FindBestCoverSetDense(ctx, s, ext, thresh);
+  if (ctx.dense()) {
+    FindBestCoverSetDense(ctx, s, ext, thresh, best);
+    return;
+  }
 
   // Precompute dS for all members of S and ext while the S-membership mark
   // is pristine (mark array 1 is reused later for neighbor intersections).
@@ -115,14 +117,14 @@ std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
     }
     return d;
   };
-  std::vector<int64_t> ds_s(s.size());
+  std::vector<int64_t>& ds_s = ctx.buffers().ds_s;
+  std::vector<int64_t>& ds_ext = ctx.buffers().ds_ext;
+  ds_s.resize(s.size());
   for (size_t i = 0; i < s.size(); ++i) ds_s[i] = ds_of(s[i]);
-  std::vector<int64_t> ds_ext(ext.size());
+  ds_ext.resize(ext.size());
   for (size_t i = 0; i < ext.size(); ++i) ds_ext[i] = ds_of(ext[i]);
 
-  std::vector<LocalId> best;
-  std::vector<LocalId> cover;
-  std::vector<LocalId> filtered;
+  std::vector<LocalId>& cover = ctx.buffers().cover;
   for (size_t ui = 0; ui < ext.size(); ++ui) {
     const LocalId u = ext[ui];
     if (ds_ext[ui] < thresh) continue;
@@ -148,23 +150,22 @@ std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
     for (LocalId w : ext) {
       if (w != u && ctx.Marked2(w, u_tag)) cover.push_back(w);
     }
-    if (cover.size() <= best.size()) continue;
+    if (cover.size() <= best->size()) continue;
 
     // Intersect with Gamma(v) of every non-neighbor v in S (Eq. 9).
     for (LocalId v : s) {
       if (ctx.Marked2(v, u_tag)) continue;  // v adjacent to u
       const uint32_t v_tag = ctx.NewMark();
       for (LocalId w : g.Neighbors(v)) ctx.Mark(w, v_tag);
-      filtered.clear();
+      size_t kept = 0;
       for (LocalId w : cover) {
-        if (ctx.Marked(w, v_tag)) filtered.push_back(w);
+        if (ctx.Marked(w, v_tag)) cover[kept++] = w;
       }
-      cover.swap(filtered);
-      if (cover.size() <= best.size()) break;
+      cover.resize(kept);
+      if (cover.size() <= best->size()) break;
     }
-    if (cover.size() > best.size()) best = cover;
+    if (cover.size() > best->size()) best->assign(cover.begin(), cover.end());
   }
-  return best;
 }
 
 }  // namespace qcm

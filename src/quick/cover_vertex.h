@@ -12,17 +12,18 @@
 
 namespace qcm {
 
-/// Returns C_S(u*) for the u* in ext maximizing |C_S(u)|, or an empty
-/// vector when no vertex qualifies (or the rule is disabled).
+/// Replaces *best with C_S(u*) for the u* in ext maximizing |C_S(u)|, or
+/// empties it when no vertex qualifies (or the rule is disabled).
 ///
 /// A vertex u qualifies only if dS(u) >= ceil(gamma |S|) and every
 /// v in S \ Gamma(u) has dS(v) >= ceil(gamma |S|) (paper §3.2 P7).
-/// Computes its own degree information; usable outside IterativeBounding.
-/// Element order of the returned set is unspecified (the dense and sparse
+/// Computes its own degree information into the context's pooled kernel
+/// buffers; usable outside IterativeBounding. `best` must not alias s or
+/// ext. Element order of the set is unspecified (the dense and sparse
 /// kernels order it differently); callers use only membership and size.
-std::vector<LocalId> FindBestCoverSet(MiningContext& ctx,
-                                      const std::vector<LocalId>& s,
-                                      const std::vector<LocalId>& ext);
+void FindBestCoverSet(MiningContext& ctx, const std::vector<LocalId>& s,
+                      const std::vector<LocalId>& ext,
+                      std::vector<LocalId>* best);
 
 }  // namespace qcm
 

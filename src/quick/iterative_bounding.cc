@@ -8,35 +8,29 @@ namespace qcm {
 
 namespace {
 
-/// Clears the VState flags of every vertex that was ever in S or ext.
-/// S only gains vertices that came from ext, so the union of the *initial*
-/// S and ext covers everything ever flagged.
+/// Flags S as kInS and ext as kInExt while Algorithm 1 runs, then clears
+/// the final S and ext. The flagged vertices are always exactly S ∪ ext:
+/// a critical move takes a vertex from ext to S, and a Type-I prune resets
+/// it to kOut as it leaves ext.
 class StateGuard {
  public:
   StateGuard(MiningContext& ctx, const std::vector<LocalId>& s,
              const std::vector<LocalId>& ext)
-      : ctx_(ctx) {
-    dirty_.reserve(s.size() + ext.size());
-    for (LocalId v : s) {
-      ctx_.SetVState(v, VState::kInS);
-      dirty_.push_back(v);
-    }
-    for (LocalId u : ext) {
-      ctx_.SetVState(u, VState::kInExt);
-      dirty_.push_back(u);
-    }
+      : ctx_(ctx), s_(s), ext_(ext) {
+    for (LocalId v : s) ctx_.SetVState(v, VState::kInS);
+    for (LocalId u : ext) ctx_.SetVState(u, VState::kInExt);
   }
   ~StateGuard() {
     // SetVState also clears the dense membership bitsets bit by bit, so
     // they end the task all-zero, ready for the next one.
-    for (LocalId v : dirty_) {
-      ctx_.SetVState(v, VState::kOut);
-    }
+    for (LocalId v : s_) ctx_.SetVState(v, VState::kOut);
+    for (LocalId u : ext_) ctx_.SetVState(u, VState::kOut);
   }
 
  private:
   MiningContext& ctx_;
-  std::vector<LocalId> dirty_;
+  const std::vector<LocalId>& s_;
+  const std::vector<LocalId>& ext_;
 };
 
 }  // namespace

@@ -3,6 +3,11 @@
 // candidates may contain duplicates and non-maximal sets. This filter
 // removes both, leaving exactly the maximal quasi-cliques -- correct
 // because the miner is guaranteed to emit every *maximal* one.
+//
+// The same argument lets the engine run it twice: QCApp filters each
+// task's own candidates before they reach the comper's sink (dropping a
+// set another candidate strictly contains never drops a maximal one), and
+// the one global pass over every task's survivors yields the result set.
 
 #ifndef QCM_QUICK_MAXIMALITY_FILTER_H_
 #define QCM_QUICK_MAXIMALITY_FILTER_H_

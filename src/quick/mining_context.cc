@@ -12,6 +12,7 @@ void MiningStats::Add(const MiningStats& other) {
   nodes_explored += other.nodes_explored;
   bounding_iterations += other.bounding_iterations;
   emitted += other.emitted;
+  subsumed += other.subsumed;
   type1_degree_pruned += other.type1_degree_pruned;
   type1_upper_pruned += other.type1_upper_pruned;
   type1_lower_pruned += other.type1_lower_pruned;
@@ -26,6 +27,31 @@ void MiningStats::Add(const MiningStats& other) {
   dense_tasks += other.dense_tasks;
   sparse_tasks += other.sparse_tasks;
   bitset_words_touched += other.bitset_words_touched;
+}
+
+namespace {
+
+template <typename T>
+uint64_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+uint64_t MiningScratch::MemoryBytes() const {
+  uint64_t bytes = CapacityBytes(state_) + CapacityBytes(ds_) +
+                   CapacityBytes(dext_) + CapacityBytes(mark1_) +
+                   CapacityBytes(mark2_) + CapacityBytes(in_s_mask_) +
+                   CapacityBytes(in_ext_mask_) + CapacityBytes(word_buf_) +
+                   CapacityBytes(rows_);
+  for (const SearchFrame& f : frames_) {
+    bytes += sizeof(SearchFrame) + CapacityBytes(f.s) +
+             CapacityBytes(f.ext) + CapacityBytes(f.cover);
+  }
+  const KernelBuffers& b = buffers_;
+  return bytes + CapacityBytes(b.ds_s) + CapacityBytes(b.ds_ext) +
+         CapacityBytes(b.cover) + CapacityBytes(b.sorted_ds) +
+         CapacityBytes(b.prefix) + CapacityBytes(b.tail);
 }
 
 MiningContext::MiningContext(const LocalGraph* graph,

@@ -7,10 +7,17 @@
 // current task loses track of the subtask's findings (Alg. 10 lines 18-24).
 // Arming MiningContext::ArmTimeout therefore *is* the time-delayed strategy;
 // without it this function is exactly Algorithm 2.
+//
+// The recursion runs in the context's pooled search frames, one per depth
+// (MiningContext::Frame): the node at depth d writes S' = S ∪ {v} and
+// ext(S') into frame d+1, bounds them there in place and recurses. No node
+// changes its own S, so the G(S') check after a subtree reads frame d+1
+// intact. Once the frames are warm a node allocates only the sets it emits.
 
 #ifndef QCM_QUICK_RECURSIVE_MINE_H_
 #define QCM_QUICK_RECURSIVE_MINE_H_
 
+#include <span>
 #include <vector>
 
 #include "quick/mining_context.h"
@@ -23,14 +30,16 @@ namespace qcm {
 /// possible and removed by postprocessing (maximality_filter.h).
 ///
 /// REQUIRES: s non-empty and disjoint from ext; all ids local to ctx.g().
-bool RecursiveMine(MiningContext& ctx, std::vector<LocalId> s,
-                   std::vector<LocalId> ext);
+/// s and ext are copied into search frame 0 first, so they may be any
+/// caller storage except that frame.
+bool RecursiveMine(MiningContext& ctx, std::span<const LocalId> s,
+                   std::span<const LocalId> ext);
 
-/// Diameter-based candidate filter (P1 / Alg. 2 line 12): keeps the members
-/// of `candidates` within 2 hops of v in ctx.g(), preserving order.
-std::vector<LocalId> TwoHopFilter(MiningContext& ctx,
-                                  std::span<const LocalId> candidates,
-                                  LocalId v);
+/// Diameter-based candidate filter (P1 / Alg. 2 line 12): replaces *kept
+/// with the members of `candidates` within 2 hops of v in ctx.g(),
+/// preserving order. `kept` must not alias `candidates`.
+void TwoHopFilter(MiningContext& ctx, std::span<const LocalId> candidates,
+                  LocalId v, std::vector<LocalId>* kept);
 
 }  // namespace qcm
 

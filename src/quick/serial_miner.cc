@@ -48,7 +48,7 @@ StatusOr<SerialMineReport> SerialMiner::Run(const Graph& g, ResultSink* sink,
     for (LocalId u = 0; u < ego.n(); ++u) {
       if (u != local_root) ext.push_back(u);
     }
-    RecursiveMine(ctx, {local_root}, std::move(ext));
+    RecursiveMine(ctx, std::span(&local_root, 1), ext);
     const double mine_secs = mine_timer.Seconds();
     report.mine_seconds += mine_secs;
     report.stats.Add(ctx.stats);

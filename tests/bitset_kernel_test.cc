@@ -3,7 +3,7 @@
 // sets, same pruning statistics, same digests -- across gamma/tau grids,
 // random subgraphs, and the dense-threshold boundary. Also covers the
 // LocalGraph bitmap-row representation and the pooled MiningScratch
-// reuse contract.
+// reuse contract, and pins one fixed search's counters and emissions.
 
 #include <gtest/gtest.h>
 
@@ -18,21 +18,12 @@
 #include "quick/mining_context.h"
 #include "quick/recursive_mine.h"
 #include "quick/serial_miner.h"
+#include "search_fixture.h"
 #include "util/rng.h"
 #include "util/serde.h"
 
 namespace qcm {
 namespace {
-
-LocalGraph FullLocalGraph(const Graph& src) {
-  EgoBuilder builder;
-  for (VertexId v = 0; v < src.NumVertices(); ++v) {
-    std::vector<VertexId> adj(src.Neighbors(v).begin(),
-                              src.Neighbors(v).end());
-    builder.Stage(v, adj);
-  }
-  return builder.Build();
-}
 
 MiningOptions Options(double gamma, uint32_t min_size, bool dense) {
   MiningOptions opts;
@@ -213,6 +204,7 @@ TEST(KernelParityTest, TwoHopFilter) {
       return false;
     };
     bool filtered_some = false;
+    std::vector<LocalId> kept = {n};  // stale content the filter must drop
     for (LocalId v = 0; v < n; ++v) {
       std::vector<LocalId> longer;
       for (LocalId u = 0; u < n; ++u) {
@@ -232,7 +224,8 @@ TEST(KernelParityTest, TwoHopFilter) {
         filtered_some |= want.size() < candidates->size();
         for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
           const uint64_t filtered = ctx->stats.diameter_filtered;
-          EXPECT_EQ(TwoHopFilter(*ctx, *candidates, v), want)
+          TwoHopFilter(*ctx, *candidates, v, &kept);
+          EXPECT_EQ(kept, want)
               << "seed=" << seed << " v=" << v << " dense=" << ctx->dense()
               << " candidates=" << candidates->size();
           EXPECT_EQ(ctx->stats.diameter_filtered - filtered,
@@ -255,8 +248,9 @@ TEST(KernelParityTest, CoverVertexSet) {
       else ext.push_back(v);
     }
     if (s.empty()) s.push_back(ext.back()), ext.pop_back();
-    auto cover_sparse = FindBestCoverSet(*kp.sparse, s, ext);
-    auto cover_dense = FindBestCoverSet(*kp.dense, s, ext);
+    std::vector<LocalId> cover_sparse, cover_dense;
+    FindBestCoverSet(*kp.sparse, s, ext, &cover_sparse);
+    FindBestCoverSet(*kp.dense, s, ext, &cover_dense);
     // The winning cover SET is mode-independent; element order is not.
     std::sort(cover_sparse.begin(), cover_sparse.end());
     std::sort(cover_dense.begin(), cover_dense.end());
@@ -383,14 +377,25 @@ TEST(MiningScratchTest, ReuseAcrossMixedTasksMatchesFreshContexts) {
       ASSERT_EQ(pooled_ctx.dext()[u], fresh_ctx.dext()[u])
           << "task=" << task;
     }
-    auto cover_pooled = FindBestCoverSet(pooled_ctx, s, ext);
-    auto cover_fresh = FindBestCoverSet(fresh_ctx, s, ext);
+    std::vector<LocalId> cover_pooled, cover_fresh;
+    FindBestCoverSet(pooled_ctx, s, ext, &cover_pooled);
+    FindBestCoverSet(fresh_ctx, s, ext, &cover_fresh);
     std::sort(cover_pooled.begin(), cover_pooled.end());
     std::sort(cover_fresh.begin(), cover_fresh.end());
     ASSERT_EQ(cover_pooled, cover_fresh) << "task=" << task;
     EXPECT_EQ(pooled_ctx.IsQuasiClique(s), fresh_ctx.IsQuasiClique(s));
 
-    // The arena grows monotonically to the largest task seen.
+    // A full mine from one S vertex over this task's ext, so the search
+    // frames grow through the same arena.
+    VectorSink pooled_sink, fresh_sink;
+    MiningContext pooled_mine(&g, opts, &pooled_sink, &pooled);
+    MiningContext fresh_mine(&g, opts, &fresh_sink);
+    RecursiveMine(pooled_mine, std::span(s).first(1), ext);
+    RecursiveMine(fresh_mine, std::span(s).first(1), ext);
+    ASSERT_EQ(pooled_sink.results(), fresh_sink.results()) << "task=" << task;
+
+    // The arena, frames included, grows monotonically to the largest task
+    // seen.
     EXPECT_GE(pooled.MemoryBytes(), last_bytes);
     last_bytes = pooled.MemoryBytes();
   }
@@ -399,31 +404,60 @@ TEST(MiningScratchTest, ReuseAcrossMixedTasksMatchesFreshContexts) {
 TEST(MiningScratchTest, FullMinesShareOneScratchAndStayIdentical) {
   // RecursiveMine over several roots' ego nets, all through one pooled
   // scratch, against per-task fresh scratch: identical emissions.
-  auto src = std::move(GenPlantedCommunities({.num_vertices = 300,
-                                              .num_communities = 3,
-                                              .community_min = 9,
-                                              .community_max = 12,
-                                              .intra_density = 0.92,
-                                              .overlap_fraction = 0.3,
-                                              .seed = 21}))
-                 .value();
-  LocalGraph g = FullLocalGraph(src);
-  MiningOptions opts = Options(0.85, 6, true);
+  const LocalGraph g = PlantedSearchGraph();
+  MiningOptions opts = SearchOptions(/*dense=*/true);
 
   MiningScratch pooled;
-  for (LocalId root = 0; root < 12; ++root) {
-    std::vector<LocalId> ext;
-    for (LocalId u : g.Neighbors(root)) {
-      if (u > root) ext.push_back(u);
-    }
+  const uint64_t empty_bytes = pooled.MemoryBytes();
+  for (LocalId root = 0; root < kSearchRoots; ++root) {
+    const std::vector<LocalId> ext = LaterTwoHopBall(g, root);
     VectorSink pooled_sink, fresh_sink;
     MiningContext pooled_ctx(&g, opts, &pooled_sink, &pooled);
     MiningContext fresh_ctx(&g, opts, &fresh_sink);
-    RecursiveMine(pooled_ctx, {root}, ext);
-    RecursiveMine(fresh_ctx, {root}, std::move(ext));
+    RecursiveMine(pooled_ctx, std::span(&root, 1), ext);
+    RecursiveMine(fresh_ctx, std::span(&root, 1), ext);
     EXPECT_EQ(pooled_sink.results(), fresh_sink.results())
         << "root=" << root;
     ExpectStatsParity(pooled_ctx.stats, fresh_ctx.stats);
+  }
+  EXPECT_GT(pooled.MemoryBytes(), empty_bytes);
+}
+
+// ---- The search itself is pinned ----
+
+// Every counter of the search and the digest of its emissions, in
+// emission order, pinned to recorded values: a change that reorders the
+// nodes or alters one prune fails here even when the two kernels still
+// agree with each other.
+TEST(SearchPinTest, FixedRootsReproduceTheRecordedSearch) {
+  const LocalGraph g = PlantedSearchGraph();
+  for (const bool dense : {false, true}) {
+    MiningScratch scratch;
+    VectorSink sink;
+    MiningStats stats;
+    for (LocalId root = 0; root < kSearchRoots; ++root) {
+      const std::vector<LocalId> ext = LaterTwoHopBall(g, root);
+      MiningContext ctx(&g, SearchOptions(dense), &sink, &scratch);
+      RecursiveMine(ctx, std::span(&root, 1), ext);
+      stats.Add(ctx.stats);
+    }
+    SCOPED_TRACE(dense ? "dense" : "sparse");
+    EXPECT_EQ(stats.nodes_explored, 213u);
+    EXPECT_EQ(stats.bounding_iterations, 4866u);
+    EXPECT_EQ(stats.emitted, 55u);
+    EXPECT_EQ(stats.type1_degree_pruned, 4044u);
+    EXPECT_EQ(stats.type1_upper_pruned, 489u);
+    EXPECT_EQ(stats.type1_lower_pruned, 0u);
+    EXPECT_EQ(stats.type2_prunes, 0u);
+    EXPECT_EQ(stats.bound_fail_prunes, 4497u);
+    EXPECT_EQ(stats.critical_moves, 12u);
+    EXPECT_EQ(stats.cover_skipped, 1185u);
+    EXPECT_EQ(stats.lookahead_hits, 36u);
+    EXPECT_EQ(stats.diameter_filtered, 159532u);
+    EXPECT_EQ(stats.size_prunes, 36u);
+    EXPECT_EQ(stats.subtasks_spawned, 0u);
+    ASSERT_EQ(sink.results().size(), 55u);
+    EXPECT_EQ(ResultSetDigest(sink.results()), 0x0b314ad019d342ecull);
   }
 }
 

@@ -209,8 +209,10 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   std::remove(json_path.c_str());
 }
 
-// qcm_mine's --stats-json counts every raw candidate the engine emitted,
-// and --no-filter prints exactly those candidates.
+// qcm_mine's --stats-json counts every candidate the kernel emitted
+// (mining_emitted), those their own task's filter dropped
+// (mining_subsumed), and the rest, which reach the engine's result list
+// (raw_result_sets); --no-filter prints exactly the rest.
 TEST(ClusterE2ETest, MineStatsJsonCountsRawCandidates) {
   const std::string json_path = ::testing::TempDir() + "/qcm_mine_stats.json";
   for (const std::string filter : {"", " --no-filter"}) {
@@ -221,8 +223,10 @@ TEST(ClusterE2ETest, MineStatsJsonCountsRawCandidates) {
     ASSERT_EQ(mined.exit_code, 0) << mined.output;
     const std::string json = ReadFile(json_path);
     const long long raw = JsonCounter(json, "raw_result_sets");
+    const long long subsumed = JsonCounter(json, "mining_subsumed");
     EXPECT_GT(raw, 0) << json;
-    EXPECT_EQ(raw, JsonCounter(json, "mining_emitted")) << json;
+    EXPECT_GT(subsumed, 0) << json;
+    EXPECT_EQ(raw + subsumed, JsonCounter(json, "mining_emitted")) << json;
     if (!filter.empty()) {
       EXPECT_NE(mined.output.find(std::to_string(raw) +
                                   " candidate quasi-cliques"),

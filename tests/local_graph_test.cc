@@ -139,6 +139,22 @@ TEST(LocalGraphTest, DecodeRejectsCorruptOffsets) {
   EXPECT_FALSE(decoded.ok());
 }
 
+// FindLocal binary-searches vids, so a decoded graph whose vids are not
+// strictly increasing would miss vertices it holds.
+TEST(LocalGraphTest, DecodeRejectsVidsNotStrictlyIncreasing) {
+  for (const std::vector<VertexId>& vids :
+       {std::vector<VertexId>{12, 10, 11}, std::vector<VertexId>{10, 10}}) {
+    Encoder enc;
+    enc.PutU32Vector(vids);
+    enc.PutU32Vector(std::vector<uint32_t>(vids.size() + 1, 0));
+    enc.PutU32Vector({});
+    Decoder dec(enc.buffer());
+    auto decoded = LocalGraph::Decode(&dec);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << "vids[0]=" << vids[0];
+  }
+}
+
 TEST(TaskFeaturesTest, ComputesCoreNumbers) {
   // Clique of 5 + pendant.
   EgoBuilder builder;

@@ -138,7 +138,8 @@ TEST(TimeDelayedTest, NoHookMeansNoDecomposition) {
   MiningContext ctx(&local, opts, &sink);  // no ArmTimeout
   std::vector<LocalId> ext;
   for (LocalId u = 1; u < local.n(); ++u) ext.push_back(u);
-  RecursiveMine(ctx, {0}, std::move(ext));
+  const LocalId root = 0;
+  RecursiveMine(ctx, std::span(&root, 1), ext);
   EXPECT_EQ(ctx.stats.subtasks_spawned, 0u);
 }
 

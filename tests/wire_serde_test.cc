@@ -13,6 +13,7 @@
 
 #include "gthinker/comm.h"
 #include "gthinker/engine_config.h"
+#include "graph/ego_builder.h"
 #include "gthinker/metrics.h"
 #include "mining/qc_task.h"
 #include "net/job_spec.h"
@@ -117,6 +118,42 @@ TEST(MessagePayloadTest, StealBatchRoundTrip) {
   EXPECT_EQ((*t1)->SizeHint(), 42u);
   EXPECT_EQ((*t2)->root(), 12u);
   EXPECT_TRUE(dec.Done());
+}
+
+// A spilled or stolen mining task is read back into the kernel, which
+// indexes its S and ext(S) without checks. So the decoder rejects any
+// state no producer makes: lists out of order, S and ext(S) sharing a
+// vertex, or an id outside the task's subgraph.
+TEST(MessagePayloadTest, MiningTaskDecodeRejectsStateTheKernelCannotIndex) {
+  EgoBuilder builder;  // path 10 - 11 - 12
+  builder.Stage(10, {11});
+  builder.Stage(11, {10, 12});
+  builder.Stage(12, {11});
+  const LocalGraph g = builder.Build();
+  auto decode = [&](std::vector<VertexId> s, std::vector<VertexId> ext) {
+    Encoder enc;
+    QCTask::MakeSubtask(10, std::move(s), std::move(ext), g)->Encode(&enc);
+    const std::string blob = enc.Release();
+    Decoder dec(blob);
+    return QCTask::Decode(&dec).status();
+  };
+  EXPECT_TRUE(decode({10}, {11, 12}).ok());
+  EXPECT_TRUE(decode({10, 12}, {11}).ok());
+  const struct {
+    const char* what;
+    std::vector<VertexId> s, ext;
+  } bad[] = {
+      {"S outside the subgraph", {999}, {}},
+      {"ext outside the subgraph", {10}, {11, 999}},
+      {"S out of order", {11, 10}, {12}},
+      {"ext out of order", {10}, {12, 11}},
+      {"S repeats a vertex", {10, 10}, {11}},
+      {"ext repeats a vertex", {10}, {11, 11}},
+      {"S and ext overlap", {10, 11}, {11, 12}},
+  };
+  for (const auto& c : bad) {
+    EXPECT_EQ(decode(c.s, c.ext).code(), StatusCode::kCorruption) << c.what;
+  }
 }
 
 TEST(MessagePayloadTest, SpawnTaskEncodingExactBytes) {
@@ -522,6 +559,8 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
   a.counters.net_flush_park_usec = 350;
   a.counters.net_flush_bytes_hist[1] = 6;
   a.mining.nodes_explored = 42;
+  a.mining.emitted = 30;
+  a.mining.subsumed = 17;
   a.threads.push_back(ThreadSummary{.machine = 0,
                                     .thread = 1,
                                     .busy_seconds = 0.5,
@@ -553,6 +592,8 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
   EXPECT_EQ(b.counters.net_flush_park_usec, 350u);
   EXPECT_EQ(b.counters.net_flush_bytes_hist[1], 6u);
   EXPECT_EQ(b.mining.nodes_explored, 42u);
+  EXPECT_EQ(b.mining.emitted, 30u);
+  EXPECT_EQ(b.mining.subsumed, 17u);
   ASSERT_EQ(b.threads.size(), 1u);
   EXPECT_EQ(b.threads[0].tasks_processed, 9u);
   ASSERT_EQ(b.results.size(), 2u);
@@ -564,8 +605,10 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
   c.counters.msg_inflight_bytes_peak = 200;
   c.counters.net_flushes = 4;
   c.counters.net_flush_bytes_hist[1] = 1;
+  c.mining.subsumed = 3;
   c.results.push_back({6});
   EngineReport merged = MergeEngineReports({b, c});
+  EXPECT_EQ(merged.mining.subsumed, 20u);  // sum across ranks
   EXPECT_EQ(merged.wall_seconds, 1.5);  // max
   EXPECT_EQ(merged.counters.tasks_completed, 15u);  // sum
   EXPECT_EQ(merged.counters.msg_inflight_bytes_peak, 200u);  // peak: max

@@ -147,10 +147,11 @@ int main(int argc, char** argv) {
       LocalGraph g = MakeGraph(n, 8.0 / n, 11);
       std::vector<LocalId> candidates;
       for (LocalId u = 1; u < n; ++u) candidates.push_back(u);
+      std::vector<LocalId> kept;  // reused, so the cell times no malloc
       cells.push_back(Measure(
           "two_hop_filter", &g, 0.85, target_ms, n,
           [&](MiningContext& ctx) {
-            auto kept = TwoHopFilter(ctx, candidates, 0);
+            TwoHopFilter(ctx, candidates, 0, &kept);
             uint64_t h = MixChecksum(0, kept.size());
             for (LocalId v : kept) h = MixChecksum(h, v);
             return h;
@@ -161,12 +162,12 @@ int main(int argc, char** argv) {
     // set.
     {
       LocalGraph g = MakeGraph(n, 0.5, 17);
-      std::vector<LocalId> s, ext;
+      std::vector<LocalId> s, ext, cover;
       for (LocalId v = 0; v < n; ++v) (v < 4 ? s : ext).push_back(v);
       cells.push_back(Measure(
           "cover_vertex", &g, 0.6, target_ms, n,
           [&](MiningContext& ctx) {
-            auto cover = FindBestCoverSet(ctx, s, ext);
+            FindBestCoverSet(ctx, s, ext, &cover);
             std::sort(cover.begin(), cover.end());
             uint64_t h = MixChecksum(0, cover.size());
             for (LocalId v : cover) h = MixChecksum(h, v);

@@ -709,13 +709,16 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "
-        "commands), %llu pulled vertices, %llu raw candidates\n",
+        "commands), %llu pulled vertices, %llu raw candidates (%llu "
+        "emitted, %llu subsumed within their task)\n",
         num_workers,
         static_cast<unsigned long long>(merged.counters.tasks_completed),
         static_cast<unsigned long long>(merged.counters.stolen_tasks),
         static_cast<unsigned long long>(steal_commands),
         static_cast<unsigned long long>(merged.counters.pulled_vertices),
-        static_cast<unsigned long long>(raw_candidates));
+        static_cast<unsigned long long>(raw_candidates),
+        static_cast<unsigned long long>(merged.mining.emitted),
+        static_cast<unsigned long long>(merged.mining.subsumed));
     std::fprintf(
         stderr,
         "graph: %llu list reads, %llu from file, %llu evictions, "

@@ -211,6 +211,12 @@ int main(int argc, char** argv) {
           static_cast<unsigned long>(r.mining.dense_tasks),
           static_cast<unsigned long>(r.mining.sparse_tasks),
           static_cast<unsigned long>(r.mining.bitset_words_touched));
+      std::fprintf(stderr,
+                   "candidates: %lu emitted, %lu subsumed within their "
+                   "task, %zu raw\n",
+                   static_cast<unsigned long>(r.mining.emitted),
+                   static_cast<unsigned long>(r.mining.subsumed),
+                   candidates.size());
     }
   }
 
