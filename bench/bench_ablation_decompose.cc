@@ -61,8 +61,8 @@ int main() {
     const EngineReport& r = result->report;
     table.AddRow({row.name, FmtSeconds(r.wall_seconds),
                   FmtCount(r.counters.tasks_completed),
-                  FmtSeconds(r.total_materialize_seconds),
-                  FmtSeconds(r.total_mining_seconds),
+                  FmtSeconds(r.Total(&ThreadSummary::materialize_seconds)),
+                  FmtSeconds(r.Total(&ThreadSummary::mining_seconds)),
                   FmtDouble(r.BusyImbalance(), 2),
                   FmtCount(result->maximal.size())});
   }

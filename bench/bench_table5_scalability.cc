@@ -38,7 +38,9 @@ int RunSweep(const Graph& graph, const DatasetSpec& spec,
     }
     const EngineReport& r = result->report;
     const double effective_parallelism =
-        r.wall_seconds > 0 ? r.total_busy_seconds / r.wall_seconds : 0;
+        r.wall_seconds > 0
+            ? r.Total(&ThreadSummary::busy_seconds) / r.wall_seconds
+            : 0;
     table->AddRow({FmtCount(machines), FmtCount(threads),
                    FmtSeconds(r.wall_seconds),
                    FmtDouble(effective_parallelism, 2),

@@ -52,15 +52,15 @@ int main() {
       return 1;
     }
     const EngineReport& r = result->report;
-    const double ratio =
-        r.total_materialize_seconds > 0
-            ? r.total_mining_seconds / r.total_materialize_seconds
-            : 0.0;
+    const double mining = r.Total(&ThreadSummary::mining_seconds);
+    const double materialize = r.Total(&ThreadSummary::materialize_seconds);
+    const double build = r.Total(&ThreadSummary::build_seconds);
+    const double ratio = materialize > 0 ? mining / materialize : 0.0;
     table.AddRow({FmtDouble(tau_time, 3) + " s",
                   FmtSeconds(r.wall_seconds),
-                  FmtSeconds(r.total_mining_seconds),
-                  FmtSeconds(r.total_materialize_seconds),
-                  FmtSeconds(r.total_build_seconds),
+                  FmtSeconds(mining),
+                  FmtSeconds(materialize),
+                  FmtSeconds(build),
                   ratio > 0 ? FmtDouble(ratio, 1) : "n/a (no decomposition)",
                   FmtCount(r.counters.tasks_completed),
                   FmtDouble(100.0 * r.counters.CacheHitRatio(), 1)});
@@ -68,11 +68,9 @@ int main() {
     first_row = false;
     json += "  {\"tau_time\": " + FmtDouble(tau_time, 3) +
             ", \"job_seconds\": " + FmtDouble(r.wall_seconds, 6) +
-            ", \"mining_seconds\": " + FmtDouble(r.total_mining_seconds, 6) +
-            ", \"materialize_seconds\": " +
-            FmtDouble(r.total_materialize_seconds, 6) +
-            ", \"ego_build_seconds\": " +
-            FmtDouble(r.total_build_seconds, 6) +
+            ", \"mining_seconds\": " + FmtDouble(mining, 6) +
+            ", \"materialize_seconds\": " + FmtDouble(materialize, 6) +
+            ", \"ego_build_seconds\": " + FmtDouble(build, 6) +
             ", \"tasks_completed\": " +
             std::to_string(r.counters.tasks_completed) +
             ", \"cache_hits\": " + std::to_string(r.counters.cache_hits) +

@@ -94,7 +94,8 @@ int main() {
 
   const EngineReport& r = result->report;
   std::printf("\nEngine report:\n");
-  std::printf("  tasks completed     : %lu (big: %lu, small: %lu)\n",
+  std::printf("  tasks completed     : %lu (queue admissions: %lu big, "
+              "%lu small)\n",
               static_cast<unsigned long>(r.counters.tasks_completed),
               static_cast<unsigned long>(r.counters.big_tasks),
               static_cast<unsigned long>(r.counters.small_tasks));
@@ -108,7 +109,8 @@ int main() {
               static_cast<unsigned long>(r.counters.cache_hits),
               static_cast<unsigned long>(r.counters.cache_misses));
   std::printf("  mining vs. materialization: %.3f s vs %.3f s\n",
-              r.total_mining_seconds, r.total_materialize_seconds);
+              r.Total(&ThreadSummary::mining_seconds),
+              r.Total(&ThreadSummary::materialize_seconds));
   std::printf("  thread busy max/min ratio : %.2f\n", r.BusyImbalance());
   return 0;
 }

@@ -141,8 +141,8 @@ int main() {
 
   std::printf("\nWhat the engine did (wall %.2f s):\n",
               report->wall_seconds);
-  std::printf("  tasks: %lu completed (%lu big, %lu small), %lu spilled "
-              "to %lu files\n",
+  std::printf("  tasks: %lu completed, queue admissions %lu big / %lu "
+              "small, %lu spilled to %lu files\n",
               static_cast<unsigned long>(report->counters.tasks_completed),
               static_cast<unsigned long>(report->counters.big_tasks),
               static_cast<unsigned long>(report->counters.small_tasks),

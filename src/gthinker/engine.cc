@@ -536,20 +536,7 @@ StatusOr<EngineReport> Engine::Run() {
   for (auto& comper : compers) {
     ThreadMetrics& tm = comper->metrics_;
     report.mining.Add(tm.mining_stats);
-    report.threads.push_back(ThreadSummary{
-        .machine = tm.machine,
-        .thread = tm.thread,
-        .busy_seconds = tm.busy_seconds,
-        .idle_seconds = tm.idle_seconds,
-        .mining_seconds = tm.mining_seconds,
-        .materialize_seconds = tm.materialize_seconds,
-        .tasks_processed = tm.tasks_processed,
-    });
-    report.total_busy_seconds += tm.busy_seconds;
-    report.total_idle_seconds += tm.idle_seconds;
-    report.total_mining_seconds += tm.mining_seconds;
-    report.total_materialize_seconds += tm.materialize_seconds;
-    report.total_build_seconds += tm.build_seconds;
+    report.threads.push_back(static_cast<const ThreadSummary&>(tm));
     for (auto& set : comper->sink_.results()) {
       report.results.push_back(std::move(set));
     }

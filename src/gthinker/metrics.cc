@@ -26,56 +26,13 @@ const char* MsgLatencyBucketLabel(int bucket) {
 
 EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   EngineCountersSnapshot s;
-  s.big_tasks = c.big_tasks.load(std::memory_order_relaxed);
-  s.small_tasks = c.small_tasks.load(std::memory_order_relaxed);
-  s.spill_files = c.spill_files.load(std::memory_order_relaxed);
-  s.spilled_tasks = c.spilled_tasks.load(std::memory_order_relaxed);
-  s.spill_bytes_written =
-      c.spill_bytes_written.load(std::memory_order_relaxed);
-  s.spill_bytes_read = c.spill_bytes_read.load(std::memory_order_relaxed);
-  s.steal_events = c.steal_events.load(std::memory_order_relaxed);
-  s.stolen_tasks = c.stolen_tasks.load(std::memory_order_relaxed);
-  s.steal_bytes = c.steal_bytes.load(std::memory_order_relaxed);
-  s.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-  s.cache_misses = c.cache_misses.load(std::memory_order_relaxed);
-  s.cache_evictions = c.cache_evictions.load(std::memory_order_relaxed);
-  s.pin_hits = c.pin_hits.load(std::memory_order_relaxed);
-  s.task_suspensions = c.task_suspensions.load(std::memory_order_relaxed);
-  s.pull_rounds = c.pull_rounds.load(std::memory_order_relaxed);
-  s.pull_batches = c.pull_batches.load(std::memory_order_relaxed);
-  s.pulled_vertices = c.pulled_vertices.load(std::memory_order_relaxed);
-  s.pull_bytes = c.pull_bytes.load(std::memory_order_relaxed);
-  s.tasks_completed = c.tasks_completed.load(std::memory_order_relaxed);
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    s.msg_sent[t] = c.msg_sent[t].load(std::memory_order_relaxed);
-    s.msg_delivered[t] = c.msg_delivered[t].load(std::memory_order_relaxed);
-    s.msg_bytes[t] = c.msg_bytes[t].load(std::memory_order_relaxed);
-  }
-  s.msg_drained = c.msg_drained.load(std::memory_order_relaxed);
-  s.msg_inflight_bytes_peak =
-      c.msg_inflight_bytes_peak.load(std::memory_order_relaxed);
-  s.msg_queue_depth_peak =
-      c.msg_queue_depth_peak.load(std::memory_order_relaxed);
-  for (int b = 0; b < kMsgLatencyBuckets; ++b) {
-    s.msg_latency_hist[b] =
-        c.msg_latency_hist[b].load(std::memory_order_relaxed);
-  }
-  s.msg_latency_usec_sum =
-      c.msg_latency_usec_sum.load(std::memory_order_relaxed);
-  s.msg_overlapped = c.msg_overlapped.load(std::memory_order_relaxed);
-  s.replayed_tasks = c.replayed_tasks.load(std::memory_order_relaxed);
-  s.recovered_results = c.recovered_results.load(std::memory_order_relaxed);
-  s.completed_roots_skipped =
-      c.completed_roots_skipped.load(std::memory_order_relaxed);
-  s.checkpoint_flushes =
-      c.checkpoint_flushes.load(std::memory_order_relaxed);
-  s.checkpoint_bytes = c.checkpoint_bytes.load(std::memory_order_relaxed);
-  for (int from = 0; from < kNumTaskStates; ++from) {
-    for (int to = 0; to < kNumTaskStates; ++to) {
-      s.lifecycle_transitions[from][to] =
-          c.lifecycle.transitions[from][to].load(std::memory_order_relaxed);
-    }
-  }
+  const auto load = [](const std::atomic<uint64_t>& live, uint64_t& value) {
+    value = live.load(std::memory_order_relaxed);
+  };
+#define QCM_LOAD_COUNTER(name, shape, merge) ForEachCell(load, c.name, s.name);
+  QCM_ENGINE_COUNTERS(QCM_LOAD_COUNTER)
+#undef QCM_LOAD_COUNTER
+  ForEachCell(load, c.lifecycle.transitions, s.lifecycle);
   return s;
 }
 
@@ -114,9 +71,8 @@ void EngineCountersSnapshot::AddFlushStats(const TransportFlushStats& fs) {
   net_flush_forced += fs.flush_forced;
   net_flush_direct += fs.flush_direct;
   net_flush_park_usec += fs.park_usec_sum;
-  for (int b = 0; b < kFlushBytesBuckets; ++b) {
-    net_flush_bytes_hist[b] += fs.bytes_hist[b];
-  }
+  ForEachCell([](uint64_t& sum, uint64_t v) { sum += v; },
+              net_flush_bytes_hist, fs.bytes_hist);
 }
 
 double EngineCountersSnapshot::FramesPerFlush() const {
@@ -140,91 +96,6 @@ double EngineCountersSnapshot::CacheHitRatio() const {
 
 namespace {
 
-/// The counter fields of a snapshot in one flat, ordered view -- keeps the
-/// wire encoding, the merge, and the JSON emission in lockstep (adding a
-/// counter means touching exactly this list).
-struct CounterField {
-  const char* name;
-  uint64_t EngineCountersSnapshot::* member;
-  /// Merge rule: sums by default, max for gauge peaks.
-  bool is_peak;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"big_tasks", &EngineCountersSnapshot::big_tasks, false},
-    {"small_tasks", &EngineCountersSnapshot::small_tasks, false},
-    {"spill_files", &EngineCountersSnapshot::spill_files, false},
-    {"spilled_tasks", &EngineCountersSnapshot::spilled_tasks, false},
-    {"spill_bytes_written", &EngineCountersSnapshot::spill_bytes_written,
-     false},
-    {"spill_bytes_read", &EngineCountersSnapshot::spill_bytes_read, false},
-    {"steal_events", &EngineCountersSnapshot::steal_events, false},
-    {"stolen_tasks", &EngineCountersSnapshot::stolen_tasks, false},
-    {"steal_bytes", &EngineCountersSnapshot::steal_bytes, false},
-    {"cache_hits", &EngineCountersSnapshot::cache_hits, false},
-    {"cache_misses", &EngineCountersSnapshot::cache_misses, false},
-    {"cache_evictions", &EngineCountersSnapshot::cache_evictions, false},
-    {"pin_hits", &EngineCountersSnapshot::pin_hits, false},
-    {"task_suspensions", &EngineCountersSnapshot::task_suspensions, false},
-    {"pull_rounds", &EngineCountersSnapshot::pull_rounds, false},
-    {"pull_batches", &EngineCountersSnapshot::pull_batches, false},
-    {"pulled_vertices", &EngineCountersSnapshot::pulled_vertices, false},
-    {"pull_bytes", &EngineCountersSnapshot::pull_bytes, false},
-    {"tasks_completed", &EngineCountersSnapshot::tasks_completed, false},
-    {"msg_drained", &EngineCountersSnapshot::msg_drained, false},
-    {"msg_inflight_bytes_peak",
-     &EngineCountersSnapshot::msg_inflight_bytes_peak, true},
-    {"msg_queue_depth_peak", &EngineCountersSnapshot::msg_queue_depth_peak,
-     true},
-    {"msg_latency_usec_sum", &EngineCountersSnapshot::msg_latency_usec_sum,
-     false},
-    {"msg_overlapped", &EngineCountersSnapshot::msg_overlapped, false},
-    {"steal_active_usec", &EngineCountersSnapshot::steal_active_usec, false},
-    {"replayed_tasks", &EngineCountersSnapshot::replayed_tasks, false},
-    {"recovered_results", &EngineCountersSnapshot::recovered_results, false},
-    {"completed_roots_skipped",
-     &EngineCountersSnapshot::completed_roots_skipped, false},
-    {"checkpoint_flushes", &EngineCountersSnapshot::checkpoint_flushes,
-     false},
-    {"checkpoint_bytes", &EngineCountersSnapshot::checkpoint_bytes, false},
-    {"net_flushes", &EngineCountersSnapshot::net_flushes, false},
-    {"net_flush_frames", &EngineCountersSnapshot::net_flush_frames, false},
-    {"net_flush_bytes", &EngineCountersSnapshot::net_flush_bytes, false},
-    {"net_flush_size", &EngineCountersSnapshot::net_flush_size, false},
-    {"net_flush_linger", &EngineCountersSnapshot::net_flush_linger, false},
-    {"net_flush_forced", &EngineCountersSnapshot::net_flush_forced, false},
-    {"net_flush_direct", &EngineCountersSnapshot::net_flush_direct, false},
-    {"net_flush_park_usec", &EngineCountersSnapshot::net_flush_park_usec,
-     false},
-    {"graph_page_pins", &EngineCountersSnapshot::graph_page_pins, false},
-    {"graph_page_ins", &EngineCountersSnapshot::graph_page_ins, false},
-    {"graph_page_evictions", &EngineCountersSnapshot::graph_page_evictions,
-     false},
-    {"graph_fault_stall_usec",
-     &EngineCountersSnapshot::graph_fault_stall_usec, false},
-};
-
-constexpr uint64_t MiningStats::* kMiningFields[] = {
-    &MiningStats::nodes_explored,
-    &MiningStats::bounding_iterations,
-    &MiningStats::emitted,
-    &MiningStats::subsumed,
-    &MiningStats::type1_degree_pruned,
-    &MiningStats::type1_upper_pruned,
-    &MiningStats::type1_lower_pruned,
-    &MiningStats::type2_prunes,
-    &MiningStats::bound_fail_prunes,
-    &MiningStats::critical_moves,
-    &MiningStats::cover_skipped,
-    &MiningStats::lookahead_hits,
-    &MiningStats::diameter_filtered,
-    &MiningStats::size_prunes,
-    &MiningStats::subtasks_spawned,
-    &MiningStats::dense_tasks,
-    &MiningStats::sparse_tasks,
-    &MiningStats::bitset_words_touched,
-};
-
 std::string JsonDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -243,46 +114,123 @@ std::string MessageTypeJsonKey(int type) {
   return "type" + std::to_string(type);
 }
 
+void EncodeThread(const ThreadSummary& t, Encoder* enc) {
+  enc->PutU32(static_cast<uint32_t>(t.machine));
+  enc->PutU32(static_cast<uint32_t>(t.thread));
+  VisitThreadSeconds([enc](const char*, double v) { enc->PutDouble(v); }, t);
+  enc->PutU64(t.tasks_processed);
+}
+
+Status DecodeThread(Decoder* dec, ThreadSummary* t) {
+  uint32_t machine = 0;
+  uint32_t thread = 0;
+  QCM_RETURN_IF_ERROR(dec->GetU32(&machine));
+  QCM_RETURN_IF_ERROR(dec->GetU32(&thread));
+  t->machine = static_cast<int>(machine);
+  t->thread = static_cast<int>(thread);
+  Status status;
+  VisitThreadSeconds(
+      [&](const char*, double& v) {
+        if (status.ok()) status = dec->GetDouble(&v);
+      },
+      *t);
+  QCM_RETURN_IF_ERROR(status);
+  return dec->GetU64(&t->tasks_processed);
+}
+
+/// Bytes EncodeThread writes for any summary (every field is fixed-width).
+size_t EncodedThreadBytes() {
+  static const size_t bytes = [] {
+    Encoder enc;
+    EncodeThread(ThreadSummary(), &enc);
+    return enc.size();
+  }();
+  return bytes;
+}
+
+/// A JSON object under construction: its `"key": value` entries in order.
+struct JsonObject {
+  std::vector<std::pair<std::string, std::string>> fields;
+
+  void Add(std::string key, std::string value) {
+    fields.emplace_back(std::move(key), std::move(value));
+  }
+  /// One entry per line at `indent` spaces; the brace 2 spaces left.
+  std::string Render(int indent) const {
+    std::string out = "{\n";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += std::string(indent, ' ') + "\"" + fields[i].first + "\": " +
+             fields[i].second + (i + 1 < fields.size() ? ",\n" : "\n");
+    }
+    return out + std::string(indent - 2, ' ') + "}";
+  }
+  /// All entries on one line.
+  std::string Inline() const {
+    std::string out = "{";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i == 0 ? "\"" : ", \"") + fields[i].first +
+             "\": " + fields[i].second;
+    }
+    return out + "}";
+  }
+};
+
+/// Where the registry rows land in --stats-json: keys under "counters",
+/// and top-level tables (histograms, the lifecycle matrix).
+struct RowJson {
+  JsonObject counters;
+  JsonObject tables;
+};
+
+void AddRowJson(Scalar, const char* name, uint64_t v, RowJson* out) {
+  out->counters.Add(name, std::to_string(v));
+}
+
+void AddRowJson(PerMessageType, const char* name,
+                const uint64_t (&v)[kNumMessageTypes], RowJson* out) {
+  for (int t = 0; t < kNumMessageTypes; ++t) {
+    out->counters.Add(std::string(name) + "_" + MessageTypeJsonKey(t),
+                      std::to_string(v[t]));
+  }
+}
+
+template <int kBuckets>
+void AddRowJson(Buckets<kBuckets>, const char* name,
+                const uint64_t (&v)[kBuckets], RowJson* out) {
+  std::string list;
+  for (uint64_t n : v) list += (list.empty() ? "" : ", ") + std::to_string(n);
+  out->tables.Add(name, "[" + list + "]");
+}
+
+void AddRowJson(StateMatrix, const char* name,
+                const uint64_t (&v)[kNumTaskStates][kNumTaskStates],
+                RowJson* out) {
+  JsonObject cells;
+  for (int from = 0; from < kNumTaskStates; ++from) {
+    for (int to = 0; to < kNumTaskStates; ++to) {
+      if (v[from][to] == 0) continue;  // the matrix is sparse
+      cells.Add(std::string(TaskStateName(static_cast<TaskState>(from))) +
+                    "->" + TaskStateName(static_cast<TaskState>(to)),
+                std::to_string(v[from][to]));
+    }
+  }
+  out->tables.Add(name, cells.Render(4));
+}
+
 }  // namespace
 
 void EncodeEngineReport(const EngineReport& report, Encoder* enc) {
   enc->PutDouble(report.wall_seconds);
   enc->PutU64(report.peak_rss_bytes);
-  enc->PutDouble(report.total_mining_seconds);
-  enc->PutDouble(report.total_materialize_seconds);
-  enc->PutDouble(report.total_build_seconds);
-  enc->PutDouble(report.total_busy_seconds);
-  enc->PutDouble(report.total_idle_seconds);
-  for (const CounterField& f : kCounterFields) {
-    enc->PutU64(report.counters.*(f.member));
-  }
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    enc->PutU64(report.counters.msg_sent[t]);
-    enc->PutU64(report.counters.msg_delivered[t]);
-    enc->PutU64(report.counters.msg_bytes[t]);
-  }
-  for (int b = 0; b < kMsgLatencyBuckets; ++b) {
-    enc->PutU64(report.counters.msg_latency_hist[b]);
-  }
-  for (int b = 0; b < kFlushBytesBuckets; ++b) {
-    enc->PutU64(report.counters.net_flush_bytes_hist[b]);
-  }
-  for (int from = 0; from < kNumTaskStates; ++from) {
-    for (int to = 0; to < kNumTaskStates; ++to) {
-      enc->PutU64(report.counters.lifecycle_transitions[from][to]);
-    }
-  }
-  for (auto field : kMiningFields) enc->PutU64(report.mining.*field);
+  const auto put = [enc](uint64_t v) { enc->PutU64(v); };
+  VisitReportCounters(
+      [&](const char*, auto, CounterMerge, const auto& row) {
+        ForEachCell(put, row);
+      },
+      report.counters);
+  VisitMiningStats([&](const char*, uint64_t v) { put(v); }, report.mining);
   enc->PutU64(report.threads.size());
-  for (const ThreadSummary& t : report.threads) {
-    enc->PutU32(static_cast<uint32_t>(t.machine));
-    enc->PutU32(static_cast<uint32_t>(t.thread));
-    enc->PutDouble(t.busy_seconds);
-    enc->PutDouble(t.idle_seconds);
-    enc->PutDouble(t.mining_seconds);
-    enc->PutDouble(t.materialize_seconds);
-    enc->PutU64(t.tasks_processed);
-  }
+  for (const ThreadSummary& t : report.threads) EncodeThread(t, enc);
   enc->PutU64(report.results.size());
   for (const VertexSet& s : report.results) enc->PutU32Vector(s);
 }
@@ -291,56 +239,29 @@ Status DecodeEngineReport(Decoder* dec, EngineReport* report) {
   *report = EngineReport();
   QCM_RETURN_IF_ERROR(dec->GetDouble(&report->wall_seconds));
   QCM_RETURN_IF_ERROR(dec->GetU64(&report->peak_rss_bytes));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&report->total_mining_seconds));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&report->total_materialize_seconds));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&report->total_build_seconds));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&report->total_busy_seconds));
-  QCM_RETURN_IF_ERROR(dec->GetDouble(&report->total_idle_seconds));
-  for (const CounterField& f : kCounterFields) {
-    QCM_RETURN_IF_ERROR(dec->GetU64(&(report->counters.*(f.member))));
-  }
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    QCM_RETURN_IF_ERROR(dec->GetU64(&report->counters.msg_sent[t]));
-    QCM_RETURN_IF_ERROR(dec->GetU64(&report->counters.msg_delivered[t]));
-    QCM_RETURN_IF_ERROR(dec->GetU64(&report->counters.msg_bytes[t]));
-  }
-  for (int b = 0; b < kMsgLatencyBuckets; ++b) {
-    QCM_RETURN_IF_ERROR(dec->GetU64(&report->counters.msg_latency_hist[b]));
-  }
-  for (int b = 0; b < kFlushBytesBuckets; ++b) {
-    QCM_RETURN_IF_ERROR(
-        dec->GetU64(&report->counters.net_flush_bytes_hist[b]));
-  }
-  for (int from = 0; from < kNumTaskStates; ++from) {
-    for (int to = 0; to < kNumTaskStates; ++to) {
-      QCM_RETURN_IF_ERROR(
-          dec->GetU64(&report->counters.lifecycle_transitions[from][to]));
-    }
-  }
-  for (auto field : kMiningFields) {
-    QCM_RETURN_IF_ERROR(dec->GetU64(&(report->mining.*field)));
-  }
+  Status status;
+  const auto get = [&](uint64_t& v) {
+    if (status.ok()) status = dec->GetU64(&v);
+  };
+  VisitReportCounters(
+      [&](const char*, auto, CounterMerge, auto& row) {
+        ForEachCell(get, row);
+      },
+      report->counters);
+  VisitMiningStats([&](const char*, uint64_t& v) { get(v); }, report->mining);
+  QCM_RETURN_IF_ERROR(status);
   uint64_t n = 0;
   QCM_RETURN_IF_ERROR(dec->GetU64(&n));
   // Bound counts by the bytes actually present (every other decoder in
   // the codebase does) so a corrupt report blob surfaces as Corruption,
-  // never as a gigantic resize. Each ThreadSummary needs 48 payload
-  // bytes, each result set at least its 8-byte length.
-  if (n > dec->Remaining() / 48) {
+  // never as a gigantic resize. Each ThreadSummary needs
+  // EncodedThreadBytes(), each result set at least its 8-byte length.
+  if (n > dec->Remaining() / EncodedThreadBytes()) {
     return Status::Corruption("report thread count exceeds payload");
   }
   report->threads.resize(n);
   for (ThreadSummary& t : report->threads) {
-    uint32_t u = 0;
-    QCM_RETURN_IF_ERROR(dec->GetU32(&u));
-    t.machine = static_cast<int>(u);
-    QCM_RETURN_IF_ERROR(dec->GetU32(&u));
-    t.thread = static_cast<int>(u);
-    QCM_RETURN_IF_ERROR(dec->GetDouble(&t.busy_seconds));
-    QCM_RETURN_IF_ERROR(dec->GetDouble(&t.idle_seconds));
-    QCM_RETURN_IF_ERROR(dec->GetDouble(&t.mining_seconds));
-    QCM_RETURN_IF_ERROR(dec->GetDouble(&t.materialize_seconds));
-    QCM_RETURN_IF_ERROR(dec->GetU64(&t.tasks_processed));
+    QCM_RETURN_IF_ERROR(DecodeThread(dec, &t));
   }
   QCM_RETURN_IF_ERROR(dec->GetU64(&n));
   if (n > dec->Remaining() / 8) {
@@ -379,37 +300,16 @@ EngineReport MergeEngineReports(std::vector<EngineReport> reports) {
   for (EngineReport& r : reports) {
     merged.wall_seconds = std::max(merged.wall_seconds, r.wall_seconds);
     merged.peak_rss_bytes += r.peak_rss_bytes;
-    merged.total_mining_seconds += r.total_mining_seconds;
-    merged.total_materialize_seconds += r.total_materialize_seconds;
-    merged.total_build_seconds += r.total_build_seconds;
-    merged.total_busy_seconds += r.total_busy_seconds;
-    merged.total_idle_seconds += r.total_idle_seconds;
-    for (const CounterField& f : kCounterFields) {
-      if (f.is_peak) {
-        merged.counters.*(f.member) =
-            std::max(merged.counters.*(f.member), r.counters.*(f.member));
-      } else {
-        merged.counters.*(f.member) += r.counters.*(f.member);
-      }
-    }
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      merged.counters.msg_sent[t] += r.counters.msg_sent[t];
-      merged.counters.msg_delivered[t] += r.counters.msg_delivered[t];
-      merged.counters.msg_bytes[t] += r.counters.msg_bytes[t];
-    }
-    for (int b = 0; b < kMsgLatencyBuckets; ++b) {
-      merged.counters.msg_latency_hist[b] += r.counters.msg_latency_hist[b];
-    }
-    for (int b = 0; b < kFlushBytesBuckets; ++b) {
-      merged.counters.net_flush_bytes_hist[b] +=
-          r.counters.net_flush_bytes_hist[b];
-    }
-    for (int from = 0; from < kNumTaskStates; ++from) {
-      for (int to = 0; to < kNumTaskStates; ++to) {
-        merged.counters.lifecycle_transitions[from][to] +=
-            r.counters.lifecycle_transitions[from][to];
-      }
-    }
+    VisitReportCounters(
+        [](const char*, auto, CounterMerge merge, auto& into,
+           const auto& from) {
+          ForEachCell(
+              [merge](uint64_t& a, uint64_t b) {
+                a = merge == CounterMerge::kMax ? std::max(a, b) : a + b;
+              },
+              into, from);
+        },
+        merged.counters, r.counters);
     merged.mining.Add(r.mining);
     merged.threads.insert(merged.threads.end(), r.threads.begin(),
                           r.threads.end());
@@ -426,104 +326,67 @@ EngineReport MergeEngineReports(std::vector<EngineReport> reports) {
 }
 
 std::string EngineReportJson(const EngineReport& report) {
-  std::string json = "{\n";
-  json += "  \"wall_seconds\": " + JsonDouble(report.wall_seconds) + ",\n";
-  json += "  \"peak_rss_bytes\": " + std::to_string(report.peak_rss_bytes) +
-          ",\n";
-  json += "  \"total_busy_seconds\": " +
-          JsonDouble(report.total_busy_seconds) + ",\n";
-  json += "  \"total_idle_seconds\": " +
-          JsonDouble(report.total_idle_seconds) + ",\n";
-  json += "  \"total_mining_seconds\": " +
-          JsonDouble(report.total_mining_seconds) + ",\n";
-  json += "  \"total_materialize_seconds\": " +
-          JsonDouble(report.total_materialize_seconds) + ",\n";
-  json += "  \"total_build_seconds\": " +
-          JsonDouble(report.total_build_seconds) + ",\n";
-  json += "  \"counters\": {\n";
-  for (const CounterField& f : kCounterFields) {
-    json += "    \"" + std::string(f.name) +
-            "\": " + std::to_string(report.counters.*(f.member)) + ",\n";
+  JsonObject json;
+  json.Add("wall_seconds", JsonDouble(report.wall_seconds));
+  json.Add("peak_rss_bytes", std::to_string(report.peak_rss_bytes));
+  ThreadSummary total;
+  for (const ThreadSummary& t : report.threads) {
+    VisitThreadSeconds([](const char*, double& sum, double v) { sum += v; },
+                       total, t);
   }
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    const std::string type = MessageTypeJsonKey(t);
-    json += "    \"msg_sent_" + type +
-            "\": " + std::to_string(report.counters.msg_sent[t]) + ",\n";
-    json += "    \"msg_delivered_" + type +
-            "\": " + std::to_string(report.counters.msg_delivered[t]) +
-            ",\n";
-    json += "    \"msg_bytes_" + type +
-            "\": " + std::to_string(report.counters.msg_bytes[t]) + ",\n";
-  }
-  json += "    \"mining_nodes_explored\": " +
-          std::to_string(report.mining.nodes_explored) + ",\n";
-  json += "    \"mining_dense_tasks\": " +
-          std::to_string(report.mining.dense_tasks) + ",\n";
-  json += "    \"mining_sparse_tasks\": " +
-          std::to_string(report.mining.sparse_tasks) + ",\n";
-  json += "    \"mining_bitset_words_touched\": " +
-          std::to_string(report.mining.bitset_words_touched) + ",\n";
-  json += "    \"mining_emitted\": " +
-          std::to_string(report.mining.emitted) + ",\n";
-  json += "    \"mining_subsumed\": " +
-          std::to_string(report.mining.subsumed) + "\n";
-  json += "  },\n";
-  json += "  \"net_flush_bytes_hist\": [";
-  for (int b = 0; b < kFlushBytesBuckets; ++b) {
-    json += std::to_string(report.counters.net_flush_bytes_hist[b]);
-    if (b + 1 < kFlushBytesBuckets) json += ", ";
-  }
-  json += "],\n";
-  json += "  \"lifecycle\": {\n";
-  {
-    std::string rows;
-    for (int from = 0; from < kNumTaskStates; ++from) {
-      for (int to = 0; to < kNumTaskStates; ++to) {
-        const uint64_t n = report.counters.lifecycle_transitions[from][to];
-        if (n == 0) continue;  // the matrix is sparse; omit silent rows
-        if (!rows.empty()) rows += ",\n";
-        rows += std::string("    \"") +
-                TaskStateName(static_cast<TaskState>(from)) + "->" +
-                TaskStateName(static_cast<TaskState>(to)) +
-                "\": " + std::to_string(n);
-      }
-    }
-    json += rows.empty() ? "" : rows + "\n";
-  }
-  json += "  },\n";
-  json += "  \"derived\": {\n";
-  json += "    \"cache_hit_ratio\": " +
-          JsonDouble(report.counters.CacheHitRatio()) + ",\n";
-  json += "    \"message_overlap_ratio\": " +
-          JsonDouble(report.counters.MessageOverlapRatio()) + ",\n";
-  json += "    \"mean_delivery_latency_sec\": " +
-          JsonDouble(report.counters.MeanDeliveryLatencySeconds()) + ",\n";
-  json += "    \"frames_per_flush\": " +
-          JsonDouble(report.counters.FramesPerFlush()) + ",\n";
-  json += "    \"mean_flush_park_usec\": " +
-          JsonDouble(report.counters.MeanFlushParkUsec()) + ",\n";
-  json += "    \"busy_imbalance\": " + JsonDouble(report.BusyImbalance()) +
-          "\n";
-  json += "  },\n";
-  json += "  \"threads\": [\n";
+  VisitThreadSeconds(
+      [&](const char* name, double sum) {
+        json.Add(std::string("total_") + name, JsonDouble(sum));
+      },
+      total);
+
+  RowJson rows;
+  VisitReportCounters(
+      [&](const char* name, auto shape, CounterMerge, const auto& row) {
+        AddRowJson(shape, name, row, &rows);
+      },
+      report.counters);
+  VisitMiningStats(
+      [&](const char* name, uint64_t v) {
+        rows.counters.Add(std::string("mining_") + name, std::to_string(v));
+      },
+      report.mining);
+  json.Add("counters", rows.counters.Render(4));
+  for (auto& [key, value] : rows.tables.fields) json.Add(key, value);
+
+  const EngineCountersSnapshot& c = report.counters;
+  JsonObject derived;
+  derived.Add("cache_hit_ratio", JsonDouble(c.CacheHitRatio()));
+  derived.Add("message_overlap_ratio", JsonDouble(c.MessageOverlapRatio()));
+  derived.Add("mean_delivery_latency_sec",
+              JsonDouble(c.MeanDeliveryLatencySeconds()));
+  derived.Add("frames_per_flush", JsonDouble(c.FramesPerFlush()));
+  derived.Add("mean_flush_park_usec", JsonDouble(c.MeanFlushParkUsec()));
+  derived.Add("busy_imbalance", JsonDouble(report.BusyImbalance()));
+  json.Add("derived", derived.Render(4));
+
+  std::string threads = "[\n";
   for (size_t i = 0; i < report.threads.size(); ++i) {
     const ThreadSummary& t = report.threads[i];
-    json += "    {\"machine\": " + std::to_string(t.machine) +
-            ", \"thread\": " + std::to_string(t.thread) +
-            ", \"busy_seconds\": " + JsonDouble(t.busy_seconds) +
-            ", \"idle_seconds\": " + JsonDouble(t.idle_seconds) +
-            ", \"mining_seconds\": " + JsonDouble(t.mining_seconds) +
-            ", \"materialize_seconds\": " +
-            JsonDouble(t.materialize_seconds) +
-            ", \"tasks_processed\": " + std::to_string(t.tasks_processed) +
-            "}";
-    json += i + 1 < report.threads.size() ? ",\n" : "\n";
+    JsonObject entry;
+    entry.Add("machine", std::to_string(t.machine));
+    entry.Add("thread", std::to_string(t.thread));
+    VisitThreadSeconds(
+        [&](const char* name, double v) { entry.Add(name, JsonDouble(v)); },
+        t);
+    entry.Add("tasks_processed", std::to_string(t.tasks_processed));
+    threads += "    " + entry.Inline() +
+               (i + 1 < report.threads.size() ? ",\n" : "\n");
   }
-  json += "  ],\n";
-  json += "  \"raw_result_sets\": " + std::to_string(report.results.size()) +
-          "\n";
-  json += "}\n";
-  return json;
+  json.Add("threads", threads + "  ]");
+  json.Add("raw_result_sets", std::to_string(report.results.size()));
+  return json.Render(2) + "\n";
+}
+
+double EngineReport::Total(double ThreadSummary::*seconds) const {
+  double total = 0.0;
+  for (const ThreadSummary& t : threads) total += t.*seconds;
+  return total;
 }
 
 double EngineReport::BusyImbalance() const {

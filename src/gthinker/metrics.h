@@ -2,13 +2,20 @@
 // final run report. These feed every table and figure of the evaluation:
 // Table 2's RAM/disk columns, Table 5's load-balance evidence, Table 6's
 // mining vs. materialization split, and Figures 1-3's per-root task costs.
+//
+// Each reported counter is declared once, as a row of a registry below;
+// the rows generate the atomics, the snapshot, the codec, the cross-rank
+// merge and the --stats-json emitter. Adding a counter takes one row plus
+// its increment.
 
 #ifndef QCM_GTHINKER_METRICS_H_
 #define QCM_GTHINKER_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -43,189 +50,166 @@ struct RootTaskAgg {
   uint64_t tasks = 0;           // 1 + number of decomposed subtasks
 };
 
-/// Metrics owned by one mining thread (no synchronization; merged at end).
-struct ThreadMetrics {
-  int machine = 0;
-  int thread = 0;
+// ---- The counter registry ----
+//
+// Every counter an EngineReport carries is one row, X(name, shape, merge),
+// under its doc comment:
+//   name   the field of EngineCountersSnapshot (and, for
+//          QCM_ENGINE_COUNTERS, of EngineCounters), and its --stats-json
+//          key;
+//   shape  Scalar (one cell) or an array of cells (the shapes below);
+//   merge  kSum across ranks, or kMax for gauge peaks; arrays sum cell by
+//          cell.
+// The rows generate EngineCounters' atomics, EngineCountersSnapshot's
+// fields, the relaxed-load copy, the report codec, MergeEngineReports and
+// EngineReportJson. MiningStats has its own rows (QCM_MINING_STATS,
+// quick/mining_context.h), and so do the per-thread times
+// (QCM_THREAD_SECONDS, below).
 
-  double busy_seconds = 0.0;
-  double idle_seconds = 0.0;
-  /// Time inside RecursiveMine (the "actual mining" of Table 6).
-  double mining_seconds = 0.0;
-  /// Time materializing subtask subgraphs (Table 6's counterpart).
-  double materialize_seconds = 0.0;
-  /// Time building spawned tasks' 2-hop ego networks (iterations 1-2);
-  /// kept separate so Table 6's ratio reflects decomposition overhead only.
-  double build_seconds = 0.0;
+// Row shapes: a row's cells (one uint64_t or an array of them) and how
+// --stats-json prints them.
 
-  uint64_t tasks_processed = 0;
-  uint64_t tasks_spawned = 0;
-  uint64_t subtasks_created = 0;
-
-  MiningStats mining_stats;
-  std::vector<VertexSet> results;
-
-  /// root -> aggregate; only filled when EngineConfig::record_task_log.
-  std::unordered_map<VertexId, RootTaskAgg> root_agg;
+/// One key under "counters".
+struct Scalar {
+  template <typename Cell>
+  using Cells = Cell;
 };
+/// One key per MessageType under "counters": <name>_<type>.
+struct PerMessageType {
+  template <typename Cell>
+  using Cells = Cell[kNumMessageTypes];
+};
+/// A histogram: a top-level list of its buckets.
+template <int kBuckets>
+struct Buckets {
+  template <typename Cell>
+  using Cells = Cell[kBuckets];
+};
+/// A TaskState x TaskState transition matrix: a top-level object of its
+/// nonzero cells, keyed "from->to".
+struct StateMatrix {
+  template <typename Cell>
+  using Cells = Cell[kNumTaskStates][kNumTaskStates];
+};
+
+/// How a row folds across ranks.
+enum class CounterMerge { kSum, kMax };
+
+/// Counters the engine increments while it runs: atomics in EngineCounters,
+/// copied into the snapshot by EngineCountersSnapshot::From.
+#define QCM_ENGINE_COUNTERS(X)                                                \
+  /* Admissions to the global queue (size hint > tau_split), not tasks: */    \
+  /* a task re-admitted after a pull suspension or a requeue counts again. */ \
+  X(big_tasks, Scalar, kSum)                                                  \
+  /* Admissions to a local queue (size hint <= tau_split), not tasks. */      \
+  X(small_tasks, Scalar, kSum)                                                \
+  /* Spill files written (L_small and L_big). */                              \
+  X(spill_files, Scalar, kSum)                                                \
+  /* Tasks serialized into those files. */                                    \
+  X(spilled_tasks, Scalar, kSum)                                              \
+  /* Bytes written to / read back from spill files. */                        \
+  X(spill_bytes_written, Scalar, kSum)                                        \
+  X(spill_bytes_read, Scalar, kSum)                                           \
+  /* Steal batches this rank sent, the tasks in them, and their bytes. */     \
+  X(steal_events, Scalar, kSum)                                               \
+  X(stolen_tasks, Scalar, kSum)                                               \
+  X(steal_bytes, Scalar, kSum)                                                \
+  /* Remote-adjacency lookups in the vertex cache, and its evictions. */      \
+  X(cache_hits, Scalar, kSum)                                                 \
+  X(cache_misses, Scalar, kSum)                                               \
+  X(cache_evictions, Scalar, kSum)                                            \
+  /* Fetch/Request served by the task's own pin from an earlier round. */     \
+  X(pin_hits, Scalar, kSum)                                                   \
+  /* Compute rounds that suspended on an outstanding pull (Alg. 3). */        \
+  X(task_suspensions, Scalar, kSum)                                           \
+  /* Broker flushes that sent at least one batched request. */                \
+  X(pull_rounds, Scalar, kSum)                                                \
+  /* Batched pull messages: one per remote rank per flush, split at */        \
+  /* EngineConfig::max_pull_batch ids. */                                     \
+  X(pull_batches, Scalar, kSum)                                               \
+  /* Vertices (deduplicated per flush) and adjacency bytes pulled. */         \
+  X(pulled_vertices, Scalar, kSum)                                            \
+  X(pull_bytes, Scalar, kSum)                                                 \
+  /* Tasks whose Compute returned kDone. */                                   \
+  X(tasks_completed, Scalar, kSum)                                            \
+  /* Fabric messages enqueued, delivered (a pull request: taken up by the */  \
+  /* responder) and their serialized payload bytes, per MessageType. */       \
+  X(msg_sent, PerMessageType, kSum)                                           \
+  X(msg_delivered, PerMessageType, kSum)                                      \
+  X(msg_bytes, PerMessageType, kSum)                                          \
+  /* Messages a termination drain removed; 0 in a healthy run. */             \
+  X(msg_drained, Scalar, kSum)                                                \
+  /* Peak serialized bytes in flight. */                                      \
+  X(msg_inflight_bytes_peak, Scalar, kMax)                                    \
+  /* Deepest undelivered queue: the inbox or the pull responder's. */         \
+  X(msg_queue_depth_peak, Scalar, kMax)                                       \
+  /* Enqueue->delivery wall latency, by MsgLatencyBucketIndex. */             \
+  X(msg_latency_hist, Buckets<kMsgLatencyBuckets>, kSum)                      \
+  /* Sum of those latencies in microseconds. */                               \
+  X(msg_latency_usec_sum, Scalar, kSum)                                       \
+  /* Messages sent while a destination comper was mining (hidden flight). */  \
+  X(msg_overlapped, Scalar, kSum)                                             \
+  /* Tasks re-injected because the rank they were stolen to died. */          \
+  X(replayed_tasks, Scalar, kSum)                                             \
+  /* Result sets recovered from a dead predecessor's checkpoint log. */       \
+  X(recovered_results, Scalar, kSum)                                          \
+  /* Spawn roots skipped because that log proved them done. */                \
+  X(completed_roots_skipped, Scalar, kSum)                                    \
+  /* Checkpoint-log durability flushes and bytes appended. */                 \
+  X(checkpoint_flushes, Scalar, kSum)                                         \
+  X(checkpoint_bytes, Scalar, kSum)
+
+/// Rows with no atomic: filled when the snapshot is taken or after the
+/// run, from the transport (AddFlushStats), the budgeted vertex table
+/// (VertexTable::AddGraphCounters) and EngineCounters::lifecycle.
+#define QCM_SNAPSHOT_COUNTERS(X)                                             \
+  /* Always 0 since the coordinator plans steals; perfbench reads it. */     \
+  X(steal_active_usec, Scalar, kSum)                                         \
+  /* Write syscalls for data frames, and the frames and bytes they moved. */ \
+  X(net_flushes, Scalar, kSum)                                               \
+  X(net_flush_frames, Scalar, kSum)                                          \
+  X(net_flush_bytes, Scalar, kSum)                                           \
+  /* Flush causes: size threshold, linger expiry, shutdown residue, */       \
+  /* coalescing off. */                                                      \
+  X(net_flush_size, Scalar, kSum)                                            \
+  X(net_flush_linger, Scalar, kSum)                                          \
+  X(net_flush_forced, Scalar, kSum)                                          \
+  X(net_flush_direct, Scalar, kSum)                                          \
+  /* Microseconds frames sat parked in coalescing buffers. */                \
+  X(net_flush_park_usec, Scalar, kSum)                                       \
+  /* Bytes per flush, by FlushBytesBucketIndex. */                           \
+  X(net_flush_bytes_hist, Buckets<kFlushBytesBuckets>, kSum)                 \
+  /* Budgeted own-list reads (cache hits plus misses), lists read from */    \
+  /* the .qcsr file, lists evicted, and pread wall microseconds. The */      \
+  /* names predate the list cache; perfbench reads them. */                  \
+  X(graph_page_pins, Scalar, kSum)                                           \
+  X(graph_page_ins, Scalar, kSum)                                            \
+  X(graph_page_evictions, Scalar, kSum)                                      \
+  X(graph_fault_stall_usec, Scalar, kSum)                                    \
+  /* Every task state transition (sched/lifecycle.h). */                     \
+  X(lifecycle, StateMatrix, kSum)
 
 /// Cross-thread counters (atomics; relaxed ordering is sufficient --
 /// counters are read only after the engine quiesces).
 struct EngineCounters {
-  std::atomic<uint64_t> big_tasks{0};
-  std::atomic<uint64_t> small_tasks{0};
-  std::atomic<uint64_t> spill_files{0};
-  std::atomic<uint64_t> spilled_tasks{0};
-  std::atomic<uint64_t> spill_bytes_written{0};
-  std::atomic<uint64_t> spill_bytes_read{0};
-  std::atomic<uint64_t> steal_events{0};
-  std::atomic<uint64_t> stolen_tasks{0};
-  std::atomic<uint64_t> steal_bytes{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> cache_evictions{0};
-  /// Fetch/Request served by an adjacency the task itself pinned from a
-  /// prior pull round (no cache lookup, no transfer).
-  std::atomic<uint64_t> pin_hits{0};
-  /// Compute rounds that ended in ComputeStatus::kSuspended (the paper's
-  /// "add t back to the queue" while its vertex pull is outstanding).
-  std::atomic<uint64_t> task_suspensions{0};
-  /// Broker flushes that transferred at least one batched request.
-  std::atomic<uint64_t> pull_rounds{0};
-  /// Machine-to-machine batched pull messages (one per remote machine per
-  /// flush, split at EngineConfig::max_pull_batch ids).
-  std::atomic<uint64_t> pull_batches{0};
-  /// Vertices transferred via batched pulls (deduplicated per flush).
-  std::atomic<uint64_t> pulled_vertices{0};
-  /// Bytes of adjacency moved by batched pulls.
-  std::atomic<uint64_t> pull_bytes{0};
-  std::atomic<uint64_t> tasks_completed{0};
+#define QCM_COUNTER_ATOMIC(name, shape, merge) \
+  shape::Cells<std::atomic<uint64_t>> name{};
+  QCM_ENGINE_COUNTERS(QCM_COUNTER_ATOMIC)
+#undef QCM_COUNTER_ATOMIC
 
-  // -- CommFabric message accounting (indexed by MessageType) --
-
-  /// Messages enqueued on the fabric, per type.
-  std::atomic<uint64_t> msg_sent[kNumMessageTypes]{};
-  /// Messages delivered by a destination service (a pull request: taken
-  /// up by the pull responder), per type.
-  std::atomic<uint64_t> msg_delivered[kNumMessageTypes]{};
-  /// Serialized payload bytes enqueued, per type.
-  std::atomic<uint64_t> msg_bytes[kNumMessageTypes]{};
-  /// Messages removed by a termination drain instead of a normal delivery
-  /// (should stay 0 in a healthy run: pending-task accounting keeps the
-  /// engine alive while anything meaningful is in flight).
-  std::atomic<uint64_t> msg_drained{0};
-  /// Current serialized bytes in flight (gauge) and its observed peak.
+  /// Serialized bytes in flight: a live gauge (the report keeps its peak).
   std::atomic<uint64_t> msg_inflight_bytes{0};
-  std::atomic<uint64_t> msg_inflight_bytes_peak{0};
-  /// Deepest queue observed: a per-machine inbox or the pull responder's
-  /// (undelivered messages).
-  std::atomic<uint64_t> msg_queue_depth_peak{0};
-  /// Histogram of observed enqueue->delivery wall latency.
-  std::atomic<uint64_t> msg_latency_hist[kMsgLatencyBuckets]{};
-  /// Sum of observed enqueue->delivery wall latency (microseconds).
-  std::atomic<uint64_t> msg_latency_usec_sum{0};
-  /// Messages whose destination machine had at least one comper busy
-  /// mining when the message was enqueued (sampled overlap evidence: the
-  /// transfer's flight time was hidden behind computation).
-  std::atomic<uint64_t> msg_overlapped{0};
-
-  // -- Fault tolerance (gthinker/checkpoint.h; all zero when
-  // checkpointing is off or the run never lost a rank) --
-
-  /// Tasks re-injected locally because the peer they had been stolen to
-  /// (or was being stolen to) died before mining them.
-  std::atomic<uint64_t> replayed_tasks{0};
-  /// Result sets recovered from a dead predecessor's checkpoint log.
-  std::atomic<uint64_t> recovered_results{0};
-  /// Spawn roots skipped because the predecessor's log proved them done.
-  std::atomic<uint64_t> completed_roots_skipped{0};
-  /// Checkpoint-log durability flushes and bytes appended.
-  std::atomic<uint64_t> checkpoint_flushes{0};
-  std::atomic<uint64_t> checkpoint_bytes{0};
-
-  /// Task lifecycle transition matrix (sched/lifecycle.h): every state
-  /// move of every task, recorded by AdvanceTaskState.
+  /// Task lifecycle transition matrix: every state move of every task,
+  /// recorded by AdvanceTaskState.
   LifecycleCounters lifecycle;
 };
 
 /// Plain-value snapshot of EngineCounters for reports.
 struct EngineCountersSnapshot {
-  uint64_t big_tasks = 0;
-  uint64_t small_tasks = 0;
-  uint64_t spill_files = 0;
-  uint64_t spilled_tasks = 0;
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_bytes_read = 0;
-  uint64_t steal_events = 0;
-  uint64_t stolen_tasks = 0;
-  uint64_t steal_bytes = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t pin_hits = 0;
-  uint64_t task_suspensions = 0;
-  uint64_t pull_rounds = 0;
-  uint64_t pull_batches = 0;
-  uint64_t pulled_vertices = 0;
-  uint64_t pull_bytes = 0;
-  uint64_t tasks_completed = 0;
-
-  uint64_t msg_sent[kNumMessageTypes] = {};
-  uint64_t msg_delivered[kNumMessageTypes] = {};
-  uint64_t msg_bytes[kNumMessageTypes] = {};
-  uint64_t msg_drained = 0;
-  uint64_t msg_inflight_bytes_peak = 0;
-  uint64_t msg_queue_depth_peak = 0;
-  uint64_t msg_latency_hist[kMsgLatencyBuckets] = {};
-  uint64_t msg_latency_usec_sum = 0;
-  uint64_t msg_overlapped = 0;
-
-  /// Always 0: nothing writes it since steals are planned by the
-  /// coordinator. Kept because perfbench/run.py reads the JSON key.
-  uint64_t steal_active_usec = 0;
-
-  uint64_t replayed_tasks = 0;
-  uint64_t recovered_results = 0;
-  uint64_t completed_roots_skipped = 0;
-  uint64_t checkpoint_flushes = 0;
-  uint64_t checkpoint_bytes = 0;
-
-  // -- Transport data-plane flush accounting. Copied from the
-  // transport's TransportFlushStats after the run via AddFlushStats. --
-
-  /// Write syscalls issued for data frames.
-  uint64_t net_flushes = 0;
-  /// Data frames / frame bytes pushed through those flushes
-  /// (net_flush_frames / net_flushes = frames per syscall).
-  uint64_t net_flush_frames = 0;
-  uint64_t net_flush_bytes = 0;
-  /// Flush-cause breakdown: size threshold / linger expiry / shutdown
-  /// residue / coalescing off.
-  uint64_t net_flush_size = 0;
-  uint64_t net_flush_linger = 0;
-  uint64_t net_flush_forced = 0;
-  uint64_t net_flush_direct = 0;
-  /// Total microseconds frames sat parked in coalescing buffers.
-  uint64_t net_flush_park_usec = 0;
-  /// Bytes-per-flush histogram (buckets of FlushBytesBucketIndex).
-  uint64_t net_flush_bytes_hist[kFlushBytesBuckets] = {};
-
-  // -- Budgeted graph reads (a snapshot-backed table under a graph
-  // memory budget; all zero otherwise). Added after the run by
-  // VertexTable::AddGraphCounters. The names predate the list cache and
-  // are kept because perfbench/run.py reads them. --
-
-  /// Own-list reads through the budgeted table (cache hits plus misses).
-  uint64_t graph_page_pins = 0;
-  /// Lists read from the .qcsr file (cache misses) / evicted from the
-  /// cache.
-  uint64_t graph_page_ins = 0;
-  uint64_t graph_page_evictions = 0;
-  /// Wall microseconds spent in those reads' pread calls.
-  uint64_t graph_fault_stall_usec = 0;
-
-  /// Plain-value copy of the lifecycle transition matrix.
-  uint64_t lifecycle_transitions[kNumTaskStates][kNumTaskStates] = {};
+#define QCM_COUNTER_VALUE(name, shape, merge) shape::Cells<uint64_t> name = {};
+  QCM_ENGINE_COUNTERS(QCM_COUNTER_VALUE)
+  QCM_SNAPSHOT_COUNTERS(QCM_COUNTER_VALUE)
+#undef QCM_COUNTER_VALUE
 
   static EngineCountersSnapshot From(const EngineCounters& c);
 
@@ -238,8 +222,7 @@ struct EngineCountersSnapshot {
   double MeanFlushParkUsec() const;
 
   uint64_t LifecycleTransitions(TaskState from, TaskState to) const {
-    return lifecycle_transitions[static_cast<int>(from)]
-                                [static_cast<int>(to)];
+    return lifecycle[static_cast<int>(from)][static_cast<int>(to)];
   }
 
   /// Fraction of remote-adjacency demands served without a transfer
@@ -259,20 +242,76 @@ struct EngineCountersSnapshot {
   double MeanDeliveryLatencySeconds() const;
 };
 
+/// Calls f(cell, cells...) on each uint64_t cell of a registry row: its
+/// one cell, or every slot of its array in order. The rows `more` (of
+/// the same shape) are walked in step.
+template <typename F, typename Row, typename... Rows>
+void ForEachCell(F&& f, Row& row, Rows&... more) {
+  if constexpr (std::is_array_v<Row>) {
+    for (size_t i = 0; i < std::extent_v<Row>; ++i) {
+      ForEachCell(f, row[i], more[i]...);
+    }
+  } else {
+    f(row, more...);
+  }
+}
+
+/// Calls visit(name, shape{}, merge, s.<row>...) for every row of
+/// QCM_ENGINE_COUNTERS then QCM_SNAPSHOT_COUNTERS (the wire order); several
+/// snapshots are walked in step.
+template <typename Visit, typename... Snapshot>
+void VisitReportCounters(Visit&& visit, Snapshot&... s) {
+#define QCM_VISIT_COUNTER(name, shape, merge)            \
+  visit(#name, shape{}, CounterMerge::merge, s.name...);
+  QCM_ENGINE_COUNTERS(QCM_VISIT_COUNTER)
+  QCM_SNAPSHOT_COUNTERS(QCM_VISIT_COUNTER)
+#undef QCM_VISIT_COUNTER
+}
+
+/// Per-thread times in seconds, X(name): each is a field of ThreadSummary,
+/// a key of each "threads" entry in --stats-json, and a top-level
+/// `total_<name>` key summed over the threads (EngineReport::Total).
+#define QCM_THREAD_SECONDS(X)                                                \
+  X(busy_seconds)        /* inside App::Compute */                           \
+  X(idle_seconds)        /* waiting for a task */                            \
+  X(mining_seconds)      /* in RecursiveMine: Table 6's "actual mining" */   \
+  X(materialize_seconds) /* materializing subtask subgraphs (Table 6) */     \
+  X(build_seconds)       /* building spawned tasks' 2-hop egos (iter 1-2) */
+
 /// Per-thread summary included in the report (load-balance evidence).
 struct ThreadSummary {
   int machine = 0;
   int thread = 0;
-  double busy_seconds = 0.0;
-  double idle_seconds = 0.0;
-  double mining_seconds = 0.0;
-  double materialize_seconds = 0.0;
+#define QCM_THREAD_SECONDS_FIELD(name) double name = 0.0;
+  QCM_THREAD_SECONDS(QCM_THREAD_SECONDS_FIELD)
+#undef QCM_THREAD_SECONDS_FIELD
   uint64_t tasks_processed = 0;
+};
+
+/// Calls visit(name, t.<row>...) for every QCM_THREAD_SECONDS row.
+template <typename Visit, typename... Summary>
+void VisitThreadSeconds(Visit&& visit, Summary&... t) {
+#define QCM_VISIT_THREAD_SECONDS(name) visit(#name, t.name...);
+  QCM_THREAD_SECONDS(QCM_VISIT_THREAD_SECONDS)
+#undef QCM_VISIT_THREAD_SECONDS
+}
+
+/// Metrics owned by one mining thread (no synchronization; merged at end).
+/// Its ThreadSummary part goes into the report as is.
+struct ThreadMetrics : ThreadSummary {
+  uint64_t tasks_spawned = 0;
+  uint64_t subtasks_created = 0;
+
+  MiningStats mining_stats;
+
+  /// root -> aggregate; only filled when EngineConfig::record_task_log.
+  std::unordered_map<VertexId, RootTaskAgg> root_agg;
 };
 
 /// Final report of an engine run.
 struct EngineReport {
   double wall_seconds = 0.0;
+  uint64_t peak_rss_bytes = 0;
   EngineCountersSnapshot counters;
   MiningStats mining;
   std::vector<ThreadSummary> threads;
@@ -281,12 +320,9 @@ struct EngineReport {
   /// Per-root task aggregates (record_task_log only), unordered.
   std::vector<RootTaskAgg> root_tasks;
 
-  uint64_t peak_rss_bytes = 0;
-  double total_mining_seconds = 0.0;
-  double total_materialize_seconds = 0.0;
-  double total_build_seconds = 0.0;
-  double total_busy_seconds = 0.0;
-  double total_idle_seconds = 0.0;
+  /// One per-thread time summed over `threads`, e.g.
+  /// Total(&ThreadSummary::mining_seconds) for Table 6's mining time.
+  double Total(double ThreadSummary::*seconds) const;
 
   /// Max/min per-thread busy time ratio; 1.0 = perfectly balanced, 0.0
   /// when some thread never ran (the ratio is undefined -- never NaN/inf).
@@ -307,11 +343,10 @@ Status DecodeEngineReport(Decoder* dec, EngineReport* report);
 /// subgraph size comes from the spawned task's entry. Order unspecified.
 void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks);
 
-/// Merges per-rank reports into one cluster-wide report: counters and
-/// cumulative times sum (peak RSS too, right for one process per rank),
-/// gauge peaks take the max, wall time is the slowest rank, thread
-/// summaries and raw results concatenate (results are moved), and root
-/// task aggregates fold by root.
+/// Merges per-rank reports into one cluster-wide report: each registry row
+/// folds by its merge rule (peak RSS sums too, right for one process per
+/// rank), wall time is the slowest rank, thread summaries and raw results
+/// concatenate (results are moved), and root task aggregates fold by root.
 EngineReport MergeEngineReports(std::vector<EngineReport> reports);
 
 /// Machine-readable EngineReport (counters, derived ratios, per-thread

@@ -113,7 +113,10 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // state.
 // v13: EngineReport's MiningStats gained `subsumed`, the candidates each
 // task's own maximality filter dropped.
-inline constexpr uint32_t kWireProtocolVersion = 13;
+// v14: EngineReport is encoded row by row from the counter registry
+// (gthinker/metrics.h), arrays in place; it lost the five total_*_seconds
+// (sums over its threads), and each ThreadSummary gained build_seconds.
+inline constexpr uint32_t kWireProtocolVersion = 14;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

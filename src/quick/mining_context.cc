@@ -9,24 +9,8 @@
 namespace qcm {
 
 void MiningStats::Add(const MiningStats& other) {
-  nodes_explored += other.nodes_explored;
-  bounding_iterations += other.bounding_iterations;
-  emitted += other.emitted;
-  subsumed += other.subsumed;
-  type1_degree_pruned += other.type1_degree_pruned;
-  type1_upper_pruned += other.type1_upper_pruned;
-  type1_lower_pruned += other.type1_lower_pruned;
-  type2_prunes += other.type2_prunes;
-  bound_fail_prunes += other.bound_fail_prunes;
-  critical_moves += other.critical_moves;
-  cover_skipped += other.cover_skipped;
-  lookahead_hits += other.lookahead_hits;
-  diameter_filtered += other.diameter_filtered;
-  size_prunes += other.size_prunes;
-  subtasks_spawned += other.subtasks_spawned;
-  dense_tasks += other.dense_tasks;
-  sparse_tasks += other.sparse_tasks;
-  bitset_words_touched += other.bitset_words_touched;
+  VisitMiningStats([](const char*, uint64_t& sum, uint64_t v) { sum += v; },
+                   *this, other);
 }
 
 namespace {

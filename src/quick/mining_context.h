@@ -45,31 +45,47 @@ enum class VState : uint8_t {
   kInExt = 2,
 };
 
+/// The MiningStats registry: X(name) declares one work or pruning counter.
+/// Every row is a uint64_t that sums across tasks, threads and ranks; the
+/// rows generate the struct, Add, the report codec and the `mining_<name>`
+/// keys of --stats-json (gthinker/metrics.cc).
+#define QCM_MINING_STATS(X)                                                \
+  X(nodes_explored)       /* recursive_mine invocations */                 \
+  X(bounding_iterations)  /* Alg. 1 loop iterations */                     \
+  X(emitted)              /* candidate quasi-cliques emitted */            \
+  X(subsumed)             /* emitted ones the task's own filter dropped */ \
+  X(type1_degree_pruned)  /* Theorem 3 */                                  \
+  X(type1_upper_pruned)   /* Theorem 5 */                                  \
+  X(type1_lower_pruned)   /* Theorem 7 */                                  \
+  X(type2_prunes)         /* Theorems 4/6/8 subtree prunes */              \
+  X(bound_fail_prunes)    /* Eq. (4)/(7)/(8) infeasible or U < L */        \
+  X(critical_moves)       /* Theorem 9 expansions */                       \
+  X(cover_skipped)        /* vertices skipped via CS(u) (P7) */            \
+  X(lookahead_hits)       /* Alg. 2 lines 8-10 */                          \
+  X(diameter_filtered)    /* ext(S') candidates cut by B(v) (P1) */        \
+  X(size_prunes)          /* Alg. 2 line 6 */                              \
+  X(subtasks_spawned)     /* time-delayed decomposition wraps */           \
+  X(dense_tasks)          /* tasks mined with bitmap rows */               \
+  X(sparse_tasks)         /* tasks mined over CSR scans only */            \
+  X(bitset_words_touched) /* uint64 words the dense kernels read */
+
 /// Work and pruning counters (merged across tasks/threads for reports).
 struct MiningStats {
-  uint64_t nodes_explored = 0;       // recursive_mine invocations
-  uint64_t bounding_iterations = 0;  // Alg. 1 loop iterations
-  uint64_t emitted = 0;              // candidate quasi-cliques emitted
-  uint64_t subsumed = 0;             // emitted ones the task's filter dropped
-
-  uint64_t type1_degree_pruned = 0;  // Theorem 3
-  uint64_t type1_upper_pruned = 0;   // Theorem 5
-  uint64_t type1_lower_pruned = 0;   // Theorem 7
-  uint64_t type2_prunes = 0;         // Theorems 4/6/8 subtree prunes
-  uint64_t bound_fail_prunes = 0;    // Eq. (4)/(7)/(8) infeasible or U < L
-  uint64_t critical_moves = 0;       // Theorem 9 expansions
-  uint64_t cover_skipped = 0;        // vertices skipped via CS(u) (P7)
-  uint64_t lookahead_hits = 0;       // Alg. 2 lines 8-10
-  uint64_t diameter_filtered = 0;    // ext(S') candidates cut by B(v) (P1)
-  uint64_t size_prunes = 0;          // Alg. 2 line 6
-  uint64_t subtasks_spawned = 0;     // time-delayed decomposition wraps
-
-  uint64_t dense_tasks = 0;           // tasks mined with bitmap rows
-  uint64_t sparse_tasks = 0;          // tasks mined over CSR scans only
-  uint64_t bitset_words_touched = 0;  // uint64 words the dense kernels read
+#define QCM_MINING_STAT_FIELD(name) uint64_t name = 0;
+  QCM_MINING_STATS(QCM_MINING_STAT_FIELD)
+#undef QCM_MINING_STAT_FIELD
 
   void Add(const MiningStats& other);
 };
+
+/// Calls visit(name, s.<row>...) for every QCM_MINING_STATS row, in order;
+/// several MiningStats are walked in step.
+template <typename Visit, typename... Stats>
+void VisitMiningStats(Visit&& visit, Stats&... s) {
+#define QCM_VISIT_MINING_STAT(name) visit(#name, s.name...);
+  QCM_MINING_STATS(QCM_VISIT_MINING_STAT)
+#undef QCM_VISIT_MINING_STAT
+}
 
 /// Signature of the time-delayed decomposition hook: receives <S', ext(S')>
 /// in *local ids* of the context's graph and wraps them into a new task

@@ -304,13 +304,13 @@ TEST(ParallelMinerTest, MiningTimeDominatesMaterialization) {
   config.mode = DecomposeMode::kTimeDelayed;
   config.tau_time = 0.0;
   auto result = ParallelRun(g, config);
-  EXPECT_GT(result.report.total_mining_seconds, 0.0);
+  EXPECT_GT(result.report.Total(&ThreadSummary::mining_seconds), 0.0);
   // Materialization happens (subtasks were created) ...
   EXPECT_GT(result.report.counters.tasks_completed, 0u);
   // ... but never dwarfs mining.
-  EXPECT_LT(result.report.total_materialize_seconds,
-            result.report.total_mining_seconds +
-                result.report.total_build_seconds + 0.5);
+  EXPECT_LT(result.report.Total(&ThreadSummary::materialize_seconds),
+            result.report.Total(&ThreadSummary::mining_seconds) +
+                result.report.Total(&ThreadSummary::build_seconds) + 0.5);
 }
 
 }  // namespace

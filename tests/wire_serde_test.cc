@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gthinker/comm.h"
@@ -18,6 +20,7 @@
 #include "mining/qc_task.h"
 #include "net/job_spec.h"
 #include "net/wire.h"
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -543,84 +546,266 @@ TEST(JobSpecTest, RejectsTruncatedTrailingAndSnapshotlessBlobs) {
       << snapshotless.ToString();
 }
 
-TEST(EngineReportSerdeTest, RoundTripAndMerge) {
-  EngineReport a;
-  a.wall_seconds = 1.5;
-  a.peak_rss_bytes = 1000;
-  a.counters.tasks_completed = 10;
-  a.counters.msg_sent[0] = 4;
-  a.counters.msg_inflight_bytes_peak = 77;
-  a.counters.msg_latency_hist[2] = 3;
-  a.counters.net_flushes = 6;
-  a.counters.net_flush_frames = 24;
-  a.counters.net_flush_bytes = 4096;
-  a.counters.net_flush_size = 4;
-  a.counters.net_flush_linger = 2;
-  a.counters.net_flush_park_usec = 350;
-  a.counters.net_flush_bytes_hist[1] = 6;
-  a.mining.nodes_explored = 42;
-  a.mining.emitted = 30;
-  a.mining.subsumed = 17;
-  a.threads.push_back(ThreadSummary{.machine = 0,
-                                    .thread = 1,
-                                    .busy_seconds = 0.5,
-                                    .idle_seconds = 0.1,
-                                    .mining_seconds = 0.4,
-                                    .materialize_seconds = 0.05,
-                                    .tasks_processed = 9});
-  a.results.push_back({1, 2, 3});
-  a.results.push_back({4, 5});
+// ---------------------------------------------------------------------------
+// EngineReport: every registry row (gthinker/metrics.h, MiningStats' rows in
+// quick/mining_context.h) must survive the codec, fold by its merge rule and
+// print exactly once -- the tests iterate the registries, so a row dropped
+// from any of the generated paths fails here.
+// ---------------------------------------------------------------------------
 
+/// A report whose every counter cell, MiningStats row and per-thread time
+/// holds a distinct nonzero value, counting up from `base`, with `threads`
+/// thread summaries and `sets` result sets of growing size.
+EngineReport DistinctReport(uint64_t base, int threads, int sets) {
+  EngineReport r;
+  uint64_t next = base;
+  r.wall_seconds = static_cast<double>(next++);
+  r.peak_rss_bytes = next++;
+  VisitReportCounters(
+      [&](const char*, auto, CounterMerge, auto& row) {
+        ForEachCell([&](uint64_t& cell) { cell = next++; }, row);
+      },
+      r.counters);
+  VisitMiningStats([&](const char*, uint64_t& v) { v = next++; }, r.mining);
+  for (int i = 0; i < threads; ++i) {
+    ThreadSummary t;
+    t.machine = static_cast<int>(next++);
+    t.thread = static_cast<int>(next++);
+    VisitThreadSeconds(
+        [&](const char*, double& v) { v = static_cast<double>(next++) / 4; },
+        t);
+    t.tasks_processed = next++;
+    r.threads.push_back(t);
+  }
+  for (int i = 0; i < sets; ++i) {
+    VertexSet set;
+    for (int k = 0; k < i; ++k) set.push_back(static_cast<VertexId>(next++));
+    r.results.push_back(set);
+  }
+  return r;
+}
+
+void ExpectSameThread(const ThreadSummary& want, const ThreadSummary& got) {
+  EXPECT_EQ(want.machine, got.machine);
+  EXPECT_EQ(want.thread, got.thread);
+  VisitThreadSeconds(
+      [](const char* name, double w, double g) { EXPECT_EQ(w, g) << name; },
+      want, got);
+  EXPECT_EQ(want.tasks_processed, got.tasks_processed);
+}
+
+std::string EncodeReport(const EngineReport& report) {
   Encoder enc;
-  EncodeEngineReport(a, &enc);
-  const std::string blob = enc.Release();
+  EncodeEngineReport(report, &enc);
+  return enc.Release();
+}
+
+/// How often `"key":` occurs in `json`.
+int KeyCount(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  int n = 0;
+  for (size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The text after `"key": ` up to the next comma, newline or closing brace.
+std::string JsonValue(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return "<missing>";
+  const size_t from = at + needle.size();
+  return json.substr(from, json.find_first_of(",\n}", from) - from);
+}
+
+TEST(EngineReportSerdeTest, RoundTripAndMerge) {
+  const EngineReport a = DistinctReport(1, 2, 3);
+  const std::string blob = EncodeReport(a);
   Decoder dec(blob);
   EngineReport b;
   ASSERT_TRUE(DecodeEngineReport(&dec, &b).ok());
   EXPECT_TRUE(dec.Done());
-  EXPECT_EQ(b.wall_seconds, 1.5);
-  EXPECT_EQ(b.peak_rss_bytes, 1000u);
-  EXPECT_EQ(b.counters.tasks_completed, 10u);
-  EXPECT_EQ(b.counters.msg_sent[0], 4u);
-  EXPECT_EQ(b.counters.msg_inflight_bytes_peak, 77u);
-  EXPECT_EQ(b.counters.msg_latency_hist[2], 3u);
-  EXPECT_EQ(b.counters.net_flushes, 6u);
-  EXPECT_EQ(b.counters.net_flush_frames, 24u);
-  EXPECT_EQ(b.counters.net_flush_bytes, 4096u);
-  EXPECT_EQ(b.counters.net_flush_size, 4u);
-  EXPECT_EQ(b.counters.net_flush_linger, 2u);
-  EXPECT_EQ(b.counters.net_flush_park_usec, 350u);
-  EXPECT_EQ(b.counters.net_flush_bytes_hist[1], 6u);
-  EXPECT_EQ(b.mining.nodes_explored, 42u);
-  EXPECT_EQ(b.mining.emitted, 30u);
-  EXPECT_EQ(b.mining.subsumed, 17u);
-  ASSERT_EQ(b.threads.size(), 1u);
-  EXPECT_EQ(b.threads[0].tasks_processed, 9u);
-  ASSERT_EQ(b.results.size(), 2u);
-  EXPECT_EQ(b.results[0], (VertexSet{1, 2, 3}));
+  EXPECT_EQ(b.wall_seconds, a.wall_seconds);
+  EXPECT_EQ(b.peak_rss_bytes, a.peak_rss_bytes);
+  int cells = 0;
+  VisitReportCounters(
+      [&](const char* name, auto, CounterMerge, const auto& want,
+          const auto& got) {
+        ForEachCell(
+            [&](uint64_t w, uint64_t g) {
+              EXPECT_EQ(w, g) << name;
+              ++cells;
+            },
+            want, got);
+      },
+      a.counters, b.counters);
+  EXPECT_GT(cells, 100);  // the arrays' cells are visited too
+  VisitMiningStats(
+      [](const char* name, uint64_t w, uint64_t g) { EXPECT_EQ(w, g) << name; },
+      a.mining, b.mining);
+  ASSERT_EQ(b.threads.size(), a.threads.size());
+  for (size_t i = 0; i < a.threads.size(); ++i) {
+    ExpectSameThread(a.threads[i], b.threads[i]);
+  }
+  EXPECT_EQ(b.results, a.results);
 
-  EngineReport c;
-  c.wall_seconds = 0.5;
-  c.counters.tasks_completed = 5;
-  c.counters.msg_inflight_bytes_peak = 200;
-  c.counters.net_flushes = 4;
-  c.counters.net_flush_bytes_hist[1] = 1;
-  c.mining.subsumed = 3;
-  c.results.push_back({6});
-  EngineReport merged = MergeEngineReports({b, c});
-  EXPECT_EQ(merged.mining.subsumed, 20u);  // sum across ranks
-  EXPECT_EQ(merged.wall_seconds, 1.5);  // max
-  EXPECT_EQ(merged.counters.tasks_completed, 15u);  // sum
-  EXPECT_EQ(merged.counters.msg_inflight_bytes_peak, 200u);  // peak: max
-  EXPECT_EQ(merged.counters.net_flushes, 10u);  // sum across ranks
-  EXPECT_EQ(merged.counters.net_flush_bytes_hist[1], 7u);
-  EXPECT_EQ(merged.results.size(), 3u);
-  EXPECT_EQ(merged.threads.size(), 1u);
+  // The second report's cells are all larger, so a kMax row folded as a
+  // sum (or a sum row folded as a max) shows, and so does a dropped row.
+  const EngineReport c = DistinctReport(100000, 1, 2);
+  const EngineReport merged = MergeEngineReports({b, c});
+  EXPECT_EQ(merged.wall_seconds, c.wall_seconds);  // the slowest rank
+  EXPECT_EQ(merged.peak_rss_bytes, a.peak_rss_bytes + c.peak_rss_bytes);
+  int max_rows = 0;
+  VisitReportCounters(
+      [&](const char* name, auto, CounterMerge merge, const auto& got,
+          const auto& x, const auto& y) {
+        max_rows += merge == CounterMerge::kMax;
+        ForEachCell(
+            [&](uint64_t m, uint64_t u, uint64_t v) {
+              EXPECT_EQ(m, merge == CounterMerge::kMax ? std::max(u, v) : u + v)
+                  << name;
+            },
+            got, x, y);
+      },
+      merged.counters, a.counters, c.counters);
+  EXPECT_EQ(max_rows, 2);  // the two gauge peaks
+  VisitMiningStats(
+      [](const char* name, uint64_t m, uint64_t u, uint64_t v) {
+        EXPECT_EQ(m, u + v) << name;
+      },
+      merged.mining, a.mining, c.mining);
+  ASSERT_EQ(merged.threads.size(), 3u);
+  ExpectSameThread(c.threads[0], merged.threads[2]);
+  EXPECT_EQ(merged.Total(&ThreadSummary::build_seconds),
+            a.threads[0].build_seconds + a.threads[1].build_seconds +
+                c.threads[0].build_seconds);
+  EXPECT_EQ(merged.results.size(), 5u);
 
-  // Truncated blobs must be rejected, never read past the end.
-  Decoder short_dec(blob.data(), blob.size() - 3);
-  EngineReport d;
-  EXPECT_FALSE(DecodeEngineReport(&short_dec, &d).ok());
+  // --stats-json prints every row's key exactly once, with its value.
+  const std::string json = EngineReportJson(a);
+  VisitReportCounters(
+      [&](const char* name, auto shape, CounterMerge, const auto& row) {
+        using Shape = decltype(shape);
+        if constexpr (std::is_same_v<Shape, Scalar>) {
+          EXPECT_EQ(KeyCount(json, name), 1) << name;
+          EXPECT_EQ(JsonValue(json, name), std::to_string(row)) << name;
+        } else if constexpr (std::is_same_v<Shape, PerMessageType>) {
+          static_assert(kNumMessageTypes == 3);
+          const char* kTypes[] = {"pull_request", "pull_response",
+                                  "steal_batch"};
+          for (int t = 0; t < kNumMessageTypes; ++t) {
+            const std::string key = std::string(name) + "_" + kTypes[t];
+            EXPECT_EQ(KeyCount(json, key), 1) << key;
+            EXPECT_EQ(JsonValue(json, key), std::to_string(row[t])) << key;
+          }
+        } else if constexpr (std::is_same_v<Shape, StateMatrix>) {
+          EXPECT_EQ(KeyCount(json, name), 1) << name;
+          for (int from = 0; from < kNumTaskStates; ++from) {
+            for (int to = 0; to < kNumTaskStates; ++to) {
+              const std::string key =
+                  std::string(TaskStateName(static_cast<TaskState>(from))) +
+                  "->" + TaskStateName(static_cast<TaskState>(to));
+              EXPECT_EQ(KeyCount(json, key), 1) << key;
+              EXPECT_EQ(JsonValue(json, key), std::to_string(row[from][to]))
+                  << key;
+            }
+          }
+        } else {  // a histogram: one list
+          std::string list;
+          for (uint64_t v : row) {
+            list += (list.empty() ? "[" : ", ") + std::to_string(v);
+          }
+          EXPECT_EQ(KeyCount(json, name), 1) << name;
+          EXPECT_EQ(json.find("\"" + std::string(name) + "\": " + list + "]"),
+                    json.find("\"" + std::string(name) + "\":"))
+              << name;
+        }
+      },
+      a.counters);
+  VisitMiningStats(
+      [&](const char* name, uint64_t v) {
+        const std::string key = std::string("mining_") + name;
+        EXPECT_EQ(KeyCount(json, key), 1) << key;
+        EXPECT_EQ(JsonValue(json, key), std::to_string(v)) << key;
+      },
+      a.mining);
+  VisitThreadSeconds(
+      [&](const char* name, double) {
+        EXPECT_EQ(KeyCount(json, std::string("total_") + name), 1) << name;
+        EXPECT_EQ(KeyCount(json, name), 2) << name;  // once per thread
+      },
+      a.threads[0]);
+  EXPECT_EQ(JsonValue(json, "raw_result_sets"), "3");
+  // No entry is followed by a comma and then a closing bracket.
+  for (const char* dangling : {",\n}", ",\n  }", ",\n    }", ",\n  ]"}) {
+    EXPECT_EQ(json.find(dangling), std::string::npos) << json;
+  }
+}
+
+TEST(EngineReportSerdeTest, DecoderRejectsPrefixesAndSurvivesMutations) {
+  const EngineReport report = DistinctReport(1, 3, 5);
+  const std::string blob = EncodeReport(report);
+
+  // Every strict prefix lacks a field the decoder needs.
+  for (size_t len = 0; len < blob.size(); ++len) {
+    Decoder dec(blob.data(), len);
+    EngineReport out;
+    EXPECT_FALSE(DecodeEngineReport(&dec, &out).ok())
+        << "prefix of " << len << "/" << blob.size() << " bytes decoded";
+  }
+
+  // The fixed bytes of one thread summary and where the counted tail
+  // (thread and result counts, and what they count) starts.
+  EngineReport one_thread = report;
+  one_thread.threads.resize(1);
+  EngineReport no_threads = report;
+  no_threads.threads.clear();
+  const size_t thread_bytes =
+      EncodeReport(one_thread).size() - EncodeReport(no_threads).size();
+  EngineReport empty_tail = report;
+  empty_tail.threads.clear();
+  empty_tail.results.clear();
+  const size_t tail_start = EncodeReport(empty_tail).size() - 16;
+
+  // Seeded mutations: flipped bits, overwritten bytes and cut tails, half
+  // of them aimed at the counted tail. Each must decode OK or Corruption,
+  // and never size a container past what the payload could hold.
+  Rng rng(20261017);
+  int corrupt = 0;
+  for (int i = 0; i < 12000; ++i) {
+    std::string m = blob;
+    const int edits = 1 + static_cast<int>(rng.Uniform(4));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = rng.Uniform(2) == 0
+                             ? rng.Uniform(m.size())
+                             : tail_start + rng.Uniform(m.size() - tail_start);
+      switch (rng.Uniform(3)) {
+        case 0:
+          m[pos] = static_cast<char>(m[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          m[pos] = static_cast<char>(rng.Next());
+          break;
+        default:
+          m[pos] = static_cast<char>(0xff);
+      }
+    }
+    if (rng.Uniform(8) == 0) m.resize(rng.Uniform(m.size() + 1));
+    Decoder dec(m);
+    EngineReport out;
+    const Status s = DecodeEngineReport(&dec, &out);
+    ASSERT_TRUE(s.ok() || s.code() == StatusCode::kCorruption)
+        << "mutation " << i << ": " << s.ToString();
+    corrupt += !s.ok();
+    ASSERT_LE(out.threads.capacity() * thread_bytes, m.size()) << i;
+    ASSERT_LE(out.results.capacity() * 8, m.size()) << i;
+    size_t ids = 0;
+    for (const VertexSet& set : out.results) ids += set.capacity();
+    ASSERT_LE(ids * sizeof(VertexId), m.size()) << i;
+  }
+  EXPECT_GT(corrupt, 1000);  // the tail mutations reach the bounds checks
 }
 
 }  // namespace

@@ -268,12 +268,16 @@ echo "check_smoke: OK -- coalescing-on cluster digest matches" \
 # results (bit-identical digest) while producing ONE merged Perfetto-
 # loadable timeline containing events from every rank plus the kStats
 # counter tracks. The merged trace lands in $LOG_DIR for CI to upload.
+# The run also writes --stats-json, which must parse as JSON: every rank
+# and the merged report carry the same counter keys, and the merged task
+# count is the ranks' sum.
 TRACE_OUT="$LOG_DIR/smoke_trace.json"
+STATS_OUT="$LOG_DIR/smoke_stats.json"
 trace_cluster_out=$("$CLUSTER_BIN" \
   --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
   --gamma 0.85 --min-size 8 --workers 3 --threads 2 --stats \
   --trace-out "$TRACE_OUT" --stats-interval-ms 100 \
-  --log-dir "$LOG_DIR" "$@" 2>&1)
+  --stats-json "$STATS_OUT" --log-dir "$LOG_DIR" "$@" 2>&1)
 trace_cluster_status=$?
 echo "$trace_cluster_out"
 
@@ -295,6 +299,11 @@ if [[ ! -s "$TRACE_OUT" ]]; then
     "$TRACE_OUT" >&2
   exit 1
 fi
+if [[ ! -s "$STATS_OUT" ]]; then
+  echo "check_smoke: FAIL -- tracing-on run wrote no --stats-json at" \
+    "$STATS_OUT" >&2
+  exit 1
+fi
 if command -v python3 >/dev/null 2>&1; then
   if ! python3 - "$TRACE_OUT" <<'PYEOF'
 import json, sys
@@ -314,6 +323,27 @@ PYEOF
     echo "check_smoke: FAIL -- merged trace $TRACE_OUT is invalid" >&2
     exit 1
   fi
+  if ! python3 - "$STATS_OUT" <<'PYEOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+ranks, merged = report["ranks"], report["merged"]
+if len(ranks) != 3:
+    sys.exit(f"{len(ranks)} rank reports, expected 3")
+keys = set(merged["counters"])
+for r, rank in enumerate(ranks):
+    if set(rank["counters"]) != keys:
+        sys.exit(f"rank {r} counter keys differ from merged: "
+                 f"{sorted(set(rank['counters']) ^ keys)}")
+total = sum(rank["counters"]["tasks_completed"] for rank in ranks)
+if merged["counters"]["tasks_completed"] != total:
+    sys.exit(f"merged tasks_completed {merged['counters']['tasks_completed']}"
+             f" != ranks' sum {total}")
+print(f"stats json valid: 3 ranks, {len(keys)} counters, {total} tasks")
+PYEOF
+  then
+    echo "check_smoke: FAIL -- --stats-json $STATS_OUT is invalid" >&2
+    exit 1
+  fi
 else
   # No python3: at least require the envelope and per-rank events.
   for r in 0 1 2; do
@@ -330,7 +360,7 @@ if [[ "$ranks_left" -ne 0 ]]; then
   exit 1
 fi
 echo "check_smoke: OK -- tracing-on cluster digest matches, merged trace" \
-  "at $TRACE_OUT"
+  "at $TRACE_OUT, stats at $STATS_OUT"
 
 # ---- Fault-injection phase ---------------------------------------------
 # Same 3-process run, but the launcher SIGKILLs rank 1 once it is mid-

@@ -165,9 +165,9 @@ int main(int argc, char** argv) {
     if (run.stats) {
       const EngineReport& r = *report;
       std::fprintf(stderr,
-                   "engine: %lu tasks (%lu big/%lu small), spill %lu "
-                   "tasks/%s, steals %lu, cache %lu/%lu (%.1f%% hit), busy "
-                   "max/min %.2f, peak RSS %s\n",
+                   "engine: %lu tasks, queue admissions %lu big/%lu small, "
+                   "spill %lu tasks/%s, steals %lu, cache %lu/%lu (%.1f%% "
+                   "hit), busy max/min %.2f, peak RSS %s\n",
                    static_cast<unsigned long>(r.counters.tasks_completed),
                    static_cast<unsigned long>(r.counters.big_tasks),
                    static_cast<unsigned long>(r.counters.small_tasks),

@@ -118,10 +118,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const EngineReport& r = result->report;
+    const double mining = r.Total(&ThreadSummary::mining_seconds);
+    const double materialize = r.Total(&ThreadSummary::materialize_seconds);
+    const double build = r.Total(&ThreadSummary::build_seconds);
     table.AddRow({FmtDouble(tau, 4) + " s", FmtSeconds(r.wall_seconds),
-                  FmtSeconds(r.total_mining_seconds),
-                  FmtSeconds(r.total_materialize_seconds),
-                  FmtSeconds(r.total_build_seconds),
+                  FmtSeconds(mining), FmtSeconds(materialize),
+                  FmtSeconds(build),
                   FmtCount(r.counters.tasks_completed),
                   FmtCount(r.counters.task_suspensions),
                   FmtCount(result->maximal.size()),
@@ -136,12 +138,9 @@ int main(int argc, char** argv) {
             ", \"net_latency_sec\": " +
             FmtDouble(config.net_latency_sec, 6) +
             ", \"job_seconds\": " + FmtDouble(r.wall_seconds, 6) +
-            ", \"mining_seconds\": " +
-            FmtDouble(r.total_mining_seconds, 6) +
-            ", \"materialize_seconds\": " +
-            FmtDouble(r.total_materialize_seconds, 6) +
-            ", \"ego_build_seconds\": " +
-            FmtDouble(r.total_build_seconds, 6) +
+            ", \"mining_seconds\": " + FmtDouble(mining, 6) +
+            ", \"materialize_seconds\": " + FmtDouble(materialize, 6) +
+            ", \"ego_build_seconds\": " + FmtDouble(build, 6) +
             ", \"tasks_completed\": " +
             std::to_string(r.counters.tasks_completed) +
             ", \"results\": " + std::to_string(result->maximal.size()) +
