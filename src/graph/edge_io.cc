@@ -67,11 +67,28 @@ const char* ParseLine(const char* p, bool* has_edge, uint64_t* u,
   return nullptr;
 }
 
-/// Edge endpoints as read, in file order, and the range of their ids.
+/// Edge endpoints as read, in file order, and the range of their ids. The
+/// endpoints are held as 32-bit pairs until the first id that does not fit,
+/// which widens them all to 64 bits once.
 struct RawEdges {
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  std::vector<Edge> narrow;
+  std::vector<std::pair<uint64_t, uint64_t>> wide;
   uint64_t min_id = UINT64_MAX;
   uint64_t max_id = 0;
+
+  void Add(uint64_t u, uint64_t v) {
+    min_id = std::min({min_id, u, v});
+    max_id = std::max({max_id, u, v});
+    if (max_id <= UINT32_MAX) {
+      narrow.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+      return;
+    }
+    if (!narrow.empty()) {
+      wide.assign(narrow.begin(), narrow.end());
+      std::vector<Edge>().swap(narrow);
+    }
+    wide.emplace_back(u, v);
+  }
 };
 
 struct FileCloser {
@@ -132,28 +149,25 @@ Status ReadEdges(const std::string& path, RawEdges* raw) {
     if (const char* why = ParseLine(line, &has_edge, &u, &v)) {
       return MalformedLine(path, lineno, why, line, len);
     }
-    if (has_edge) {
-      raw->edges.emplace_back(u, v);
-      raw->min_id = std::min({raw->min_id, u, v});
-      raw->max_id = std::max({raw->max_id, u, v});
-    }
+    if (has_edge) raw->Add(u, v);
     if (!terminated) return Status::OK();
     begin += len + 1;
   }
 }
 
 /// Compacts ids by sorted rank into `*ids` (dense id -> original id) and
-/// returns the relabeled edges; the raw ids are freed on return.
-StatusOr<std::vector<Edge>> CompactIds(RawEdges raw, const std::string& path,
-                                       std::vector<uint64_t>* ids) {
-  const uint64_t endpoints = 2 * static_cast<uint64_t>(raw.edges.size());
-  const uint64_t min_id = raw.min_id;
+/// relabels `*edges` in place: every rank fits in an Id.
+template <typename Id>
+Status CompactIds(std::vector<std::pair<Id, Id>>* edges, uint64_t min_id,
+                  uint64_t max_id, const std::string& path,
+                  std::vector<uint64_t>* ids) {
+  const uint64_t endpoints = 2 * static_cast<uint64_t>(edges->size());
   // Dense ids get a rank table indexed by id - min_id. Its span is below
   // the endpoint count, so it is never bigger than the endpoints held.
   std::vector<VertexId> table;
-  if (endpoints > 0 && raw.max_id - min_id < endpoints) {
-    table.assign(raw.max_id - min_id + 1, 0);
-    for (const auto& [u, v] : raw.edges) {
+  if (endpoints > 0 && max_id - min_id < endpoints) {
+    table.assign(max_id - min_id + 1, 0);
+    for (const auto& [u, v] : *edges) {
       table[u - min_id] = 1;
       table[v - min_id] = 1;
     }
@@ -165,7 +179,7 @@ StatusOr<std::vector<Edge>> CompactIds(RawEdges raw, const std::string& path,
   } else {
     // Sparse ids: sort them all and binary-search each endpoint.
     ids->reserve(endpoints);
-    for (const auto& [u, v] : raw.edges) {
+    for (const auto& [u, v] : *edges) {
       ids->push_back(u);
       ids->push_back(v);
     }
@@ -175,15 +189,16 @@ StatusOr<std::vector<Edge>> CompactIds(RawEdges raw, const std::string& path,
   if (ids->size() > static_cast<size_t>(UINT32_MAX)) {
     return Status::OutOfRange(path + ": too many distinct vertex ids");
   }
-  const auto rank = [&](uint64_t id) {
+  const auto rank = [&](uint64_t id) -> Id {
     if (!table.empty()) return table[id - min_id];
-    return static_cast<VertexId>(
-        std::lower_bound(ids->begin(), ids->end(), id) - ids->begin());
+    return static_cast<Id>(std::lower_bound(ids->begin(), ids->end(), id) -
+                           ids->begin());
   };
-  std::vector<Edge> edges;
-  edges.reserve(raw.edges.size());
-  for (const auto& [u, v] : raw.edges) edges.emplace_back(rank(u), rank(v));
-  return edges;
+  for (auto& [u, v] : *edges) {
+    u = rank(u);
+    v = rank(v);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -192,11 +207,20 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
   RawEdges raw;
   QCM_RETURN_IF_ERROR(ReadEdges(path, &raw));
   LoadedGraph out;
-  auto edges = CompactIds(std::move(raw), path, &out.original_ids);
-  QCM_RETURN_IF_ERROR(edges.status());
+  std::vector<Edge> edges;
+  if (raw.wide.empty()) {
+    QCM_RETURN_IF_ERROR(CompactIds(&raw.narrow, raw.min_id, raw.max_id, path,
+                                   &out.original_ids));
+    edges = std::move(raw.narrow);
+  } else {
+    QCM_RETURN_IF_ERROR(CompactIds(&raw.wide, raw.min_id, raw.max_id, path,
+                                   &out.original_ids));
+    edges.assign(raw.wide.begin(), raw.wide.end());
+    std::vector<std::pair<uint64_t, uint64_t>>().swap(raw.wide);
+  }
   auto graph =
       Graph::FromEdges(static_cast<uint32_t>(out.original_ids.size()),
-                       std::move(edges).value());
+                       std::move(edges));
   QCM_RETURN_IF_ERROR(graph.status());
   out.graph = std::move(graph).value();
   return out;

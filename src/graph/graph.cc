@@ -25,27 +25,25 @@ StatusOr<Graph> Graph::FromEdges(uint32_t num_vertices,
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
+  // Count each degree at the vertex's own index and prefix-sum, so that
+  // offsets_[v] is the end of v's row; filling every row backwards through
+  // its offset then leaves offsets_[v] at the row's start, with no cursor
+  // array. The edges are sorted with u < v, so in edge order a row meets
+  // its smaller neighbors (ascending) before its larger ones (ascending):
+  // each row comes out sorted.
   Graph g;
   g.offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
   for (const auto& [u, v] : edges) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
+    ++g.offsets_[u];
+    ++g.offsets_[v];
   }
   for (size_t i = 1; i < g.offsets_.size(); ++i) {
     g.offsets_[i] += g.offsets_[i - 1];
   }
   g.adj_.resize(edges.size() * 2);
-  std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    g.adj_[cursor[u]++] = v;
-    g.adj_[cursor[v]++] = u;
-  }
-  // Each adjacency range was filled in edge-sorted order; ranges for u are
-  // sorted by construction for the first endpoint but not the second, so
-  // sort each range to establish the invariant.
-  for (uint32_t v = 0; v < num_vertices; ++v) {
-    std::sort(g.adj_.begin() + static_cast<int64_t>(g.offsets_[v]),
-              g.adj_.begin() + static_cast<int64_t>(g.offsets_[v + 1]));
+  for (auto e = edges.rbegin(); e != edges.rend(); ++e) {
+    g.adj_[--g.offsets_[e->first]] = e->second;
+    g.adj_[--g.offsets_[e->second]] = e->first;
   }
   return g;
 }

@@ -40,8 +40,8 @@ class Graph {
   /// Adopts a ready CSR: `offsets` has NumVertices()+1 entries from 0 to
   /// adj.size(), and each vertex's range of `adj` is sorted, free of
   /// self-loops and duplicates, and symmetric. The caller guarantees this
-  /// (KCoreSubgraph filters an existing graph's lists); only the offsets'
-  /// shape is checked.
+  /// (CompactKCore filters and renumbers an existing graph's lists); only
+  /// the offsets' shape is checked.
   static Graph FromCsr(std::vector<uint64_t> offsets,
                        std::vector<VertexId> adj);
 

@@ -91,29 +91,38 @@ uint64_t KCoreSize(const Graph& g, uint32_t k) {
   return count;
 }
 
-Graph KCoreSubgraph(const Graph& g, uint32_t k) {
-  QCM_TRACE_SPAN(trace::kLifecycle, "kcore_subgraph", g.NumVertices());
-  const std::vector<uint8_t> alive = KCoreMask(g, k);
+KCore CompactKCore(const Graph& g, uint32_t k) {
+  QCM_TRACE_SPAN(trace::kLifecycle, "kcore_compact", g.NumVertices());
+  constexpr VertexId kPeeled = UINT32_MAX;
   const uint32_t n = g.NumVertices();
-  // Each kept list is the input's sorted list filtered by the mask, so it
-  // stays sorted: count, then copy, with no re-sort.
-  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
+  KCore core;
+  std::vector<VertexId> compact(n, kPeeled);  // input id -> compact id
+  {
+    const std::vector<uint8_t> alive = KCoreMask(g, k);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!alive[v]) continue;
+      compact[v] = static_cast<VertexId>(core.ids.size());
+      core.ids.push_back(v);
+    }
+  }
+  // Each kept list is the input's sorted list filtered and renumbered by a
+  // monotone map, so it stays sorted: count, then copy, with no re-sort.
+  const size_t m = core.ids.size();
+  std::vector<uint64_t> offsets(m + 1, 0);
+  for (size_t c = 0; c < m; ++c) {
     uint64_t kept = 0;
-    if (alive[v]) {
-      for (VertexId u : g.Neighbors(v)) kept += alive[u];
-    }
-    offsets[v + 1] = offsets[v] + kept;
+    for (VertexId u : g.Neighbors(core.ids[c])) kept += compact[u] != kPeeled;
+    offsets[c + 1] = offsets[c] + kept;
   }
-  std::vector<VertexId> adj(offsets[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    if (!alive[v]) continue;
-    VertexId* out = adj.data() + offsets[v];
+  std::vector<VertexId> adj(offsets[m]);
+  VertexId* out = adj.data();
+  for (VertexId v : core.ids) {
     for (VertexId u : g.Neighbors(v)) {
-      if (alive[u]) *out++ = u;
+      if (compact[u] != kPeeled) *out++ = compact[u];
     }
   }
-  return Graph::FromCsr(std::move(offsets), std::move(adj));
+  core.graph = Graph::FromCsr(std::move(offsets), std::move(adj));
+  return core;
 }
 
 }  // namespace qcm

@@ -6,9 +6,11 @@
 // reports this single preprocessing step as "a dominating factor to scale
 // beyond a small graph" (§4 T1). Every miner applies it: SerialMiner masks
 // its ego builds with KCoreMask, and every engine launcher mines
-// KCoreSubgraph -- ParallelMiner::RunUnfiltered, qcm_mine's engine path and
-// qcm_cluster's pack step. perfbench times KCoreMask as its own layer, and
-// CoreDecomposition serves graph_test and bench_micro_kernels.
+// CompactKCore -- ParallelMiner::RunUnfiltered, qcm_mine's engine path and
+// qcm_cluster's pack step -- in the core's own id space, so every
+// per-vertex structure of the run is sized by the core, not by the input.
+// perfbench times KCoreMask as its own layer, and CoreDecomposition serves
+// graph_test and bench_micro_kernels.
 
 #ifndef QCM_GRAPH_KCORE_H_
 #define QCM_GRAPH_KCORE_H_
@@ -31,13 +33,22 @@ std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k);
 /// Number of vertices in the k-core.
 uint64_t KCoreSize(const Graph& g, uint32_t k);
 
-/// The k-core as a graph over the same vertex ids: each k-core vertex keeps
-/// its neighbors inside the k-core, and every other vertex keeps its id
-/// with degree 0. So v is in the k-core iff its degree here is >= k. Every
-/// gamma-quasi-clique of at least tau_size vertices lies in this subgraph
-/// (each member has >= k neighbors inside it), and so does every larger
-/// quasi-clique that could make it non-maximal: mining it is exact.
-Graph KCoreSubgraph(const Graph& g, uint32_t k);
+/// The k-core in its own compact id space.
+struct KCore {
+  /// Vertex c is input vertex ids[c]; its list is the input's list
+  /// filtered to k-core vertices and renumbered, so every degree is >= k.
+  Graph graph;
+  /// Compact id -> input id, ascending: the map is monotone, so a sorted
+  /// set of compact ids maps to a sorted set of input ids.
+  std::vector<VertexId> ids;
+};
+
+/// The k-core renumbered to [0, |core|) in ascending input-id order. Every
+/// gamma-quasi-clique of at least tau_size vertices lies in it (each
+/// member has >= k neighbors inside it), and so does every larger
+/// quasi-clique that could make it non-maximal: mining it and mapping the
+/// results through `ids` is exact, and keeps the set-enumeration order.
+KCore CompactKCore(const Graph& g, uint32_t k);
 
 }  // namespace qcm
 

@@ -535,6 +535,10 @@ StatusOr<EngineReport> Engine::Run() {
 
   for (auto& comper : compers) {
     ThreadMetrics& tm = comper->metrics_;
+    report.counters.scratch_bytes =
+        std::max(report.counters.scratch_bytes,
+                 comper->ego_scratch().MemoryBytes() +
+                     comper->mining_scratch()->MemoryBytes());
     report.mining.Add(tm.mining_stats);
     report.threads.push_back(static_cast<const ThreadSummary&>(tm));
     for (auto& set : comper->sink_.results()) {

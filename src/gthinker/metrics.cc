@@ -292,6 +292,14 @@ void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks) {
   for (auto& [root, agg] : by_root) root_tasks->push_back(agg);
 }
 
+void MapToInputIds(std::span<const VertexId> ids, EngineReport* report) {
+  if (ids.empty()) return;
+  for (VertexSet& set : report->results) {
+    for (VertexId& v : set) v = ids[v];
+  }
+  for (RootTaskAgg& agg : report->root_tasks) agg.root = ids[agg.root];
+}
+
 EngineReport MergeEngineReports(std::vector<EngineReport> reports) {
   EngineReport merged;
   size_t results = 0;

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -161,7 +162,8 @@ enum class CounterMerge { kSum, kMax };
 
 /// Rows with no atomic: filled when the snapshot is taken or after the
 /// run, from the transport (AddFlushStats), the budgeted vertex table
-/// (VertexTable::AddGraphCounters) and EngineCounters::lifecycle.
+/// (VertexTable::AddGraphCounters), the compers' scratch and
+/// EngineCounters::lifecycle.
 #define QCM_SNAPSHOT_COUNTERS(X)                                             \
   /* Always 0 since the coordinator plans steals; perfbench reads it. */     \
   X(steal_active_usec, Scalar, kSum)                                         \
@@ -186,6 +188,9 @@ enum class CounterMerge { kSum, kMax };
   X(graph_page_ins, Scalar, kSum)                                            \
   X(graph_page_evictions, Scalar, kSum)                                      \
   X(graph_fault_stall_usec, Scalar, kSum)                                    \
+  /* Largest comper's EgoScratch plus MiningScratch bytes at the end of */   \
+  /* the run: per-vertex arrays sized by the mined graph, and pools. */      \
+  X(scratch_bytes, Scalar, kMax)                                             \
   /* Every task state transition (sched/lifecycle.h). */                     \
   X(lifecycle, StateMatrix, kSum)
 
@@ -342,6 +347,12 @@ Status DecodeEngineReport(Decoder* dec, EngineReport* report);
 /// on several threads and ranks): times and task counts sum, and the
 /// subgraph size comes from the spawned task's entry. Order unspecified.
 void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks);
+
+/// Renames the report's vertex ids, in its results and root_tasks, from
+/// the mined graph's to the input's: mined vertex v is input vertex
+/// ids[v]. `ids` is ascending (KCore::ids), so each result set stays
+/// sorted; an empty `ids` is the identity.
+void MapToInputIds(std::span<const VertexId> ids, EngineReport* report);
 
 /// Merges per-rank reports into one cluster-wide report: each registry row
 /// folds by its merge rule (peak RSS sums too, right for one process per

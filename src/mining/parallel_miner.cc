@@ -10,10 +10,13 @@ namespace qcm {
 StatusOr<EngineReport> ParallelMiner::RunUnfiltered(const Graph& graph) {
   QCM_RETURN_IF_ERROR(config_.Validate());
   // (T1) No result lies outside the k-core, so no task, pull or list read
-  // touches a vertex outside it.
-  const Graph core = KCoreSubgraph(graph, config_.mining.MinDegreeK());
+  // touches a vertex outside it, and every per-vertex array is core-sized.
+  const KCore core = CompactKCore(graph, config_.mining.MinDegreeK());
   QCApp app(config_);
-  return RunLocalCluster(core, config_, &app);
+  QCM_ASSIGN_OR_RETURN(EngineReport report,
+                       RunLocalCluster(core.graph, config_, &app));
+  MapToInputIds(core.ids, &report);
+  return report;
 }
 
 StatusOr<ParallelMineResult> ParallelMiner::Run(const Graph& graph) {

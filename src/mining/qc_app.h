@@ -1,12 +1,12 @@
 // The quasi-clique G-thinker application: the two UDFs of paper §6.
 //   * Spawn (Alg. 4): one task per vertex with degree >= k. Every
-//     launcher hands the engine the k-core subgraph (KCoreSubgraph,
-//     graph/kcore.h), where a vertex has degree >= k iff it is in the
-//     k-core, so on it this test means k-core membership. On a graph that
-//     was not reduced (a qcm_cluster --snapshot file, which ships as
-//     given, or a direct RunLocalCluster call), it is only Theorem 2's
-//     degree bound: a root outside the k-core still spawns, and its task
-//     finds nothing.
+//     launcher hands the engine the k-core alone, renumbered to its own
+//     compact ids (CompactKCore, graph/kcore.h), where every vertex has
+//     degree >= k, so on it every vertex spawns. On a graph that was not
+//     reduced (a qcm_cluster --snapshot file, which ships as given, or a
+//     direct RunLocalCluster call), the test is only Theorem 2's degree
+//     bound: a root outside the k-core still spawns, and its task finds
+//     nothing.
 //   * Compute (Alg. 5): iterations 1-2 build the root's 2-hop ego network
 //     with k-core shrinking (Alg. 6-7), requesting remote vertices via the
 //     engine's batched pull layer and suspending while pulls are

@@ -116,7 +116,8 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // v14: EngineReport is encoded row by row from the counter registry
 // (gthinker/metrics.h), arrays in place; it lost the five total_*_seconds
 // (sums over its threads), and each ThreadSummary gained build_seconds.
-inline constexpr uint32_t kWireProtocolVersion = 14;
+// v15: EngineReport gained the scratch_bytes counter row.
+inline constexpr uint32_t kWireProtocolVersion = 15;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

@@ -238,24 +238,34 @@ struct GeneratedEdgeList {
   RawEdgeList edges;
 };
 
-/// A valid edge list mixing every shape the format allows. `seed % 4`
-/// picks the ids: dense from 0, dense up to UINT64_MAX, sparse 32-bit, or
-/// sparse 64-bit.
-GeneratedEdgeList GenerateEdgeList(uint64_t seed) {
+/// How many leading edges of a GenerateEdgeList kind 4 or 5 file keep
+/// every id within 32 bits; later edges may exceed them.
+constexpr size_t kNarrowEdges = 10000;
+
+/// A valid edge list mixing every shape the format allows. `kind` picks
+/// the ids: 0 dense from 0, 1 dense up to UINT64_MAX, 2 sparse 32-bit, 3
+/// sparse 64-bit; 4 dense around 2^32 and 5 sparse, both 32-bit for the
+/// first kNarrowEdges edges and free to exceed 32 bits after them.
+GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
   std::mt19937_64 rng(seed);
   const auto below = [&rng](uint64_t n) { return rng() % n; };
   const auto chance = [&rng](double p) {
     return std::uniform_real_distribution<double>(0, 1)(rng) < p;
   };
-  const size_t lines = 8000 + below(8000);
+  const size_t lines =
+      kind >= 4 ? 2 * kNarrowEdges + below(4000) : 8000 + below(8000);
   const uint64_t span = lines / 2;  // below the endpoint count: dense
-  const int kind = static_cast<int>(seed % 4);
+  constexpr uint64_t k2To32 = uint64_t{1} << 32;
+  GeneratedEdgeList out;
   const auto id = [&]() -> uint64_t {
+    const bool narrow = out.edges.size() < kNarrowEdges;
     switch (kind) {
       case 0: return below(span);
       case 1: return UINT64_MAX - below(span);
-      case 2: return below(uint64_t{1} << 32);
-      default: return chance(0.02) ? (chance(0.5) ? 0 : UINT64_MAX) : rng();
+      case 2: return below(k2To32);
+      case 3: return chance(0.02) ? (chance(0.5) ? 0 : UINT64_MAX) : rng();
+      case 4: return k2To32 - 1 - below(span / 2) + (narrow ? 0 : below(span));
+      default: return narrow ? below(k2To32) : rng();
     }
   };
   const auto blanks = [&](size_t max) {
@@ -263,7 +273,6 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed) {
     for (char& c : s) c = chance(0.3) ? '\t' : ' ';
     return s;
   };
-  GeneratedEdgeList out;
   for (size_t i = 0; i < lines; ++i) {
     if (chance(0.06)) {
       out.text += blanks(2) + (chance(0.5) ? "#" : "%") +
@@ -291,24 +300,48 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed) {
   return out;
 }
 
+/// Loads `file` and checks it against OracleGraph.
+void ExpectMatchesOracle(const GeneratedEdgeList& file) {
+  ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer);
+  auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const LoadedGraph want = OracleGraph(file.edges);
+  ASSERT_EQ(loaded->original_ids, want.original_ids);
+  ASSERT_EQ(loaded->graph.NumVertices(), want.graph.NumVertices());
+  ASSERT_EQ(loaded->graph.NumEdges(), want.graph.NumEdges());
+  for (VertexId v = 0; v < want.graph.NumVertices(); ++v) {
+    const auto got = loaded->graph.Neighbors(v);
+    const auto row = want.graph.Neighbors(v);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin(), row.end()))
+        << "v=" << v;
+  }
+}
+
 TEST(EdgeIoTest, MatchesSortedRankOracleOnGeneratedFiles) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
-    const GeneratedEdgeList file = GenerateEdgeList(seed);
-    ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer) << "seed=" << seed;
-    auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
-    ASSERT_TRUE(loaded.ok()) << "seed=" << seed << ": "
-                             << loaded.status().ToString();
-    const LoadedGraph want = OracleGraph(file.edges);
-    ASSERT_EQ(loaded->original_ids, want.original_ids) << "seed=" << seed;
-    ASSERT_EQ(loaded->graph.NumVertices(), want.graph.NumVertices());
-    ASSERT_EQ(loaded->graph.NumEdges(), want.graph.NumEdges())
-        << "seed=" << seed;
-    for (VertexId v = 0; v < want.graph.NumVertices(); ++v) {
-      const auto got = loaded->graph.Neighbors(v);
-      const auto row = want.graph.Neighbors(v);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin(), row.end()))
-          << "seed=" << seed << " v=" << v;
-    }
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExpectMatchesOracle(GenerateEdgeList(seed, static_cast<int>(seed % 4)));
+  }
+}
+
+// The loader holds endpoints as 32-bit pairs until an id needs 64 bits.
+// These files cross that switch after their first kNarrowEdges edges, on
+// the rank-table path (kind 4) and the sorted path (kind 5).
+TEST(EdgeIoTest, WidensOnceWhenAnIdOutgrows32Bits) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const int kind = 4 + static_cast<int>(seed % 2);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " kind=" + std::to_string(kind));
+    const GeneratedEdgeList file = GenerateEdgeList(seed, kind);
+    const auto wide = [](const std::pair<uint64_t, uint64_t>& e) {
+      return std::max(e.first, e.second) > UINT32_MAX;
+    };
+    ASSERT_GE(file.edges.size(), kNarrowEdges);
+    ASSERT_TRUE(std::none_of(file.edges.begin(),
+                             file.edges.begin() + kNarrowEdges, wide));
+    ASSERT_TRUE(std::any_of(file.edges.begin() + kNarrowEdges,
+                            file.edges.end(), wide));
+    ExpectMatchesOracle(file);
   }
 }
 

@@ -164,10 +164,11 @@ TEST(KCoreTest, CoreMonotoneInK) {
   }
 }
 
-TEST(KCoreTest, SubgraphKeepsIdsAndOnlyCoreEdges) {
-  // Property: KCoreSubgraph keeps every vertex id, and each list is the
-  // input's list filtered by KCoreMask -- the graph FromEdges builds from
-  // the edges between k-core vertices.
+TEST(KCoreTest, CompactCoreRenumbersTheCoreInInputOrder) {
+  // Property: CompactKCore keeps exactly the KCoreMask vertices, numbered
+  // in ascending input-id order, and each list is the input's list
+  // filtered by the mask and renumbered -- the graph FromEdges builds from
+  // the renumbered edges between k-core vertices.
   std::vector<Graph> graphs;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     graphs.push_back(std::move(GenErdosRenyi(80, 240, seed)).value());
@@ -185,39 +186,40 @@ TEST(KCoreTest, SubgraphKeepsIdsAndOnlyCoreEdges) {
       SCOPED_TRACE("n=" + std::to_string(g.NumVertices()) +
                    " k=" + std::to_string(k));
       const std::vector<uint8_t> mask = KCoreMask(g, k);
-      const Graph core = KCoreSubgraph(g, k);
-      ASSERT_EQ(core.NumVertices(), g.NumVertices());
+      const KCore core = CompactKCore(g, k);
+      // The map back is the mask's vertices, strictly ascending.
+      std::vector<VertexId> members;
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        if (mask[v]) members.push_back(v);
+      }
+      ASSERT_EQ(core.ids, members);
+      const uint32_t n = static_cast<uint32_t>(core.ids.size());
+      ASSERT_EQ(core.graph.NumVertices(), n);
+      std::vector<VertexId> compact(g.NumVertices(), UINT32_MAX);
+      for (VertexId c = 0; c < n; ++c) compact[core.ids[c]] = c;
       std::vector<Edge> core_edges;
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (VertexId c = 0; c < n; ++c) {
         std::vector<VertexId> want;
-        if (mask[v]) {
-          for (VertexId u : g.Neighbors(v)) {
-            if (mask[u]) want.push_back(u);
-          }
+        for (VertexId u : g.Neighbors(core.ids[c])) {
+          if (mask[u]) want.push_back(compact[u]);
         }
-        const auto got = core.Neighbors(v);
+        const auto got = core.graph.Neighbors(c);
         EXPECT_EQ(std::vector<VertexId>(got.begin(), got.end()), want)
-            << "v=" << v;
-        EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "v=" << v;
-        if (mask[v]) {
-          EXPECT_GE(core.Degree(v), k) << "v=" << v;
-        } else {
-          EXPECT_EQ(core.Degree(v), 0u) << "v=" << v;
-        }
-        for (VertexId u : want) {
-          if (v < u) core_edges.emplace_back(v, u);
+            << "c=" << c;
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "c=" << c;
+        EXPECT_GE(core.graph.Degree(c), k) << "c=" << c;
+        for (VertexId d : want) {
+          if (c < d) core_edges.emplace_back(c, d);
         }
       }
-      const Graph rebuilt = std::move(Graph::FromEdges(
-                                          g.NumVertices(), core_edges))
-                                .value();
-      ASSERT_EQ(core.NumEdges(), rebuilt.NumEdges());
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        EXPECT_TRUE(std::ranges::equal(core.Neighbors(v),
-                                       rebuilt.Neighbors(v)))
-            << "v=" << v;
+      const Graph rebuilt =
+          std::move(Graph::FromEdges(n, core_edges)).value();
+      ASSERT_EQ(core.graph.NumEdges(), rebuilt.NumEdges());
+      for (VertexId c = 0; c < n; ++c) {
+        EXPECT_TRUE(std::ranges::equal(core.graph.Neighbors(c),
+                                       rebuilt.Neighbors(c)))
+            << "c=" << c;
       }
-      EXPECT_EQ(KCoreSize(core, k), KCoreSize(g, k));
     }
   }
 }

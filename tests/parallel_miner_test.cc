@@ -279,8 +279,14 @@ TEST(ParallelMinerTest, TaskLogRecordsRoots) {
   config.record_task_log = true;
   auto result = ParallelRun(g, config);
   ASSERT_FALSE(result.report.root_tasks.empty());
+  // The engine mines the k-core in compact ids; the report names each
+  // root by its input id, so every root is a k-core vertex of `g`.
+  const std::vector<uint8_t> core = KCoreMask(g, config.mining.MinDegreeK());
   std::set<VertexId> roots;
   for (const auto& agg : result.report.root_tasks) {
+    ASSERT_LT(agg.root, g.NumVertices());
+    EXPECT_TRUE(core[agg.root]) << "root " << agg.root << " is not in the "
+                                << "k-core (an unmapped compact id?)";
     EXPECT_GT(agg.tasks, 0u);
     EXPECT_GE(agg.mining_seconds, 0.0);
     // Subtasks of one root may run on several threads and ranks; the

@@ -670,7 +670,7 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
             got, x, y);
       },
       merged.counters, a.counters, c.counters);
-  EXPECT_EQ(max_rows, 2);  // the two gauge peaks
+  EXPECT_EQ(max_rows, 3);  // the two gauge peaks and scratch_bytes
   VisitMiningStats(
       [](const char* name, uint64_t m, uint64_t u, uint64_t v) {
         EXPECT_EQ(m, u + v) << name;

@@ -129,17 +129,26 @@ fi
 
 echo "check_smoke: OK -- 3-process cluster digest matches ($cluster_digest)"
 
-# The launcher packs only the input's k-core, so its packed line must
-# count fewer edges than the input graph has (the first phase's "graph:"
-# line). Equal counts mean the reduction silently switched off, which
-# would otherwise show only as a slower benchmark.
+# The launcher packs only the input's k-core, renumbered to its own
+# compact ids, so its packed line must count fewer vertices and fewer
+# edges than the input graph has (the first phase's "graph:" line). Equal
+# edge counts mean the reduction silently switched off; equal vertex
+# counts mean the core kept the input's id space. Either would otherwise
+# show only in the benchmark's time or peak RSS.
+input_vertices=$(printf '%s\n' "$out" |
+  sed -n 's/^graph: \([0-9][0-9]*\) vertices, [0-9][0-9]* edges$/\1/p' |
+  head -1)
 input_edges=$(printf '%s\n' "$out" |
   sed -n 's/^graph: [0-9][0-9]* vertices, \([0-9][0-9]*\) edges$/\1/p' |
   head -1)
+packed_vertices=$(printf '%s\n' "$cluster_out" |
+  sed -n 's/^qcm_cluster: packed .* (\([0-9][0-9]*\) vertices, .*/\1/p' |
+  tail -1)
 packed_edges=$(printf '%s\n' "$cluster_out" |
   sed -n 's/^qcm_cluster: packed .*, \([0-9][0-9]*\) edges) in .*/\1/p' |
   tail -1)
-if [[ -z "$input_edges" || -z "$packed_edges" ]]; then
+if [[ -z "$input_vertices" || -z "$input_edges" || -z "$packed_vertices" ||
+      -z "$packed_edges" ]]; then
   echo "check_smoke: FAIL -- no input graph: line or no packed line" >&2
   exit 1
 fi
@@ -148,8 +157,13 @@ if [[ "$packed_edges" -ge "$input_edges" ]]; then
     "input's $input_edges (the k-core reduction did not engage)" >&2
   exit 1
 fi
-echo "check_smoke: OK -- launcher packed the k-core ($packed_edges of" \
-  "$input_edges edges)"
+if [[ "$packed_vertices" -ge "$input_vertices" ]]; then
+  echo "check_smoke: FAIL -- launcher packed $packed_vertices vertices of" \
+    "the input's $input_vertices (the k-core was not compacted)" >&2
+  exit 1
+fi
+echo "check_smoke: OK -- launcher packed the k-core ($packed_vertices of" \
+  "$input_vertices vertices, $packed_edges of $input_edges edges)"
 
 # ---- Scalar-kernel cluster phase ---------------------------------------
 # The same 3-process run with the dense kernels disabled must also land on

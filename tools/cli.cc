@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "graph/generators.h"
-#include "graph/kcore.h"
 #include "util/logging.h"
 
 namespace qcm::cli {
@@ -107,15 +106,13 @@ StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source) {
   return loaded;
 }
 
-Graph MinedKCore(const Graph& graph, const EngineConfig& config,
+KCore MinedKCore(const Graph& graph, const EngineConfig& config,
                  bool stats) {
-  const uint32_t k = config.mining.MinDegreeK();
-  Graph core = KCoreSubgraph(graph, k);
+  KCore core = CompactKCore(graph, config.mining.MinDegreeK());
   if (stats) {
-    std::fprintf(stderr, "k-core: %llu of %u vertices, %llu of %llu edges\n",
-                 static_cast<unsigned long long>(KCoreSize(core, k)),
-                 graph.NumVertices(),
-                 static_cast<unsigned long long>(core.NumEdges()),
+    std::fprintf(stderr, "k-core: %u of %u vertices, %llu of %llu edges\n",
+                 core.graph.NumVertices(), graph.NumVertices(),
+                 static_cast<unsigned long long>(core.graph.NumEdges()),
                  static_cast<unsigned long long>(graph.NumEdges()));
   }
   return core;

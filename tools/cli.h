@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "graph/edge_io.h"
+#include "graph/kcore.h"
 #include "gthinker/engine_config.h"
 #include "util/parse.h"
 #include "util/status.h"
@@ -89,10 +90,10 @@ Status CheckGraphSource(const GraphSource& source);
 /// a caller that does not pack a snapshot should drop it before mining.
 StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
 
-/// The k-core subgraph the engine mines (KCoreSubgraph, graph/kcore.h),
-/// k = config.mining.MinDegreeK(). With `stats`, prints "k-core: K of N
-/// vertices, E of M edges" to stderr.
-Graph MinedKCore(const Graph& graph, const EngineConfig& config, bool stats);
+/// The k-core the engine mines, in its own compact id space (CompactKCore,
+/// graph/kcore.h), k = config.mining.MinDegreeK(). With `stats`, prints
+/// "k-core: K of N vertices, E of M edges" to stderr.
+KCore MinedKCore(const Graph& graph, const EngineConfig& config, bool stats);
 
 /// --output PATH, with a tool-specific meaning.
 Flag OutputFlag(std::string* path, const char* help);

@@ -22,16 +22,18 @@
 // coalescing threshold without a linger bound is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input's k-core
-// (KCoreSubgraph, graph/kcore.h: the same vertex ids, only the edges
-// between k-core vertices) into a .qcsr snapshot ONCE
-// (<log-dir>/graph.qcsr) and ships only the path; workers mmap it and
-// read just their partition's lists, so no rank ever materializes the
-// graph. --snapshot ships a qcm_pack output as given instead: the
-// launcher never loads its adjacency, so that run is not reduced (its
-// results are the same, its ranks just spawn and pull more). And
-// --graph-memory-budget caps the bytes each rank keeps of its own lists:
-// a budgeted rank reads a list from the file with pread whenever its LRU
-// of lists misses (out-of-core mining).
+// (CompactKCore, graph/kcore.h: only the k-core vertices, renumbered to
+// 0..|core|-1 in input-id order, and the edges between them) into a .qcsr
+// snapshot ONCE (<log-dir>/graph.qcsr) and ships only the path; workers
+// mmap it and read just their partition's lists, so no rank ever
+// materializes the graph. Every rank, checkpoint and recovery of the job
+// works in the packed ids; the launcher maps the merged results back to
+// the input's. --snapshot ships a qcm_pack output as given instead, with
+// the identity map: the launcher never loads its adjacency, so that run
+// is not reduced (its results are the same, its ranks just spawn and pull
+// more). And --graph-memory-budget caps the bytes each rank keeps of its
+// own lists: a budgeted rank reads a list from the file with pread
+// whenever its LRU of lists misses (out-of-core mining).
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + kStats counter
@@ -274,6 +276,9 @@ int main(int argc, char** argv) {
     trace::Start(trace::kRingKb);
     trace::SetThreadName("launcher");
   }
+  // Mined id -> input id: the packed core's map, or the identity (empty)
+  // for a --snapshot file.
+  std::vector<VertexId> to_input;
   if (pack) {
     WallTimer pack_timer;
     auto loaded = cli::LoadGraphSource(run.source);
@@ -283,12 +288,18 @@ int main(int argc, char** argv) {
       remove_owned_ckpt_dir();
       return 1;
     }
-    // (T1) Only the k-core is packed, so no rank spawns, pulls or reads a
-    // vertex outside it. Ids, and so the results, are unchanged.
-    const Graph core = cli::MinedKCore(loaded->graph, config, run.stats);
+    // (T1) Only the k-core is packed, in its own compact ids, so no rank
+    // spawns, pulls or reads a vertex outside it, and every per-vertex
+    // section and array is core-sized. The original-ids section names
+    // each packed vertex by its external id.
+    KCore core = cli::MinedKCore(loaded->graph, config, run.stats);
+    std::vector<uint64_t> original_ids(core.ids.begin(), core.ids.end());
+    if (!loaded->original_ids.empty()) {
+      for (uint64_t& id : original_ids) id = loaded->original_ids[id];
+    }
     CsrWriteOptions opts;
     if (!run.source.gen_planted.empty()) opts.build_seed = run.source.seed;
-    Status packed = WriteCsrSnapshot(core, loaded->original_ids,
+    Status packed = WriteCsrSnapshot(core.graph, original_ids,
                                      config.graph_snapshot, opts);
     if (!packed.ok()) {
       std::fprintf(stderr, "snapshot pack failed: %s\n",
@@ -299,9 +310,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "qcm_cluster: packed %s (%u vertices, %llu edges) in "
                  "%.3f s\n",
-                 config.graph_snapshot.c_str(), core.NumVertices(),
-                 static_cast<unsigned long long>(core.NumEdges()),
+                 config.graph_snapshot.c_str(), core.graph.NumVertices(),
+                 static_cast<unsigned long long>(core.graph.NumEdges()),
                  pack_timer.Seconds());
+    to_input = std::move(core.ids);
     // The graphs are dropped here -- the launcher, like the workers, does
     // not hold a resident graph during the run.
   }
@@ -684,6 +696,7 @@ int main(int argc, char** argv) {
     }
   }
   EngineReport merged = MergeEngineReports(std::move(rank_reports));
+  MapToInputIds(to_input, &merged);
   const size_t raw_candidates = merged.results.size();
   // Rendered while the report still holds the candidates it counts.
   const std::string merged_json =

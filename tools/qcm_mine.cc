@@ -4,8 +4,8 @@
 // planted-community graph, mine all maximal gamma-quasi-cliques serially
 // or on the G-thinker cluster -- --machines ranks as threads of this
 // process, over loopback TCP under the cluster coordinator, all serving
-// the loaded graph's k-core (net/local_cluster.h, graph/kcore.h) -- and
-// write results / statistics.
+// the loaded graph's k-core in its own compact ids (net/local_cluster.h,
+// graph/kcore.h) -- and write results / statistics in the input's ids.
 //
 //   qcm_mine --input graph.txt --gamma 0.9 --min-size 10
 //   qcm_mine --gen-planted n=5000,communities=10,size=16..20,density=0.95
@@ -103,9 +103,15 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
                graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()));
-  // (T1) The engine mines the k-core only, and the full graph is freed
-  // before mining. (SerialMiner masks its own ego builds instead.)
-  if (!serial) graph = cli::MinedKCore(graph, config, run.stats);
+  // (T1) The engine mines the k-core only, in its own compact ids, and the
+  // full graph is freed before mining; `to_input` maps results back.
+  // (SerialMiner masks its own ego builds instead.)
+  std::vector<VertexId> to_input;
+  if (!serial) {
+    KCore core = cli::MinedKCore(graph, config, run.stats);
+    graph = std::move(core.graph);
+    to_input = std::move(core.ids);
+  }
 
   std::vector<VertexSet> candidates;
   std::string stats_json;
@@ -158,6 +164,7 @@ int main(int argc, char** argv) {
                    report.status().ToString().c_str());
       return 1;
     }
+    MapToInputIds(to_input, &*report);
     seconds = report->wall_seconds;
     // Rendered while the report still holds the candidates it counts.
     if (!run.stats_json.empty()) stats_json = EngineReportJson(*report);
