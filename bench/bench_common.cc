@@ -104,7 +104,6 @@ EngineConfig ClusterPreset() {
   config.local_queue_capacity = 128;
   config.global_queue_capacity = 512;
   config.steal_period_sec = 0.01;
-  config.enable_stealing = true;
   return config;
 }
 

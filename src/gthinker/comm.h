@@ -87,7 +87,7 @@ struct Message {
   double enqueue_sec = 0.0;
   double due_sec = 0.0;
   /// Receiver-measured wire transit (sender stamp to receive thread,
-  /// microseconds) -- coalescing dwell plus wire time.
+  /// microseconds) -- the sender's write plus wire time.
   uint64_t wire_transit_usec = 0;
 };
 

@@ -468,8 +468,6 @@ StatusOr<EngineReport> Engine::Run() {
   hooks.on_peer_down = [this](int peer) { OnPeerDown(peer); };
   hooks.on_peer_up = [this](int peer) { OnPeerUp(peer); };
   transport_->SetControlHooks(std::move(hooks));
-  transport_->ConfigureCoalescing(
-      {config_.net_coalesce_bytes, config_.net_linger_usec});
   QCM_RETURN_IF_ERROR(transport_->Start());
 
   // The pull responder answers peers' requests (any that arrived since
@@ -526,9 +524,8 @@ StatusOr<EngineReport> Engine::Run() {
   EngineReport report;
   report.wall_seconds = wall.Seconds();
   report.counters = EngineCountersSnapshot::From(counters_);
-  // Shutdown's forced flush has not run yet, but the engine only gets
-  // here after termination drained every frame, so the buffers are
-  // already empty and the stats are final.
+  // Every sender (the compers, the pull responder) has stopped, so the
+  // transport's write stats are final.
   report.counters.AddFlushStats(transport_->FlushStats());
   table_->AddGraphCounters(&report.counters);
   report.peak_rss_bytes = PeakRssBytes();

@@ -1,6 +1,5 @@
 #include "gthinker/engine_config.h"
 
-#include "net/wire.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -53,32 +52,6 @@ Status EngineConfig::Validate() const {
     return QCM_CONFIG_ERROR("net_latency_sec must be >= 0 (negative "
                             "latency is not a thing)");
   }
-  if (net_coalesce_bytes < 0) {
-    return QCM_CONFIG_ERROR("net_coalesce_bytes must be >= 0");
-  }
-  if (net_linger_usec < 0) {
-    return QCM_CONFIG_ERROR("net_linger_usec must be >= 0 (a negative "
-                            "linger is not a thing)");
-  }
-  if (net_coalesce_bytes >
-      static_cast<int64_t>(kMaxFramePayload)) {
-    return QCM_CONFIG_ERROR(
-        "net_coalesce_bytes exceeds the wire frame cap (" +
-        std::to_string(kMaxFramePayload) +
-        "); no single buffer may out-size the largest legal frame");
-  }
-  if (net_linger_usec > 0 && net_coalesce_bytes == 0) {
-    return QCM_CONFIG_ERROR(
-        "contradictory: net_linger_usec is set but net_coalesce_bytes is "
-        "0 (a linger bound without a coalescing buffer bounds nothing; "
-        "set both or neither)");
-  }
-  if (net_coalesce_bytes > 0 && net_linger_usec == 0) {
-    return QCM_CONFIG_ERROR(
-        "contradictory: net_coalesce_bytes is set but net_linger_usec is "
-        "0 (an unbounded linger would park a lone frame forever; set "
-        "both or neither)");
-  }
   if (!checkpoint_dir.empty() && checkpoint_interval_sec <= 0) {
     return QCM_CONFIG_ERROR(
         "contradictory: checkpoint_dir is set but checkpoint_interval_sec "
@@ -124,12 +97,9 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU64(config.batch_size);
   enc->PutString(config.spill_dir);
   enc->PutDouble(config.steal_period_sec);
-  enc->PutU8(config.enable_stealing ? 1 : 0);
   enc->PutU64(config.vertex_cache_capacity);
   enc->PutU64(config.max_pull_batch);
   enc->PutDouble(config.net_latency_sec);
-  enc->PutI64(config.net_coalesce_bytes);
-  enc->PutI64(config.net_linger_usec);
   enc->PutU8(config.record_task_log ? 1 : 0);
   enc->PutString(config.checkpoint_dir);
   enc->PutDouble(config.checkpoint_interval_sec);
@@ -173,15 +143,11 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   config->batch_size = u64;
   QCM_RETURN_IF_ERROR(dec->GetString(&config->spill_dir));
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->steal_period_sec));
-  QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
-  config->enable_stealing = u8 != 0;
   QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
   config->vertex_cache_capacity = u64;
   QCM_RETURN_IF_ERROR(dec->GetU64(&u64));
   config->max_pull_batch = u64;
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->net_latency_sec));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_coalesce_bytes));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->net_linger_usec));
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));
   config->record_task_log = u8 != 0;
   QCM_RETURN_IF_ERROR(dec->GetString(&config->checkpoint_dir));

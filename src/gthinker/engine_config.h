@@ -2,8 +2,9 @@
 //
 // A run is a cluster of `num_machines` engines, one per machine: each owns
 // a hash partition of the vertices, a global big-task queue, spill files
-// and `threads_per_machine` mining threads, and the coordinator rebalances
-// big tasks across machines ("task stealing"). qcm_mine runs the machines
+// and `threads_per_machine` mining threads, and with two or more machines
+// the coordinator rebalances big tasks across them every
+// `steal_period_sec` ("task stealing"). qcm_mine runs the machines
 // as threads of one process and qcm_cluster as one process each (README
 // "Deployment"); either stands in for the paper's cluster (16 machines x
 // 32 threads there; the defaults below are scaled to one host).
@@ -66,10 +67,9 @@ struct EngineConfig {
   std::string spill_dir;
 
   /// The coordinator's load-balancing period (the paper uses 1 s; scaled
-  /// down to match single-host task granularity).
+  /// down to match single-host task granularity). A one-machine run
+  /// plans no steals.
   double steal_period_sec = 0.02;
-  /// Balance big tasks across machines.
-  bool enable_stealing = true;
 
   /// Per-machine LRU vertex-cache capacity in adjacency-list entries
   /// (paper §5, Figure 8); 0 disables the cache, forcing every remote
@@ -85,17 +85,6 @@ struct EngineConfig {
   /// cache must hide. 0 = deliver on the destination's next service (the
   /// pre-latency behavior). Must be >= 0.
   double net_latency_sec = 0.0;
-
-  /// Transport send aggregation (see net/transport.h CoalesceConfig). Data frames park in a per-peer
-  /// buffer until it holds net_coalesce_bytes or the oldest frame has
-  /// waited net_linger_usec, then the buffer flushes as one writev.
-  /// Both 0 = coalescing off (every frame flushes immediately; the
-  /// default, preserving pre-coalescing flush behavior bit for bit).
-  /// Enabling one knob without the other is a contradiction Validate()
-  /// rejects: a threshold with no linger bound could park a frame
-  /// forever, a linger with no threshold never aggregates anything.
-  int64_t net_coalesce_bytes = 0;
-  int64_t net_linger_usec = 0;
 
   /// Record per-root task aggregates (subgraph size, accumulated mining
   /// time) for the figure-reproduction benches.

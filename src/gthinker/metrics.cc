@@ -66,10 +66,6 @@ void EngineCountersSnapshot::AddFlushStats(const TransportFlushStats& fs) {
   net_flushes += fs.flushes;
   net_flush_frames += fs.flushed_frames;
   net_flush_bytes += fs.flushed_bytes;
-  net_flush_size += fs.flush_size;
-  net_flush_linger += fs.flush_linger;
-  net_flush_forced += fs.flush_forced;
-  net_flush_direct += fs.flush_direct;
   net_flush_park_usec += fs.park_usec_sum;
   ForEachCell([](uint64_t& sum, uint64_t v) { sum += v; },
               net_flush_bytes_hist, fs.bytes_hist);

@@ -167,19 +167,15 @@ enum class CounterMerge { kSum, kMax };
 #define QCM_SNAPSHOT_COUNTERS(X)                                             \
   /* Always 0 since the coordinator plans steals; perfbench reads it. */     \
   X(steal_active_usec, Scalar, kSum)                                         \
-  /* Write syscalls for data frames, and the frames and bytes they moved. */ \
+  /* Write syscalls for data frames (one per frame, more on a partial */     \
+  /* write), and the frames and bytes they moved. */                         \
   X(net_flushes, Scalar, kSum)                                               \
   X(net_flush_frames, Scalar, kSum)                                          \
   X(net_flush_bytes, Scalar, kSum)                                           \
-  /* Flush causes: size threshold, linger expiry, shutdown residue, */       \
-  /* coalescing off. */                                                      \
-  X(net_flush_size, Scalar, kSum)                                            \
-  X(net_flush_linger, Scalar, kSum)                                          \
-  X(net_flush_forced, Scalar, kSum)                                          \
-  X(net_flush_direct, Scalar, kSum)                                          \
-  /* Microseconds frames sat parked in coalescing buffers. */                \
+  /* Microseconds from each frame's send timestamp to the end of its */      \
+  /* write: the per-peer lock wait plus the syscall. */                      \
   X(net_flush_park_usec, Scalar, kSum)                                       \
-  /* Bytes per flush, by FlushBytesBucketIndex. */                           \
+  /* Bytes per write, by FlushBytesBucketIndex. */                           \
   X(net_flush_bytes_hist, Buckets<kFlushBytesBuckets>, kSum)                 \
   /* Budgeted own-list reads (cache hits plus misses), lists read from */    \
   /* the .qcsr file, lists evicted, and pread wall microseconds. The */      \
@@ -223,7 +219,8 @@ struct EngineCountersSnapshot {
 
   /// Mean data frames per write syscall (0.0 before any flush).
   double FramesPerFlush() const;
-  /// Mean microseconds a frame waited in a coalescing buffer.
+  /// Mean microseconds from a frame's send timestamp to the end of its
+  /// write (0.0 before any frame).
   double MeanFlushParkUsec() const;
 
   uint64_t LifecycleTransitions(TaskState from, TaskState to) const {

@@ -18,9 +18,8 @@ namespace qcm {
 CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config) {
   CoordinatorConfig c;
   c.world_size = config.num_machines;
-  c.steal_period_sec = config.enable_stealing && config.num_machines >= 2
-                           ? config.steal_period_sec
-                           : 0.0;
+  c.steal_period_sec =
+      config.num_machines >= 2 ? config.steal_period_sec : 0.0;
   c.steal_batch_cap = config.batch_size;
   // Many heartbeat periods of slack (slow CI, TSan), but never so long
   // that a hung rank stalls the run indefinitely.

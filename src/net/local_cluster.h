@@ -24,8 +24,8 @@
 namespace qcm {
 
 /// The coordinator settings `config` implies, shared by both launchers:
-/// world size, the steal master's period (0 when stealing is off or there
-/// is one machine) and batch policy, and a liveness deadline of many
+/// world size, the steal master's period (0 when there is one machine)
+/// and batch policy, and a liveness deadline of many
 /// heartbeat periods (0 without heartbeats).
 CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config);
 

@@ -78,7 +78,6 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::ConnectWorker(
   for (uint32_t i = 0; i < world; ++i) {
     t->peer_mus_.push_back(std::make_unique<std::mutex>());
   }
-  t->send_state_.resize(world);
   t->sent_to_.assign(world, 0);
   t->peer_epoch_.assign(world, 0u);
   t->peer_down_flags_ = std::make_unique<std::atomic<bool>[]>(world);
@@ -194,8 +193,15 @@ Status TcpTransport::Start() {
   {
     std::lock_guard<std::mutex> lock(recv_threads_mu_);
     for (int r = 0; r < world_size_; ++r) {
-      if (r == rank_ || peer_fds_[r] < 0) continue;
-      const int fd = peer_fds_[r];
+      if (r == rank_) continue;
+      int fd = -1;
+      {
+        // The coordinator thread may already be running a kPeerDown
+        // transition for this peer, which retires its fd.
+        std::lock_guard<std::mutex> peer_lock(*peer_mus_[r]);
+        fd = peer_fds_[r];
+      }
+      if (fd < 0) continue;
       recv_peer_threads_[r] = std::thread([this, r, fd] {
         RecvPeerLoop(r, fd);
       });
@@ -205,15 +211,7 @@ Status TcpTransport::Start() {
   if (heartbeat_usec_ > 0) {
     heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
   }
-  if (coalesce_.enabled()) {
-    flusher_thread_ = std::thread([this] { FlusherLoop(); });
-  }
   return Status::OK();
-}
-
-void TcpTransport::ConfigureCoalescing(const CoalesceConfig& config) {
-  QCM_CHECK(!started_.load()) << "ConfigureCoalescing after Start";
-  coalesce_ = config;
 }
 
 TransportFlushStats TcpTransport::FlushStats() const {
@@ -235,27 +233,24 @@ Status TcpTransport::SendData(int dst, uint8_t type, std::string payload) {
     Fail(s.ToString());
     return s;
   }
-  // The send timestamp is stamped BEFORE the frame can park in a
-  // coalescing buffer, so the receiver's transit measurement includes
-  // the buffer dwell the linger bound allows.
-  const uint64_t now = static_cast<uint64_t>(NowMicros());
-  PendingFrame frame;
-  {
-    DataFrameParts parts = EncodeDataFrameParts(static_cast<uint32_t>(rank_),
-                                                type, now, payload);
-    frame.head = std::move(parts.head);
-    frame.trailer = std::move(parts.trailer);
-  }
-  frame.payload = std::move(payload);  // the only copy of the body bytes
-  frame.enqueue_usec = now;
+  // The send timestamp is stamped before the per-peer lock, so the
+  // receiver's transit measurement and the park statistic both include
+  // the wait for a concurrent sender's write to the same peer.
+  const uint64_t send_usec = static_cast<uint64_t>(NowMicros());
+  const DataFrameParts parts = EncodeDataFrameParts(
+      static_cast<uint32_t>(rank_), type, send_usec, payload);
+  const WireSlice slices[] = {{parts.head.data(), parts.head.size()},
+                              {payload.data(), payload.size()},
+                              {parts.trailer.data(), parts.trailer.size()}};
   const size_t frame_bytes =
-      frame.head.size() + frame.payload.size() + frame.trailer.size();
+      parts.head.size() + payload.size() + parts.trailer.size();
+  uint64_t syscalls = 0;
+  uint64_t written_usec = 0;
   Status s;
-  bool kick_flusher = false;
   {
     std::lock_guard<std::mutex> lock(*peer_mus_[dst]);
-    if (peer_down_flags_[dst].load(std::memory_order_relaxed) ||
-        peer_fds_[dst] < 0) {
+    const int fd = peer_fds_[dst];
+    if (peer_down_flags_[dst].load(std::memory_order_relaxed) || fd < 0) {
       // Peer is between its down and up transitions: drop the frame,
       // uncounted. Whatever mattered in it is replayed by the recovery
       // protocol (steal batches from the donor's retained copies,
@@ -268,25 +263,20 @@ Status TcpTransport::SendData(int dst, uint8_t type, std::string payload) {
     // snapshot the termination detector takes.
     ++sent_to_[dst];
     data_frames_sent_.fetch_add(1, std::memory_order_acq_rel);
-    PeerSendState& st = send_state_[dst];
-    if (st.pending.empty()) st.oldest_enqueue_usec = now;
-    st.pending.push_back(std::move(frame));
-    st.pending_bytes += frame_bytes;
-    if (!coalesce_.enabled()) {
-      s = FlushPeerLocked(dst, FlushCause::kDirect);
-    } else if (st.pending_bytes >=
-               static_cast<size_t>(coalesce_.coalesce_bytes)) {
-      s = FlushPeerLocked(dst, FlushCause::kSize);
-    } else if (st.pending.size() == 1) {
-      kick_flusher = true;  // new earliest linger deadline
-    }
+    // Span covers the write syscall(s) of this frame; arg = frame bytes.
+    QCM_TRACE_SPAN(trace::kNet, "frame_write", frame_bytes);
+    s = WriteFrameSlices(fd, slices, &syscalls);
+    written_usec = static_cast<uint64_t>(NowMicros());
   }
-  if (kick_flusher) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flusher_kick_ = true;
+  {
+    std::lock_guard<std::mutex> lock(flush_stats_mu_);
+    flush_stats_.flushes += syscalls;
+    ++flush_stats_.flushed_frames;
+    flush_stats_.flushed_bytes += frame_bytes;
+    if (written_usec > send_usec) {
+      flush_stats_.park_usec_sum += written_usec - send_usec;
     }
-    flusher_cv_.notify_all();
+    ++flush_stats_.bytes_hist[FlushBytesBucketIndex(frame_bytes)];
   }
   if (!s.ok()) {
     // A write error to a live-looking peer is almost always a peer that
@@ -299,103 +289,6 @@ Status TcpTransport::SendData(int dst, uint8_t type, std::string payload) {
              << " (" << s.ToString() << "); awaiting liveness verdict";
   }
   return Status::OK();
-}
-
-Status TcpTransport::FlushPeerLocked(int dst, FlushCause cause) {
-  PeerSendState& st = send_state_[dst];
-  if (st.pending.empty()) return Status::OK();
-  const int fd = peer_fds_[dst];
-  if (fd < 0) {
-    st.pending.clear();
-    st.pending_bytes = 0;
-    return Status::Aborted("connection closed");
-  }
-  std::vector<WireSlice> slices;
-  slices.reserve(st.pending.size() * 3);
-  for (const PendingFrame& f : st.pending) {
-    slices.push_back({f.head.data(), f.head.size()});
-    if (!f.payload.empty()) {
-      slices.push_back({f.payload.data(), f.payload.size()});
-    }
-    slices.push_back({f.trailer.data(), f.trailer.size()});
-  }
-  uint64_t syscalls = 0;
-  Status s;
-  {
-    // Span covers the writev syscall(s) of this flush; arg = frame bytes.
-    QCM_TRACE_SPAN(trace::kNet, "flush_writev", st.pending_bytes);
-    s = WriteFrameSlices(fd, slices, &syscalls);
-  }
-  const uint64_t now = static_cast<uint64_t>(NowMicros());
-  {
-    std::lock_guard<std::mutex> lock(flush_stats_mu_);
-    flush_stats_.flushes += syscalls;
-    flush_stats_.flushed_frames += st.pending.size();
-    flush_stats_.flushed_bytes += st.pending_bytes;
-    switch (cause) {
-      case FlushCause::kSize: ++flush_stats_.flush_size; break;
-      case FlushCause::kLinger: ++flush_stats_.flush_linger; break;
-      case FlushCause::kForced: ++flush_stats_.flush_forced; break;
-      case FlushCause::kDirect: ++flush_stats_.flush_direct; break;
-    }
-    for (const PendingFrame& f : st.pending) {
-      if (now > f.enqueue_usec) {
-        flush_stats_.park_usec_sum += now - f.enqueue_usec;
-      }
-    }
-    ++flush_stats_.bytes_hist[FlushBytesBucketIndex(st.pending_bytes)];
-  }
-  st.pending.clear();
-  st.pending_bytes = 0;
-  return s;
-}
-
-void TcpTransport::FlusherLoop() {
-  for (;;) {
-    // Sweep: flush every peer whose oldest frame has out-waited the
-    // linger; remember the earliest deadline still pending.
-    const uint64_t now = static_cast<uint64_t>(NowMicros());
-    uint64_t earliest = 0;
-    for (int r = 0; r < world_size_; ++r) {
-      if (r == rank_) continue;
-      Status s;
-      {
-        std::lock_guard<std::mutex> lock(*peer_mus_[r]);
-        PeerSendState& st = send_state_[r];
-        if (st.pending.empty()) continue;
-        const uint64_t deadline =
-            st.oldest_enqueue_usec +
-            static_cast<uint64_t>(coalesce_.linger_usec);
-        if (deadline <= now) {
-          s = FlushPeerLocked(r, FlushCause::kLinger);
-        } else if (earliest == 0 || deadline < earliest) {
-          earliest = deadline;
-        }
-      }
-      if (!s.ok() && !terminate_received_.load() && !shutdown_.load() &&
-          PeerAlive(r)) {
-        // Same policy as SendData: a linger-flush write error means the
-        // peer most likely just died; the liveness verdict (kPeerDown or
-        // the coordinator's sweep timeout) decides, not this thread.
-        QCM_WLOG << "rank " << rank_ << ": dropped linger flush to rank "
-                 << r << " (" << s.ToString() << ")";
-      }
-    }
-    std::unique_lock<std::mutex> lock(flusher_mu_);
-    if (flusher_stop_) return;
-    if (earliest == 0) {
-      // Nothing parked anywhere: sleep until a send kicks us (or
-      // shutdown). The predicate re-check makes the kick race-free.
-      flusher_cv_.wait(lock,
-                       [this] { return flusher_stop_ || flusher_kick_; });
-    } else {
-      const uint64_t now2 = static_cast<uint64_t>(NowMicros());
-      if (earliest > now2) {
-        flusher_cv_.wait_for(lock, std::chrono::microseconds(earliest - now2));
-      }
-    }
-    flusher_kick_ = false;
-  }
 }
 
 void TcpTransport::PublishStatus(const RankStatus& status) {
@@ -478,10 +371,6 @@ void TcpTransport::MarkPeerDown(int peer, uint32_t epoch) {
     if (epoch <= peer_epoch_[peer]) return;  // stale or already handled
     peer_epoch_[peer] = epoch;
     peer_down_flags_[peer].store(true, std::memory_order_release);
-    // Frames parked for the dead incarnation will never be processed;
-    // drop them now so a forced flush cannot write to a dangling fd.
-    send_state_[peer].pending.clear();
-    send_state_[peer].pending_bytes = 0;
     old_fd = peer_fds_[peer];
     peer_fds_[peer] = -1;
     // Symmetric counter reset: the replacement starts every counter at
@@ -713,7 +602,7 @@ void TcpTransport::RecvPeerLoop(int peer, int fd) {
       Fail("corrupt data frame from rank " + std::to_string(peer));
       return;
     }
-    // Receiver-measured transit: coalescing dwell + wire time. The
+    // Receiver-measured transit: the sender's write + wire time. The
     // steady clock is shared across processes on one machine; clamp at
     // zero so cross-host clock offset can only under-report, never
     // poison the delivery-latency counters with garbage.
@@ -725,20 +614,6 @@ void TcpTransport::RecvPeerLoop(int peer, int fd) {
 
 void TcpTransport::Shutdown() {
   if (shutdown_.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(flusher_mu_);
-    flusher_stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  if (flusher_thread_.joinable()) flusher_thread_.join();
-  // Push any residue out of the coalescing buffers before the sockets
-  // go down. Peers may already be gone after a clean termination, so a
-  // failed forced flush is not an error here.
-  for (int r = 0; r < world_size_; ++r) {
-    if (r == rank_) continue;
-    std::lock_guard<std::mutex> lock(*peer_mus_[r]);
-    (void)FlushPeerLocked(r, FlushCause::kForced);
-  }
   NotifyStateChange();
   // Unblock the receive and accept threads first; fds stay valid until
   // they joined (closing a socket another thread still reads from invites

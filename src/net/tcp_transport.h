@@ -11,23 +11,19 @@
 // threads, the persistent peer-accept thread, and (when configured) the
 // coordinator heartbeat thread.
 //
-// Data plane: SendData frames one CommFabric message per kData frame.
-// With coalescing off every frame goes straight onto the rank-to-rank
-// socket as a zero-copy {head, payload, trailer} scatter-gather write;
-// with coalescing on (ConfigureCoalescing), frames park in a per-peer
-// pending buffer until the buffer crosses the byte threshold or a
-// background flusher's linger deadline expires, then the whole buffer
-// flushes in one writev -- many frames per syscall. The per-peer mutex
-// guards the pending buffer, the socket, the peer's liveness state AND
-// the per-peer sent counter, so frame order is preserved and a frame is
+// Data plane: SendData frames one CommFabric message per kData frame and
+// writes it on the calling thread, straight onto the rank-to-rank socket
+// as one zero-copy {head, payload, trailer} scatter-gather write. The
+// per-peer mutex guards the socket, the peer's liveness state AND the
+// per-peer sent counter, so frame order is preserved and a frame is
 // counted sent_to[dst] if and only if it was actually accepted for a
 // live peer. A send to a peer marked dead is dropped, uncounted, and
 // still returns OK (the recovery protocol replays or re-requests what
 // matters); a write error to a peer not yet declared dead drops the
-// buffered frames WITHOUT failing the run -- either the peer really died
-// (the coordinator's child-exit watchdog or heartbeat deadline will
-// declare it and reset the pair's counters) or the stale sent counter
-// blocks termination until the coordinator's sweep timeout fails the run
+// frame WITHOUT failing the run -- either the peer really died (the
+// coordinator's child-exit watchdog or heartbeat deadline will declare
+// it and reset the pair's counters) or the stale sent counter blocks
+// termination until the coordinator's sweep timeout fails the run
 // loudly.
 //
 // Control plane (coordinator connection): PublishStatus sends kStatus up
@@ -86,7 +82,6 @@ class TcpTransport : public Transport {
   uint64_t DataFramesSent() const override {
     return data_frames_sent_.load(std::memory_order_acquire);
   }
-  void ConfigureCoalescing(const CoalesceConfig& config) override;
   TransportFlushStats FlushStats() const override;
   void PublishStatus(const RankStatus& status) override;
   void PublishStats(const WireStatsSample& sample) override;
@@ -129,29 +124,6 @@ class TcpTransport : public Transport {
  private:
   TcpTransport() = default;
 
-  /// What made a pending buffer flush (statistics breakdown).
-  enum class FlushCause { kSize, kLinger, kForced, kDirect };
-
-  /// One frame parked in a peer's coalescing buffer: pre-encoded head
-  /// (header + data meta) and trailer (checksum) around the moved-in
-  /// fabric payload -- the slices a writev flush references in place.
-  struct PendingFrame {
-    std::string head;
-    std::string payload;
-    std::string trailer;
-    uint64_t enqueue_usec = 0;
-  };
-
-  /// Per-peer send aggregation state, guarded by peer_mus_[peer] (the
-  /// same mutex that serializes socket writes, so flush order == send
-  /// order).
-  struct PeerSendState {
-    std::vector<PendingFrame> pending;
-    size_t pending_bytes = 0;
-    /// Enqueue time of pending.front() (the linger deadline anchor).
-    uint64_t oldest_enqueue_usec = 0;
-  };
-
   void RecvCoordinatorLoop();
   /// Reads data frames from one incarnation of a peer; `fd` is fixed for
   /// the thread's lifetime (a replacement's connection gets a new
@@ -165,23 +137,18 @@ class TcpTransport : public Transport {
   void AcceptLoop();
   /// Periodic kHeartbeat beacons to the coordinator.
   void HeartbeatLoop();
-  void FlusherLoop();
   /// Idempotent peer-down transition to successor epoch `epoch`: marks
-  /// the peer dead, drops its parked frames, quiesces and joins its
-  /// receive thread, resets sent_to_[peer], then fires the engine's
-  /// on_peer_down hook. No-op when `epoch` is not newer than the peer's
-  /// current epoch -- but only once any transition already under way has
-  /// finished, so a caller that goes on to swap in the replacement's
-  /// connection never overtakes the hook.
+  /// the peer dead, quiesces and joins its receive thread, resets
+  /// sent_to_[peer], then fires the engine's on_peer_down hook. No-op
+  /// when `epoch` is not newer than the peer's current epoch -- but only
+  /// once any transition already under way has finished, so a caller
+  /// that goes on to swap in the replacement's connection never
+  /// overtakes the hook.
   void MarkPeerDown(int peer, uint32_t epoch);
   /// kPeerUp handler: waits (bounded) for the accept thread to swap the
   /// replacement's connection in, then fires the engine's on_peer_up
   /// hook.
   void HandlePeerUp(int peer, uint32_t epoch);
-  /// Writes a peer's whole pending buffer with one scatter-gather flush
-  /// and folds the outcome into the flush stats. Requires
-  /// peer_mus_[dst] held.
-  Status FlushPeerLocked(int dst, FlushCause cause);
   void Fail(const std::string& reason);
   /// Wakes threads blocked on the terminated/failed/shutdown/peer state
   /// (the peer-EOF grace wait, the peer-up wait, the heartbeat sleep).
@@ -202,7 +169,6 @@ class TcpTransport : public Transport {
   /// peer_mus_[rank].
   std::vector<int> peer_fds_;
   std::vector<std::unique_ptr<std::mutex>> peer_mus_;
-  std::vector<PeerSendState> send_state_;
   /// Guarded by peer_mus_[rank]: data frames accepted for the wire to
   /// that peer's CURRENT incarnation (reset by MarkPeerDown).
   std::vector<uint64_t> sent_to_;
@@ -213,17 +179,8 @@ class TcpTransport : public Transport {
   /// written under peer_mus_[rank].
   std::unique_ptr<std::atomic<bool>[]> peer_down_flags_;
 
-  CoalesceConfig coalesce_;
   mutable std::mutex flush_stats_mu_;
   TransportFlushStats flush_stats_;
-
-  std::thread flusher_thread_;
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
-  /// Set when a frame lands in a previously-empty buffer: the flusher
-  /// must re-derive its earliest linger deadline.
-  bool flusher_kick_ = false;
 
   DataHandler data_handler_;
   ControlHooks hooks_;

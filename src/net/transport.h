@@ -4,11 +4,12 @@
 // The engine and fabric are written against this interface only. Every
 // engine runs ONE machine (the transport's rank), whether the ranks are
 // threads of one process (net/local_cluster.h) or processes
-// (qcm_cluster): fabric sends to another rank are handed to the
-// transport as data frames, arriving frames are injected into the local
-// fabric by the transport's receive thread, and the control plane (status
-// publication up, steal commands and the termination signal down)
-// connects the engine to the coordinator.
+// (qcm_cluster): a fabric send to another rank is handed to the
+// transport as one data frame (the TCP transport writes it on the
+// sending thread, one frame per write), arriving frames are injected
+// into the local fabric by the transport's receive thread, and the
+// control plane (status publication up, steal commands and the
+// termination signal down) connects the engine to the coordinator.
 //
 // Termination-detection contract (the engine's drain invariant across
 // processes): a rank publishes {pending, spawn_done, sent_to[],
@@ -74,20 +75,7 @@ struct RankStatus {
   uint64_t pending_big = 0;
 };
 
-/// Send-aggregation knobs (EngineConfig::net_coalesce_bytes /
-/// net_linger_usec). Both zero = coalescing off: every data frame is
-/// flushed immediately (still zero-copy via scatter-gather write).
-struct CoalesceConfig {
-  /// Flush a peer's pending buffer once it holds at least this many
-  /// frame bytes (MTU-ish; ~1400 is the classic choice).
-  int64_t coalesce_bytes = 0;
-  /// Upper bound on how long a parked frame may wait for company before
-  /// a background flusher pushes it out anyway.
-  int64_t linger_usec = 0;
-  bool enabled() const { return coalesce_bytes > 0 && linger_usec > 0; }
-};
-
-/// Bytes-per-flush histogram buckets: <256, <1K, <2K, <4K, <16K, <64K,
+/// Bytes-per-write histogram buckets: <256, <1K, <2K, <4K, <16K, <64K,
 /// <256K, >=256K.
 inline constexpr int kFlushBytesBuckets = 8;
 
@@ -102,30 +90,22 @@ inline int FlushBytesBucketIndex(uint64_t bytes) {
   return 7;
 }
 
-/// Aggregate data-plane flush statistics of a transport: how many write
-/// syscall batches were issued, what drove each one, and how long frames
-/// sat parked in coalescing buffers. Mirrored into EngineCounters as the
-/// net_flush_* fields after a run.
+/// Aggregate data-plane write statistics of a transport: how many write
+/// syscalls its data frames took and how long each frame waited for its
+/// write. Mirrored into EngineCounters as the net_flush_* fields after a
+/// run.
 struct TransportFlushStats {
-  /// Write syscalls issued for data frames (each flush = one
-  /// writev/sendmsg unless partial writes or the iovec cap force more).
+  /// Write syscalls issued for data frames (one per frame unless a
+  /// partial write forces more).
   uint64_t flushes = 0;
-  /// Data frames and frame bytes pushed through those flushes.
+  /// Data frames and frame bytes those writes moved.
   uint64_t flushed_frames = 0;
   uint64_t flushed_bytes = 0;
-  /// Flush-cause breakdown (sums to the number of flush decisions):
-  /// the buffer crossed the size threshold / the linger deadline
-  /// expired / shutdown forced the residue out / coalescing was off and
-  /// the frame went straight to the wire.
-  uint64_t flush_size = 0;
-  uint64_t flush_linger = 0;
-  uint64_t flush_forced = 0;
-  uint64_t flush_direct = 0;
-  /// Total microseconds frames spent parked in coalescing buffers
-  /// (enqueue to flush); divide by flushed_frames for the mean added
-  /// latency.
+  /// Total microseconds from each frame's send timestamp to the end of
+  /// its write: the per-peer lock wait plus the syscall. Divide by
+  /// flushed_frames for the mean per frame.
   uint64_t park_usec_sum = 0;
-  /// Bytes-per-flush histogram (see FlushBytesBucketIndex).
+  /// Bytes-per-write histogram (see FlushBytesBucketIndex).
   uint64_t bytes_hist[kFlushBytesBuckets] = {0, 0, 0, 0, 0, 0, 0, 0};
 };
 
@@ -135,7 +115,7 @@ class Transport {
   /// It must neither block nor write to a socket: two ranks whose receive
   /// threads each waited on the other would deadlock.
   /// `wire_transit_usec` is the receiver-measured transit time (now minus
-  /// the frame's sender timestamp, clamped at 0): coalescing dwell plus
+  /// the frame's sender timestamp, clamped at 0): the sender's write plus
   /// wire time. Meaningful across processes on one machine; only
   /// clock-offset-approximate across hosts.
   using DataHandler = std::function<void(
@@ -176,9 +156,10 @@ class Transport {
 
   /// Ships one fabric message to `dst`'s process. Increments the
   /// sent-frame counter before the bytes can reach the destination.
-  /// Takes the payload by value so callers can std::move it in; the
-  /// transport keeps that one buffer alive until the scatter-gather
-  /// write — no second copy of the payload bytes is ever made.
+  /// Takes the payload by value so callers can std::move it in; the TCP
+  /// transport writes the frame straight from that buffer with one
+  /// scatter-gather write before returning — no second copy of the
+  /// payload bytes is ever made.
   /// A send to a peer currently marked dead is silently dropped and not
   /// counted (the recovery protocol replays or re-requests what matters);
   /// it still returns OK.
@@ -200,14 +181,8 @@ class Transport {
   /// predecessor's checkpoint).
   virtual uint32_t epoch() const { return 0; }
 
-  /// Installs the send-aggregation policy. Must be called before
-  /// Start(); the default transport ignores it (no coalescing).
-  virtual void ConfigureCoalescing(const CoalesceConfig& config) {
-    (void)config;
-  }
-
-  /// Data-plane flush statistics accumulated so far (all zeros for
-  /// transports without a coalescing layer).
+  /// Data-plane write statistics accumulated so far (all zeros for
+  /// transports that write no sockets).
   virtual TransportFlushStats FlushStats() const { return {}; }
 
   /// Publishes this rank's termination-detection inputs to whoever runs

@@ -5,8 +5,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstring>
 
+#include "util/logging.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -207,35 +209,33 @@ Status WriteFrameBytes(int fd, const std::string& bytes) {
   return Status::OK();
 }
 
-Status WriteFrameSlices(int fd, const std::vector<WireSlice>& slices,
+Status WriteFrameSlices(int fd, std::span<const WireSlice> slices,
                         uint64_t* syscalls) {
   // Mutable iovec window over the caller's slices; partial writes advance
   // base/len in place instead of re-copying any bytes.
-  std::vector<struct iovec> iov;
-  iov.reserve(slices.size());
+  QCM_CHECK(slices.size() <= kMaxFrameSlices)
+      << slices.size() << " slices for one frame write";
+  std::array<struct iovec, kMaxFrameSlices> iov{};
+  size_t count = 0;
   for (const WireSlice& s : slices) {
     if (s.len == 0) continue;
-    iov.push_back({const_cast<char*>(s.data), s.len});
+    iov[count++] = {const_cast<char*>(s.data), s.len};
   }
-  // Stay well under IOV_MAX (1024 on Linux) per syscall; one coalesced
-  // flush is normally far smaller than this.
-  constexpr size_t kMaxIovPerCall = 512;
   size_t i = 0;
   bool use_sendmsg = true;  // MSG_NOSIGNAL, same rationale as above
-  while (i < iov.size()) {
-    const size_t count = std::min(kMaxIovPerCall, iov.size() - i);
+  while (i < count) {
     ssize_t n;
     if (use_sendmsg) {
       struct msghdr msg = {};
       msg.msg_iov = iov.data() + i;
-      msg.msg_iovlen = count;
+      msg.msg_iovlen = count - i;
       n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
       if (n < 0 && errno == ENOTSOCK) {
         use_sendmsg = false;  // pipe/file fd (tests): plain writev
         continue;
       }
     } else {
-      n = ::writev(fd, iov.data() + i, static_cast<int>(count));
+      n = ::writev(fd, iov.data() + i, static_cast<int>(count - i));
     }
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -244,7 +244,7 @@ Status WriteFrameSlices(int fd, const std::vector<WireSlice>& slices,
     }
     if (syscalls != nullptr) ++*syscalls;
     size_t written = static_cast<size_t>(n);
-    while (i < iov.size() && written >= iov[i].iov_len) {
+    while (i < count && written >= iov[i].iov_len) {
       written -= iov[i].iov_len;
       ++i;
     }

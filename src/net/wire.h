@@ -27,12 +27,12 @@
 // received intact. This framing is the process-boundary twin of the
 // CommFabric message contract: a kData frame carries exactly one fabric
 // message as [MessageType u8][send timestamp usec u64][the fabric
-// message's serialized payload]. The timestamp is
-// the sender's monotonic clock at the moment the message entered the send
-// path (BEFORE any coalescing dwell), so the receiver can measure real
-// wire transit including time parked in a send buffer; it is meaningful
-// across processes on one machine (one monotonic clock) and only
-// clock-offset-approximate across hosts.
+// message's serialized payload]. The timestamp is the sender's monotonic
+// clock at the moment the message entered the send path (before the
+// sender waits for its per-peer lock), so the receiver can measure real
+// wire transit including that wait; it is meaningful across processes on
+// one machine (one monotonic clock) and only clock-offset-approximate
+// across hosts.
 //
 // The data-plane hot path never materializes a contiguous frame: a kData
 // frame is encoded as {head, payload, trailer} parts (EncodeDataFrameParts)
@@ -57,7 +57,9 @@
 #ifndef QCM_NET_WIRE_H_
 #define QCM_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,7 +74,7 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // planning input).
 // v3: kData payloads carry the sender's monotonic send timestamp between
 // the type byte and the fabric payload (real wire-transit measurement,
-// including coalescing dwell); EngineConfig grew the coalescing knobs.
+// including send-buffer dwell); EngineConfig grew the send-buffer knobs.
 // v4: fault tolerance. New frame kinds kHeartbeat (worker liveness
 // beacon), kPeerDown / kPeerUp (coordinator-driven rank recovery
 // transitions); kAssign and kPeerHello carry the rank's incarnation
@@ -117,7 +119,9 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // (gthinker/metrics.h), arrays in place; it lost the five total_*_seconds
 // (sums over its threads), and each ThreadSummary gained build_seconds.
 // v15: EngineReport gained the scratch_bytes counter row.
-inline constexpr uint32_t kWireProtocolVersion = 15;
+// v16: one send path. EngineConfig lost the coalescing knobs and
+// enable_stealing; EngineReport lost the four flush-cause rows.
+inline constexpr uint32_t kWireProtocolVersion = 16;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.
@@ -214,12 +218,15 @@ struct WireSlice {
   size_t len;
 };
 
-/// Blocking scatter-gather write of pre-encoded frame slices (e.g. the
-/// concatenation of several frames' {head, body, trailer} parts) in one
-/// writev/sendmsg per syscall, looping over partial writes and chunking
-/// at the iovec limit. Same contract as WriteFrame; `syscalls` (optional)
-/// receives the number of write syscalls issued.
-Status WriteFrameSlices(int fd, const std::vector<WireSlice>& slices,
+/// Most slices one frame write takes: a kData frame's {head, body,
+/// trailer}.
+inline constexpr size_t kMaxFrameSlices = 3;
+
+/// Blocking scatter-gather write of one pre-encoded frame's slices (at
+/// most kMaxFrameSlices) with writev/sendmsg, looping over partial
+/// writes. Same contract as WriteFrame; `syscalls` (optional) receives
+/// the number of write syscalls issued.
+Status WriteFrameSlices(int fd, std::span<const WireSlice> slices,
                         uint64_t* syscalls = nullptr);
 
 /// Blocking read of one frame from a socket/pipe fd. A clean EOF before

@@ -28,7 +28,7 @@ namespace trace {
 enum Category : uint8_t {
   kLifecycle = 0,  // task state machine + comper compute spans
   kPull = 1,       // PullBroker rounds, vertex-cache misses
-  kNet = 2,        // coalescing flushes / writev syscalls
+  kNet = 2,        // transport frame writes
   kCheckpoint = 3, // checkpoint appends + replay
   kRecovery = 4,   // coordinator detect/kill/relaunch phases
   kKernel = 5,     // dense vs sparse kernel selection

@@ -157,18 +157,17 @@ TEST(CliContractTest, RangeChecksComeFromTheValidator) {
   EXPECT_NE(latency.output.find("net_latency_sec"), std::string::npos);
   EXPECT_EQ(latency.output.find("graph: "), std::string::npos);
 
-  // One coalescing knob without the other is a contradiction, never
-  // quietly completed with a default linger.
+  // A cluster-only knob is checked by the same validator, before any
+  // worker starts.
   const std::string log_dir = ::testing::TempDir() + "/cli_test_logs";
-  const RunResult coalesce =
+  const RunResult heartbeat =
       RunTool("qcm_cluster", std::string(kTinyGraph) +
-                             " --net-coalesce-bytes 1400 --log-dir " +
-                             log_dir);
-  EXPECT_EQ(coalesce.exit_code, 2) << coalesce.output;
-  EXPECT_NE(coalesce.output.find("contradictory"), std::string::npos)
-      << coalesce.output;
-  EXPECT_NE(coalesce.output.find("net_linger_usec"), std::string::npos);
-  EXPECT_EQ(coalesce.output.find("coordinator on"), std::string::npos);
+                             " --heartbeat-usec -1 --log-dir " + log_dir);
+  EXPECT_EQ(heartbeat.exit_code, 2) << heartbeat.output;
+  EXPECT_NE(heartbeat.output.find("engine_config.cc:"), std::string::npos)
+      << heartbeat.output;
+  EXPECT_NE(heartbeat.output.find("heartbeat_usec"), std::string::npos);
+  EXPECT_EQ(heartbeat.output.find("coordinator on"), std::string::npos);
 }
 
 TEST(CliContractTest, FailedResultOrStatsWriteExitsOne) {
@@ -216,8 +215,7 @@ TEST(CliContractTest, HelpListsExactlyTheAcceptedFlags) {
   std::set<std::string> mine = SharedFlagNames();
   mine.insert({"--input-snapshot", "--serial", "--machines"});
   std::set<std::string> cluster = SharedFlagNames();
-  cluster.insert({"--workers", "--net-coalesce-bytes", "--net-linger-usec",
-                  "--heartbeat-usec", "--checkpoint-interval",
+  cluster.insert({"--workers", "--heartbeat-usec", "--checkpoint-interval",
                   "--checkpoint-dir", "--max-rank-restarts", "--snapshot",
                   "--graph-memory-budget", "--worker-bin", "--log-dir"});
   const std::set<std::string> pack = {"--input",     "--gen-planted",
@@ -227,7 +225,7 @@ TEST(CliContractTest, HelpListsExactlyTheAcceptedFlags) {
   const std::set<std::string> worker = {"--coordinator-port",
                                         "--coordinator-host"};
   EXPECT_EQ(mine.size(), 23u);
-  EXPECT_EQ(cluster.size(), 31u);
+  EXPECT_EQ(cluster.size(), 29u);
   const std::pair<const char*, const std::set<std::string>*> tools[] = {
       {"qcm_mine", &mine},
       {"qcm_cluster", &cluster},

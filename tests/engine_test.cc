@@ -159,7 +159,6 @@ struct EngineSweepParam {
   int threads;
   uint32_t tau_split;
   size_t local_capacity;
-  bool stealing;
 };
 
 class EngineSweep : public testing::TestWithParam<EngineSweepParam> {};
@@ -174,23 +173,22 @@ TEST_P(EngineSweep, TriangleResultsInvariant) {
   config.local_queue_capacity = p.local_capacity;
   config.batch_size = 4;
   config.global_queue_capacity = std::max<size_t>(p.local_capacity, 8);
-  config.enable_stealing = p.stealing;
   EXPECT_EQ(RunTriangles(g, config), BruteForceTriangles(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, EngineSweep,
     testing::Values(
-        EngineSweepParam{1, 2, 100, 256, false},
-        EngineSweepParam{2, 2, 100, 256, true},
-        EngineSweepParam{4, 1, 100, 256, true},
-        EngineSweepParam{4, 2, 100, 256, false},
+        EngineSweepParam{1, 2, 100, 256},
+        EngineSweepParam{2, 2, 100, 256},
+        EngineSweepParam{4, 1, 100, 256},
+        EngineSweepParam{4, 2, 100, 256},
         // tau_split = 0: every task is "big" -> global queue path.
-        EngineSweepParam{2, 2, 0, 256, true},
+        EngineSweepParam{2, 2, 0, 256},
         // Tiny local queues force L_small spilling.
-        EngineSweepParam{1, 2, 1000000, 4, false},
+        EngineSweepParam{1, 2, 1000000, 4},
         // Tiny global queue capacity forces L_big spilling.
-        EngineSweepParam{2, 2, 0, 8, true}))
+        EngineSweepParam{2, 2, 0, 8}))
 ;
 
 TEST(EngineTest, SpillCountersMoveWhenForced) {
@@ -233,7 +231,6 @@ TEST(EngineTest, StealingKeepsResultsCorrect) {
   config.threads_per_machine = 1;
   config.tau_split = 0;  // all tasks big -> all balancing via global queues
   config.steal_period_sec = 0.001;
-  config.enable_stealing = true;
   EXPECT_EQ(RunTriangles(g, config), BruteForceTriangles(g));
 }
 
@@ -285,7 +282,6 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
     config.threads_per_machine = 1;
     config.tau_split = 0;  // every task is big -> stealable
     config.steal_period_sec = 0.001;
-    config.enable_stealing = true;
     config.net_latency_sec = latency_sec;
     SkewedSlowTriApp app(kMachines);
     auto report = RunLocalCluster(g, config, &app);
@@ -307,15 +303,15 @@ TEST(EngineTest, StealBatchesBitIdenticalAcrossLatencies) {
   }
 }
 
-// With stealing off, or with one machine, there is nothing to balance:
-// a long steal period must not delay termination, and nothing moves.
+// With one machine there is nothing to balance, and with two the first
+// steal plan is due only after a full period: a long steal period must
+// not delay termination, and nothing moves.
 TEST(EngineTest, NoStealingNeverWaitsOutTheStealPeriod) {
   auto g = std::move(GenErdosRenyi(60, 300, 7)).value();
   for (const int machines : {1, 2}) {
     EngineConfig config = BaseConfig();
     config.num_machines = machines;
     config.threads_per_machine = 2;
-    config.enable_stealing = machines == 1;
     config.steal_period_sec = 10.0;  // would stall termination if waited on
     TriApp app;
     WallTimer wall;
@@ -439,7 +435,6 @@ TEST(EngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
   EngineConfig config = BaseConfig();
   config.num_machines = 2;
   config.threads_per_machine = 1;
-  config.enable_stealing = false;
   BusyOwnerProbe probe;
   BusyOwnerApp app(&probe, /*requester_root=*/0, /*owner_root=*/1,
                    /*pulled=*/3, /*wait_sec=*/10.0);

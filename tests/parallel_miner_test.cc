@@ -164,7 +164,6 @@ struct ConfigParam {
   uint32_t tau_split;
   double tau_time;
   size_t local_capacity;
-  bool stealing;
 };
 
 class ParallelConfigSweep : public testing::TestWithParam<ConfigParam> {};
@@ -200,7 +199,6 @@ TEST_P(ParallelConfigSweep, MatchesSerial) {
   config.local_queue_capacity = p.local_capacity;
   config.global_queue_capacity = std::max<size_t>(p.local_capacity, 16);
   config.batch_size = 8;
-  config.enable_stealing = p.stealing;
   config.steal_period_sec = 0.002;
 
   auto result = ParallelRun(g, config);
@@ -214,22 +212,20 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, ParallelConfigSweep,
     testing::Values(
         // One thread, no decomposition: the pure task-per-root pipeline.
-        ConfigParam{1, 1, DecomposeMode::kNone, 100, 0, 256, false},
+        ConfigParam{1, 1, DecomposeMode::kNone, 100, 0, 256},
         // Multi-thread, no decomposition.
-        ConfigParam{1, 4, DecomposeMode::kNone, 100, 0, 256, false},
+        ConfigParam{1, 4, DecomposeMode::kNone, 100, 0, 256},
         // Size-threshold decomposition, aggressive split.
-        ConfigParam{1, 2, DecomposeMode::kSizeThreshold, 8, 0, 256, false},
-        ConfigParam{2, 2, DecomposeMode::kSizeThreshold, 4, 0, 256, true},
+        ConfigParam{1, 2, DecomposeMode::kSizeThreshold, 8, 0, 256},
+        ConfigParam{2, 2, DecomposeMode::kSizeThreshold, 4, 0, 256},
         // Time-delayed decomposition at several timeouts (0 = immediate).
-        ConfigParam{1, 2, DecomposeMode::kTimeDelayed, 16, 0.0, 256, false},
-        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 16, 0.0005, 256,
-                    true},
-        ConfigParam{4, 1, DecomposeMode::kTimeDelayed, 8, 0.002, 256, true},
+        ConfigParam{1, 2, DecomposeMode::kTimeDelayed, 16, 0.0, 256},
+        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 16, 0.0005, 256},
+        ConfigParam{4, 1, DecomposeMode::kTimeDelayed, 8, 0.002, 256},
         // Tiny queues: spilling everywhere.
-        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 4, 0.0, 8, true},
+        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 4, 0.0, 8},
         // Everything big (tau_split=0): global-queue-only scheduling.
-        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 0, 0.0005, 256,
-                    true}));
+        ConfigParam{2, 2, DecomposeMode::kTimeDelayed, 0, 0.0005, 256}));
 
 TEST(ParallelMinerTest, QuickCompatSubsetHoldsInParallel) {
   auto g = std::move(GenErdosRenyi(200, 1200, 5)).value();

@@ -210,71 +210,5 @@ TEST(EngineConfigValidationTest, RejectsNegativeLatencyWithFileLine) {
   EXPECT_NE(s.message().find("net_latency_sec"), std::string::npos);
 }
 
-TEST(EngineConfigValidationTest, RejectsContradictoryCoalescingSettings) {
-  // Threshold without a linger bound: a lone frame could park forever.
-  EngineConfig config = ValidBase();
-  config.net_coalesce_bytes = 1400;
-  Status s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("contradictory"), std::string::npos)
-      << s.ToString();
-  EXPECT_NE(s.message().find("engine_config.cc:"), std::string::npos);
-
-  // Linger without a threshold: the bound bounds nothing.
-  config = ValidBase();
-  config.net_linger_usec = 100;
-  s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("contradictory"), std::string::npos)
-      << s.ToString();
-  EXPECT_NE(s.message().find("net_linger_usec"), std::string::npos);
-
-  // Both set or both zero are the only valid combinations.
-  config = ValidBase();
-  config.net_coalesce_bytes = 1400;
-  config.net_linger_usec = 100;
-  EXPECT_TRUE(config.Validate().ok());
-  EXPECT_TRUE(ValidBase().Validate().ok());
-}
-
-TEST(EngineConfigValidationTest, RejectsOutOfRangeCoalescingSettings) {
-  EngineConfig config = ValidBase();
-  config.net_coalesce_bytes = -1;
-  Status s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("net_coalesce_bytes"), std::string::npos);
-  EXPECT_NE(s.message().find("engine_config.cc:"), std::string::npos);
-
-  config = ValidBase();
-  config.net_linger_usec = -5;
-  s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("net_linger_usec"), std::string::npos);
-
-  // A buffer larger than the largest legal frame could never flush by
-  // size at all.
-  config = ValidBase();
-  config.net_coalesce_bytes = (int64_t{1} << 30) + 1;
-  config.net_linger_usec = 100;
-  s = config.Validate();
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("frame cap"), std::string::npos)
-      << s.ToString();
-}
-
-TEST(EngineConfigValidationTest, NewKnobsRoundTripThroughTheCodec) {
-  EngineConfig config = ValidBase();
-  config.net_coalesce_bytes = 2800;
-  config.net_linger_usec = 250;
-  Encoder enc;
-  EncodeEngineConfig(config, &enc);
-  const std::string blob = enc.Release();
-  Decoder dec(blob);
-  EngineConfig decoded;
-  ASSERT_TRUE(DecodeEngineConfig(&dec, &decoded).ok());
-  EXPECT_EQ(decoded.net_coalesce_bytes, 2800);
-  EXPECT_EQ(decoded.net_linger_usec, 250);
-}
-
 }  // namespace
 }  // namespace qcm

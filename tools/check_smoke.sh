@@ -247,44 +247,15 @@ else
   echo "check_smoke: NOTE -- $PACK_BIN not built, skipping snapshot phase"
 fi
 
-# ---- Coalescing-on cluster phase ---------------------------------------
-# Same 3-process run with transport send-aggregation enabled: coalescing
-# only changes how data frames share syscalls, never what arrives, so the
-# digest must stay bit-identical to the single-process run.
-coalesce_out=$("$CLUSTER_BIN" \
-  --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
-  --gamma 0.85 --min-size 8 --workers 3 --threads 2 --stats \
-  --net-coalesce-bytes 1400 --net-linger-usec 100 \
-  --log-dir "$LOG_DIR" "$@" 2>&1)
-coalesce_status=$?
-echo "$coalesce_out"
-
-if [[ $coalesce_status -ne 0 ]]; then
-  echo "check_smoke: FAIL -- coalescing-on qcm_cluster exited with status" \
-    "$coalesce_status (worker logs in $LOG_DIR)" >&2
-  exit 1
-fi
-
-coalesce_digest=$(printf '%s\n' "$coalesce_out" |
-  sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
-if [[ "$coalesce_digest" != "$single_digest" ]]; then
-  echo "check_smoke: FAIL -- coalescing-on digest $coalesce_digest !=" \
-    "single-process digest $single_digest (coalescing must not change" \
-    "results; worker logs in $LOG_DIR)" >&2
-  exit 1
-fi
-
-echo "check_smoke: OK -- coalescing-on cluster digest matches" \
-  "($coalesce_digest)"
-
 # ---- Tracing-on cluster phase ------------------------------------------
 # Same 3-process run with --trace-out: tracing must be invisible in the
 # results (bit-identical digest) while producing ONE merged Perfetto-
 # loadable timeline containing events from every rank plus the kStats
 # counter tracks. The merged trace lands in $LOG_DIR for CI to upload.
 # The run also writes --stats-json, which must parse as JSON: every rank
-# and the merged report carry the same counter keys, and the merged task
-# count is the ranks' sum.
+# and the merged report carry the same counter keys, the merged task
+# count is the ranks' sum, and every fabric message left as exactly one
+# data frame (frames == messages sent, at least one write per frame).
 TRACE_OUT="$LOG_DIR/smoke_trace.json"
 STATS_OUT="$LOG_DIR/smoke_stats.json"
 trace_cluster_out=$("$CLUSTER_BIN" \
@@ -352,7 +323,17 @@ total = sum(rank["counters"]["tasks_completed"] for rank in ranks)
 if merged["counters"]["tasks_completed"] != total:
     sys.exit(f"merged tasks_completed {merged['counters']['tasks_completed']}"
              f" != ranks' sum {total}")
-print(f"stats json valid: 3 ranks, {len(keys)} counters, {total} tasks")
+c = merged["counters"]
+sent = sum(c["msg_sent_" + t]
+           for t in ("pull_request", "pull_response", "steal_batch"))
+if c["net_flush_frames"] != sent:
+    sys.exit(f"net_flush_frames {c['net_flush_frames']} != {sent} fabric"
+             " messages sent (each message must be one data frame)")
+if c["net_flushes"] < c["net_flush_frames"]:
+    sys.exit(f"net_flushes {c['net_flushes']} < net_flush_frames"
+             f" {c['net_flush_frames']} (frames shared a write)")
+print(f"stats json valid: 3 ranks, {len(keys)} counters, {total} tasks,"
+      f" {sent} frames in {c['net_flushes']} writes")
 PYEOF
   then
     echo "check_smoke: FAIL -- --stats-json $STATS_OUT is invalid" >&2
@@ -397,13 +378,15 @@ fi
 
 # The kill must actually have fired AND been recovered from; a run where
 # the injection silently no-ops would vacuously "pass" the digest check.
-if ! printf '%s\n' "$fault_out" |
-    grep -q 'fault injection: SIGKILL rank 1'; then
+# grep reads a here-string, not a pipe: under pipefail, grep -q exiting at
+# its match while printf still writes later lines kills printf with
+# SIGPIPE and fails the check although the line is there.
+if ! grep -q 'fault injection: SIGKILL rank 1' <<< "$fault_out"; then
   echo "check_smoke: FAIL -- fault injection never fired" \
     "(QCM_SMOKE_KILL_RANK=1 run printed no injection line)" >&2
   exit 1
 fi
-if ! printf '%s\n' "$fault_out" | grep -q 'rank 1 recovered: epoch 1'; then
+if ! grep -q 'rank 1 recovered: epoch 1' <<< "$fault_out"; then
   echo "check_smoke: FAIL -- rank 1 was killed but never recovered" \
     "(worker logs in $LOG_DIR)" >&2
   exit 1

@@ -15,11 +15,11 @@
 //
 // `qcm_cluster --help` lists every flag. The engine and mining flags are
 // the table shared with qcm_mine (tools/cli.h) and mean the same thing
-// here; --workers, the transport, heartbeat, checkpoint, snapshot and
-// graph-budget knobs, --log-dir and --worker-bin are this tool's own. Flags
-// only parse: the whole configuration is checked once, by
-// EngineConfig::Validate(), before any worker starts, so e.g. a
-// coalescing threshold without a linger bound is rejected, not patched.
+// here; --workers, the heartbeat, checkpoint, snapshot and graph-budget
+// knobs, --log-dir and --worker-bin are this tool's own. Flags only
+// parse: the whole configuration is checked once, by
+// EngineConfig::Validate(), before any worker starts, so e.g. a negative
+// --heartbeat-usec is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input's k-core
 // (CompactKCore, graph/kcore.h: only the k-core vertices, renumbered to
@@ -162,12 +162,6 @@ int main(int argc, char** argv) {
       flags.end(),
       {cli::Number("--workers", "N", &config.num_machines,
                    "worker processes (one machine each), at most 64"),
-       cli::Number("--net-coalesce-bytes", "N", &config.net_coalesce_bytes,
-                   "per-peer send buffer that flushes as one writev; needs "
-                   "--net-linger-usec too"),
-       cli::Number("--net-linger-usec", "N", &config.net_linger_usec,
-                   "longest a data frame waits in the send buffer; needs "
-                   "--net-coalesce-bytes too"),
        cli::Number("--heartbeat-usec", "N", &config.heartbeat_usec,
                    "worker liveness beacon period; 0 disables"),
        cli::Number("--checkpoint-interval", "F",
