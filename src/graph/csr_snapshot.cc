@@ -479,14 +479,17 @@ CsrSnapshot::~CsrSnapshot() {
 }
 
 StatusOr<Graph> CsrSnapshot::ToGraph() const {
-  std::vector<Edge> edges;
-  edges.reserve(hdr_.num_edges);
+  std::vector<VertexId> endpoints;
+  endpoints.reserve(2 * hdr_.num_edges);
   for (VertexId v = 0; v < hdr_.num_vertices; ++v) {
     for (VertexId u : Neighbors(v)) {
-      if (v < u) edges.emplace_back(v, u);
+      if (v < u) {
+        endpoints.push_back(v);
+        endpoints.push_back(u);
+      }
     }
   }
-  return Graph::FromEdges(hdr_.num_vertices, std::move(edges));
+  return Graph::FromEndpoints(hdr_.num_vertices, std::move(endpoints));
 }
 
 }  // namespace qcm

@@ -67,12 +67,12 @@ const char* ParseLine(const char* p, bool* has_edge, uint64_t* u,
   return nullptr;
 }
 
-/// Edge endpoints as read, in file order, and the range of their ids. The
-/// endpoints are held as 32-bit pairs until the first id that does not fit,
-/// which widens them all to 64 bits once.
+/// Edge endpoints as read, in file order, as flat pairs {u0, v0, u1, v1,
+/// ...}, and the range of their ids. They are held as 32-bit ids until the
+/// first id that does not fit, which widens them all to 64 bits once.
 struct RawEdges {
-  std::vector<Edge> narrow;
-  std::vector<std::pair<uint64_t, uint64_t>> wide;
+  std::vector<VertexId> narrow;
+  std::vector<uint64_t> wide;
   uint64_t min_id = UINT64_MAX;
   uint64_t max_id = 0;
 
@@ -80,14 +80,16 @@ struct RawEdges {
     min_id = std::min({min_id, u, v});
     max_id = std::max({max_id, u, v});
     if (max_id <= UINT32_MAX) {
-      narrow.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+      narrow.push_back(static_cast<VertexId>(u));
+      narrow.push_back(static_cast<VertexId>(v));
       return;
     }
     if (!narrow.empty()) {
       wide.assign(narrow.begin(), narrow.end());
-      std::vector<Edge>().swap(narrow);
+      std::vector<VertexId>().swap(narrow);
     }
-    wide.emplace_back(u, v);
+    wide.push_back(u);
+    wide.push_back(v);
   }
 };
 
@@ -155,49 +157,46 @@ Status ReadEdges(const std::string& path, RawEdges* raw) {
   }
 }
 
-/// Compacts ids by sorted rank into `*ids` (dense id -> original id) and
-/// relabels `*edges` in place: every rank fits in an Id.
+/// Compacts ids by sorted rank into `*ids` (dense id -> original id, sized
+/// exactly) and relabels `*endpoints` in place: every rank fits in an Id.
 template <typename Id>
-Status CompactIds(std::vector<std::pair<Id, Id>>* edges, uint64_t min_id,
+Status CompactIds(std::vector<Id>* endpoints, uint64_t min_id,
                   uint64_t max_id, const std::string& path,
                   std::vector<uint64_t>* ids) {
-  const uint64_t endpoints = 2 * static_cast<uint64_t>(edges->size());
+  const uint64_t count = endpoints->size();
+  const auto too_many = [&] {
+    return Status::OutOfRange(path + ": too many distinct vertex ids");
+  };
   // Dense ids get a rank table indexed by id - min_id. Its span is below
   // the endpoint count, so it is never bigger than the endpoints held.
   std::vector<VertexId> table;
-  if (endpoints > 0 && max_id - min_id < endpoints) {
+  if (count > 0 && max_id - min_id < count) {
     table.assign(max_id - min_id + 1, 0);
-    for (const auto& [u, v] : *edges) {
-      table[u - min_id] = 1;
-      table[v - min_id] = 1;
-    }
+    for (const Id x : *endpoints) table[x - min_id] = 1;
+    const size_t distinct =
+        static_cast<size_t>(std::count(table.begin(), table.end(), 1u));
+    if (distinct > static_cast<size_t>(UINT32_MAX)) return too_many();
+    ids->reserve(distinct);
     for (size_t i = 0; i < table.size(); ++i) {
       if (table[i] == 0) continue;
       table[i] = static_cast<VertexId>(ids->size());
       ids->push_back(min_id + i);
     }
   } else {
-    // Sparse ids: sort them all and binary-search each endpoint.
-    ids->reserve(endpoints);
-    for (const auto& [u, v] : *edges) {
-      ids->push_back(u);
-      ids->push_back(v);
-    }
-    std::sort(ids->begin(), ids->end());
-    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-  }
-  if (ids->size() > static_cast<size_t>(UINT32_MAX)) {
-    return Status::OutOfRange(path + ": too many distinct vertex ids");
+    // Sparse ids: sort a copy of them all, keep each once, and
+    // binary-search each endpoint.
+    std::vector<uint64_t> sorted(endpoints->begin(), endpoints->end());
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    if (sorted.size() > static_cast<size_t>(UINT32_MAX)) return too_many();
+    ids->assign(sorted.begin(), sorted.end());
   }
   const auto rank = [&](uint64_t id) -> Id {
     if (!table.empty()) return table[id - min_id];
     return static_cast<Id>(std::lower_bound(ids->begin(), ids->end(), id) -
                            ids->begin());
   };
-  for (auto& [u, v] : *edges) {
-    u = rank(u);
-    v = rank(v);
-  }
+  for (Id& x : *endpoints) x = rank(x);
   return Status::OK();
 }
 
@@ -207,22 +206,19 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
   RawEdges raw;
   QCM_RETURN_IF_ERROR(ReadEdges(path, &raw));
   LoadedGraph out;
-  std::vector<Edge> edges;
   if (raw.wide.empty()) {
     QCM_RETURN_IF_ERROR(CompactIds(&raw.narrow, raw.min_id, raw.max_id, path,
                                    &out.original_ids));
-    edges = std::move(raw.narrow);
   } else {
     QCM_RETURN_IF_ERROR(CompactIds(&raw.wide, raw.min_id, raw.max_id, path,
                                    &out.original_ids));
-    edges.assign(raw.wide.begin(), raw.wide.end());
-    std::vector<std::pair<uint64_t, uint64_t>>().swap(raw.wide);
+    raw.narrow.assign(raw.wide.begin(), raw.wide.end());
+    std::vector<uint64_t>().swap(raw.wide);
   }
-  auto graph =
-      Graph::FromEdges(static_cast<uint32_t>(out.original_ids.size()),
-                       std::move(edges));
-  QCM_RETURN_IF_ERROR(graph.status());
-  out.graph = std::move(graph).value();
+  QCM_ASSIGN_OR_RETURN(
+      out.graph,
+      Graph::FromEndpoints(static_cast<uint32_t>(out.original_ids.size()),
+                           std::move(raw.narrow)));
   return out;
 }
 

@@ -27,13 +27,15 @@ struct LoadedGraph {
 
 /// Loads a SNAP-format edge list in one buffered pass. Lines starting with
 /// '#' or '%' are comments; each other line holds exactly two
-/// whitespace-separated non-negative integer ids, held as 32-bit pairs
-/// until the first id that needs 64 bits widens them once. Ids are
-/// compacted by sorted rank (deterministic), in place: through a rank
-/// table indexed by id when the span max-min of the ids is below the
-/// number of endpoints, else by sorting them. A malformed line (sign,
-/// non-digit, missing field, trailing garbage, overflow, an over-long
-/// line, or a NUL byte before the newline) fails the load with a
+/// whitespace-separated non-negative integer ids, held as one flat buffer
+/// of 32-bit endpoints until the first id that needs 64 bits widens them
+/// once. Ids are compacted by sorted rank (deterministic), in place:
+/// through a rank table indexed by id when the span max-min of the ids is
+/// below the number of endpoints, else by sorting a copy of them;
+/// original_ids is allocated once, at its final size. The graph is then
+/// built inside the endpoint buffer (Graph::FromEndpoints). A malformed
+/// line (sign, non-digit, missing field, trailing garbage, overflow, an
+/// over-long line, or a NUL byte before the newline) fails the load with a
 /// Corruption status naming file:line and quoting the offending text.
 StatusOr<LoadedGraph> LoadEdgeList(const std::string& path);
 

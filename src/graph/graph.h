@@ -31,9 +31,18 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph with `num_vertices` vertices from an edge list.
-  /// Self-loops are dropped, duplicate edges (in either orientation) are
-  /// collapsed. Returns InvalidArgument if an endpoint is >= num_vertices.
+  /// Builds a graph with `num_vertices` vertices from flat endpoint pairs
+  /// {u0, v0, u1, v1, ...}. Self-loops are dropped, duplicate edges (in
+  /// either orientation) are collapsed. Returns InvalidArgument naming the
+  /// first pair with an endpoint >= num_vertices, or for an odd count.
+  /// The adjacency is built inside `endpoints`' own allocation, which the
+  /// graph keeps (so its capacity is the buffer's, not 2*NumEdges()); the
+  /// build needs 12 bytes per vertex beyond it: the offsets and one
+  /// 32-bit count per vertex.
+  static StatusOr<Graph> FromEndpoints(uint32_t num_vertices,
+                                       std::vector<VertexId> endpoints);
+
+  /// FromEndpoints of the flattened `edges`.
   static StatusOr<Graph> FromEdges(uint32_t num_vertices,
                                    std::vector<Edge> edges);
 

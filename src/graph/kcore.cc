@@ -59,62 +59,77 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
   return core;
 }
 
-std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k) {
+namespace {
+
+/// One threshold peel over a single degree array: on return degree[v] >= k
+/// iff v is in the k-core, and then it is v's degree inside the core (each
+/// peeled neighbor took one off it). A scan peels each vertex it finds
+/// below k; a peel that drops a vertex the scan has already passed below
+/// k pushes it on a stack that is drained before the scan moves on. Each
+/// vertex falls below k once, so it is peeled once.
+std::vector<uint32_t> PeelToCore(const Graph& g, uint32_t k) {
   const uint32_t n = g.NumVertices();
-  std::vector<uint8_t> alive(n, 1);
-  std::vector<uint32_t> degree(n);  // live degree of every live vertex
-  std::vector<VertexId> peeled;     // dead, neighbors not yet decremented
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.Degree(v);
-    if (degree[v] < k) {
-      alive[v] = 0;
-      peeled.push_back(v);
-    }
-  }
-  while (!peeled.empty()) {
-    const VertexId v = peeled.back();
-    peeled.pop_back();
+  std::vector<uint32_t> degree(n);
+  for (VertexId v = 0; v < n; ++v) degree[v] = g.Degree(v);
+  std::vector<VertexId> behind;  // below k behind the scan, not yet peeled
+  const auto peel = [&](VertexId v, VertexId scan) {
     for (VertexId u : g.Neighbors(v)) {
-      if (alive[u] && --degree[u] < k) {
-        alive[u] = 0;
-        peeled.push_back(u);
-      }
+      if (degree[u] >= k && --degree[u] < k && u < scan) behind.push_back(u);
+    }
+  };
+  for (VertexId v = 0; v < n; ++v) {
+    if (degree[v] >= k) continue;
+    peel(v, v);
+    while (!behind.empty()) {
+      const VertexId u = behind.back();
+      behind.pop_back();
+      peel(u, v);
     }
   }
+  return degree;
+}
+
+}  // namespace
+
+std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k) {
+  const std::vector<uint32_t> degree = PeelToCore(g, k);
+  std::vector<uint8_t> alive(degree.size());
+  for (size_t v = 0; v < degree.size(); ++v) alive[v] = degree[v] >= k;
   return alive;
 }
 
 uint64_t KCoreSize(const Graph& g, uint32_t k) {
-  std::vector<uint8_t> mask = KCoreMask(g, k);
-  uint64_t count = 0;
-  for (uint8_t m : mask) count += m;
-  return count;
+  const std::vector<uint32_t> degree = PeelToCore(g, k);
+  return static_cast<uint64_t>(std::count_if(
+      degree.begin(), degree.end(), [k](uint32_t d) { return d >= k; }));
 }
 
 KCore CompactKCore(const Graph& g, uint32_t k) {
   QCM_TRACE_SPAN(trace::kLifecycle, "kcore_compact", g.NumVertices());
   constexpr VertexId kPeeled = UINT32_MAX;
-  const uint32_t n = g.NumVertices();
+  // Each vertex's core degree, overwritten in place below into its compact
+  // id (input id -> compact id); the scan reads each degree before it
+  // writes that vertex's id.
+  std::vector<uint32_t> compact = PeelToCore(g, k);
+  const size_t m = static_cast<size_t>(std::count_if(
+      compact.begin(), compact.end(), [k](uint32_t d) { return d >= k; }));
   KCore core;
-  std::vector<VertexId> compact(n, kPeeled);  // input id -> compact id
-  {
-    const std::vector<uint8_t> alive = KCoreMask(g, k);
-    for (VertexId v = 0; v < n; ++v) {
-      if (!alive[v]) continue;
-      compact[v] = static_cast<VertexId>(core.ids.size());
-      core.ids.push_back(v);
+  core.ids.reserve(m);
+  std::vector<uint64_t> offsets;
+  offsets.reserve(m + 1);
+  offsets.push_back(0);
+  for (VertexId v = 0; v < compact.size(); ++v) {
+    if (compact[v] < k) {
+      compact[v] = kPeeled;
+      continue;
     }
+    offsets.push_back(offsets.back() + compact[v]);
+    compact[v] = static_cast<VertexId>(core.ids.size());
+    core.ids.push_back(v);
   }
   // Each kept list is the input's sorted list filtered and renumbered by a
-  // monotone map, so it stays sorted: count, then copy, with no re-sort.
-  const size_t m = core.ids.size();
-  std::vector<uint64_t> offsets(m + 1, 0);
-  for (size_t c = 0; c < m; ++c) {
-    uint64_t kept = 0;
-    for (VertexId u : g.Neighbors(core.ids[c])) kept += compact[u] != kPeeled;
-    offsets[c + 1] = offsets[c] + kept;
-  }
-  std::vector<VertexId> adj(offsets[m]);
+  // monotone map, so it stays sorted: copy, with no re-sort.
+  std::vector<VertexId> adj(offsets.back());
   VertexId* out = adj.data();
   for (VertexId v : core.ids) {
     for (VertexId u : g.Neighbors(v)) {

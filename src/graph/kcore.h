@@ -27,7 +27,8 @@ namespace qcm {
 std::vector<uint32_t> CoreDecomposition(const Graph& g);
 
 /// Membership mask of the k-core: out[v] != 0 iff v survives peeling with
-/// threshold k. One threshold peel, O(n + m).
+/// threshold k. One threshold peel over one 32-bit degree per vertex,
+/// O(n + m).
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k);
 
 /// Number of vertices in the k-core.
@@ -48,6 +49,9 @@ struct KCore {
 /// member has >= k neighbors inside it), and so does every larger
 /// quasi-clique that could make it non-maximal: mining it and mapping the
 /// results through `ids` is exact, and keeps the set-enumeration order.
+/// Beyond the core it returns, it holds 4 bytes per input vertex (the
+/// peel's degrees, overwritten into the input -> compact map) and the
+/// peel's stack.
 KCore CompactKCore(const Graph& g, uint32_t k);
 
 }  // namespace qcm

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -168,14 +169,42 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
       kMiningFlags + " --workers 1 --threads 2 --graph-memory-budget 8192 "
       "--stats");
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  // The launcher packed the graph itself (no --snapshot given).
+  // The launcher packed the graph itself (no --snapshot given), and its
+  // --stats report the peak RSS of the load and of the k-core step.
   EXPECT_NE(cluster.output.find("packed"), std::string::npos)
+      << cluster.output;
+  EXPECT_NE(cluster.output.find("\nmemory: peak RSS "), std::string::npos)
       << cluster.output;
 
   const std::string single_digest = Digest(single.output);
   ASSERT_EQ(single_digest.size(), 16u) << single.output;
   EXPECT_EQ(single_digest, Digest(cluster.output))
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
+}
+
+/// The path after `label` in the launcher's "(logs in D, checkpoints in
+/// D)" line, up to the next ',' or ')'.
+std::string PrintedDir(const std::string& output, const std::string& label) {
+  const size_t at = output.find(label);
+  if (at == std::string::npos) return "";
+  const size_t begin = at + label.size();
+  return output.substr(begin, output.find_first_of(",)", begin) - begin);
+}
+
+// Without --log-dir the launcher makes its own temp dir for the worker
+// logs and the packed graph; a clean run removes it, as it does its own
+// checkpoint dir.
+TEST(ClusterE2ETest, CleanRunRemovesItsOwnDirs) {
+  const RunResult cluster = RunCommand(
+      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+      kMiningFlags + " --workers 2 --threads 1");
+  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+  const std::string log_dir = PrintedDir(cluster.output, "logs in ");
+  const std::string ckpt_dir = PrintedDir(cluster.output, "checkpoints in ");
+  ASSERT_FALSE(log_dir.empty()) << cluster.output;
+  ASSERT_FALSE(ckpt_dir.empty()) << cluster.output;
+  EXPECT_FALSE(std::filesystem::exists(log_dir)) << log_dir << " was left";
+  EXPECT_FALSE(std::filesystem::exists(ckpt_dir)) << ckpt_dir << " was left";
 }
 
 TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "graph/edge_io.h"
+#include "reference_graph.h"
 
 namespace qcm {
 namespace {
@@ -211,9 +212,17 @@ TEST(EdgeIoTest, LinesStraddlingTheReadBuffer) {
 
 using RawEdgeList = std::vector<std::pair<uint64_t, uint64_t>>;
 
+/// What a load must produce: the rows and the dense id -> original id map.
+struct OracleLoad {
+  SetAdjacency rows;
+  std::vector<uint64_t> ids;
+};
+
 /// The id compaction LoadEdgeList had before its rank table, kept as the
-/// oracle: sorted rank of every endpoint id, then Graph::FromEdges.
-LoadedGraph OracleGraph(const RawEdgeList& raw) {
+/// oracle: sorted rank of every endpoint id, then one std::set per vertex
+/// (ReferenceAdjacency), so no graph-building code is shared with the
+/// loader.
+OracleLoad OracleGraph(const RawEdgeList& raw) {
   std::vector<uint64_t> ids;
   for (const auto& [u, v] : raw) {
     ids.push_back(u);
@@ -221,15 +230,13 @@ LoadedGraph OracleGraph(const RawEdgeList& raw) {
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  const auto rank = [&ids](uint64_t x) {
-    return static_cast<VertexId>(
-        std::lower_bound(ids.begin(), ids.end(), x) - ids.begin());
+  const auto rank = [&ids](uint64_t x) -> uint64_t {
+    return std::lower_bound(ids.begin(), ids.end(), x) - ids.begin();
   };
-  std::vector<Edge> edges;
-  for (const auto& [u, v] : raw) edges.emplace_back(rank(u), rank(v));
-  auto graph = Graph::FromEdges(static_cast<uint32_t>(ids.size()), edges);
-  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
-  return LoadedGraph{std::move(graph).value(), std::move(ids)};
+  RawEdgeList ranked;
+  for (const auto& [u, v] : raw) ranked.emplace_back(rank(u), rank(v));
+  return {ReferenceAdjacency(static_cast<uint32_t>(ids.size()), ranked),
+          std::move(ids)};
 }
 
 /// Every edge written, in file order, with the file's text.
@@ -305,16 +312,9 @@ void ExpectMatchesOracle(const GeneratedEdgeList& file) {
   ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer);
   auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const LoadedGraph want = OracleGraph(file.edges);
-  ASSERT_EQ(loaded->original_ids, want.original_ids);
-  ASSERT_EQ(loaded->graph.NumVertices(), want.graph.NumVertices());
-  ASSERT_EQ(loaded->graph.NumEdges(), want.graph.NumEdges());
-  for (VertexId v = 0; v < want.graph.NumVertices(); ++v) {
-    const auto got = loaded->graph.Neighbors(v);
-    const auto row = want.graph.Neighbors(v);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin(), row.end()))
-        << "v=" << v;
-  }
+  const OracleLoad want = OracleGraph(file.edges);
+  ASSERT_EQ(loaded->original_ids, want.ids);
+  EXPECT_TRUE(SameAdjacency(loaded->graph, want.rows));
 }
 
 TEST(EdgeIoTest, MatchesSortedRankOracleOnGeneratedFiles) {

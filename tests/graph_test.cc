@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/edge_io.h"
@@ -12,6 +15,7 @@
 #include "graph/graph.h"
 #include "graph/kcore.h"
 #include "graph/stats.h"
+#include "reference_graph.h"
 
 namespace qcm {
 namespace {
@@ -65,6 +69,117 @@ TEST(GraphTest, AdjacencySortedAndSymmetric) {
       EXPECT_TRUE(g->HasEdge(v, u)) << u << "-" << v;
     }
   }
+}
+
+using RawPairs = std::vector<std::pair<uint64_t, uint64_t>>;
+
+std::vector<VertexId> Flat(const RawPairs& pairs) {
+  std::vector<VertexId> flat;
+  for (const auto& [u, v] : pairs) {
+    flat.push_back(static_cast<VertexId>(u));
+    flat.push_back(static_cast<VertexId>(v));
+  }
+  return flat;
+}
+
+std::vector<Edge> AsEdges(const RawPairs& pairs) {
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : pairs) {
+    edges.emplace_back(static_cast<VertexId>(u), static_cast<VertexId>(v));
+  }
+  return edges;
+}
+
+/// Both builders on `pairs` must give the set reference's rows.
+void ExpectBuildsMatchReference(uint32_t n, const RawPairs& pairs) {
+  const SetAdjacency want = ReferenceAdjacency(n, pairs);
+  auto flat = Graph::FromEndpoints(n, Flat(pairs));
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_TRUE(SameAdjacency(*flat, want)) << "FromEndpoints";
+  auto edges = Graph::FromEdges(n, AsEdges(pairs));
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_TRUE(SameAdjacency(*edges, want)) << "FromEdges";
+}
+
+/// `count` pairs over a random subset of [0, n), so some vertices stay
+/// isolated; about 1 in 8 is a self-loop and 1 in 4 repeats an earlier
+/// pair, flipped half of the time.
+RawPairs RandomPairs(std::mt19937_64& rng, uint32_t n, size_t count) {
+  std::vector<uint64_t> used;
+  for (uint64_t v = 0; v < n; ++v) {
+    if (rng() % 4 != 0) used.push_back(v);
+  }
+  if (used.empty()) used.push_back(rng() % n);
+  RawPairs pairs;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t u = used[rng() % used.size()];
+    uint64_t v = used[rng() % used.size()];
+    if (rng() % 8 == 0) v = u;
+    if (!pairs.empty() && rng() % 4 == 0) {
+      std::tie(u, v) = pairs[rng() % pairs.size()];
+      if (rng() % 2 == 0) std::swap(u, v);
+    }
+    pairs.emplace_back(u, v);
+  }
+  return pairs;
+}
+
+TEST(GraphTest, BuildsMatchSetReferenceOnRandomPairs) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const uint32_t n = 1 + static_cast<uint32_t>(rng() % 80);
+    RawPairs pairs = RandomPairs(rng, n, rng() % (6 * n));
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " n=" + std::to_string(n) +
+                 " pairs=" + std::to_string(pairs.size()));
+    ExpectBuildsMatchReference(n, pairs);  // shuffled
+    std::sort(pairs.begin(), pairs.end());
+    ExpectBuildsMatchReference(n, pairs);  // pre-sorted
+    std::reverse(pairs.begin(), pairs.end());
+    ExpectBuildsMatchReference(n, pairs);  // sorted descending
+  }
+}
+
+TEST(GraphTest, BuildsMatchSetReferenceOnEdgeShapes) {
+  ExpectBuildsMatchReference(0, {});
+  ExpectBuildsMatchReference(7, {});  // isolated vertices only
+  ExpectBuildsMatchReference(5, {{0, 0}, {3, 3}, {3, 3}, {4, 4}});
+  ExpectBuildsMatchReference(2, {{1, 0}, {0, 1}, {1, 0}, {1, 1}});
+  // One hub adjacent to every other vertex, each spoke listed in both
+  // orientations, shuffled, plus a sparse ring among the leaves.
+  std::mt19937_64 rng(7);
+  for (uint32_t n : {2u, 3u, 500u, 4097u}) {
+    const uint64_t hub = rng() % n;
+    RawPairs pairs;
+    for (uint64_t v = 0; v < n; ++v) {
+      if (v == hub) continue;
+      pairs.emplace_back(hub, v);
+      pairs.emplace_back(v, hub);
+      pairs.emplace_back(v, (v + 1) % n);
+    }
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    SCOPED_TRACE("hub n=" + std::to_string(n));
+    ExpectBuildsMatchReference(n, pairs);
+  }
+}
+
+TEST(GraphTest, OutOfRangePairIsNamedWhereverItSits) {
+  std::mt19937_64 rng(11);
+  const uint32_t n = 10;
+  for (size_t at : {size_t{0}, size_t{50}, size_t{99}}) {
+    RawPairs pairs = RandomPairs(rng, n, 100);
+    pairs[at] = at == 50 ? std::pair<uint64_t, uint64_t>{10, 3}
+                         : std::pair<uint64_t, uint64_t>{3, 10};
+    const std::string named = at == 50 ? "(10, 3)" : "(3, 10)";
+    for (const auto& g : {Graph::FromEndpoints(n, Flat(pairs)),
+                          Graph::FromEdges(n, AsEdges(pairs))}) {
+      ASSERT_FALSE(g.ok()) << "at=" << at;
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(g.status().message().find(named), std::string::npos)
+          << "at=" << at << ": " << g.status().ToString();
+    }
+  }
+  auto odd = Graph::FromEndpoints(n, {1, 2, 3});
+  EXPECT_EQ(odd.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GraphTest, HasEdge) {

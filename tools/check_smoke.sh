@@ -49,6 +49,14 @@ fi
 
 echo "check_smoke: OK -- $count maximal quasi-cliques"
 
+# --stats also prints the process's peak RSS after the load and after the
+# k-core step, so one run shows which phase set the engine line's peak.
+memory_re='^memory: peak RSS [0-9]+\.[0-9] [KMGT]?B after load, [0-9]+\.[0-9] [KMGT]?B after k-core$'
+if ! grep -qE "$memory_re" <<< "$out"; then
+  echo "check_smoke: FAIL -- qcm_mine --stats printed no memory: line" >&2
+  exit 1
+fi
+
 single_digest=$(printf '%s\n' "$out" |
   sed -n 's/^result-digest: \([0-9a-f]\{16\}\)$/\1/p' | tail -1)
 if [[ -z "$single_digest" ]]; then

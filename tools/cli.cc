@@ -6,6 +6,7 @@
 
 #include "graph/generators.h"
 #include "util/logging.h"
+#include "util/mem.h"
 
 namespace qcm::cli {
 
@@ -108,12 +109,16 @@ StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source) {
 
 KCore MinedKCore(const Graph& graph, const EngineConfig& config,
                  bool stats) {
+  const uint64_t load_peak = stats ? PeakRssBytes() : 0;
   KCore core = CompactKCore(graph, config.mining.MinDegreeK());
   if (stats) {
     std::fprintf(stderr, "k-core: %u of %u vertices, %llu of %llu edges\n",
                  core.graph.NumVertices(), graph.NumVertices(),
                  static_cast<unsigned long long>(core.graph.NumEdges()),
                  static_cast<unsigned long long>(graph.NumEdges()));
+    std::fprintf(stderr, "memory: peak RSS %s after load, %s after k-core\n",
+                 HumanBytes(load_peak).c_str(),
+                 HumanBytes(PeakRssBytes()).c_str());
   }
   return core;
 }

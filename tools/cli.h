@@ -92,7 +92,9 @@ StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
 
 /// The k-core the engine mines, in its own compact id space (CompactKCore,
 /// graph/kcore.h), k = config.mining.MinDegreeK(). With `stats`, prints
-/// "k-core: K of N vertices, E of M edges" to stderr.
+/// "k-core: K of N vertices, E of M edges" and "memory: peak RSS X after
+/// load, Y after k-core" (the process's VmHWM before and after the step)
+/// to stderr.
 KCore MinedKCore(const Graph& graph, const EngineConfig& config, bool stats);
 
 /// --output PATH, with a tool-specific meaning.

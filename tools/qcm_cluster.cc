@@ -47,9 +47,10 @@
 //
 // Worker stdout/stderr are redirected to <log-dir>/worker<rank>.log
 // (a replacement incarnation logs to worker<rank>.r<restart>.log so the
-// dead incarnation's last words survive; default log dir: a fresh temp
-// dir, path printed) so a crashed rank's story is always on disk for CI
-// to upload.
+// dead incarnation's last words survive) so a crashed rank's story is
+// always on disk for CI to upload. The default log dir is a fresh temp dir
+// (path printed), removed with the packed graph in it unless the run fails
+// after its workers start; a --log-dir is never removed.
 //
 // Fault-injection hook (CI smoke): QCM_SMOKE_KILL_RANK=<r> makes the
 // launcher SIGKILL rank r's worker once it verifiably holds pending
@@ -181,8 +182,8 @@ int main(int argc, char** argv) {
                    "lists; 0 = unbounded"),
        cli::Text("--worker-bin", "PATH", &worker_bin, "qcm_worker binary"),
        cli::Text("--log-dir", "DIR", &log_dir,
-                 "worker logs and the packed graph (default: a fresh temp "
-                 "dir)")});
+                 "worker logs and the packed graph (default: a temp dir "
+                 "removed unless the run fails after its workers start)")});
   cli::CommandLine cmd(
       "Mines every maximal gamma-quasi-clique of one graph with one "
       "qcm_worker process per machine; exactly one of --input or "
@@ -202,6 +203,24 @@ int main(int argc, char** argv) {
                  worker_bin.c_str());
     return 2;
   }
+  // The log dir (worker logs and the packed graph) and the checkpoint
+  // root shared by every rank (each keeps rank<R>/log under it). A
+  // launcher-made temp dir is removed on every exit but a failure after
+  // the workers start, which keeps both and says where; a caller-provided
+  // one is left alone.
+  std::string ckpt_dir = config.checkpoint_dir;
+  bool owns_log_dir = false;
+  bool owns_ckpt_dir = false;
+  auto remove_owned_dirs = [&] {
+    std::error_code ec;
+    if (owns_log_dir) std::filesystem::remove_all(log_dir, ec);
+    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
+  };
+  auto report_kept_dirs = [&] {
+    std::fprintf(stderr,
+                 "qcm_cluster: logs kept in %s, checkpoints kept in %s\n",
+                 log_dir.c_str(), ckpt_dir.c_str());
+  };
   if (log_dir.empty()) {
     char templ[] = "/tmp/qcm_cluster_XXXXXX";
     char* dir = ::mkdtemp(templ);
@@ -210,6 +229,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     log_dir = dir;
+    owns_log_dir = true;
   } else {
     ::mkdir(log_dir.c_str(), 0755);
   }
@@ -227,20 +247,17 @@ int main(int argc, char** argv) {
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
                    snap.status().ToString().c_str());
+      remove_owned_dirs();
       return 1;
     }
   }
 
-  // Checkpoint root shared by every rank (each keeps rank<R>/log under
-  // it). A launcher-owned temp dir is removed unless a run fails after
-  // workers start; a caller-provided one is left alone.
-  std::string ckpt_dir = config.checkpoint_dir;
-  bool owns_ckpt_dir = false;
   if (ckpt_dir.empty()) {
     char templ[] = "/tmp/qcm_ckpt_XXXXXX";
     char* dir = ::mkdtemp(templ);
     if (dir == nullptr) {
       std::fprintf(stderr, "cannot create checkpoint directory\n");
+      remove_owned_dirs();
       return 1;
     }
     ckpt_dir = dir;
@@ -249,17 +266,13 @@ int main(int argc, char** argv) {
     ::mkdir(ckpt_dir.c_str(), 0755);
   }
   config.checkpoint_dir = ckpt_dir;
-  auto remove_owned_ckpt_dir = [&] {
-    std::error_code ec;
-    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
-  };
 
   // The whole configuration, checked once with the validator's
   // file:line message before the graph is loaded or any worker starts.
   if (Status valid = config.Validate(); !valid.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
                  valid.ToString().c_str());
-    remove_owned_ckpt_dir();
+    remove_owned_dirs();
     return 2;
   }
   // Launcher-side tracing must be live before the pack step (its k-core
@@ -279,7 +292,7 @@ int main(int argc, char** argv) {
     if (!loaded.ok()) {
       std::fprintf(stderr, "graph load failed: %s\n",
                    loaded.status().ToString().c_str());
-      remove_owned_ckpt_dir();
+      remove_owned_dirs();
       return 1;
     }
     // (T1) Only the k-core is packed, in its own compact ids, so no rank
@@ -298,7 +311,7 @@ int main(int argc, char** argv) {
     if (!packed.ok()) {
       std::fprintf(stderr, "snapshot pack failed: %s\n",
                    packed.ToString().c_str());
-      remove_owned_ckpt_dir();
+      remove_owned_dirs();
       return 1;
     }
     std::fprintf(stderr,
@@ -322,6 +335,7 @@ int main(int argc, char** argv) {
   if (!listening.ok()) {
     std::fprintf(stderr, "coordinator listen failed: %s\n",
                  listening.status().ToString().c_str());
+    remove_owned_dirs();
     return 1;
   }
   std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
@@ -375,6 +389,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < num_workers; ++i) {
     if (!spawn_worker(i)) {
       KillAll(&workers);
+      report_kept_dirs();
       return 1;
     }
   }
@@ -666,8 +681,7 @@ int main(int argc, char** argv) {
                  run_status.ok() ? "worker exit failure"
                                  : run_status.ToString().c_str());
     PrintLogTails(workers);
-    std::fprintf(stderr, "qcm_cluster: checkpoints kept in %s\n",
-                 ckpt_dir.c_str());
+    report_kept_dirs();
     return 1;
   }
 
@@ -679,6 +693,7 @@ int main(int argc, char** argv) {
     if (!s.ok()) {
       std::fprintf(stderr, "qcm_cluster: corrupt report from rank %zu: %s\n",
                    r, s.ToString().c_str());
+      report_kept_dirs();
       return 1;
     }
   }
@@ -709,7 +724,7 @@ int main(int argc, char** argv) {
   auto digest = EmitCanonicalResults(&results, run.output);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
-    remove_owned_ckpt_dir();
+    remove_owned_dirs();
     return 1;
   }
   if (run.stats) {
@@ -830,11 +845,11 @@ int main(int argc, char** argv) {
     json += "]\n  }\n}\n";
     if (Status s = WriteOutput(run.stats_json, json); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      remove_owned_ckpt_dir();
+      remove_owned_dirs();
       return 1;
     }
   }
 
-  remove_owned_ckpt_dir();
+  remove_owned_dirs();
   return 0;
 }
