@@ -5,9 +5,8 @@
 // disabled. The paper's §5 claim to reproduce: because pulls are batched,
 // cached, and overlapped with mining, injected network latency barely
 // moves the cache-enabled job time while the cache-off configuration
-// degrades with every forced re-pull. Evidence is recorded as JSON
-// (QCM_BENCH_JSON) -- bench/table6_latency_before_after.json keeps the
-// committed before/after snapshot.
+// degrades with every forced re-pull. QCM_BENCH_JSON=path dumps the
+// measurements as JSON.
 
 #include <cstdio>
 #include <cstdlib>

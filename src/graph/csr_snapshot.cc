@@ -147,12 +147,6 @@ Status WriteCsrSnapshot(const Graph& g,
                         const std::vector<uint64_t>& original_ids,
                         const std::string& path,
                         const CsrWriteOptions& opts) {
-  if (opts.page_size < kCsrMinPageSize || !IsPow2(opts.page_size)) {
-    return Status::InvalidArgument(
-        "snapshot page size must be a power of two >= " +
-        std::to_string(kCsrMinPageSize) + ", got " +
-        std::to_string(opts.page_size));
-  }
   const uint32_t n = g.NumVertices();
   const uint64_t m = g.NumEdges();
   if (!original_ids.empty() && original_ids.size() != n) {
@@ -162,11 +156,10 @@ Status WriteCsrSnapshot(const Graph& g,
   }
 
   CsrHeader hdr;
-  hdr.page_size = opts.page_size;
   hdr.num_vertices = n;
   hdr.num_edges = m;
   hdr.build_seed = opts.build_seed;
-  const uint64_t psz = opts.page_size;
+  const uint64_t psz = hdr.page_size;
   hdr.sections[kCsrDegrees].bytes = uint64_t{n} * sizeof(uint32_t);
   hdr.sections[kCsrOffsets].bytes = (uint64_t{n} + 1) * sizeof(uint64_t);
   hdr.sections[kCsrOriginalIds].bytes = uint64_t{n} * sizeof(uint64_t);

@@ -82,13 +82,13 @@ struct CsrHeader {
 };
 
 struct CsrWriteOptions {
-  uint32_t page_size = kCsrDefaultPageSize;
   uint64_t build_seed = 0;
 };
 
-/// Packs `g` into a .qcsr snapshot at `path`. `original_ids` maps dense
-/// ids back to external ids (identity when empty; otherwise must have
-/// exactly NumVertices() entries). Overwrites any existing file.
+/// Packs `g` into a .qcsr snapshot at `path`, every section padded to
+/// kCsrDefaultPageSize. `original_ids` maps dense ids back to external ids
+/// (identity when empty; otherwise must have exactly NumVertices()
+/// entries). Overwrites any existing file.
 Status WriteCsrSnapshot(const Graph& g,
                         const std::vector<uint64_t>& original_ids,
                         const std::string& path,

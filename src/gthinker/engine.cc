@@ -1,7 +1,6 @@
 #include "gthinker/engine.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -172,11 +171,7 @@ Engine::Engine(std::unique_ptr<VertexTable> table, EngineConfig config,
       rank_(transport->rank()),
       table_(std::move(table)) {}
 
-Engine::~Engine() {
-  if (owns_spill_dir_ && !spill_dir_.empty()) {
-    ::rmdir(spill_dir_.c_str());
-  }
-}
+Engine::~Engine() = default;
 
 uint64_t Engine::PendingBig() const {
   return global_queue_->ApproxSize() + big_spill_->PendingTasks();
@@ -379,19 +374,12 @@ StatusOr<EngineReport> Engine::Run() {
             table_->NumMachines() == config_.num_machines)
       << "engine needs the vertex table of its own rank";
 
-  // Spill directory.
+  // Spill directory: the job's launcher makes one and removes it, since a
+  // SIGKILLed rank never gets to.
   if (config_.spill_dir.empty()) {
-    char templ[] = "/tmp/qcm_spill_XXXXXX";
-    char* dir = ::mkdtemp(templ);
-    if (dir == nullptr) {
-      return Status::IOError("cannot create spill directory");
-    }
-    spill_dir_ = dir;
-    owns_spill_dir_ = true;
-  } else {
-    spill_dir_ = config_.spill_dir;
-    ::mkdir(spill_dir_.c_str(), 0755);
+    return Status::InvalidArgument("engine needs a spill directory");
   }
+  ::mkdir(config_.spill_dir.c_str(), 0755);
 
   // Durable progress checkpointing (the recovery protocol that consumes
   // it lives in the cluster coordinator). A replacement incarnation
@@ -430,9 +418,11 @@ StatusOr<EngineReport> Engine::Run() {
                                          &counters_);
   const std::string prefix = "w" + std::to_string(rank_);
   small_spill_ =
-      std::make_unique<SpillManager>(spill_dir_, prefix + "_small", &counters_);
+      std::make_unique<SpillManager>(config_.spill_dir, prefix + "_small",
+                                     &counters_);
   big_spill_ =
-      std::make_unique<SpillManager>(spill_dir_, prefix + "_big", &counters_);
+      std::make_unique<SpillManager>(config_.spill_dir, prefix + "_big",
+                                     &counters_);
   global_queue_ = std::make_unique<GlobalQueue>(
       config_.global_queue_capacity, config_.batch_size, big_spill_.get(),
       app_, &counters_);

@@ -139,9 +139,6 @@ class Engine {
   std::atomic<int> busy_compers_{0};
   EngineCounters counters_;
 
-  std::string spill_dir_;
-  bool owns_spill_dir_ = false;
-
   // ---- fault-tolerance state (with checkpointing) ----
   /// Durable progress log + replay of a crashed predecessor (see
   /// gthinker/checkpoint.h). Null when config_.checkpoint_dir is empty.

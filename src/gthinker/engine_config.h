@@ -62,8 +62,9 @@ struct EngineConfig {
   /// Batch size C for spilling, refilling, spawning and stealing.
   size_t batch_size = 16;
 
-  /// Directory for spill files; empty = a fresh directory under the
-  /// system temp dir, removed after the run.
+  /// Directory for spill files, shared by the job's ranks. An Engine needs
+  /// one; RunLocalCluster makes a fresh one under /tmp when it is empty and
+  /// removes it after the run.
   std::string spill_dir;
 
   /// The coordinator's load-balancing period (the paper uses 1 s; scaled

@@ -49,17 +49,18 @@ void CanonicalizeResults(std::vector<VertexSet>* sets,
                          CanonicalizeStats* stats = nullptr);
 
 /// Order-sensitive FNV-1a digest over a canonical result set; two runs
-/// mined the same quasi-cliques iff their digests match (used by the
-/// cluster launcher and the smoke check to compare a multi-process run
-/// against qcm_mine).
+/// mined the same quasi-cliques iff their digests match (both tools print
+/// it, and the end-to-end tests compare a multi-process run against
+/// qcm_mine by it).
 uint64_t ResultSetDigest(const std::vector<VertexSet>& sets);
 
 /// The one implementation of canonical result emission shared by
 /// qcm_mine and qcm_cluster: canonicalizes `*sets` in place, prints
 /// "result-digest: <16 hex>" on stderr, and -- when `output_path` is
 /// non-empty -- writes one space-separated set per line ("-" = stdout).
-/// check_smoke.sh and the cluster e2e test compare these exact bytes
-/// across the two tools, so the format must never drift between them.
+/// ClusterParityTest (tests/cluster_e2e_test.cc) compares these exact
+/// bytes across the two tools, so the format must never drift between
+/// them.
 /// Returns the digest, or IOError naming the path when the output cannot
 /// be opened or written in full.
 /// `canon_stats` (optional) receives the CanonicalizeResults counters.

@@ -1,58 +1,33 @@
 // The command-line contract of the shipped tools, and the shared flag
 // table behind qcm_mine and qcm_cluster (tools/cli.h).
 //
-// The contract tests drive the real binaries through popen, like
-// cluster_e2e_test: every tool exits 2 -- naming the flag -- on an
-// unknown flag, a missing value or a malformed number, before it loads
-// any graph; retired flags are unknown; contradictory settings are
-// rejected by EngineConfig::Validate() instead of being patched; a
-// results or stats file that cannot be written in full exits 1; and
-// --help lists exactly the flags the tool accepts. The table test checks
-// that every shared row sets the field it names.
+// The contract tests drive the real binaries through popen (cli_run.h),
+// like cluster_e2e_test: every tool exits 2 -- naming the flag -- on an
+// unknown flag, a missing value, a malformed number or no single graph
+// source, before it loads any graph; retired flags are unknown;
+// contradictory settings are rejected by EngineConfig::Validate() instead
+// of being patched; a results or stats file that cannot be written in
+// full exits 1, and so does a launcher dir that cannot be made, before
+// the load; and --help lists exactly the flags the tool accepts. The
+// table test checks that every shared row sets the field it names.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <functional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_run.h"
 #include "tools/cli.h"
 #include "util/logging.h"
 #include "util/serde.h"
 
 namespace qcm {
 namespace {
-
-#ifndef QCM_BIN_DIR
-#define QCM_BIN_DIR "."
-#endif
-
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult RunTool(const std::string& tool, const std::string& args) {
-  RunResult result;
-  const std::string command =
-      std::string(QCM_BIN_DIR) + "/" + tool + " " + args + " 2>&1";
-  FILE* pipe = ::popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    result.output.append(buf, n);
-  }
-  const int status = ::pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
 
 constexpr char kTinyGraph[] =
     "--gen-planted n=200,communities=2,size=8..8,density=1";
@@ -88,7 +63,7 @@ TEST(CliContractTest, BadFlagsExitTwoNamingTheFlag) {
       // Missing values.
       {"qcm_mine", std::string(kTinyGraph) + " --tau-split", "--tau-split"},
       {"qcm_cluster", std::string(kTinyGraph) + " --workers", "--workers"},
-      {"qcm_pack", "--output x.qcsr --page-size", "--page-size"},
+      {"qcm_pack", "--output x.qcsr --seed", "--seed"},
       {"qcm_worker", "--coordinator-port", "--coordinator-port"},
       // Malformed numbers: no silent 0, no truncated prefix.
       {"qcm_mine", std::string(kTinyGraph) + " --tau-split abc", "'abc'"},
@@ -97,12 +72,21 @@ TEST(CliContractTest, BadFlagsExitTwoNamingTheFlag) {
       {"qcm_cluster", std::string(kTinyGraph) + " --workers 3x", "'3x'"},
       {"qcm_cluster", std::string(kTinyGraph) + " --net-latency 1ms",
        "'1ms'"},
-      {"qcm_pack", "--output x.qcsr --page-size 64k", "'64k'"},
+      {"qcm_pack", "--output x.qcsr --seed 7x", "'7x'"},
       {"qcm_worker", "--coordinator-port 12ab", "'12ab'"},
       // A malformed planted spec is a usage error too.
       {"qcm_mine", "--gen-planted n=-5,communities=2,size=10..10,density=1",
        "--gen-planted"},
       {"qcm_pack", "--output x.qcsr --gen-planted n=1e4", "--gen-planted"},
+      // Exactly one graph source; qcm_cluster's --snapshot is one.
+      {"qcm_mine", "--gamma 0.9", "exactly one of --input / "
+                                  "--input-snapshot / --gen-planted"},
+      {"qcm_cluster", "--workers 2", "exactly one of --input / --snapshot / "
+                                     "--gen-planted"},
+      {"qcm_cluster", "--snapshot g.qcsr " + std::string(kTinyGraph),
+       "exactly one of --input / --snapshot / --gen-planted"},
+      {"qcm_pack", "--output x.qcsr", "exactly one of --input / "
+                                      "--gen-planted"},
   };
   for (const BadUsage& c : cases) {
     SCOPED_TRACE(c.tool + " " + c.args);
@@ -134,6 +118,14 @@ TEST(CliContractTest, RetiredFlagsAreUnknown) {
           << r.output;
     }
   }
+  // Every writer pads a packed snapshot to the one default page size.
+  const std::string page_size = std::string("--page") + "-size";
+  const RunResult pack = RunTool(
+      "qcm_pack", std::string(kTinyGraph) + " --output x.qcsr " + page_size +
+                      " 4096");
+  EXPECT_EQ(pack.exit_code, 2) << pack.output;
+  EXPECT_NE(pack.output.find("unknown flag " + page_size), std::string::npos)
+      << pack.output;
   for (const char* flag :
        {"--stats-json", "--log-level", "--dense-threshold"}) {
     SCOPED_TRACE(std::string("qcm_worker ") + flag);
@@ -170,23 +162,51 @@ TEST(CliContractTest, RangeChecksComeFromTheValidator) {
   EXPECT_EQ(heartbeat.output.find("coordinator on"), std::string::npos);
 }
 
-TEST(CliContractTest, FailedResultOrStatsWriteExitsOne) {
+TEST(CliContractTest, UnwritableTargetsExitOne) {
   // Every write to /dev/full fails with ENOSPC, usually only when stdio
-  // flushes its buffer at close.
+  // flushes its buffer at close; no dir can be made under /dev/null.
   struct stat st {};
   ASSERT_EQ(::stat("/dev/full", &st), 0);
   ASSERT_TRUE(S_ISCHR(st.st_mode));
-  const std::string log_dir = ::testing::TempDir() + "/cli_test_logs";
-  for (const std::string tool : {"qcm_mine", "qcm_cluster"}) {
-    for (const char* flag : {"--output", "--stats-json"}) {
-      SCOPED_TRACE(tool + " " + flag);
-      // The two 8-cliques are the results, so the file is not empty.
-      std::string args = std::string(kTinyGraph) + " --min-size 8 " + flag +
-                         " /dev/full";
-      if (tool == "qcm_cluster") args += " --log-dir " + log_dir;
-      const RunResult r = RunTool(tool, args);
-      EXPECT_EQ(r.exit_code, 1) << r.output;
-      EXPECT_NE(r.output.find("error writing /dev/full"), std::string::npos)
+  const std::string snapshot = ::testing::TempDir() + "/cli_test.qcsr";
+  const RunResult packed =
+      RunTool("qcm_pack", std::string(kTinyGraph) + " --output " + snapshot);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+  // The two 8-cliques are the results, so the file is not empty.
+  const std::string mine = std::string(kTinyGraph) + " --min-size 8";
+  const std::string cluster =
+      mine + " --log-dir " + ::testing::TempDir() + "/cli_test_logs";
+  struct FailedRun {
+    std::string tool;
+    std::string args;
+    std::string named;  // text the error message must contain
+    bool before_load;   // the run fails before it loads or forks
+  };
+  const std::vector<FailedRun> cases = {
+      {"qcm_mine", mine + " --output /dev/full", "error writing /dev/full",
+       false},
+      {"qcm_mine", mine + " --stats-json /dev/full",
+       "error writing /dev/full", false},
+      {"qcm_cluster", cluster + " --output /dev/full",
+       "error writing /dev/full", false},
+      {"qcm_cluster", cluster + " --stats-json /dev/full",
+       "error writing /dev/full", false},
+      {"qcm_cluster", cluster + " --checkpoint-dir /dev/null/ckpt",
+       "cannot create checkpoint directory /dev/null/ckpt", true},
+      {"qcm_cluster", mine + " --log-dir /dev/null/logs",
+       "cannot create log directory /dev/null/logs", true},
+      {"qcm_cluster",
+       "--snapshot " + snapshot + " --min-size 8 --log-dir /dev/null/logs",
+       "cannot create log directory /dev/null/logs", true},
+  };
+  for (const FailedRun& c : cases) {
+    SCOPED_TRACE(c.tool + " " + c.args);
+    const RunResult r = RunTool(c.tool, c.args);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find(c.named), std::string::npos) << r.output;
+    if (c.before_load) {
+      EXPECT_EQ(r.output.find("packed"), std::string::npos) << r.output;
+      EXPECT_EQ(r.output.find("coordinator on"), std::string::npos)
           << r.output;
     }
   }
@@ -218,10 +238,9 @@ TEST(CliContractTest, HelpListsExactlyTheAcceptedFlags) {
   cluster.insert({"--workers", "--heartbeat-usec", "--checkpoint-interval",
                   "--checkpoint-dir", "--max-rank-restarts", "--snapshot",
                   "--graph-memory-budget", "--worker-bin", "--log-dir"});
-  const std::set<std::string> pack = {"--input",     "--gen-planted",
-                                      "--seed",      "--output",
-                                      "--page-size", "--verify",
-                                      "--quiet"};
+  const std::set<std::string> pack = {"--input",  "--gen-planted",
+                                      "--seed",   "--output",
+                                      "--verify", "--quiet"};
   const std::set<std::string> worker = {"--coordinator-port",
                                         "--coordinator-host"};
   EXPECT_EQ(mine.size(), 23u);

@@ -1,100 +1,47 @@
-// End-to-end multi-process test (the PR's acceptance criterion): fork a
-// real 3-process `qcm_cluster` run on an example graph and assert its
-// maximal quasi-clique set is bit-identical -- same canonical result
-// file, same digest -- to the in-process cluster of `qcm_mine`. This
-// drives the actual shipped binaries (launcher, workers, TCP mesh,
-// distributed termination, report merging), not a test harness replica.
-//
-// The binaries are located via QCM_BIN_DIR (compiled in by CMake as the
-// build directory); ctest runs from there, so a fresh build always tests
-// its own artifacts.
+// End-to-end tests of the shipped binaries: real `qcm_cluster` runs
+// (launcher, qcm_worker processes, TCP mesh, distributed termination,
+// report merging) next to `qcm_mine` and `qcm_pack` runs on the same
+// graph. Every way of mining it -- in-process or 3-process, dense or
+// scalar kernels, the serial reference miner, a packed snapshot, resident
+// or budgeted out-of-core adjacency -- must yield the bit-identical
+// maximal set (same digest; same canonical result file), with instant
+// and with modelled 2 ms network delivery. A launcher must also leave no
+// worker process and no dir of its own behind.
 
 #include <gtest/gtest.h>
-
-#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "cli_run.h"
+
+namespace qcm {
 namespace {
-
-#ifndef QCM_BIN_DIR
-#define QCM_BIN_DIR "."
-#endif
-
-std::string BinDir() { return QCM_BIN_DIR; }
-
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult RunCommand(const std::string& command) {
-  RunResult result;
-  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    result.output.append(buf, n);
-  }
-  const int status = ::pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Extracts the "result-digest: <hex>" line both tools print.
-std::string Digest(const std::string& output) {
-  const std::string needle = "result-digest: ";
-  const size_t pos = output.find(needle);
-  if (pos == std::string::npos) return "";
-  return output.substr(pos + needle.size(), 16);
-}
 
 constexpr char kGraphSpec[] =
     "n=1500,communities=5,size=9..13,density=0.95";
 constexpr char kMiningFlags[] = "--gamma 0.85 --min-size 8 --seed 3";
 
-TEST(ClusterE2ETest, ThreeProcessClusterBitIdenticalToSimulatedMode) {
-  const std::string single_out = ::testing::TempDir() + "/qcm_single.txt";
-  const std::string cluster_out = ::testing::TempDir() + "/qcm_cluster.txt";
+/// The suite's planted graph and mining flags.
+std::string Planted() {
+  return std::string("--gen-planted ") + kGraphSpec + " " + kMiningFlags;
+}
 
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 3 --threads 2 --output " + single_out);
-  ASSERT_EQ(single.exit_code, 0) << single.output;
-
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --output " + cluster_out);
-  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-
-  // Same digest on stderr...
-  const std::string single_digest = Digest(single.output);
-  const std::string cluster_digest = Digest(cluster.output);
-  ASSERT_EQ(single_digest.size(), 16u) << single.output;
-  EXPECT_EQ(single_digest, cluster_digest)
-      << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
-
-  // ...and byte-identical canonical result files with real content.
-  const std::string single_results = ReadFile(single_out);
-  const std::string cluster_results = ReadFile(cluster_out);
-  ASSERT_FALSE(single_results.empty()) << single.output;
-  EXPECT_EQ(single_results, cluster_results);
-
-  std::remove(single_out.c_str());
-  std::remove(cluster_out.c_str());
+/// The first line of `output` that starts with `prefix`, or "".
+std::string Line(const std::string& output, const std::string& prefix) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
 }
 
 /// Pulls the integer after `"key": ` out of a stats-json blob (first
@@ -107,67 +54,233 @@ long long JsonCounter(const std::string& json, const std::string& key,
   return std::atoll(json.c_str() + pos + needle.size());
 }
 
-// Out-of-core acceptance: pack once with qcm_pack, hand the snapshot to a
-// 3-process cluster whose per-rank adjacency budget (8 KiB) is a tiny
-// fraction of the partition, and require the digest to stay bit-identical
-// to resident qcm_mine while the budgeted list cache demonstrably churns
-// (evictions > 0 in the merged report).
-TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
-  const std::string snap_path = ::testing::TempDir() + "/qcm_e2e.qcsr";
-  const std::string json_path = ::testing::TempDir() + "/qcm_oocsr.json";
-  const std::string log_dir = ::testing::TempDir() + "/qcm_oocsr_logs";
+using Counters = std::map<std::string, long long>;
 
-  const RunResult packed = RunCommand(
-      BinDir() + "/qcm_pack --gen-planted " + kGraphSpec +
-      " --seed 3 --page-size 4096 --verify --output " + snap_path);
-  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+/// The "counters" objects of a --stats-json report that open in [from,
+/// to), in file order.
+std::vector<Counters> CounterBlocks(const std::string& json, size_t from = 0,
+                                    size_t to = std::string::npos) {
+  std::vector<Counters> blocks;
+  const std::string open = "\"counters\": {";
+  for (size_t at = json.find(open, from); at < to;
+       at = json.find(open, at + 1)) {
+    const size_t end = json.find('}', at);
+    Counters& counters = blocks.emplace_back();
+    for (size_t key = json.find('"', at + open.size()); key < end;) {
+      const size_t key_end = json.find('"', key + 1);
+      // Skip the `":` after the key.
+      counters[json.substr(key + 1, key_end - key - 1)] =
+          std::atoll(json.c_str() + key_end + 2);
+      key = json.find('"', key_end + 1);
+    }
+  }
+  return blocks;
+}
 
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 3 --threads 2");
+std::set<std::string> Keys(const Counters& counters) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : counters) keys.insert(key);
+  return keys;
+}
+
+/// The digest-parity cases, each run under every network model.
+class ClusterParityTest : public ::testing::TestWithParam<NetModel> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/cluster_e2e_" + GetParam().name;
+    std::filesystem::create_directories(dir_);
+  }
+
+  /// Runs `tool` on `args` under this case's network model.
+  RunResult Run(const std::string& tool, const std::string& args) const {
+    return RunTool(tool, args + GetParam().flags);
+  }
+
+  /// The case's own dir under TempDir(); its worker logs stay there.
+  std::string dir_;
+};
+
+// One maximal set, however it is mined: qcm_mine's in-process cluster
+// (dense kernels, then scalar ones), its serial reference miner, both
+// again from a qcm_pack snapshot, a real 3-process qcm_cluster (dense,
+// then scalar), and that cluster on the snapshot with an 8 KiB adjacency
+// budget per rank all print the same digest, and the two resident
+// clusters write the same canonical result file.
+TEST_P(ClusterParityTest, EveryDeploymentMinesTheBitIdenticalSet) {
+  const std::string single_out = dir_ + "/single.txt";
+  const RunResult single =
+      Run("qcm_mine", Planted() + " --machines 3 --threads 2 --stats "
+                                  "--output " + single_out);
   ASSERT_EQ(single.exit_code, 0) << single.output;
+  const std::string digest = Digest(single.output);
+  ASSERT_EQ(digest.size(), 16u) << single.output;
+  // The default run engages the word-parallel dense kernels, so the
+  // scalar run below compares two kernel paths, not one with itself.
+  unsigned long long dense_tasks = 0;
+  EXPECT_EQ(std::sscanf(Line(single.output, "kernels: ").c_str(),
+                        "kernels: %llu dense", &dense_tasks),
+            1)
+      << single.output;
+  EXPECT_GT(dense_tasks, 0u) << single.output;
+  // --stats reports the peak RSS after the load and after the k-core.
+  EXPECT_TRUE(std::regex_match(
+      Line(single.output, "memory: "),
+      std::regex(R"(memory: peak RSS \d+\.\d [KMGT]?B after load, )"
+                 R"(\d+\.\d [KMGT]?B after k-core)")))
+      << single.output;
 
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --snapshot " + snap_path +
-      " --graph-memory-budget 8192 --log-dir " +
-      log_dir + " --stats-json " + json_path);
+  const std::string snapshot = dir_ + "/graph.qcsr";
+  const RunResult packed = RunTool(
+      "qcm_pack", std::string("--gen-planted ") + kGraphSpec +
+                      " --seed 3 --verify --output " + snapshot);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+  const std::string from_snapshot = "--input-snapshot " + snapshot +
+                                    " --gamma 0.85 --min-size 8";
+  std::vector<std::string> mine_args = {
+      Planted() + " --machines 3 --threads 2 --dense-threshold 0",
+      from_snapshot + " --machines 3 --threads 2"};
+  // The serial miner never touches the fabric: one network model covers it.
+  if (std::string(GetParam().flags).empty()) {
+    mine_args.push_back(Planted() + " --serial");
+    mine_args.push_back(from_snapshot + " --serial");
+  }
+  for (const std::string& args : mine_args) {
+    SCOPED_TRACE(args);
+    const RunResult mined = Run("qcm_mine", args);
+    ASSERT_EQ(mined.exit_code, 0) << mined.output;
+    EXPECT_EQ(Digest(mined.output), digest) << mined.output;
+  }
+
+  const std::string log_dir = dir_ + "/logs";
+  const std::string cluster_out = dir_ + "/cluster.txt";
+  const std::string json_path = dir_ + "/stats.json";
+  const std::string cluster_args = Planted() +
+                                   " --workers 3 --threads 2 --log-dir " +
+                                   log_dir;
+  const RunResult cluster =
+      Run("qcm_cluster", cluster_args + " --stats --stats-json " +
+                             json_path + " --output " + cluster_out);
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-
-  const std::string single_digest = Digest(single.output);
-  ASSERT_EQ(single_digest.size(), 16u) << single.output;
-  EXPECT_EQ(single_digest, Digest(cluster.output))
+  EXPECT_EQ(Digest(cluster.output), digest)
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
+  const std::string single_results = ReadFile(single_out);
+  ASSERT_FALSE(single_results.empty()) << single.output;
+  EXPECT_EQ(ReadFile(cluster_out), single_results);
+  // No worker outlived its launcher.
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
 
-  // The merged report must show lists read and evicted under the budget.
+  // The launcher packed only the input's k-core, in its own compact ids:
+  // fewer edges (the reduction engaged) and fewer vertices (the ids were
+  // compacted) than the input, and its packed line counts that core.
+  unsigned core_vertices = 0, input_vertices = 0;
+  unsigned long long core_edges = 0, input_edges = 0;
+  ASSERT_EQ(std::sscanf(Line(cluster.output, "k-core: ").c_str(),
+                        "k-core: %u of %u vertices, %llu of %llu edges",
+                        &core_vertices, &input_vertices, &core_edges,
+                        &input_edges),
+            4)
+      << cluster.output;
+  EXPECT_LT(core_vertices, input_vertices) << cluster.output;
+  EXPECT_LT(core_edges, input_edges) << cluster.output;
+  EXPECT_NE(Line(cluster.output, "qcm_cluster: packed ")
+                .find("(" + std::to_string(core_vertices) + " vertices, " +
+                      std::to_string(core_edges) + " edges)"),
+            std::string::npos)
+      << cluster.output;
+
+  // The report lists the three ranks' counters, then the merge's. Every
+  // rank carries the merge's counter keys, and the merged task and raw
+  // candidate counts are the ranks' sums.
   const std::string json = ReadFile(json_path);
-  const size_t merged_at = json.find("\"merged\"");
+  EXPECT_NE(json.find("\"cache_hit_ratio\""), std::string::npos) << json;
+  const size_t ranks_at = json.find("\"ranks\": [");
+  const size_t merged_at = json.find("\"merged\": {");
+  ASSERT_NE(ranks_at, std::string::npos) << json;
   ASSERT_NE(merged_at, std::string::npos) << json;
-  EXPECT_GT(JsonCounter(json, "graph_page_ins", merged_at), 0) << json;
-  EXPECT_GT(JsonCounter(json, "graph_page_evictions", merged_at), 0)
+  EXPECT_TRUE(CounterBlocks(json, 0, ranks_at).empty()) << json;
+  const std::vector<Counters> ranks = CounterBlocks(json, ranks_at, merged_at);
+  ASSERT_EQ(ranks.size(), 3u) << json;
+  const std::vector<Counters> merged_blocks = CounterBlocks(json, merged_at);
+  ASSERT_EQ(merged_blocks.size(), 1u) << json;
+  const Counters& merged = merged_blocks[0];
+  ASSERT_EQ(merged.count("tasks_completed"), 1u) << json;
+  long long tasks = 0;
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(Keys(ranks[r]), Keys(merged)) << "rank " << r;
+    tasks += ranks[r].at("tasks_completed");
+  }
+  EXPECT_EQ(merged.at("tasks_completed"), tasks) << json;
+  long long rank_candidates = 0;
+  int rank_reports = 0;
+  for (size_t at = json.find("\"raw_result_sets\"", ranks_at);
+       at < merged_at; at = json.find("\"raw_result_sets\"", at + 1)) {
+    rank_candidates += JsonCounter(json, "raw_result_sets", at);
+    ++rank_reports;
+  }
+  EXPECT_EQ(rank_reports, 3) << json;
+  // The merged raw candidate count is the ranks' total, not what is left
+  // after the candidates move on to the maximality filter.
+  const long long merged_candidates =
+      JsonCounter(json, "raw_result_sets", merged_at);
+  EXPECT_GT(merged_candidates, 0) << json;
+  EXPECT_EQ(merged_candidates, rank_candidates) << json;
+  // Every fabric message left as exactly one data frame, and a write
+  // carries at most one frame.
+  EXPECT_EQ(merged.at("net_flush_frames"),
+            merged.at("msg_sent_pull_request") +
+                merged.at("msg_sent_pull_response") +
+                merged.at("msg_sent_steal_batch"))
       << json;
+  EXPECT_GE(merged.at("net_flushes"), merged.at("net_flush_frames")) << json;
 
+  const RunResult scalar =
+      Run("qcm_cluster", cluster_args + " --dense-threshold 0");
+  ASSERT_EQ(scalar.exit_code, 0) << scalar.output;
+  EXPECT_EQ(Digest(scalar.output), digest) << scalar.output;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+
+  // Out-of-core: the qcm_pack snapshot as the run's only graph source, and
+  // a per-rank adjacency budget that is a tiny fraction of the partition.
+  const std::string budgeted_logs = dir_ + "/budgeted_logs";
+  const std::string budgeted_json = dir_ + "/budgeted.json";
+  const RunResult budgeted = Run(
+      "qcm_cluster", "--snapshot " + snapshot +
+                         " --gamma 0.85 --min-size 8 --workers 3 --threads 2 "
+                         "--graph-memory-budget 8192 --log-dir " +
+                         budgeted_logs + " --stats-json " + budgeted_json);
+  ASSERT_EQ(budgeted.exit_code, 0) << budgeted.output;
+  EXPECT_EQ(Digest(budgeted.output), digest) << budgeted.output;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(budgeted_logs),
+            std::vector<std::string>{});
+  // The merged report shows lists read and evicted under the budget.
+  const std::string budgeted_report = ReadFile(budgeted_json);
+  const std::vector<Counters> budgeted_merged = CounterBlocks(
+      budgeted_report, budgeted_report.find("\"merged\": {"));
+  ASSERT_EQ(budgeted_merged.size(), 1u) << budgeted_report;
+  EXPECT_GT(budgeted_merged[0].at("graph_page_ins"), 0) << budgeted_report;
+  EXPECT_GT(budgeted_merged[0].at("graph_page_evictions"), 0)
+      << budgeted_report;
   // Workers mapped the snapshot instead of materializing the graph.
-  const std::string worker_log = ReadFile(log_dir + "/worker0.log");
+  const std::string worker_log = ReadFile(budgeted_logs + "/worker0.log");
   EXPECT_NE(worker_log.find("snapshot"), std::string::npos) << worker_log;
   EXPECT_NE(worker_log.find("mapped"), std::string::npos) << worker_log;
-
-  std::remove(snap_path.c_str());
-  std::remove(json_path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Net, ClusterParityTest,
+                         ::testing::ValuesIn(kNetModels), NetModelName);
 
 // Same budgeted snapshot machinery, single-worker topology: the list
 // cache must not depend on partitioning to stay bit-identical.
 TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 1 --threads 2");
+  const RunResult single =
+      RunTool("qcm_mine", Planted() + " --machines 1 --threads 2");
   ASSERT_EQ(single.exit_code, 0) << single.output;
 
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 1 --threads 2 --graph-memory-budget 8192 "
-      "--stats");
+  const RunResult cluster = RunTool(
+      "qcm_cluster", Planted() + " --workers 1 --threads 2 "
+                                 "--graph-memory-budget 8192 --stats "
+                                 "--log-dir " +
+                         ::testing::TempDir() + "/cluster_e2e_one_worker");
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
   // The launcher packed the graph itself (no --snapshot given), and its
   // --stats report the peak RSS of the load and of the k-core step.
@@ -182,60 +295,21 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
 }
 
-/// The path after `label` in the launcher's "(logs in D, checkpoints in
-/// D)" line, up to the next ',' or ')'.
-std::string PrintedDir(const std::string& output, const std::string& label) {
-  const size_t at = output.find(label);
-  if (at == std::string::npos) return "";
-  const size_t begin = at + label.size();
-  return output.substr(begin, output.find_first_of(",)", begin) - begin);
-}
-
-// Without --log-dir the launcher makes its own temp dir for the worker
-// logs and the packed graph; a clean run removes it, as it does its own
-// checkpoint dir.
+// Without --log-dir or --checkpoint-dir the launcher makes its own temp
+// dirs for the worker logs and the packed graph, and for the checkpoints,
+// and always one for the job's spill files; a clean run removes all
+// three, and none of its workers outlives it.
 TEST(ClusterE2ETest, CleanRunRemovesItsOwnDirs) {
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 2 --threads 1");
+  const RunResult cluster = RunTool(
+      "qcm_cluster", Planted() + " --workers 2 --threads 1");
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  const std::string log_dir = PrintedDir(cluster.output, "logs in ");
-  const std::string ckpt_dir = PrintedDir(cluster.output, "checkpoints in ");
-  ASSERT_FALSE(log_dir.empty()) << cluster.output;
-  ASSERT_FALSE(ckpt_dir.empty()) << cluster.output;
-  EXPECT_FALSE(std::filesystem::exists(log_dir)) << log_dir << " was left";
-  EXPECT_FALSE(std::filesystem::exists(ckpt_dir)) << ckpt_dir << " was left";
-}
-
-TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
-  const std::string json_path = ::testing::TempDir() + "/qcm_stats.json";
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 1 --stats-json " + json_path);
-  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  const std::string json = ReadFile(json_path);
-  EXPECT_NE(json.find("\"ranks\""), std::string::npos);
-  EXPECT_NE(json.find("\"merged\""), std::string::npos);
-  EXPECT_NE(json.find("\"tasks_completed\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hit_ratio\""), std::string::npos);
-
-  // The merged raw candidate count is the ranks' total, not what is left
-  // after the candidates move on to the maximality filter.
-  const size_t merged_at = json.find("\"merged\"");
-  ASSERT_NE(merged_at, std::string::npos) << json;
-  long long rank_total = 0;
-  int ranks = 0;
-  for (size_t at = json.find("\"raw_result_sets\"");
-       at != std::string::npos && at < merged_at;
-       at = json.find("\"raw_result_sets\"", at + 1)) {
-    rank_total += JsonCounter(json, "raw_result_sets", at);
-    ++ranks;
+  for (const char* label : {"logs in ", "checkpoints in ", "spill in "}) {
+    const std::string dir = PrintedDir(cluster.output, label);
+    ASSERT_FALSE(dir.empty()) << label << "\n" << cluster.output;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << dir << " was left";
   }
-  EXPECT_EQ(ranks, 3) << json;
-  const long long merged = JsonCounter(json, "raw_result_sets", merged_at);
-  EXPECT_GT(merged, 0) << json;
-  EXPECT_EQ(merged, rank_total) << json;
-  std::remove(json_path.c_str());
+  EXPECT_EQ(ProcessesHoldingFilesUnder(PrintedDir(cluster.output, "logs in ")),
+            std::vector<std::string>{});
 }
 
 // qcm_mine's --stats-json counts every candidate the kernel emitted
@@ -245,10 +319,10 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
 TEST(ClusterE2ETest, MineStatsJsonCountsRawCandidates) {
   const std::string json_path = ::testing::TempDir() + "/qcm_mine_stats.json";
   for (const std::string filter : {"", " --no-filter"}) {
-    const RunResult mined = RunCommand(
-        BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-        kMiningFlags + " --machines 3 --threads 1 --stats-json " +
-        json_path + filter);
+    const RunResult mined =
+        RunTool("qcm_mine", Planted() + " --machines 3 --threads 1 "
+                                        "--stats-json " +
+                                json_path + filter);
     ASSERT_EQ(mined.exit_code, 0) << mined.output;
     const std::string json = ReadFile(json_path);
     const long long raw = JsonCounter(json, "raw_result_sets");
@@ -267,3 +341,4 @@ TEST(ClusterE2ETest, MineStatsJsonCountsRawCandidates) {
 }
 
 }  // namespace
+}  // namespace qcm

@@ -1,9 +1,10 @@
 // .qcsr snapshot format + budgeted vertex table tests: byte-pinned header
-// layout, round-trip fidelity, corrupt-header / torn-tail / checksum-
-// mismatch rejection with file:offset errors, parity between resident,
-// snapshot-mmap and budgeted tables under eviction churn, the budget's
-// bound on what the rank holds, hub lists cached whole, pins that outlive
-// eviction, and the loud failure of a read past a truncated file's end.
+// layout, round-trip fidelity (also of a file laid out on 4 KiB pages),
+// corrupt-header / torn-tail / checksum-mismatch rejection with
+// file:offset errors, parity between resident, snapshot-mmap and budgeted
+// tables under eviction churn, the budget's bound on what the rank holds,
+// hub lists cached whole, pins that outlive eviction, and the loud
+// failure of a read past a truncated file's end.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
@@ -62,6 +64,32 @@ T ReadAt(const std::string& bytes, size_t offset) {
   return v;
 }
 
+template <typename T>
+void WriteAt(std::string* bytes, size_t offset, T v) {
+  std::memcpy(bytes->data() + offset, &v, sizeof(T));
+}
+
+/// `wide`, a snapshot as the writer lays it out, laid out again on the
+/// smallest page size the format allows.
+std::string OnSmallestPages(const std::string& wide) {
+  constexpr uint32_t kPage = kCsrMinPageSize;
+  std::string header = wide.substr(0, kCsrHeaderBytes);
+  std::string body;  // everything after the header page
+  for (int i = 0; i < kCsrNumSections; ++i) {
+    const uint64_t offset = ReadAt<uint64_t>(wide, 40 + 24 * i);
+    const uint64_t size = ReadAt<uint64_t>(wide, 48 + 24 * i);
+    body.resize((body.size() + kPage - 1) / kPage * kPage, '\0');
+    WriteAt<uint64_t>(&header, 40 + 24 * i, kPage + body.size());
+    body += wide.substr(offset, size);
+  }
+  body += wide.substr(wide.size() - sizeof(kCsrTailMagic));
+  WriteAt<uint32_t>(&header, 8, kPage);
+  WriteAt<uint64_t>(&header, 32, kPage + body.size());
+  WriteAt<uint64_t>(&header, 136, Fingerprint(header.data(), 136));
+  header.resize(kPage, '\0');
+  return header + body;
+}
+
 /// Resident bytes of this process's mappings of files whose path ends in
 /// `suffix`: the sum of the Rss: lines of their /proc/self/smaps entries.
 uint64_t MappedRssBytes(const std::string& suffix) {
@@ -98,7 +126,6 @@ TEST(CsrSnapshotTest, HeaderLayoutIsBytePinned) {
   const Graph g = MakePlanted(64, 3);
   const std::string path = TempPath("pinned.qcsr");
   CsrWriteOptions opts;
-  opts.page_size = 4096;
   opts.build_seed = 3;
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, opts).ok());
 
@@ -108,14 +135,14 @@ TEST(CsrSnapshotTest, HeaderLayoutIsBytePinned) {
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 0), kCsrMagic);
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 0), 0x52534351u);  // "QCSR"
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 4), kCsrVersion);
-  EXPECT_EQ(ReadAt<uint32_t>(bytes, 8), 4096u);
+  EXPECT_EQ(ReadAt<uint32_t>(bytes, 8), 65536u);  // page size
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 12), g.NumVertices());
   EXPECT_EQ(ReadAt<uint64_t>(bytes, 16), g.NumEdges());
   EXPECT_EQ(ReadAt<uint64_t>(bytes, 24), 3u);  // build seed
   EXPECT_EQ(ReadAt<uint64_t>(bytes, 32), bytes.size());
   // Section table: 4 x {offset, bytes, checksum} from byte 40; degrees
   // first, page-aligned right after the header page.
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 40), 4096u);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 40), 65536u);
   EXPECT_EQ(ReadAt<uint64_t>(bytes, 48),
             uint64_t{g.NumVertices()} * sizeof(uint32_t));
   // Header checksum over bytes [0, 136).
@@ -125,7 +152,7 @@ TEST(CsrSnapshotTest, HeaderLayoutIsBytePinned) {
   EXPECT_EQ(ReadAt<uint64_t>(bytes, bytes.size() - 8), kCsrTailMagic);
   // Every section starts on a page boundary.
   for (int i = 0; i < kCsrNumSections; ++i) {
-    EXPECT_EQ(ReadAt<uint64_t>(bytes, 40 + 24 * i) % 4096, 0u)
+    EXPECT_EQ(ReadAt<uint64_t>(bytes, 40 + 24 * i) % 65536, 0u)
         << CsrSectionName(i);
   }
 }
@@ -136,45 +163,53 @@ TEST(CsrSnapshotTest, RoundTripPreservesGraphAndOriginalIds) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) ids[v] = 1000 + 3 * v;
 
   const std::string path = TempPath("roundtrip.qcsr");
-  CsrWriteOptions opts;
-  opts.page_size = 4096;
-  ASSERT_TRUE(WriteCsrSnapshot(g, ids, path, opts).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, ids, path).ok());
+  // The writer pads to 64 KiB pages, but the reader takes any page size
+  // the header declares, so the same file on 4 KiB pages reads back too.
+  const std::string small_pages = TempPath("roundtrip_small_pages.qcsr");
+  WriteAll(small_pages, OnSmallestPages(ReadAll(path)));
 
-  CsrSnapshot::OpenOptions open_opts;
-  open_opts.verify_sections = true;
-  open_opts.verify_adjacency = true;
-  auto snap = CsrSnapshot::Open(path, open_opts);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  for (const auto& [file, page_size] :
+       std::vector<std::pair<std::string, uint32_t>>{
+           {path, 65536}, {small_pages, kCsrMinPageSize}}) {
+    SCOPED_TRACE(file);
+    CsrSnapshot::OpenOptions open_opts;
+    open_opts.verify_sections = true;
+    open_opts.verify_adjacency = true;
+    auto snap = CsrSnapshot::Open(file, open_opts);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ((*snap)->page_size(), page_size);
 
-  ASSERT_EQ((*snap)->NumVertices(), g.NumVertices());
-  ASSERT_EQ((*snap)->NumEdges(), g.NumEdges());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ((*snap)->Degree(v), g.Degree(v));
-    EXPECT_EQ((*snap)->OriginalId(v), ids[v]);
-    auto want = g.Neighbors(v);
-    auto got = (*snap)->Neighbors(v);
-    ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
-    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
-        << "vertex " << v;
-  }
+    ASSERT_EQ((*snap)->NumVertices(), g.NumVertices());
+    ASSERT_EQ((*snap)->NumEdges(), g.NumEdges());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      EXPECT_EQ((*snap)->Degree(v), g.Degree(v));
+      EXPECT_EQ((*snap)->OriginalId(v), ids[v]);
+      auto want = g.Neighbors(v);
+      auto got = (*snap)->Neighbors(v);
+      ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+          << "vertex " << v;
+    }
 
-  // Resident materialization reproduces the identical CSR.
-  auto back = (*snap)->ToGraph();
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->NumVertices(), g.NumVertices());
-  ASSERT_EQ(back->NumEdges(), g.NumEdges());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    auto want = g.Neighbors(v);
-    auto got = back->Neighbors(v);
-    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
-                           got.end()));
+    // Resident materialization reproduces the identical CSR.
+    auto back = (*snap)->ToGraph();
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back->NumVertices(), g.NumVertices());
+    ASSERT_EQ(back->NumEdges(), g.NumEdges());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      auto want = g.Neighbors(v);
+      auto got = back->Neighbors(v);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                             got.end()));
+    }
   }
 }
 
 TEST(CsrSnapshotTest, RejectsBadMagicWithFileOffset) {
   const Graph g = MakePlanted(32, 1);
   const std::string path = TempPath("badmagic.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   std::string bytes = ReadAll(path);
   bytes[0] ^= 0xff;
   WriteAll(path, bytes);
@@ -191,7 +226,7 @@ TEST(CsrSnapshotTest, RejectsBadMagicWithFileOffset) {
 TEST(CsrSnapshotTest, RejectsHeaderFieldCorruption) {
   const Graph g = MakePlanted(32, 1);
   const std::string path = TempPath("badheader.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   std::string bytes = ReadAll(path);
   bytes[16] ^= 0x01;  // num_edges
   WriteAll(path, bytes);
@@ -207,7 +242,7 @@ TEST(CsrSnapshotTest, RejectsHeaderFieldCorruption) {
 TEST(CsrSnapshotTest, RejectsTornTail) {
   const Graph g = MakePlanted(32, 1);
   const std::string path = TempPath("torntail.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   std::string bytes = ReadAll(path);
   WriteAll(path, bytes.substr(0, bytes.size() - 5));
 
@@ -229,12 +264,12 @@ TEST(CsrSnapshotTest, RejectsTornTail) {
 TEST(CsrSnapshotTest, RejectsSectionChecksumMismatchNamingSection) {
   const Graph g = MakePlanted(64, 5);
   const std::string path = TempPath("badsection.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   const std::string pristine = ReadAll(path);
 
   // Degrees section (validated by default).
   std::string bytes = pristine;
-  bytes[4096] ^= 0x01;
+  bytes[kCsrDefaultPageSize] ^= 0x01;
   WriteAll(path, bytes);
   auto snap = CsrSnapshot::Open(path);
   ASSERT_FALSE(snap.ok());
@@ -243,7 +278,8 @@ TEST(CsrSnapshotTest, RejectsSectionChecksumMismatchNamingSection) {
       snap.status().ToString().find("degrees section checksum mismatch"),
       std::string::npos)
       << snap.status().ToString();
-  EXPECT_NE(snap.status().ToString().find(path + ":4096:"),
+  EXPECT_NE(snap.status().ToString().find(
+                path + ":" + std::to_string(kCsrDefaultPageSize) + ":"),
             std::string::npos);
 
   // Adjacency section: caught only when verify_adjacency is on.
@@ -276,7 +312,7 @@ TEST(CsrSnapshotTest, BudgetBoundsResidentAdjacency) {
   const Graph g = MakePlanted(20000, 11);
   const std::string name = "budget_bound.qcsr";
   const std::string path = TempPath(name);
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
   const uint64_t kBudget = 8192;
@@ -330,7 +366,7 @@ TEST(CsrSnapshotTest, BudgetedTableCachesHubList) {
   auto g = Graph::FromEdges(kHubDegree + 1, std::move(star));
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   const std::string path = TempPath("hub.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(*g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(*g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
 
@@ -357,7 +393,7 @@ TEST(CsrSnapshotTest, BudgetedTableCachesHubList) {
 TEST(CsrSnapshotTest, BudgetedPinsOutliveEviction) {
   const Graph g = MakePlanted(3000, 19);
   const std::string path = TempPath("pins_outlive.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
   // Room for about four lists: each costs its bytes plus
@@ -403,7 +439,7 @@ TEST(CsrSnapshotDeathTest, TruncatedSnapshotReadFailsLoudly) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Graph g = MakePlanted(2000, 23);
   const std::string path = TempPath("truncated.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
   const VertexTable table(*snap, /*num_machines=*/1, /*rank=*/0,
@@ -431,7 +467,7 @@ TEST(CsrSnapshotDeathTest, TruncatedSnapshotReadFailsLoudly) {
 TEST(CsrSnapshotTest, UnboundedSnapshotTableServesItsPartition) {
   const Graph g = MakePlanted(300, 13);
   const std::string path = TempPath("serve_partition.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, {4096, 0}).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
 

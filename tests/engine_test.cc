@@ -449,6 +449,7 @@ TEST(EngineTest, PullIsAnsweredWhileTheOwnersOnlyComperIsBusy) {
 TEST(EngineTest, RunTwiceIsAnError) {
   auto g = std::move(GenErdosRenyi(20, 40, 1)).value();
   EngineConfig config = BaseConfig();
+  config.spill_dir = ::testing::TempDir();
   TriApp app;
   // A world of one needs no coordinator: idle is globally quiescent.
   MemoryNetwork net(1);

@@ -12,20 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_run.h"
 #include "graph/csr_snapshot.h"
 #include "gthinker/checkpoint.h"
 #include "gthinker/engine.h"
@@ -52,13 +51,6 @@ std::string TempCkptDir(const char* tag) {
   std::string dir = ::testing::TempDir() + "/qcm_recovery_" + tag;
   ::mkdir(dir.c_str(), 0755);
   return dir;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +473,7 @@ TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
   config.threads_per_machine = 1;
   config.mining.gamma = 0.9;  // unused by the app but must validate
   config.mining.min_size = 2;
+  config.spill_dir = ::testing::TempDir();
   // Each request waits a full second at the responder before it is due.
   config.net_latency_sec = 1.0;
   ScriptedPeerTransport transport;
@@ -526,52 +519,28 @@ TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
 // the recovered run's digest must be bit-identical to a crash-free run.
 // ---------------------------------------------------------------------------
 
-#ifndef QCM_BIN_DIR
-#define QCM_BIN_DIR "."
-#endif
+class RecoveryE2ETest : public ::testing::TestWithParam<NetModel> {};
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult RunCommand(const std::string& command) {
-  RunResult result;
-  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    result.output.append(buf, n);
-  }
-  const int status = ::pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-std::string Digest(const std::string& output) {
-  const std::string needle = "result-digest: ";
-  const size_t pos = output.find(needle);
-  if (pos == std::string::npos) return "";
-  return output.substr(pos + needle.size(), 16);
-}
-
-TEST(RecoveryE2ETest, KilledWorkerRunMatchesCrashFreeDigest) {
-  const std::string bin = QCM_BIN_DIR;
-  const std::string json_path = ::testing::TempDir() + "/qcm_recovery.json";
+TEST_P(RecoveryE2ETest, KilledWorkerRunMatchesCrashFreeDigest) {
+  const std::string name = GetParam().name;
+  const std::string json_path =
+      ::testing::TempDir() + "/qcm_recovery_" + name + ".json";
+  const std::string log_dir =
+      ::testing::TempDir() + "/recovery_e2e_" + name + "_logs";
   const std::string common =
-      "/qcm_cluster --gen-planted n=1500,communities=5,size=9..13,"
-      "density=0.95 --gamma 0.85 --min-size 8 --seed 3 --workers 3 "
-      "--threads 2 --checkpoint-interval 0.05";
+      "--gen-planted n=1500,communities=5,size=9..13,density=0.95 "
+      "--gamma 0.85 --min-size 8 --seed 3 --workers 3 --threads 2 "
+      "--checkpoint-interval 0.05 --log-dir " +
+      log_dir + GetParam().flags;
 
-  const RunResult baseline = RunCommand(bin + common);
+  const RunResult baseline = RunTool("qcm_cluster", common);
   ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
   const std::string baseline_digest = Digest(baseline.output);
   ASSERT_EQ(baseline_digest.size(), 16u) << baseline.output;
 
   const RunResult injected =
-      RunCommand("QCM_SMOKE_KILL_RANK=1 " + bin + common +
-                 " --stats-json " + json_path);
+      RunTool("qcm_cluster", common + " --stats-json " + json_path,
+              "QCM_SMOKE_KILL_RANK=1");
   ASSERT_EQ(injected.exit_code, 0) << injected.output;
   // The injection must have actually fired and been recovered from --
   // a run where the kill silently no-ops would vacuously "pass".
@@ -599,7 +568,17 @@ TEST(RecoveryE2ETest, KilledWorkerRunMatchesCrashFreeDigest) {
   EXPECT_NE(json.find("\"detection_latency_usec\""), std::string::npos)
       << json;
   std::remove(json_path.c_str());
+
+  // The killed incarnation never removed its spill files; the launcher
+  // removes the job's spill dir. And no incarnation outlived it.
+  const std::string spill_dir = PrintedDir(injected.output, "spill in ");
+  ASSERT_FALSE(spill_dir.empty()) << injected.output;
+  EXPECT_FALSE(std::filesystem::exists(spill_dir)) << spill_dir << " was left";
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
 }
+
+INSTANTIATE_TEST_SUITE_P(Net, RecoveryE2ETest, ::testing::ValuesIn(kNetModels),
+                         NetModelName);
 
 }  // namespace
 }  // namespace qcm

@@ -2,32 +2,26 @@
 // overflow keeps the prefix and counts drops, concurrent writers are
 // race-free (run under TSan in CI), the JSON drain is byte-stable under a
 // pinned clock, fragment merging is time-ordered, and — the acceptance
-// gate — a real 3-process qcm_cluster run produces ONE merged
-// Perfetto-loadable timeline with spans from every rank plus kStats
-// counter tracks, without changing the result digest.
+// gate — a real 3-process qcm_cluster run produces ONE merged,
+// time-ordered, Perfetto-loadable timeline with spans from every rank
+// plus kStats counter tracks, without changing the result digest.
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_run.h"
 #include "util/trace.h"
 
 namespace qcm {
 namespace {
-
-#ifndef QCM_BIN_DIR
-#define QCM_BIN_DIR "."
-#endif
-
-std::string BinDir() { return QCM_BIN_DIR; }
 
 // 24-byte records: Start(1) gives each thread a ring of 1024/24 = 42 slots.
 constexpr size_t kOneKbCapacity = 1024 / sizeof(trace::Record);
@@ -200,10 +194,7 @@ TEST_F(TraceTest, MergeFragmentsSortsByTimestampAndSkipsMissingRanks) {
   ASSERT_TRUE(
       trace::MergeFragments({frag0, frag1, missing}, extra, out).ok());
 
-  std::ifstream in(out);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string merged = ss.str();
+  const std::string merged = ReadFile(out);
   EXPECT_EQ(merged.rfind("{\"traceEvents\":[", 0), 0u);
   // All four events present, ordered 100 < 150 < 200 < 300.
   const size_t p100 = merged.find("\"ts\":100");
@@ -232,54 +223,20 @@ TEST_F(TraceTest, MergeFragmentsRejectsEventWithoutTimestamp) {
 // ---------------------------------------------------------------------------
 // End-to-end: the shipped binaries, tracing on vs off.
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult RunCommand(const std::string& command) {
-  RunResult result;
-  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    result.output.append(buf, n);
-  }
-  const int status = ::pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-std::string Digest(const std::string& output) {
-  const std::string needle = "result-digest: ";
-  const size_t pos = output.find(needle);
-  if (pos == std::string::npos) return "";
-  return output.substr(pos + needle.size(), 16);
-}
-
 constexpr char kGraphSpec[] = "n=800,communities=4,size=8..11,density=0.95";
 constexpr char kMiningFlags[] = "--gamma 0.85 --min-size 7 --seed 5";
 
 TEST(TraceE2ETest, SingleProcessDigestUnchangedByTracing) {
   const std::string dir = ::testing::TempDir();
   const std::string trace_path = dir + "/qcm_mine_trace.json";
-  const RunResult off = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 2 --threads 2 --output " + dir +
-      "/mine_off.txt");
+  const std::string mine = std::string("--gen-planted ") + kGraphSpec + " " +
+                           kMiningFlags + " --machines 2 --threads 2";
+  const RunResult off =
+      RunTool("qcm_mine", mine + " --output " + dir + "/mine_off.txt");
   ASSERT_EQ(off.exit_code, 0) << off.output;
-  const RunResult on = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 2 --threads 2 --output " + dir +
-      "/mine_on.txt --trace-out " + trace_path + " --stats-interval-ms 20");
+  const RunResult on = RunTool(
+      "qcm_mine", mine + " --output " + dir + "/mine_on.txt --trace-out " +
+                      trace_path + " --stats-interval-ms 20");
   ASSERT_EQ(on.exit_code, 0) << on.output;
 
   EXPECT_NE(Digest(off.output), "");
@@ -294,19 +251,29 @@ TEST(TraceE2ETest, SingleProcessDigestUnchangedByTracing) {
   ::remove(trace_path.c_str());
 }
 
-TEST(TraceE2ETest, ThreeProcessClusterMergesOneTimelineDigestUnchanged) {
+class TraceClusterE2ETest : public ::testing::TestWithParam<NetModel> {};
+
+TEST_P(TraceClusterE2ETest,
+       ThreeProcessClusterMergesOneTimelineDigestUnchanged) {
   const std::string dir = ::testing::TempDir();
-  const std::string trace_path = dir + "/qcm_cluster_trace.json";
-  const std::string base = BinDir() + "/qcm_cluster --gen-planted " +
-                           kGraphSpec + " " + kMiningFlags +
-                           " --workers 3 --threads 2";
+  const std::string name = GetParam().name;
+  // The merged trace stays after the run: CI uploads the instant one.
+  const std::string trace_path = dir + "/trace_e2e_" + name + ".json";
+  const std::string log_dir = dir + "/trace_e2e_" + name + "_logs";
+  const std::string base = std::string("--gen-planted ") + kGraphSpec +
+                           " " + kMiningFlags +
+                           " --workers 3 --threads 2 --log-dir " + log_dir +
+                           GetParam().flags;
   const RunResult off =
-      RunCommand(base + " --output " + dir + "/cluster_off.txt");
+      RunTool("qcm_cluster", base + " --output " + dir + "/cluster_off.txt");
   ASSERT_EQ(off.exit_code, 0) << off.output;
-  const RunResult on = RunCommand(base + " --output " + dir +
-                                  "/cluster_on.txt --trace-out " +
-                                  trace_path + " --stats-interval-ms 50");
+  const RunResult on =
+      RunTool("qcm_cluster", base + " --output " + dir +
+                                 "/cluster_on.txt --trace-out " + trace_path +
+                                 " --stats-interval-ms 50");
   ASSERT_EQ(on.exit_code, 0) << on.output;
+  // No worker outlived its launcher.
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
 
   // Tracing must be invisible in the results: bit-identical digest.
   EXPECT_NE(Digest(off.output), "");
@@ -328,6 +295,14 @@ TEST(TraceE2ETest, ThreeProcessClusterMergesOneTimelineDigestUnchanged) {
   EXPECT_NE(trace.find("\"name\":\"busy_compers\""), std::string::npos)
       << "kStats counter tracks missing from the merged timeline";
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  // The ranks' events are interleaved in time order.
+  long long last_ts = -1;
+  for (size_t at = trace.find("\"ts\":"); at != std::string::npos;
+       at = trace.find("\"ts\":", at + 1)) {
+    const long long ts = std::atoll(trace.c_str() + at + 5);
+    ASSERT_GE(ts, last_ts) << "timestamps step back at byte " << at;
+    last_ts = ts;
+  }
   // The per-rank fragments were stitched in and cleaned up.
   for (int r = 0; r < 3; ++r) {
     const std::string frag =
@@ -335,8 +310,10 @@ TEST(TraceE2ETest, ThreeProcessClusterMergesOneTimelineDigestUnchanged) {
     EXPECT_NE(::access(frag.c_str(), F_OK), 0)
         << frag << " left behind after merge";
   }
-  ::remove(trace_path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Net, TraceClusterE2ETest,
+                         ::testing::ValuesIn(kNetModels), NetModelName);
 
 }  // namespace
 }  // namespace qcm

@@ -90,10 +90,17 @@ std::vector<Flag> GraphSourceFlags(GraphSource* source) {
   };
 }
 
-Status CheckGraphSource(const GraphSource& source) {
-  if (source.input.empty() == source.gen_planted.empty()) {
-    return Status::InvalidArgument(
-        "exactly one of --input / --gen-planted is required");
+Status CheckGraphSource(const GraphSource& source, const char* snapshot_flag,
+                        const std::string& snapshot) {
+  const int sources = !source.input.empty() + !source.gen_planted.empty() +
+                      !snapshot.empty();
+  if (sources != 1) {
+    const std::string flags =
+        snapshot_flag == nullptr
+            ? "--input / --gen-planted"
+            : "--input / " + std::string(snapshot_flag) + " / --gen-planted";
+    return Status::InvalidArgument("exactly one of " + flags +
+                                   " is required");
   }
   return Status::OK();
 }

@@ -82,8 +82,12 @@ struct GraphSource {
 /// --input, --gen-planted (its spec is checked while parsing) and --seed.
 std::vector<Flag> GraphSourceFlags(GraphSource* source);
 
-/// InvalidArgument unless exactly one of --input / --gen-planted is set.
-Status CheckGraphSource(const GraphSource& source);
+/// InvalidArgument unless exactly one graph source is set: --input or
+/// --gen-planted, or a tool's own snapshot flag `snapshot_flag` (whose
+/// value is `snapshot`), for a tool that also reads a packed .qcsr.
+Status CheckGraphSource(const GraphSource& source,
+                        const char* snapshot_flag = nullptr,
+                        const std::string& snapshot = "");
 
 /// Loads the edge list, or generates the planted graph, of a source that
 /// passed CheckGraphSource. original_ids is filled for an edge list only;

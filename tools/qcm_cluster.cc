@@ -7,8 +7,8 @@
 // candidate results, applies the maximality postprocessing once over the
 // union, and prints the canonical result digest -- which must be
 // bit-identical to a single-process `qcm_mine` run on the same input
-// (asserted by tests/cluster_e2e_test.cc and tools/check_smoke.sh), even
-// when a worker is killed mid-run and recovered from its checkpoint.
+// (asserted by tests/cluster_e2e_test.cc), even when a worker is killed
+// mid-run and recovered from its checkpoint (tests/recovery_test.cc).
 //
 //   qcm_cluster --gen-planted n=4000,communities=8,size=12..16,density=0.95
 //               --gamma 0.85 --min-size 9 --workers 3 --threads 2
@@ -28,12 +28,13 @@
 // mmap it and read just their partition's lists, so no rank ever
 // materializes the graph. Every rank, checkpoint and recovery of the job
 // works in the packed ids; the launcher maps the merged results back to
-// the input's. --snapshot ships a qcm_pack output as given instead, with
-// the identity map: the launcher never loads its adjacency, so that run
-// is not reduced (its results are the same, its ranks just spawn and pull
-// more). And --graph-memory-budget caps the bytes each rank keeps of its
-// own lists: a budgeted rank reads a list from the file with pread
-// whenever its LRU of lists misses (out-of-core mining).
+// the input's. --snapshot, the third graph source, ships a qcm_pack output
+// as given instead, with the identity map: the launcher never loads its
+// adjacency, so that run is not reduced (its results are the same, its
+// ranks just spawn and pull more). And --graph-memory-budget caps the
+// bytes each rank keeps of its own lists: a budgeted rank reads a list
+// from the file with pread whenever its LRU of lists misses (out-of-core
+// mining).
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + kStats counter
@@ -48,22 +49,27 @@
 // Worker stdout/stderr are redirected to <log-dir>/worker<rank>.log
 // (a replacement incarnation logs to worker<rank>.r<restart>.log so the
 // dead incarnation's last words survive) so a crashed rank's story is
-// always on disk for CI to upload. The default log dir is a fresh temp dir
-// (path printed), removed with the packed graph in it unless the run fails
-// after its workers start; a --log-dir is never removed.
+// always on disk for CI to upload. The log and checkpoint dirs are made
+// before the graph loads, and a dir that cannot be made fails the run
+// there, naming it. The default log dir is a fresh temp dir (path
+// printed), removed with the packed graph in it unless the run fails
+// after its workers start; a --log-dir is never removed. Every rank and
+// incarnation of the job spills into one launcher-made temp dir (files
+// prefixed w<rank>_), removed on every exit: a SIGKILLed worker never
+// cleans up after itself.
 //
-// Fault-injection hook (CI smoke): QCM_SMOKE_KILL_RANK=<r> makes the
-// launcher SIGKILL rank r's worker once it verifiably holds pending
-// work, exercising the detection -> kPeerDown -> relaunch -> checkpoint
-// replay -> kPeerUp recovery path end to end. The final digest must be
-// identical to an uninjected run. The worker reads the same variable: in
-// its first incarnation, rank r parks the comper of its first compute
-// round until the kill lands, so the rank keeps pending work -- and the
-// cluster cannot terminate -- until the launcher has seen it and fired.
+// Fault-injection hook (tests/recovery_test.cc): QCM_SMOKE_KILL_RANK=<r>
+// makes the launcher SIGKILL rank r's worker once it verifiably holds
+// pending work, exercising the detection -> kPeerDown -> relaunch ->
+// checkpoint replay -> kPeerUp recovery path end to end. The final digest
+// must be identical to an uninjected run. The worker reads the same
+// variable: in its first incarnation, rank r parks the comper of its
+// first compute round until the kill lands, so the rank keeps pending
+// work -- and the cluster cannot terminate -- until the launcher has seen
+// it and fired.
 
 #include <libgen.h>
 #include <limits.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -149,6 +155,29 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// Makes the run's `what` directory: `*dir` when the caller named one (it
+/// may exist already), else a fresh temp dir from `temp_template`, which
+/// sets `*owned`. False, having said which dir and why, if it cannot.
+bool MakeRunDir(const char* what, std::string temp_template,
+                std::string* dir, bool* owned) {
+  std::error_code ec;
+  if (!dir->empty()) {
+    std::filesystem::create_directory(*dir, ec);
+  } else if (::mkdtemp(temp_template.data()) != nullptr) {
+    *dir = temp_template;
+    *owned = true;
+  } else {
+    ec.assign(errno, std::generic_category());
+  }
+  if (ec) {
+    std::fprintf(stderr, "qcm_cluster: cannot create %s %s: %s\n", what,
+                 dir->empty() ? temp_template.c_str() : dir->c_str(),
+                 ec.message().c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,8 +203,8 @@ int main(int argc, char** argv) {
        cli::Number("--max-rank-restarts", "N", &max_rank_restarts,
                    "replacement incarnations allowed per rank"),
        cli::Text("--snapshot", "PATH", &config.graph_snapshot,
-                 "ship this qcm_pack .qcsr as given instead of packing the "
-                 "input's k-core"),
+                 "a qcm_pack .qcsr to ship as given, not reduced to its "
+                 "k-core"),
        cli::Number("--graph-memory-budget", "BYTES",
                    &config.graph_memory_budget,
                    "per-rank budget for the rank's cached adjacency "
@@ -186,11 +215,13 @@ int main(int argc, char** argv) {
                  "removed unless the run fails after its workers start)")});
   cli::CommandLine cmd(
       "Mines every maximal gamma-quasi-clique of one graph with one "
-      "qcm_worker process per machine; exactly one of --input or "
-      "--gen-planted names the graph.",
+      "qcm_worker process per machine; exactly one of --input, --snapshot "
+      "or --gen-planted names the graph.",
       std::move(flags));
   cmd.ParseOrExit(argc, argv);
-  if (Status s = cli::CheckGraphSource(run.source); !s.ok()) {
+  if (Status s = cli::CheckGraphSource(run.source, "--snapshot",
+                                       config.graph_snapshot);
+      !s.ok()) {
     cmd.Fail(s.message());
   }
   const int num_workers = config.num_machines;
@@ -203,35 +234,42 @@ int main(int argc, char** argv) {
                  worker_bin.c_str());
     return 2;
   }
-  // The log dir (worker logs and the packed graph) and the checkpoint
-  // root shared by every rank (each keeps rank<R>/log under it). A
-  // launcher-made temp dir is removed on every exit but a failure after
-  // the workers start, which keeps both and says where; a caller-provided
-  // one is left alone.
-  std::string ckpt_dir = config.checkpoint_dir;
+  // The log dir (worker logs and the packed graph), the checkpoint root
+  // shared by every rank (each keeps rank<R>/log under it) and the spill
+  // dir every rank and incarnation shares, all made before the graph
+  // loads. A launcher-made log or checkpoint dir is removed on every exit
+  // but a failure after the workers start, which keeps both and says
+  // where; a caller-provided one is left alone. The spill dir goes on
+  // every exit: a SIGKILLed worker leaves its files behind.
   bool owns_log_dir = false;
   bool owns_ckpt_dir = false;
+  bool owns_spill_dir = false;
+  auto remove_spill_dir = [&] {
+    std::error_code ec;
+    if (owns_spill_dir) std::filesystem::remove_all(config.spill_dir, ec);
+  };
   auto remove_owned_dirs = [&] {
     std::error_code ec;
     if (owns_log_dir) std::filesystem::remove_all(log_dir, ec);
-    if (owns_ckpt_dir) std::filesystem::remove_all(ckpt_dir, ec);
+    if (owns_ckpt_dir) {
+      std::filesystem::remove_all(config.checkpoint_dir, ec);
+    }
+    remove_spill_dir();
   };
-  auto report_kept_dirs = [&] {
+  auto keep_dirs_after_failure = [&] {
+    remove_spill_dir();
     std::fprintf(stderr,
                  "qcm_cluster: logs kept in %s, checkpoints kept in %s\n",
-                 log_dir.c_str(), ckpt_dir.c_str());
+                 log_dir.c_str(), config.checkpoint_dir.c_str());
   };
-  if (log_dir.empty()) {
-    char templ[] = "/tmp/qcm_cluster_XXXXXX";
-    char* dir = ::mkdtemp(templ);
-    if (dir == nullptr) {
-      std::fprintf(stderr, "cannot create log directory\n");
-      return 1;
-    }
-    log_dir = dir;
-    owns_log_dir = true;
-  } else {
-    ::mkdir(log_dir.c_str(), 0755);
+  if (!MakeRunDir("log directory", "/tmp/qcm_cluster_XXXXXX", &log_dir,
+                  &owns_log_dir) ||
+      !MakeRunDir("checkpoint directory", "/tmp/qcm_ckpt_XXXXXX",
+                  &config.checkpoint_dir, &owns_ckpt_dir) ||
+      !MakeRunDir("spill directory", "/tmp/qcm_spill_XXXXXX",
+                  &config.spill_dir, &owns_spill_dir)) {
+    remove_owned_dirs();
+    return 1;
   }
 
   // Workers mmap one .qcsr snapshot instead of each re-parsing or
@@ -251,21 +289,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  if (ckpt_dir.empty()) {
-    char templ[] = "/tmp/qcm_ckpt_XXXXXX";
-    char* dir = ::mkdtemp(templ);
-    if (dir == nullptr) {
-      std::fprintf(stderr, "cannot create checkpoint directory\n");
-      remove_owned_dirs();
-      return 1;
-    }
-    ckpt_dir = dir;
-    owns_ckpt_dir = true;
-  } else {
-    ::mkdir(ckpt_dir.c_str(), 0755);
-  }
-  config.checkpoint_dir = ckpt_dir;
 
   // The whole configuration, checked once with the validator's
   // file:line message before the graph is loaded or any worker starts.
@@ -341,9 +364,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "
-               "workers (logs in %s, checkpoints in %s)\n",
+               "workers (logs in %s, checkpoints in %s, spill in %s)\n",
                coordinator->port(), num_workers, log_dir.c_str(),
-               ckpt_dir.c_str());
+               config.checkpoint_dir.c_str(), config.spill_dir.c_str());
 
   // Worker process table, shared between the main thread, the child
   // watchdog, the recovery callbacks, and the fault-injection hook.
@@ -389,7 +412,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < num_workers; ++i) {
     if (!spawn_worker(i)) {
       KillAll(&workers);
-      report_kept_dirs();
+      keep_dirs_after_failure();
       return 1;
     }
   }
@@ -529,7 +552,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Fault injection for the CI smoke: SIGKILL the named rank once it
+  // Fault injection for the recovery test: SIGKILL the named rank once it
   // verifiably holds pending work, so recovery happens mid-mining. The
   // victim's first incarnation stalls one compute round until this fires
   // (see the file header), so its last status keeps pending > 0 and the
@@ -681,7 +704,7 @@ int main(int argc, char** argv) {
                  run_status.ok() ? "worker exit failure"
                                  : run_status.ToString().c_str());
     PrintLogTails(workers);
-    report_kept_dirs();
+    keep_dirs_after_failure();
     return 1;
   }
 
@@ -693,7 +716,7 @@ int main(int argc, char** argv) {
     if (!s.ok()) {
       std::fprintf(stderr, "qcm_cluster: corrupt report from rank %zu: %s\n",
                    r, s.ToString().c_str());
-      report_kept_dirs();
+      keep_dirs_after_failure();
       return 1;
     }
   }

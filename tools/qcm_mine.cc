@@ -76,11 +76,10 @@ int main(int argc, char** argv) {
       std::move(flags));
   cmd.ParseOrExit(argc, argv);
   const cli::GraphSource& source = run.source;
-  const int sources = !source.input.empty() + !source.gen_planted.empty() +
-                      !input_snapshot.empty();
-  if (sources != 1) {
-    cmd.Fail("exactly one of --input / --input-snapshot / --gen-planted "
-             "is required");
+  if (Status s =
+          cli::CheckGraphSource(source, "--input-snapshot", input_snapshot);
+      !s.ok()) {
+    cmd.Fail(s.message());
   }
   if (serial && !run.stats_json.empty()) {
     cmd.Fail("--stats-json requires the engine (not --serial)");

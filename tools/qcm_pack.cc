@@ -4,7 +4,7 @@
 // mine many times: qcm_cluster runs this conversion in-process and ships
 // only the snapshot path to its workers.
 //
-//   qcm_pack --input graph.txt --output graph.qcsr [--page-size N]
+//   qcm_pack --input graph.txt --output graph.qcsr
 //   qcm_pack --gen-planted n=5000,communities=10,size=16..20,density=0.95
 //            --seed 7 --output planted.qcsr --verify
 //
@@ -25,15 +25,11 @@ using namespace qcm;
 int main(int argc, char** argv) {
   cli::GraphSource source;
   std::string output;
-  uint32_t page_size = kCsrDefaultPageSize;
   bool verify = false;
   bool quiet = false;
   std::vector<cli::Flag> flags = cli::GraphSourceFlags(&source);
   flags.insert(flags.end(),
                {cli::OutputFlag(&output, "snapshot file to write"),
-                cli::Number("--page-size", "N", &page_size,
-                            "section alignment and paging granularity in "
-                            "bytes, a power of two >= 4096"),
                 cli::Switch("--verify", &verify,
                             "re-open the written file and verify every "
                             "section checksum (including adjacency)"),
@@ -48,10 +44,6 @@ int main(int argc, char** argv) {
     cmd.Fail(s.message());
   }
   if (output.empty()) cmd.Fail("--output is required");
-  if (page_size < kCsrMinPageSize || (page_size & (page_size - 1)) != 0) {
-    cmd.Fail("--page-size must be a power of two >= " +
-             std::to_string(kCsrMinPageSize));
-  }
 
   WallTimer load_timer;
   auto loaded = cli::LoadGraphSource(source);
@@ -63,7 +55,6 @@ int main(int argc, char** argv) {
   const double load_seconds = load_timer.Seconds();
 
   CsrWriteOptions opts;
-  opts.page_size = page_size;
   opts.build_seed = source.gen_planted.empty() ? 0 : source.seed;
   WallTimer pack_timer;
   if (Status s = WriteCsrSnapshot(loaded->graph, loaded->original_ids,
