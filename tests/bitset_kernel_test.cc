@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "graph/ego_builder.h"
@@ -150,9 +152,39 @@ struct KernelPair {
   }
 };
 
+// Each kernel also runs on the inputs bench_micro_kernels' BM_Kernel* rows
+// time: G(n, density * n(n-1)/2) with that row's seed, gamma and S/ext
+// split, at these n. The rows' dense n = 4096 graphs are left out: they
+// take seconds to generate, and a kernel sees n only through its ceil(n/64)
+// row words (16 at n = 1024) and the dense threshold, which
+// DenseThresholdTest pins.
+constexpr uint32_t kBenchSizes[] = {64, 256, 1024};
+
+Graph BenchGraph(uint32_t n, double density, uint64_t seed) {
+  const auto edges = static_cast<uint64_t>(density * n * (n - 1) / 2);
+  return std::move(GenErdosRenyi(n, edges, seed)).value();
+}
+
+void ExpectDegreesAgree(KernelPair& kp, const std::vector<LocalId>& s,
+                        const std::vector<LocalId>& ext) {
+  for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
+    for (LocalId v : s) ctx->SetVState(v, VState::kInS);
+    for (LocalId u : ext) ctx->SetVState(u, VState::kInExt);
+    ComputeDegrees(*ctx, s, ext);
+  }
+  for (LocalId v : s) {
+    EXPECT_EQ(kp.sparse->ds()[v], kp.dense->ds()[v]) << "v=" << v;
+  }
+  for (LocalId u : ext) {
+    EXPECT_EQ(kp.sparse->ds()[u], kp.dense->ds()[u]) << "u=" << u;
+    EXPECT_EQ(kp.sparse->dext()[u], kp.dense->dext()[u]) << "u=" << u;
+  }
+}
+
 TEST(KernelParityTest, ComputeDegrees) {
   Rng rng(101);
   for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     auto src = std::move(GenErdosRenyi(90, 1200, seed)).value();
     KernelPair kp(src, 0.85);
     std::vector<LocalId> s, ext;
@@ -162,19 +194,29 @@ TEST(KernelParityTest, ComputeDegrees) {
       else if (r == 1) ext.push_back(v);
     }
     if (s.empty()) s.push_back(0);
-    for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
-      for (LocalId v : s) ctx->SetVState(v, VState::kInS);
-      for (LocalId u : ext) ctx->SetVState(u, VState::kInExt);
-      ComputeDegrees(*ctx, s, ext);
-    }
-    for (LocalId v : s) {
-      EXPECT_EQ(kp.sparse->ds()[v], kp.dense->ds()[v]) << "seed=" << seed;
-    }
-    for (LocalId u : ext) {
-      EXPECT_EQ(kp.sparse->ds()[u], kp.dense->ds()[u]) << "seed=" << seed;
-      EXPECT_EQ(kp.sparse->dext()[u], kp.dense->dext()[u])
-          << "seed=" << seed;
-    }
+    ExpectDegreesAgree(kp, s, ext);
+  }
+  for (uint32_t n : kBenchSizes) {  // S = the first n/8 vertices
+    SCOPED_TRACE("n=" + std::to_string(n));
+    KernelPair kp(BenchGraph(n, 0.3, 7), 0.85);
+    std::vector<LocalId> s, ext;
+    for (LocalId v = 0; v < n; ++v) (v < n / 8 ? s : ext).push_back(v);
+    ExpectDegreesAgree(kp, s, ext);
+  }
+}
+
+// Both kernels keep exactly `want` of `candidates` (in their order) and
+// count the rest as diameter-filtered.
+void ExpectFilterKeeps(KernelPair& kp, const std::vector<LocalId>& candidates,
+                       LocalId v, const std::vector<LocalId>& want) {
+  std::vector<LocalId> kept = {kp.graph.n()};  // stale content to drop
+  for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
+    const uint64_t filtered = ctx->stats.diameter_filtered;
+    TwoHopFilter(*ctx, candidates, v, &kept);
+    EXPECT_EQ(kept, want) << "v=" << v << " dense=" << ctx->dense()
+                          << " candidates=" << candidates.size();
+    EXPECT_EQ(ctx->stats.diameter_filtered - filtered,
+              candidates.size() - want.size());
   }
 }
 
@@ -186,6 +228,7 @@ TEST(KernelParityTest, ComputeDegrees) {
 TEST(KernelParityTest, TwoHopFilter) {
   Rng rng(404);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     // Sparse graphs (two words per row) so the ball is a strict subset.
     auto src = std::move(GenErdosRenyi(120, seed % 2 ? 300 : 480, seed))
                    .value();
@@ -204,7 +247,6 @@ TEST(KernelParityTest, TwoHopFilter) {
       return false;
     };
     bool filtered_some = false;
-    std::vector<LocalId> kept = {n};  // stale content the filter must drop
     for (LocalId v = 0; v < n; ++v) {
       std::vector<LocalId> longer;
       for (LocalId u = 0; u < n; ++u) {
@@ -222,24 +264,37 @@ TEST(KernelParityTest, TwoHopFilter) {
           if (within(v, u)) want.push_back(u);
         }
         filtered_some |= want.size() < candidates->size();
-        for (MiningContext* ctx : {kp.sparse.get(), kp.dense.get()}) {
-          const uint64_t filtered = ctx->stats.diameter_filtered;
-          TwoHopFilter(*ctx, *candidates, v, &kept);
-          EXPECT_EQ(kept, want)
-              << "seed=" << seed << " v=" << v << " dense=" << ctx->dense()
-              << " candidates=" << candidates->size();
-          EXPECT_EQ(ctx->stats.diameter_filtered - filtered,
-                    candidates->size() - want.size());
-        }
+        ExpectFilterKeeps(kp, *candidates, v, want);
       }
     }
-    EXPECT_TRUE(filtered_some) << "seed=" << seed << ": filter was a no-op";
+    EXPECT_TRUE(filtered_some) << "filter was a no-op";
   }
+  // The bench rows' sparse G(n, 8/n) is cheap at n = 4096 too: root 0,
+  // every later vertex a candidate.
+  for (uint32_t n : {64u, 256u, 1024u, 4096u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    KernelPair kp(BenchGraph(n, 8.0 / n, 11), 0.85);
+    std::vector<LocalId> candidates(n - 1);
+    std::iota(candidates.begin(), candidates.end(), LocalId{1});
+    ExpectFilterKeeps(kp, candidates, 0, LaterTwoHopBall(kp.graph, 0));
+  }
+}
+
+void ExpectCoverSetsAgree(KernelPair& kp, const std::vector<LocalId>& s,
+                          const std::vector<LocalId>& ext) {
+  std::vector<LocalId> cover_sparse, cover_dense;
+  FindBestCoverSet(*kp.sparse, s, ext, &cover_sparse);
+  FindBestCoverSet(*kp.dense, s, ext, &cover_dense);
+  // The winning cover SET is mode-independent; element order is not.
+  std::sort(cover_sparse.begin(), cover_sparse.end());
+  std::sort(cover_dense.begin(), cover_dense.end());
+  EXPECT_EQ(cover_sparse, cover_dense);
 }
 
 TEST(KernelParityTest, CoverVertexSet) {
   Rng rng(202);
   for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     auto src = std::move(GenErdosRenyi(70, 1100, seed)).value();
     KernelPair kp(src, 0.6);
     std::vector<LocalId> s, ext;
@@ -248,13 +303,14 @@ TEST(KernelParityTest, CoverVertexSet) {
       else ext.push_back(v);
     }
     if (s.empty()) s.push_back(ext.back()), ext.pop_back();
-    std::vector<LocalId> cover_sparse, cover_dense;
-    FindBestCoverSet(*kp.sparse, s, ext, &cover_sparse);
-    FindBestCoverSet(*kp.dense, s, ext, &cover_dense);
-    // The winning cover SET is mode-independent; element order is not.
-    std::sort(cover_sparse.begin(), cover_sparse.end());
-    std::sort(cover_dense.begin(), cover_dense.end());
-    EXPECT_EQ(cover_sparse, cover_dense) << "seed=" << seed;
+    ExpectCoverSetsAgree(kp, s, ext);
+  }
+  for (uint32_t n : kBenchSizes) {  // S = the first 4 vertices
+    SCOPED_TRACE("n=" + std::to_string(n));
+    KernelPair kp(BenchGraph(n, 0.5, 17), 0.6);
+    std::vector<LocalId> s, ext;
+    for (LocalId v = 0; v < n; ++v) (v < 4 ? s : ext).push_back(v);
+    ExpectCoverSetsAgree(kp, s, ext);
   }
 }
 
@@ -276,6 +332,17 @@ TEST(KernelParityTest, IsQuasiCliqueUnion) {
             << "seed=" << seed << " gamma=" << gamma << " trial=" << trial;
       }
     }
+  }
+  // A = the first n/2 vertices, B the next n/4; gamma 0.5 rarely exits
+  // early.
+  for (uint32_t n : kBenchSizes) {
+    KernelPair kp(BenchGraph(n, 0.6, 23), 0.5);
+    std::vector<LocalId> a, b;
+    for (LocalId v = 0; v < n / 2; ++v) a.push_back(v);
+    for (LocalId v = n / 2; v < n / 2 + n / 4; ++v) b.push_back(v);
+    EXPECT_EQ(kp.sparse->IsQuasiCliqueUnion(a, b),
+              kp.dense->IsQuasiCliqueUnion(a, b))
+        << "n=" << n;
   }
 }
 

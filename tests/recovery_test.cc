@@ -400,10 +400,12 @@ class ScriptedPeerTransport : public Transport {
   }
   Status SendData(int dst, uint8_t type, std::string payload) override {
     (void)dst;
-    (void)payload;
     std::lock_guard<std::mutex> lock(mu_);
     if (type == static_cast<uint8_t>(MessageType::kPullResponse)) {
-      ++responses_sent_;
+      std::vector<VertexId> ids;  // a response opens with the ids it answers
+      Decoder dec(payload);
+      EXPECT_TRUE(dec.GetU32Vector(&ids).ok());
+      answered_.push_back(std::move(ids));
     }
     ++frames_sent_;
     return Status::OK();
@@ -426,9 +428,10 @@ class ScriptedPeerTransport : public Transport {
   }
   void PeerDown() { hooks_.on_peer_down(1); }
   void Terminate() { hooks_.on_terminate(); }
-  uint64_t responses_sent() const {
+  /// The ids of each pull response sent, in send order.
+  std::vector<std::vector<VertexId>> answered() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return responses_sent_;
+    return answered_;
   }
   /// processed_from[1] in the engine's latest status.
   uint64_t processed_from_peer() const {
@@ -442,7 +445,7 @@ class ScriptedPeerTransport : public Transport {
   std::promise<void> started_;
   mutable std::mutex mu_;
   uint64_t frames_sent_ = 0;
-  uint64_t responses_sent_ = 0;
+  std::vector<std::vector<VertexId>> answered_;
   uint64_t processed_from_peer_ = 0;
 };
 
@@ -490,21 +493,19 @@ TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
   transport.RequestFromPeer({0, 2});
   transport.RequestFromPeer({2});
   transport.PeerDown();
-  // Past their due time, neither was answered or counted processed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-  EXPECT_EQ(transport.responses_sent(), 0u);
-  EXPECT_EQ(transport.processed_from_peer(), 0u);
 
   // The replacement's request is answered, and counts as processed once
-  // its response was sent.
+  // its response was sent. The responder serves due requests in enqueue
+  // order, so had either dead request survived, it would have been
+  // answered first.
   transport.RequestFromPeer({0});
   WallTimer waited;
-  while ((transport.responses_sent() < 1 ||
+  while ((transport.answered().empty() ||
           transport.processed_from_peer() < 1) &&
          waited.Seconds() < 10.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(transport.responses_sent(), 1u);
+  EXPECT_EQ(transport.answered(), (std::vector<std::vector<VertexId>>{{0}}));
   EXPECT_EQ(transport.processed_from_peer(), 1u);
 
   transport.Terminate();

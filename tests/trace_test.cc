@@ -1,6 +1,7 @@
-// Tests for the runtime-gated tracing subsystem (util/trace.h): ring
-// overflow keeps the prefix and counts drops, concurrent writers are
-// race-free (run under TSan in CI), the JSON drain is byte-stable under a
+// Tests for the runtime-gated tracing subsystem (util/trace.h): with
+// tracing off no site of an engine run reads the clock, ring overflow
+// keeps the prefix and counts drops, concurrent writers are race-free
+// (run under TSan in CI), the JSON drain is byte-stable under a
 // pinned clock, fragment merging is time-ordered, and — the acceptance
 // gate — a real 3-process qcm_cluster run produces ONE merged,
 // time-ordered, Perfetto-loadable timeline with spans from every rank
@@ -10,14 +11,21 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli_run.h"
+#include "graph/csr_snapshot.h"
+#include "graph/generators.h"
+#include "gthinker/checkpoint.h"
+#include "gthinker/vertex_table.h"
+#include "mining/parallel_miner.h"
 #include "util/trace.h"
 
 namespace qcm {
@@ -47,12 +55,93 @@ size_t CountOccurrences(const std::string& haystack,
   return count;
 }
 
+std::atomic<uint64_t> g_clock_reads{0};
+uint64_t CountingClock() {
+  return g_clock_reads.fetch_add(1, std::memory_order_relaxed);
+}
+
+// With tracing off, no site reads the trace clock or records anything --
+// neither the emitters called directly nor the instrumented layers of a
+// whole in-process engine run: kernel selection, the task lifecycle,
+// spill and refill (tiny queues), pull rounds and the responder,
+// transport frames and the k-core step. A budgeted table reading its
+// lists from a snapshot file and a checkpoint log's append, flush and
+// replay cover the page and checkpoint sites. Not reached: the
+// coordinator's recovery spans (src/net/coordinator.cc), which need a
+// dead rank, the engine's steal flow (src/gthinker/engine.cc), which
+// needs a steal, and the CLIs' thread names (tools/).
 TEST_F(TraceTest, DisabledEmitIsFreeAndRecordsNothing) {
   EXPECT_FALSE(trace::Enabled());
+  g_clock_reads = 0;
+  trace::SetClockForTest(&CountingClock);
   const uint16_t id = trace::InternName("disabled_site");
   trace::EmitInstant(id, trace::kPull, 1);
   trace::EmitCounter(id, trace::kStats, 2);
   { QCM_TRACE_SPAN(trace::kNet, "disabled_span", 3); }
+
+  const Graph g = std::move(GenPlantedCommunities(
+                                {.num_vertices = 250,
+                                 .background_edges = 500,
+                                 .background = BackgroundModel::kErdosRenyi,
+                                 .num_communities = 6,
+                                 .community_min = 8,
+                                 .community_max = 12,
+                                 .intra_density = 0.92,
+                                 .overlap_fraction = 0.3,
+                                 .seed = 99}))
+                      .value();
+  EngineConfig config;
+  config.mining.gamma = 0.85;
+  config.mining.min_size = 6;
+  config.num_machines = 2;
+  config.threads_per_machine = 2;
+  config.mode = DecomposeMode::kTimeDelayed;
+  config.tau_time = 0;  // every task decomposes at once ...
+  config.local_queue_capacity = 2;  // ... and its subtasks spill
+  config.batch_size = 2;
+  config.mining.dense_threshold = 16;  // both kernel paths
+  const auto mined = ParallelMiner(config).Run(g);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  EXPECT_GT(mined->report.mining.dense_tasks, 0u);
+  EXPECT_GT(mined->report.mining.sparse_tasks, 0u);
+  EXPECT_GT(mined->report.counters.spilled_tasks, 0u);
+  EXPECT_GT(mined->report.counters.pulled_vertices, 0u);
+
+  const std::string snapshot_path =
+      testing::TempDir() + "/trace_off_" + std::to_string(::getpid()) +
+      ".qcsr";
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, snapshot_path).ok());
+  {
+    auto snapshot = CsrSnapshot::Open(snapshot_path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    const VertexTable budgeted(*snapshot, 2, /*rank=*/0,
+                               /*graph_memory_budget=*/4096);
+    for (VertexId v : budgeted.OwnedVertices()) budgeted.Adjacency(v);
+    EngineCountersSnapshot counters;
+    budgeted.AddGraphCounters(&counters);
+    EXPECT_GT(counters.graph_page_ins, 0u);
+  }
+  std::remove(snapshot_path.c_str());
+
+  const std::string ckpt_dir =
+      testing::TempDir() + "/trace_off_ckpt_" + std::to_string(::getpid());
+  {
+    CheckpointLog log;
+    ASSERT_TRUE(log.Open(ckpt_dir, /*epoch=*/0, /*flush_interval_sec=*/0,
+                         nullptr)
+                    .ok());
+    log.AppendResult({1, 2, 3});
+    log.Flush();
+  }
+  CheckpointLog::LoadResult replay;
+  {
+    CheckpointLog log;
+    ASSERT_TRUE(log.Open(ckpt_dir, /*epoch=*/1, 0, &replay).ok());
+  }
+  EXPECT_EQ(replay.results, (std::vector<VertexSet>{{1, 2, 3}}));
+  std::filesystem::remove_all(ckpt_dir);
+
+  EXPECT_EQ(g_clock_reads.load(), 0u);
   EXPECT_EQ(trace::DrainJsonLines(/*pid=*/0), "");
   EXPECT_EQ(trace::DroppedRecords(), 0u);
 }
