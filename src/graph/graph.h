@@ -19,7 +19,9 @@
 namespace qcm {
 
 /// Dense vertex identifier. The set-enumeration order of the mining
-/// algorithm (Figure 5 of the paper) is the natural order of these ids.
+/// algorithm (Figure 5 of the paper) is the natural order of the mined
+/// graph's ids: input order for SerialMiner, degeneracy order for the
+/// engine launchers, which mine OrderByDegeneracy's core (graph/kcore.h).
 using VertexId = uint32_t;
 
 /// An undirected edge as an unordered pair of endpoints.

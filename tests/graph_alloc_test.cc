@@ -1,8 +1,8 @@
 // The memory shape of loading a graph: what Graph::FromEndpoints,
-// CompactKCore and LoadEdgeList allocate beyond their inputs. This suite
-// replaces the global operator new with one that counts live bytes (each
-// block carries its size in a header), so it is a binary of its own, like
-// mining_alloc_test.
+// CompactKCore, OrderByDegeneracy and LoadEdgeList allocate beyond their
+// inputs. This suite replaces the global operator new with one that counts
+// live bytes (each block carries its size in a header), so it is a binary
+// of its own, like mining_alloc_test.
 
 #include <gtest/gtest.h>
 
@@ -157,7 +157,9 @@ TEST(GraphAllocTest, FromEndpointsAddsOnlyTwelveBytesPerVertex) {
   }
 }
 
-TEST(GraphAllocTest, CompactKCoreHoldsFourBytesPerInputVertex) {
+/// A 20k-vertex graph whose k-cores, for k in 3..12, are a few hundred
+/// community vertices.
+Graph CommunityGraph() {
   PlantedConfig planted;
   planted.num_vertices = 20'000;
   planted.background_edges = 3;
@@ -166,7 +168,17 @@ TEST(GraphAllocTest, CompactKCoreHoldsFourBytesPerInputVertex) {
   planted.community_max = 18;
   planted.intra_density = 0.9;
   planted.overlap_fraction = 0.2;
-  const Graph g = std::move(GenPlantedCommunities(planted)).value();
+  return std::move(GenPlantedCommunities(planted)).value();
+}
+
+/// The bytes of a KCore's arrays at their exact sizes: ids, offsets, adj.
+uint64_t CoreBytes(const KCore& core) {
+  const uint64_t m = core.graph.NumVertices();
+  return 4 * m + 8 * (m + 1) + 8 * core.graph.NumEdges();
+}
+
+TEST(GraphAllocTest, CompactKCoreHoldsFourBytesPerInputVertex) {
+  const Graph g = CommunityGraph();
   const uint64_t n = g.NumVertices();
   // The first call interns its trace span's name, a block kept for good.
   CompactKCore(g, 3);
@@ -187,10 +199,35 @@ TEST(GraphAllocTest, CompactKCoreHoldsFourBytesPerInputVertex) {
     ASSERT_GT(m, 0u);
     ASSERT_LT(m, n);
     // The core's own arrays, each at its exact size...
-    EXPECT_EQ(kept, 4 * m + 8 * (m + 1) + 8 * core.graph.NumEdges());
+    EXPECT_EQ(kept, CoreBytes(core));
     // ...plus one 32-bit word per input vertex and the stack.
     EXPECT_LE(peak, kept + 4 * n + 2 * 4 * stackable + kSmallBytes)
         << stackable << " stackable vertices";
+  }
+}
+
+TEST(GraphAllocTest, OrderByDegeneracyHoldsOnlyCoreSizedScratch) {
+  const Graph g = CommunityGraph();
+  // The first call interns its trace span's name, a block kept for good.
+  OrderByDegeneracy(CompactKCore(g, 3));
+  for (uint32_t k : {3u, 5u, 8u, 12u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    KCore core = CompactKCore(g, k);
+    const uint64_t m = core.graph.NumVertices();
+    const uint64_t core_bytes = CoreBytes(core);
+    const uint64_t max_degree = core.graph.MaxDegree();
+    ASSERT_GT(m, 0u);
+    const uint64_t before = ResetPeak();
+    KCore ordered = OrderByDegeneracy(std::move(core));
+    const uint64_t peak = Peak() - before;
+    ASSERT_EQ(ordered.graph.NumVertices(), m);
+    // The input core is freed on return, and what is kept is the ordered
+    // core's own arrays, each at its exact size...
+    EXPECT_EQ(Live() - (before - core_bytes), CoreBytes(ordered));
+    // ...while the step held both cores and the peel's core numbers,
+    // ranks and degree buckets: no term grows with the input graph.
+    EXPECT_LE(peak, CoreBytes(ordered) + 4 * 2 * m + 4 * (max_degree + 2) +
+                        kSmallBytes);
   }
 }
 

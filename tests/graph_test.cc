@@ -279,11 +279,9 @@ TEST(KCoreTest, CoreMonotoneInK) {
   }
 }
 
-TEST(KCoreTest, CompactCoreRenumbersTheCoreInInputOrder) {
-  // Property: CompactKCore keeps exactly the KCoreMask vertices, numbered
-  // in ascending input-id order, and each list is the input's list
-  // filtered by the mask and renumbered -- the graph FromEdges builds from
-  // the renumbered edges between k-core vertices.
+/// The k-core properties' shapes: Erdos-Renyi, Barabasi-Albert and
+/// planted communities, three seeds each.
+std::vector<Graph> KCoreShapes() {
   std::vector<Graph> graphs;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     graphs.push_back(std::move(GenErdosRenyi(80, 240, seed)).value());
@@ -296,8 +294,18 @@ TEST(KCoreTest, CompactCoreRenumbersTheCoreInInputOrder) {
     planted.seed = seed;
     graphs.push_back(std::move(GenPlantedCommunities(planted)).value());
   }
-  for (const Graph& g : graphs) {
-    for (uint32_t k : {0u, 1u, 2u, 3u, 5u, 8u}) {
+  return graphs;
+}
+
+constexpr uint32_t kCoreKs[] = {0, 1, 2, 3, 5, 8};
+
+TEST(KCoreTest, CompactCoreRenumbersTheCoreInInputOrder) {
+  // Property: CompactKCore keeps exactly the KCoreMask vertices, numbered
+  // in ascending input-id order, and each list is the input's list
+  // filtered by the mask and renumbered -- the graph FromEdges builds from
+  // the renumbered edges between k-core vertices.
+  for (const Graph& g : KCoreShapes()) {
+    for (uint32_t k : kCoreKs) {
       SCOPED_TRACE("n=" + std::to_string(g.NumVertices()) +
                    " k=" + std::to_string(k));
       const std::vector<uint8_t> mask = KCoreMask(g, k);
@@ -404,6 +412,67 @@ TEST(StatsTest, EmptyGraphStats) {
   GraphStats s = ComputeGraphStats(g);
   EXPECT_EQ(s.num_vertices, 0u);
   EXPECT_EQ(s.num_edges, 0u);
+}
+
+TEST(KCoreTest, DegeneracyOrderRenumbersTheCoreSmallestLast) {
+  // Property: OrderByDegeneracy permutes CompactKCore's ids, carries each
+  // list over (mapped, sorted, symmetric), and leaves every vertex at most
+  // its core number of later neighbours -- exactly the degeneracy at the
+  // most. The order is a function of the graph alone.
+  size_t reordered = 0, cores = 0;
+  for (const Graph& g : KCoreShapes()) {
+    const std::vector<uint32_t> core_number = CoreDecomposition(g);
+    for (uint32_t k : kCoreKs) {
+      SCOPED_TRACE("n=" + std::to_string(g.NumVertices()) +
+                   " k=" + std::to_string(k));
+      const KCore compact = CompactKCore(g, k);
+      const KCore ordered = OrderByDegeneracy(CompactKCore(g, k));
+      const uint32_t n = ordered.graph.NumVertices();
+      ASSERT_EQ(n, compact.graph.NumVertices());
+      ASSERT_EQ(ordered.graph.NumEdges(), compact.graph.NumEdges());
+      std::vector<VertexId> sorted_ids = ordered.ids;
+      std::sort(sorted_ids.begin(), sorted_ids.end());
+      ASSERT_EQ(sorted_ids, compact.ids);
+      if (n > 0) ++cores;
+      reordered += ordered.ids != compact.ids;
+      // Input id -> ordered id.
+      std::vector<VertexId> rank(g.NumVertices(), UINT32_MAX);
+      for (VertexId c = 0; c < n; ++c) rank[ordered.ids[c]] = c;
+      uint32_t degeneracy = 0, most_later = 0;
+      for (VertexId c = 0; c < n; ++c) {
+        const VertexId v = ordered.ids[c];
+        std::vector<VertexId> want;
+        for (VertexId u : g.Neighbors(v)) {
+          if (rank[u] != UINT32_MAX) want.push_back(rank[u]);
+        }
+        std::sort(want.begin(), want.end());
+        const auto got = ordered.graph.Neighbors(c);
+        ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), want)
+            << "c=" << c;
+        uint32_t later = 0;
+        for (VertexId d : got) {
+          EXPECT_TRUE(ordered.graph.HasEdge(d, c)) << c << "-" << d;
+          later += d > c;
+        }
+        EXPECT_LE(later, core_number[v]) << "c=" << c;
+        degeneracy = std::max(degeneracy, core_number[v]);
+        most_later = std::max(most_later, later);
+      }
+      EXPECT_EQ(ordered.degeneracy, degeneracy);
+      // The first vertex the peel takes from the top core has all of that
+      // core's neighbours after it.
+      EXPECT_EQ(most_later, degeneracy);
+      const KCore again = OrderByDegeneracy(CompactKCore(g, k));
+      EXPECT_EQ(again.ids, ordered.ids);
+      for (VertexId c = 0; c < n; ++c) {
+        EXPECT_TRUE(std::ranges::equal(again.graph.Neighbors(c),
+                                       ordered.graph.Neighbors(c)))
+            << "c=" << c;
+      }
+    }
+  }
+  // The order is not the input order in disguise.
+  EXPECT_GT(2 * reordered, cores) << reordered << " of " << cores;
 }
 
 }  // namespace

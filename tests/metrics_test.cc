@@ -1,11 +1,13 @@
 // Pins for the derived-ratio metrics (gthinker/metrics.h): every ratio
 // with a potentially-zero denominator must degrade to a finite, defined
 // value -- never NaN or inf, which poison downstream JSON consumers and
-// merged-report aggregation.
+// merged-report aggregation. Also pins MapToInputIds, which renames a
+// report from the mined graph's ids to the input's.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "gthinker/metrics.h"
 
@@ -94,6 +96,28 @@ TEST(DerivedRatiosTest, AllRatiosFiniteOnZeroSnapshot) {
   EXPECT_TRUE(std::isfinite(counters.MeanFlushParkUsec()));
   EngineReport report;
   EXPECT_TRUE(std::isfinite(report.BusyImbalance()));
+}
+
+/// The launchers' map is a degeneracy order, not monotone: every mapped
+/// set must come back sorted (FilterMaximal's subset probe and the
+/// canonical digest rely on it, and only assert it), and every root must
+/// be renamed.
+TEST(MapToInputIdsTest, NonMonotoneMapSortsEverySetAndMapsEveryRoot) {
+  const std::vector<VertexId> ids = {40, 10, 30, 0, 20};
+  EngineReport report;
+  report.results = {{0, 1, 2}, {1, 3, 4}, {0, 2, 4}, {3}, {}};
+  for (VertexId root = 0; root < ids.size(); ++root) {
+    report.root_tasks.push_back({.root = root, .tasks = root + 1});
+  }
+  MapToInputIds(ids, &report);
+  const std::vector<VertexSet> want = {
+      {10, 30, 40}, {0, 10, 20}, {20, 30, 40}, {0}, {}};
+  EXPECT_EQ(report.results, want);
+  ASSERT_EQ(report.root_tasks.size(), ids.size());
+  for (VertexId root = 0; root < ids.size(); ++root) {
+    EXPECT_EQ(report.root_tasks[root].root, ids[root]) << root;
+    EXPECT_EQ(report.root_tasks[root].tasks, root + 1u) << root;
+  }
 }
 
 }  // namespace

@@ -101,16 +101,19 @@ TEST(ParallelMinerTest, MatchesOracleOnRandomTinyGraphs) {
 }
 
 // The engine path against the exhaustive oracle on planted graphs of at
-// most 20 vertices: every decomposition mode (tau_time 0 makes the
+// most 24 vertices: every decomposition mode (tau_time 0 makes the
 // time-delayed one split at once), 1 and 3 ranks, both kernel families.
+// The engine mines in degeneracy order and the oracle in input order, and
+// on most seeds the two orders differ, so the match spans two orders.
 // Every run also balances its candidate books: the sets that reached the
 // engine's result list plus those their own task's filter dropped are
 // exactly what the kernel emitted.
 TEST(ParallelMinerTest, PlantedTinyGraphsMatchOracleInEveryMode) {
-  uint64_t subsumed = 0;
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
+  constexpr uint64_t kSeeds = 12;
+  uint64_t subsumed = 0, reordered = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     PlantedConfig planted;
-    planted.num_vertices = 16 + 2 * static_cast<uint32_t>(seed % 3);
+    planted.num_vertices = 16 + 2 * static_cast<uint32_t>(seed % 5);
     planted.background_edges = 24;
     planted.background = BackgroundModel::kErdosRenyi;
     planted.num_communities = 2;
@@ -120,10 +123,15 @@ TEST(ParallelMinerTest, PlantedTinyGraphsMatchOracleInEveryMode) {
     planted.overlap_fraction = 0.3;
     planted.seed = seed;
     const Graph g = std::move(GenPlantedCommunities(planted)).value();
-    ASSERT_LE(g.NumVertices(), 20u);
+    ASSERT_LE(g.NumVertices(), 24u);
     const auto oracle =
         std::move(NaiveMaximalQuasiCliques(g, 0.75, 4)).value();
     ASSERT_FALSE(oracle.empty()) << "seed=" << seed;
+    const std::vector<VertexId> mined_order =
+        OrderByDegeneracy(
+            CompactKCore(g, SmallConfig(0.75, 4).mining.MinDegreeK()))
+            .ids;
+    reordered += !std::is_sorted(mined_order.begin(), mined_order.end());
     for (const DecomposeMode mode :
          {DecomposeMode::kNone, DecomposeMode::kSizeThreshold,
           DecomposeMode::kTimeDelayed}) {
@@ -153,6 +161,9 @@ TEST(ParallelMinerTest, PlantedTinyGraphsMatchOracleInEveryMode) {
     }
   }
   EXPECT_GT(subsumed, 0u) << "the per-task filter never dropped a candidate";
+  EXPECT_GT(2 * reordered, kSeeds)
+      << "the degeneracy order kept the input order on " << kSeeds - reordered
+      << " of " << kSeeds << " seeds";
 }
 
 // ---- Parallel == serial across engine configurations ----

@@ -114,15 +114,22 @@ StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source) {
   return loaded;
 }
 
-KCore MinedKCore(const Graph& graph, const EngineConfig& config,
-                 bool stats) {
+KCore MinedKCore(Graph graph, const EngineConfig& config, bool stats) {
   const uint64_t load_peak = stats ? PeakRssBytes() : 0;
-  KCore core = CompactKCore(graph, config.mining.MinDegreeK());
+  const uint32_t input_vertices = graph.NumVertices();
+  const uint64_t input_edges = graph.NumEdges();
+  KCore compact = CompactKCore(graph, config.mining.MinDegreeK());
+  // Freed first, so the ordering step's two cores never sit beside it.
+  graph = Graph();
+  KCore core = OrderByDegeneracy(std::move(compact));
   if (stats) {
-    std::fprintf(stderr, "k-core: %u of %u vertices, %llu of %llu edges\n",
-                 core.graph.NumVertices(), graph.NumVertices(),
+    std::fprintf(stderr,
+                 "k-core: %u of %u vertices, %llu of %llu edges, "
+                 "degeneracy %u\n",
+                 core.graph.NumVertices(), input_vertices,
                  static_cast<unsigned long long>(core.graph.NumEdges()),
-                 static_cast<unsigned long long>(graph.NumEdges()));
+                 static_cast<unsigned long long>(input_edges),
+                 core.degeneracy);
     std::fprintf(stderr, "memory: peak RSS %s after load, %s after k-core\n",
                  HumanBytes(load_peak).c_str(),
                  HumanBytes(PeakRssBytes()).c_str());

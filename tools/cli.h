@@ -94,12 +94,13 @@ Status CheckGraphSource(const GraphSource& source,
 /// a caller that does not pack a snapshot should drop it before mining.
 StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
 
-/// The k-core the engine mines, in its own compact id space (CompactKCore,
-/// graph/kcore.h), k = config.mining.MinDegreeK(). With `stats`, prints
-/// "k-core: K of N vertices, E of M edges" and "memory: peak RSS X after
-/// load, Y after k-core" (the process's VmHWM before and after the step)
-/// to stderr.
-KCore MinedKCore(const Graph& graph, const EngineConfig& config, bool stats);
+/// The k-core the engine mines, in its own compact id space and in
+/// degeneracy order (CompactKCore, then OrderByDegeneracy, graph/kcore.h),
+/// k = config.mining.MinDegreeK(). `graph` is freed between the two steps.
+/// With `stats`, prints "k-core: K of N vertices, E of M edges,
+/// degeneracy D" and "memory: peak RSS X after load, Y after k-core" (the
+/// process's VmHWM before and after the step) to stderr.
+KCore MinedKCore(Graph graph, const EngineConfig& config, bool stats);
 
 /// --output PATH, with a tool-specific meaning.
 Flag OutputFlag(std::string* path, const char* help);

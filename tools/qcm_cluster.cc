@@ -22,16 +22,17 @@
 // --heartbeat-usec is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input's k-core
-// (CompactKCore, graph/kcore.h: only the k-core vertices, renumbered to
-// 0..|core|-1 in input-id order, and the edges between them) into a .qcsr
-// snapshot ONCE (<log-dir>/graph.qcsr) and ships only the path; workers
-// mmap it and read just their partition's lists, so no rank ever
-// materializes the graph. Every rank, checkpoint and recovery of the job
-// works in the packed ids; the launcher maps the merged results back to
-// the input's. --snapshot, the third graph source, ships a qcm_pack output
-// as given instead, with the identity map: the launcher never loads its
-// adjacency, so that run is not reduced (its results are the same, its
-// ranks just spawn and pull more). And --graph-memory-budget caps the
+// (CompactKCore and OrderByDegeneracy, graph/kcore.h: only the k-core
+// vertices, renumbered to 0..|core|-1 in degeneracy order, and the edges
+// between them) into a .qcsr snapshot ONCE (<log-dir>/graph.qcsr) and
+// ships only the path; workers mmap it and read just their partition's
+// lists, so no rank ever materializes the graph. Every rank, checkpoint
+// and recovery of the job works in the packed ids; the launcher maps the
+// merged results back to the input's. --snapshot, the third graph source,
+// ships a qcm_pack output as given instead, with the identity map: the
+// launcher never loads its adjacency, so that run is neither reduced nor
+// reordered, and mines in file order (its results are the same, its ranks
+// just spawn and pull more). And --graph-memory-budget caps the
 // bytes each rank keeps of its own lists: a budgeted rank reads a list
 // from the file with pread whenever its LRU of lists misses (out-of-core
 // mining).
@@ -318,11 +319,11 @@ int main(int argc, char** argv) {
       remove_owned_dirs();
       return 1;
     }
-    // (T1) Only the k-core is packed, in its own compact ids, so no rank
-    // spawns, pulls or reads a vertex outside it, and every per-vertex
-    // section and array is core-sized. The original-ids section names
-    // each packed vertex by its external id.
-    KCore core = cli::MinedKCore(loaded->graph, config, run.stats);
+    // (T1) Only the k-core is packed, in its own compact ids in degeneracy
+    // order, so no rank spawns, pulls or reads a vertex outside it, and
+    // every per-vertex section and array is core-sized. The original-ids
+    // section names each packed vertex by its external id.
+    KCore core = cli::MinedKCore(std::move(loaded->graph), config, run.stats);
     std::vector<uint64_t> original_ids(core.ids.begin(), core.ids.end());
     if (!loaded->original_ids.empty()) {
       for (uint64_t& id : original_ids) id = loaded->original_ids[id];

@@ -4,8 +4,9 @@
 // planted-community graph, mine all maximal gamma-quasi-cliques serially
 // or on the G-thinker cluster -- --machines ranks as threads of this
 // process, over loopback TCP under the cluster coordinator, all serving
-// the loaded graph's k-core in its own compact ids (net/local_cluster.h,
-// graph/kcore.h) -- and write results / statistics in the input's ids.
+// the loaded graph's k-core in its own compact ids, numbered in
+// degeneracy order (net/local_cluster.h, graph/kcore.h) -- and write
+// results / statistics in the input's ids.
 //
 //   qcm_mine --input graph.txt --gamma 0.9 --min-size 10
 //   qcm_mine --gen-planted n=5000,communities=10,size=16..20,density=0.95
@@ -102,12 +103,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
                graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()));
-  // (T1) The engine mines the k-core only, in its own compact ids, and the
-  // full graph is freed before mining; `to_input` maps results back.
-  // (SerialMiner masks its own ego builds instead.)
+  // (T1) The engine mines the k-core only, in its own compact ids in
+  // degeneracy order, and the full graph is freed before mining;
+  // `to_input` maps results back. (SerialMiner masks its own ego builds
+  // instead, and mines in input order: the oracle order.)
   std::vector<VertexId> to_input;
   if (!serial) {
-    KCore core = cli::MinedKCore(graph, config, run.stats);
+    KCore core = cli::MinedKCore(std::move(graph), config, run.stats);
     graph = std::move(core.graph);
     to_input = std::move(core.ids);
   }
