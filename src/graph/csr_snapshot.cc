@@ -143,15 +143,14 @@ const char* CsrSectionName(int section) {
   }
 }
 
-Status WriteCsrSnapshot(const Graph& g,
-                        const std::vector<uint64_t>& original_ids,
+Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
                         const std::string& path,
                         const CsrWriteOptions& opts) {
   const uint32_t n = g.NumVertices();
   const uint64_t m = g.NumEdges();
-  if (!original_ids.empty() && original_ids.size() != n) {
+  if (!original_ids.ids.empty() && original_ids.ids.size() != n) {
     return Status::InvalidArgument(
-        "original-id map has " + std::to_string(original_ids.size()) +
+        "original-id map has " + std::to_string(original_ids.ids.size()) +
         " entries for a " + std::to_string(n) + "-vertex graph");
   }
 
@@ -221,18 +220,13 @@ Status WriteCsrSnapshot(const Graph& g,
       return fail(s);
   }
 
-  // Original ids (identity when the caller has none).
+  // Original ids.
   if (Status s = out.PadTo(hdr.sections[kCsrOriginalIds].file_offset);
       !s.ok())
     return fail(s);
   {
-    std::vector<uint64_t> ids;
-    if (original_ids.empty()) {
-      ids.resize(n);
-      for (VertexId v = 0; v < n; ++v) ids[v] = v;
-    } else {
-      ids = original_ids;
-    }
+    std::vector<uint64_t> ids(n);
+    for (VertexId v = 0; v < n; ++v) ids[v] = original_ids[v];
     hdr.sections[kCsrOriginalIds].checksum =
         Fingerprint(reinterpret_cast<const char*>(ids.data()),
                     hdr.sections[kCsrOriginalIds].bytes);
@@ -363,16 +357,27 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
                          std::to_string(actual_bytes)));
   }
 
-  // Section geometry: expected sizes, page alignment, in-bounds.
+  // Section geometry: expected sizes, page alignment, in-bounds. Every
+  // field is untrusted, so nothing here may wrap: num_edges is bounded by
+  // the file before it is multiplied, and a section's end is checked by
+  // subtraction. `room` is the file less its tail sentinel; file_bytes is
+  // the actual size, at least kCsrHeaderBytes.
   const uint64_t n = h.num_vertices;
+  const uint64_t room = h.file_bytes - sizeof(kCsrTailMagic);
+  if (h.num_edges > room / (2 * sizeof(VertexId))) {
+    return Status::Corruption(
+        At(path, 16, std::to_string(h.num_edges) +
+                         " edges cannot fit in a file of " +
+                         std::to_string(h.file_bytes) + " bytes"));
+  }
   const uint64_t expected_bytes[kCsrNumSections] = {
       n * sizeof(uint32_t), (n + 1) * sizeof(uint64_t), n * sizeof(uint64_t),
       2 * h.num_edges * sizeof(VertexId)};
   for (int i = 0; i < kCsrNumSections; ++i) {
     const CsrSectionDesc& s = h.sections[i];
     if (s.bytes != expected_bytes[i] || s.file_offset % h.page_size != 0 ||
-        s.file_offset < h.page_size ||
-        s.file_offset + s.bytes + sizeof(kCsrTailMagic) > h.file_bytes) {
+        s.file_offset < h.page_size || s.bytes > room ||
+        s.file_offset > room - s.bytes) {
       return Status::Corruption(
           At(path, 40 + static_cast<uint64_t>(i) * 24,
              std::string(CsrSectionName(i)) + " section descriptor invalid" +
@@ -446,7 +451,34 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
       }
     }
   }
+  // Degree(v) and Neighbors(v) must agree: callers size lists by one and
+  // fill them from the other.
+  for (uint64_t v = 0; v < n; ++v) {
+    const uint64_t len = snap->offsets_[v + 1] - snap->offsets_[v];
+    if (snap->degrees_[v] != len) {
+      return Status::Corruption(
+          At(path,
+             h.sections[kCsrDegrees].file_offset + v * sizeof(uint32_t),
+             "degree of vertex " + std::to_string(v) + " is " +
+                 std::to_string(snap->degrees_[v]) + ", its row holds " +
+                 std::to_string(len) + " entries"));
+    }
+  }
   return snap;
+}
+
+IdMap CsrSnapshot::OriginalIds() const {
+  IdMap map;
+  const uint32_t n = hdr_.num_vertices;
+  if (n == 0) return map;
+  VertexId v = 1;
+  while (v < n && original_ids_[v] == original_ids_[0] + v) ++v;
+  if (v == n) {
+    map.first = original_ids_[0];
+  } else {
+    map.ids.assign(original_ids_, original_ids_ + n);
+  }
+  return map;
 }
 
 Status CsrSnapshot::ReadNeighbors(VertexId v,

@@ -21,7 +21,7 @@
 //     +136 u64  fnv1a checksum of header bytes [0, 136)
 //   degrees       u32[n]    per-vertex degree (replicated metadata)
 //   offsets       u64[n+1]  adjacency entry offsets (CSR row starts)
-//   original-ids  u64[n]    dense id -> external id map
+//   original-ids  u64[n]    dense id -> external id map (IdMap)
 //   adjacency     u32[2m]   concatenated sorted adjacency lists
 //   tail          u64       tail magic at file_bytes-8 (torn-tail guard)
 //
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/id_map.h"
 #include "util/status.h"
 
 namespace qcm {
@@ -86,19 +87,20 @@ struct CsrWriteOptions {
 };
 
 /// Packs `g` into a .qcsr snapshot at `path`, every section padded to
-/// kCsrDefaultPageSize. `original_ids` maps dense ids back to external ids
-/// (identity when empty; otherwise must have exactly NumVertices()
-/// entries). Overwrites any existing file.
-Status WriteCsrSnapshot(const Graph& g,
-                        const std::vector<uint64_t>& original_ids,
+/// kCsrDefaultPageSize. The original-ids section holds original_ids[v]
+/// for every vertex v (the identity for the default map); a map with a
+/// table must have exactly NumVertices() entries. Overwrites any existing
+/// file.
+Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
                         const std::string& path,
                         const CsrWriteOptions& opts = {});
 
 /// A read-only mmap of a .qcsr file. Open() always validates the header
 /// (magic/version/page-size/checksum), the declared-vs-actual file size,
-/// the tail sentinel, section-table geometry, and offset-array
-/// monotonicity -- so the accessors below can never read out of bounds on
-/// a corrupt file. Section checksum verification is opt-out for the
+/// the tail sentinel, section-table geometry (in arithmetic that cannot
+/// wrap), offset-array monotonicity, and that every degree is its row's
+/// length -- so the accessors below can never read out of bounds on a
+/// corrupt file. Section checksum verification is opt-out for the
 /// adjacency section only, because streaming it faults every page (a
 /// budget-constrained rank wants to avoid exactly that).
 ///
@@ -140,6 +142,10 @@ class CsrSnapshot {
 
   uint64_t OriginalId(VertexId v) const { return original_ids_[v]; }
 
+  /// The original-ids section as a map: one run first .. first+n-1 is
+  /// {first} with no table, anything else a copy of the section.
+  IdMap OriginalIds() const;
+
   std::span<const VertexId> Neighbors(VertexId v) const {
     return {adj_ + offsets_[v], adj_ + offsets_[v + 1]};
   }
@@ -153,10 +159,6 @@ class CsrSnapshot {
   /// Materializes a fully resident in-memory Graph (the qcm_mine
   /// resident-load path; also the parity reference in tests).
   StatusOr<Graph> ToGraph() const;
-
-  std::vector<uint64_t> OriginalIdsVector() const {
-    return {original_ids_, original_ids_ + hdr_.num_vertices};
-  }
 
  private:
   CsrSnapshot() = default;

@@ -1,6 +1,7 @@
 #include "graph/edge_io.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -157,30 +158,46 @@ Status ReadEdges(const std::string& path, RawEdges* raw) {
   }
 }
 
-/// Compacts ids by sorted rank into `*ids` (dense id -> original id, sized
-/// exactly) and relabels `*endpoints` in place: every rank fits in an Id.
+/// Compacts ids by sorted rank: relabels `*endpoints` in place (every
+/// rank fits in an Id) and fills `*map` (dense id -> file id). Returns the
+/// number of distinct ids.
 template <typename Id>
-Status CompactIds(std::vector<Id>* endpoints, uint64_t min_id,
-                  uint64_t max_id, const std::string& path,
-                  std::vector<uint64_t>* ids) {
+StatusOr<uint32_t> CompactIds(std::vector<Id>* endpoints, uint64_t min_id,
+                              uint64_t max_id, const std::string& path,
+                              IdMap* map) {
   const uint64_t count = endpoints->size();
   const auto too_many = [&] {
     return Status::OutOfRange(path + ": too many distinct vertex ids");
   };
-  // Dense ids get a rank table indexed by id - min_id. Its span is below
-  // the endpoint count, so it is never bigger than the endpoints held.
+  std::vector<uint64_t>& ids = map->ids;
+  // A span below the endpoint count is dense: one bit per id of it marks
+  // the ids present. Gap-free, they need no table at all; otherwise they
+  // get a rank table indexed by id - min_id, never bigger than the
+  // endpoints held.
   std::vector<VertexId> table;
   if (count > 0 && max_id - min_id < count) {
-    table.assign(max_id - min_id + 1, 0);
-    for (const Id x : *endpoints) table[x - min_id] = 1;
-    const size_t distinct =
-        static_cast<size_t>(std::count(table.begin(), table.end(), 1u));
-    if (distinct > static_cast<size_t>(UINT32_MAX)) return too_many();
-    ids->reserve(distinct);
-    for (size_t i = 0; i < table.size(); ++i) {
-      if (table[i] == 0) continue;
-      table[i] = static_cast<VertexId>(ids->size());
-      ids->push_back(min_id + i);
+    const uint64_t span = max_id - min_id + 1;
+    std::vector<uint64_t> present((span + 63) / 64, 0);
+    for (const Id x : *endpoints) {
+      const uint64_t i = x - min_id;
+      present[i / 64] |= uint64_t{1} << (i % 64);
+    }
+    uint64_t distinct = 0;
+    for (const uint64_t word : present) distinct += std::popcount(word);
+    if (distinct > UINT32_MAX) return too_many();
+    if (distinct == span) {
+      map->first = min_id;
+      if (min_id != 0) {
+        for (Id& x : *endpoints) x -= static_cast<Id>(min_id);
+      }
+      return static_cast<uint32_t>(distinct);
+    }
+    table.resize(span);
+    ids.reserve(distinct);
+    for (uint64_t i = 0; i < span; ++i) {
+      if ((present[i / 64] >> (i % 64) & 1) == 0) continue;
+      table[i] = static_cast<VertexId>(ids.size());
+      ids.push_back(min_id + i);
     }
   } else {
     // Sparse ids: sort a copy of them all, keep each once, and
@@ -189,15 +206,15 @@ Status CompactIds(std::vector<Id>* endpoints, uint64_t min_id,
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     if (sorted.size() > static_cast<size_t>(UINT32_MAX)) return too_many();
-    ids->assign(sorted.begin(), sorted.end());
+    ids.assign(sorted.begin(), sorted.end());
   }
   const auto rank = [&](uint64_t id) -> Id {
     if (!table.empty()) return table[id - min_id];
-    return static_cast<Id>(std::lower_bound(ids->begin(), ids->end(), id) -
-                           ids->begin());
+    return static_cast<Id>(std::lower_bound(ids.begin(), ids.end(), id) -
+                           ids.begin());
   };
   for (Id& x : *endpoints) x = rank(x);
-  return Status::OK();
+  return static_cast<uint32_t>(ids.size());
 }
 
 }  // namespace
@@ -206,19 +223,18 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
   RawEdges raw;
   QCM_RETURN_IF_ERROR(ReadEdges(path, &raw));
   LoadedGraph out;
+  uint32_t n = 0;
   if (raw.wide.empty()) {
-    QCM_RETURN_IF_ERROR(CompactIds(&raw.narrow, raw.min_id, raw.max_id, path,
-                                   &out.original_ids));
+    QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.narrow, raw.min_id, raw.max_id,
+                                       path, &out.original_ids));
   } else {
-    QCM_RETURN_IF_ERROR(CompactIds(&raw.wide, raw.min_id, raw.max_id, path,
-                                   &out.original_ids));
+    QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.wide, raw.min_id, raw.max_id,
+                                       path, &out.original_ids));
     raw.narrow.assign(raw.wide.begin(), raw.wide.end());
     std::vector<uint64_t>().swap(raw.wide);
   }
-  QCM_ASSIGN_OR_RETURN(
-      out.graph,
-      Graph::FromEndpoints(static_cast<uint32_t>(out.original_ids.size()),
-                           std::move(raw.narrow)));
+  QCM_ASSIGN_OR_RETURN(out.graph,
+                       Graph::FromEndpoints(n, std::move(raw.narrow)));
   return out;
 }
 

@@ -117,6 +117,7 @@ uint64_t ResultSetDigest(const std::vector<VertexSet>& sets) {
 
 StatusOr<uint64_t> EmitCanonicalResults(std::vector<VertexSet>* sets,
                                         const std::string& output_path,
+                                        const IdMap& file_ids,
                                         CanonicalizeStats* canon_stats) {
   CanonicalizeResults(sets, canon_stats);
   const uint64_t digest = ResultSetDigest(*sets);
@@ -127,7 +128,8 @@ StatusOr<uint64_t> EmitCanonicalResults(std::vector<VertexSet>* sets,
     QCM_RETURN_IF_ERROR(f.status());
     for (const VertexSet& s : *sets) {
       for (size_t i = 0; i < s.size(); ++i) {
-        std::fprintf(*f, "%s%u", i ? " " : "", s[i]);
+        std::fprintf(*f, "%s%llu", i ? " " : "",
+                     static_cast<unsigned long long>(file_ids[s[i]]));
       }
       std::fprintf(*f, "\n");
     }

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "graph/id_map.h"
 #include "quick/quasi_clique.h"
 
 namespace qcm {
@@ -57,15 +58,20 @@ uint64_t ResultSetDigest(const std::vector<VertexSet>& sets);
 /// The one implementation of canonical result emission shared by
 /// qcm_mine and qcm_cluster: canonicalizes `*sets` in place, prints
 /// "result-digest: <16 hex>" on stderr, and -- when `output_path` is
-/// non-empty -- writes one space-separated set per line ("-" = stdout).
-/// ClusterParityTest (tests/cluster_e2e_test.cc) compares these exact
-/// bytes across the two tools, so the format must never drift between
-/// them.
+/// non-empty -- writes one space-separated set per line ("-" = stdout),
+/// each vertex v as file_ids[v], the id the input file named it by (the
+/// identity by default).
+/// The order and the digest are those of the dense ids; every map a
+/// loader builds is increasing, so the lines are in canonical order of
+/// the file's ids too. ClusterParityTest (tests/cluster_e2e_test.cc)
+/// compares these exact bytes across the two tools, so the format must
+/// never drift between them.
 /// Returns the digest, or IOError naming the path when the output cannot
 /// be opened or written in full.
 /// `canon_stats` (optional) receives the CanonicalizeResults counters.
 StatusOr<uint64_t> EmitCanonicalResults(std::vector<VertexSet>* sets,
                                         const std::string& output_path,
+                                        const IdMap& file_ids = {},
                                         CanonicalizeStats* canon_stats =
                                             nullptr);
 

@@ -358,6 +358,139 @@ TEST(ClusterE2ETest, DegeneracyOrderKeepsTheDigestOfAReorderedFile) {
   std::remove(path.c_str());
 }
 
+/// Runs every way of mining an edge-list file with --gamma 0.9 --min-size
+/// 6 -- qcm_mine's engine and its serial miner, qcm_cluster, and qcm_pack
+/// followed by qcm_mine --input-snapshot and by qcm_cluster --snapshot --
+/// and expects each to write exactly `want`, in the file's own ids, and
+/// all of them to print one digest.
+void ExpectEveryToolWrites(const std::string& dir, const std::string& file,
+                           const std::string& want) {
+  const std::string flags = " --gamma 0.9 --min-size 6";
+  const std::string snapshot = dir + "/graph.qcsr";
+  const RunResult packed =
+      RunTool("qcm_pack", "--input " + file + " --output " + snapshot);
+  ASSERT_EQ(packed.exit_code, 0) << packed.output;
+  const struct {
+    const char* tool;
+    std::string args;
+  } runs[] = {
+      {"qcm_mine", "--input " + file + " --machines 2 --threads 1"},
+      {"qcm_mine", "--input " + file + " --serial"},
+      {"qcm_cluster", "--input " + file + " --workers 2 --threads 1"},
+      {"qcm_mine", "--input-snapshot " + snapshot + " --machines 2"},
+      {"qcm_cluster", "--snapshot " + snapshot + " --workers 2 --threads 1"},
+  };
+  std::string digest;
+  for (size_t i = 0; i < std::size(runs); ++i) {
+    SCOPED_TRACE(std::string(runs[i].tool) + " " + runs[i].args);
+    const std::string out = dir + "/out" + std::to_string(i) + ".txt";
+    const std::string logs = dir + "/logs" + std::to_string(i);
+    std::string args = runs[i].args + flags + " --output " + out;
+    if (std::string(runs[i].tool) == "qcm_cluster") args += " --log-dir " + logs;
+    const RunResult run = RunTool(runs[i].tool, args);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_EQ(ReadFile(out), want) << run.output;
+    if (i == 0) digest = Digest(run.output);
+    ASSERT_EQ(digest.size(), 16u) << run.output;
+    EXPECT_EQ(Digest(run.output), digest) << run.output;
+    EXPECT_EQ(ProcessesHoldingFilesUnder(logs), std::vector<std::string>{});
+  }
+}
+
+// Results name the input file's own ids. In a file whose ids start at 1,
+// have gaps and reach past 2^32, two planted 6-cliques -- one on ids
+// 1000 .. 6000, one from 7 up to 2^64-1 -- mine as exactly those ids from
+// every tool (a path from id 1 joins them but is no quasi-clique). A
+// gap-free file from 1, the usual SNAP shape, prints ids from 1.
+TEST(ClusterE2ETest, ResultsNameTheInputFilesOwnIds) {
+  const std::string dir = ::testing::TempDir() + "/cluster_e2e_file_ids";
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& name,
+                         const std::vector<std::vector<uint64_t>>& cliques,
+                         const std::vector<uint64_t>& path) {
+    std::ofstream out(dir + "/" + name);
+    out << "# FromNodeId\tToNodeId\n";
+    for (const std::vector<uint64_t>& clique : cliques) {
+      for (size_t i = 0; i < clique.size(); ++i) {
+        for (size_t j = i + 1; j < clique.size(); ++j) {
+          out << clique[j] << "\t" << clique[i] << "\n";
+        }
+      }
+    }
+    for (size_t i = 1; i < path.size(); ++i) {
+      out << path[i - 1] << "\t" << path[i] << "\n";
+    }
+    return dir + "/" + name;
+  };
+  const std::vector<uint64_t> low = {1000, 2000, 3000, 4000, 5000, 6000};
+  const std::vector<uint64_t> high = {7,
+                                      (uint64_t{1} << 32) + 5,
+                                      uint64_t{1} << 33,
+                                      1'000'000'000'000,
+                                      (uint64_t{1} << 40) + 1,
+                                      UINT64_MAX};
+  {
+    SCOPED_TRACE("ids with gaps");
+    ExpectEveryToolWrites(
+        dir, write("sparse.txt", {high, low}, {1, 3, 8, 1000, 20, 7}),
+        "7 4294967301 8589934592 1000000000000 1099511627777 "
+        "18446744073709551615\n"
+        "1000 2000 3000 4000 5000 6000\n");
+  }
+  {
+    SCOPED_TRACE("a gap-free run from 1");
+    ExpectEveryToolWrites(
+        dir,
+        write("run_from_one.txt", {{1, 2, 3, 4, 5, 6}, {8, 9, 10, 11, 12, 13}},
+              {6, 7, 8}),
+        "1 2 3 4 5 6\n8 9 10 11 12 13\n");
+  }
+}
+
+// The benchmark's layer driver, built against this library: its gen and
+// layers subcommands run on a small planted graph, and the digest it
+// reports (the reference every timed benchmark run is checked against)
+// is the one qcm_mine's engine and qcm_cluster print for the same file.
+// The file's ids are 0 .. n-1, as in the benchmark's, so the driver's
+// result file has qcm_mine's bytes too.
+TEST(ClusterE2ETest, LayerDriverDigestMatchesTheMiners) {
+  const std::string dir = ::testing::TempDir() + "/cluster_e2e_driver";
+  std::filesystem::create_directories(dir);
+  const std::string graph = dir + "/graph.txt";
+  const RunResult gen = RunTool(
+      "qcm_layer_driver",
+      std::string("gen --spec ") + kGraphSpec + " --seed 3 --out " + graph);
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const std::string mining = " --gamma 0.85 --min-size 8";
+  const RunResult layers = RunTool(
+      "qcm_layer_driver", "layers --input " + graph + mining +
+                              " --filter-passes 2 --output " + dir +
+                              "/serial.txt --pack " + dir + "/graph.qcsr");
+  ASSERT_EQ(layers.exit_code, 0) << layers.output;
+  const std::string digest = Digest(layers.output);
+  ASSERT_EQ(digest.size(), 16u) << layers.output;
+  EXPECT_NE(layers.output.find("\"digest\": \"" + digest + "\""),
+            std::string::npos)
+      << layers.output;
+
+  const RunResult mine =
+      RunTool("qcm_mine", "--input " + graph + mining +
+                              " --machines 2 --threads 1 --output " + dir +
+                              "/mine.txt");
+  ASSERT_EQ(mine.exit_code, 0) << mine.output;
+  EXPECT_EQ(Digest(mine.output), digest) << mine.output;
+  const std::string serial = ReadFile(dir + "/serial.txt");
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, ReadFile(dir + "/mine.txt"));
+  const std::string logs = dir + "/logs";
+  const RunResult cluster =
+      RunTool("qcm_cluster", "--input " + graph + mining +
+                                 " --workers 2 --threads 1 --log-dir " + logs);
+  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
+  EXPECT_EQ(Digest(cluster.output), digest) << cluster.output;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(logs), std::vector<std::string>{});
+}
+
 // Without --log-dir or --checkpoint-dir the launcher makes its own temp
 // dirs for the worker logs and the packed graph, and for the checkpoints,
 // and always one for the job's spill files; a clean run removes all

@@ -1,11 +1,14 @@
 // .qcsr snapshot format + budgeted vertex table tests: byte-pinned header
 // layout, round-trip fidelity (also of a file laid out on 4 KiB pages),
-// corrupt-header / torn-tail / checksum-mismatch rejection with
-// file:offset errors, parity between resident, snapshot-mmap and budgeted
-// tables under eviction churn, the budget's bound on what the rank holds,
-// hub lists cached whole, pins that outlive eviction, and the loud
-// failure of a read past a truncated file's end.
+// original-ids sections read back as id maps, corrupt-header / torn-tail /
+// checksum-mismatch / wrapping-section-table rejection with file:offset
+// errors, a seeded mutation fuzz loop over snapshots of the edge-list
+// corpus, parity between resident, snapshot-mmap and budgeted tables under
+// eviction churn, the budget's bound on what the rank holds, hub lists
+// cached whole, pins that outlive eviction, and the loud failure of a
+// read past a truncated file's end.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <span>
@@ -22,10 +26,15 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
+#include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "gthinker/engine_config.h"
 #include "gthinker/vertex_table.h"
 #include "util/serde.h"
+
+#ifndef QCM_CORPUS_DIR
+#define QCM_CORPUS_DIR "tests/corpus"
+#endif
 
 namespace qcm {
 namespace {
@@ -163,7 +172,7 @@ TEST(CsrSnapshotTest, RoundTripPreservesGraphAndOriginalIds) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) ids[v] = 1000 + 3 * v;
 
   const std::string path = TempPath("roundtrip.qcsr");
-  ASSERT_TRUE(WriteCsrSnapshot(g, ids, path).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, IdMap{0, ids}, path).ok());
   // The writer pads to 64 KiB pages, but the reader takes any page size
   // the header declares, so the same file on 4 KiB pages reads back too.
   const std::string small_pages = TempPath("roundtrip_small_pages.qcsr");
@@ -182,6 +191,7 @@ TEST(CsrSnapshotTest, RoundTripPreservesGraphAndOriginalIds) {
 
     ASSERT_EQ((*snap)->NumVertices(), g.NumVertices());
     ASSERT_EQ((*snap)->NumEdges(), g.NumEdges());
+    EXPECT_EQ((*snap)->OriginalIds(), (IdMap{0, ids}));
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       EXPECT_EQ((*snap)->Degree(v), g.Degree(v));
       EXPECT_EQ((*snap)->OriginalId(v), ids[v]);
@@ -237,6 +247,295 @@ TEST(CsrSnapshotTest, RejectsHeaderFieldCorruption) {
   EXPECT_NE(snap.status().ToString().find("header checksum mismatch"),
             std::string::npos)
       << snap.status().ToString();
+}
+
+/// Recomputes, as the writer would, the checksum of every section that
+/// lies inside the file and then the header's, after pointing file_bytes
+/// and the tail sentinel at the file's end: a corrupt field then reaches
+/// the structural checks behind the checksums.
+void Reseal(std::string* bytes) {
+  const uint64_t size = bytes->size();
+  if (size < kCsrHeaderBytes + sizeof(kCsrTailMagic)) return;
+  WriteAt<uint64_t>(bytes, 32, size);
+  WriteAt<uint64_t>(bytes, size - sizeof(kCsrTailMagic), kCsrTailMagic);
+  for (int i = 0; i < kCsrNumSections; ++i) {
+    const uint64_t offset = ReadAt<uint64_t>(*bytes, 40 + 24 * i);
+    const uint64_t len = ReadAt<uint64_t>(*bytes, 48 + 24 * i);
+    if (len > size || offset > size - len) continue;
+    WriteAt<uint64_t>(bytes, 56 + 24 * i,
+                      Fingerprint(bytes->data() + offset, len));
+  }
+  WriteAt<uint64_t>(bytes, 136, Fingerprint(bytes->data(), 136));
+}
+
+// Structural corruption re-sealed behind valid checksums, so that only
+// Open's structural checks stand in its way, with and without section
+// verification. Two section-table sums that wrap: the degrees section of a
+// 16,384-vertex file moved to 64 KiB below 2^64, so its end wraps to 0
+// (Open used to read 64 KiB before the mapping), and an edge count 2^61
+// too high, whose adjacency size of 8 bytes per edge wraps to the
+// section's true size (the last row offset moved to match; Neighbors used
+// to read 2^64 bytes past the section). And a degree that disagrees with
+// its row, so Degree(v) and Neighbors(v) would tell a caller two lengths.
+TEST(CsrSnapshotTest, RejectsResealedStructuralCorruption) {
+  const Graph g = MakePlanted(16384, 1);
+  const uint64_t n = g.NumVertices();
+  const uint64_t m = g.NumEdges();
+  const std::string path = TempPath("resealed.qcsr");
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
+  const std::string pristine = ReadAll(path);
+  const uint64_t degrees_at = ReadAt<uint64_t>(pristine, 40);
+  ASSERT_EQ(ReadAt<uint64_t>(pristine, 48), 65536u);  // degrees bytes
+
+  std::string offset_wraps = pristine;
+  WriteAt<uint64_t>(&offset_wraps, 40, 0 - uint64_t{65536});
+  Reseal(&offset_wraps);
+  std::string edges_wrap = pristine;
+  WriteAt<uint64_t>(&edges_wrap, 16, m + (uint64_t{1} << 61));
+  WriteAt<uint64_t>(&edges_wrap, ReadAt<uint64_t>(pristine, 64) + 8 * n,
+                    2 * m + (uint64_t{1} << 62));
+  Reseal(&edges_wrap);
+  std::string bad_degree = pristine;
+  WriteAt<uint32_t>(&bad_degree, degrees_at + 4 * 3, g.Degree(3) + 1);
+  Reseal(&bad_degree);
+
+  const struct {
+    const std::string& bytes;
+    std::string error;
+  } cases[] = {
+      {offset_wraps, ":40: degrees section descriptor invalid (offset " +
+                         std::to_string(0 - uint64_t{65536})},
+      {edges_wrap, ":16: " + std::to_string(m + (uint64_t{1} << 61)) +
+                       " edges cannot fit in a file of"},
+      {bad_degree, ":" + std::to_string(degrees_at + 12) +
+                       ": degree of vertex 3 is " +
+                       std::to_string(g.Degree(3) + 1) + ", its row holds " +
+                       std::to_string(g.Degree(3)) + " entries"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.error);
+    WriteAll(path, c.bytes);
+    for (const bool verify : {true, false}) {
+      CsrSnapshot::OpenOptions opts;
+      opts.verify_sections = verify;
+      auto snap = CsrSnapshot::Open(path, opts);
+      ASSERT_FALSE(snap.ok()) << "verify " << verify;
+      EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(snap.status().ToString().find(path + c.error),
+                std::string::npos)
+          << snap.status().ToString();
+    }
+  }
+}
+
+// The original-ids section reads back as the map it was written from: a
+// run as {first} with no table, whatever its first id, and ids with a
+// gap as a table.
+TEST(CsrSnapshotTest, OriginalIdsReadBackAsTheirMap) {
+  const Graph g = MakePlanted(200, 7);
+  std::vector<uint64_t> gapped(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) gapped[v] = v + (v > 9);
+  const std::string path = TempPath("original_ids.qcsr");
+  for (const IdMap& map :
+       {IdMap{}, IdMap{1, {}}, IdMap{uint64_t{1} << 40, {}},
+        IdMap{0, gapped}}) {
+    ASSERT_TRUE(WriteCsrSnapshot(g, map, path).ok());
+    auto snap = CsrSnapshot::Open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ((*snap)->OriginalIds(), map);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ((*snap)->OriginalId(v), map[v]) << "vertex " << v;
+    }
+  }
+  // A table of the wrong size is refused.
+  EXPECT_EQ(WriteCsrSnapshot(g, IdMap{0, {1, 2}}, path).code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// Snapshot mutants per seed file.
+constexpr int kSnapshotMutantsPerSeed = 400;
+
+/// The fuzz loop's seeds: a snapshot of each file of the edge-list corpus,
+/// with its id map, laid out on 4 KiB pages so a mutant is small.
+std::vector<std::string> SnapshotSeeds() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(QCM_CORPUS_DIR) + "/edge_list")) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());  // a fixed order for the seed
+  const std::string path = TempPath("fuzz_seed.qcsr");
+  std::vector<std::string> seeds;
+  for (const auto& file : files) {
+    auto loaded = LoadEdgeList(file.string());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (!loaded.ok()) continue;
+    EXPECT_TRUE(
+        WriteCsrSnapshot(loaded->graph, loaded->original_ids, path).ok());
+    seeds.push_back(OnSmallestPages(ReadAll(path)));
+  }
+  std::remove(path.c_str());
+  return seeds;
+}
+
+/// Flips, overwrites, truncates or extends bytes of `bytes`: in the
+/// header (its section table most of all) or anywhere in the file, with
+/// values at the edges of the fields' ranges, or moves a section to a
+/// page or two below 2^64, where its end wraps. Half the mutants are then
+/// re-sealed.
+std::string MutateSnapshot(std::string bytes, std::mt19937_64& rng) {
+  static const uint64_t kValues[] = {0,
+                                     1,
+                                     kCsrMinPageSize,
+                                     kCsrDefaultPageSize,
+                                     UINT32_MAX,
+                                     uint64_t{1} << 32,
+                                     uint64_t{1} << 61,
+                                     uint64_t{1} << 62,
+                                     uint64_t{1} << 63,
+                                     0 - uint64_t{kCsrMinPageSize},
+                                     0 - uint64_t{2 * kCsrMinPageSize},
+                                     0 - uint64_t{kCsrDefaultPageSize},
+                                     UINT64_MAX};
+  const auto value = [&]() -> uint64_t {
+    switch (rng() % 4) {
+      case 0: return rng();
+      case 1: return bytes.size() + rng() % 3 * kCsrMinPageSize;
+      default: return kValues[rng() % std::size(kValues)] + rng() % 3 - 1;
+    }
+  };
+  // An offset in the header half the time, else anywhere.
+  const auto at = [&](size_t width) -> size_t {
+    const size_t end = rng() % 2 == 0
+                           ? std::min(bytes.size(), kCsrHeaderBytes)
+                           : bytes.size();
+    return end < width ? 0 : rng() % (end - width + 1) / width * width;
+  };
+  const int steps = 1 + static_cast<int>(rng() % 3);
+  for (int s = 0; s < steps; ++s) {
+    switch (rng() % 7) {
+      case 0:
+        if (!bytes.empty()) {
+          bytes[at(1)] ^= static_cast<char>(1 << (rng() % 8));
+        }
+        break;
+      case 1:
+        if (bytes.size() >= 8) WriteAt<uint64_t>(&bytes, at(8), value());
+        break;
+      case 2:
+        if (bytes.size() >= 4) {
+          WriteAt<uint32_t>(&bytes, at(4), static_cast<uint32_t>(value()));
+        }
+        break;
+      case 3:
+        bytes.resize(bytes.empty() ? 0 : rng() % bytes.size());
+        break;
+      case 4:
+        bytes.resize(bytes.size() + 1 + rng() % (2 * kCsrMinPageSize),
+                     static_cast<char>(rng()));
+        break;
+      case 5:  // a section descriptor field
+        if (bytes.size() >= kCsrHeaderBytes) {
+          WriteAt<uint64_t>(&bytes, 40 + 8 * (rng() % 12), value());
+        }
+        break;
+      default:  // a section offset whose end wraps
+        if (bytes.size() >= kCsrHeaderBytes) {
+          const uint64_t page = ReadAt<uint32_t>(bytes, 8);
+          WriteAt<uint64_t>(&bytes, 40 + 24 * (rng() % kCsrNumSections),
+                            0 - page * (1 + rng() % 2));
+        }
+        break;
+    }
+  }
+  if (rng() % 2 == 0) Reseal(&bytes);
+  return bytes;
+}
+
+/// What every opened snapshot must give: sections inside the file
+/// (checked in 128-bit arithmetic, which cannot wrap) and sized for its
+/// counts, rows inside the adjacency section, every row read the same
+/// through the mapping and with pread, Degree(v) its row's length, the id
+/// map the section's values, and ToGraph either a graph of n vertices or
+/// a Status.
+void ExpectOpenedSnapshotInBounds(const CsrSnapshot& snap) {
+  using Wide = unsigned __int128;
+  const CsrHeader& h = snap.header();
+  const uint64_t n = snap.NumVertices();
+  const Wide want[kCsrNumSections] = {Wide{n} * 4, (Wide{n} + 1) * 8,
+                                      Wide{n} * 8, Wide{h.num_edges} * 8};
+  for (int i = 0; i < kCsrNumSections; ++i) {
+    const CsrSectionDesc& s = h.sections[i];
+    ASSERT_TRUE(Wide{s.bytes} == want[i]) << CsrSectionName(i);
+    ASSERT_GE(s.file_offset, h.page_size) << CsrSectionName(i);
+    ASSERT_TRUE(Wide{s.file_offset} + s.bytes + 8 <= Wide{h.file_bytes})
+        << CsrSectionName(i);
+  }
+  ASSERT_EQ(h.file_bytes, snap.MappedBytes());
+  const IdMap ids = snap.OriginalIds();
+  std::vector<VertexId> list;
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_LE(snap.AdjOffset(v), snap.AdjOffset(v + 1));
+    const std::span<const VertexId> row = snap.Neighbors(v);
+    ASSERT_EQ(snap.Degree(v), row.size());
+    ASSERT_TRUE(snap.ReadNeighbors(v, &list).ok());
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), list.begin(), list.end()))
+        << "vertex " << v;
+    ASSERT_EQ(ids[v], snap.OriginalId(v));
+  }
+  ASSERT_TRUE(Wide{snap.AdjOffset(static_cast<VertexId>(n))} ==
+              Wide{h.num_edges} * 2);
+  auto g = snap.ToGraph();
+  if (g.ok()) {
+    ASSERT_EQ(g->NumVertices(), n);
+  }
+}
+
+// Seeded mutation fuzzing of CsrSnapshot::Open and every accessor, with
+// section verification on (adjacency included) and off: a mutant opens
+// and stays in bounds, or fails with a Corruption naming the file. The
+// ASan+UBSan build is the oracle for reads the checks above cannot see.
+TEST(CsrSnapshotFuzzTest, MutantsOpenInBoundsOrFailCleanly) {
+  const std::vector<std::string> seeds = SnapshotSeeds();
+  ASSERT_GE(seeds.size(), 5u) << "corpus missing under " << QCM_CORPUS_DIR;
+  const std::string path = TempPath("snapshot_fuzz.qcsr");
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0) << path;
+  std::mt19937_64 rng(20261019);
+  int opened = 0, rejected = 0;
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    for (int i = 0; i < kSnapshotMutantsPerSeed; ++i) {
+      SCOPED_TRACE("seed file " + std::to_string(s) + ", mutant " +
+                   std::to_string(i));
+      // Rewritten in place, not truncated to zero and refilled.
+      const std::string bytes = MutateSnapshot(seeds[s], rng);
+      ASSERT_EQ(::pwrite(fd, bytes.data(), bytes.size(), 0),
+                static_cast<ssize_t>(bytes.size()));
+      ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(bytes.size())), 0);
+      for (const bool verify : {true, false}) {
+        CsrSnapshot::OpenOptions opts;
+        opts.verify_sections = verify;
+        opts.verify_adjacency = verify;
+        auto snap = CsrSnapshot::Open(path, opts);
+        if (!snap.ok()) {
+          ASSERT_EQ(snap.status().code(), StatusCode::kCorruption)
+              << snap.status().ToString();
+          ASSERT_EQ(snap.status().message().rfind(path + ":", 0), 0u)
+              << snap.status().ToString();
+          ++rejected;
+          continue;
+        }
+        ++opened;
+        ASSERT_NO_FATAL_FAILURE(ExpectOpenedSnapshotInBounds(**snap));
+      }
+    }
+  }
+  // Both outcomes must be common, or the loop tests little.
+  EXPECT_GT(opened, kSnapshotMutantsPerSeed / 4) << rejected << " rejected";
+  EXPECT_GT(rejected, kSnapshotMutantsPerSeed / 4) << opened << " opened";
+  std::printf("%d snapshot mutants opened, %d rejected\n", opened, rejected);
+  ::close(fd);
+  std::remove(path.c_str());
 }
 
 TEST(CsrSnapshotTest, RejectsTornTail) {

@@ -39,8 +39,8 @@ TEST(EdgeIoTest, LoadsEdgesWithCommentsAndBlankLines) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->graph.NumVertices(), 3u);
   EXPECT_EQ(loaded->graph.NumEdges(), 3u);
-  // External ids compacted by sorted rank.
-  EXPECT_EQ(loaded->original_ids,
+  // External ids compacted by sorted rank; with gaps, through a table.
+  EXPECT_EQ(loaded->original_ids.ids,
             (std::vector<uint64_t>{10, 20, 30}));
 }
 
@@ -188,7 +188,7 @@ TEST(EdgeIoTest, LinesStraddlingTheReadBuffer) {
         LoadEdgeList(WriteTempFile("edges_straddle.txt", filler + body));
     ASSERT_TRUE(loaded.ok()) << "k=" << k << ": "
                              << loaded.status().ToString();
-    EXPECT_EQ(loaded->original_ids,
+    EXPECT_EQ(loaded->original_ids.ids,
               (std::vector<uint64_t>{7, 8, 123, 456}))
         << "k=" << k;
     EXPECT_EQ(loaded->graph.NumEdges(), 3u) << "k=" << k;
@@ -204,7 +204,7 @@ TEST(EdgeIoTest, LinesStraddlingTheReadBuffer) {
   auto loaded = LoadEdgeList(
       WriteTempFile("edges_straddle_510.txt", filler + line510 + "\n"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->original_ids, (std::vector<uint64_t>{9, 10}));
+  EXPECT_EQ(loaded->original_ids, (IdMap{9, {}}));  // a run: 9, 10
   ExpectCorrupt("edges_straddle_511.txt", filler + line510 + " \n",
                 std::count(filler.begin(), filler.end(), '\n') + 1,
                 "edge line too long");
@@ -307,13 +307,18 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
   return out;
 }
 
-/// Loads `file` and checks it against OracleGraph.
+/// Loads `file` and checks it against OracleGraph: the rows, the file id
+/// of every vertex, and that the map holds a table iff the ids have gaps.
 void ExpectMatchesOracle(const GeneratedEdgeList& file) {
   ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer);
   auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const OracleLoad want = OracleGraph(file.edges);
-  ASSERT_EQ(loaded->original_ids, want.ids);
+  const uint32_t n = loaded->graph.NumVertices();
+  ASSERT_EQ(FileIds(loaded->original_ids, n), want.ids);
+  const bool run = want.ids.empty() ||
+                   want.ids.back() - want.ids.front() == want.ids.size() - 1;
+  EXPECT_EQ(loaded->original_ids.ids.empty(), run);
   EXPECT_TRUE(SameAdjacency(loaded->graph, want.rows));
 }
 
@@ -342,6 +347,34 @@ TEST(EdgeIoTest, WidensOnceWhenAnIdOutgrows32Bits) {
     ASSERT_TRUE(std::any_of(file.edges.begin() + kNarrowEdges,
                             file.edges.end(), wide));
     ExpectMatchesOracle(file);
+  }
+}
+
+// Files whose ids are one gap-free run: the SNAP shape (from 1), one
+// that crosses 32 bits and so is read wide, and a 64-bit run from 2^40.
+// Each maps by offset, with no table, and every vertex maps back to
+// exactly its file id.
+TEST(EdgeIoTest, GapFreeRunsMapByOffset) {
+  constexpr uint64_t n = 8000;
+  for (const uint64_t first :
+       {uint64_t{1}, (uint64_t{1} << 32) - 100, uint64_t{1} << 40}) {
+    SCOPED_TRACE("first=" + std::to_string(first));
+    // A path through every id, then random chords, duplicates and loops.
+    std::mt19937_64 rng(first);
+    GeneratedEdgeList file;
+    for (uint64_t i = 0; i < 2 * n; ++i) {
+      const bool path = i + 1 < n;
+      const uint64_t u = first + (path ? i : rng() % n);
+      const uint64_t v = first + (path ? i + 1 : rng() % n);
+      file.edges.emplace_back(u, v);
+      file.text += std::to_string(u) + " " + std::to_string(v) + "\n";
+    }
+    ExpectMatchesOracle(file);
+    auto loaded = LoadEdgeList(WriteTempFile("edges_run.txt", file.text));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->graph.NumVertices(), n);
+    EXPECT_EQ(loaded->original_ids, (IdMap{first, {}}));
+    EXPECT_EQ(loaded->original_ids[n - 1], first + n - 1);
   }
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "graph/edge_io.h"
+#include "reference_graph.h"
 
 #ifndef QCM_CORPUS_DIR
 #define QCM_CORPUS_DIR "tests/corpus"
@@ -93,14 +94,20 @@ void RewriteFile(FILE* file, const std::string& text) {
   ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(text.size())), 0);
 }
 
-/// Sorted, self-loop-free, symmetric rows and strictly ascending ids.
+/// Sorted, self-loop-free, symmetric rows, strictly ascending ids, and a
+/// table in the id map only for ids with gaps.
 void ExpectWellFormed(const LoadedGraph& loaded) {
   const Graph& g = loaded.graph;
-  ASSERT_EQ(loaded.original_ids.size(), g.NumVertices());
-  ASSERT_TRUE(std::adjacent_find(loaded.original_ids.begin(),
-                                 loaded.original_ids.end(),
+  const std::vector<uint64_t>& table = loaded.original_ids.ids;
+  ASSERT_TRUE(table.empty() || table.size() == g.NumVertices());
+  const std::vector<uint64_t> ids = FileIds(loaded.original_ids,
+                                            g.NumVertices());
+  ASSERT_TRUE(std::adjacent_find(ids.begin(), ids.end(),
                                  std::greater_equal<uint64_t>()) ==
-              loaded.original_ids.end());
+              ids.end());
+  if (!table.empty()) {
+    ASSERT_NE(ids.back() - ids.front(), ids.size() - 1);
+  }
   uint64_t entries = 0;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     const auto row = g.Neighbors(v);
@@ -132,7 +139,8 @@ void ExpectRoundTrip(const LoadedGraph& loaded, const std::string& path) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     if (g.Degree(v) > 0) connected.push_back(v);
   }
-  ASSERT_EQ(again->original_ids, connected);
+  ASSERT_EQ(FileIds(again->original_ids, again->graph.NumVertices()),
+            connected);
   ASSERT_EQ(again->graph.NumEdges(), g.NumEdges());
   for (VertexId c = 0; c < again->graph.NumVertices(); ++c) {
     const auto want = g.Neighbors(static_cast<VertexId>(connected[c]));

@@ -18,6 +18,7 @@
 
 #include "graph/edge_io.h"
 #include "graph/generators.h"
+#include "graph/id_map.h"
 #include "graph/graph.h"
 #include "graph/kcore.h"
 
@@ -241,9 +242,12 @@ std::string WriteFile(const std::string& name, const std::string& text) {
 }
 
 struct LoadShape {
-  uint64_t blocks = 0;     // operator new calls inside LoadEdgeList
-  uint64_t ids_block = 0;  // bytes of the block original_ids lives in
+  uint64_t blocks = 0;       // operator new calls inside LoadEdgeList
+  uint64_t table_block = 0;  // bytes of the block original_ids' table is in
+  uint64_t id_blocks = 0;    // blocks of 8 bytes per vertex
+  uint64_t span_blocks = 0;  // blocks of 4 bytes per id of the span
   uint64_t vertices = 0;
+  IdMap original_ids;
 };
 
 LoadShape MeasureLoad(const std::string& path) {
@@ -256,22 +260,32 @@ LoadShape MeasureLoad(const std::string& path) {
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_LE(shape.blocks, kLogCapacity);
   if (!loaded.ok() || shape.blocks > kLogCapacity) return shape;
-  shape.vertices = loaded->original_ids.size();
+  shape.vertices = loaded->graph.NumVertices();
+  const std::vector<uint64_t>& table = loaded->original_ids.ids;
+  const uint64_t span =
+      shape.vertices == 0 ? 0
+                          : loaded->original_ids[shape.vertices - 1] -
+                                loaded->original_ids[0] + 1;
   // Freed blocks' addresses can come back: the latest one is live.
   for (size_t i = shape.blocks; i-- > 0;) {
-    if (g_log[i].at == loaded->original_ids.data()) {
-      shape.ids_block = g_log[i].bytes;
-      break;
+    if (shape.table_block == 0 && table.data() != nullptr &&
+        g_log[i].at == table.data()) {
+      shape.table_block = g_log[i].bytes;
     }
+    shape.id_blocks += g_log[i].bytes == 8 * shape.vertices;
+    shape.span_blocks += g_log[i].bytes == 4 * span;
   }
+  shape.original_ids = std::move(loaded->original_ids);
   return shape;
 }
 
 TEST(GraphAllocTest, LoadEdgeListAllocatesOriginalIdsOnceAtSize) {
   // Each pair of files has the same lines but for how many distinct ids
-  // they name: a path over 3001 ids and a multigraph over 61. Only
-  // original_ids grows with the id count, so a load must make as many
-  // allocations for either, and hold the ids in one block of n entries.
+  // they name: a path over 3001 ids and a multigraph over 61. Only the id
+  // map grows with the id count, so a load must make as many allocations
+  // for either. Dense ids from 5 are one run: no table, and no rank table
+  // either (Graph::FromEndpoints' lower-neighbour counts are the one block
+  // of 4 bytes per id); sparse and wide ids hold one table of n entries.
   constexpr int kEdges = 3000;
   struct IdScheme {
     const char* name;
@@ -295,10 +309,47 @@ TEST(GraphAllocTest, LoadEdgeListAllocatesOriginalIdsOnceAtSize) {
         MeasureLoad(WriteFile("alloc_multi.txt", multi_text));
     EXPECT_EQ(path.vertices, uint64_t{kEdges} + 1);
     EXPECT_EQ(multi.vertices, 61u);
-    EXPECT_EQ(path.ids_block, 8 * path.vertices);
-    EXPECT_EQ(multi.ids_block, 8 * multi.vertices);
+    if (s.scale == 1) {
+      EXPECT_EQ(path.original_ids, (IdMap{s.shift, {}}));
+      EXPECT_EQ(multi.original_ids, (IdMap{s.shift, {}}));
+      EXPECT_EQ(path.id_blocks, 0u);
+      EXPECT_EQ(multi.id_blocks, 0u);
+      EXPECT_EQ(path.span_blocks, 1u);
+      EXPECT_EQ(multi.span_blocks, 1u);
+    } else {
+      EXPECT_EQ(path.table_block, 8 * path.vertices);
+      EXPECT_EQ(multi.table_block, 8 * multi.vertices);
+    }
     EXPECT_EQ(path.blocks, multi.blocks);
   }
+}
+
+// The peak of loading a run: while the file is read, the endpoint buffer
+// (its last doubling holds the old half beside it) and the read buffer;
+// then the buffer and Graph::FromEndpoints' offsets and lower-neighbour
+// counts, 12 bytes per vertex. A path is sparse enough that the second
+// phase sets the peak, so an id array of 8 bytes per vertex alive at its
+// end would break the bound.
+TEST(GraphAllocTest, LoadOfARunHoldsNoIdArray) {
+  constexpr uint64_t n = 50'000;
+  std::string text;
+  for (uint64_t v = 1; v < n; ++v) {
+    text += std::to_string(v) + " " + std::to_string(v + 1) + "\n";
+  }
+  const std::string path = WriteFile("alloc_run.txt", text);
+  const uint64_t before = ResetPeak();
+  auto loaded = LoadEdgeList(path);
+  const uint64_t peak = Peak() - before;
+  // The endpoint buffer is the largest block, and the graph keeps it.
+  const uint64_t buffer = g_largest.load(std::memory_order_relaxed);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->graph.NumVertices(), n);
+  EXPECT_EQ(loaded->original_ids, (IdMap{1, {}}));
+  const uint64_t reading = buffer + buffer / 2 + kEdgeListReadBuffer + 1;
+  const uint64_t building = buffer + 12 * (n + 1);
+  ASSERT_GE(building, reading) << "the read would set the peak";
+  EXPECT_LE(peak, building + kSmallBytes)
+      << "buffer " << buffer << ", " << n << " vertices";
 }
 
 }  // namespace

@@ -376,7 +376,7 @@ TEST(EdgeIoTest, ParsesCommentsAndCompactsIds) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->graph.NumVertices(), 3u);
   EXPECT_EQ(loaded->graph.NumEdges(), 3u);
-  EXPECT_EQ(loaded->original_ids, (std::vector<uint64_t>{7, 42, 1000}));
+  EXPECT_EQ(loaded->original_ids.ids, (std::vector<uint64_t>{7, 42, 1000}));
   std::remove(path.c_str());
 }
 

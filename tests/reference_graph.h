@@ -1,6 +1,7 @@
 // A reference adjacency for graph-construction tests, built the slow,
 // obvious way -- one std::set per vertex -- so it shares no code with
-// Graph::FromEndpoints, and a check that a Graph has exactly its rows.
+// Graph::FromEndpoints, a check that a Graph has exactly its rows, and the
+// file ids an IdMap gives a graph's vertices.
 
 #ifndef QCM_TESTS_REFERENCE_GRAPH_H_
 #define QCM_TESTS_REFERENCE_GRAPH_H_
@@ -14,8 +15,16 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/id_map.h"
 
 namespace qcm {
+
+/// The file id of each of a graph's n dense ids under `map`.
+inline std::vector<uint64_t> FileIds(const IdMap& map, uint32_t n) {
+  std::vector<uint64_t> ids(n);
+  for (VertexId v = 0; v < n; ++v) ids[v] = map[v];
+  return ids;
+}
 
 /// Row v is the set of v's neighbors.
 using SetAdjacency = std::vector<std::set<VertexId>>;

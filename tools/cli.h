@@ -90,8 +90,9 @@ Status CheckGraphSource(const GraphSource& source,
                         const std::string& snapshot = "");
 
 /// Loads the edge list, or generates the planted graph, of a source that
-/// passed CheckGraphSource. original_ids is filled for an edge list only;
-/// a caller that does not pack a snapshot should drop it before mining.
+/// passed CheckGraphSource. original_ids maps the graph back to the edge
+/// list's ids (free for a gap-free file) and is the identity for a planted
+/// graph; the tools print their results through it.
 StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
 
 /// The k-core the engine mines, in its own compact id space and in

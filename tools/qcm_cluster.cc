@@ -28,8 +28,10 @@
 // ships only the path; workers mmap it and read just their partition's
 // lists, so no rank ever materializes the graph. Every rank, checkpoint
 // and recovery of the job works in the packed ids; the launcher maps the
-// merged results back to the input's. --snapshot, the third graph source,
-// ships a qcm_pack output as given instead, with the identity map: the
+// merged results back to the input's, and prints them in the input file's
+// own ids through the loader's map (graph/edge_io.h). --snapshot, the
+// third graph source, ships a qcm_pack output as given instead, with the
+// identity map, and prints through its original-ids section: the
 // launcher never loads its adjacency, so that run is neither reduced nor
 // reordered, and mines in file order (its results are the same, its ranks
 // just spawn and pull more). And --graph-memory-budget caps the
@@ -277,8 +279,10 @@ int main(int argc, char** argv) {
   // regenerating the graph: the launcher packs <log-dir>/graph.qcsr once
   // below, or ships a --snapshot file. A pre-packed file is opened now
   // (metadata checksums only) so a bad path fails before N workers are
-  // forked.
+  // forked. The results are printed through `file_ids`: the loader's map,
+  // or a --snapshot file's original-ids section.
   const bool pack = config.graph_snapshot.empty();
+  IdMap file_ids;
   if (pack) {
     config.graph_snapshot = log_dir + "/graph.qcsr";
   } else {
@@ -289,6 +293,7 @@ int main(int argc, char** argv) {
       remove_owned_dirs();
       return 1;
     }
+    file_ids = (*snap)->OriginalIds();
   }
 
   // The whole configuration, checked once with the validator's
@@ -322,15 +327,15 @@ int main(int argc, char** argv) {
     // (T1) Only the k-core is packed, in its own compact ids in degeneracy
     // order, so no rank spawns, pulls or reads a vertex outside it, and
     // every per-vertex section and array is core-sized. The original-ids
-    // section names each packed vertex by its external id.
+    // section names each packed vertex by its id in the input file.
     KCore core = cli::MinedKCore(std::move(loaded->graph), config, run.stats);
-    std::vector<uint64_t> original_ids(core.ids.begin(), core.ids.end());
-    if (!loaded->original_ids.empty()) {
-      for (uint64_t& id : original_ids) id = loaded->original_ids[id];
-    }
+    file_ids = std::move(loaded->original_ids);
+    IdMap packed_ids;
+    packed_ids.ids.reserve(core.ids.size());
+    for (const VertexId v : core.ids) packed_ids.ids.push_back(file_ids[v]);
     CsrWriteOptions opts;
     if (!run.source.gen_planted.empty()) opts.build_seed = run.source.seed;
-    Status packed = WriteCsrSnapshot(core.graph, original_ids,
+    Status packed = WriteCsrSnapshot(core.graph, packed_ids,
                                      config.graph_snapshot, opts);
     if (!packed.ok()) {
       std::fprintf(stderr, "snapshot pack failed: %s\n",
@@ -743,9 +748,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
                run.no_filter ? "candidate" : "maximal",
                merged.wall_seconds);
-  // Canonical order + digest + output file, shared with qcm_mine so the
-  // digest-parity gate compares one implementation against itself.
-  auto digest = EmitCanonicalResults(&results, run.output);
+  // Canonical order + digest + output file in the input's ids, shared
+  // with qcm_mine so the digest-parity gate compares one implementation
+  // against itself.
+  auto digest = EmitCanonicalResults(&results, run.output, file_ids);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
     remove_owned_dirs();

@@ -6,7 +6,9 @@
 // process, over loopback TCP under the cluster coordinator, all serving
 // the loaded graph's k-core in its own compact ids, numbered in
 // degeneracy order (net/local_cluster.h, graph/kcore.h) -- and write
-// results / statistics in the input's ids.
+// results in the input's ids: the edge list's own (a gap-free file maps
+// by offset, any other through one table), the snapshot's original-ids
+// section, or a planted graph's ids.
 //
 //   qcm_mine --input graph.txt --gamma 0.9 --min-size 10
 //   qcm_mine --gen-planted n=5000,communities=10,size=16..20,density=0.95
@@ -40,18 +42,18 @@ namespace {
 
 using namespace qcm;
 
-/// The graph to mine; the edge list's original ids are dropped before
-/// mining starts.
-StatusOr<Graph> LoadGraph(const cli::GraphSource& source,
-                          const std::string& input_snapshot) {
-  if (input_snapshot.empty()) {
-    QCM_ASSIGN_OR_RETURN(LoadedGraph loaded, cli::LoadGraphSource(source));
-    return std::move(loaded.graph);
-  }
+/// The graph to mine and the map from its ids to the input's, which the
+/// results are printed through: the edge list's map, the snapshot's
+/// original-ids section, or the identity for a planted graph.
+StatusOr<LoadedGraph> LoadGraph(const cli::GraphSource& source,
+                                const std::string& input_snapshot) {
+  if (input_snapshot.empty()) return cli::LoadGraphSource(source);
   // Resident load from a qcm_pack .qcsr: no text parsing, checksummed.
   QCM_ASSIGN_OR_RETURN(std::shared_ptr<CsrSnapshot> snap,
                        CsrSnapshot::Open(input_snapshot));
-  return snap->ToGraph();
+  auto graph = snap->ToGraph();
+  if (!graph.ok()) return graph.status();
+  return LoadedGraph{std::move(graph).value(), snap->OriginalIds()};
 }
 
 }  // namespace
@@ -99,7 +101,8 @@ int main(int argc, char** argv) {
                  loaded.status().ToString().c_str());
     return 1;
   }
-  Graph graph = std::move(loaded).value();
+  Graph graph = std::move(loaded->graph);
+  const IdMap file_ids = std::move(loaded->original_ids);
   std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
                graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()));
@@ -233,10 +236,11 @@ int main(int argc, char** argv) {
                      : FilterMaximal(std::move(candidates));
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
                run.no_filter ? "candidate" : "maximal", seconds);
-  // Canonical order + digest + output file, shared with qcm_cluster so
-  // the two tools' bytes are comparable by construction.
+  // Canonical order + digest + output file in the input's ids, shared
+  // with qcm_cluster so the two tools' bytes are comparable by
+  // construction.
   CanonicalizeStats canon;
-  auto digest = EmitCanonicalResults(&results, run.output, &canon);
+  auto digest = EmitCanonicalResults(&results, run.output, file_ids, &canon);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
     return 1;

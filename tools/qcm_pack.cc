@@ -2,7 +2,9 @@
 // into a page-aligned, checksummed .qcsr snapshot (graph/csr_snapshot.h)
 // that qcm_mine / qcm_worker mmap instead of text-parsing. Pack once,
 // mine many times: qcm_cluster runs this conversion in-process and ships
-// only the snapshot path to its workers.
+// only the snapshot path to its workers. The original-ids section holds
+// the edge list's own ids (graph/edge_io.h), which qcm_mine
+// --input-snapshot and qcm_cluster --snapshot print their results in.
 //
 //   qcm_pack --input graph.txt --output graph.qcsr
 //   qcm_pack --gen-planted n=5000,communities=10,size=16..20,density=0.95
