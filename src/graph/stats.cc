@@ -1,9 +1,6 @@
 #include "graph/stats.h"
 
 #include <algorithm>
-#include <deque>
-
-#include "graph/local_graph.h"
 
 namespace qcm {
 
@@ -27,54 +24,6 @@ GraphStats ComputeGraphStats(const Graph& g) {
                  static_cast<double>(s.num_vertices - 1));
   }
   return s;
-}
-
-TaskFeatures ComputeTaskFeatures(const LocalGraph& g, uint32_t top_k) {
-  TaskFeatures f;
-  f.num_vertices = g.n();
-  f.num_edges = g.NumEdges();
-  if (g.n() == 0) return f;
-  uint64_t total = 0;
-  for (LocalId v = 0; v < g.n(); ++v) {
-    uint32_t d = g.Degree(v);
-    f.max_degree = std::max(f.max_degree, d);
-    total += d;
-  }
-  f.avg_degree = static_cast<double>(total) / static_cast<double>(g.n());
-
-  // Core decomposition on the local graph (queue-based; task scope).
-  std::vector<uint32_t> degree(g.n());
-  std::vector<uint32_t> core(g.n(), 0);
-  std::vector<uint8_t> removed(g.n(), 0);
-  for (LocalId v = 0; v < g.n(); ++v) degree[v] = g.Degree(v);
-  uint32_t level = 0;
-  uint32_t remaining = g.n();
-  while (remaining > 0) {
-    std::deque<LocalId> queue;
-    for (LocalId v = 0; v < g.n(); ++v) {
-      if (!removed[v] && degree[v] <= level) {
-        removed[v] = 1;
-        queue.push_back(v);
-      }
-    }
-    while (!queue.empty()) {
-      LocalId v = queue.front();
-      queue.pop_front();
-      core[v] = level;
-      --remaining;
-      for (LocalId u : g.Neighbors(v)) {
-        if (!removed[u] && --degree[u] <= level) {
-          removed[u] = 1;
-          queue.push_back(u);
-        }
-      }
-    }
-    ++level;
-  }
-  std::sort(core.begin(), core.end(), std::greater<>());
-  if (core.size() > top_k) core.resize(top_k);
-  f.top_core_numbers = std::move(core);
-  return f;
 }
 
 }  // namespace qcm

@@ -1,13 +1,9 @@
-// Graph summary statistics used by the dataset table (Table 1) and by the
-// task-cost predictability analysis (the paper's §1 Challenge 3 discussion:
-// features such as vertex/edge counts, degree moments and top-k core numbers
-// fail to predict task runtime).
+// Graph summary statistics used by the dataset table (Table 1).
 
 #ifndef QCM_GRAPH_STATS_H_
 #define QCM_GRAPH_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.h"
 
@@ -26,21 +22,6 @@ struct GraphStats {
 
 /// Computes the summary in one pass.
 GraphStats ComputeGraphStats(const Graph& g);
-
-/// Task-cost features the paper tried (and failed) to regress runtime on:
-/// |V|, |E|, avg/max degree, and the top-k core numbers of the subgraph.
-struct TaskFeatures {
-  uint64_t num_vertices = 0;
-  uint64_t num_edges = 0;
-  double avg_degree = 0.0;
-  uint32_t max_degree = 0;
-  std::vector<uint32_t> top_core_numbers;  // descending, up to k entries
-};
-
-class LocalGraph;
-
-/// Extracts the regression features of a task subgraph.
-TaskFeatures ComputeTaskFeatures(const LocalGraph& g, uint32_t top_k);
 
 }  // namespace qcm
 

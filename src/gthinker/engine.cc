@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "net/wire.h"
 #include "quick/mining_context.h"
 #include "util/logging.h"
 #include "util/mem.h"
@@ -177,39 +176,17 @@ uint64_t Engine::PendingBig() const {
   return global_queue_->ApproxSize() + big_spill_->PendingTasks();
 }
 
-WireStatsSample Engine::SampleStats() const {
-  WireStatsSample s;
-  s.epoch = transport_->epoch();
-  s.ts_usec = static_cast<uint64_t>(NowMicros());
-  s.queue_depth = PendingBig();
-  s.busy_compers = static_cast<uint32_t>(
-      std::max(0, busy_compers_.load(std::memory_order_relaxed)));
-  s.inflight_bytes =
-      counters_.msg_inflight_bytes.load(std::memory_order_relaxed);
-  s.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  s.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
-  s.tasks_completed =
-      counters_.tasks_completed.load(std::memory_order_relaxed);
-  s.pending = pending_.load();
-  return s;
-}
-
 void Engine::StatusLoop() {
-  // Publish this rank's termination inputs until the coordinator declares
-  // global quiescence. Read order: spawn state first (a spawner
-  // increments active_spawners_ before claiming a cursor slot, so reading
-  // spawners == 0 after the cursor is exhausted proves no task
+  // Publish this rank's status until the coordinator declares global
+  // quiescence. Read order of the termination inputs: spawn state first
+  // (a spawner increments active_spawners_ before claiming a cursor slot,
+  // so reading spawners == 0 after the cursor is exhausted proves no task
   // materializes later), then processed frames, then pending -- the
   // transport snapshots its per-peer sent counters after all of these
   // inside PublishStatus. Combined with the wire-boundary pending
   // accounting this keeps in-flight work visible in every snapshot the
   // coordinator can assemble.
   trace::SetThreadName("status_loop");
-  uint64_t last_stats_usec = 0;
-  const uint64_t stats_interval_usec =
-      config_.stats_interval_ms > 0
-          ? static_cast<uint64_t>(config_.stats_interval_ms) * 1000
-          : 0;
   for (;;) {
     RankStatus status;
     status.spawn_done =
@@ -221,16 +198,18 @@ void Engine::StatusLoop() {
     }
     status.pending = pending_.load();
     status.pending_big = PendingBig();
+    // Telemetry the coordinator samples for the trace's counter tracks
+    // and qcm_cluster's telemetry line.
+    status.busy_compers = static_cast<uint32_t>(
+        std::max(0, busy_compers_.load(std::memory_order_relaxed)));
+    status.inflight_bytes =
+        counters_.msg_inflight_bytes.load(std::memory_order_relaxed);
+    status.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
+    status.cache_misses =
+        counters_.cache_misses.load(std::memory_order_relaxed);
+    status.tasks_completed =
+        counters_.tasks_completed.load(std::memory_order_relaxed);
     transport_->PublishStatus(status);
-    if (stats_interval_usec > 0) {
-      const uint64_t now = static_cast<uint64_t>(NowMicros());
-      if (now - last_stats_usec >= stats_interval_usec) {
-        last_stats_usec = now;
-        // The launcher renders these into the merged trace's counter
-        // tracks (and qcm_cluster's ticker).
-        transport_->PublishStats(SampleStats());
-      }
-    }
     if (done_.load()) return;
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }

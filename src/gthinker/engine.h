@@ -39,14 +39,15 @@
 // machines.
 //
 // Control plane: a status thread (StatusLoop) publishes this rank's
-// termination inputs and load upward; the coordinator answers with
-// kStealCmd frames (executed here against the local global queue) and,
-// once its distributed detection proves global quiescence, the
-// termination signal. Pending-task accounting crosses the wire with the
-// tasks: a shipped steal batch leaves this engine's pending count only
-// after its frame was counted as sent, and enters the receiver's before
-// the frame is counted as processed, so the coordinator can never observe
-// a state where work exists but no rank shows it.
+// termination inputs, load and live telemetry upward every 0.5 ms (the
+// rank's only periodic upward frame, and so its liveness signal); the
+// coordinator answers with kStealCmd frames (executed here against the
+// local global queue) and, once its distributed detection proves global
+// quiescence, the termination signal. Pending-task accounting crosses the
+// wire with the tasks: a shipped steal batch leaves this engine's pending
+// count only after its frame was counted as sent, and enters the
+// receiver's before the frame is counted as processed, so the coordinator
+// can never observe a state where work exists but no rank shows it.
 
 #ifndef QCM_GTHINKER_ENGINE_H_
 #define QCM_GTHINKER_ENGINE_H_
@@ -96,8 +97,6 @@ class Engine {
   class Comper;
 
   void StatusLoop();
-  /// One telemetry sample of this rank's live gauges (kStats payload).
-  WireStatsSample SampleStats() const;
   /// Pending big tasks = Q_global + L_big (the quantity the coordinator's
   /// steal planner balances across machines).
   uint64_t PendingBig() const;

@@ -57,9 +57,6 @@ Status EngineConfig::Validate() const {
         "contradictory: checkpoint_dir is set but checkpoint_interval_sec "
         "is not > 0 (a checkpoint that never flushes recovers nothing)");
   }
-  if (heartbeat_usec < 0) {
-    return QCM_CONFIG_ERROR("heartbeat_usec must be >= 0");
-  }
   if (mining.dense_threshold < 0) {
     return QCM_CONFIG_ERROR(
         "mining.dense_threshold must be >= 0 (0 disables the dense bitset "
@@ -103,7 +100,6 @@ void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU8(config.record_task_log ? 1 : 0);
   enc->PutString(config.checkpoint_dir);
   enc->PutDouble(config.checkpoint_interval_sec);
-  enc->PutI64(config.heartbeat_usec);
   enc->PutDouble(config.mining.gamma);
   enc->PutU32(config.mining.min_size);
   enc->PutU8(config.mining.use_cover_vertex ? 1 : 0);
@@ -152,7 +148,6 @@ Status DecodeEngineConfig(Decoder* dec, EngineConfig* config) {
   config->record_task_log = u8 != 0;
   QCM_RETURN_IF_ERROR(dec->GetString(&config->checkpoint_dir));
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->checkpoint_interval_sec));
-  QCM_RETURN_IF_ERROR(dec->GetI64(&config->heartbeat_usec));
   QCM_RETURN_IF_ERROR(dec->GetDouble(&config->mining.gamma));
   QCM_RETURN_IF_ERROR(dec->GetU32(&config->mining.min_size));
   QCM_RETURN_IF_ERROR(dec->GetU8(&u8));

@@ -102,11 +102,6 @@ struct EngineConfig {
   /// buffered in between; a crash re-mines at most this much work).
   /// Must be > 0 when checkpoint_dir is set.
   double checkpoint_interval_sec = 0.25;
-  /// Worker -> coordinator liveness beacon period in microseconds; the
-  /// coordinator declares a rank dead when nothing (heartbeat, status,
-  /// report) has arrived from it within its deadline. 0 = no heartbeat
-  /// thread. Worker processes only: in-process ranks send none.
-  int64_t heartbeat_usec = 100000;
 
   /// Tracing + telemetry (util/trace.h). trace_out names the Chrome
   /// trace-event JSON file to write: qcm_mine writes it directly, while
@@ -116,11 +111,12 @@ struct EngineConfig {
   /// loads, keeping digests and kernel timings bit-identical to an
   /// untraced build). Each thread records into a trace::kRingKb ring.
   std::string trace_out;
-  /// Period of the engine's telemetry samples in milliseconds: each rank
-  /// ships its queue depth / in-flight bytes / cache hits / busy compers
-  /// to the coordinator as a kStats frame, which the launcher renders as
-  /// trace counter tracks (and qcm_cluster's ticker). 0 = no samples.
-  /// Must be >= 0.
+  /// Period of the launcher's telemetry samples in milliseconds: the
+  /// coordinator samples every rank's latest status (queue depth,
+  /// in-flight bytes, cache hits, busy compers, ...; net/wire.h
+  /// RankStatus), which the launcher renders as trace counter tracks (and
+  /// qcm_cluster's telemetry line). CoordinatorConfigFor reads it; the
+  /// engine does not. 0 = no samples. Must be >= 0.
   int64_t stats_interval_ms = 500;
 
   /// Out-of-core graph storage (graph/csr_snapshot.h). graph_snapshot

@@ -86,7 +86,7 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Listen(
   c->restarts_.assign(c->config_.world_size, 0);
   c->clock_ = std::make_unique<WallTimer>();
   c->liveness_ = std::make_unique<LivenessTracker>(
-      c->config_.world_size, c->config_.heartbeat_deadline_sec);
+      c->config_.world_size, c->config_.status_deadline_sec);
   return c;
 }
 
@@ -98,10 +98,6 @@ void Coordinator::SetRecoveryCallbacks(std::function<void(int)> kill,
                                        std::function<Status(int)> relaunch) {
   kill_cb_ = std::move(kill);
   relaunch_cb_ = std::move(relaunch);
-}
-
-void Coordinator::SetStatsCallback(StatsCallback cb) {
-  stats_cb_ = std::move(cb);
 }
 
 Status Coordinator::RunHandshake() {
@@ -243,7 +239,7 @@ void Coordinator::RecvLoop(int rank) {
     }
     switch (frame.kind) {
       case FrameKind::kStatus: {
-        WireRankStatus status;
+        RankStatus status;
         if (!DecodeRankStatus(frame.payload, &status).ok()) {
           Fail("corrupt status from rank " + std::to_string(rank));
           return;
@@ -251,23 +247,6 @@ void Coordinator::RecvLoop(int rank) {
         std::lock_guard<std::mutex> lock(mu_);
         slot.status = std::move(status);
         ++slot.status_seq;
-        break;
-      }
-      case FrameKind::kHeartbeat: {
-        // The Observe above already refreshed the deadline; the payload
-        // sequence is not otherwise needed.
-        break;
-      }
-      case FrameKind::kStats: {
-        WireStatsSample sample;
-        if (!DecodeStatsSample(frame.payload, &sample).ok()) {
-          Fail("corrupt stats from rank " + std::to_string(rank));
-          return;
-        }
-        // Telemetry only: never touches termination or steal state.
-        // stats_cb_ is installed before RunHandshake, so reading it
-        // without mu_ is race-free.
-        if (stats_cb_) stats_cb_(rank, sample);
         break;
       }
       case FrameKind::kReport: {
@@ -451,7 +430,7 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
   // receiver before releasing the replacement.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot.status = WireRankStatus{};
+    slot.status = RankStatus{};
     slot.status_seq = 0;
     slot.report_received = false;
     slot.report.clear();
@@ -507,7 +486,7 @@ uint64_t Coordinator::RankPid(int rank) const {
   return rank_pid_[rank];
 }
 
-bool Coordinator::SnapshotStatus(int rank, WireRankStatus* out) const {
+bool Coordinator::SnapshotStatus(int rank, RankStatus* out) const {
   if (rank < 0 || rank >= config_.world_size) return false;
   std::lock_guard<std::mutex> lock(mu_);
   if (workers_[rank].status_seq == 0) return false;
@@ -538,18 +517,23 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
   // Double-sweep quiescence candidate: per-rank per-pair counters and the
   // status sequence numbers they were observed at.
   bool have_candidate = false;
-  std::vector<WireRankStatus> cand(world);
+  std::vector<RankStatus> cand(world);
   std::vector<uint64_t> cand_seq(world);
 
   // Steal mastering bookkeeping: local estimates so repeated sweeps do
   // not re-plan the same move before fresh statuses arrive.
   WallTimer steal_timer;
+  // Telemetry sampling; the first sample is taken as soon as every rank
+  // has reported.
+  const bool sampling =
+      config_.sample_period_sec > 0 && static_cast<bool>(config_.on_sample);
+  double last_sample_sec = -1.0;  // none yet
 
   while (!failed_.load()) {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::max(config_.sweep_period_sec, 1e-5)));
 
-    // Liveness first: declare heartbeat-silent ranks dead, then run any
+    // Liveness first: declare status-silent ranks dead, then run any
     // queued recoveries inline (steal mastering and termination
     // confirmation are paused for the rest of this sweep -- and until
     // the replacement publishes a status, via the all_reported gate).
@@ -560,7 +544,7 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
         std::lock_guard<std::mutex> lock(mu_);
         expired = liveness_->Expired(NowSec());
       }
-      for (int r : expired) RequestRecovery(r, "heartbeat-timeout");
+      for (int r : expired) RequestRecovery(r, "status-timeout");
       std::lock_guard<std::mutex> lock(mu_);
       deaths = std::move(dead_queue_);
       dead_queue_.clear();
@@ -578,7 +562,7 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
       continue;
     }
 
-    std::vector<WireRankStatus> statuses(world);
+    std::vector<RankStatus> statuses(world);
     std::vector<uint64_t> seqs(world);
     bool all_reported = true;
     {
@@ -590,6 +574,12 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
       }
     }
     if (!all_reported) continue;
+
+    if (sampling && (last_sample_sec < 0 ||
+                     NowSec() - last_sample_sec >= config_.sample_period_sec)) {
+      last_sample_sec = NowSec();
+      config_.on_sample(static_cast<uint64_t>(NowMicros()), statuses);
+    }
 
     // Quiescence: no rank holds work, and every ordered pair's wire is
     // drained (sent_to on the sender matches processed_from on the
@@ -708,24 +698,28 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
   return reports;
 }
 
-void AppendStatsCounterEvents(int rank, const WireStatsSample& sample,
+void AppendStatsCounterEvents(uint64_t ts_usec,
+                              const std::vector<RankStatus>& statuses,
                               std::vector<std::string>* events) {
-  auto counter = [&](const char* name, uint64_t value) {
-    events->push_back("{\"name\":\"" + std::string(name) +
-                      "\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":" +
-                      std::to_string(sample.ts_usec) +
-                      ",\"pid\":" + std::to_string(rank) +
-                      ",\"tid\":0,\"args\":{\"value\":" +
-                      std::to_string(value) + "}}");
-  };
-  counter("queue_depth", sample.queue_depth);
-  counter("inflight_bytes", sample.inflight_bytes);
-  counter("busy_compers", sample.busy_compers);
-  counter("tasks_completed", sample.tasks_completed);
-  counter("cache_hits", sample.cache_hits);
-  counter("cache_misses", sample.cache_misses);
-  counter("pending_tasks",
-          sample.pending < 0 ? 0 : static_cast<uint64_t>(sample.pending));
+  for (size_t rank = 0; rank < statuses.size(); ++rank) {
+    const RankStatus& s = statuses[rank];
+    auto counter = [&](const char* name, uint64_t value) {
+      events->push_back("{\"name\":\"" + std::string(name) +
+                        "\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":" +
+                        std::to_string(ts_usec) +
+                        ",\"pid\":" + std::to_string(rank) +
+                        ",\"tid\":0,\"args\":{\"value\":" +
+                        std::to_string(value) + "}}");
+    };
+    counter("queue_depth", s.pending_big);
+    counter("inflight_bytes", s.inflight_bytes);
+    counter("busy_compers", s.busy_compers);
+    counter("tasks_completed", s.tasks_completed);
+    counter("cache_hits", s.cache_hits);
+    counter("cache_misses", s.cache_misses);
+    counter("pending_tasks",
+            s.pending < 0 ? 0 : static_cast<uint64_t>(s.pending));
+  }
 }
 
 void Coordinator::Close() {

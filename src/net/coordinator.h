@@ -3,8 +3,9 @@
 // (net/local_cluster.h) or worker processes (tools/qcm_cluster) alike.
 //
 // It accepts exactly `world_size` workers, runs the rank-assignment
-// handshake (wire.h), releases the start barrier, and then drives three
-// periodic jobs off the workers' kStatus / kHeartbeat streams:
+// handshake (wire.h), releases the start barrier, and then drives four
+// periodic jobs off the workers' kStatus streams (each rank's only
+// periodic upward frame):
 //
 //   * Distributed termination detection. A sweep is quiescent when every
 //     rank reported pending == 0 and spawn_done and, for every ordered
@@ -23,9 +24,14 @@
 //     which ships the batch rank-to-rank as a kStealBatch fabric
 //     message.
 //
-//   * Liveness + recovery. Every frame a rank sends (heartbeats fill the
-//     silences) refreshes its liveness deadline. A rank that goes silent
-//     past heartbeat_deadline_sec, loses its control connection, or is
+//   * Telemetry. Every sample_period_sec the sweep hands the latest
+//     status of every rank to the on_sample callback (the trace counter
+//     tracks, qcm_cluster's telemetry line).
+//
+//   * Liveness + recovery. Every frame a rank sends refreshes its
+//     liveness deadline; a mining rank's status thread publishes every
+//     0.5 ms. A rank that goes silent past status_deadline_sec
+//     (`status-timeout`), loses its control connection, or is
 //     reported dead by the launcher's child watchdog (OnRankDeath) is
 //     recovered in place when recovery callbacks are installed: the old
 //     process is killed, survivors get kPeerDown {rank, epoch+1}, a
@@ -60,6 +66,11 @@
 
 namespace qcm {
 
+/// Receives one telemetry sample: the coordinator's NowMicros() at the
+/// sweep and the latest status of every rank (index = rank).
+using StatusSampler = std::function<void(
+    uint64_t ts_usec, const std::vector<RankStatus>& statuses)>;
+
 struct CoordinatorConfig {
   /// Number of worker processes (= machines = ranks).
   int world_size = 0;
@@ -73,12 +84,19 @@ struct CoordinatorConfig {
   uint64_t steal_batch_cap = 16;
   /// Bring-up / report-collection guard.
   double timeout_sec = 120.0;
-  /// A rank silent (no frame of any kind) for this long is declared dead
-  /// and recovered. <= 0 disables heartbeat-based detection; child-exit
-  /// (OnRankDeath) and connection-loss detection still apply.
-  double heartbeat_deadline_sec = 5.0;
+  /// A rank silent (no frame of any kind; a mining rank publishes a
+  /// status every 0.5 ms) for this long is declared dead and recovered.
+  /// <= 0 disables status-based detection; child-exit (OnRankDeath) and
+  /// connection-loss detection still apply.
+  double status_deadline_sec = 5.0;
   /// Hard cap on replacements of any single rank before the run fails.
   int max_rank_restarts = 2;
+  /// Telemetry sampling: every sample_period_sec (<= 0 disables), and
+  /// first as soon as every rank has reported, RunToCompletion's sweep
+  /// hands on_sample every rank's latest status. Invoked on the
+  /// RunToCompletion thread.
+  double sample_period_sec = 0.0;
+  StatusSampler on_sample;
 };
 
 /// Per-rank liveness bookkeeping: last-seen timestamps against a silence
@@ -124,7 +142,7 @@ class Coordinator {
     int rank = -1;
     /// Incarnation epoch of the replacement (first replacement = 1).
     uint32_t epoch = 0;
-    /// What noticed the death: "heartbeat-timeout", "disconnect", or
+    /// What noticed the death: "status-timeout", "disconnect", or
     /// "child-exit".
     std::string method;
     /// Silence observed at the moment of declaring the rank dead.
@@ -153,14 +171,6 @@ class Coordinator {
   void SetRecoveryCallbacks(std::function<void(int)> kill,
                             std::function<Status(int)> relaunch);
 
-  /// Installs the kStats telemetry consumer (the qcm_cluster ticker /
-  /// merged-trace counter tracks, see AppendStatsCounterEvents). Invoked
-  /// from per-rank receiver threads; the callback must be thread-safe.
-  /// Call before RunHandshake.
-  using StatsCallback =
-      std::function<void(int rank, const WireStatsSample& sample)>;
-  void SetStatsCallback(StatsCallback cb);
-
   /// Accepts every worker, assigns ranks in connection order, exchanges
   /// peer listener ports, and releases the start barrier. Blocks.
   Status RunHandshake();
@@ -181,7 +191,7 @@ class Coordinator {
   /// Latest status published by `rank` (false until its first kStatus).
   /// Launcher-side fault-injection hooks poll this to kill a worker only
   /// once it verifiably holds work.
-  bool SnapshotStatus(int rank, WireRankStatus* out) const;
+  bool SnapshotStatus(int rank, RankStatus* out) const;
 
   /// OS pid the current incarnation of `rank` reported in its kHello
   /// (0 before its handshake). Ranks are assigned in CONNECT order, not
@@ -210,7 +220,7 @@ class Coordinator {
 
     // Guarded by Coordinator::mu_.
     uint64_t status_seq = 0;
-    WireRankStatus status;
+    RankStatus status;
     bool report_received = false;
     std::string report;
     bool disconnected = false;
@@ -258,7 +268,6 @@ class Coordinator {
 
   std::function<void(int)> kill_cb_;
   std::function<Status(int)> relaunch_cb_;
-  StatsCallback stats_cb_;
 
   std::atomic<bool> terminate_sent_{false};
   std::atomic<bool> failed_{false};
@@ -275,10 +284,11 @@ class Coordinator {
   std::vector<int> restarts_;
 };
 
-/// Appends one Chrome trace counter event ("ph":"C", pid = `rank`) per
-/// kStats gauge of `sample` to `events`: the counter tracks of a
-/// launcher's merged timeline.
-void AppendStatsCounterEvents(int rank, const WireStatsSample& sample,
+/// Appends one Chrome trace counter event ("ph":"C", pid = rank, at
+/// `ts_usec`) per sampled gauge of every rank's status to `events`: the
+/// counter tracks of a launcher's merged timeline.
+void AppendStatsCounterEvents(uint64_t ts_usec,
+                              const std::vector<RankStatus>& statuses,
                               std::vector<std::string>* events);
 
 }  // namespace qcm

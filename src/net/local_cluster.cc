@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -21,13 +20,7 @@ CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config) {
   c.steal_period_sec =
       config.num_machines >= 2 ? config.steal_period_sec : 0.0;
   c.steal_batch_cap = config.batch_size;
-  // Many heartbeat periods of slack (slow CI, TSan), but never so long
-  // that a hung rank stalls the run indefinitely.
-  c.heartbeat_deadline_sec =
-      config.heartbeat_usec > 0
-          ? std::max(1.0, 50.0 * 1e-6 *
-                              static_cast<double>(config.heartbeat_usec))
-          : 0.0;
+  c.sample_period_sec = 1e-3 * static_cast<double>(config.stats_interval_ms);
   return c;
 }
 
@@ -65,7 +58,7 @@ Status RunRank(const Graph& graph, const EngineConfig& config, App* app,
 
 StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
                                        const EngineConfig& config, App* app,
-                                       Coordinator::StatsCallback on_stats) {
+                                       StatusSampler on_sample) {
   QCM_RETURN_IF_ERROR(config.Validate());
   const int world = config.num_machines;
 
@@ -86,14 +79,14 @@ StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
   };
 
   CoordinatorConfig coord_config = CoordinatorConfigFor(config);
-  coord_config.heartbeat_deadline_sec = 0.0;  // ranks send no heartbeats
+  coord_config.status_deadline_sec = 0.0;  // the ranks live and die together
+  coord_config.on_sample = std::move(on_sample);
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
     remove_spill_dir();
     return listening.status();
   }
   std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
-  if (on_stats) coordinator->SetStatsCallback(std::move(on_stats));
 
   std::vector<EngineReport> reports(world);
   std::vector<Status> failures(world);

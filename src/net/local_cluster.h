@@ -7,9 +7,9 @@
 // process.
 //
 // Differences from the process launcher, all because the ranks share a
-// process: there are no heartbeats (a rank cannot die alone), each rank's
-// EngineReport stays in memory (the kReport frame it sends is empty), and
-// the merged report's peak RSS is the process's own.
+// process: there is no status deadline (a rank cannot die alone), each
+// rank's EngineReport stays in memory (the kReport frame it sends is
+// empty), and the merged report's peak RSS is the process's own.
 
 #ifndef QCM_NET_LOCAL_CLUSTER_H_
 #define QCM_NET_LOCAL_CLUSTER_H_
@@ -25,19 +25,20 @@ namespace qcm {
 
 /// The coordinator settings `config` implies, shared by both launchers:
 /// world size, the steal master's period (0 when there is one machine)
-/// and batch policy, and a liveness deadline of many
-/// heartbeat periods (0 without heartbeats).
+/// and batch policy, and the telemetry sample period
+/// (config.stats_interval_ms). The status deadline keeps
+/// CoordinatorConfig's default.
 CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config);
 
 /// Mines `graph` with config.num_machines in-process ranks sharing `app`
 /// (which must be thread-safe across compers, as for one engine) and
 /// returns the merged report; its `results` are the raw candidates.
-/// `on_stats`, when set, receives every rank's kStats samples (see
-/// Coordinator::SetStatsCallback). A rank that fails aborts the run at
-/// once.
-StatusOr<EngineReport> RunLocalCluster(
-    const Graph& graph, const EngineConfig& config, App* app,
-    Coordinator::StatsCallback on_stats = nullptr);
+/// `on_sample`, when set, receives the coordinator's telemetry samples
+/// (CoordinatorConfig::on_sample) on the calling thread. A rank that
+/// fails aborts the run at once.
+StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
+                                       const EngineConfig& config, App* app,
+                                       StatusSampler on_sample = nullptr);
 
 }  // namespace qcm
 

@@ -170,11 +170,6 @@ void TcpTransport::SetControlHooks(ControlHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-void TcpTransport::SetHeartbeatInterval(int64_t usec) {
-  QCM_CHECK(!started_.load()) << "SetHeartbeatInterval after Start";
-  heartbeat_usec_ = usec;
-}
-
 Status TcpTransport::Start() {
   QCM_CHECK(!started_.load()) << "Start called twice";
   QCM_RETURN_IF_ERROR(WriteTo(
@@ -208,9 +203,6 @@ Status TcpTransport::Start() {
     }
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  if (heartbeat_usec_ > 0) {
-    heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
-  }
   return Status::OK();
 }
 
@@ -292,14 +284,11 @@ Status TcpTransport::SendData(int dst, uint8_t type, std::string payload) {
 }
 
 void TcpTransport::PublishStatus(const RankStatus& status) {
-  WireRankStatus wire;
-  wire.pending = status.pending;
-  wire.spawn_done = status.spawn_done ? 1 : 0;
+  RankStatus wire = status;
   // The engine filled processed_from before this call; the sent_to
   // snapshot is taken after, keeping any inconsistency in the
   // conservative sent > processed direction (which can only delay
   // termination, never declare it early).
-  wire.processed_from = status.processed_from;
   wire.processed_from.resize(static_cast<size_t>(world_size_), 0);
   wire.sent_to.assign(static_cast<size_t>(world_size_), 0);
   for (int r = 0; r < world_size_; ++r) {
@@ -307,20 +296,11 @@ void TcpTransport::PublishStatus(const RankStatus& status) {
     std::lock_guard<std::mutex> lock(*peer_mus_[r]);
     wire.sent_to[r] = sent_to_[r];
   }
-  wire.pending_big = status.pending_big;
   // Failures surface through the coordinator receive loop; a lost status
   // frame only delays detection.
   (void)WriteTo(coord_fd_, coord_mu_,
                 Frame{FrameKind::kStatus, static_cast<uint32_t>(rank_),
                       EncodeRankStatus(wire)});
-}
-
-void TcpTransport::PublishStats(const WireStatsSample& sample) {
-  // Best effort, same policy as PublishStatus: telemetry never fails a
-  // run, and a lost sample only leaves a gap in the ticker.
-  (void)WriteTo(coord_fd_, coord_mu_,
-                Frame{FrameKind::kStats, static_cast<uint32_t>(rank_),
-                      EncodeStatsSample(sample)});
 }
 
 Status TcpTransport::SendReport(const std::string& payload) {
@@ -483,27 +463,6 @@ void TcpTransport::AcceptLoop() {
   }
 }
 
-void TcpTransport::HeartbeatLoop() {
-  uint64_t seq = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state_mu_);
-      state_cv_.wait_for(lock, std::chrono::microseconds(heartbeat_usec_),
-                         [this] {
-                           return shutdown_.load() || failed_.load() ||
-                                  terminate_received_.load();
-                         });
-    }
-    if (shutdown_.load() || failed_.load() || terminate_received_.load()) {
-      return;
-    }
-    // A lost beacon only delays liveness; the receive loop owns failure.
-    (void)WriteTo(coord_fd_, coord_mu_,
-                  Frame{FrameKind::kHeartbeat, static_cast<uint32_t>(rank_),
-                        EncodeHeartbeat(seq++)});
-  }
-}
-
 void TcpTransport::RecvCoordinatorLoop() {
   Frame frame;
   for (;;) {
@@ -629,7 +588,6 @@ void TcpTransport::Shutdown() {
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   if (coord_recv_thread_.joinable()) coord_recv_thread_.join();
   std::vector<std::thread> recvs;
   {

@@ -8,8 +8,7 @@
 // predecessor crashed) dials every peer and accepts none -- the survivors'
 // persistent accept threads swap the new connection in. Start() then
 // releases the start barrier (kReady / kStart) and spawns the receive
-// threads, the persistent peer-accept thread, and (when configured) the
-// coordinator heartbeat thread.
+// threads and the persistent peer-accept thread.
 //
 // Data plane: SendData frames one CommFabric message per kData frame and
 // writes it on the calling thread, straight onto the rank-to-rank socket
@@ -21,12 +20,13 @@
 // still returns OK (the recovery protocol replays or re-requests what
 // matters); a write error to a peer not yet declared dead drops the
 // frame WITHOUT failing the run -- either the peer really died (the
-// coordinator's child-exit watchdog or heartbeat deadline will declare
+// coordinator's child-exit watchdog or status deadline will declare
 // it and reset the pair's counters) or the stale sent counter blocks
 // termination until the coordinator's sweep timeout fails the run
 // loudly.
 //
-// Control plane (coordinator connection): PublishStatus sends kStatus up
+// Control plane (coordinator connection): PublishStatus sends kStatus up,
+// the rank's only periodic upward frame and so its liveness signal
 // (per-peer sent_to snapshot taken at publish time, after the engine's
 // processed_from, keeping any inconsistency in the conservative
 // sent > processed direction); kStealCmd / kTerminate invoke the
@@ -84,7 +84,6 @@ class TcpTransport : public Transport {
   }
   TransportFlushStats FlushStats() const override;
   void PublishStatus(const RankStatus& status) override;
-  void PublishStats(const WireStatsSample& sample) override;
   bool healthy() const override { return !failed(); }
   bool PeerAlive(int peer) const override {
     return !peer_down_flags_[peer].load(std::memory_order_acquire);
@@ -95,10 +94,6 @@ class TcpTransport : public Transport {
 
   /// Opaque job configuration delivered with the rank assignment.
   const std::string& config_blob() const { return config_blob_; }
-
-  /// Sets the coordinator heartbeat period (microseconds; 0 = no
-  /// heartbeat thread). Must be called before Start().
-  void SetHeartbeatInterval(int64_t usec);
 
   /// Ships the final EngineReport/result blob to the coordinator.
   Status SendReport(const std::string& payload);
@@ -135,8 +130,6 @@ class TcpTransport : public Transport {
   /// accept without a timeout; Shutdown() wakes it by shutting the
   /// listener down.
   void AcceptLoop();
-  /// Periodic kHeartbeat beacons to the coordinator.
-  void HeartbeatLoop();
   /// Idempotent peer-down transition to successor epoch `epoch`: marks
   /// the peer dead, quiesces and joins its receive thread, resets
   /// sent_to_[peer], then fires the engine's on_peer_down hook. No-op
@@ -151,7 +144,7 @@ class TcpTransport : public Transport {
   void HandlePeerUp(int peer, uint32_t epoch);
   void Fail(const std::string& reason);
   /// Wakes threads blocked on the terminated/failed/shutdown/peer state
-  /// (the peer-EOF grace wait, the peer-up wait, the heartbeat sleep).
+  /// (the peer-EOF grace wait, the peer-up wait).
   void NotifyStateChange();
   Status WriteTo(int fd, std::mutex& mu, const Frame& frame);
 
@@ -185,8 +178,6 @@ class TcpTransport : public Transport {
   DataHandler data_handler_;
   ControlHooks hooks_;
 
-  int64_t heartbeat_usec_ = 0;
-
   std::atomic<uint64_t> data_frames_sent_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> terminate_received_{false};
@@ -199,7 +190,6 @@ class TcpTransport : public Transport {
 
   std::thread coord_recv_thread_;
   std::thread accept_thread_;
-  std::thread heartbeat_thread_;
   /// Rank -> the receive thread of that peer's current incarnation.
   /// Guarded by recv_threads_mu_ (spawned by Start/AcceptLoop, joined by
   /// MarkPeerDown/Shutdown).

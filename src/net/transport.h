@@ -12,8 +12,9 @@
 // termination signal down) connects the engine to the coordinator.
 //
 // Termination-detection contract (the engine's drain invariant across
-// processes): a rank publishes {pending, spawn_done, sent_to[],
-// processed_from[], pending_big}. The coordinator may declare global
+// processes): a rank publishes a RankStatus (net/wire.h) whose {pending,
+// spawn_done, sent_to[], processed_from[], pending_big} are the detection
+// inputs (the rest is telemetry). The coordinator may declare global
 // termination only after two consecutive sweeps in which every rank
 // reported pending == 0 and spawn_done, for every ordered pair (i, j)
 // rank i's sent_to[j] equals rank j's processed_from[i], and no rank's
@@ -48,32 +49,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "net/wire.h"
 #include "util/status.h"
 
 namespace qcm {
-
-struct WireStatsSample;  // net/wire.h
-
-/// One rank's termination-detection inputs (see file comment).
-struct RankStatus {
-  /// Tasks alive in this process (queued, running, parked, spilled).
-  int64_t pending = 0;
-  /// Every owned vertex has been offered to Spawn and no spawner is mid-
-  /// batch.
-  bool spawn_done = false;
-  /// processed_from[i]: data frames from rank i fully folded into this
-  /// rank's state (counted after any pending-task delta was applied; a
-  /// pull request only once its response was sent -- see file comment).
-  /// The engine fills this; the transport adds its own per-peer sent_to
-  /// counters at publish time (processed is read first, keeping any
-  /// inconsistency in the conservative sent > processed direction).
-  std::vector<uint64_t> processed_from;
-  /// Big tasks available for stealing (global queue + L_big), the input
-  /// of the coordinator's balancing plan.
-  uint64_t pending_big = 0;
-};
 
 /// Bytes-per-write histogram buckets: <256, <1K, <2K, <4K, <16K, <64K,
 /// <256K, >=256K.
@@ -185,14 +165,14 @@ class Transport {
   /// transports that write no sockets).
   virtual TransportFlushStats FlushStats() const { return {}; }
 
-  /// Publishes this rank's termination-detection inputs to whoever runs
-  /// detection (the cluster coordinator).
+  /// Publishes this rank's status to whoever runs detection (the cluster
+  /// coordinator): the termination and steal inputs, and the telemetry
+  /// the coordinator samples. The stream is also the rank's liveness
+  /// signal. The engine fills every field but sent_to; the transport
+  /// adds its own per-peer sent_to counters at publish time (processed
+  /// is read first, keeping any inconsistency in the conservative
+  /// sent > processed direction).
   virtual void PublishStatus(const RankStatus& status) = 0;
-
-  /// Ships one periodic telemetry sample (engine stats sampler) to the
-  /// coordinator as a kStats frame. Best-effort: transports without a
-  /// coordinator connection ignore it.
-  virtual void PublishStats(const WireStatsSample& sample) { (void)sample; }
 
   /// False once a connection failed before clean termination; the engine
   /// then reports an error instead of pretending its partial state is a

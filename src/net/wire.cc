@@ -41,14 +41,10 @@ const char* FrameKindName(FrameKind kind) {
       return "data";
     case FrameKind::kAbort:
       return "abort";
-    case FrameKind::kHeartbeat:
-      return "heartbeat";
     case FrameKind::kPeerDown:
       return "peer-down";
     case FrameKind::kPeerUp:
       return "peer-up";
-    case FrameKind::kStats:
-      return "stats";
   }
   return "?";
 }
@@ -89,17 +85,6 @@ void AppendDataMeta(uint8_t type, uint64_t send_ts_usec, std::string* out) {
 }
 
 }  // namespace
-
-std::string EncodeDataFrame(uint32_t src, uint8_t type,
-                            uint64_t send_ts_usec, const std::string& body) {
-  DataFrameParts parts = EncodeDataFrameParts(src, type, send_ts_usec, body);
-  std::string out;
-  out.reserve(parts.head.size() + body.size() + parts.trailer.size());
-  out.append(parts.head);
-  out.append(body);
-  out.append(parts.trailer);
-  return out;
-}
 
 DataFrameParts EncodeDataFrameParts(uint32_t src, uint8_t type,
                                     uint64_t send_ts_usec,
@@ -145,7 +130,7 @@ Status DecodeFrame(const std::string& buf, size_t* pos, Frame* frame) {
     return Status::Corruption("bad frame magic");
   }
   const uint8_t kind = static_cast<uint8_t>(p[4]);
-  if (kind > static_cast<uint8_t>(FrameKind::kStats)) {
+  if (kind > static_cast<uint8_t>(FrameKind::kPeerUp)) {
     return Status::Corruption("unknown frame kind " + std::to_string(kind));
   }
   uint32_t src = 0;
@@ -181,32 +166,9 @@ Status WriteFrame(int fd, const Frame& frame) {
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte wire cap");
   }
-  return WriteFrameBytes(fd, EncodeFrame(frame));
-}
-
-Status WriteFrameBytes(int fd, const std::string& bytes) {
-  size_t off = 0;
-  bool use_send = true;  // MSG_NOSIGNAL: a closed peer must surface as
-                         // EPIPE, never as a process-killing SIGPIPE
-  while (off < bytes.size()) {
-    ssize_t n;
-    if (use_send) {
-      n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n < 0 && errno == ENOTSOCK) {
-        use_send = false;  // pipe/file fd (tests): plain write
-        continue;
-      }
-    } else {
-      n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("frame write failed: ") +
-                             std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  const std::string bytes = EncodeFrame(frame);
+  const WireSlice slice{bytes.data(), bytes.size()};
+  return WriteFrameSlices(fd, {&slice, 1});
 }
 
 Status WriteFrameSlices(int fd, std::span<const WireSlice> slices,
@@ -222,7 +184,8 @@ Status WriteFrameSlices(int fd, std::span<const WireSlice> slices,
     iov[count++] = {const_cast<char*>(s.data), s.len};
   }
   size_t i = 0;
-  bool use_sendmsg = true;  // MSG_NOSIGNAL, same rationale as above
+  bool use_sendmsg = true;  // MSG_NOSIGNAL: a closed peer must surface
+                            // as EPIPE, never as a process-killing SIGPIPE
   while (i < count) {
     ssize_t n;
     if (use_sendmsg) {
@@ -313,23 +276,36 @@ Status ReadFrame(int fd, Frame* frame) {
 // Typed payloads.
 // ---------------------------------------------------------------------------
 
-std::string EncodeRankStatus(const WireRankStatus& status) {
+std::string EncodeRankStatus(const RankStatus& status) {
   Encoder enc;
   enc.PutI64(status.pending);
-  enc.PutU8(status.spawn_done);
+  enc.PutU8(status.spawn_done ? 1 : 0);
   enc.PutU64Vector(status.sent_to);
   enc.PutU64Vector(status.processed_from);
   enc.PutU64(status.pending_big);
+  enc.PutU32(status.busy_compers);
+  enc.PutU64(status.inflight_bytes);
+  enc.PutU64(status.cache_hits);
+  enc.PutU64(status.cache_misses);
+  enc.PutU64(status.tasks_completed);
   return enc.Release();
 }
 
-Status DecodeRankStatus(const std::string& payload, WireRankStatus* status) {
+Status DecodeRankStatus(const std::string& payload, RankStatus* status) {
   Decoder dec(payload);
+  uint8_t spawn_done = 0;
   QCM_RETURN_IF_ERROR(dec.GetI64(&status->pending));
-  QCM_RETURN_IF_ERROR(dec.GetU8(&status->spawn_done));
+  QCM_RETURN_IF_ERROR(dec.GetU8(&spawn_done));
+  if (spawn_done > 1) return Status::Corruption("bad spawn_done in status");
+  status->spawn_done = spawn_done != 0;
   QCM_RETURN_IF_ERROR(dec.GetU64Vector(&status->sent_to));
   QCM_RETURN_IF_ERROR(dec.GetU64Vector(&status->processed_from));
   QCM_RETURN_IF_ERROR(dec.GetU64(&status->pending_big));
+  QCM_RETURN_IF_ERROR(dec.GetU32(&status->busy_compers));
+  QCM_RETURN_IF_ERROR(dec.GetU64(&status->inflight_bytes));
+  QCM_RETURN_IF_ERROR(dec.GetU64(&status->cache_hits));
+  QCM_RETURN_IF_ERROR(dec.GetU64(&status->cache_misses));
+  QCM_RETURN_IF_ERROR(dec.GetU64(&status->tasks_completed));
   if (!dec.Done()) return Status::Corruption("trailing bytes in status");
   return Status::OK();
 }
@@ -404,19 +380,6 @@ Status DecodePeerHello(const std::string& payload, uint32_t* epoch) {
   return Status::OK();
 }
 
-std::string EncodeHeartbeat(uint64_t seq) {
-  Encoder enc;
-  enc.PutU64(seq);
-  return enc.Release();
-}
-
-Status DecodeHeartbeat(const std::string& payload, uint64_t* seq) {
-  Decoder dec(payload);
-  QCM_RETURN_IF_ERROR(dec.GetU64(seq));
-  if (!dec.Done()) return Status::Corruption("trailing bytes in heartbeat");
-  return Status::OK();
-}
-
 std::string EncodePeerEvent(uint32_t rank, uint32_t epoch) {
   Encoder enc;
   enc.PutU32(rank);
@@ -430,36 +393,6 @@ Status DecodePeerEvent(const std::string& payload, uint32_t* rank,
   QCM_RETURN_IF_ERROR(dec.GetU32(rank));
   QCM_RETURN_IF_ERROR(dec.GetU32(epoch));
   if (!dec.Done()) return Status::Corruption("trailing bytes in peer event");
-  return Status::OK();
-}
-
-std::string EncodeStatsSample(const WireStatsSample& sample) {
-  Encoder enc;
-  enc.PutU32(sample.epoch);
-  enc.PutU64(sample.ts_usec);
-  enc.PutU64(sample.queue_depth);
-  enc.PutU64(sample.inflight_bytes);
-  enc.PutU64(sample.cache_hits);
-  enc.PutU64(sample.cache_misses);
-  enc.PutU32(sample.busy_compers);
-  enc.PutU64(sample.tasks_completed);
-  enc.PutI64(sample.pending);
-  return enc.Release();
-}
-
-Status DecodeStatsSample(const std::string& payload,
-                         WireStatsSample* sample) {
-  Decoder dec(payload);
-  QCM_RETURN_IF_ERROR(dec.GetU32(&sample->epoch));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->ts_usec));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->queue_depth));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->inflight_bytes));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->cache_hits));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->cache_misses));
-  QCM_RETURN_IF_ERROR(dec.GetU32(&sample->busy_compers));
-  QCM_RETURN_IF_ERROR(dec.GetU64(&sample->tasks_completed));
-  QCM_RETURN_IF_ERROR(dec.GetI64(&sample->pending));
-  if (!dec.Done()) return Status::Corruption("trailing bytes in stats");
   return Status::OK();
 }
 

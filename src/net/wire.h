@@ -70,19 +70,19 @@ namespace qcm {
 /// First four bytes of every frame.
 inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 /// Bump on any incompatible frame/payload change; checked in kHello.
-// v2: WireRankStatus grew a mean delivery latency (latency-aware steal
+// v2: the rank status grew a mean delivery latency (latency-aware steal
 // planning input).
 // v3: kData payloads carry the sender's monotonic send timestamp between
 // the type byte and the fabric payload (real wire-transit measurement,
 // including send-buffer dwell); EngineConfig grew the send-buffer knobs.
-// v4: fault tolerance. New frame kinds kHeartbeat (worker liveness
+// v4: fault tolerance. New frame kinds heartbeat (worker liveness
 // beacon), kPeerDown / kPeerUp (coordinator-driven rank recovery
 // transitions); kAssign and kPeerHello carry the rank's incarnation
-// epoch; WireRankStatus counts data frames per ordered peer pair
+// epoch; the rank status counts data frames per ordered peer pair
 // (sent_to / processed_from vectors) so the drain invariant survives a
 // rank being replaced mid-run; EngineConfig grew the checkpoint and
 // heartbeat knobs.
-// v5: observability. New frame kind kStats (epoch-tagged periodic
+// v5: observability. New frame kind stats (epoch-tagged periodic
 // telemetry sample: queue depth, in-flight bytes, cache hits/misses,
 // busy compers) for the qcm_cluster live ticker and merged-trace counter
 // tracks; EngineConfig grew the tracing knobs (trace_out,
@@ -110,7 +110,7 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // snapshot at kCsrDefaultPageSize.
 // v12: spawn-time prefetch and latency-aware steal batching are gone.
 // EngineConfig lost three fields (the prefetch switch, the steal reference
-// RTT and batch factor); WireRankStatus lost its mean delivery latency;
+// RTT and batch factor); the rank status lost its mean delivery latency;
 // EngineReport lost four prefetch counters and the prefetching lifecycle
 // state.
 // v13: EngineReport's MiningStats gained `subsumed`, the candidates each
@@ -121,7 +121,13 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // v15: EngineReport gained the scratch_bytes counter row.
 // v16: one send path. EngineConfig lost the coalescing knobs and
 // enable_stealing; EngineReport lost the four flush-cause rows.
-inline constexpr uint32_t kWireProtocolVersion = 16;
+// v17: one upward frame per rank. The heartbeat and stats frames are gone
+// (the kStatus stream carries liveness, and the coordinator samples
+// telemetry from the statuses it holds), so kPeerDown and kPeerUp are now
+// kinds 13 and 14; RankStatus grew busy_compers, inflight_bytes,
+// cache_hits, cache_misses and tasks_completed (36 bytes); EngineConfig
+// lost the heartbeat period.
+inline constexpr uint32_t kWireProtocolVersion = 17;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.
@@ -147,16 +153,14 @@ enum class FrameKind : uint8_t {
   kPeerHello = 4,  // worker -> worker: empty (src carries the rank)
   kReady = 5,      // worker -> coordinator: empty
   kStart = 6,      // coordinator -> worker: empty (mining barrier release)
-  kStatus = 7,     // worker -> coordinator: RankStatus (termination input)
+  kStatus = 7,     // worker -> coordinator: RankStatus
   kStealCmd = 8,   // coordinator -> worker: {receiver u32, want u64}
   kTerminate = 9,  // coordinator -> worker: empty (global quiescence)
   kReport = 10,    // worker -> coordinator: serialized EngineReport+results
   kData = 11,      // worker -> worker: {MessageType u8, fabric payload}
   kAbort = 12,     // either direction: {human-readable reason}
-  kHeartbeat = 13,  // worker -> coordinator: {seq u64} liveness beacon
-  kPeerDown = 14,   // coordinator -> worker: {rank u32, epoch u32}
-  kPeerUp = 15,     // coordinator -> worker: {rank u32, epoch u32}
-  kStats = 16,      // worker -> coordinator: WireStatsSample telemetry
+  kPeerDown = 13,  // coordinator -> worker: {rank u32, epoch u32}
+  kPeerUp = 14,    // coordinator -> worker: {rank u32, epoch u32}
 };
 
 const char* FrameKindName(FrameKind kind);
@@ -172,19 +176,11 @@ struct Frame {
 /// checksum). The byte layout is pinned by tests/wire_serde_test.cc.
 std::string EncodeFrame(const Frame& frame);
 
-/// Exact wire bytes of a kData frame whose payload is
-/// [type byte][send_ts_usec u64][body], built in one buffer. Test/tool
-/// convenience; the transport hot path uses EncodeDataFrameParts + a
-/// scatter-gather write instead. Byte-identical to EncodeFrame on the
-/// equivalent Frame.
-std::string EncodeDataFrame(uint32_t src, uint8_t type,
-                            uint64_t send_ts_usec, const std::string& body);
-
 /// A kData frame split for scatter-gather writes: `head` is the frame
 /// header plus the payload meta (type byte + send timestamp), `trailer`
 /// is the checksum; the body bytes stay in the caller's buffer and are
-/// never copied. head + body + trailer is byte-identical to
-/// EncodeDataFrame(src, type, send_ts_usec, body).
+/// never copied. head + body + trailer is byte-identical to EncodeFrame
+/// on the kData Frame whose payload is [type][send_ts_usec u64][body].
 struct DataFrameParts {
   std::string head;     // kWireHeaderBytes + kDataFrameMetaBytes bytes
   std::string trailer;  // kWireTrailerBytes bytes
@@ -204,13 +200,10 @@ Status SplitDataFramePayload(const std::string& payload, uint8_t* type,
 /// `buf` ends before the frame does (caller should read more bytes).
 Status DecodeFrame(const std::string& buf, size_t* pos, Frame* frame);
 
-/// Blocking write of one frame to a socket/pipe fd, looping over partial
-/// writes. Not synchronized -- callers serialize per-fd access.
+/// Blocking write of one frame to a socket/pipe fd (EncodeFrame's bytes
+/// as one WriteFrameSlices slice). Not synchronized -- callers serialize
+/// per-fd access.
 Status WriteFrame(int fd, const Frame& frame);
-
-/// Blocking write of pre-encoded frame bytes (EncodeFrame /
-/// EncodeDataFrame output). Same contract as WriteFrame.
-Status WriteFrameBytes(int fd, const std::string& bytes);
 
 /// One slice of a scatter-gather frame write.
 struct WireSlice {
@@ -238,24 +231,42 @@ Status ReadFrame(int fd, Frame* frame);
 // Typed payload helpers for the control vocabulary.
 // ---------------------------------------------------------------------------
 
-/// kStatus payload: one rank's termination-detection inputs. See
-/// Transport::PublishStatus for field semantics.
-struct WireRankStatus {
+/// kStatus payload: everything a rank reports upward, every 0.5 ms while
+/// it mines (Engine::StatusLoop). The termination and steal inputs come
+/// first (see net/transport.h for their contract); the telemetry the
+/// coordinator samples follows. The engine fills every field but sent_to;
+/// the transport adds sent_to at publish time.
+struct RankStatus {
+  /// Tasks alive in this process (queued, running, parked, spilled).
   int64_t pending = 0;
-  uint8_t spawn_done = 0;
+  /// Every owned vertex has been offered to Spawn and no spawner is mid-
+  /// batch.
+  bool spawn_done = false;
   /// sent_to[j]: data frames this rank handed to the wire for peer j;
   /// processed_from[i]: data frames from peer i this rank fully folded
-  /// into its local state. Quiescence requires, for every ordered pair
-  /// (i, j), status[i].sent_to[j] == status[j].processed_from[i] -- the
-  /// per-pair form survives a rank being replaced mid-run, because both
-  /// sides of a dead pair reset symmetrically.
+  /// into its local state (counted after any pending-task delta was
+  /// applied; a pull request only once its response was sent).
+  /// Quiescence requires, for every ordered pair (i, j),
+  /// status[i].sent_to[j] == status[j].processed_from[i] -- the per-pair
+  /// form survives a rank being replaced mid-run, because both sides of
+  /// a dead pair reset symmetrically.
   std::vector<uint64_t> sent_to;
   std::vector<uint64_t> processed_from;
+  /// Big tasks available for stealing (global queue + L_big), the input
+  /// of the coordinator's balancing plan.
   uint64_t pending_big = 0;
+  /// Telemetry: compers inside Compute right now, fabric bytes sent but
+  /// not yet processed, and cumulative vertex-cache hits / misses and
+  /// finished tasks.
+  uint32_t busy_compers = 0;
+  uint64_t inflight_bytes = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t tasks_completed = 0;
 };
 
-std::string EncodeRankStatus(const WireRankStatus& status);
-Status DecodeRankStatus(const std::string& payload, WireRankStatus* status);
+std::string EncodeRankStatus(const RankStatus& status);
+Status DecodeRankStatus(const std::string& payload, RankStatus* status);
 
 std::string EncodeHello(uint64_t pid);
 Status DecodeHello(const std::string& payload, uint32_t* version,
@@ -281,36 +292,12 @@ Status DecodeStealCmd(const std::string& payload, uint32_t* receiver,
 std::string EncodePeerHello(uint32_t epoch);
 Status DecodePeerHello(const std::string& payload, uint32_t* epoch);
 
-/// kHeartbeat payload: a monotonically increasing beacon sequence.
-std::string EncodeHeartbeat(uint64_t seq);
-Status DecodeHeartbeat(const std::string& payload, uint64_t* seq);
-
 /// kPeerDown / kPeerUp payload: which rank changed state and the epoch
 /// of the incarnation the transition refers to (down names the dead
 /// incarnation's successor epoch; up confirms that successor is wired).
 std::string EncodePeerEvent(uint32_t rank, uint32_t epoch);
 Status DecodePeerEvent(const std::string& payload, uint32_t* rank,
                        uint32_t* epoch);
-
-/// kStats payload: one periodic telemetry sample from a rank. Timestamps
-/// are the sender's monotonic clock (comparable across loopback ranks);
-/// `epoch` is the sending incarnation so samples from a dead incarnation
-/// can be told apart from its successor's.
-struct WireStatsSample {
-  uint32_t epoch = 0;
-  uint64_t ts_usec = 0;
-  uint64_t queue_depth = 0;     // tasks waiting in the global queue
-  uint64_t inflight_bytes = 0;  // fabric bytes sent but not yet processed
-  uint64_t cache_hits = 0;      // cumulative vertex-cache hits
-  uint64_t cache_misses = 0;    // cumulative vertex-cache misses
-  uint32_t busy_compers = 0;    // compers inside Compute right now
-  uint64_t tasks_completed = 0; // cumulative tasks finished
-  int64_t pending = 0;          // local termination-detector pending count
-};
-
-std::string EncodeStatsSample(const WireStatsSample& sample);
-Status DecodeStatsSample(const std::string& payload,
-                         WireStatsSample* sample);
 
 }  // namespace qcm
 

@@ -113,8 +113,6 @@ void Start(size_t ring_kb) {
   g_enabled.store(true, std::memory_order_release);
 }
 
-void Stop() { g_enabled.store(false, std::memory_order_release); }
-
 void ResetForTest() {
   g_enabled.store(false, std::memory_order_release);
   State& s = GlobalState();

@@ -69,10 +69,6 @@ inline constexpr size_t kRingKb = 256;
 /// first emit. Idempotent; a second Start keeps existing rings.
 void Start(size_t ring_kb);
 
-/// Turns tracing off. Rings are retained so DrainJsonLines/WriteFragment
-/// still see everything recorded; call ResetForTest to actually free them.
-void Stop();
-
 /// Test-only: stop tracing, drop all rings, and restore the real clock.
 /// Interned names are kept — call sites cache ids in function-local
 /// statics, so ids must stay valid across resets. Must not race with
@@ -118,7 +114,7 @@ std::string DrainJsonLines(int pid);
 Status WriteFragment(const std::string& path, int pid);
 
 /// Reads per-rank fragment files (+ optional pre-formatted event lines,
-/// e.g. kStats counter tracks or coordinator metadata), sorts every event
+/// e.g. sampled counter tracks or coordinator metadata), sorts every event
 /// by its "ts" field, and writes one {"traceEvents":[...]} file that
 /// Perfetto loads directly. Missing fragment files are skipped (a rank
 /// that died before draining), not an error.

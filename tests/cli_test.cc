@@ -152,14 +152,15 @@ TEST(CliContractTest, RangeChecksComeFromTheValidator) {
   // A cluster-only knob is checked by the same validator, before any
   // worker starts.
   const std::string log_dir = ::testing::TempDir() + "/cli_test_logs";
-  const RunResult heartbeat =
+  const RunResult checkpoint =
       RunTool("qcm_cluster", std::string(kTinyGraph) +
-                             " --heartbeat-usec -1 --log-dir " + log_dir);
-  EXPECT_EQ(heartbeat.exit_code, 2) << heartbeat.output;
-  EXPECT_NE(heartbeat.output.find("engine_config.cc:"), std::string::npos)
-      << heartbeat.output;
-  EXPECT_NE(heartbeat.output.find("heartbeat_usec"), std::string::npos);
-  EXPECT_EQ(heartbeat.output.find("coordinator on"), std::string::npos);
+                             " --checkpoint-interval 0 --log-dir " + log_dir);
+  EXPECT_EQ(checkpoint.exit_code, 2) << checkpoint.output;
+  EXPECT_NE(checkpoint.output.find("engine_config.cc:"), std::string::npos)
+      << checkpoint.output;
+  EXPECT_NE(checkpoint.output.find("checkpoint_interval_sec"),
+            std::string::npos);
+  EXPECT_EQ(checkpoint.output.find("coordinator on"), std::string::npos);
 }
 
 TEST(CliContractTest, UnwritableTargetsExitOne) {
@@ -235,16 +236,16 @@ TEST(CliContractTest, HelpListsExactlyTheAcceptedFlags) {
   std::set<std::string> mine = SharedFlagNames();
   mine.insert({"--input-snapshot", "--serial", "--machines"});
   std::set<std::string> cluster = SharedFlagNames();
-  cluster.insert({"--workers", "--heartbeat-usec", "--checkpoint-interval",
-                  "--checkpoint-dir", "--max-rank-restarts", "--snapshot",
-                  "--graph-memory-budget", "--worker-bin", "--log-dir"});
+  cluster.insert({"--workers", "--checkpoint-interval", "--checkpoint-dir",
+                  "--max-rank-restarts", "--snapshot", "--graph-memory-budget",
+                  "--worker-bin", "--log-dir"});
   const std::set<std::string> pack = {"--input",  "--gen-planted",
                                       "--seed",   "--output",
                                       "--verify", "--quiet"};
   const std::set<std::string> worker = {"--coordinator-port",
                                         "--coordinator-host"};
   EXPECT_EQ(mine.size(), 23u);
-  EXPECT_EQ(cluster.size(), 29u);
+  EXPECT_EQ(cluster.size(), 28u);
   const std::pair<const char*, const std::set<std::string>*> tools[] = {
       {"qcm_mine", &mine},
       {"qcm_cluster", &cluster},

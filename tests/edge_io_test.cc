@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -212,31 +214,68 @@ TEST(EdgeIoTest, LinesStraddlingTheReadBuffer) {
 
 using RawEdgeList = std::vector<std::pair<uint64_t, uint64_t>>;
 
-/// What a load must produce: the rows and the dense id -> original id map.
+/// What a load must produce: the dense id -> original id map and the rows.
 struct OracleLoad {
-  SetAdjacency rows;
   std::vector<uint64_t> ids;
+  /// Row v is rows[v], a run of `neighbors`.
+  std::vector<VertexId> neighbors;
+  std::vector<std::span<const VertexId>> rows;
 };
 
 /// The id compaction LoadEdgeList had before its rank table, kept as the
-/// oracle: sorted rank of every endpoint id, then one std::set per vertex
-/// (ReferenceAdjacency), so no graph-building code is shared with the
-/// loader.
+/// oracle: sorted rank of every endpoint id, then both arcs of every edge
+/// but a self-loop as ranked (from, to) pairs, sorted and deduplicated
+/// into rows, so no graph-building code is shared with the loader.
 OracleLoad OracleGraph(const RawEdgeList& raw) {
-  std::vector<uint64_t> ids;
+  OracleLoad want;
+  std::vector<uint64_t>& ids = want.ids;
+  ids.reserve(2 * raw.size());
   for (const auto& [u, v] : raw) {
     ids.push_back(u);
     ids.push_back(v);
   }
-  std::sort(ids.begin(), ids.end());
+  // Raw pointers throughout: the Debug lane runs this at -O0, where
+  // iterator and std::lower_bound calls dominate.
+  std::sort(ids.data(), ids.data() + ids.size());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  const auto rank = [&ids](uint64_t x) -> uint64_t {
-    return std::lower_bound(ids.begin(), ids.end(), x) - ids.begin();
+  const uint64_t* const sorted = ids.data();
+  const uint64_t n = ids.size();
+  const auto rank = [sorted, n](uint64_t x) {
+    uint64_t lo = 0, hi = n;
+    while (lo < hi) {
+      const uint64_t mid = (lo + hi) / 2;
+      if (sorted[mid] < x) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
   };
-  RawEdgeList ranked;
-  for (const auto& [u, v] : raw) ranked.emplace_back(rank(u), rank(v));
-  return {ReferenceAdjacency(static_cast<uint32_t>(ids.size()), ranked),
-          std::move(ids)};
+  // A ranked (from, to) pair as one key, from in the high half.
+  std::vector<uint64_t> arcs;
+  arcs.reserve(2 * raw.size());
+  for (const auto& [u, v] : raw) {
+    if (u == v) continue;
+    const uint64_t ru = rank(u), rv = rank(v);
+    arcs.push_back(ru << 32 | rv);
+    arcs.push_back(rv << 32 | ru);
+  }
+  std::sort(arcs.data(), arcs.data() + arcs.size());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  want.neighbors.resize(arcs.size());
+  want.rows.resize(n);
+  const uint64_t* arc = arcs.data();
+  const uint64_t* const arcs_end = arc + arcs.size();
+  VertexId* to = want.neighbors.data();
+  for (uint64_t v = 0; v < n; ++v) {
+    VertexId* const first = to;
+    for (; arc != arcs_end && *arc >> 32 == v; ++arc) {
+      *to++ = static_cast<VertexId>(*arc);
+    }
+    want.rows[v] = {first, to};
+  }
+  return want;
 }
 
 /// Every edge written, in file order, with the file's text.
@@ -256,14 +295,18 @@ constexpr size_t kNarrowEdges = 10000;
 GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
   std::mt19937_64 rng(seed);
   const auto below = [&rng](uint64_t n) { return rng() % n; };
+  // The draw of uniform_real_distribution<double>(0, 1) from a 64-bit
+  // engine, rng() / 2^64, computed here: std::generate_canonical takes
+  // two long-double logarithms per call at -O0 (the Debug lane).
   const auto chance = [&rng](double p) {
-    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+    return static_cast<double>(rng()) * 0x1p-64 < p;
   };
   const size_t lines =
       kind >= 4 ? 2 * kNarrowEdges + below(4000) : 8000 + below(8000);
   const uint64_t span = lines / 2;  // below the endpoint count: dense
   constexpr uint64_t k2To32 = uint64_t{1} << 32;
   GeneratedEdgeList out;
+  out.text.reserve(64 * lines);
   const auto id = [&]() -> uint64_t {
     const bool narrow = out.edges.size() < kNarrowEdges;
     switch (kind) {
@@ -275,17 +318,28 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
       default: return narrow ? below(k2To32) : rng();
     }
   };
-  const auto blanks = [&](size_t max) {
-    std::string s(below(max + 1), ' ');
-    for (char& c : s) c = chance(0.3) ? '\t' : ' ';
-    return s;
+  // Writes up to `max` spaces and tabs at `p`; returns their end.
+  const auto blanks = [&](size_t max, char* p) {
+    for (uint64_t n = below(max + 1); n > 0; --n) {
+      *p++ = chance(0.3) ? '\t' : ' ';
+    }
+    return p;
   };
+  // Each line is written into `line` and appended at once. Its parts are
+  // drawn right to left, so every seed keeps the file it has always made.
+  char line[1024];
+  char sep[400];
+  char tail[2];
   for (size_t i = 0; i < lines; ++i) {
+    char* p = line;
     if (chance(0.06)) {
-      out.text += blanks(2) + (chance(0.5) ? "#" : "%") +
-                  std::string(below(chance(0.2) ? 500 : 40), 'x');
+      const uint64_t xs = below(chance(0.2) ? 500 : 40);
+      const char mark = chance(0.5) ? '#' : '%';
+      p = blanks(2, p);
+      *p++ = mark;
+      p = std::fill_n(p, xs, 'x');
     } else if (chance(0.04)) {
-      out.text += blanks(3);
+      p = blanks(3, p);
     } else {
       uint64_t u = id(), v = id();
       if (!out.edges.empty() && chance(0.1)) {  // duplicate, either way
@@ -296,12 +350,23 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
       }
       out.edges.emplace_back(u, v);
       // An occasional near-limit run of spaces between the ids.
-      const std::string sep =
-          chance(0.01) ? std::string(400, ' ') : " " + blanks(3);
-      out.text += blanks(2) + std::to_string(u) + sep + std::to_string(v) +
-                  blanks(2);
+      char* sep_end = sep;
+      if (chance(0.01)) {
+        sep_end = std::fill_n(sep, 400, ' ');
+      } else {
+        *sep_end++ = ' ';
+        sep_end = blanks(3, sep_end);
+      }
+      char* const tail_end = blanks(2, tail);
+      p = blanks(2, p);
+      p = std::to_chars(p, p + 20, u).ptr;
+      p = std::copy(sep, sep_end, p);
+      p = std::to_chars(p, p + 20, v).ptr;
+      p = std::copy(tail, tail_end, p);
     }
-    out.text += chance(0.3) ? "\r\n" : "\n";
+    if (chance(0.3)) *p++ = '\r';
+    *p++ = '\n';
+    out.text.append(line, p);
   }
   if (chance(0.5)) out.text.pop_back();  // no final newline
   return out;

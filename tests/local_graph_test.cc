@@ -9,7 +9,6 @@
 #include "graph/ego_builder.h"
 #include "graph/generators.h"
 #include "graph/local_graph.h"
-#include "graph/stats.h"
 
 namespace qcm {
 namespace {
@@ -153,25 +152,6 @@ TEST(LocalGraphTest, DecodeRejectsVidsNotStrictlyIncreasing) {
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
         << "vids[0]=" << vids[0];
   }
-}
-
-TEST(TaskFeaturesTest, ComputesCoreNumbers) {
-  // Clique of 5 + pendant.
-  EgoBuilder builder;
-  for (VertexId v = 0; v < 5; ++v) {
-    std::vector<VertexId> adj;
-    for (VertexId u = 0; u < 5; ++u) {
-      if (u != v) adj.push_back(u);
-    }
-    builder.Stage(v, adj);
-  }
-  builder.Stage(5, {0});
-  LocalGraph g = builder.Build();
-  TaskFeatures f = ComputeTaskFeatures(g, 3);
-  EXPECT_EQ(f.num_vertices, 6u);
-  ASSERT_EQ(f.top_core_numbers.size(), 3u);
-  EXPECT_EQ(f.top_core_numbers[0], 4u);
-  EXPECT_EQ(f.top_core_numbers[1], 4u);
 }
 
 }  // namespace

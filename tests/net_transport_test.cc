@@ -1,7 +1,8 @@
 // Transport/coordinator integration tests, run entirely in-process so the
 // sanitizer configs see every thread: the rank-assignment handshake, the
-// data-plane mesh, prompt shutdown, steal commands, distributed
-// termination detection with report collection, and -- the core §5
+// data-plane mesh, prompt shutdown, steal commands, status-stream
+// liveness, distributed termination detection with report collection,
+// and -- the core §5
 // parity claim -- a full 3-rank cluster run through the in-process
 // launcher (three TcpTransport-backed engines, real loopback sockets
 // between them) whose merged maximal result set is bit-identical to the
@@ -37,6 +38,13 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   config.world_size = 3;
   config.config_blob = "opaque-config";
   config.steal_period_sec = 0.0;
+  // Called on the RunToCompletion thread, this one.
+  std::vector<std::vector<RankStatus>> samples;
+  config.sample_period_sec = 0.001;
+  config.on_sample = [&samples](uint64_t,
+                                const std::vector<RankStatus>& statuses) {
+    samples.push_back(statuses);
+  };
   auto coordinator = Coordinator::Listen(std::move(config));
   ASSERT_TRUE(coordinator.ok());
   const uint16_t port = (*coordinator)->port();
@@ -103,6 +111,14 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   auto reports = (*coordinator)->RunToCompletion();
   for (auto& th : threads) th.join();
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+
+  // The sweep sampled the ranks' published statuses, first as soon as
+  // every rank had reported, so even this short run has a sample.
+  ASSERT_FALSE(samples.empty());
+  for (const std::vector<RankStatus>& sample : samples) {
+    ASSERT_EQ(sample.size(), 3u);
+    for (const RankStatus& status : sample) EXPECT_TRUE(status.spawn_done);
+  }
 
   // Ranks were assigned 0..2 exactly once; each rank's report arrived in
   // its slot.
@@ -174,6 +190,11 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
   config.config_blob = "x";
   config.steal_period_sec = 0.002;
   config.steal_batch_cap = 4;
+  // sample_period_sec stays 0, which disables sampling.
+  int samples = 0;
+  config.on_sample = [&samples](uint64_t, const std::vector<RankStatus>&) {
+    ++samples;
+  };
   auto coordinator = Coordinator::Listen(std::move(config));
   ASSERT_TRUE(coordinator.ok());
   const uint16_t port = (*coordinator)->port();
@@ -225,6 +246,7 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
   for (auto& th : threads) th.join();
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   EXPECT_GE((*coordinator)->steal_commands_issued(), 1u);
+  EXPECT_EQ(samples, 0);
 
   // The donor (rank 0) was told to ship at most one batch to rank 1.
   for (auto& s : states) {
@@ -235,6 +257,55 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
     }
     s.transport->Shutdown();
   }
+  (*coordinator)->Close();
+}
+
+// The status stream is a rank's liveness signal: with no disconnect and
+// no launcher watchdog, a rank that stops publishing is declared dead
+// once its deadline passes. Ranks 0 and 1 publish every
+// millisecond; rank 2 publishes nothing after Start. Without recovery
+// callbacks the death fails the run, naming rank 2 and how it was
+// detected, and never a rank that kept talking.
+TEST(TcpTransportTest, SilentRankIsDeclaredDeadFromStatusesAlone) {
+  CoordinatorConfig config;
+  config.world_size = 3;
+  config.config_blob = "silent";
+  config.steal_period_sec = 0.0;
+  config.status_deadline_sec = 1.0;
+  auto coordinator = Coordinator::Listen(std::move(config));
+  ASSERT_TRUE(coordinator.ok());
+  const uint16_t port = (*coordinator)->port();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::unique_ptr<TcpTransport>> transports(3);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 3; ++i) {
+    threads.emplace_back([&transports, &stop, port, i] {
+      auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      transports[i] = std::move(t).value();
+      TcpTransport* tr = transports[i].get();
+      tr->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
+      tr->SetControlHooks({});
+      ASSERT_TRUE(tr->Start().ok());
+      if (tr->rank() == 2) return;
+      while (!stop.load()) {
+        tr->PublishStatus(RankStatus{});
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  ASSERT_TRUE((*coordinator)->RunHandshake().ok());
+  auto reports = (*coordinator)->RunToCompletion();
+  stop = true;
+  for (auto& th : threads) th.join();
+  ASSERT_FALSE(reports.ok());
+  const std::string why = reports.status().ToString();
+  EXPECT_NE(why.find("rank 2 died (status-timeout)"), std::string::npos)
+      << why;
+  EXPECT_EQ(why.find("rank 0"), std::string::npos) << why;
+  EXPECT_EQ(why.find("rank 1"), std::string::npos) << why;
+  for (auto& t : transports) t->Shutdown();
   (*coordinator)->Close();
 }
 

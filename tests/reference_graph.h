@@ -42,9 +42,10 @@ inline SetAdjacency ReferenceAdjacency(
   return rows;
 }
 
-/// Success iff `g` has exactly the rows of `want`, in ascending order.
-inline testing::AssertionResult SameAdjacency(const Graph& g,
-                                              const SetAdjacency& want) {
+/// Success iff `g` has exactly the rows of `want` (a SetAdjacency, or
+/// any rows of ascending neighbors), in ascending order.
+template <typename Rows>
+testing::AssertionResult SameAdjacency(const Graph& g, const Rows& want) {
   if (g.NumVertices() != want.size()) {
     return testing::AssertionFailure()
            << g.NumVertices() << " vertices, want " << want.size();

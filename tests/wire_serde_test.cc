@@ -214,33 +214,33 @@ std::string DataMeta(uint8_t type, uint64_t send_ts_usec) {
 }
 
 TEST(WireFrameTest, DataFrameFastPathMatchesGenericEncoding) {
-  // The kData encoder (the hot pull path) must be byte-identical to
-  // EncodeFrame on the equivalent Frame -- payload
-  // [type u8][send_ts u64 LE][body] -- including the streamed checksum.
-  const std::string body = "adjacency-bytes\x00\x01\x02";
-  Frame generic;
-  generic.kind = FrameKind::kData;
-  generic.src = 1;
-  generic.payload = DataMeta(2, 0x123456789ABCDEFull) + body;
-  EXPECT_EQ(Hex(EncodeDataFrame(1, 2, 0x123456789ABCDEFull, body)),
-            Hex(EncodeFrame(generic)));
-  EXPECT_EQ(Hex(EncodeDataFrame(3, 0, 0, "")),
-            Hex(EncodeFrame(Frame{FrameKind::kData, 3, DataMeta(0, 0)})));
-}
-
-TEST(WireFrameTest, DataFramePartsConcatenateToTheFullEncoding) {
-  // The scatter-gather parts {head, body, trailer} are the zero-copy
-  // twin of EncodeDataFrame: concatenated they must be byte-identical,
+  // The kData encoder of the hot pull path writes {head, body, trailer}
+  // without copying the body. Concatenated, the parts must be
+  // byte-identical to EncodeFrame on the equivalent Frame -- payload
+  // [type u8][send_ts u64 LE][body] -- including the streamed checksum,
   // with the head carrying exactly header + meta and the trailer exactly
   // the checksum.
+  const struct {
+    uint32_t src;
+    uint8_t type;
+    uint64_t ts;
+    std::string body;
+  } cases[] = {{1, 2, 0x123456789ABCDEFull, "adjacency-bytes\x00\x01\x02"},
+               {3, 0, 0, ""},
+               {4, 1, 987654321, "pull-response-bytes"}};
+  for (const auto& c : cases) {
+    const DataFrameParts parts =
+        EncodeDataFrameParts(c.src, c.type, c.ts, c.body);
+    EXPECT_EQ(parts.head.size(), kWireHeaderBytes + kDataFrameMetaBytes);
+    EXPECT_EQ(parts.trailer.size(), kWireTrailerBytes);
+    EXPECT_EQ(Hex(parts.head + c.body + parts.trailer),
+              Hex(EncodeFrame(Frame{FrameKind::kData, c.src,
+                                    DataMeta(c.type, c.ts) + c.body})))
+        << "src " << c.src;
+  }
+
   const std::string body = "pull-response-bytes";
   const uint64_t ts = 987654321;
-  DataFrameParts parts = EncodeDataFrameParts(4, 1, ts, body);
-  EXPECT_EQ(parts.head.size(), kWireHeaderBytes + kDataFrameMetaBytes);
-  EXPECT_EQ(parts.trailer.size(), kWireTrailerBytes);
-  EXPECT_EQ(Hex(parts.head + body + parts.trailer),
-            Hex(EncodeDataFrame(4, 1, ts, body)));
-
   uint8_t type = 0;
   uint64_t out_ts = 0;
   std::string out_body;
@@ -306,7 +306,7 @@ TEST(WireFrameTest, CoalescedFlushDecodesToIdenticalFrameSequence) {
 }
 
 TEST(WireFrameTest, RoundTripAllKinds) {
-  for (uint8_t k = 0; k <= static_cast<uint8_t>(FrameKind::kStats); ++k) {
+  for (uint8_t k = 0; k <= static_cast<uint8_t>(FrameKind::kPeerUp); ++k) {
     Frame in;
     in.kind = static_cast<FrameKind>(k);
     in.src = 7;
@@ -351,20 +351,39 @@ TEST(WireFrameTest, CorruptionIsDetected) {
             StatusCode::kIOError);
 }
 
-TEST(WireFrameTest, ControlPayloadsRoundTrip) {
-  WireRankStatus status;
-  status.pending = -3;
-  status.spawn_done = 1;
+/// A status with every field away from its default.
+RankStatus NonDefaultStatus() {
+  RankStatus status;
+  status.pending = -3;  // the detector's pending count can go negative
+  status.spawn_done = true;
   status.sent_to = {0, 100, 7};
   status.processed_from = {0, 99, 8};
   status.pending_big = 12;
-  WireRankStatus status2;
+  status.busy_compers = 3;
+  status.inflight_bytes = 65536;
+  status.cache_hits = 1000;
+  status.cache_misses = 50;
+  status.tasks_completed = 4242;
+  return status;
+}
+
+TEST(WireFrameTest, ControlPayloadsRoundTrip) {
+  const RankStatus status = NonDefaultStatus();
+  RankStatus status2;
   ASSERT_TRUE(DecodeRankStatus(EncodeRankStatus(status), &status2).ok());
   EXPECT_EQ(status2.pending, -3);
-  EXPECT_EQ(status2.spawn_done, 1);
+  EXPECT_TRUE(status2.spawn_done);
   EXPECT_EQ(status2.sent_to, (std::vector<uint64_t>{0, 100, 7}));
   EXPECT_EQ(status2.processed_from, (std::vector<uint64_t>{0, 99, 8}));
   EXPECT_EQ(status2.pending_big, 12u);
+  EXPECT_EQ(status2.busy_compers, 3u);
+  EXPECT_EQ(status2.inflight_bytes, 65536u);
+  EXPECT_EQ(status2.cache_hits, 1000u);
+  EXPECT_EQ(status2.cache_misses, 50u);
+  EXPECT_EQ(status2.tasks_completed, 4242u);
+  // The termination inputs (pending i64, spawn_done u8, two empty
+  // vectors, pending_big u64), then the telemetry: 4 x u64 + 1 x u32.
+  EXPECT_EQ(EncodeRankStatus(RankStatus{}).size(), 8u + 1 + 8 + 8 + 8 + 36);
 
   uint32_t version = 0, rank = 0, world = 0, receiver = 0, epoch = 0;
   uint64_t pid = 0, want = 0;
@@ -383,9 +402,17 @@ TEST(WireFrameTest, ControlPayloadsRoundTrip) {
   EXPECT_EQ(receiver, 1u);
   EXPECT_EQ(want, 16u);
 
-  // Trailing garbage is corruption, not silence.
-  EXPECT_EQ(DecodeRankStatus(EncodeRankStatus(status) + "x", &status2)
+  // Trailing garbage and truncation are corruption, not silence; so is a
+  // spawn_done byte other than 0 or 1.
+  const std::string bytes = EncodeRankStatus(status);
+  EXPECT_EQ(DecodeRankStatus(bytes + "x", &status2).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRankStatus(bytes.substr(0, bytes.size() - 1), &status2)
                 .code(),
+            StatusCode::kCorruption);
+  std::string bad_flag = bytes;
+  bad_flag[8] = 2;
+  EXPECT_EQ(DecodeRankStatus(bad_flag, &status2).code(),
             StatusCode::kCorruption);
   // So is a sent_to length of 2^61 eight-byte counters, which wraps to 0
   // bytes in 64 bits: the decoder must not try to allocate it.
@@ -403,10 +430,6 @@ TEST(WireFrameTest, FaultTolerancePayloadsRoundTrip) {
   ASSERT_TRUE(DecodePeerHello(EncodePeerHello(3), &epoch).ok());
   EXPECT_EQ(epoch, 3u);
 
-  uint64_t seq = 0;
-  ASSERT_TRUE(DecodeHeartbeat(EncodeHeartbeat(0xFEEDull), &seq).ok());
-  EXPECT_EQ(seq, 0xFEEDull);
-
   uint32_t rank = 0;
   ASSERT_TRUE(DecodePeerEvent(EncodePeerEvent(2, 4), &rank, &epoch).ok());
   EXPECT_EQ(rank, 2u);
@@ -414,39 +437,168 @@ TEST(WireFrameTest, FaultTolerancePayloadsRoundTrip) {
 
   // Truncated payloads are corruption, never a read past the end.
   EXPECT_FALSE(DecodePeerEvent("abc", &rank, &epoch).ok());
-  EXPECT_FALSE(DecodeHeartbeat("", &seq).ok());
+  EXPECT_FALSE(DecodePeerHello("", &epoch).ok());
 }
 
-TEST(WireFrameTest, StatsSampleRoundTrip) {
-  WireStatsSample in;
-  in.epoch = 2;
-  in.ts_usec = 123456789;
-  in.queue_depth = 17;
-  in.inflight_bytes = 65536;
-  in.cache_hits = 1000;
-  in.cache_misses = 50;
-  in.busy_compers = 3;
-  in.tasks_completed = 4242;
-  in.pending = -7;  // the detector's pending count can go negative
+/// One encoded frame of every kind (index = kind), each with a payload of
+/// the shape its producer sends.
+std::vector<std::string> SeedFrames() {
+  Encoder port;
+  port.PutU32(40001);
+  Encoder ports;
+  ports.PutU32Vector({40000, 40001, 40002});
+  const std::string payloads[] = {
+      EncodeHello(4242),                               // kHello
+      EncodeAssign(1, 3, "job-spec", 2),               // kAssign
+      port.Release(),                                  // kListening
+      ports.Release(),                                 // kPeers
+      EncodePeerHello(2),                              // kPeerHello
+      "",                                              // kReady
+      "",                                              // kStart
+      EncodeRankStatus(NonDefaultStatus()),            // kStatus
+      EncodeStealCmd(2, 16),                           // kStealCmd
+      "",                                              // kTerminate
+      "report-bytes",                                  // kReport
+      DataMeta(1, 987654321) + "pull-request-bytes",  // kData
+      "rank 1 failed",                                 // kAbort
+      EncodePeerEvent(2, 1),                           // kPeerDown
+      EncodePeerEvent(2, 1),                           // kPeerUp
+  };
+  static_assert(std::size(payloads) ==
+                static_cast<size_t>(FrameKind::kPeerUp) + 1);
+  std::vector<std::string> frames;
+  for (size_t k = 0; k < std::size(payloads); ++k) {
+    frames.push_back(EncodeFrame(
+        Frame{static_cast<FrameKind>(k), static_cast<uint32_t>(k % 4),
+              payloads[k]}));
+  }
+  return frames;
+}
 
-  WireStatsSample out;
-  ASSERT_TRUE(DecodeStatsSample(EncodeStatsSample(in), &out).ok());
-  EXPECT_EQ(out.epoch, 2u);
-  EXPECT_EQ(out.ts_usec, 123456789u);
-  EXPECT_EQ(out.queue_depth, 17u);
-  EXPECT_EQ(out.inflight_bytes, 65536u);
-  EXPECT_EQ(out.cache_hits, 1000u);
-  EXPECT_EQ(out.cache_misses, 50u);
-  EXPECT_EQ(out.busy_compers, 3u);
-  EXPECT_EQ(out.tasks_completed, 4242u);
-  EXPECT_EQ(out.pending, -7);
+/// Runs the typed decoder of `frame`'s kind, where it has one.
+Status DecodeFramePayload(const Frame& frame) {
+  uint32_t u32a = 0, u32b = 0, u32c = 0;
+  uint64_t u64 = 0;
+  std::string text;
+  uint8_t type = 0;
+  RankStatus status;
+  switch (frame.kind) {
+    case FrameKind::kHello:
+      return DecodeHello(frame.payload, &u32a, &u64);
+    case FrameKind::kAssign:
+      return DecodeAssign(frame.payload, &u32a, &u32b, &text, &u32c);
+    case FrameKind::kPeerHello:
+      return DecodePeerHello(frame.payload, &u32a);
+    case FrameKind::kStatus:
+      return DecodeRankStatus(frame.payload, &status);
+    case FrameKind::kStealCmd:
+      return DecodeStealCmd(frame.payload, &u32a, &u64);
+    case FrameKind::kData:
+      return SplitDataFramePayload(frame.payload, &type, &u64, &text);
+    case FrameKind::kPeerDown:
+    case FrameKind::kPeerUp:
+      return DecodePeerEvent(frame.payload, &u32a, &u32b);
+    default:
+      return Status::OK();  // empty or opaque payload
+  }
+}
 
-  // Truncation and trailing garbage are corruption, never a silent
-  // partial decode.
-  const std::string bytes = EncodeStatsSample(in);
-  EXPECT_FALSE(
-      DecodeStatsSample(bytes.substr(0, bytes.size() - 1), &out).ok());
-  EXPECT_FALSE(DecodeStatsSample(bytes + "x", &out).ok());
+/// Rewrites the checksum of `frame` over its (mutated) payload, when its
+/// length field still fits the bytes, so the mutant gets past the
+/// checksum to the kind and payload checks.
+void ResealChecksum(std::string* frame) {
+  if (frame->size() < kWireHeaderBytes) return;
+  uint32_t len = 0;
+  std::memcpy(&len, frame->data() + 9, sizeof(len));
+  if (frame->size() < kWireHeaderBytes + uint64_t{len} + kWireTrailerBytes) {
+    return;
+  }
+  const uint64_t sum = Fingerprint(frame->data() + kWireHeaderBytes, len);
+  std::memcpy(frame->data() + kWireHeaderBytes + len, &sum, sizeof(sum));
+}
+
+// A worker and the coordinator decode frames straight off a socket. Every
+// kind byte outside the vocabulary is Corruption. Then seeded mutations
+// of one frame of every kind: flipped bits, overwritten bytes, cut tails
+// and appended bytes, a quarter of them with the checksum re-sealed.
+// DecodeFrame must end OK, Corruption or IOError (cut short), and the
+// typed decoder of a decoded frame's kind OK or Corruption, never abort.
+TEST(WireFrameTest, DecodersSurviveMutations) {
+  const std::vector<std::string> seeds = SeedFrames();
+  for (int k = 0; k < 256; ++k) {
+    std::string m = seeds[static_cast<size_t>(FrameKind::kStatus)];
+    m[4] = static_cast<char>(k);
+    Frame frame;
+    size_t pos = 0;
+    const Status s = DecodeFrame(m, &pos, &frame);
+    if (k <= static_cast<int>(FrameKind::kPeerUp)) {
+      EXPECT_TRUE(s.ok()) << "kind " << k << ": " << s.ToString();
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "kind " << k;
+    }
+  }
+
+  Rng rng(20261019);
+  int framed = 0;
+  int statuses = 0;
+  int statuses_rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Half the mutants start from the status frame, the one every rank
+    // sends every 0.5 ms.
+    std::string m =
+        seeds[rng.Uniform(2) == 0 ? static_cast<size_t>(FrameKind::kStatus)
+                                  : rng.Uniform(seeds.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const size_t pos = rng.Uniform(m.size());
+      switch (rng.Uniform(4)) {
+        case 0:
+          m[pos] = static_cast<char>(m[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          m[pos] = static_cast<char>(rng.Next());
+          break;
+        case 2:
+          m.resize(pos);
+          break;
+        default:
+          for (uint64_t n = 1 + rng.Uniform(16); n > 0; --n) {
+            m.push_back(static_cast<char>(rng.Next()));
+          }
+      }
+    }
+    if (rng.Uniform(4) == 0) ResealChecksum(&m);
+    Frame frame;
+    size_t pos = 0;
+    const Status s = DecodeFrame(m, &pos, &frame);
+    ASSERT_TRUE(s.ok() || s.code() == StatusCode::kCorruption ||
+                s.code() == StatusCode::kIOError)
+        << "mutation " << i << ": " << s.ToString();
+    if (m.size() >= kWireHeaderBytes &&
+        std::memcmp(m.data(), kWireMagic, sizeof(kWireMagic)) == 0 &&
+        static_cast<uint8_t>(m[4]) > static_cast<uint8_t>(FrameKind::kPeerUp)) {
+      ASSERT_EQ(s.code(), StatusCode::kCorruption) << "mutation " << i;
+    }
+    if (!s.ok()) {
+      ASSERT_EQ(pos, 0u) << "mutation " << i;  // a failure never advances
+      continue;
+    }
+    ++framed;
+    ASSERT_EQ(pos, kWireHeaderBytes + frame.payload.size() + kWireTrailerBytes)
+        << "mutation " << i;
+    const Status p = DecodeFramePayload(frame);
+    ASSERT_TRUE(p.ok() || p.code() == StatusCode::kCorruption)
+        << "mutation " << i << ": " << p.ToString();
+    if (frame.kind == FrameKind::kStatus) {
+      ++statuses;
+      statuses_rejected += !p.ok();
+    }
+  }
+  // Thousands of mutants pass the framing and reach the typed decoders,
+  // and the status decoder rejects a share of them by itself.
+  EXPECT_GT(framed, 2000);
+  EXPECT_GT(statuses, 1000);
+  EXPECT_GT(statuses_rejected, 100);
 }
 
 // ---------------------------------------------------------------------------
@@ -474,7 +626,6 @@ EngineConfig NonDefaultJobConfig() {
   config.record_task_log = true;
   config.checkpoint_dir = "/tmp/ckpt";
   config.checkpoint_interval_sec = 0.125;
-  config.heartbeat_usec = 50000;
   config.mining.gamma = 0.75;
   config.mining.min_size = 6;
   config.mining.use_lookahead = false;
@@ -506,7 +657,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_TRUE(out.record_task_log);
   EXPECT_EQ(out.checkpoint_dir, "/tmp/ckpt");
   EXPECT_EQ(out.checkpoint_interval_sec, 0.125);
-  EXPECT_EQ(out.heartbeat_usec, 50000);
   EXPECT_EQ(out.mining.gamma, 0.75);
   EXPECT_EQ(out.mining.min_size, 6u);
   EXPECT_FALSE(out.mining.use_lookahead);

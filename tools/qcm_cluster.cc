@@ -15,11 +15,11 @@
 //
 // `qcm_cluster --help` lists every flag. The engine and mining flags are
 // the table shared with qcm_mine (tools/cli.h) and mean the same thing
-// here; --workers, the heartbeat, checkpoint, snapshot and graph-budget
+// here; --workers, the checkpoint, restart, snapshot and graph-budget
 // knobs, --log-dir and --worker-bin are this tool's own. Flags only
 // parse: the whole configuration is checked once, by
-// EngineConfig::Validate(), before any worker starts, so e.g. a negative
-// --heartbeat-usec is rejected, not patched.
+// EngineConfig::Validate(), before any worker starts, so e.g. a zero
+// --checkpoint-interval is rejected, not patched.
 //
 // Graph distribution: the launcher packs the input's k-core
 // (CompactKCore and OrderByDegeneracy, graph/kcore.h: only the k-core
@@ -40,11 +40,12 @@
 // mining).
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
-// cluster (launcher recovery phases + every rank's spans + kStats counter
-// tracks; pid = rank). Workers write <path>.rank<R>.jsonl fragments which
-// the launcher stitches into <path> after the run and deletes. While the
-// run is live, the kStats stream also drives a one-line telemetry ticker
-// on stderr (cadence --stats-interval-ms; 0 disables both).
+// cluster (launcher recovery phases + every rank's spans + counter tracks
+// sampled from the ranks' statuses; pid = rank). Workers write
+// <path>.rank<R>.jsonl fragments which the launcher stitches into <path>
+// after the run and deletes. While the run is live, the same samples
+// print a telemetry line on stderr, at most every 250 ms (sampling
+// cadence --stats-interval-ms; 0 disables both).
 // --log-level sets the launcher's level; workers inherit QCM_LOG_LEVEL
 // from the environment, and every rank's EngineReport comes back inside
 // the launcher's --stats-json.
@@ -195,8 +196,6 @@ int main(int argc, char** argv) {
       flags.end(),
       {cli::Number("--workers", "N", &config.num_machines,
                    "worker processes (one machine each), at most 64"),
-       cli::Number("--heartbeat-usec", "N", &config.heartbeat_usec,
-                   "worker liveness beacon period; 0 disables"),
        cli::Number("--checkpoint-interval", "F",
                    &config.checkpoint_interval_sec,
                    "seconds between flushes of each rank's progress log"),
@@ -354,12 +353,51 @@ int main(int argc, char** argv) {
     // not hold a resident graph during the run.
   }
 
-  // Bind the control-plane listener before spawning anyone. Its liveness
+  // Bind the control-plane listener before spawning anyone. Its status
   // deadline is the backstop for wedged-but-alive workers; the child
   // watchdog below catches crashes far faster.
   CoordinatorConfig coord_config = CoordinatorConfigFor(config);
   coord_config.config_blob = EncodeJobSpec(config);
   coord_config.max_rank_restarts = max_rank_restarts;
+  // Live telemetry: each coordinator sample of the ranks' statuses
+  // appends pre-formatted counter event lines ("ph":"C", pid = rank) for
+  // the merged timeline when tracing, and prints a cross-rank telemetry
+  // line at most every 250 ms. Called on the RunToCompletion thread (this
+  // one).
+  std::vector<std::string> stats_events;
+  uint64_t telemetry_printed_usec = static_cast<uint64_t>(NowMicros());
+  coord_config.on_sample = [&](uint64_t ts_usec,
+                               const std::vector<RankStatus>& statuses) {
+    // ~7 small lines per sample per rank; a day-long run at the default
+    // 500 ms cadence stays well under typical trace sizes, but cap the
+    // buffer so a pathological cadence cannot eat RAM.
+    if (!trace_out.empty() && stats_events.size() <= 2'000'000) {
+      AppendStatsCounterEvents(ts_usec, statuses, &stats_events);
+    }
+    if (ts_usec < telemetry_printed_usec + 250'000) return;
+    telemetry_printed_usec = ts_usec;
+    unsigned long long pending = 0, queue = 0, busy = 0, inflight = 0,
+                       hits = 0, misses = 0, tasks = 0;
+    for (const RankStatus& st : statuses) {
+      if (st.pending > 0) pending += st.pending;
+      queue += st.pending_big;
+      busy += st.busy_compers;
+      inflight += st.inflight_bytes;
+      hits += st.cache_hits;
+      misses += st.cache_misses;
+      tasks += st.tasks_completed;
+    }
+    const double hit_pct = hits + misses == 0
+                               ? 100.0
+                               : 100.0 * static_cast<double>(hits) /
+                                     static_cast<double>(hits + misses);
+    std::fprintf(stderr,
+                 "telemetry: %zu ranks | pending %llu | big-queue %llu | "
+                 "busy %llu compers | in-flight %llu B | cache-hit %.1f%% | "
+                 "%llu tasks done\n",
+                 statuses.size(), pending, queue, busy, inflight, hit_pct,
+                 tasks);
+  };
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
     std::fprintf(stderr, "coordinator listen failed: %s\n",
@@ -466,27 +504,6 @@ int main(int argc, char** argv) {
         return Status::OK();
       });
 
-  // Live telemetry: every kStats frame updates the per-rank snapshot the
-  // ticker prints from and, when tracing, appends pre-formatted counter
-  // event lines ("ph":"C", pid = rank) for the merged timeline. The
-  // callback runs on per-rank receiver threads.
-  std::mutex stats_mu;
-  std::vector<WireStatsSample> latest_stats(num_workers);
-  std::vector<bool> stats_seen(num_workers, false);
-  std::vector<std::string> stats_events;
-  coordinator->SetStatsCallback(
-      [&](int rank, const WireStatsSample& sample) {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        latest_stats[rank] = sample;
-        stats_seen[rank] = true;
-        if (trace_out.empty()) return;
-        // ~7 small lines per sample per rank; a day-long run at the
-        // default 500 ms cadence stays well under typical trace sizes,
-        // but cap the buffer so a pathological cadence cannot eat RAM.
-        if (stats_events.size() > 2'000'000) return;
-        AppendStatsCounterEvents(rank, sample, &stats_events);
-      });
-
   // Child watchdog: a worker that dies mid-run is routed into the
   // coordinator's recovery path (before the handshake completes there is
   // nothing to recover into, so it still fails the run promptly).
@@ -496,11 +513,11 @@ int main(int argc, char** argv) {
   // them at once, so joining them never waits out a nap.
   std::mutex run_done_mu;
   std::condition_variable run_done_cv;
-  // Sleeps up to `ms` or until the run is done; returns whether it is.
+  // Sleeps up to `ms` or until the run is done.
   auto nap_until_done = [&](int64_t ms) {
     std::unique_lock<std::mutex> lock(run_done_mu);
-    return run_done_cv.wait_for(lock, std::chrono::milliseconds(ms),
-                                [&] { return run_done.load(); });
+    run_done_cv.wait_for(lock, std::chrono::milliseconds(ms),
+                         [&] { return run_done.load(); });
   };
   std::thread watchdog([&] {
     while (!run_done.load()) {
@@ -571,7 +588,7 @@ int main(int argc, char** argv) {
         kill_rank < num_workers) {
       killer = std::thread([&, kill_rank] {
         while (!run_done.load()) {
-          WireRankStatus status;
+          RankStatus status;
           if (handshake_done.load() &&
               coordinator->SnapshotStatus(kill_rank, &status) &&
               status.pending > 0) {
@@ -602,48 +619,6 @@ int main(int argc, char** argv) {
                    "rank)\n",
                    kill_rank_env);
     }
-  }
-
-  // Live one-line ticker: a cross-rank rollup of the latest kStats
-  // samples, printed at the sampling cadence once the first sample lands.
-  std::thread ticker;
-  if (config.stats_interval_ms > 0) {
-    ticker = std::thread([&] {
-      const int64_t interval_ms =
-          std::max<int64_t>(config.stats_interval_ms, 250);
-      while (!nap_until_done(interval_ms)) {
-        unsigned long long pending = 0, queue = 0, busy = 0, inflight = 0,
-                           hits = 0, misses = 0, tasks = 0;
-        int seen = 0;
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          for (int r = 0; r < num_workers; ++r) {
-            if (!stats_seen[r]) continue;
-            ++seen;
-            const WireStatsSample& s = latest_stats[r];
-            if (s.pending > 0) pending += s.pending;
-            queue += s.queue_depth;
-            busy += s.busy_compers;
-            inflight += s.inflight_bytes;
-            hits += s.cache_hits;
-            misses += s.cache_misses;
-            tasks += s.tasks_completed;
-          }
-        }
-        if (seen == 0) continue;
-        const double hit_pct =
-            hits + misses == 0
-                ? 100.0
-                : 100.0 * static_cast<double>(hits) /
-                      static_cast<double>(hits + misses);
-        std::fprintf(stderr,
-                     "telemetry: %d/%d ranks | pending %llu | big-queue "
-                     "%llu | busy %llu compers | in-flight %llu B | "
-                     "cache-hit %.1f%% | %llu tasks done\n",
-                     seen, num_workers, pending, queue, busy, inflight,
-                     hit_pct, tasks);
-      }
-    });
   }
 
   // Handshake, then drive the run to global termination.
@@ -678,7 +653,6 @@ int main(int argc, char** argv) {
   run_done_cv.notify_all();
   watchdog.join();
   if (killer.joinable()) killer.join();
-  if (ticker.joinable()) ticker.join();
   coordinator->Close();
 
   // Reap every live worker; a nonzero exit of a CURRENT incarnation fails
@@ -799,7 +773,7 @@ int main(int argc, char** argv) {
   }
 
   // Stitch the per-rank fragments, the launcher's own events (recovery
-  // spans, under a pid past every rank), the kStats counter tracks, and
+  // spans, under a pid past every rank), the sampled counter tracks, and
   // rank-naming metadata into ONE Perfetto-loadable timeline.
   if (!trace_out.empty()) {
     std::vector<std::string> fragments;
@@ -807,11 +781,7 @@ int main(int argc, char** argv) {
       fragments.push_back(trace_out + ".rank" + std::to_string(r) +
                           ".jsonl");
     }
-    std::vector<std::string> extra;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      extra = std::move(stats_events);
-    }
+    std::vector<std::string> extra = std::move(stats_events);
     const int launcher_pid = num_workers;
     const std::string drained = trace::DrainJsonLines(launcher_pid);
     for (size_t start = 0; start < drained.size();) {

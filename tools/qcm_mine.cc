@@ -23,7 +23,6 @@
 // in-process and multi-process (qcm_cluster) runs.
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -150,19 +149,18 @@ int main(int argc, char** argv) {
           static_cast<unsigned long>(report->stats.bitset_words_touched));
     }
   } else {
-    // With --trace-out, every rank's kStats samples become counter tracks
-    // (pid = rank) of the timeline.
-    std::mutex stats_mu;
-    Coordinator::StatsCallback on_stats;
+    // With --trace-out, the coordinator's samples of every rank's status
+    // become counter tracks (pid = rank) of the timeline.
+    StatusSampler on_sample;
     if (!config.trace_out.empty()) {
-      on_stats = [&](int rank, const WireStatsSample& sample) {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        AppendStatsCounterEvents(rank, sample, &stats_events);
+      on_sample = [&](uint64_t ts_usec,
+                      const std::vector<RankStatus>& statuses) {
+        AppendStatsCounterEvents(ts_usec, statuses, &stats_events);
       };
     }
     // The raw candidates are filtered once, below, like the serial ones.
     QCApp app(config);
-    auto report = RunLocalCluster(graph, config, &app, std::move(on_stats));
+    auto report = RunLocalCluster(graph, config, &app, std::move(on_sample));
     if (!report.ok()) {
       std::fprintf(stderr, "mining failed: %s\n",
                    report.status().ToString().c_str());

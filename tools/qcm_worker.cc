@@ -178,10 +178,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
 
-  // Liveness beacons must flow before the engine starts the transport:
-  // the coordinator's deadline for this rank is already armed.
-  transport->SetHeartbeatInterval(config.heartbeat_usec);
-
   const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK");
   int kill_rank = -1;
   const bool fault_victim =
