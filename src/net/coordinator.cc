@@ -15,6 +15,17 @@ namespace qcm {
 
 namespace {
 
+/// RunToCompletion's sweep cadence (termination, steals, liveness,
+/// telemetry).
+constexpr std::chrono::milliseconds kSweepPeriod{1};
+
+/// kPeers payload: the peer listener port of every rank.
+std::string EncodePeers(const std::vector<uint32_t>& ports) {
+  Encoder enc;
+  enc.PutU32Vector(ports);
+  return enc.Release();
+}
+
 /// v[idx] with absent entries reading as zero (a status published before
 /// a world resize, or a replacement's first sweeps).
 uint64_t VecAt(const std::vector<uint64_t>& v, size_t idx) {
@@ -114,97 +125,91 @@ Status Coordinator::RunHandshake() {
 Status Coordinator::Handshake() {
   const int world = config_.world_size;
 
-  // Accept and rank-assign in connection order. The accept poll is kept
-  // short so an Abort() (a worker process died before connecting) fails
-  // the handshake promptly instead of after the full timeout.
+  // Ranks are assigned in connection order.
   for (int rank = 0; rank < world; ++rank) {
-    WallTimer waited;
-    int accepted = -1;
-    while (accepted < 0) {
-      if (failed_.load()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        return Status::Aborted(failure_);
-      }
-      auto fd = AcceptTcp(listen_fd_, 0.1);
-      if (fd.ok()) {
-        accepted = fd.value();
-        break;
-      }
-      if (fd.status().message() != "accept timed out") return fd.status();
-      if (waited.Seconds() > config_.timeout_sec) return fd.status();
-    }
-    WorkerSlot& slot = workers_[rank];
-    slot.fd = accepted;
-    SetRecvTimeout(slot.fd, config_.timeout_sec);
-    Frame frame;
-    QCM_RETURN_IF_ERROR(ReadFrame(slot.fd, &frame));
-    if (frame.kind != FrameKind::kHello) {
-      return Status::Corruption(std::string("expected hello, got ") +
-                                FrameKindName(frame.kind));
-    }
-    uint32_t version = 0;
-    uint64_t pid = 0;
-    QCM_RETURN_IF_ERROR(DecodeHello(frame.payload, &version, &pid));
-    if (version != kWireProtocolVersion) {
-      return Status::InvalidArgument(
-          "worker speaks wire protocol v" + std::to_string(version) +
-          ", coordinator expects v" + std::to_string(kWireProtocolVersion));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      rank_pid_[rank] = pid;
-    }
-    QCM_RETURN_IF_ERROR(WriteFrame(
-        slot.fd,
-        Frame{FrameKind::kAssign, kCoordinatorRank,
-              EncodeAssign(static_cast<uint32_t>(rank),
-                           static_cast<uint32_t>(world), config_.config_blob,
-                           /*epoch=*/0)}));
+    QCM_RETURN_IF_ERROR(Admit(rank, /*epoch=*/0));
   }
-
-  // Collect peer listener ports, then publish the full port map.
-  for (int rank = 0; rank < world; ++rank) {
-    Frame frame;
-    QCM_RETURN_IF_ERROR(ReadFrame(workers_[rank].fd, &frame));
-    if (frame.kind != FrameKind::kListening) {
-      return Status::Corruption(std::string("expected listening, got ") +
-                                FrameKindName(frame.kind));
-    }
-    Decoder dec(frame.payload);
-    QCM_RETURN_IF_ERROR(dec.GetU32(&peer_ports_[rank]));
-  }
-  {
-    Encoder enc;
-    enc.PutU32Vector(peer_ports_);
-    QCM_RETURN_IF_ERROR(Broadcast(FrameKind::kPeers, enc.Release()));
-  }
+  QCM_RETURN_IF_ERROR(
+      Broadcast(FrameKind::kPeers, EncodePeers(peer_ports_)));
 
   // Mesh barrier: every rank reports ready, then all start together.
+  Frame frame;
   for (int rank = 0; rank < world; ++rank) {
-    Frame frame;
-    QCM_RETURN_IF_ERROR(ReadFrame(workers_[rank].fd, &frame));
-    if (frame.kind != FrameKind::kReady) {
-      return Status::Corruption(std::string("expected ready, got ") +
-                                FrameKindName(frame.kind));
-    }
+    QCM_RETURN_IF_ERROR(
+        ReadFrameOfKind(workers_[rank].fd, FrameKind::kReady, &frame));
   }
+  for (int rank = 0; rank < world; ++rank) StartRank(rank);
   QCM_RETURN_IF_ERROR(Broadcast(FrameKind::kStart, {}));
-
-  // Hand each connection to its receiver thread; liveness deadlines arm
-  // at the barrier release.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int rank = 0; rank < world; ++rank) {
-      liveness_->Arm(rank, NowSec());
-    }
-  }
-  for (int rank = 0; rank < world; ++rank) {
-    SetRecvTimeout(workers_[rank].fd, 0);
-    workers_[rank].recv_thread =
-        std::thread([this, rank] { RecvLoop(rank); });
-  }
   handshake_done_ = true;
   return Status::OK();
+}
+
+Status Coordinator::Admit(int rank, uint32_t epoch) {
+  // The accept poll is kept short so an Abort() (a worker process died
+  // before connecting) fails the admission promptly instead of after the
+  // full timeout.
+  WallTimer waited;
+  int fd = -1;
+  while (fd < 0) {
+    if (failed_.load()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      return Status::Aborted(failure_);
+    }
+    auto accepted = AcceptTcp(listen_fd_, 0.1);
+    if (accepted.ok()) {
+      fd = accepted.value();
+    } else if (accepted.status().message() != "accept timed out") {
+      return accepted.status();
+    } else if (waited.Seconds() > config_.timeout_sec) {
+      return Status::IOError("timed out waiting for rank " +
+                             std::to_string(rank) + " to connect");
+    }
+  }
+  WorkerSlot& slot = workers_[rank];
+  slot.fd = fd;
+  SetRecvTimeout(slot.fd, config_.timeout_sec);
+
+  Frame frame;
+  QCM_RETURN_IF_ERROR(ReadFrameOfKind(slot.fd, FrameKind::kHello, &frame));
+  uint32_t version = 0;
+  uint64_t pid = 0;
+  QCM_RETURN_IF_ERROR(DecodeHello(frame.payload, &version, &pid));
+  if (version != kWireProtocolVersion) {
+    return Status::InvalidArgument(
+        "worker speaks wire protocol v" + std::to_string(version) +
+        ", coordinator expects v" + std::to_string(kWireProtocolVersion));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    rank_pid_[rank] = pid;
+  }
+  QCM_RETURN_IF_ERROR(WriteFrame(
+      slot.fd, Frame{FrameKind::kAssign, kCoordinatorRank,
+                     EncodeAssign(static_cast<uint32_t>(rank),
+                                  static_cast<uint32_t>(config_.world_size),
+                                  config_.config_blob, epoch)}));
+  // A worker opens its peer listener and reports it as soon as it is
+  // assigned, so waiting for it here holds up no other rank.
+  QCM_RETURN_IF_ERROR(
+      ReadFrameOfKind(slot.fd, FrameKind::kListening, &frame));
+  Decoder dec(frame.payload);
+  return dec.GetU32(&peer_ports_[rank]);
+}
+
+void Coordinator::StartRank(int rank) {
+  WorkerSlot& slot = workers_[rank];
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    slot.status = RankStatus{};
+    slot.status_seq = 0;
+    slot.report_received = false;
+    slot.report.clear();
+    slot.disconnected = false;
+    slot.superseded = false;
+    liveness_->Arm(rank, NowSec());
+  }
+  SetRecvTimeout(slot.fd, 0);
+  slot.recv_thread = std::thread([this, rank] { RecvLoop(rank); });
 }
 
 void Coordinator::RecvLoop(int rank) {
@@ -318,7 +323,6 @@ void Coordinator::RequestRecovery(int rank, const char* method) {
 
 Status Coordinator::RecoverRank(const PendingRecovery& death) {
   const int rank = death.rank;
-  const int world = config_.world_size;
   WallTimer recovery_timer;
   QCM_TRACE_SPAN(trace::kRecovery, "recover_rank", rank);
   uint32_t epoch = 0;
@@ -326,6 +330,9 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
     std::lock_guard<std::mutex> lock(mu_);
     epoch = ++rank_epoch_[rank];
   }
+  const std::string peer_event =
+      EncodePeerEvent(static_cast<uint32_t>(rank), epoch);
+  WorkerSlot& slot = workers_[rank];
 
   {
     QCM_TRACE_SPAN(trace::kRecovery, "recover_kill", rank);
@@ -336,121 +343,42 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
 
     // 2. Tear down the old control connection (its RecvLoop sees
     // superseded and exits quietly).
-    WorkerSlot& slot0 = workers_[rank];
-    ShutdownSocket(slot0.fd);
-    if (slot0.recv_thread.joinable()) slot0.recv_thread.join();
-    CloseSocket(slot0.fd);
-    slot0.fd = -1;
+    ShutdownSocket(slot.fd);
+    if (slot.recv_thread.joinable()) slot.recv_thread.join();
+    CloseSocket(slot.fd);
+    slot.fd = -1;
 
     // 3. Survivors quiesce the dead pair: their transports drop the
     // connection, reset sent_to[rank], and re-inject retained steal
     // batches (engine OnPeerDown).
-    const std::string down =
-        EncodePeerEvent(static_cast<uint32_t>(rank), epoch);
-    for (int r = 0; r < world; ++r) {
-      if (r == rank) continue;
-      QCM_RETURN_IF_ERROR(SendTo(r, FrameKind::kPeerDown, down));
-    }
+    QCM_RETURN_IF_ERROR(Broadcast(FrameKind::kPeerDown, peer_event, rank));
   }
-  WorkerSlot& slot = workers_[rank];
 
   QCM_TRACE_SPAN(trace::kRecovery, "recover_relaunch", rank);
-  // 4. Launch the replacement and walk it through the same handshake the
-  // original got, with the bumped epoch (its transport then dials every
-  // survivor instead of accepting).
+  // 4. Launch the replacement and admit it as the original was, with the
+  // bumped epoch (its transport then dials every survivor instead of
+  // accepting).
   QCM_RETURN_IF_ERROR(relaunch_cb_(rank));
-
-  WallTimer waited;
-  int accepted = -1;
-  while (accepted < 0) {
-    if (failed_.load()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return Status::Aborted(failure_);
-    }
-    auto fd = AcceptTcp(listen_fd_, 0.1);
-    if (fd.ok()) {
-      accepted = fd.value();
-      break;
-    }
-    if (fd.status().message() != "accept timed out") return fd.status();
-    if (waited.Seconds() > config_.timeout_sec) {
-      return Status::IOError("timed out waiting for rank " +
-                             std::to_string(rank) + " replacement");
-    }
-  }
-  slot.fd = accepted;
-  SetRecvTimeout(slot.fd, config_.timeout_sec);
-
-  Frame frame;
-  QCM_RETURN_IF_ERROR(ReadFrame(slot.fd, &frame));
-  if (frame.kind != FrameKind::kHello) {
-    return Status::Corruption(std::string("expected hello, got ") +
-                              FrameKindName(frame.kind));
-  }
-  uint32_t version = 0;
-  uint64_t pid = 0;
-  QCM_RETURN_IF_ERROR(DecodeHello(frame.payload, &version, &pid));
-  if (version != kWireProtocolVersion) {
-    return Status::InvalidArgument("replacement speaks wire protocol v" +
-                                   std::to_string(version));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rank_pid_[rank] = pid;
-  }
-  QCM_RETURN_IF_ERROR(WriteFrame(
-      slot.fd, Frame{FrameKind::kAssign, kCoordinatorRank,
-                     EncodeAssign(static_cast<uint32_t>(rank),
-                                  static_cast<uint32_t>(world),
-                                  config_.config_blob, epoch)}));
-  QCM_RETURN_IF_ERROR(ReadFrame(slot.fd, &frame));
-  if (frame.kind != FrameKind::kListening) {
-    return Status::Corruption(std::string("expected listening, got ") +
-                              FrameKindName(frame.kind));
-  }
-  {
-    Decoder dec(frame.payload);
-    QCM_RETURN_IF_ERROR(dec.GetU32(&peer_ports_[rank]));
-  }
-  {
-    Encoder enc;
-    enc.PutU32Vector(peer_ports_);
-    QCM_RETURN_IF_ERROR(WriteFrame(
-        slot.fd, Frame{FrameKind::kPeers, kCoordinatorRank, enc.Release()}));
-  }
+  QCM_RETURN_IF_ERROR(Admit(rank, epoch));
+  QCM_RETURN_IF_ERROR(
+      SendTo(rank, FrameKind::kPeers, EncodePeers(peer_ports_)));
   // kReady arrives only after the replacement has dialed every survivor,
   // so the mesh is complete here.
-  QCM_RETURN_IF_ERROR(ReadFrame(slot.fd, &frame));
-  if (frame.kind != FrameKind::kReady) {
-    return Status::Corruption(std::string("expected ready, got ") +
-                              FrameKindName(frame.kind));
-  }
+  Frame frame;
+  QCM_RETURN_IF_ERROR(ReadFrameOfKind(slot.fd, FrameKind::kReady, &frame));
 
-  // 5. Reset the slot's bookkeeping and hand the connection to a fresh
-  // receiver before releasing the replacement.
+  // 5. Start the replacement's receiver before releasing it.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot.status = RankStatus{};
-    slot.status_seq = 0;
-    slot.report_received = false;
-    slot.report.clear();
-    slot.disconnected = false;
-    slot.superseded = false;
-    liveness_->Arm(rank, NowSec());
     ++restarts_[rank];
   }
-  SetRecvTimeout(slot.fd, 0);
-  slot.recv_thread = std::thread([this, rank] { RecvLoop(rank); });
+  StartRank(rank);
   QCM_RETURN_IF_ERROR(SendTo(rank, FrameKind::kStart, {}));
 
   // 6. Survivors re-open the pair: their transports wait for the
   // replacement's dial (already done -- kReady proves it) and re-request
   // in-flight pulls (engine OnPeerUp).
-  const std::string up = EncodePeerEvent(static_cast<uint32_t>(rank), epoch);
-  for (int r = 0; r < world; ++r) {
-    if (r == rank) continue;
-    QCM_RETURN_IF_ERROR(SendTo(r, FrameKind::kPeerUp, up));
-  }
+  QCM_RETURN_IF_ERROR(Broadcast(FrameKind::kPeerUp, peer_event, rank));
 
   RecoveryEvent event;
   event.rank = rank;
@@ -494,9 +422,10 @@ bool Coordinator::SnapshotStatus(int rank, RankStatus* out) const {
   return true;
 }
 
-Status Coordinator::Broadcast(FrameKind kind, const std::string& payload) {
+Status Coordinator::Broadcast(FrameKind kind, const std::string& payload,
+                              int except) {
   for (int rank = 0; rank < config_.world_size; ++rank) {
-    QCM_RETURN_IF_ERROR(SendTo(rank, kind, payload));
+    if (rank != except) QCM_RETURN_IF_ERROR(SendTo(rank, kind, payload));
   }
   return Status::OK();
 }
@@ -530,8 +459,7 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
   double last_sample_sec = -1.0;  // none yet
 
   while (!failed_.load()) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::max(config_.sweep_period_sec, 1e-5)));
+    std::this_thread::sleep_for(kSweepPeriod);
 
     // Liveness first: declare status-silent ranks dead, then run any
     // queued recoveries inline (steal mastering and termination

@@ -5,7 +5,7 @@
 // It accepts exactly `world_size` workers, runs the rank-assignment
 // handshake (wire.h), releases the start barrier, and then drives four
 // periodic jobs off the workers' kStatus streams (each rank's only
-// periodic upward frame):
+// periodic upward frame), in one sweep every millisecond:
 //
 //   * Distributed termination detection. A sweep is quiescent when every
 //     rank reported pending == 0 and spawn_done and, for every ordered
@@ -35,13 +35,22 @@
 //     reported dead by the launcher's child watchdog (OnRankDeath) is
 //     recovered in place when recovery callbacks are installed: the old
 //     process is killed, survivors get kPeerDown {rank, epoch+1}, a
-//     replacement is launched and walked through the same handshake with
+//     replacement is launched and admitted through the same Admit with
 //     the bumped epoch (it re-dials every survivor; its checkpoint replay
 //     restores its durable progress), and survivors get kPeerUp once the
 //     replacement is wired. Steal mastering and termination confirmation
 //     naturally pause until the replacement publishes its first status.
 //     Without callbacks -- or past max_rank_restarts -- a death fails the
 //     run loudly, exactly like the pre-recovery behavior.
+//
+// A rank joins the job one way, at first launch and as a replacement
+// alike: Admit(rank, epoch) accepts its connection (polling, so an Abort
+// ends the wait), checks the protocol version in its kHello, records its
+// pid, sends kAssign {rank, world, job, epoch} and reads its kListening
+// port; kPeers and the kReady barrier follow, and StartRank(rank) resets
+// the slot, arms its liveness deadline and starts its receiver before
+// kStart releases the rank. Every bring-up read names the frame kind it
+// expects (ReadFrameOfKind, wire.h).
 //
 // After kTerminate it collects one kReport per rank and hands the payloads
 // to the caller (tools/qcm_cluster merges them; the in-process launcher
@@ -76,8 +85,6 @@ struct CoordinatorConfig {
   int world_size = 0;
   /// Opaque job configuration delivered to every worker with its rank.
   std::string config_blob;
-  /// Termination-detection sweep cadence.
-  double sweep_period_sec = 0.001;
   /// Steal-mastering period; <= 0 disables stealing.
   double steal_period_sec = 0.02;
   /// Max tasks per steal command (the engine's batch size C).
@@ -126,7 +133,6 @@ class LivenessTracker {
   double SilenceSec(int rank, double now_sec) const;
 
   bool IsDead(int rank) const { return dead_[rank]; }
-  double deadline_sec() const { return deadline_sec_; }
 
  private:
   double deadline_sec_;
@@ -241,9 +247,16 @@ class Coordinator {
 
   /// RunHandshake's steps.
   Status Handshake();
+  /// Admits the next connection into slot `rank` as incarnation `epoch`
+  /// (see the file comment); the caller then sends kPeers, reads kReady,
+  /// calls StartRank and sends kStart.
+  Status Admit(int rank, uint32_t epoch);
+  void StartRank(int rank);
   void RecvLoop(int rank);
   void Fail(const std::string& reason);
-  Status Broadcast(FrameKind kind, const std::string& payload);
+  /// Sends one frame to every rank but `except`.
+  Status Broadcast(FrameKind kind, const std::string& payload,
+                   int except = -1);
   Status SendTo(int rank, FrameKind kind, const std::string& payload);
   /// Declares `rank` dead (idempotent) and queues it for recovery; fails
   /// the run instead when recovery is unavailable or exhausted.

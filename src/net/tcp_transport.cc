@@ -58,11 +58,8 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::ConnectWorker(
       t->coord_fd_, Frame{FrameKind::kHello, kUnassignedRank,
                           EncodeHello(static_cast<uint64_t>(::getpid()))}));
   Frame frame;
-  QCM_RETURN_IF_ERROR(ReadFrame(t->coord_fd_, &frame));
-  if (frame.kind != FrameKind::kAssign) {
-    return Status::Corruption(std::string("expected assign, got ") +
-                              FrameKindName(frame.kind));
-  }
+  QCM_RETURN_IF_ERROR(
+      ReadFrameOfKind(t->coord_fd_, FrameKind::kAssign, &frame));
   uint32_t rank = 0;
   uint32_t world = 0;
   QCM_RETURN_IF_ERROR(DecodeAssign(frame.payload, &rank, &world,
@@ -97,65 +94,63 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::ConnectWorker(
     QCM_RETURN_IF_ERROR(WriteFrame(
         t->coord_fd_, Frame{FrameKind::kListening, rank, enc.Release()}));
   }
-  Status peers_status = ReadFrame(t->coord_fd_, &frame);
+  QCM_RETURN_IF_ERROR(
+      ReadFrameOfKind(t->coord_fd_, FrameKind::kPeers, &frame));
   std::vector<uint32_t> ports;
-  if (peers_status.ok() && frame.kind != FrameKind::kPeers) {
-    peers_status = Status::Corruption(std::string("expected peers, got ") +
-                                      FrameKindName(frame.kind));
+  QCM_RETURN_IF_ERROR(Decoder(frame.payload).GetU32Vector(&ports));
+  if (ports.size() != world) {
+    return Status::Corruption("peer port list size mismatch");
   }
-  if (peers_status.ok()) {
-    Decoder dec(frame.payload);
-    peers_status = dec.GetU32Vector(&ports);
-    if (peers_status.ok() && ports.size() != world) {
-      peers_status = Status::Corruption("peer port list size mismatch");
-    }
-  }
-  QCM_RETURN_IF_ERROR(peers_status);
 
   // 3. build the mesh. First incarnation: dial every lower rank, accept
   // every higher one (a deterministic pairing with no dial/accept
   // races). Replacement incarnation: every survivor is already up with a
-  // persistent accept loop, so dial ALL of them and accept none.
-  Status mesh_status;
+  // persistent accept loop, so dial ALL of them and accept none. A step
+  // that fails returns at once; the transport's destructor closes every
+  // socket it holds.
   const bool dial_all = t->epoch_ > 0;
-  for (uint32_t r = 0; r < world && mesh_status.ok(); ++r) {
-    if (r == rank) continue;
-    if (!dial_all && r > rank) continue;
+  for (uint32_t r = 0; r < world; ++r) {
+    if (r == rank || (!dial_all && r > rank)) continue;
     auto fd = ConnectTcpRetry(host, static_cast<uint16_t>(ports[r]));
-    mesh_status = fd.status();
-    if (!mesh_status.ok()) break;
+    QCM_RETURN_IF_ERROR(fd.status());
     t->peer_fds_[r] = fd.value();
-    mesh_status = WriteFrame(
+    QCM_RETURN_IF_ERROR(WriteFrame(
         fd.value(),
-        Frame{FrameKind::kPeerHello, rank, EncodePeerHello(t->epoch_)});
+        Frame{FrameKind::kPeerHello, rank, EncodePeerHello(t->epoch_)}));
   }
-  for (uint32_t i = rank + 1; i < world && mesh_status.ok() && !dial_all;
-       ++i) {
+  for (uint32_t i = rank + 1; i < world && !dial_all; ++i) {
     auto fd = AcceptTcp(t->listen_fd_, kHandshakeTimeoutSec);
-    mesh_status = fd.status();
-    if (!mesh_status.ok()) break;
-    SetRecvTimeout(fd.value(), kHandshakeTimeoutSec);
-    Frame hello;
-    mesh_status = ReadFrame(fd.value(), &hello);
-    uint32_t hello_epoch = 0;
-    if (mesh_status.ok()) {
-      mesh_status = DecodePeerHello(hello.payload, &hello_epoch);
+    QCM_RETURN_IF_ERROR(fd.status());
+    int peer = -1;
+    uint32_t peer_epoch = 0;
+    Status s = t->ReadPeerHello(fd.value(), &peer, &peer_epoch);
+    if (s.ok() && (peer < static_cast<int>(rank) || t->peer_fds_[peer] != -1)) {
+      s = Status::Corruption("unexpected peer hello from rank " +
+                             std::to_string(peer));
     }
-    if (mesh_status.ok() && (hello.kind != FrameKind::kPeerHello ||
-                             hello.src >= world || hello.src <= rank ||
-                             t->peer_fds_[hello.src] != -1)) {
-      mesh_status = Status::Corruption("bad peer hello");
-    }
-    if (!mesh_status.ok()) {
+    if (!s.ok()) {
       CloseSocket(fd.value());
-      break;
+      return s;
     }
-    SetRecvTimeout(fd.value(), 0);
-    t->peer_fds_[hello.src] = fd.value();
+    t->peer_fds_[peer] = fd.value();
   }
-  QCM_RETURN_IF_ERROR(mesh_status);
   SetRecvTimeout(t->coord_fd_, 0);
   return t;
+}
+
+Status TcpTransport::ReadPeerHello(int fd, int* peer, uint32_t* epoch) const {
+  SetRecvTimeout(fd, kHandshakeTimeoutSec);
+  Frame hello;
+  QCM_RETURN_IF_ERROR(ReadFrameOfKind(fd, FrameKind::kPeerHello, &hello));
+  if (hello.src >= static_cast<uint32_t>(world_size_) ||
+      hello.src == static_cast<uint32_t>(rank_)) {
+    return Status::Corruption("peer hello from bad rank " +
+                              std::to_string(hello.src));
+  }
+  QCM_RETURN_IF_ERROR(DecodePeerHello(hello.payload, epoch));
+  *peer = static_cast<int>(hello.src);
+  SetRecvTimeout(fd, 0);
+  return Status::OK();
 }
 
 TcpTransport::~TcpTransport() { Shutdown(); }
@@ -177,11 +172,7 @@ Status TcpTransport::Start() {
       Frame{FrameKind::kReady, static_cast<uint32_t>(rank_), {}}));
   SetRecvTimeout(coord_fd_, kHandshakeTimeoutSec);
   Frame frame;
-  QCM_RETURN_IF_ERROR(ReadFrame(coord_fd_, &frame));
-  if (frame.kind != FrameKind::kStart) {
-    return Status::Corruption(std::string("expected start, got ") +
-                              FrameKindName(frame.kind));
-  }
+  QCM_RETURN_IF_ERROR(ReadFrameOfKind(coord_fd_, FrameKind::kStart, &frame));
   SetRecvTimeout(coord_fd_, 0);
   started_.store(true);
   coord_recv_thread_ = std::thread([this] { RecvCoordinatorLoop(); });
@@ -254,7 +245,6 @@ Status TcpTransport::SendData(int dst, uint8_t type, std::string payload) {
     // covers, so sent_to[dst] >= the peer's processed_from[us] in every
     // snapshot the termination detector takes.
     ++sent_to_[dst];
-    data_frames_sent_.fetch_add(1, std::memory_order_acq_rel);
     // Span covers the write syscall(s) of this frame; arg = frame bytes.
     QCM_TRACE_SPAN(trace::kNet, "frame_write", frame_bytes);
     s = WriteFrameSlices(fd, slices, &syscalls);
@@ -415,28 +405,19 @@ void TcpTransport::AcceptLoop() {
       CloseSocket(fd.value());
       return;
     }
-    SetRecvTimeout(fd.value(), kHandshakeTimeoutSec);
-    Frame hello;
+    int peer = -1;
     uint32_t hello_epoch = 0;
-    Status s = ReadFrame(fd.value(), &hello);
-    if (s.ok() && (hello.kind != FrameKind::kPeerHello ||
-                   hello.src >= static_cast<uint32_t>(world_size_) ||
-                   hello.src == static_cast<uint32_t>(rank_))) {
-      s = Status::Corruption("bad peer hello");
-    }
-    if (s.ok()) s = DecodePeerHello(hello.payload, &hello_epoch);
+    Status s = ReadPeerHello(fd.value(), &peer, &hello_epoch);
     if (!s.ok()) {
       QCM_WLOG << "rank " << rank_ << ": rejected inbound peer connection: "
                << s.ToString();
       CloseSocket(fd.value());
       continue;
     }
-    const int peer = static_cast<int>(hello.src);
     // The replacement's hello can outrun the coordinator's kPeerDown
     // (different connections): run the down transition here first. A
     // no-op when kPeerDown already did it.
     MarkPeerDown(peer, hello_epoch);
-    SetRecvTimeout(fd.value(), 0);
     bool accepted = false;
     {
       std::lock_guard<std::mutex> lock(*peer_mus_[peer]);

@@ -6,9 +6,12 @@
 // worker (epoch 0) dials every lower rank and accepts every higher one; a
 // replacement worker (epoch > 0, relaunched by the coordinator after its
 // predecessor crashed) dials every peer and accepts none -- the survivors'
-// persistent accept threads swap the new connection in. Start() then
-// releases the start barrier (kReady / kStart) and spawns the receive
-// threads and the persistent peer-accept thread.
+// persistent accept threads swap the new connection in. Every accepted
+// peer connection, in bring-up and in the persistent accept loop alike,
+// is identified by one ReadPeerHello, and every bring-up read from the
+// coordinator names the kind it expects (ReadFrameOfKind, wire.h).
+// Start() then releases the start barrier (kReady / kStart) and spawns
+// the receive threads and the persistent peer-accept thread.
 //
 // Data plane: SendData frames one CommFabric message per kData frame and
 // writes it on the calling thread, straight onto the rank-to-rank socket
@@ -79,9 +82,6 @@ class TcpTransport : public Transport {
   void SetControlHooks(ControlHooks hooks) override;
   Status Start() override;
   Status SendData(int dst, uint8_t type, std::string payload) override;
-  uint64_t DataFramesSent() const override {
-    return data_frames_sent_.load(std::memory_order_acquire);
-  }
   TransportFlushStats FlushStats() const override;
   void PublishStatus(const RankStatus& status) override;
   bool healthy() const override { return !failed(); }
@@ -119,6 +119,11 @@ class TcpTransport : public Transport {
  private:
   TcpTransport() = default;
 
+  /// Reads a dialing peer's kPeerHello on the accepted `fd` (bounded by
+  /// the bring-up timeout, which it clears on success): the peer's rank,
+  /// from the frame's src, and its incarnation epoch. Corruption for any
+  /// other frame kind or a src that names this rank or no rank.
+  Status ReadPeerHello(int fd, int* peer, uint32_t* epoch) const;
   void RecvCoordinatorLoop();
   /// Reads data frames from one incarnation of a peer; `fd` is fixed for
   /// the thread's lifetime (a replacement's connection gets a new
@@ -178,7 +183,6 @@ class TcpTransport : public Transport {
   DataHandler data_handler_;
   ControlHooks hooks_;
 
-  std::atomic<uint64_t> data_frames_sent_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> terminate_received_{false};
   std::atomic<bool> failed_{false};

@@ -134,8 +134,8 @@ class Transport {
   /// start barrier). Returns once data and control frames may flow.
   virtual Status Start() = 0;
 
-  /// Ships one fabric message to `dst`'s process. Increments the
-  /// sent-frame counter before the bytes can reach the destination.
+  /// Ships one fabric message to `dst`'s process. Counts it in the
+  /// status's sent_to[dst] before the bytes can reach the destination.
   /// Takes the payload by value so callers can std::move it in; the TCP
   /// transport writes the frame straight from that buffer with one
   /// scatter-gather write before returning — no second copy of the
@@ -144,9 +144,6 @@ class Transport {
   /// counted (the recovery protocol replays or re-requests what matters);
   /// it still returns OK.
   virtual Status SendData(int dst, uint8_t type, std::string payload) = 0;
-
-  /// Data frames handed to the wire so far.
-  virtual uint64_t DataFramesSent() const = 0;
 
   /// False while `peer` is marked dead (between its peer-down and
   /// peer-up transitions). Engines consult this before volunteering work

@@ -272,6 +272,15 @@ Status ReadFrame(int fd, Frame* frame) {
   return DecodeFrame(buf, &pos, frame);
 }
 
+Status ReadFrameOfKind(int fd, FrameKind want, Frame* frame) {
+  QCM_RETURN_IF_ERROR(ReadFrame(fd, frame));
+  if (frame->kind != want) {
+    return Status::Corruption(std::string("expected ") + FrameKindName(want) +
+                              ", got " + FrameKindName(frame->kind));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Typed payloads.
 // ---------------------------------------------------------------------------

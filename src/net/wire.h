@@ -42,12 +42,15 @@
 //
 // Connection bring-up (the rank-assignment protocol):
 //   1. worker -> coordinator  kHello     {protocol version, pid}
-//   2. coordinator -> worker  kAssign    {rank, world size, config blob}
+//   2. coordinator -> worker  kAssign    {rank, world size, config blob,
+//                                         epoch}
 //   3. worker -> coordinator  kListening {port of the worker's peer
 //                                         listener}
 //   4. coordinator -> worker  kPeers     {peer listener port of every rank}
-//   5. workers connect to every lower rank and identify themselves with
-//      kPeerHello (src = their rank); the mesh is complete
+//   5. a first-launch worker (epoch 0) dials every lower rank and accepts
+//      every higher one; a replacement (epoch > 0) dials every survivor
+//      and accepts none. The dialer identifies itself with kPeerHello
+//      (src = its rank); then the mesh is complete
 //   6. worker -> coordinator  kReady; once all ranks are ready the
 //      coordinator releases the barrier with kStart
 // After kStart the data plane (kData) flows rank-to-rank while the control
@@ -147,10 +150,10 @@ inline constexpr uint32_t kCoordinatorRank = 0xFFFFFFFEu;
 /// Every frame is exactly one of these.
 enum class FrameKind : uint8_t {
   kHello = 0,      // worker -> coordinator: {version u32, pid u64}
-  kAssign = 1,     // coordinator -> worker: {rank u32, world u32, config}
+  kAssign = 1,     // coordinator -> worker: {rank, world, config, epoch}
   kListening = 2,  // worker -> coordinator: {peer listener port u32}
   kPeers = 3,      // coordinator -> worker: {port u32 per rank}
-  kPeerHello = 4,  // worker -> worker: empty (src carries the rank)
+  kPeerHello = 4,  // worker -> worker: {epoch u32} (src carries the rank)
   kReady = 5,      // worker -> coordinator: empty
   kStart = 6,      // coordinator -> worker: empty (mining barrier release)
   kStatus = 7,     // worker -> coordinator: RankStatus
@@ -226,6 +229,11 @@ Status WriteFrameSlices(int fd, std::span<const WireSlice> slices,
 /// the first header byte returns Aborted("connection closed"); EOF inside
 /// a frame is Corruption.
 Status ReadFrame(int fd, Frame* frame);
+
+/// ReadFrame that also requires the frame to be of kind `want`, else
+/// Corruption("expected <want>, got <kind>"): every bring-up read, on
+/// the coordinator and the worker side alike.
+Status ReadFrameOfKind(int fd, FrameKind want, Frame* frame);
 
 // ---------------------------------------------------------------------------
 // Typed payload helpers for the control vocabulary.

@@ -8,7 +8,6 @@
 #ifndef QCM_TESTS_MEMORY_TRANSPORT_H_
 #define QCM_TESTS_MEMORY_TRANSPORT_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,11 +48,9 @@ class MemoryNetwork {
     }
     Status Start() override { return Status::OK(); }
     Status SendData(int dst, uint8_t type, std::string payload) override {
-      frames_sent_.fetch_add(1);
       net_->ranks_[dst]->handler_(rank_, type, std::move(payload), 0);
       return Status::OK();
     }
-    uint64_t DataFramesSent() const override { return frames_sent_.load(); }
     void PublishStatus(const RankStatus& s) override {
       if (net_->terminate_when_idle_ && s.spawn_done && s.pending == 0) {
         hooks_.on_terminate();
@@ -65,7 +62,6 @@ class MemoryNetwork {
     int rank_;
     DataHandler handler_;
     ControlHooks hooks_;
-    std::atomic<uint64_t> frames_sent_{0};
   };
 
   std::vector<std::unique_ptr<Rank>> ranks_;

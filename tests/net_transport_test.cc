@@ -1,12 +1,12 @@
 // Transport/coordinator integration tests, run entirely in-process so the
 // sanitizer configs see every thread: the rank-assignment handshake, the
 // data-plane mesh, prompt shutdown, steal commands, status-stream
-// liveness, distributed termination detection with report collection,
-// and -- the core §5
-// parity claim -- a full 3-rank cluster run through the in-process
-// launcher (three TcpTransport-backed engines, real loopback sockets
-// between them) whose merged maximal result set is bit-identical to the
-// serial miner's, with every fabric message sent as one data frame.
+// liveness, admission failures, distributed termination detection with
+// report collection, and -- the core §5 parity claim -- a full 3-rank
+// cluster run through the in-process launcher (three TcpTransport-backed
+// engines, real loopback sockets between them) whose merged maximal
+// result set is bit-identical to the serial miner's, with every fabric
+// message sent as one data frame.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "net/coordinator.h"
 #include "net/job_spec.h"
 #include "net/local_cluster.h"
+#include "net/socket_util.h"
 #include "net/tcp_transport.h"
 #include "quick/maximality_filter.h"
 #include "quick/serial_miner.h"
@@ -307,6 +309,59 @@ TEST(TcpTransportTest, SilentRankIsDeclaredDeadFromStatusesAlone) {
   EXPECT_EQ(why.find("rank 1"), std::string::npos) << why;
   for (auto& t : transports) t->Shutdown();
   (*coordinator)->Close();
+}
+
+// Runs a one-rank job's handshake against a raw socket that connects and
+// sends `frame`, or against no worker at all.
+Status HandshakeWithRawWorker(std::optional<Frame> frame, double timeout_sec) {
+  CoordinatorConfig config;
+  config.world_size = 1;
+  config.timeout_sec = timeout_sec;
+  auto coordinator = Coordinator::Listen(std::move(config));
+  if (!coordinator.ok()) return coordinator.status();
+  int fd = -1;
+  if (frame) {
+    auto connected = ConnectTcp("127.0.0.1", (*coordinator)->port());
+    if (!connected.ok()) return connected.status();
+    fd = connected.value();
+  }
+  Status s = frame ? WriteFrame(fd, *frame) : Status::OK();
+  if (s.ok()) s = (*coordinator)->RunHandshake();
+  CloseSocket(fd);
+  (*coordinator)->Close();
+  return s;
+}
+
+// Admission failures: a worker on another protocol version, a worker
+// whose first frame is not its hello, and a worker that never connects
+// each fail the handshake with a message that says which.
+TEST(TcpTransportTest, AdmissionRejectsWrongVersionWrongFrameAndNoShow) {
+  Encoder hello;
+  hello.PutU32(kWireProtocolVersion + 1);
+  hello.PutU64(static_cast<uint64_t>(::getpid()));
+  Status s = HandshakeWithRawWorker(
+      Frame{FrameKind::kHello, kUnassignedRank, hello.Release()}, 5.0);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find(
+                "worker speaks wire protocol v" +
+                std::to_string(kWireProtocolVersion + 1) +
+                ", coordinator expects v" +
+                std::to_string(kWireProtocolVersion)),
+            std::string::npos)
+      << s.ToString();
+
+  s = HandshakeWithRawWorker(Frame{FrameKind::kReady, kUnassignedRank, {}},
+                             5.0);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("expected hello, got ready"), std::string::npos)
+      << s.ToString();
+
+  WallTimer waited;
+  s = HandshakeWithRawWorker(std::nullopt, 0.3);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_NE(s.ToString().find("rank 0"), std::string::npos) << s.ToString();
+  EXPECT_GE(waited.Seconds(), 0.3);
+  EXPECT_LT(waited.Seconds(), 10.0);
 }
 
 // The §5 parity claim: three TcpTransport-backed engines, each serving

@@ -407,12 +407,7 @@ class ScriptedPeerTransport : public Transport {
       EXPECT_TRUE(dec.GetU32Vector(&ids).ok());
       answered_.push_back(std::move(ids));
     }
-    ++frames_sent_;
     return Status::OK();
-  }
-  uint64_t DataFramesSent() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return frames_sent_;
   }
   void PublishStatus(const RankStatus& status) override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -444,7 +439,6 @@ class ScriptedPeerTransport : public Transport {
   ControlHooks hooks_;
   std::promise<void> started_;
   mutable std::mutex mu_;
-  uint64_t frames_sent_ = 0;
   std::vector<std::vector<VertexId>> answered_;
   uint64_t processed_from_peer_ = 0;
 };

@@ -225,7 +225,8 @@ TEST(WireFrameTest, DataFrameFastPathMatchesGenericEncoding) {
     uint8_t type;
     uint64_t ts;
     std::string body;
-  } cases[] = {{1, 2, 0x123456789ABCDEFull, "adjacency-bytes\x00\x01\x02"},
+  } cases[] = {{1, 2, 0x123456789ABCDEFull,
+                std::string("adjacency-bytes\x00\x01\x02", 18)},
                {3, 0, 0, ""},
                {4, 1, 987654321, "pull-response-bytes"}};
   for (const auto& c : cases) {
