@@ -93,50 +93,6 @@ StatusOr<Graph> GenBarabasiAlbert(uint32_t n, uint32_t attach,
   return Graph::FromEdges(n, std::move(edges));
 }
 
-StatusOr<Graph> GenRMAT(uint32_t scale, uint64_t edges, double a, double b,
-                        double c, uint64_t seed) {
-  if (scale == 0 || scale > 30) {
-    return Status::InvalidArgument("GenRMAT: scale must be in [1, 30]");
-  }
-  const double d = 1.0 - a - b - c;
-  if (a < 0 || b < 0 || c < 0 || d < 0) {
-    return Status::InvalidArgument("GenRMAT: probabilities must be >= 0 and sum <= 1");
-  }
-  const uint32_t n = 1u << scale;
-  Rng rng(seed);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(edges * 2);
-  std::vector<Edge> out;
-  out.reserve(edges);
-  // Duplicate collapse means we may fall short; bound total attempts.
-  uint64_t attempts = 0;
-  const uint64_t max_attempts = edges * 8;
-  while (out.size() < edges && attempts < max_attempts) {
-    ++attempts;
-    uint32_t u = 0, v = 0;
-    for (uint32_t bit = 0; bit < scale; ++bit) {
-      double r = rng.NextDouble();
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-        // quadrant (0,0)
-      } else if (r < a + b) {
-        v |= 1;
-      } else if (r < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
-    }
-    if (u == v) continue;
-    if (seen.insert(EdgeKey(u, v)).second) {
-      out.emplace_back(u, v);
-    }
-  }
-  return Graph::FromEdges(n, std::move(out));
-}
-
 StatusOr<Graph> GenPlantedCommunities(
     const PlantedConfig& config,
     std::vector<std::vector<VertexId>>* communities) {

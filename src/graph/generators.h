@@ -26,12 +26,6 @@ StatusOr<Graph> GenErdosRenyi(uint32_t n, uint64_t m, uint64_t seed);
 /// proportionally to degree. Produces a power-law degree distribution.
 StatusOr<Graph> GenBarabasiAlbert(uint32_t n, uint32_t attach, uint64_t seed);
 
-/// R-MAT / Kronecker-style sampler with partition probabilities (a, b, c)
-/// and d = 1-a-b-c. n = 2^scale vertices; duplicate samples are collapsed,
-/// so the realized edge count can be slightly below `edges`.
-StatusOr<Graph> GenRMAT(uint32_t scale, uint64_t edges, double a, double b,
-                        double c, uint64_t seed);
-
 /// Background topology for planted-community graphs.
 enum class BackgroundModel {
   kErdosRenyi,

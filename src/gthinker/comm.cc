@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "util/logging.h"
-#include "util/serde.h"
 #include "util/trace.h"
 
 namespace qcm {
@@ -47,13 +46,6 @@ const char* MessageTypeName(MessageType type) {
       return "steal-batch";
   }
   return "?";
-}
-
-StatusOr<uint32_t> StealBatchTaskCount(const std::string& payload) {
-  Decoder dec(payload);
-  uint32_t count = 0;
-  QCM_RETURN_IF_ERROR(dec.GetU32(&count));
-  return count;
 }
 
 CommFabric::CommFabric(double latency_sec, EngineCounters* counters,

@@ -66,16 +66,11 @@ enum class MessageType : uint8_t {
   kPullRequest = 0,
   /// Batched pull response: ids plus their adjacency lists.
   kPullResponse = 1,
-  /// A batch of stolen big tasks (count + concatenated task encodings).
+  /// A batch of stolen big tasks (EncodeTaskBatch, gthinker/task_queue.h).
   kStealBatch = 2,
 };
 
 const char* MessageTypeName(MessageType type);
-
-/// Number of tasks in a kStealBatch payload without decoding the tasks
-/// (the receiving process must fold the count into its pending-task
-/// accounting before the batch is even injected into the inbox).
-StatusOr<uint32_t> StealBatchTaskCount(const std::string& payload);
 
 /// One arrived transfer, addressed to this machine.
 struct Message {

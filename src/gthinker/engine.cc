@@ -18,15 +18,19 @@ namespace qcm {
 
 // ---------------------------------------------------------------------------
 // Comper: one mining thread. A thin driver of the machine's Scheduler --
-// it owns the thread-local LocalQueue and implements the ComputeContext
-// the application UDFs run against; every scheduling decision (routing,
-// spawn batching, park/resume, spilling, lifecycle) happens in the sched
-// layer.
+// it owns the thread-local TaskQueue (spilling to the machine's L_small)
+// and implements the ComputeContext the application UDFs run against;
+// every scheduling decision (routing, spawn batching, park/resume,
+// lifecycle) happens in the sched layer.
 // ---------------------------------------------------------------------------
 
 class Engine::Comper : public ComputeContext {
  public:
-  Comper(Engine* engine, int thread) : engine_(engine) {
+  Comper(Engine* engine, int thread)
+      : engine_(engine),
+        local_(engine->config_.local_queue_capacity,
+               engine->config_.batch_size, engine->small_spill_.get(),
+               engine->app_, &engine->counters_.lifecycle) {
     metrics_.machine = engine->rank_;
     metrics_.thread = thread;
     // Pre-size the materialization scratch so the first task already runs
@@ -131,32 +135,10 @@ class Engine::Comper : public ComputeContext {
  private:
   Engine* engine_;
   Task* active_task_ = nullptr;  // task currently in Compute (pull target)
-  LocalQueue local_;
+  TaskQueue local_;
   EgoScratch ego_scratch_;
   MiningScratch mining_scratch_;
 };
-
-namespace {
-
-/// Serializes a stolen batch into a kStealBatch payload, moving each
-/// task's lifecycle to kStolen (the receiver rehydrates kStolen->kReady).
-/// With checkpointing on, shipping a task taints its root: the subtree's
-/// completion is no longer locally observable, so the root must never be
-/// checkpointed as done.
-std::string EncodeStealBatchPayload(const std::vector<TaskPtr>& tasks,
-                                    EngineCounters* counters,
-                                    RootProgress* root_progress) {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(tasks.size()));
-  for (const TaskPtr& t : tasks) {
-    if (root_progress != nullptr) root_progress->Taint(t->root());
-    AdvanceTaskState(*t, TaskState::kStolen, &counters->lifecycle);
-    t->Encode(&enc);
-  }
-  return enc.Release();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -215,14 +197,16 @@ void Engine::StatusLoop() {
   }
 }
 
-void Engine::ReinjectStealPayload(std::string payload, bool add_pending) {
-  auto count = StealBatchTaskCount(payload);
-  QCM_CHECK(count.ok()) << "corrupt retained steal batch: "
-                        << count.status().ToString();
-  if (add_pending) pending_.fetch_add(count.value());
-  counters_.replayed_tasks.fetch_add(count.value(),
+void Engine::ReinjectStealPayload(const std::string& payload,
+                                  bool add_pending) {
+  auto tasks = DecodeTaskBatch(payload, *app_, TaskState::kStolen,
+                               &counters_.lifecycle);
+  QCM_CHECK(tasks.ok()) << "corrupt retained steal batch: "
+                        << tasks.status().ToString();
+  if (add_pending) pending_.fetch_add(tasks->size());
+  counters_.replayed_tasks.fetch_add(tasks->size(),
                                      std::memory_order_relaxed);
-  fabric_->Inject(MessageType::kStealBatch, rank_, std::move(payload));
+  global_queue_->PushStolenFront(std::move(tasks).value());
 }
 
 void Engine::OnPeerDown(int peer) {
@@ -243,11 +227,11 @@ void Engine::OnPeerDown(int peer) {
     std::lock_guard<std::mutex> lock(retained_mu_);
     retained.swap(retained_steals_[peer]);
   }
-  for (std::string& payload : retained) {
+  for (const std::string& payload : retained) {
     // These tasks left pending_ when their batch shipped; they re-enter
     // it now and are mined here. Parts the dead rank already finished
     // come back as exact duplicates for the final dedup.
-    ReinjectStealPayload(std::move(payload), /*add_pending=*/true);
+    ReinjectStealPayload(payload, /*add_pending=*/true);
   }
   if (!retained.empty()) {
     QCM_ILOG << "rank " << rank_ << ": re-injected " << retained.size()
@@ -276,7 +260,7 @@ void Engine::OnWireData(int src, uint8_t type, std::string payload,
   if (mtype == MessageType::kStealBatch) {
     // The batch's tasks enter this engine's pending accounting before the
     // frame counts as processed (transport.h's counting discipline).
-    auto count = StealBatchTaskCount(payload);
+    auto count = TaskBatchCount(payload);
     QCM_CHECK(count.ok()) << "corrupt steal batch from rank " << src << ": "
                           << count.status().ToString();
     pending_.fetch_add(count.value());
@@ -303,8 +287,14 @@ void Engine::OnStealCommand(int receiver, uint64_t want) {
   if (want == 0 || done_.load()) return;
   std::vector<TaskPtr> tasks = global_queue_->StealBatch(want);
   if (tasks.empty()) return;  // the coordinator's estimate was stale
+  // With checkpointing on, shipping a task taints its root: the subtree's
+  // completion is no longer locally observable, so the root must never be
+  // checkpointed as done.
+  if (root_progress_ != nullptr) {
+    for (const TaskPtr& t : tasks) root_progress_->Taint(t->root());
+  }
   std::string payload =
-      EncodeStealBatchPayload(tasks, &counters_, root_progress_.get());
+      EncodeTaskBatch(tasks, TaskState::kStolen, &counters_.lifecycle);
   const uint64_t bytes = payload.size();
   // Retention-before-ship: a copy of the batch enters retained_steals_
   // under the same mutex OnPeerDown drains, so whichever of the two runs
@@ -316,7 +306,7 @@ void Engine::OnStealCommand(int receiver, uint64_t want) {
     if (!transport_->PeerAlive(receiver)) {
       // The receiver died between the coordinator's command and now:
       // keep the batch as local work (pending_ was never decremented).
-      ReinjectStealPayload(std::move(payload), /*add_pending=*/false);
+      ReinjectStealPayload(payload, /*add_pending=*/false);
       return;
     }
     retained_steals_[receiver].push_back(payload);
@@ -411,7 +401,6 @@ StatusOr<EngineReport> Engine::Run() {
   deps.table = table_.get();
   deps.broker = broker_.get();
   deps.global_queue = global_queue_.get();
-  deps.small_spill = small_spill_.get();
   deps.counters = &counters_;
   deps.pending = &pending_;
   deps.active_spawners = &active_spawners_;

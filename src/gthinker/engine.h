@@ -11,10 +11,11 @@
 // ParallelMiner), and qcm_cluster runs one qcm_worker process per rank.
 // The engine cannot tell the two apart.
 //
-// Scheduling policy -- task lifecycle, admission/routing, local-queue
-// spill/refill, park/resume -- lives in the src/sched/ layer (one
-// Scheduler per machine); the compute loop here is a thin driver of it
-// (the paper's reforged Alg. 3):
+// Scheduling policy -- task lifecycle, admission/routing, spawn batching,
+// park/resume -- lives in the src/sched/ layer (one Scheduler per
+// machine), and each queue spills and refills itself (TaskQueue,
+// task_queue.h); the compute loop here is a thin driver of them (the
+// paper's reforged Alg. 3):
 //   0. Scheduler::ServiceFabric: deliver every due inbox message (accept
 //      pull responses and re-enqueue the tasks that were suspended on
 //      them, inject stolen big-task batches into the global queue), then
@@ -113,11 +114,11 @@ class Engine {
   /// Rank `peer`'s replacement is up: re-request every vertex pull that
   /// was in flight toward the old incarnation.
   void OnPeerUp(int peer);
-  /// Puts a kStealBatch payload back into the local fabric as local
-  /// work. `add_pending` distinguishes a batch whose tasks already left
-  /// pending_ (shipped earlier; re-add them) from one caught before the
-  /// ship (never decremented).
-  void ReinjectStealPayload(std::string payload, bool add_pending);
+  /// Decodes a kStealBatch payload back to the front of this machine's
+  /// global queue as local work. `add_pending` distinguishes a batch
+  /// whose tasks already left pending_ (shipped earlier; re-add them)
+  /// from one caught before the ship (never decremented).
+  void ReinjectStealPayload(const std::string& payload, bool add_pending);
 
   EngineConfig config_;
   App* app_;

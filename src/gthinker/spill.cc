@@ -12,12 +12,11 @@ SpillManager::SpillManager(std::string dir, std::string tag,
                            EngineCounters* counters)
     : dir_(std::move(dir)), tag_(std::move(tag)), counters_(counters) {}
 
-Status SpillManager::SpillBatch(const std::vector<std::string>& blobs) {
-  if (blobs.empty()) return Status::OK();
-  std::string payload;
-  for (const std::string& blob : blobs) {
-    AppendFramedBlob(blob, &payload);
-  }
+Status SpillManager::SpillBatch(const std::string& batch,
+                                size_t task_count) {
+  if (task_count == 0) return Status::OK();
+  std::string file;
+  AppendFramedBlob(batch, &file);
   std::string path;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -28,31 +27,30 @@ Status SpillManager::SpillBatch(const std::vector<std::string>& blobs) {
     return Status::IOError("spill: cannot create " + path + ": " +
                            std::strerror(errno));
   }
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  if (std::fclose(f) != 0 || written != payload.size()) {
+  const size_t written = std::fwrite(file.data(), 1, file.size(), f);
+  if (std::fclose(f) != 0 || written != file.size()) {
     return Status::IOError("spill: short write to " + path);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    files_.push_back({path, blobs.size()});
-    pending_tasks_ += blobs.size();
+    files_.push_back({path, task_count});
+    pending_tasks_ += task_count;
   }
   if (counters_ != nullptr) {
     counters_->spill_files.fetch_add(1, std::memory_order_relaxed);
-    counters_->spilled_tasks.fetch_add(blobs.size(),
-                                       std::memory_order_relaxed);
-    counters_->spill_bytes_written.fetch_add(payload.size(),
+    counters_->spilled_tasks.fetch_add(task_count, std::memory_order_relaxed);
+    counters_->spill_bytes_written.fetch_add(file.size(),
                                              std::memory_order_relaxed);
   }
   return Status::OK();
 }
 
-StatusOr<std::vector<std::string>> SpillManager::PopBatch() {
+StatusOr<std::string> SpillManager::PopBatch() {
   FileEntry entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (files_.empty()) return std::vector<std::string>{};
-    entry = files_.back();
+    if (files_.empty()) return std::string();
+    entry = std::move(files_.back());
     files_.pop_back();
     pending_tasks_ -= entry.task_count;
   }
@@ -61,31 +59,31 @@ StatusOr<std::vector<std::string>> SpillManager::PopBatch() {
     return Status::IOError("spill: cannot open " + entry.path + ": " +
                            std::strerror(errno));
   }
-  std::string payload;
+  std::string file;
   char buf[1 << 16];
   size_t got;
   while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    payload.append(buf, got);
+    file.append(buf, got);
   }
   std::fclose(f);
   std::remove(entry.path.c_str());
 
-  std::vector<std::string> blobs;
-  blobs.reserve(entry.task_count);
+  std::string batch;
   size_t pos = 0;
-  while (pos < payload.size()) {
-    std::string blob;
-    QCM_RETURN_IF_ERROR(ReadFramedBlob(payload, &pos, &blob));
-    blobs.push_back(std::move(blob));
+  Status s = ReadFramedBlob(file, &pos, &batch);
+  if (s.ok() && pos != file.size()) {
+    s = Status::Corruption(std::to_string(file.size() - pos) +
+                           " bytes after the framed batch");
   }
-  if (blobs.size() != entry.task_count) {
-    return Status::Corruption("spill: task count mismatch in " + entry.path);
+  if (!s.ok()) {
+    return Status::Corruption("spill file " + entry.path + ": " +
+                              s.message());
   }
   if (counters_ != nullptr) {
-    counters_->spill_bytes_read.fetch_add(payload.size(),
+    counters_->spill_bytes_read.fetch_add(file.size(),
                                           std::memory_order_relaxed);
   }
-  return blobs;
+  return batch;
 }
 
 size_t SpillManager::FileCount() const {

@@ -1,9 +1,11 @@
 // Disk spilling of task batches (paper §5): when an in-memory task queue
-// overflows, a batch of C tasks at its tail is serialized to a file; when a
-// queue runs low it refills from the most recent file first (LIFO keeps the
-// on-disk volume small, matching G-thinker's "minimize the task volume on
-// disks"). One SpillManager backs L_small (per machine, fed by the local
-// queues) and another backs L_big (fed by the machine's global queue).
+// overflows, a batch of C tasks at its tail (EncodeTaskBatch's bytes,
+// gthinker/task_queue.h) is written to a file; when a queue runs low it
+// refills from the most recent file first (LIFO keeps the on-disk volume
+// small, matching G-thinker's "minimize the task volume on disks"). A file
+// holds its batch framed once: magic, length and checksum, then the bytes.
+// One SpillManager backs L_small (per machine, fed by the local queues)
+// and another backs L_big (fed by the machine's global queue).
 
 #ifndef QCM_GTHINKER_SPILL_H_
 #define QCM_GTHINKER_SPILL_H_
@@ -22,11 +24,14 @@ class SpillManager {
   /// Files are created as `dir/tag_<seq>.spill`. `counters` may be null.
   SpillManager(std::string dir, std::string tag, EngineCounters* counters);
 
-  /// Writes one batch of serialized tasks as a new spill file.
-  Status SpillBatch(const std::vector<std::string>& blobs);
+  /// Writes one encoded batch of `task_count` tasks as a new spill file.
+  /// A batch of no tasks writes nothing.
+  Status SpillBatch(const std::string& batch, size_t task_count);
 
-  /// Pops the most recently spilled batch; empty vector if none exist.
-  StatusOr<std::vector<std::string>> PopBatch();
+  /// Pops the most recently spilled batch; empty if none is on disk. A
+  /// file that cannot be opened is IOError, and one that does not hold
+  /// exactly one intact framed batch is Corruption; both name the file.
+  StatusOr<std::string> PopBatch();
 
   /// Number of spill files currently on disk.
   size_t FileCount() const;

@@ -1,12 +1,19 @@
-// The machine-wide global queue for big tasks -- the centerpiece of the
-// G-thinker reforge (paper §5): big tasks (|ext(S)| > tau_split) are shared
-// by all mining threads of a machine so they are prioritized whenever a
-// thread has capacity; overflow spills batches to L_big; the steal master
-// moves batches between machines' global queues.
+// Task queues and the one format in which tasks leave memory (paper §5).
 //
-// Thread-local small-task queues need no class of their own: they are
-// single-owner deques inside each Comper (see engine.cc) whose overflow
-// spills to the machine's L_small.
+// Tasks leave a machine's memory in batches of at most C
+// (EngineConfig::batch_size): an overflowing queue spills its tail to disk
+// (L_small behind a comper's queue, L_big behind the global queue), and
+// the steal master moves big tasks between machines. Both carry the same
+// bytes, written by EncodeTaskBatch: a u32 task count, then each task's
+// Task::Encode bytes back to back. A spill file holds one such batch
+// (SpillManager frames it), and so does a kStealBatch message.
+//
+// TaskQueue is the paper's queue policy, one class for every comper's
+// thread-local queue and for the machine's global big-task queue: past its
+// capacity it spills a batch of C tasks from its tail, and below C tasks
+// it refills from the most recently spilled batch. GlobalQueue wraps one
+// TaskQueue in the lock its compers share, with the try-lock pop and the
+// steal paths.
 
 #ifndef QCM_GTHINKER_TASK_QUEUE_H_
 #define QCM_GTHINKER_TASK_QUEUE_H_
@@ -14,6 +21,7 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "gthinker/spill.h"
@@ -21,20 +29,75 @@
 
 namespace qcm {
 
+/// Encodes `tasks` as one batch, moving each to `state` (kSpilled or
+/// kStolen). `lifecycle` may be null.
+std::string EncodeTaskBatch(const std::vector<TaskPtr>& tasks,
+                            TaskState state, LifecycleCounters* lifecycle);
+
+/// The task count a batch opens with, read without decoding the tasks (a
+/// receiver counts a stolen batch as pending before its inbox holds it).
+StatusOr<uint32_t> TaskBatchCount(const std::string& batch);
+
+/// Decodes a batch written by EncodeTaskBatch; each task comes back
+/// rehydrated from `state` to kReady. Corruption unless exactly the
+/// batch's count of tasks decodes and the last one ends where `batch`
+/// ends.
+StatusOr<std::vector<TaskPtr>> DecodeTaskBatch(const std::string& batch,
+                                               const App& app,
+                                               TaskState state,
+                                               LifecycleCounters* lifecycle);
+
+/// A FIFO of ready tasks backed by one spill list. Not thread-safe: a
+/// comper owns its local queue, and GlobalQueue locks around its own.
+class TaskQueue {
+ public:
+  /// Spills to and refills from `spill`; `app` decodes refilled tasks.
+  /// Both must outlive the queue; `lifecycle` may be null.
+  TaskQueue(size_t capacity, size_t batch, SpillManager* spill,
+            const App* app, LifecycleCounters* lifecycle);
+
+  /// Appends `task`. Past capacity, up to C tasks at the tail (never the
+  /// front one) are spilled as one batch.
+  void Push(TaskPtr task);
+
+  /// With fewer than C tasks in memory, appends the most recently
+  /// spilled batch. Returns false when the queue is below C and nothing
+  /// is on disk (a comper then spawns).
+  bool Refill();
+
+  /// Removes and returns the front task; null when empty.
+  TaskPtr PopFront();
+
+  size_t size() const { return q_.size(); }
+
+  /// The in-memory tasks, front first (GlobalQueue's steal paths).
+  std::deque<TaskPtr>& tasks() { return q_; }
+
+ private:
+  const size_t capacity_;
+  const size_t batch_;
+  SpillManager* spill_;
+  const App* app_;
+  LifecycleCounters* lifecycle_;
+  std::deque<TaskPtr> q_;
+};
+
+/// The machine-wide queue for big tasks (|ext(S)| > tau_split), shared by
+/// all compers of a machine so a thread with capacity picks them first;
+/// overflow spills to L_big.
 class GlobalQueue {
  public:
   /// `spill` backs L_big; `app` decodes refilled tasks; both must outlive
-  /// the queue.
+  /// the queue. `counters` may be null.
   GlobalQueue(size_t capacity, size_t batch, SpillManager* spill,
               const App* app, EngineCounters* counters);
 
-  /// Appends a big task; if the queue exceeds capacity, a batch of C tasks
-  /// at the tail is spilled to L_big.
+  /// Appends a big task (TaskQueue::Push).
   void Push(TaskPtr task);
 
-  /// Pops the task at the front. Returns null when the queue is locked by
-  /// another thread (the paper's try-lock failure, Case I) or empty. When
-  /// the in-memory count is below one batch, refills from L_big first.
+  /// Pops the task at the front, refilling from L_big first when fewer
+  /// than C tasks are in memory. Returns null when the queue is locked by
+  /// another thread (the paper's try-lock failure, Case I) or empty.
   TaskPtr TryPop();
 
   /// Steal support: removes up to `max_tasks` from the tail.
@@ -50,17 +113,8 @@ class GlobalQueue {
   }
 
  private:
-  void SpillTailLocked();  // requires mu_ held
-  void RefillLocked();     // requires mu_ held
-
-  const size_t capacity_;
-  const size_t batch_;
-  SpillManager* spill_;
-  const App* app_;
-  EngineCounters* counters_;
-
   std::mutex mu_;
-  std::deque<TaskPtr> q_;
+  TaskQueue q_;
   std::atomic<size_t> size_{0};
 };
 

@@ -205,20 +205,7 @@ std::vector<TaskPtr> PullBroker::PumpRequests(CommFabric* fabric) {
   std::vector<std::vector<VertexId>> groups(table.NumMachines());
   for (VertexId v : pending) {
     if (auto cached = data_->cache().Lookup(v, /*count_stats=*/false)) {
-      inflight_.erase(v);
-      auto it = waiters_.find(v);
-      if (it != waiters_.end()) {
-        for (uint64_t id : it->second) {
-          auto p = parked_.find(id);
-          if (p == parked_.end()) continue;
-          p->second.task->pulls().Pin(v, cached);
-          if (--p->second.remaining == 0) {
-            ready.push_back(std::move(p->second.task));
-            parked_.erase(p);
-          }
-        }
-        waiters_.erase(it);
-      }
+      DeliverLocked(v, cached, &ready);
       continue;
     }
     groups[table.Owner(v)].push_back(v);
@@ -297,21 +284,26 @@ std::vector<TaskPtr> PullBroker::AcceptResponse(
     auto copy =
         std::make_shared<const std::vector<VertexId>>(std::move(adj));
     data_->cache().Insert(v, copy, /*charge=*/1);
-    inflight_.erase(v);
-    auto it = waiters_.find(v);
-    if (it == waiters_.end()) continue;
-    for (uint64_t id : it->second) {
-      auto p = parked_.find(id);
-      if (p == parked_.end()) continue;
-      p->second.task->pulls().Pin(v, copy);
-      if (--p->second.remaining == 0) {
-        ready.push_back(std::move(p->second.task));
-        parked_.erase(p);
-      }
-    }
-    waiters_.erase(it);
+    DeliverLocked(v, copy, &ready);
   }
   return ready;
+}
+
+void PullBroker::DeliverLocked(VertexId v, const TaskPullState::AdjPtr& adj,
+                               std::vector<TaskPtr>* ready) {
+  inflight_.erase(v);
+  auto it = waiters_.find(v);
+  if (it == waiters_.end()) return;
+  for (uint64_t id : it->second) {
+    auto p = parked_.find(id);
+    if (p == parked_.end()) continue;
+    p->second.task->pulls().Pin(v, adj);
+    if (--p->second.remaining == 0) {
+      ready->push_back(std::move(p->second.task));
+      parked_.erase(p);
+    }
+  }
+  waiters_.erase(it);
 }
 
 size_t PullBroker::RequeueInflightFor(int owner) {

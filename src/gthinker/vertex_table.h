@@ -226,6 +226,12 @@ class PullBroker {
     size_t remaining = 0;
   };
 
+  /// v's adjacency arrived (a response, or the cache on a pump): pins it
+  /// into every task waiting on v and moves the tasks whose pulls are
+  /// now complete to `ready`. Requires mu_.
+  void DeliverLocked(VertexId v, const TaskPullState::AdjPtr& adj,
+                     std::vector<TaskPtr>* ready);
+
   DataService* data_;
   size_t max_batch_;
   EngineCounters* counters_;

@@ -5,7 +5,6 @@
 #define QCM_QUICK_QUASI_CLIQUE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "graph/graph.h"
@@ -105,23 +104,6 @@ class CountingSink : public ResultSink {
 
  private:
   uint64_t count_ = 0;
-};
-
-/// Mutex-guarded collector for ad-hoc parallel use.
-class SynchronizedSink : public ResultSink {
- public:
-  void Emit(VertexSet set) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    results_.push_back(std::move(set));
-  }
-  std::vector<VertexSet> TakeResults() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::move(results_);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<VertexSet> results_;
 };
 
 /// Checks Definition 1 on the induced subgraph G(S) of a global graph:

@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include "util/logging.h"
-#include "util/serde.h"
 #include "util/trace.h"
 
 namespace qcm {
@@ -9,13 +8,12 @@ namespace qcm {
 Scheduler::Scheduler(Deps deps) : deps_(deps) {
   QCM_CHECK(deps_.config != nullptr && deps_.app != nullptr &&
             deps_.table != nullptr && deps_.broker != nullptr &&
-            deps_.global_queue != nullptr && deps_.small_spill != nullptr &&
-            deps_.counters != nullptr && deps_.pending != nullptr &&
-            deps_.active_spawners != nullptr)
+            deps_.global_queue != nullptr && deps_.counters != nullptr &&
+            deps_.pending != nullptr && deps_.active_spawners != nullptr)
       << "Scheduler constructed with missing dependencies";
 }
 
-void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
+void Scheduler::ServiceFabric(CommFabric* fabric, TaskQueue& local) {
   for (Message& m : fabric->Service()) {
     switch (m.type) {
       case MessageType::kPullRequest:
@@ -33,21 +31,11 @@ void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
       case MessageType::kStealBatch: {
         // Stolen big tasks arrive for this machine's global queue; they
         // stayed counted in pending_ during flight.
-        Decoder dec(m.payload);
-        uint32_t count = 0;
-        Status s = dec.GetU32(&count);
-        QCM_CHECK(s.ok()) << "corrupt steal batch: " << s.ToString();
-        std::vector<TaskPtr> tasks;
-        tasks.reserve(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          auto task = deps_.app->DecodeTask(&dec);
-          QCM_CHECK(task.ok()) << "steal transfer decode failed: "
-                               << task.status().ToString();
-          RehydrateTaskState(*task.value(), TaskState::kStolen,
-                             lifecycle());
-          tasks.push_back(std::move(task).value());
-        }
-        deps_.global_queue->PushStolenFront(std::move(tasks));
+        auto tasks = DecodeTaskBatch(m.payload, *deps_.app,
+                                     TaskState::kStolen, lifecycle());
+        QCM_CHECK(tasks.ok()) << "corrupt steal batch from machine " << m.src
+                              << ": " << tasks.status().ToString();
+        deps_.global_queue->PushStolenFront(std::move(tasks).value());
         break;
       }
     }
@@ -57,9 +45,14 @@ void Scheduler::ServiceFabric(CommFabric* fabric, LocalQueue& local) {
   }
 }
 
-TaskPtr Scheduler::NextTask(LocalQueue& local, ComputeContext& ctx) {
+TaskPtr Scheduler::NextTask(TaskQueue& local, ComputeContext& ctx) {
   TaskPtr task = deps_.global_queue->TryPop();
-  if (task == nullptr) task = PopLocal(local, ctx);
+  if (task == nullptr) {
+    // Refill priority (paper §5 "third change"): L_small first, then
+    // spawn a batch of fresh tasks.
+    if (!local.Refill()) SpawnBatch(local, ctx);
+    task = local.PopFront();
+  }
   if (task != nullptr) {
     AdvanceTaskState(*task, TaskState::kRunning, lifecycle());
   }
@@ -67,7 +60,7 @@ TaskPtr Scheduler::NextTask(LocalQueue& local, ComputeContext& ctx) {
 }
 
 void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
-                                LocalQueue& local) {
+                                TaskQueue& local) {
   if (status == ComputeStatus::kRequeue) {
     AdvanceTaskState(*task, TaskState::kReady, lifecycle());
     Enqueue(std::move(task), local);  // still counted in pending_
@@ -98,7 +91,7 @@ void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
   }
 }
 
-void Scheduler::SubmitNew(TaskPtr task, LocalQueue& local) {
+void Scheduler::SubmitNew(TaskPtr task, TaskQueue& local) {
   deps_.pending->fetch_add(1);
   // Registered before the parent's own kDone can decrement the root's
   // outstanding count (AddTask runs inside the parent's compute round),
@@ -114,7 +107,7 @@ bool Scheduler::SpawnExhausted() const {
   return spawn_cursor_.load() >= deps_.table->OwnedVertices().size();
 }
 
-void Scheduler::Enqueue(TaskPtr task, LocalQueue& local) {
+void Scheduler::Enqueue(TaskPtr task, TaskQueue& local) {
   QCM_CHECK(task->sched_info().state == TaskState::kReady)
       << "enqueue of a task in state "
       << TaskStateName(task->sched_info().state);
@@ -123,16 +116,16 @@ void Scheduler::Enqueue(TaskPtr task, LocalQueue& local) {
     deps_.global_queue->Push(std::move(task));
   } else {
     deps_.counters->small_tasks.fetch_add(1, std::memory_order_relaxed);
-    PushLocal(local, std::move(task));
+    local.Push(std::move(task));
   }
 }
 
-void Scheduler::OnResumed(TaskPtr task, LocalQueue& local) {
+void Scheduler::OnResumed(TaskPtr task, TaskQueue& local) {
   AdvanceTaskState(*task, TaskState::kReady, lifecycle());
   Enqueue(std::move(task), local);
 }
 
-bool Scheduler::AdmitSpawned(TaskPtr task, LocalQueue& local) {
+bool Scheduler::AdmitSpawned(TaskPtr task, TaskQueue& local) {
   deps_.pending->fetch_add(1);
   const bool big = task->SizeHint() > deps_.config->tau_split;
   AdvanceTaskState(*task, TaskState::kReady, lifecycle());
@@ -140,58 +133,9 @@ bool Scheduler::AdmitSpawned(TaskPtr task, LocalQueue& local) {
   return big;
 }
 
-void Scheduler::PushLocal(LocalQueue& local, TaskPtr task) {
-  local.q_.push_back(std::move(task));
-  if (local.q_.size() > deps_.config->local_queue_capacity) {
-    QCM_TRACE_SPAN(trace::kLifecycle, "spill_batch",
-                   deps_.config->batch_size);
-    // Spill a batch of C tasks from the tail of the queue.
-    std::vector<std::string> blobs;
-    blobs.reserve(deps_.config->batch_size);
-    while (blobs.size() < deps_.config->batch_size &&
-           local.q_.size() > 1) {
-      AdvanceTaskState(*local.q_.back(), TaskState::kSpilled, lifecycle());
-      Encoder enc;
-      local.q_.back()->Encode(&enc);
-      blobs.push_back(enc.Release());
-      local.q_.pop_back();
-    }
-    Status s = deps_.small_spill->SpillBatch(blobs);
-    QCM_CHECK(s.ok()) << "local queue spill failed: " << s.ToString();
-  }
-}
-
-TaskPtr Scheduler::PopLocal(LocalQueue& local, ComputeContext& ctx) {
-  if (local.q_.size() < deps_.config->batch_size) RefillLocal(local, ctx);
-  if (local.q_.empty()) return nullptr;
-  TaskPtr t = std::move(local.q_.front());
-  local.q_.pop_front();
-  return t;
-}
-
-/// Refill priority (paper §5 "third change"): L_small first, then spawn a
-/// batch of fresh tasks, stopping as soon as a spawned task is big.
-void Scheduler::RefillLocal(LocalQueue& local, ComputeContext& ctx) {
-  auto blobs = deps_.small_spill->PopBatch();
-  QCM_CHECK(blobs.ok()) << "L_small refill failed: "
-                        << blobs.status().ToString();
-  if (!blobs->empty()) {
-    // Traced only when a batch actually rehydrates: an idle comper polls
-    // this path constantly and must not flood the ring.
-    QCM_TRACE_SPAN(trace::kLifecycle, "refill_spill", blobs->size());
-    for (const std::string& blob : blobs.value()) {
-      Decoder dec(blob);
-      auto task = deps_.app->DecodeTask(&dec);
-      QCM_CHECK(task.ok()) << "task decode from L_small failed: "
-                           << task.status().ToString();
-      RehydrateTaskState(*task.value(), TaskState::kSpilled, lifecycle());
-      local.q_.push_back(std::move(task).value());
-    }
-    return;
-  }
-  // Spawn from the machine's unspawned vertices. The span is emitted
-  // retroactively so an exhausted spawn cursor (the common idle case)
-  // records nothing.
+void Scheduler::SpawnBatch(TaskQueue& local, ComputeContext& ctx) {
+  // The span is emitted retroactively so an exhausted spawn cursor (the
+  // common idle case) records nothing.
   const uint64_t spawn_begin_usec =
       trace::Enabled() ? trace::TraceNowMicros() : 0;
   size_t admitted = 0;

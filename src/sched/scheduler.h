@@ -1,12 +1,11 @@
-// Scheduler: one machine's task-scheduling policy object -- the single
-// owner of the task lifecycle (sched/lifecycle.h) that was previously
-// inlined across Engine::Comper (admission, routing, spawn batching,
-// local-queue spilling), the PullBroker call sites (park/resume), the
-// GlobalQueue (big-task routing) and the steal paths. The engine's
-// compute loop is a thin driver over this layer: a comper asks the
-// scheduler for work, hands back the compute outcome, and services the
-// fabric through it; every task state move funnels through the checked
-// lifecycle helpers.
+// Scheduler: one machine's task-scheduling policy object and the owner of
+// the task lifecycle (sched/lifecycle.h): admission, routing between the
+// global and the local queues, spawn batching and park/resume. Spilling a
+// queue's tail and refilling it belong to the queue itself (TaskQueue,
+// gthinker/task_queue.h). The engine's compute loop is a thin driver over
+// this layer: a comper asks the scheduler for work, hands back the compute
+// outcome, and services the fabric through it; every task state move
+// funnels through the checked lifecycle helpers.
 //
 // A freshly spawned task has one admission path: kSpawned -> kReady ->
 // its queue. Its first compute round Request()s what it reads and
@@ -17,41 +16,25 @@
 // Threading: one Scheduler per machine, shared by that machine's compers.
 // The scheduler itself holds only atomics; mutual exclusion lives where
 // it always did (GlobalQueue lock, PullBroker lock, SpillManager lock,
-// single-owner LocalQueue per comper).
+// single-owner TaskQueue per comper).
 
 #ifndef QCM_SCHED_SCHEDULER_H_
 #define QCM_SCHED_SCHEDULER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <unordered_set>
 
 #include "gthinker/checkpoint.h"
 #include "gthinker/comm.h"
 #include "gthinker/engine_config.h"
 #include "gthinker/metrics.h"
-#include "gthinker/spill.h"
 #include "gthinker/task.h"
 #include "gthinker/task_queue.h"
 #include "gthinker/vertex_table.h"
 #include "sched/lifecycle.h"
 
 namespace qcm {
-
-/// One comper's thread-local small-task queue: a single-owner deque whose
-/// overflow, refill, and spawn policy belongs to the Scheduler (the
-/// paper's L_small discipline), not to the thread that happens to hold
-/// it.
-class LocalQueue {
- public:
-  size_t size() const { return q_.size(); }
-  bool empty() const { return q_.empty(); }
-
- private:
-  friend class Scheduler;
-  std::deque<TaskPtr> q_;
-};
 
 class Scheduler {
  public:
@@ -64,7 +47,6 @@ class Scheduler {
     const VertexTable* table = nullptr;
     PullBroker* broker = nullptr;
     GlobalQueue* global_queue = nullptr;
-    SpillManager* small_spill = nullptr;
     EngineCounters* counters = nullptr;
     std::atomic<int64_t>* pending = nullptr;
     std::atomic<int>* active_spawners = nullptr;
@@ -89,24 +71,24 @@ class Scheduler {
   /// pump the broker's outstanding requests onto the fabric. Resumed
   /// tasks route through `local` when small. Peer pull requests never
   /// come here: the fabric's pull responder answers them.
-  void ServiceFabric(CommFabric* fabric, LocalQueue& local);
+  void ServiceFabric(CommFabric* fabric, TaskQueue& local);
 
   /// Next task for a comper (marked kRunning): the machine's global
   /// big-task queue first, then the comper's local queue -- refilled from
   /// L_small or, failing that, by spawning a fresh batch from the
   /// machine's unspawned vertices. Null when nothing is available.
-  TaskPtr NextTask(LocalQueue& local, ComputeContext& ctx);
+  TaskPtr NextTask(TaskQueue& local, ComputeContext& ctx);
 
   /// Folds one compute round's outcome back into the lifecycle:
   /// kRequeue re-routes, kSuspended parks on the broker (or degenerates
   /// to a requeue when nothing is actually outstanding), kDone retires
   /// the task and its pending count.
   void OnComputeResult(TaskPtr task, ComputeStatus status,
-                       LocalQueue& local);
+                       TaskQueue& local);
 
   /// Admits a task freshly created by a UDF (ComputeContext::AddTask):
   /// counts it pending and routes it.
-  void SubmitNew(TaskPtr task, LocalQueue& local);
+  void SubmitNew(TaskPtr task, TaskQueue& local);
 
   /// Every owned vertex has been offered to Spawn.
   bool SpawnExhausted() const;
@@ -114,20 +96,20 @@ class Scheduler {
  private:
   /// Routes a kReady task already counted in pending_: big tasks to the
   /// machine's global queue, small ones to `local`.
-  void Enqueue(TaskPtr task, LocalQueue& local);
+  void Enqueue(TaskPtr task, TaskQueue& local);
 
   /// A task released by the PullBroker (suspension pull complete):
   /// advance it to kReady and route it.
-  void OnResumed(TaskPtr task, LocalQueue& local);
+  void OnResumed(TaskPtr task, TaskQueue& local);
 
   /// Admission of one freshly spawned task. Returns true when the task
   /// was big (the spawn batch stops early, the paper's "avoid generating
   /// many big tasks").
-  bool AdmitSpawned(TaskPtr task, LocalQueue& local);
+  bool AdmitSpawned(TaskPtr task, TaskQueue& local);
 
-  void PushLocal(LocalQueue& local, TaskPtr task);
-  TaskPtr PopLocal(LocalQueue& local, ComputeContext& ctx);
-  void RefillLocal(LocalQueue& local, ComputeContext& ctx);
+  /// Spawns a batch of up to C small tasks from the machine's unspawned
+  /// vertices into `local`, stopping early after a big one.
+  void SpawnBatch(TaskQueue& local, ComputeContext& ctx);
 
   LifecycleCounters* lifecycle() { return &deps_.counters->lifecycle; }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <unordered_map>
 
 #include "util/timer.h"
@@ -285,9 +286,11 @@ bool ParseEventTs(const std::string& line, uint64_t* ts) {
 
 }  // namespace
 
-Status MergeFragments(const std::vector<std::string>& fragment_paths,
-                      const std::vector<std::string>& extra_event_lines,
-                      const std::string& out_path) {
+StatusOr<size_t> MergeFragments(
+    const std::vector<std::string>& fragment_paths,
+    const std::string& local_lines,
+    const std::vector<std::string>& extra_event_lines,
+    const std::string& out_path) {
   struct Entry {
     uint64_t ts;
     std::string line;
@@ -302,14 +305,18 @@ Status MergeFragments(const std::vector<std::string>& fragment_paths,
     entries.push_back(Entry{ts, line});
     return Status::OK();
   };
+  auto add_lines = [&add_line](std::istream& in) {
+    std::string line;
+    while (std::getline(in, line)) QCM_RETURN_IF_ERROR(add_line(line));
+    return Status::OK();
+  };
   for (const std::string& path : fragment_paths) {
     std::ifstream in(path, std::ios::binary);
     if (!in) continue;  // rank died before draining; merge what exists
-    std::string line;
-    while (std::getline(in, line)) {
-      QCM_RETURN_IF_ERROR(add_line(line));
-    }
+    QCM_RETURN_IF_ERROR(add_lines(in));
   }
+  std::istringstream local(local_lines);
+  QCM_RETURN_IF_ERROR(add_lines(local));
   for (const std::string& line : extra_event_lines) {
     QCM_RETURN_IF_ERROR(add_line(line));
   }
@@ -327,7 +334,7 @@ Status MergeFragments(const std::vector<std::string>& fragment_paths,
   out << "]}\n";
   out.flush();
   if (!out) return Status::IOError("short write to merged trace: " + out_path);
-  return Status::OK();
+  return entries.size();
 }
 
 }  // namespace trace

@@ -113,14 +113,18 @@ std::string DrainJsonLines(int pid);
 /// Writes DrainJsonLines(pid) to `path` (one JSON object per line).
 Status WriteFragment(const std::string& path, int pid);
 
-/// Reads per-rank fragment files (+ optional pre-formatted event lines,
-/// e.g. sampled counter tracks or coordinator metadata), sorts every event
-/// by its "ts" field, and writes one {"traceEvents":[...]} file that
-/// Perfetto loads directly. Missing fragment files are skipped (a rank
-/// that died before draining), not an error.
-Status MergeFragments(const std::vector<std::string>& fragment_paths,
-                      const std::vector<std::string>& extra_event_lines,
-                      const std::string& out_path);
+/// Reads per-rank fragment files, `local_lines` (this process's own
+/// DrainJsonLines output, or empty) and optional pre-formatted event lines
+/// (e.g. sampled counter tracks or coordinator metadata), sorts every
+/// event by its "ts" field, and writes one {"traceEvents":[...]} file that
+/// Perfetto loads directly. Returns the number of events written. Missing
+/// fragment files are skipped (a rank that died before draining), not an
+/// error.
+StatusOr<size_t> MergeFragments(
+    const std::vector<std::string>& fragment_paths,
+    const std::string& local_lines,
+    const std::vector<std::string>& extra_event_lines,
+    const std::string& out_path);
 
 /// RAII complete-span: stamps begin at construction, emits one "X" record
 /// at destruction. Cost when disabled: one relaxed load in the ctor.

@@ -59,20 +59,6 @@ TEST(BarabasiAlbertTest, RejectsBadArgs) {
   EXPECT_FALSE(GenBarabasiAlbert(3, 3, 1).ok());
 }
 
-TEST(RmatTest, ProducesSkewedGraph) {
-  auto g = GenRMAT(10, 4000, 0.57, 0.19, 0.19, 3);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NumVertices(), 1024u);
-  EXPECT_GT(g->NumEdges(), 3000u);
-  GraphStats s = ComputeGraphStats(*g);
-  EXPECT_GT(s.max_degree, 2 * s.avg_degree);
-}
-
-TEST(RmatTest, RejectsBadProbabilities) {
-  EXPECT_FALSE(GenRMAT(8, 100, 0.6, 0.3, 0.2, 1).ok());  // sums > 1
-  EXPECT_FALSE(GenRMAT(0, 100, 0.25, 0.25, 0.25, 1).ok());
-}
-
 TEST(PlantedTest, CommunitiesAreQuasiCliques) {
   PlantedConfig config;
   config.num_vertices = 400;

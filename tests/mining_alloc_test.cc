@@ -3,6 +3,8 @@
 // of its own: it mines a fixed set of roots twice through one pooled
 // MiningScratch, and on the second pass every operator new inside
 // RecursiveMine must be one emitted result set (EmitVerified's output).
+// It also holds a comper's per-pop "anything spilled?" check to no
+// allocation.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,9 @@
 #include <span>
 #include <vector>
 
+#include "gthinker/spill.h"
+#include "gthinker/task_queue.h"
+#include "mining/qc_app.h"
 #include "quick/mining_context.h"
 #include "quick/recursive_mine.h"
 #include "search_fixture.h"
@@ -95,6 +100,35 @@ TEST(MiningAllocTest, WarmSearchAllocatesOnlyItsResults) {
     EXPECT_EQ(warm.news, warm.stats.emitted)
         << warm.stats.nodes_explored << " search nodes";
   }
+}
+
+// Below C tasks in memory, every pop first asks the queue's spill list
+// for a batch (TaskQueue::Refill, under GlobalQueue::TryPop for the
+// global queue). With nothing on disk that costs a lock and no
+// allocation.
+TEST(QueueAllocTest, NothingSpilledCheckAllocatesNothing) {
+  EngineCounters counters;
+  SpillManager spill(::testing::TempDir(), "alloc_check", &counters);
+  const QCApp app{EngineConfig{}};
+  TaskQueue local(/*capacity=*/8, /*batch=*/4, &spill, &app,
+                  &counters.lifecycle);
+  GlobalQueue global(/*capacity=*/8, /*batch=*/4, &spill, &app, &counters);
+  TaskPtr task = QCTask::MakeSpawn(1, 1);
+  AdvanceTaskState(*task, TaskState::kReady, nullptr);
+  local.Push(std::move(task));
+
+  int refilled = 0;
+  int popped = 0;
+  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    refilled += local.Refill() ? 1 : 0;
+    popped += global.TryPop() != nullptr ? 1 : 0;
+  }
+  const uint64_t news = g_news.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(refilled, 0);
+  EXPECT_EQ(popped, 0);
+  EXPECT_EQ(local.size(), 1u);
 }
 
 }  // namespace

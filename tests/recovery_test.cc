@@ -4,16 +4,17 @@
 // semantics across incarnation epochs and crash phases, root-progress
 // taint rules, the coordinator's liveness-deadline bookkeeping, the
 // duplicate suppression that makes double-mined results harmless, a
-// survivor dropping a dead rank's pull requests queued at its responder,
-// and the end-to-end acceptance bar: a 3-process cluster with one worker
-// SIGKILLed mid-mining finishes with a digest bit-identical to a
-// crash-free run.
+// survivor dropping a dead rank's pull requests queued at its responder
+// and mining the steal batches it had shipped there, and the end-to-end
+// acceptance bar: a 3-process cluster with one worker SIGKILLed
+// mid-mining finishes with a digest bit-identical to a crash-free run.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include "graph/csr_snapshot.h"
 #include "gthinker/checkpoint.h"
 #include "gthinker/engine.h"
+#include "gthinker/task_queue.h"
 #include "net/coordinator.h"
 #include "quick/maximality_filter.h"
 #include "util/serde.h"
@@ -406,8 +408,13 @@ class ScriptedPeerTransport : public Transport {
       Decoder dec(payload);
       EXPECT_TRUE(dec.GetU32Vector(&ids).ok());
       answered_.push_back(std::move(ids));
+    } else if (type == static_cast<uint8_t>(MessageType::kStealBatch)) {
+      shipped_.push_back(std::move(payload));
     }
     return Status::OK();
+  }
+  bool PeerAlive(int peer) const override {
+    return peer != 1 || !peer_down_.load();
   }
   void PublishStatus(const RankStatus& status) override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -421,7 +428,13 @@ class ScriptedPeerTransport : public Transport {
     handler_(1, static_cast<uint8_t>(MessageType::kPullRequest),
              enc.Release(), 0);
   }
-  void PeerDown() { hooks_.on_peer_down(1); }
+  void PeerDown() {
+    peer_down_.store(true);
+    hooks_.on_peer_down(1);
+  }
+  void StealTo(int receiver, uint64_t want) {
+    hooks_.on_steal_command(receiver, want);
+  }
   void Terminate() { hooks_.on_terminate(); }
   /// The ids of each pull response sent, in send order.
   std::vector<std::vector<VertexId>> answered() const {
@@ -433,13 +446,20 @@ class ScriptedPeerTransport : public Transport {
     std::lock_guard<std::mutex> lock(mu_);
     return processed_from_peer_;
   }
+  /// The payload of each steal batch sent, in send order.
+  std::vector<std::string> shipped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return shipped_;
+  }
 
  private:
   DataHandler handler_;
   ControlHooks hooks_;
   std::promise<void> started_;
+  std::atomic<bool> peer_down_{false};
   mutable std::mutex mu_;
   std::vector<std::vector<VertexId>> answered_;
+  std::vector<std::string> shipped_;
   uint64_t processed_from_peer_ = 0;
 };
 
@@ -507,6 +527,132 @@ TEST(ResponderRecoveryTest, PeerDeathDropsItsRequestsQueuedAtTheResponder) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->counters.pulled_vertices, 1u);
   std::remove(snapshot_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Steal batches and rank death: a batch shipped to a rank that then dies,
+// and one whose receiver is already dead when the steal command arrives,
+// both come back through the task-batch codec to the front of this rank's
+// global queue, and every task in them is mined here exactly once.
+// ---------------------------------------------------------------------------
+
+/// FanOutApp's task: the root, or one of its numbered big leaves.
+class FanTask : public Task {
+ public:
+  FanTask(VertexId root, int leaf) : root_(root), leaf_(leaf) {}
+  VertexId root() const override { return root_; }
+  uint64_t SizeHint() const override { return leaf_ < 0 ? 0 : 1000; }
+  void Encode(Encoder* enc) const override {
+    enc->PutU32(root_);
+    enc->PutU32(static_cast<uint32_t>(leaf_));
+  }
+  int leaf() const { return leaf_; }
+
+ private:
+  VertexId root_;
+  int leaf_;  // -1 for the root
+};
+
+/// Spawns one root, whose round adds kLeaves big leaves to the global
+/// queue; each leaf holds its comper until the gate opens.
+class FanOutApp : public App {
+ public:
+  static constexpr int kLeaves = 6;
+
+  TaskPtr Spawn(VertexId v, ComputeContext&) override {
+    if (spawned_.exchange(true)) return nullptr;
+    return std::make_unique<FanTask>(v, -1);
+  }
+  ComputeStatus Compute(Task& task, ComputeContext& ctx) override {
+    const auto& t = static_cast<const FanTask&>(task);
+    if (t.leaf() < 0) {
+      for (int i = 0; i < kLeaves; ++i) {
+        ctx.AddTask(std::make_unique<FanTask>(t.root(), i));
+      }
+      return ComputeStatus::kDone;
+    }
+    started_.fetch_add(1);
+    WallTimer waited;
+    while (!gate_.load() && waited.Seconds() < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    mined_.push_back(t.leaf());
+    return ComputeStatus::kDone;
+  }
+  StatusOr<TaskPtr> DecodeTask(Decoder* dec) const override {
+    uint32_t root = 0;
+    uint32_t leaf = 0;
+    QCM_RETURN_IF_ERROR(dec->GetU32(&root));
+    QCM_RETURN_IF_ERROR(dec->GetU32(&leaf));
+    return TaskPtr(std::make_unique<FanTask>(root, static_cast<int>(leaf)));
+  }
+
+  int started() const { return started_.load(); }
+  void OpenGate() { gate_.store(true); }
+  std::vector<int> mined() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return mined_;
+  }
+
+ private:
+  std::atomic<bool> spawned_{false};
+  std::atomic<bool> gate_{false};
+  std::atomic<int> started_{0};
+  mutable std::mutex mu_;
+  std::vector<int> mined_;
+};
+
+TEST(StealRecoveryTest, BatchesShippedToADeadRankAreMinedHere) {
+  auto graph = Graph::FromEdges(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
+  ASSERT_TRUE(graph.ok());
+  EngineConfig config;
+  config.num_machines = 2;
+  config.threads_per_machine = 1;
+  config.mining.gamma = 0.9;  // unused by the app but must validate
+  config.mining.min_size = 2;
+  config.spill_dir = ::testing::TempDir();
+  ScriptedPeerTransport transport;
+  FanOutApp app;
+  Engine engine(std::make_unique<VertexTable>(&graph.value(), 2, /*rank=*/0),
+                config, &app, &transport);
+  StatusOr<EngineReport> report = Status::Aborted("engine did not run");
+  std::thread runner([&] { report = engine.Run(); });
+  transport.AwaitStart();
+
+  // The comper holds leaf 0 at the gate; leaves 1-5 wait in the global
+  // queue.
+  WallTimer waited;
+  while (app.started() == 0 && waited.Seconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(app.started(), 1);
+  transport.StealTo(1, 3);  // ships the tail: leaves 5, 4, 3
+  transport.PeerDown();     // ... and rank 1 dies with them
+  transport.StealTo(1, 1);  // leaf 2 finds its receiver already dead
+  app.OpenGate();
+  while (app.mined().size() < FanOutApp::kLeaves && waited.Seconds() < 20.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  transport.Terminate();
+  runner.join();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // Both batches went back to the front of the queue, newest first.
+  EXPECT_EQ(app.mined(), (std::vector<int>{0, 2, 5, 4, 3, 1}));
+  const std::vector<std::string> shipped = transport.shipped();
+  ASSERT_EQ(shipped.size(), 1u);
+  auto count = TaskBatchCount(shipped[0]);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), 3u);
+  const EngineCountersSnapshot& c = report->counters;
+  EXPECT_EQ(c.stolen_tasks, 3u);
+  EXPECT_EQ(c.replayed_tasks, 4u);
+  EXPECT_EQ(c.LifecycleTransitions(TaskState::kReady, TaskState::kStolen),
+            4u);
+  EXPECT_EQ(c.LifecycleTransitions(TaskState::kStolen, TaskState::kReady),
+            4u);
+  EXPECT_EQ(c.tasks_completed, 1u + FanOutApp::kLeaves);
 }
 
 // ---------------------------------------------------------------------------

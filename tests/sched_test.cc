@@ -8,6 +8,8 @@
 #include <algorithm>
 
 #include "gthinker/engine_config.h"
+#include "gthinker/task_queue.h"
+#include "mining/qc_app.h"
 #include "mining/qc_task.h"
 #include "sched/lifecycle.h"
 #include "sched/steal_planner.h"
@@ -88,20 +90,21 @@ TEST(LifecycleTest, AdvanceCountsEveryTransition) {
 
 TEST(LifecycleTest, SpillRoundTripIsVisibleInTheMatrix) {
   LifecycleCounters counters;
-  // Donor side: a queued task is serialized to disk ...
-  TaskPtr original = QCTask::MakeSpawn(3, 2);
-  AdvanceTaskState(*original, TaskState::kReady, &counters);
-  AdvanceTaskState(*original, TaskState::kSpilled, &counters);
-  Encoder enc;
-  original->Encode(&enc);
-  original.reset();
+  const QCApp app{EngineConfig{}};
+  // Donor side: a queued task is encoded into a spill batch ...
+  std::vector<TaskPtr> batch;
+  batch.push_back(QCTask::MakeSpawn(3, 2));
+  AdvanceTaskState(*batch[0], TaskState::kReady, &counters);
+  const std::string bytes =
+      EncodeTaskBatch(batch, TaskState::kSpilled, &counters);
+  batch.clear();
   // ... and the refill decodes a fresh object whose round trip counts as
   // kSpilled -> kReady, not as a new spawn.
-  const std::string blob = enc.Release();
-  Decoder dec(blob);
-  TaskPtr reloaded = std::move(QCTask::Decode(&dec)).value();
-  RehydrateTaskState(*reloaded, TaskState::kSpilled, &counters);
-  EXPECT_EQ(reloaded->sched_info().state, TaskState::kReady);
+  auto reloaded =
+      DecodeTaskBatch(bytes, app, TaskState::kSpilled, &counters);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ASSERT_EQ(reloaded->size(), 1u);
+  EXPECT_EQ((*reloaded)[0]->sched_info().state, TaskState::kReady);
   EXPECT_EQ(counters.Transitions(TaskState::kReady, TaskState::kSpilled),
             1u);
   EXPECT_EQ(counters.Transitions(TaskState::kSpilled, TaskState::kReady),
@@ -112,17 +115,17 @@ TEST(LifecycleTest, SpillRoundTripIsVisibleInTheMatrix) {
 
 TEST(LifecycleTest, StealRoundTripIsVisibleInTheMatrix) {
   LifecycleCounters counters;
-  TaskPtr task = QCTask::MakeSpawn(9, 200);
-  AdvanceTaskState(*task, TaskState::kReady, &counters);
-  AdvanceTaskState(*task, TaskState::kStolen, &counters);
-  Encoder enc;
-  task->Encode(&enc);
-  task.reset();
-  const std::string blob = enc.Release();
-  Decoder dec(blob);
-  TaskPtr arrived = std::move(QCTask::Decode(&dec)).value();
-  RehydrateTaskState(*arrived, TaskState::kStolen, &counters);
-  EXPECT_EQ(arrived->sched_info().state, TaskState::kReady);
+  const QCApp app{EngineConfig{}};
+  std::vector<TaskPtr> batch;
+  batch.push_back(QCTask::MakeSpawn(9, 200));
+  AdvanceTaskState(*batch[0], TaskState::kReady, &counters);
+  const std::string bytes =
+      EncodeTaskBatch(batch, TaskState::kStolen, &counters);
+  batch.clear();
+  auto arrived = DecodeTaskBatch(bytes, app, TaskState::kStolen, &counters);
+  ASSERT_TRUE(arrived.ok()) << arrived.status().ToString();
+  ASSERT_EQ(arrived->size(), 1u);
+  EXPECT_EQ((*arrived)[0]->sched_info().state, TaskState::kReady);
   EXPECT_EQ(counters.Transitions(TaskState::kReady, TaskState::kStolen),
             1u);
   EXPECT_EQ(counters.Transitions(TaskState::kStolen, TaskState::kReady),

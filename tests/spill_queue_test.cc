@@ -1,10 +1,12 @@
-// Unit tests for the engine substrates: spill manager, global queue,
+// Unit tests for the engine substrates: spill manager, task queues,
 // partitioned vertex table, and the QCTask codec. (The vertex cache and
 // pull broker are covered in vertex_cache_test.cc.)
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -37,19 +39,21 @@ TaskPtr ReadyTask(VertexId root, uint64_t hint) {
 TEST(SpillManagerTest, BatchRoundTripLifo) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "t1", &counters);
-  ASSERT_TRUE(spill.SpillBatch({"alpha", "beta"}).ok());
-  ASSERT_TRUE(spill.SpillBatch({"gamma"}).ok());
+  ASSERT_TRUE(spill.SpillBatch("alpha+beta", 2).ok());
+  ASSERT_TRUE(spill.SpillBatch("gamma", 1).ok());
   EXPECT_EQ(spill.FileCount(), 2u);
   EXPECT_EQ(spill.PendingTasks(), 3u);
 
   // LIFO: most recent batch first.
   auto batch = spill.PopBatch();
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*batch, (std::vector<std::string>{"gamma"}));
+  EXPECT_EQ(*batch, "gamma");
+  EXPECT_EQ(spill.PendingTasks(), 2u);
   batch = spill.PopBatch();
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*batch, (std::vector<std::string>{"alpha", "beta"}));
+  EXPECT_EQ(*batch, "alpha+beta");
   EXPECT_EQ(spill.FileCount(), 0u);
+  EXPECT_EQ(spill.PendingTasks(), 0u);
 
   // Empty pop is not an error.
   batch = spill.PopBatch();
@@ -66,14 +70,14 @@ TEST(SpillManagerTest, BatchRoundTripLifo) {
 TEST(SpillManagerTest, EmptyBatchIsNoop) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "t2", &counters);
-  ASSERT_TRUE(spill.SpillBatch({}).ok());
+  ASSERT_TRUE(spill.SpillBatch("", 0).ok());
   EXPECT_EQ(spill.FileCount(), 0u);
 }
 
 TEST(SpillManagerTest, RemoveAllCleansDisk) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "t3", &counters);
-  ASSERT_TRUE(spill.SpillBatch({"x"}).ok());
+  ASSERT_TRUE(spill.SpillBatch("x", 1).ok());
   spill.RemoveAll();
   EXPECT_EQ(spill.FileCount(), 0u);
   auto batch = spill.PopBatch();
@@ -103,8 +107,8 @@ TEST(SpillManagerTest, RemoveAllWithFilesStillPendingDeletesThem) {
   EngineCounters counters;
   const std::string dir = TempSpillDir();
   SpillManager spill(dir, "t5", &counters);
-  ASSERT_TRUE(spill.SpillBatch({"a", "b"}).ok());
-  ASSERT_TRUE(spill.SpillBatch({"c"}).ok());
+  ASSERT_TRUE(spill.SpillBatch("a+b", 2).ok());
+  ASSERT_TRUE(spill.SpillBatch("c", 1).ok());
   EXPECT_EQ(spill.FileCount(), 2u);
   EXPECT_EQ(spill.PendingTasks(), 3u);
 
@@ -118,10 +122,52 @@ TEST(SpillManagerTest, RemoveAllWithFilesStillPendingDeletesThem) {
     EXPECT_NE(::access(path.c_str(), F_OK), 0) << path << " still exists";
   }
   // The manager remains usable after the purge.
-  ASSERT_TRUE(spill.SpillBatch({"d"}).ok());
+  ASSERT_TRUE(spill.SpillBatch("d", 1).ok());
   auto batch = spill.PopBatch();
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*batch, (std::vector<std::string>{"d"}));
+  EXPECT_EQ(*batch, "d");
+}
+
+// A spill file damaged on disk -- one byte flipped, or its tail cut off --
+// is Corruption naming the file, and the manager moves on to the next one.
+TEST(SpillManagerTest, DamagedFileIsCorruptionNamingTheFile) {
+  EngineCounters counters;
+  const std::string dir = TempSpillDir();
+  SpillManager spill(dir, "t6", &counters);
+  ASSERT_TRUE(spill.SpillBatch("first batch", 1).ok());
+  ASSERT_TRUE(spill.SpillBatch("second batch", 1).ok());
+  const std::string cut = dir + "/t6_0.spill";
+  const std::string flipped = dir + "/t6_1.spill";
+  {
+    std::fstream f(flipped, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-1, std::ios::end);
+    const char last = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(last ^ 0x20));
+    ASSERT_TRUE(f.good());
+  }
+  struct stat st {};
+  ASSERT_EQ(::stat(cut.c_str(), &st), 0);
+  ASSERT_EQ(::truncate(cut.c_str(), st.st_size - 3), 0);
+
+  auto batch = spill.PopBatch();
+  EXPECT_EQ(batch.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(batch.status().message().find(flipped), std::string::npos)
+      << batch.status().ToString();
+  EXPECT_NE(batch.status().message().find("checksum mismatch"),
+            std::string::npos)
+      << batch.status().ToString();
+
+  batch = spill.PopBatch();
+  EXPECT_EQ(batch.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(batch.status().message().find(cut), std::string::npos)
+      << batch.status().ToString();
+  EXPECT_NE(batch.status().message().find("truncated"), std::string::npos)
+      << batch.status().ToString();
+
+  EXPECT_EQ(spill.FileCount(), 0u);
+  EXPECT_EQ(spill.PendingTasks(), 0u);
+  EXPECT_EQ(counters.spill_bytes_read.load(), 0u);
 }
 
 TEST(VertexTableTest, PartitionsCoverAllVertices) {
@@ -191,6 +237,36 @@ class QueueApp : public App {
     return QCTask::Decode(dec);
   }
 };
+
+// A comper spawns exactly when its queue's Refill() says so: below C
+// tasks with nothing on disk. A spill takes a batch from the tail, and the
+// refill brings it back behind the tasks still in memory.
+TEST(TaskQueueTest, RefillFalseOnlyBelowBatchWithNothingOnDisk) {
+  EngineCounters counters;
+  SpillManager spill(TempSpillDir(), "q0", &counters);
+  QueueApp app;
+  TaskQueue q(/*capacity=*/4, /*batch=*/2, &spill, &app, &counters.lifecycle);
+  EXPECT_FALSE(q.Refill());
+  for (VertexId v = 0; v < 5; ++v) q.Push(ReadyTask(v, 10));
+  EXPECT_EQ(q.size(), 3u);  // the fifth push spilled {4, 3}
+  EXPECT_EQ(spill.PendingTasks(), 2u);
+  EXPECT_TRUE(q.Refill());  // at least C in memory: no disk read
+  EXPECT_EQ(spill.PendingTasks(), 2u);
+
+  std::vector<VertexId> order;
+  for (int i = 0; i < 2; ++i) order.push_back(q.PopFront()->root());
+  EXPECT_TRUE(q.Refill());
+  EXPECT_EQ(spill.PendingTasks(), 0u);
+  while (TaskPtr t = q.PopFront()) order.push_back(t->root());
+  EXPECT_EQ(order, (std::vector<VertexId>{0, 1, 2, 4, 3}));
+  EXPECT_FALSE(q.Refill());
+  EXPECT_EQ(counters.lifecycle.Transitions(TaskState::kReady,
+                                           TaskState::kSpilled),
+            2u);
+  EXPECT_EQ(counters.lifecycle.Transitions(TaskState::kSpilled,
+                                           TaskState::kReady),
+            2u);
+}
 
 TEST(GlobalQueueTest, FifoWithinCapacity) {
   EngineCounters counters;

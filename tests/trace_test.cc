@@ -2,7 +2,8 @@
 // tracing off no site of an engine run reads the clock, ring overflow
 // keeps the prefix and counts drops, concurrent writers are race-free
 // (run under TSan in CI), the JSON drain is byte-stable under a
-// pinned clock, fragment merging is time-ordered, and — the acceptance
+// pinned clock, fragment merging is time-ordered and takes this
+// process's own drain, and — the acceptance
 // gate — a real 3-process qcm_cluster run produces ONE merged,
 // time-ordered, Perfetto-loadable timeline with spans from every rank
 // plus kStats counter tracks, without changing the result digest.
@@ -280,8 +281,10 @@ TEST_F(TraceTest, MergeFragmentsSortsByTimestampAndSkipsMissingRanks) {
       "{\"name\":\"d\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":150,"
       "\"pid\":1,\"tid\":0,\"args\":{\"value\":5}}",
   };
-  ASSERT_TRUE(
-      trace::MergeFragments({frag0, frag1, missing}, extra, out).ok());
+  const StatusOr<size_t> events =
+      trace::MergeFragments({frag0, frag1, missing}, "", extra, out);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events.value(), 4u);
 
   const std::string merged = ReadFile(out);
   EXPECT_EQ(merged.rfind("{\"traceEvents\":[", 0), 0u);
@@ -306,7 +309,43 @@ TEST_F(TraceTest, MergeFragmentsRejectsEventWithoutTimestamp) {
   const std::string out = ::testing::TempDir() + "/trace_bad_merge.json";
   const std::vector<std::string> extra = {
       "{\"name\":\"no_ts\",\"ph\":\"i\"}"};
-  EXPECT_FALSE(trace::MergeFragments({}, extra, out).ok());
+  EXPECT_FALSE(trace::MergeFragments({}, "", extra, out).ok());
+  EXPECT_FALSE(trace::MergeFragments({}, extra[0] + "\n", {}, out).ok());
+}
+
+// Both CLIs hand MergeFragments their own DrainJsonLines output whole: it
+// splits the drain into events exactly as it splits a fragment file, and
+// places each by its ts among the other lines.
+TEST_F(TraceTest, MergeFragmentsTakesThisProcesssDrain) {
+  trace::SetClockForTest(&FakeClock);
+  g_fake_now = 400;
+  trace::Start(/*ring_kb=*/4);
+  trace::SetThreadName("launcher");
+  trace::EmitInstant(trace::InternName("local_event"), trace::kNet, 7);
+  const std::string drained = trace::DrainJsonLines(/*pid=*/3);
+  ASSERT_EQ(CountOccurrences(drained, "\n"), 2u) << drained;
+
+  const std::string out = ::testing::TempDir() + "/trace_merge_local.json";
+  const std::vector<std::string> extra = {
+      "{\"name\":\"late\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":500,"
+      "\"pid\":0,\"tid\":0,\"args\":{\"value\":1}}",
+  };
+  const StatusOr<size_t> events =
+      trace::MergeFragments({}, drained, extra, out);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events.value(), 3u);
+  const std::string merged = ReadFile(out);
+  const size_t name = merged.find("\"name\":\"launcher\"");
+  const size_t local = merged.find("\"name\":\"local_event\"");
+  const size_t late = merged.find("\"name\":\"late\"");
+  ASSERT_NE(name, std::string::npos) << merged;
+  ASSERT_NE(local, std::string::npos) << merged;
+  ASSERT_NE(late, std::string::npos) << merged;
+  EXPECT_LT(name, local);
+  EXPECT_LT(local, late);
+  EXPECT_NE(merged.find("\"ts\":400,\"pid\":3"), std::string::npos)
+      << merged;
+  ::remove(out.c_str());
 }
 
 // ---------------------------------------------------------------------------

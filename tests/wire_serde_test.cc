@@ -17,6 +17,7 @@
 #include "gthinker/engine_config.h"
 #include "graph/ego_builder.h"
 #include "gthinker/metrics.h"
+#include "gthinker/task_queue.h"
 #include "mining/qc_task.h"
 #include "net/job_spec.h"
 #include "net/wire.h"
@@ -94,33 +95,60 @@ TEST(MessagePayloadTest, PullResponseRoundTripAndExactBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// kStealBatch payload: task count + concatenated QCTask encodings. Tasks
-// now cross process boundaries, so both the round trip and the exact
-// bytes of a spawn-task encoding are pinned.
+// kStealBatch payload: one task batch (EncodeTaskBatch, also the bytes of
+// every spill file), the task count then each QCTask encoding. Tasks
+// cross process boundaries, so the codec's output is pinned to a
+// hand-built payload, and the exact bytes of a spawn-task encoding are
+// pinned below.
 // ---------------------------------------------------------------------------
+
+/// Decodes QCTasks as QCApp does, counting QCTask::Decode's rejections.
+class CountingTaskApp : public App {
+ public:
+  TaskPtr Spawn(VertexId, ComputeContext&) override { return nullptr; }
+  ComputeStatus Compute(Task&, ComputeContext&) override {
+    return ComputeStatus::kDone;
+  }
+  StatusOr<TaskPtr> DecodeTask(Decoder* dec) const override {
+    StatusOr<TaskPtr> task = QCTask::Decode(dec);
+    rejected += task.ok() ? 0 : 1;
+    return task;
+  }
+  mutable int rejected = 0;
+};
+
+/// `tasks`, admitted (kReady) as the queues hold them.
+std::vector<TaskPtr> ReadyBatch(std::vector<TaskPtr> tasks) {
+  for (TaskPtr& t : tasks) AdvanceTaskState(*t, TaskState::kReady, nullptr);
+  return tasks;
+}
 
 TEST(MessagePayloadTest, StealBatchRoundTrip) {
   Encoder enc;
   enc.PutU32(2);
   QCTask::MakeSpawn(11, 42)->Encode(&enc);
   QCTask::MakeSpawn(12, 7)->Encode(&enc);
-  const std::string payload = enc.Release();
+  const std::string pinned = enc.Release();
 
-  auto count = StealBatchTaskCount(payload);
+  std::vector<TaskPtr> batch;
+  batch.push_back(QCTask::MakeSpawn(11, 42));
+  batch.push_back(QCTask::MakeSpawn(12, 7));
+  const std::string payload = EncodeTaskBatch(
+      ReadyBatch(std::move(batch)), TaskState::kStolen, nullptr);
+  EXPECT_EQ(Hex(payload), Hex(pinned));
+
+  auto count = TaskBatchCount(payload);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value(), 2u);
 
-  Decoder dec(payload);
-  uint32_t n = 0;
-  ASSERT_TRUE(dec.GetU32(&n).ok());
-  ASSERT_EQ(n, 2u);
-  auto t1 = QCTask::Decode(&dec);
-  auto t2 = QCTask::Decode(&dec);
-  ASSERT_TRUE(t1.ok() && t2.ok());
-  EXPECT_EQ((*t1)->root(), 11u);
-  EXPECT_EQ((*t1)->SizeHint(), 42u);
-  EXPECT_EQ((*t2)->root(), 12u);
-  EXPECT_TRUE(dec.Done());
+  CountingTaskApp app;
+  auto tasks = DecodeTaskBatch(payload, app, TaskState::kStolen, nullptr);
+  ASSERT_TRUE(tasks.ok()) << tasks.status().ToString();
+  ASSERT_EQ(tasks->size(), 2u);
+  EXPECT_EQ((*tasks)[0]->root(), 11u);
+  EXPECT_EQ((*tasks)[0]->SizeHint(), 42u);
+  EXPECT_EQ((*tasks)[1]->root(), 12u);
+  EXPECT_EQ((*tasks)[1]->sched_info().state, TaskState::kReady);
 }
 
 // A spilled or stolen mining task is read back into the kernel, which
@@ -176,7 +204,98 @@ TEST(MessagePayloadTest, SpawnTaskEncodingExactBytes) {
 }
 
 TEST(MessagePayloadTest, CorruptStealBatchIsRejected) {
-  EXPECT_FALSE(StealBatchTaskCount("ab").ok());  // < 4 bytes
+  EXPECT_FALSE(TaskBatchCount("ab").ok());  // < 4 bytes
+  std::vector<TaskPtr> one;
+  one.push_back(QCTask::MakeSpawn(11, 42));
+  const std::string payload =
+      EncodeTaskBatch(ReadyBatch(std::move(one)), TaskState::kStolen, nullptr);
+  CountingTaskApp app;
+  auto decode = [&app](const std::string& bytes) {
+    return DecodeTaskBatch(bytes, app, TaskState::kStolen, nullptr).status();
+  };
+  ASSERT_TRUE(decode(payload).ok());
+  EXPECT_EQ(decode("ab").code(), StatusCode::kCorruption);
+  // The tasks must end exactly where the payload does: a cut task, a
+  // trailing byte, and counts above and below the tasks present.
+  EXPECT_EQ(decode(payload.substr(0, payload.size() - 1)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(decode(payload + "x").code(), StatusCode::kCorruption);
+  std::string more = payload;
+  more[0] = 2;
+  EXPECT_EQ(decode(more).code(), StatusCode::kCorruption);
+  std::string fewer = payload;
+  fewer[0] = 0;
+  EXPECT_EQ(decode(fewer).code(), StatusCode::kCorruption);
+}
+
+// Spill files and steal batches are read back by DecodeTaskBatch. Seeded
+// mutations of batches of spawn tasks and of mining subtasks that carry a
+// LocalGraph: flipped bits, overwritten bytes, cut tails, appended bytes
+// and rewritten counts. Every mutant decodes to OK or Corruption, never
+// aborts (the sanitizer lanes are the oracle), and thousands reach
+// QCTask::Decode's own rejections.
+TEST(MessagePayloadTest, TaskBatchDecoderSurvivesMutations) {
+  EgoBuilder builder;  // triangle 10 - 11 - 12, pendant 13 on 12
+  builder.Stage(10, {11, 12});
+  builder.Stage(11, {10, 12});
+  builder.Stage(12, {10, 11, 13});
+  builder.Stage(13, {12});
+  const LocalGraph g = builder.Build();
+  std::vector<TaskPtr> spawns;
+  for (VertexId v = 0; v < 3; ++v) spawns.push_back(QCTask::MakeSpawn(v, v));
+  std::vector<TaskPtr> subtasks;
+  subtasks.push_back(QCTask::MakeSubtask(10, {10}, {11, 12, 13}, g));
+  subtasks.push_back(QCTask::MakeSubtask(10, {10, 11}, {12}, g));
+  const std::string seeds[] = {
+      EncodeTaskBatch(ReadyBatch(std::move(spawns)), TaskState::kSpilled,
+                      nullptr),
+      EncodeTaskBatch(ReadyBatch(std::move(subtasks)), TaskState::kStolen,
+                      nullptr),
+  };
+  CountingTaskApp app;
+  for (const std::string& seed : seeds) {
+    ASSERT_TRUE(DecodeTaskBatch(seed, app, TaskState::kSpilled, nullptr).ok());
+  }
+
+  Rng rng(20261019);
+  int decoded = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string m = seeds[rng.Uniform(2)];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const size_t pos = rng.Uniform(m.size());
+      switch (rng.Uniform(5)) {
+        case 0:
+          m[pos] = static_cast<char>(m[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          m[pos] = static_cast<char>(rng.Next());
+          break;
+        case 2:
+          m.resize(pos);
+          break;
+        case 3:
+          for (uint64_t n = 1 + rng.Uniform(16); n > 0; --n) {
+            m.push_back(static_cast<char>(rng.Next()));
+          }
+          break;
+        default:
+          if (m.size() >= sizeof(uint32_t)) {
+            const uint32_t count = rng.Uniform(2) == 0
+                                       ? static_cast<uint32_t>(rng.Uniform(5))
+                                       : static_cast<uint32_t>(rng.Next());
+            std::memcpy(m.data(), &count, sizeof(count));
+          }
+      }
+    }
+    auto tasks = DecodeTaskBatch(m, app, TaskState::kSpilled, nullptr);
+    ASSERT_TRUE(tasks.ok() ||
+                tasks.status().code() == StatusCode::kCorruption)
+        << "mutation " << i << ": " << tasks.status().ToString();
+    decoded += tasks.ok() ? 1 : 0;
+  }
+  EXPECT_GT(app.rejected, 5000);
+  EXPECT_GT(decoded, 100);
 }
 
 // ---------------------------------------------------------------------------

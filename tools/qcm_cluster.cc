@@ -782,14 +782,6 @@ int main(int argc, char** argv) {
                           ".jsonl");
     }
     std::vector<std::string> extra = std::move(stats_events);
-    const int launcher_pid = num_workers;
-    const std::string drained = trace::DrainJsonLines(launcher_pid);
-    for (size_t start = 0; start < drained.size();) {
-      size_t end = drained.find('\n', start);
-      if (end == std::string::npos) end = drained.size();
-      if (end > start) extra.push_back(drained.substr(start, end - start));
-      start = end + 1;
-    }
     for (int r = 0; r <= num_workers; ++r) {
       const std::string label =
           r == num_workers ? "launcher" : "rank" + std::to_string(r);
@@ -798,8 +790,10 @@ int main(int argc, char** argv) {
           std::to_string(r) + ",\"tid\":0,\"args\":{\"name\":\"" + label +
           "\"}}");
     }
-    Status merge_status = trace::MergeFragments(fragments, extra, trace_out);
-    if (merge_status.ok()) {
+    const StatusOr<size_t> merged = trace::MergeFragments(
+        fragments, trace::DrainJsonLines(/*pid=*/num_workers), extra,
+        trace_out);
+    if (merged.ok()) {
       for (const std::string& f : fragments) ::remove(f.c_str());
       std::fprintf(stderr,
                    "trace: %s (%d rank fragments merged, %llu launcher "
@@ -808,7 +802,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(trace::DroppedRecords()));
     } else {
       std::fprintf(stderr, "trace merge failed: %s\n",
-                   merge_status.ToString().c_str());
+                   merged.status().ToString().c_str());
     }
   }
 

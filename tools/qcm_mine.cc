@@ -263,23 +263,16 @@ int main(int argc, char** argv) {
   // Single-process run: the whole timeline is local, so merge straight
   // from the in-memory rings (no fragment files).
   if (!config.trace_out.empty()) {
-    std::vector<std::string> events = std::move(stats_events);
-    const std::string drained = trace::DrainJsonLines(/*pid=*/0);
-    size_t start = 0;
-    while (start < drained.size()) {
-      size_t end = drained.find('\n', start);
-      if (end == std::string::npos) end = drained.size();
-      if (end > start) events.push_back(drained.substr(start, end - start));
-      start = end + 1;
-    }
-    Status ts = trace::MergeFragments({}, events, config.trace_out);
-    if (!ts.ok()) {
+    StatusOr<size_t> events = trace::MergeFragments(
+        {}, trace::DrainJsonLines(/*pid=*/0), stats_events,
+        config.trace_out);
+    if (!events.ok()) {
       std::fprintf(stderr, "trace write failed: %s\n",
-                   ts.ToString().c_str());
+                   events.status().ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "trace: %s (%zu events, %lu dropped)\n",
-                 config.trace_out.c_str(), events.size(),
+                 config.trace_out.c_str(), events.value(),
                  static_cast<unsigned long>(trace::DroppedRecords()));
   }
   return 0;
