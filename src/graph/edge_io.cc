@@ -1,5 +1,7 @@
 #include "graph/edge_io.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <bit>
 #include <cerrno>
@@ -7,9 +9,18 @@
 #include <cstring>
 #include <memory>
 
+#include "util/trace.h"
+
 namespace qcm {
 
 namespace {
+
+// The load's trace spans. Their names are interned before main, so no
+// load allocates for them, not even the first.
+const uint16_t kReadSpan = trace::InternName("edge_read");
+const uint16_t kIdsSpan = trace::InternName("edge_ids");
+const uint16_t kPrefilterSpan = trace::InternName("edge_prefilter");
+const uint16_t kBuildSpan = trace::InternName("csr_build");
 
 /// "file:line: why: 'offending text'" -- the offending line (`len` bytes,
 /// newline excluded) is cut at its first NUL and clipped so the message
@@ -76,6 +87,9 @@ struct RawEdges {
   std::vector<uint64_t> wide;
   uint64_t min_id = UINT64_MAX;
   uint64_t max_id = 0;
+  /// Endpoints the file can hold at most, if known (0 if not): each
+  /// buffer is reserved to it once, so it never grows.
+  size_t capacity = 0;
 
   void Add(uint64_t u, uint64_t v) {
     min_id = std::min({min_id, u, v});
@@ -85,7 +99,8 @@ struct RawEdges {
       narrow.push_back(static_cast<VertexId>(v));
       return;
     }
-    if (!narrow.empty()) {
+    if (wide.empty()) {
+      wide.reserve(capacity);
       wide.assign(narrow.begin(), narrow.end());
       std::vector<VertexId>().swap(narrow);
     }
@@ -99,12 +114,21 @@ struct FileCloser {
 };
 
 /// One buffered pass over the file: checks every line and collects its
-/// edge, if any, into `*raw`.
-Status ReadEdges(const std::string& path, RawEdges* raw) {
+/// edge, if any, into `*raw`. With `reserve`, the endpoint buffer of a
+/// regular file is reserved once from its size.
+Status ReadEdges(const std::string& path, bool reserve, RawEdges* raw) {
   std::unique_ptr<FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::IOError("cannot open " + path + ": " +
                            std::strerror(errno));
+  }
+  struct stat st {};
+  if (reserve && ::fstat(::fileno(file.get()), &st) == 0 &&
+      S_ISREG(st.st_mode)) {
+    // An edge line takes at least 4 bytes ("u v\n"), a last one without
+    // its newline 3.
+    raw->capacity = static_cast<size_t>(st.st_size) / 2 + 2;
+    raw->narrow.reserve(raw->capacity);
   }
   // buf[begin, end) holds unparsed bytes; the spare byte terminates a last
   // line that has no newline.
@@ -217,22 +241,74 @@ StatusOr<uint32_t> CompactIds(std::vector<Id>* endpoints, uint64_t min_id,
   return static_cast<uint32_t>(ids.size());
 }
 
+/// The prefilter of LoadEdgeList(path, k): keeps the pairs of
+/// `endpoints` (dense ids below n) that may be k-core edges, in file
+/// order, in an exactly sized buffer, and frees `endpoints`. Sets
+/// `*passes` to the passes it made.
+std::vector<VertexId> KeepCoreCandidates(uint32_t n, uint32_t k,
+                                         std::vector<VertexId> endpoints,
+                                         uint32_t* passes) {
+  VertexId* const e = endpoints.data();
+  size_t pairs = endpoints.size() / 2;
+  // One byte per count: a count below min(k, 255) is below k.
+  const uint8_t cap = static_cast<uint8_t>(std::min<uint32_t>(k, UINT8_MAX));
+  std::vector<uint8_t> count(n);
+  for (*passes = 1;; ++*passes) {
+    const size_t read = pairs;
+    std::fill(count.begin(), count.end(), 0);
+    for (size_t i = 0; i < 2 * read; i += 2) {
+      const VertexId u = e[i], v = e[i + 1];
+      if (u == v) continue;
+      count[u] += count[u] < cap;
+      count[v] += count[v] < cap;
+    }
+    pairs = 0;
+    for (size_t i = 0; i < 2 * read; i += 2) {
+      const VertexId u = e[i], v = e[i + 1];
+      if (u == v || count[u] < cap || count[v] < cap) continue;
+      e[2 * pairs] = u;
+      e[2 * pairs + 1] = v;
+      ++pairs;
+    }
+    if (8 * (read - pairs) <= read) break;
+  }
+  std::vector<uint8_t>().swap(count);
+  return std::vector<VertexId>(e, e + 2 * pairs);
+}
+
 }  // namespace
 
-StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
+StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
+                                   uint32_t min_degree) {
   RawEdges raw;
-  QCM_RETURN_IF_ERROR(ReadEdges(path, &raw));
-  LoadedGraph out;
-  uint32_t n = 0;
-  if (raw.wide.empty()) {
-    QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.narrow, raw.min_id, raw.max_id,
-                                       path, &out.original_ids));
-  } else {
-    QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.wide, raw.min_id, raw.max_id,
-                                       path, &out.original_ids));
-    raw.narrow.assign(raw.wide.begin(), raw.wide.end());
-    std::vector<uint64_t>().swap(raw.wide);
+  {
+    trace::Span span(trace::kLifecycle, kReadSpan);
+    QCM_RETURN_IF_ERROR(ReadEdges(path, min_degree > 0, &raw));
   }
+  LoadedGraph out;
+  out.edge_lines = (raw.narrow.size() + raw.wide.size()) / 2;
+  uint32_t n = 0;
+  {
+    trace::Span span(trace::kLifecycle, kIdsSpan);
+    if (raw.wide.empty()) {
+      QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.narrow, raw.min_id, raw.max_id,
+                                         path, &out.original_ids));
+    } else {
+      QCM_ASSIGN_OR_RETURN(n, CompactIds(&raw.wide, raw.min_id, raw.max_id,
+                                         path, &out.original_ids));
+      raw.narrow.assign(raw.wide.begin(), raw.wide.end());
+      std::vector<uint64_t>().swap(raw.wide);
+    }
+  }
+  if (min_degree > 0) {
+    trace::Span span(trace::kLifecycle, kPrefilterSpan);
+    uint32_t passes = 0;
+    raw.narrow =
+        KeepCoreCandidates(n, min_degree, std::move(raw.narrow), &passes);
+    span.set_arg(passes);
+    out.prefilter_k = min_degree;
+  }
+  trace::Span span(trace::kLifecycle, kBuildSpan, n);
   QCM_ASSIGN_OR_RETURN(out.graph,
                        Graph::FromEndpoints(n, std::move(raw.narrow)));
   return out;

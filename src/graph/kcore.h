@@ -11,8 +11,13 @@
 // own id space, so every per-vertex structure of the run is sized by the
 // core, not by the input, and numbered smallest-last, so every root has at
 // most the core's degeneracy of later neighbours (Quick+ gives root v only
-// the vertices after v). perfbench times KCoreMask as its own layer, and
-// CoreDecomposition serves graph_test and bench_micro_kernels.
+// the vertices after v). qcm_mine's engine path and qcm_cluster's pack
+// step load an edge list through LoadEdgeList's k-core prefilter
+// (graph/edge_io.h), which drops edges outside the core from the flat
+// endpoint buffer before any CSR is built: CompactKCore then peels a
+// graph of every input vertex but only the edges the prefilter kept, and
+// decides the core exactly. perfbench times KCoreMask as its own layer,
+// and CoreDecomposition serves graph_test and bench_micro_kernels.
 
 #ifndef QCM_GRAPH_KCORE_H_
 #define QCM_GRAPH_KCORE_H_

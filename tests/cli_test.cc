@@ -8,17 +8,21 @@
 // contradictory settings are rejected by EngineConfig::Validate() instead
 // of being patched; a results or stats file that cannot be written in
 // full exits 1, and so does a launcher dir that cannot be made, before
-// the load; and --help lists exactly the flags the tool accepts. The
-// table test checks that every shared row sets the field it names.
+// the load; qcm_mine prints one "graph: " line, whose counts parse,
+// before its "k-core: " line; and --help lists exactly the flags the tool
+// accepts. The table test checks that every shared row sets the field it
+// names.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <cstdio>
 #include <functional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_run.h"
@@ -211,6 +215,102 @@ TEST(CliContractTest, UnwritableTargetsExitOne) {
           << r.output;
     }
   }
+}
+
+/// The lines of `output` that start with `prefix`, in order, each with
+/// its offset in `output`.
+std::vector<std::pair<size_t, std::string>> LinesStartingWith(
+    const std::string& output, const std::string& prefix) {
+  std::vector<std::pair<size_t, std::string>> lines;
+  for (size_t at = 0; at < output.size();) {
+    size_t end = output.find('\n', at);
+    if (end == std::string::npos) end = output.size();
+    if (output.compare(at, prefix.size(), prefix) == 0) {
+      lines.emplace_back(at, output.substr(at, end - at));
+    }
+    at = end + 1;
+  }
+  return lines;
+}
+
+// qcm_mine prints exactly one "graph: " line once its graph is loaded,
+// before its "k-core: " line: the benchmark reads its setup time off that
+// line. An edge list the engine mines loads through the k-core prefilter,
+// so the line counts the file's vertices, its edge lines and the edges
+// the prefilter kept, which the k-core line starts from; --serial loads
+// the file whole and counts its edges.
+TEST(CliContractTest, GraphLineComesOnceBeforeTheKCoreLine) {
+  // Two 9-cliques on ids 10-18 (each edge once) and 20-28 (both ways), a
+  // path 28, 30, 31, ..., 40, and a self-loop on 5: 30 ids, 120 edge
+  // lines, 83 edges. The flags mine the 8-core: the two cliques.
+  std::string text = "# two cliques and a tail\n5 5\n28 30\n";
+  for (int a = 0; a < 9; ++a) {
+    for (int b = a + 1; b < 9; ++b) {
+      text += std::to_string(10 + a) + " " + std::to_string(10 + b) + "\n";
+      text += std::to_string(20 + a) + " " + std::to_string(20 + b) + "\n";
+      text += std::to_string(20 + b) + " " + std::to_string(20 + a) + "\n";
+    }
+  }
+  for (int v = 30; v < 40; ++v) {
+    text += std::to_string(v) + " " + std::to_string(v + 1) + "\n";
+  }
+  const std::string input = ::testing::TempDir() + "/cli_test_graph.txt";
+  FILE* f = std::fopen(input.c_str(), "w");
+  ASSERT_NE(f, nullptr) << input;
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  const std::string flags = "--input " + input + " --gamma 0.9 --min-size 9";
+
+  const RunResult engine =
+      RunTool("qcm_mine", flags + " --machines 2 --threads 1 --stats");
+  ASSERT_EQ(engine.exit_code, 0) << engine.output;
+  const auto graph_lines = LinesStartingWith(engine.output, "graph: ");
+  const auto core_lines = LinesStartingWith(engine.output, "k-core: ");
+  ASSERT_EQ(graph_lines.size(), 1u) << engine.output;
+  ASSERT_EQ(core_lines.size(), 1u) << engine.output;
+  EXPECT_LT(graph_lines[0].first, core_lines[0].first) << engine.output;
+  unsigned vertices = 0, k = 0;
+  unsigned long long lines = 0, kept = 0;
+  ASSERT_EQ(std::sscanf(graph_lines[0].second.c_str(),
+                        "graph: %u vertices, %llu edge lines, %llu kept by "
+                        "the k = %u prefilter",
+                        &vertices, &lines, &kept, &k),
+            4)
+      << engine.output;
+  EXPECT_EQ(vertices, 30u);
+  EXPECT_EQ(lines, 120u);
+  EXPECT_EQ(kept, 72u);  // the path's edges and the self-loop are dropped
+  EXPECT_EQ(k, 8u);
+  unsigned core_vertices = 0, input_vertices = 0, degeneracy = 0;
+  unsigned long long core_edges = 0, input_edges = 0;
+  ASSERT_EQ(std::sscanf(core_lines[0].second.c_str(),
+                        "k-core: %u of %u vertices, %llu of %llu edges, "
+                        "degeneracy %u",
+                        &core_vertices, &input_vertices, &core_edges,
+                        &input_edges, &degeneracy),
+            5)
+      << engine.output;
+  EXPECT_EQ(core_vertices, 18u);
+  EXPECT_EQ(input_vertices, vertices);
+  EXPECT_EQ(core_edges, 72u);
+  EXPECT_EQ(input_edges, kept);
+  EXPECT_EQ(degeneracy, 8u);
+
+  const RunResult serial = RunTool("qcm_mine", flags + " --serial --stats");
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  const auto serial_lines = LinesStartingWith(serial.output, "graph: ");
+  ASSERT_EQ(serial_lines.size(), 1u) << serial.output;
+  unsigned long long edges = 0;
+  ASSERT_EQ(std::sscanf(serial_lines[0].second.c_str(),
+                        "graph: %u vertices, %llu edges", &vertices, &edges),
+            2)
+      << serial.output;
+  EXPECT_EQ(vertices, 30u);
+  EXPECT_EQ(edges, 83u);
+  EXPECT_EQ(serial.output.find("edge lines"), std::string::npos);
+  EXPECT_TRUE(LinesStartingWith(serial.output, "k-core: ").empty());
+  EXPECT_NE(Digest(serial.output), "");
+  EXPECT_EQ(Digest(serial.output), Digest(engine.output));
 }
 
 /// Every "  --flag" entry of a --help listing.

@@ -226,6 +226,17 @@ TEST_P(ClusterParityTest, EveryDeploymentMinesTheBitIdenticalSet) {
     tasks += ranks[r].at("tasks_completed");
   }
   EXPECT_EQ(merged.at("tasks_completed"), tasks) << json;
+  // The cluster line's spill count is the merged report's.
+  unsigned long long cluster_tasks = 0, spilled = 0;
+  ASSERT_EQ(std::sscanf(Line(cluster.output, "cluster: ").c_str(),
+                        "cluster: %*d workers, %llu tasks, spill %llu tasks/",
+                        &cluster_tasks, &spilled),
+            2)
+      << cluster.output;
+  EXPECT_EQ(static_cast<long long>(cluster_tasks), tasks) << cluster.output;
+  ASSERT_EQ(merged.count("spilled_tasks"), 1u) << json;
+  EXPECT_EQ(static_cast<long long>(spilled), merged.at("spilled_tasks"))
+      << cluster.output;
   long long rank_candidates = 0;
   int rank_reports = 0;
   for (size_t at = json.find("\"raw_result_sets\"", ranks_at);

@@ -1,7 +1,8 @@
 // Regression tests for SNAP edge-list I/O: round-trip fidelity, comment
-// and blank-line tolerance, and -- the hardening contract -- a descriptive
-// file:line Corruption status for every malformed-input shape instead of
-// silently skipping or misreading lines.
+// and blank-line tolerance, the k-core prefilter against the full load,
+// and -- the hardening contract -- a descriptive file:line Corruption
+// status for every malformed-input shape instead of silently skipping or
+// misreading lines.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,61 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<CorruptCase>& info) {
       return info.param.name;
     });
+
+// A count is never below a vertex's true degree: duplicates and a
+// reversed copy count again. Vertex 9 has two neighbours but is counted
+// four times, so the k = 3 prefilter keeps both its edges (its self-loop
+// is dropped, and the 7-8 edge, counted once at each end); the exact peel
+// still drops it, and the 3-core is the K4.
+TEST(EdgeIoTest, PrefilterKeepsLiftedCountsAndThePeelDecides) {
+  const std::string path = WriteTempFile("edges_lifted.txt",
+                                         "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+                                         "9 0\n0 9\n9 1\n9 1\n9 9\n"
+                                         "7 8\n");
+  auto full = LoadEdgeList(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  auto pre = LoadEdgeList(path, 3);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  EXPECT_EQ(pre->edge_lines, 12u);
+  EXPECT_EQ(pre->original_ids.ids,
+            (std::vector<uint64_t>{0, 1, 2, 3, 7, 8, 9}));
+  ASSERT_EQ(pre->graph.NumVertices(), 7u);
+  // Dense ids 4, 5, 6 are file ids 7, 8, 9.
+  EXPECT_EQ(pre->graph.NumEdges(), 8u);
+  EXPECT_EQ(pre->graph.Degree(6), 2u);
+  EXPECT_EQ(pre->graph.Degree(4), 0u);
+  EXPECT_EQ(pre->graph.Degree(5), 0u);
+  EXPECT_EQ(full->graph.NumEdges(), 9u);
+  const KCore core = CompactKCore(pre->graph, 3);
+  EXPECT_EQ(core.ids, (std::vector<VertexId>{0, 1, 2, 3}));
+  EXPECT_TRUE(SameKCore(full->graph, pre->graph, 3));
+}
+
+// Counts are bytes, capped at 255 when k is larger: a vertex counted 255
+// times may still be below k, so the prefilter keeps it for the exact
+// peel, while one counted fewer is dropped. A 300-clique is the 290-core;
+// vertex 1000 (260 clique neighbours) is kept and peeled, vertex 2000
+// (100) dropped.
+TEST(EdgeIoTest, PrefilterCapsCountsAtOneByte) {
+  std::string text;
+  for (int a = 0; a < 300; ++a) {
+    for (int b = a + 1; b < 300; ++b) {
+      text += std::to_string(a) + " " + std::to_string(b) + "\n";
+    }
+  }
+  for (int a = 0; a < 260; ++a) text += "1000 " + std::to_string(a) + "\n";
+  for (int a = 0; a < 100; ++a) text += "2000 " + std::to_string(a) + "\n";
+  const std::string path = WriteTempFile("edges_capped.txt", text);
+  auto full = LoadEdgeList(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  auto pre = LoadEdgeList(path, 290);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  ASSERT_EQ(pre->graph.NumVertices(), 302u);  // 1000 and 2000 are 300, 301
+  EXPECT_EQ(pre->graph.Degree(300), 260u);
+  EXPECT_EQ(pre->graph.Degree(301), 0u);
+  EXPECT_EQ(CompactKCore(pre->graph, 290).ids.size(), 300u);
+  EXPECT_TRUE(SameKCore(full->graph, pre->graph, 290));
+}
 
 TEST(EdgeIoTest, OverlongLineIsRejected) {
   std::string long_line(2000, '1');  // one huge digit run, no newline room
@@ -372,11 +428,36 @@ GeneratedEdgeList GenerateEdgeList(uint64_t seed, int kind) {
   return out;
 }
 
+/// The k-core prefilter of LoadEdgeList(path, k) keeps the full load's
+/// vertices, ids and edge line count, and the k-core of the full load,
+/// for each k of kPrefilterKs. On GenerateEdgeList's dense files the
+/// 2-core holds most vertices and the 3-core none, yet the prefilter
+/// keeps thousands of edges for it that the exact peel must drop. (Each
+/// k is one more load of every file: under ASan at -O0 a k costs ~3 s.)
+constexpr uint32_t kPrefilterKs[] = {2, 3};
+
+void ExpectPrefilterKeepsTheCore(const std::string& path,
+                                 const LoadedGraph& full) {
+  for (const uint32_t k : kPrefilterKs) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    auto pre = LoadEdgeList(path, k);
+    ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+    EXPECT_EQ(pre->prefilter_k, k);
+    EXPECT_EQ(pre->edge_lines, full.edge_lines);
+    EXPECT_EQ(pre->graph.NumVertices(), full.graph.NumVertices());
+    EXPECT_EQ(pre->original_ids, full.original_ids);
+    EXPECT_LE(pre->graph.NumEdges(), full.graph.NumEdges());
+    EXPECT_TRUE(SameKCore(full.graph, pre->graph, k));
+  }
+}
+
 /// Loads `file` and checks it against OracleGraph: the rows, the file id
-/// of every vertex, and that the map holds a table iff the ids have gaps.
+/// of every vertex, and that the map holds a table iff the ids have gaps;
+/// then loads it through the k-core prefilter.
 void ExpectMatchesOracle(const GeneratedEdgeList& file) {
   ASSERT_GT(file.text.size(), 2 * kEdgeListReadBuffer);
-  auto loaded = LoadEdgeList(WriteTempFile("edges_gen.txt", file.text));
+  const std::string path = WriteTempFile("edges_gen.txt", file.text);
+  auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const OracleLoad want = OracleGraph(file.edges);
   const uint32_t n = loaded->graph.NumVertices();
@@ -385,6 +466,9 @@ void ExpectMatchesOracle(const GeneratedEdgeList& file) {
                    want.ids.back() - want.ids.front() == want.ids.size() - 1;
   EXPECT_EQ(loaded->original_ids.ids.empty(), run);
   EXPECT_TRUE(SameAdjacency(loaded->graph, want.rows));
+  EXPECT_EQ(loaded->edge_lines, file.edges.size());
+  EXPECT_EQ(loaded->prefilter_k, 0u);
+  ExpectPrefilterKeepsTheCore(path, *loaded);
 }
 
 TEST(EdgeIoTest, MatchesSortedRankOracleOnGeneratedFiles) {

@@ -4,7 +4,9 @@
 // '\r', NUL, newlines), ids at the edges of 32 and 64 bits, or a cut tail.
 // Every load must succeed or fail cleanly (Corruption or OutOfRange,
 // naming the file), and every graph it returns must be well formed and
-// survive a SaveEdgeList -> LoadEdgeList round trip.
+// survive a SaveEdgeList -> LoadEdgeList round trip. Loaded through the
+// k-core prefilter at k = 2 and 3 as well, each mutant must fail with the
+// same status or keep the same vertices, ids and k-core.
 
 #include <gtest/gtest.h>
 
@@ -152,6 +154,25 @@ void ExpectRoundTrip(const LoadedGraph& loaded, const std::string& path) {
   }
 }
 
+/// LoadEdgeList(path, k) for k = 2 and 3 ends as `full` did: with the
+/// same status, or with the same vertices, ids and k-core.
+void ExpectPrefilterMatches(const std::string& path,
+                            const StatusOr<LoadedGraph>& full) {
+  for (const uint32_t k : {2u, 3u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    auto pre = LoadEdgeList(path, k);
+    ASSERT_EQ(pre.ok(), full.ok()) << pre.status().ToString();
+    if (!full.ok()) {
+      ASSERT_EQ(pre.status().code(), full.status().code());
+      ASSERT_EQ(pre.status().message(), full.status().message());
+      continue;
+    }
+    ASSERT_EQ(pre->graph.NumVertices(), full->graph.NumVertices());
+    ASSERT_EQ(pre->original_ids, full->original_ids);
+    ASSERT_TRUE(SameKCore(full->graph, pre->graph, k));
+  }
+}
+
 TEST(EdgeListFuzzTest, MutantsLoadCleanlyOrFailCleanly) {
   const std::vector<std::string> seeds = ReadSeeds();
   ASSERT_GE(seeds.size(), 5u) << "corpus missing under " << QCM_CORPUS_DIR;
@@ -169,6 +190,7 @@ TEST(EdgeListFuzzTest, MutantsLoadCleanlyOrFailCleanly) {
                    std::to_string(i));
       ASSERT_NO_FATAL_FAILURE(RewriteFile(file.get(), text));
       auto loaded = LoadEdgeList(input);
+      ASSERT_NO_FATAL_FAILURE(ExpectPrefilterMatches(input, loaded));
       if (!loaded.ok()) {
         const Status& st = loaded.status();
         ASSERT_TRUE(st.code() == StatusCode::kCorruption ||

@@ -1,7 +1,8 @@
 // A reference adjacency for graph-construction tests, built the slow,
 // obvious way -- one std::set per vertex -- so it shares no code with
-// Graph::FromEndpoints, a check that a Graph has exactly its rows, and the
-// file ids an IdMap gives a graph's vertices.
+// Graph::FromEndpoints, a check that a Graph has exactly its rows, a
+// check that two graphs have the same k-core, and the file ids an IdMap
+// gives a graph's vertices.
 
 #ifndef QCM_TESTS_REFERENCE_GRAPH_H_
 #define QCM_TESTS_REFERENCE_GRAPH_H_
@@ -10,12 +11,14 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/id_map.h"
+#include "graph/kcore.h"
 
 namespace qcm {
 
@@ -67,6 +70,24 @@ testing::AssertionResult SameAdjacency(const Graph& g, const Rows& want) {
            << g.NumEdges() << " edges, want " << entries / 2;
   }
   return testing::AssertionSuccess();
+}
+
+/// Success iff CompactKCore(a, k) and CompactKCore(b, k) keep the same
+/// vertices with the same rows.
+inline testing::AssertionResult SameKCore(const Graph& a, const Graph& b,
+                                          uint32_t k) {
+  const KCore want = CompactKCore(a, k);
+  const KCore got = CompactKCore(b, k);
+  if (got.ids != want.ids) {
+    return testing::AssertionFailure()
+           << "the " << k << "-core keeps " << got.ids.size()
+           << " vertices, want " << want.ids.size() << " (or other ones)";
+  }
+  std::vector<std::span<const VertexId>> rows;
+  for (VertexId c = 0; c < want.graph.NumVertices(); ++c) {
+    rows.push_back(want.graph.Neighbors(c));
+  }
+  return SameAdjacency(got.graph, rows);
 }
 
 }  // namespace qcm

@@ -3,7 +3,8 @@
 // keeps the prefix and counts drops, concurrent writers are race-free
 // (run under TSan in CI), the JSON drain is byte-stable under a
 // pinned clock, fragment merging is time-ordered and takes this
-// process's own drain, and — the acceptance
+// process's own drain, a file input's timeline shows the load's steps,
+// and — the acceptance
 // gate — a real 3-process qcm_cluster run produces ONE merged,
 // time-ordered, Perfetto-loadable timeline with spans from every rank
 // plus kStats counter tracks, without changing the result digest.
@@ -23,6 +24,7 @@
 
 #include "cli_run.h"
 #include "graph/csr_snapshot.h"
+#include "graph/edge_io.h"
 #include "graph/generators.h"
 #include "gthinker/checkpoint.h"
 #include "gthinker/vertex_table.h"
@@ -376,6 +378,39 @@ TEST(TraceE2ETest, SingleProcessDigestUnchangedByTracing) {
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"busy_compers\""), std::string::npos)
       << "kStats counter tracks missing from the timeline";
+  ::remove(trace_path.c_str());
+}
+
+// A file input shows the load's four steps on the timeline, then the
+// engine launcher's two k-core steps.
+TEST(TraceE2ETest, FileInputTimelineShowsTheLoadSteps) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/trace_input.txt";
+  const std::string trace_path = dir + "/qcm_mine_load_trace.json";
+  auto spec = ParsePlantedSpec(kGraphSpec, 5);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto graph = GenPlantedCommunities(*spec);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_TRUE(SaveEdgeList(*graph, input).ok());
+  const RunResult r = RunTool(
+      "qcm_mine", "--input " + input + " " + kMiningFlags +
+                      " --machines 2 --threads 1 --trace-out " + trace_path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string trace = ReadFile(trace_path);
+  for (const char* step : {"edge_read", "edge_ids", "edge_prefilter",
+                           "csr_build", "kcore_compact", "kcore_order"}) {
+    EXPECT_EQ(CountOccurrences(trace, "\"name\":\"" + std::string(step) +
+                                          "\",\"cat\":\"lifecycle\""),
+              1u)
+        << step << " span missing or repeated:\n" << trace.substr(0, 2000);
+  }
+  // The prefilter's argument is its pass count: at least one.
+  const size_t prefilter = trace.find("\"name\":\"edge_prefilter\"");
+  ASSERT_NE(prefilter, std::string::npos);
+  const std::string arg_key = "\"args\":{\"a\":";
+  const size_t arg = trace.find(arg_key, prefilter);
+  ASSERT_NE(arg, std::string::npos);
+  EXPECT_GE(std::atoi(trace.c_str() + arg + arg_key.size()), 1);
   ::remove(trace_path.c_str());
 }
 

@@ -105,8 +105,9 @@ Status CheckGraphSource(const GraphSource& source, const char* snapshot_flag,
   return Status::OK();
 }
 
-StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source) {
-  if (!source.input.empty()) return LoadEdgeList(source.input);
+StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source,
+                                      uint32_t min_degree) {
+  if (!source.input.empty()) return LoadEdgeList(source.input, min_degree);
   auto spec = ParsePlantedSpec(source.gen_planted, source.seed);
   if (!spec.ok()) return spec.status();
   LoadedGraph loaded;

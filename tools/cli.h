@@ -92,15 +92,21 @@ Status CheckGraphSource(const GraphSource& source,
 /// Loads the edge list, or generates the planted graph, of a source that
 /// passed CheckGraphSource. original_ids maps the graph back to the edge
 /// list's ids (free for a gap-free file) and is the identity for a planted
-/// graph; the tools print their results through it.
-StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source);
+/// graph; the tools print their results through it. A `min_degree` k > 0
+/// is for a caller that mines only the k-core: an edge list then loads
+/// through LoadEdgeList's prefilter, which keeps every vertex but only
+/// the edges that may lie in the k-core. A planted graph is whole.
+StatusOr<LoadedGraph> LoadGraphSource(const GraphSource& source,
+                                      uint32_t min_degree = 0);
 
 /// The k-core the engine mines, in its own compact id space and in
 /// degeneracy order (CompactKCore, then OrderByDegeneracy, graph/kcore.h),
 /// k = config.mining.MinDegreeK(). `graph` is freed between the two steps.
 /// With `stats`, prints "k-core: K of N vertices, E of M edges,
 /// degeneracy D" and "memory: peak RSS X after load, Y after k-core" (the
-/// process's VmHWM before and after the step) to stderr.
+/// process's VmHWM before and after the step) to stderr. N and M count
+/// `graph`: for an edge list loaded with min_degree k, N is the file's
+/// vertex count and M the edges its prefilter kept, not the file's.
 KCore MinedKCore(Graph graph, const EngineConfig& config, bool stats);
 
 /// --output PATH, with a tool-specific meaning.

@@ -316,7 +316,9 @@ int main(int argc, char** argv) {
   std::vector<VertexId> to_input;
   if (pack) {
     WallTimer pack_timer;
-    auto loaded = cli::LoadGraphSource(run.source);
+    // An edge list loads through the k-core prefilter: only the edges that
+    // may lie in the core are built into a CSR.
+    auto loaded = cli::LoadGraphSource(run.source, config.mining.MinDegreeK());
     if (!loaded.ok()) {
       std::fprintf(stderr, "graph load failed: %s\n",
                    loaded.status().ToString().c_str());
@@ -734,11 +736,13 @@ int main(int argc, char** argv) {
   if (run.stats) {
     std::fprintf(
         stderr,
-        "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "
-        "commands), %llu pulled vertices, %llu raw candidates (%llu "
-        "emitted, %llu subsumed within their task)\n",
+        "cluster: %d workers, %llu tasks, spill %llu tasks/%s, %llu stolen "
+        "(%llu steal commands), %llu pulled vertices, %llu raw candidates "
+        "(%llu emitted, %llu subsumed within their task)\n",
         num_workers,
         static_cast<unsigned long long>(merged.counters.tasks_completed),
+        static_cast<unsigned long long>(merged.counters.spilled_tasks),
+        HumanBytes(merged.counters.spill_bytes_written).c_str(),
         static_cast<unsigned long long>(merged.counters.stolen_tasks),
         static_cast<unsigned long long>(steal_commands),
         static_cast<unsigned long long>(merged.counters.pulled_vertices),

@@ -20,7 +20,10 @@
 //
 // The stderr summary always includes "result-digest: <16 hex>" -- the
 // canonical-order FNV digest of the result set, comparable across serial,
-// in-process and multi-process (qcm_cluster) runs.
+// in-process and multi-process (qcm_cluster) runs -- and, once the graph
+// is loaded, one "graph: " line: "N vertices, L edge lines, E kept by the
+// k = K prefilter" for an edge list the engine mines, "N vertices, M
+// edges" otherwise.
 
 #include <cstdio>
 #include <string>
@@ -43,10 +46,13 @@ using namespace qcm;
 
 /// The graph to mine and the map from its ids to the input's, which the
 /// results are printed through: the edge list's map, the snapshot's
-/// original-ids section, or the identity for a planted graph.
+/// original-ids section, or the identity for a planted graph. An edge list
+/// loaded for a k-core (min_degree k > 0) holds only the edges its
+/// prefilter kept.
 StatusOr<LoadedGraph> LoadGraph(const cli::GraphSource& source,
-                                const std::string& input_snapshot) {
-  if (input_snapshot.empty()) return cli::LoadGraphSource(source);
+                                const std::string& input_snapshot,
+                                uint32_t min_degree) {
+  if (input_snapshot.empty()) return cli::LoadGraphSource(source, min_degree);
   // Resident load from a qcm_pack .qcsr: no text parsing, checksummed.
   QCM_ASSIGN_OR_RETURN(std::shared_ptr<CsrSnapshot> snap,
                        CsrSnapshot::Open(input_snapshot));
@@ -94,7 +100,13 @@ int main(int argc, char** argv) {
     trace::SetThreadName("main");
   }
 
-  auto loaded = LoadGraph(source, input_snapshot);
+  // (T1) The engine mines the k-core only: an edge list loads through the
+  // k-core prefilter (--serial loads it whole), and the graph is reduced
+  // below to its own compact ids in degeneracy order, then freed before
+  // mining; `to_input` maps results back. (SerialMiner masks its own ego
+  // builds instead, and mines in input order: the oracle order.)
+  auto loaded = LoadGraph(source, input_snapshot,
+                          serial ? 0 : config.mining.MinDegreeK());
   if (!loaded.ok()) {
     std::fprintf(stderr, "graph load failed: %s\n",
                  loaded.status().ToString().c_str());
@@ -102,13 +114,19 @@ int main(int argc, char** argv) {
   }
   Graph graph = std::move(loaded->graph);
   const IdMap file_ids = std::move(loaded->original_ids);
-  std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
-               graph.NumVertices(),
-               static_cast<unsigned long>(graph.NumEdges()));
-  // (T1) The engine mines the k-core only, in its own compact ids in
-  // degeneracy order, and the full graph is freed before mining;
-  // `to_input` maps results back. (SerialMiner masks its own ego builds
-  // instead, and mines in input order: the oracle order.)
+  if (loaded->prefilter_k > 0) {
+    std::fprintf(stderr,
+                 "graph: %u vertices, %llu edge lines, %llu kept by the "
+                 "k = %u prefilter\n",
+                 graph.NumVertices(),
+                 static_cast<unsigned long long>(loaded->edge_lines),
+                 static_cast<unsigned long long>(graph.NumEdges()),
+                 loaded->prefilter_k);
+  } else {
+    std::fprintf(stderr, "graph: %u vertices, %lu edges\n",
+                 graph.NumVertices(),
+                 static_cast<unsigned long>(graph.NumEdges()));
+  }
   std::vector<VertexId> to_input;
   if (!serial) {
     KCore core = cli::MinedKCore(std::move(graph), config, run.stats);
