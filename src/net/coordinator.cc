@@ -84,6 +84,9 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Listen(
   if (config.world_size < 1) {
     return Status::InvalidArgument("world_size must be >= 1");
   }
+  if (!config.launch) {
+    return Status::InvalidArgument("a coordinator needs a launch callback");
+  }
   std::unique_ptr<Coordinator> c(new Coordinator(std::move(config)));
   uint16_t bound = 0;
   auto fd = ListenLoopback(port, &bound);
@@ -93,7 +96,6 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Listen(
   c->workers_.resize(c->config_.world_size);
   c->peer_ports_.assign(c->config_.world_size, 0);
   c->rank_epoch_.assign(c->config_.world_size, 0);
-  c->rank_pid_.assign(c->config_.world_size, 0);
   c->restarts_.assign(c->config_.world_size, 0);
   c->clock_ = std::make_unique<WallTimer>();
   c->liveness_ = std::make_unique<LivenessTracker>(
@@ -104,12 +106,6 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Listen(
 Coordinator::~Coordinator() { Close(); }
 
 double Coordinator::NowSec() const { return clock_->Seconds(); }
-
-void Coordinator::SetRecoveryCallbacks(std::function<void(int)> kill,
-                                       std::function<Status(int)> relaunch) {
-  kill_cb_ = std::move(kill);
-  relaunch_cb_ = std::move(relaunch);
-}
 
 Status Coordinator::RunHandshake() {
   Status s = Handshake();
@@ -125,7 +121,6 @@ Status Coordinator::RunHandshake() {
 Status Coordinator::Handshake() {
   const int world = config_.world_size;
 
-  // Ranks are assigned in connection order.
   for (int rank = 0; rank < world; ++rank) {
     QCM_RETURN_IF_ERROR(Admit(rank, /*epoch=*/0));
   }
@@ -145,6 +140,9 @@ Status Coordinator::Handshake() {
 }
 
 Status Coordinator::Admit(int rank, uint32_t epoch) {
+  // No other rank is launched until this one is admitted, so the next
+  // connection is this rank's.
+  QCM_RETURN_IF_ERROR(config_.launch(rank, epoch));
   // The accept poll is kept short so an Abort() (a worker process died
   // before connecting) fails the admission promptly instead of after the
   // full timeout.
@@ -171,29 +169,23 @@ Status Coordinator::Admit(int rank, uint32_t epoch) {
 
   Frame frame;
   QCM_RETURN_IF_ERROR(ReadFrameOfKind(slot.fd, FrameKind::kHello, &frame));
-  uint32_t version = 0;
-  uint64_t pid = 0;
-  QCM_RETURN_IF_ERROR(DecodeHello(frame.payload, &version, &pid));
+  // The version is read first: another version's hello is named as such,
+  // whatever the layout of the rest.
+  uint32_t version = kWireProtocolVersion;
+  uint16_t listener_port = 0;
+  const Status hello = DecodeHello(frame.payload, &version, &listener_port);
   if (version != kWireProtocolVersion) {
     return Status::InvalidArgument(
         "worker speaks wire protocol v" + std::to_string(version) +
         ", coordinator expects v" + std::to_string(kWireProtocolVersion));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rank_pid_[rank] = pid;
-  }
-  QCM_RETURN_IF_ERROR(WriteFrame(
+  QCM_RETURN_IF_ERROR(hello);
+  peer_ports_[rank] = listener_port;
+  return WriteFrame(
       slot.fd, Frame{FrameKind::kAssign, kCoordinatorRank,
                      EncodeAssign(static_cast<uint32_t>(rank),
                                   static_cast<uint32_t>(config_.world_size),
-                                  config_.config_blob, epoch)}));
-  // A worker opens its peer listener and reports it as soon as it is
-  // assigned, so waiting for it here holds up no other rank.
-  QCM_RETURN_IF_ERROR(
-      ReadFrameOfKind(slot.fd, FrameKind::kListening, &frame));
-  Decoder dec(frame.payload);
-  return dec.GetU32(&peer_ports_[rank]);
+                                  config_.config_blob, epoch)});
 }
 
 void Coordinator::StartRank(int rank) {
@@ -281,15 +273,8 @@ void Coordinator::Fail(const std::string& reason) {
 
 void Coordinator::Abort(const std::string& reason) { Fail(reason); }
 
-void Coordinator::OnRankDeath(int rank) {
-  if (rank < 0 || rank >= config_.world_size) return;
-  if (terminate_sent_.load()) return;  // post-termination exits are normal
-  RequestRecovery(rank, "child-exit");
-}
-
 void Coordinator::RequestRecovery(int rank, const char* method) {
-  const bool recovery_available =
-      static_cast<bool>(kill_cb_) && static_cast<bool>(relaunch_cb_);
+  const bool recovery_available = static_cast<bool>(config_.kill);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (workers_[rank].superseded) return;  // already declared this death
@@ -316,7 +301,7 @@ void Coordinator::RequestRecovery(int rank, const char* method) {
     reason += " after exhausting " +
               std::to_string(config_.max_rank_restarts) + " restarts";
   } else {
-    reason += " and no recovery callbacks are installed";
+    reason += " and recovery is off";
   }
   Fail(reason);
 }
@@ -339,7 +324,7 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
     // 1. Make sure the old incarnation is actually dead before telling
     // the survivors so: a half-alive process must not keep writing to
     // peers that have already reset its counters.
-    if (kill_cb_) kill_cb_(rank);
+    config_.kill(rank);
 
     // 2. Tear down the old control connection (its RecvLoop sees
     // superseded and exits quietly).
@@ -355,10 +340,9 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
   }
 
   QCM_TRACE_SPAN(trace::kRecovery, "recover_relaunch", rank);
-  // 4. Launch the replacement and admit it as the original was, with the
+  // 4. Launch and admit the replacement as the original was, with the
   // bumped epoch (its transport then dials every survivor instead of
   // accepting).
-  QCM_RETURN_IF_ERROR(relaunch_cb_(rank));
   QCM_RETURN_IF_ERROR(Admit(rank, epoch));
   QCM_RETURN_IF_ERROR(
       SendTo(rank, FrameKind::kPeers, EncodePeers(peer_ports_)));
@@ -406,12 +390,6 @@ std::vector<Coordinator::RecoveryEvent> Coordinator::recovery_events()
 std::vector<int> Coordinator::restarts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return restarts_;
-}
-
-uint64_t Coordinator::RankPid(int rank) const {
-  if (rank < 0 || rank >= config_.world_size) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return rank_pid_[rank];
 }
 
 bool Coordinator::SnapshotStatus(int rank, RankStatus* out) const {

@@ -2,10 +2,11 @@
 // paper's master, for ranks that are threads of one process
 // (net/local_cluster.h) or worker processes (tools/qcm_cluster) alike.
 //
-// It accepts exactly `world_size` workers, runs the rank-assignment
-// handshake (wire.h), releases the start barrier, and then drives four
-// periodic jobs off the workers' kStatus streams (each rank's only
-// periodic upward frame), in one sweep every millisecond:
+// It starts every rank itself, through one launch callback, admits it,
+// runs the rank-assignment handshake (wire.h), releases the start
+// barrier, and then drives four periodic jobs off the workers' kStatus
+// streams (each rank's only periodic upward frame), in one sweep every
+// millisecond:
 //
 //   * Distributed termination detection. A sweep is quiescent when every
 //     rank reported pending == 0 and spawn_done and, for every ordered
@@ -31,26 +32,27 @@
 //   * Liveness + recovery. Every frame a rank sends refreshes its
 //     liveness deadline; a mining rank's status thread publishes every
 //     0.5 ms. A rank that goes silent past status_deadline_sec
-//     (`status-timeout`), loses its control connection, or is
-//     reported dead by the launcher's child watchdog (OnRankDeath) is
-//     recovered in place when recovery callbacks are installed: the old
-//     process is killed, survivors get kPeerDown {rank, epoch+1}, a
-//     replacement is launched and admitted through the same Admit with
-//     the bumped epoch (it re-dials every survivor; its checkpoint replay
-//     restores its durable progress), and survivors get kPeerUp once the
-//     replacement is wired. Steal mastering and termination confirmation
-//     naturally pause until the replacement publishes its first status.
-//     Without callbacks -- or past max_rank_restarts -- a death fails the
-//     run loudly, exactly like the pre-recovery behavior.
+//     (`status-timeout`) or loses its control connection (`disconnect`:
+//     a process that dies closes it) is recovered in place when a `kill`
+//     callback is configured: the old process is killed, survivors get
+//     kPeerDown {rank, epoch+1}, a replacement is launched and admitted
+//     through the same Admit with the bumped epoch (it re-dials every
+//     survivor; its checkpoint replay restores its durable progress), and
+//     survivors get kPeerUp once the replacement is wired. Steal
+//     mastering and termination confirmation naturally pause until the
+//     replacement publishes its first status. Without `kill` -- or past
+//     max_rank_restarts -- a death fails the run loudly.
 //
 // A rank joins the job one way, at first launch and as a replacement
-// alike: Admit(rank, epoch) accepts its connection (polling, so an Abort
-// ends the wait), checks the protocol version in its kHello, records its
-// pid, sends kAssign {rank, world, job, epoch} and reads its kListening
-// port; kPeers and the kReady barrier follow, and StartRank(rank) resets
-// the slot, arms its liveness deadline and starts its receiver before
-// kStart releases the rank. Every bring-up read names the frame kind it
-// expects (ReadFrameOfKind, wire.h).
+// alike: Admit(rank, epoch) launches it (config.launch), accepts the next
+// connection (polling, so an Abort ends the wait), which can only be this
+// rank's because no other rank is launched until this one is admitted,
+// checks the protocol version in its kHello, records its peer listener
+// port and sends kAssign {rank, world, job, epoch}; kPeers and the kReady
+// barrier follow, and StartRank(rank) resets the slot, arms its liveness
+// deadline and starts its receiver before kStart releases the rank. Every
+// bring-up read names the frame kind it expects (ReadFrameOfKind,
+// wire.h).
 //
 // After kTerminate it collects one kReport per rank and hands the payloads
 // to the caller (tools/qcm_cluster merges them; the in-process launcher
@@ -83,6 +85,17 @@ using StatusSampler = std::function<void(
 struct CoordinatorConfig {
   /// Number of worker processes (= machines = ranks).
   int world_size = 0;
+  /// Starts rank `rank` as incarnation `epoch` (0 at first launch, k for
+  /// its k-th replacement): a process or thread that dials port(). Admit
+  /// calls it and then accepts the next connection as this rank's.
+  /// Required. Called on the RunHandshake thread (ranks 0..N-1, in order)
+  /// or the RunToCompletion thread (a replacement).
+  std::function<Status(int rank, uint32_t epoch)> launch;
+  /// Ensures rank `rank`'s current process is dead (SIGKILL + reap)
+  /// before returning. Optional: with it a dead rank is replaced in
+  /// place; without it a death fails the run. Called on the
+  /// RunToCompletion thread.
+  std::function<void(int rank)> kill;
   /// Opaque job configuration delivered to every worker with its rank.
   std::string config_blob;
   /// Steal-mastering period; <= 0 disables stealing.
@@ -93,8 +106,8 @@ struct CoordinatorConfig {
   double timeout_sec = 120.0;
   /// A rank silent (no frame of any kind; a mining rank publishes a
   /// status every 0.5 ms) for this long is declared dead and recovered.
-  /// <= 0 disables status-based detection; child-exit (OnRankDeath) and
-  /// connection-loss detection still apply.
+  /// <= 0 disables status-based detection; connection-loss detection
+  /// still applies.
   double status_deadline_sec = 5.0;
   /// Hard cap on replacements of any single rank before the run fails.
   int max_rank_restarts = 2;
@@ -148,8 +161,7 @@ class Coordinator {
     int rank = -1;
     /// Incarnation epoch of the replacement (first replacement = 1).
     uint32_t epoch = 0;
-    /// What noticed the death: "status-timeout", "disconnect", or
-    /// "child-exit".
+    /// What noticed the death: "status-timeout" or "disconnect".
     std::string method;
     /// Silence observed at the moment of declaring the rank dead.
     uint64_t detection_latency_usec = 0;
@@ -158,6 +170,7 @@ class Coordinator {
   };
 
   /// Binds a listener on 127.0.0.1:`port` (0 = ephemeral).
+  /// InvalidArgument without a launch callback.
   static StatusOr<std::unique_ptr<Coordinator>> Listen(
       CoordinatorConfig config, uint16_t port = 0);
 
@@ -169,16 +182,8 @@ class Coordinator {
   /// Port workers must connect to.
   uint16_t port() const { return port_; }
 
-  /// Installs the rank-recovery callbacks; without them a worker death
-  /// fails the run. `kill` must ensure the rank's current process is dead
-  /// before returning (SIGKILL + reap); `relaunch` spawns a fresh worker
-  /// process that will dial this coordinator. Both are invoked from the
-  /// RunToCompletion thread only. Call before RunToCompletion.
-  void SetRecoveryCallbacks(std::function<void(int)> kill,
-                            std::function<Status(int)> relaunch);
-
-  /// Accepts every worker, assigns ranks in connection order, exchanges
-  /// peer listener ports, and releases the start barrier. Blocks.
+  /// Launches and admits ranks 0..N-1, one at a time, exchanges peer
+  /// listener ports, and releases the start barrier. Blocks.
   Status RunHandshake();
 
   /// Drives termination detection (plus steal mastering and rank
@@ -199,20 +204,10 @@ class Coordinator {
   /// once it verifiably holds work.
   bool SnapshotStatus(int rank, RankStatus* out) const;
 
-  /// OS pid the current incarnation of `rank` reported in its kHello
-  /// (0 before its handshake). Ranks are assigned in CONNECT order, not
-  /// the launcher's spawn order -- the launcher must use this to map a
-  /// rank onto the process it forked before killing/replacing anything.
-  uint64_t RankPid(int rank) const;
-
-  /// The launcher's child watchdog noticed rank `rank`'s process exit:
-  /// queue it for recovery (or fail the run when recovery is off).
-  /// Thread-safe.
-  void OnRankDeath(int rank);
-
-  /// Fails the run from another thread: RunHandshake stops accepting (or,
-  /// when a worker's connection then fails, returns this reason) and
-  /// RunToCompletion returns Aborted promptly.
+  /// Fails the run from another thread (a launcher that saw a worker
+  /// exit during bring-up, a rank that failed): RunHandshake stops
+  /// accepting (or, when a worker's connection then fails, returns this
+  /// reason) and RunToCompletion returns Aborted promptly.
   void Abort(const std::string& reason);
 
   /// Closes every connection and joins receiver threads. Idempotent.
@@ -247,9 +242,9 @@ class Coordinator {
 
   /// RunHandshake's steps.
   Status Handshake();
-  /// Admits the next connection into slot `rank` as incarnation `epoch`
-  /// (see the file comment); the caller then sends kPeers, reads kReady,
-  /// calls StartRank and sends kStart.
+  /// Launches rank `rank` as incarnation `epoch` and admits its
+  /// connection (see the file comment); the caller then sends kPeers,
+  /// reads kReady, calls StartRank and sends kStart.
   Status Admit(int rank, uint32_t epoch);
   void StartRank(int rank);
   void RecvLoop(int rank);
@@ -274,13 +269,8 @@ class Coordinator {
   std::vector<uint32_t> peer_ports_;
   /// Current incarnation epoch per rank (0 = original process).
   std::vector<uint32_t> rank_epoch_;
-  /// Self-reported OS pid per rank (from kHello). Guarded by mu_.
-  std::vector<uint64_t> rank_pid_;
   bool handshake_done_ = false;
   bool closed_ = false;
-
-  std::function<void(int)> kill_cb_;
-  std::function<Status(int)> relaunch_cb_;
 
   std::atomic<bool> terminate_sent_{false};
   std::atomic<bool> failed_{false};

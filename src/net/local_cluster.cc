@@ -26,10 +26,11 @@ CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config) {
 
 namespace {
 
-/// One rank's thread: joins the cluster, mines the rank's partition of
-/// `graph`, and stores its report in (*reports)[rank]. A failure aborts
-/// the run at once, while this rank's connections are still open, so the
-/// coordinator reports it instead of waiting the connections out.
+/// One rank's thread, started by the coordinator's launch callback: joins
+/// the cluster, mines the rank's partition of `graph`, and stores its
+/// report in (*reports)[rank]. A failure aborts the run at once, while
+/// this rank's connections are still open, so the coordinator reports it
+/// instead of waiting the connections out.
 Status RunRank(const Graph& graph, const EngineConfig& config, App* app,
                Coordinator* coordinator, std::vector<EngineReport>* reports) {
   auto connected =
@@ -78,25 +79,29 @@ StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
     if (!owned_spill_dir.empty()) ::rmdir(owned_spill_dir.c_str());
   };
 
+  std::vector<EngineReport> reports(world);
+  std::vector<Status> failures(world);
+  std::vector<std::thread> ranks;
+  std::unique_ptr<Coordinator> coordinator;
   CoordinatorConfig coord_config = CoordinatorConfigFor(config);
   coord_config.status_deadline_sec = 0.0;  // the ranks live and die together
   coord_config.on_sample = std::move(on_sample);
+  // Each rank is launched once, by the handshake: no kill callback, so no
+  // replacement.
+  coord_config.launch = [&](int rank, uint32_t) {
+    ranks.emplace_back([&, rank] {
+      failures[rank] =
+          RunRank(graph, rank_config, app, coordinator.get(), &reports);
+    });
+    return Status::OK();
+  };
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
     remove_spill_dir();
     return listening.status();
   }
-  std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
+  coordinator = std::move(listening).value();
 
-  std::vector<EngineReport> reports(world);
-  std::vector<Status> failures(world);
-  std::vector<std::thread> ranks;
-  for (int i = 0; i < world; ++i) {
-    ranks.emplace_back([&, i] {
-      failures[i] =
-          RunRank(graph, rank_config, app, coordinator.get(), &reports);
-    });
-  }
   Status run = coordinator->RunHandshake();
   if (run.ok()) run = coordinator->RunToCompletion().status();
   coordinator->Close();

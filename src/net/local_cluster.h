@@ -2,9 +2,10 @@
 // N single-machine Engines as threads of this process, each over its own
 // TcpTransport on loopback, under the real Coordinator -- qcm_cluster's
 // stack without fork/exec (qcm_mine, ParallelMiner, the engine tests and
-// examples). Every rank serves its partition of one shared, resident
-// Graph, and every rank's spill files live in one directory of the
-// process.
+// examples). The coordinator launches each rank's thread as it admits
+// that rank, the same launch path qcm_cluster forks its workers through.
+// Every rank serves its partition of one shared, resident Graph, and every
+// rank's spill files live in one directory of the process.
 //
 // Differences from the process launcher, all because the ranks share a
 // process: there is no status deadline (a rank cannot die alone), each

@@ -49,14 +49,22 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::ConnectWorker(
     const std::string& host, uint16_t port) {
   std::unique_ptr<TcpTransport> t(new TcpTransport());
 
-  // 1. hello -> rank assignment.
+  // 1. open the peer listener, whose port the hello carries. It stays
+  // open for the whole run: a crashed peer's replacement dials back in
+  // through it long after bring-up.
+  uint16_t peer_port = 0;
+  auto listener = ListenLoopback(0, &peer_port);
+  QCM_RETURN_IF_ERROR(listener.status());
+  t->listen_fd_ = listener.value();
+
+  // 2. hello -> rank assignment -> every rank's peer port.
   auto coord = ConnectTcpRetry(host, port);
   QCM_RETURN_IF_ERROR(coord.status());
   t->coord_fd_ = coord.value();
   SetRecvTimeout(t->coord_fd_, kHandshakeTimeoutSec);
-  QCM_RETURN_IF_ERROR(WriteFrame(
-      t->coord_fd_, Frame{FrameKind::kHello, kUnassignedRank,
-                          EncodeHello(static_cast<uint64_t>(::getpid()))}));
+  QCM_RETURN_IF_ERROR(
+      WriteFrame(t->coord_fd_, Frame{FrameKind::kHello, kUnassignedRank,
+                                     EncodeHello(peer_port)}));
   Frame frame;
   QCM_RETURN_IF_ERROR(
       ReadFrameOfKind(t->coord_fd_, FrameKind::kAssign, &frame));
@@ -80,20 +88,6 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::ConnectWorker(
   t->peer_down_flags_ = std::make_unique<std::atomic<bool>[]>(world);
   for (uint32_t i = 0; i < world; ++i) t->peer_down_flags_[i].store(false);
   t->recv_peer_threads_.resize(world);
-
-  // 2. open the peer listener and exchange ports through the coordinator.
-  // The listener stays open for the whole run: a crashed peer's
-  // replacement dials back in through it long after bring-up.
-  uint16_t peer_port = 0;
-  auto listener = ListenLoopback(0, &peer_port);
-  QCM_RETURN_IF_ERROR(listener.status());
-  t->listen_fd_ = listener.value();
-  {
-    Encoder enc;
-    enc.PutU32(peer_port);
-    QCM_RETURN_IF_ERROR(WriteFrame(
-        t->coord_fd_, Frame{FrameKind::kListening, rank, enc.Release()}));
-  }
   QCM_RETURN_IF_ERROR(
       ReadFrameOfKind(t->coord_fd_, FrameKind::kPeers, &frame));
   std::vector<uint32_t> ports;

@@ -1,8 +1,10 @@
 // TcpTransport: the worker-process side of the multi-process deployment.
 //
-// One instance lives in each qcm_worker process. ConnectWorker() runs the
-// full bring-up against the cluster coordinator (hello -> rank assignment
-// -> peer-port exchange -> full data-plane mesh). A first-incarnation
+// One instance lives in each qcm_worker process (or rank thread of an
+// in-process cluster), which the coordinator's launch callback started.
+// ConnectWorker() runs the full bring-up against the cluster coordinator:
+// open the peer listener, hello with its port -> rank assignment -> every
+// rank's peer port -> full data-plane mesh. A first-incarnation
 // worker (epoch 0) dials every lower rank and accepts every higher one; a
 // replacement worker (epoch > 0, relaunched by the coordinator after its
 // predecessor crashed) dials every peer and accepts none -- the survivors'
@@ -22,11 +24,11 @@
 // live peer. A send to a peer marked dead is dropped, uncounted, and
 // still returns OK (the recovery protocol replays or re-requests what
 // matters); a write error to a peer not yet declared dead drops the
-// frame WITHOUT failing the run -- either the peer really died (the
-// coordinator's child-exit watchdog or status deadline will declare
-// it and reset the pair's counters) or the stale sent counter blocks
-// termination until the coordinator's sweep timeout fails the run
-// loudly.
+// frame WITHOUT failing the run -- either the peer really died (its
+// control connection closes or its status deadline passes, so the
+// coordinator declares it and resets the pair's counters) or the stale
+// sent counter blocks termination until the coordinator's sweep timeout
+// fails the run loudly.
 //
 // Control plane (coordinator connection): PublishStatus sends kStatus up,
 // the rank's only periodic upward frame and so its liveness signal
@@ -62,11 +64,10 @@ namespace qcm {
 class TcpTransport : public Transport {
  public:
   /// Runs the worker bring-up against a coordinator listening on
-  /// `host:port`: handshake, rank assignment, peer mesh. Blocks until the
-  /// mesh is complete (every peer link established) or a step fails.
-  /// The initial dial of the coordinator retries with backoff, so a
-  /// worker forked a moment before the coordinator listens still comes
-  /// up.
+  /// `host:port`: peer listener, hello, rank assignment, peer mesh.
+  /// Blocks until the mesh is complete (every peer link established) or
+  /// a step fails. Every dial retries with backoff, so a briefly
+  /// saturated host does not fail the bring-up.
   static StatusOr<std::unique_ptr<TcpTransport>> ConnectWorker(
       const std::string& host, uint16_t port);
 

@@ -4,12 +4,15 @@
 // The engine and fabric are written against this interface only. Every
 // engine runs ONE machine (the transport's rank), whether the ranks are
 // threads of one process (net/local_cluster.h) or processes
-// (qcm_cluster): a fabric send to another rank is handed to the
-// transport as one data frame (the TCP transport writes it on the
-// sending thread, one frame per write), arriving frames are injected
-// into the local fabric by the transport's receive thread, and the
-// control plane (status publication up, steal commands and the
-// termination signal down) connects the engine to the coordinator.
+// (qcm_cluster); either way the master (net/coordinator.h) starts each
+// rank as it admits it, so a rank's thread or process is the one its
+// assignment names, and a replacement is started the same way. A fabric
+// send to another rank is handed to the transport as one data frame (the
+// TCP transport writes it on the sending thread, one frame per write),
+// arriving frames are injected into the local fabric by the transport's
+// receive thread, and the control plane (status publication up, steal
+// commands and the termination signal down) connects the engine to the
+// coordinator.
 //
 // Termination-detection contract (the engine's drain invariant across
 // processes): a rank publishes a RankStatus (net/wire.h) whose {pending,

@@ -19,8 +19,6 @@ const char* FrameKindName(FrameKind kind) {
       return "hello";
     case FrameKind::kAssign:
       return "assign";
-    case FrameKind::kListening:
-      return "listening";
     case FrameKind::kPeers:
       return "peers";
     case FrameKind::kPeerHello:
@@ -319,19 +317,25 @@ Status DecodeRankStatus(const std::string& payload, RankStatus* status) {
   return Status::OK();
 }
 
-std::string EncodeHello(uint64_t pid) {
+std::string EncodeHello(uint16_t listener_port) {
   Encoder enc;
   enc.PutU32(kWireProtocolVersion);
-  enc.PutU64(pid);
+  enc.PutU32(listener_port);
   return enc.Release();
 }
 
 Status DecodeHello(const std::string& payload, uint32_t* version,
-                   uint64_t* pid) {
+                   uint16_t* listener_port) {
   Decoder dec(payload);
+  uint32_t port = 0;
   QCM_RETURN_IF_ERROR(dec.GetU32(version));
-  QCM_RETURN_IF_ERROR(dec.GetU64(pid));
+  QCM_RETURN_IF_ERROR(dec.GetU32(&port));
   if (!dec.Done()) return Status::Corruption("trailing bytes in hello");
+  if (port == 0 || port > 65535) {
+    return Status::Corruption("bad listener port " + std::to_string(port) +
+                              " in hello");
+  }
+  *listener_port = static_cast<uint16_t>(port);
   return Status::OK();
 }
 

@@ -40,12 +40,15 @@
 // fabric message's payload string is the only copy of the payload bytes
 // from serialization to syscall.
 //
-// Connection bring-up (the rank-assignment protocol):
-//   1. worker -> coordinator  kHello     {protocol version, pid}
-//   2. coordinator -> worker  kAssign    {rank, world size, config blob,
-//                                         epoch}
-//   3. worker -> coordinator  kListening {port of the worker's peer
-//                                         listener}
+// Connection bring-up (the rank-assignment protocol), one rank at a time:
+//   1. the coordinator launches rank r (CoordinatorConfig::launch); the
+//      worker opens its peer listener and dials the coordinator, whose
+//      next connection is therefore rank r's
+//   2. worker -> coordinator  kHello     {protocol version, port of the
+//                                         worker's peer listener}
+//   3. coordinator -> worker  kAssign    {rank, world size, config blob,
+//                                         epoch}; only then is the next
+//                                         rank launched
 //   4. coordinator -> worker  kPeers     {peer listener port of every rank}
 //   5. a first-launch worker (epoch 0) dials every lower rank and accepts
 //      every higher one; a replacement (epoch > 0) dials every survivor
@@ -130,7 +133,12 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // kinds 13 and 14; RankStatus grew busy_compers, inflight_bytes,
 // cache_hits, cache_misses and tasks_completed (36 bytes); EngineConfig
 // lost the heartbeat period.
-inline constexpr uint32_t kWireProtocolVersion = 17;
+// v18: one launch path. The coordinator launches each rank before it
+// accepts that rank's connection, so kHello carries the worker's peer
+// listener port in place of its pid, and the frame that used to report
+// the port is gone: every later kind moves down by one (kPeers is 2,
+// kPeerUp 13).
+inline constexpr uint32_t kWireProtocolVersion = 18;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.
@@ -149,21 +157,20 @@ inline constexpr uint32_t kCoordinatorRank = 0xFFFFFFFEu;
 
 /// Every frame is exactly one of these.
 enum class FrameKind : uint8_t {
-  kHello = 0,      // worker -> coordinator: {version u32, pid u64}
+  kHello = 0,      // worker -> coordinator: {version u32, listener port u32}
   kAssign = 1,     // coordinator -> worker: {rank, world, config, epoch}
-  kListening = 2,  // worker -> coordinator: {peer listener port u32}
-  kPeers = 3,      // coordinator -> worker: {port u32 per rank}
-  kPeerHello = 4,  // worker -> worker: {epoch u32} (src carries the rank)
-  kReady = 5,      // worker -> coordinator: empty
-  kStart = 6,      // coordinator -> worker: empty (mining barrier release)
-  kStatus = 7,     // worker -> coordinator: RankStatus
-  kStealCmd = 8,   // coordinator -> worker: {receiver u32, want u64}
-  kTerminate = 9,  // coordinator -> worker: empty (global quiescence)
-  kReport = 10,    // worker -> coordinator: serialized EngineReport+results
-  kData = 11,      // worker -> worker: {MessageType u8, fabric payload}
-  kAbort = 12,     // either direction: {human-readable reason}
-  kPeerDown = 13,  // coordinator -> worker: {rank u32, epoch u32}
-  kPeerUp = 14,    // coordinator -> worker: {rank u32, epoch u32}
+  kPeers = 2,      // coordinator -> worker: {port u32 per rank}
+  kPeerHello = 3,  // worker -> worker: {epoch u32} (src carries the rank)
+  kReady = 4,      // worker -> coordinator: empty
+  kStart = 5,      // coordinator -> worker: empty (mining barrier release)
+  kStatus = 6,     // worker -> coordinator: RankStatus
+  kStealCmd = 7,   // coordinator -> worker: {receiver u32, want u64}
+  kTerminate = 8,  // coordinator -> worker: empty (global quiescence)
+  kReport = 9,     // worker -> coordinator: serialized EngineReport+results
+  kData = 10,      // worker -> worker: {MessageType u8, fabric payload}
+  kAbort = 11,     // either direction: {human-readable reason}
+  kPeerDown = 12,  // coordinator -> worker: {rank u32, epoch u32}
+  kPeerUp = 13,    // coordinator -> worker: {rank u32, epoch u32}
 };
 
 const char* FrameKindName(FrameKind kind);
@@ -276,9 +283,14 @@ struct RankStatus {
 std::string EncodeRankStatus(const RankStatus& status);
 Status DecodeRankStatus(const std::string& payload, RankStatus* status);
 
-std::string EncodeHello(uint64_t pid);
+/// kHello payload: this build's protocol version and the port of the
+/// worker's peer listener. DecodeHello stores the version before it
+/// checks the rest, so a coordinator can name the version of a hello whose
+/// layout is another version's; it returns Corruption for a truncated
+/// payload, trailing bytes, or a port outside [1, 65535].
+std::string EncodeHello(uint16_t listener_port);
 Status DecodeHello(const std::string& payload, uint32_t* version,
-                   uint64_t* pid);
+                   uint16_t* listener_port);
 
 /// `epoch` is the rank's incarnation number: 0 for the first launch,
 /// incremented by the coordinator for every replacement of that rank.

@@ -8,10 +8,11 @@
 // contradictory settings are rejected by EngineConfig::Validate() instead
 // of being patched; a results or stats file that cannot be written in
 // full exits 1, and so does a launcher dir that cannot be made, before
-// the load; qcm_mine prints one "graph: " line, whose counts parse,
-// before its "k-core: " line; and --help lists exactly the flags the tool
-// accepts. The table test checks that every shared row sets the field it
-// names.
+// the load; a qcm_cluster worker that exits during bring-up, cleanly or
+// not, fails the run at once, naming its rank; qcm_mine prints one
+// "graph: " line, whose counts parse, before its "k-core: " line; and
+// --help lists exactly the flags the tool accepts. The table test checks
+// that every shared row sets the field it names.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "tools/cli.h"
 #include "util/logging.h"
 #include "util/serde.h"
+#include "util/timer.h"
 
 namespace qcm {
 namespace {
@@ -214,6 +216,45 @@ TEST(CliContractTest, UnwritableTargetsExitOne) {
       EXPECT_EQ(r.output.find("coordinator on"), std::string::npos)
           << r.output;
     }
+  }
+}
+
+// A worker that exits before its rank is admitted never connects, so the
+// launcher's bring-up watchdog must fail the run, whether the worker
+// exited 0 or not, rather than leave the coordinator waiting out its
+// accept timeout. The failed run names rank 0 (the only one launched)
+// and how it exited, keeps its logs, removes its spill dir and leaves no
+// process behind.
+TEST(CliContractTest, WorkerThatExitsDuringBringUpFailsTheRunAtOnce) {
+  const std::pair<const char*, const char*> workers[] = {
+      {"/bin/true", "status 0"}, {"/bin/false", "status 1"}};
+  for (const auto& [worker_bin, how] : workers) {
+    SCOPED_TRACE(worker_bin);
+    WallTimer waited;
+    const RunResult r =
+        RunTool("qcm_cluster", std::string(kTinyGraph) +
+                                   " --min-size 8 --worker-bin " + worker_bin);
+    EXPECT_LT(waited.Seconds(), 10.0) << r.output;
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("rank 0 exited during bring-up (" +
+                            std::string(how) + ")"),
+              std::string::npos)
+        << r.output;
+    // The dirs the launcher made, from its "coordinator on" line.
+    const std::string log_dir = PrintedDir(r.output, "logs in ");
+    const std::string ckpt_dir = PrintedDir(r.output, "checkpoints in ");
+    const std::string spill_dir = PrintedDir(r.output, "spill in ");
+    ASSERT_FALSE(log_dir.empty()) << r.output;
+    EXPECT_NE(r.output.find("logs kept in " + log_dir), std::string::npos)
+        << r.output;
+    EXPECT_TRUE(std::filesystem::exists(log_dir + "/worker0.log")) << log_dir;
+    EXPECT_FALSE(std::filesystem::exists(log_dir + "/worker1.log")) << log_dir;
+    ASSERT_FALSE(spill_dir.empty()) << r.output;
+    EXPECT_FALSE(std::filesystem::exists(spill_dir)) << spill_dir;
+    EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+    std::error_code ec;
+    std::filesystem::remove_all(log_dir, ec);
+    if (!ckpt_dir.empty()) std::filesystem::remove_all(ckpt_dir, ec);
   }
 }
 

@@ -6,7 +6,8 @@
 // or budgeted out-of-core adjacency -- must yield the bit-identical
 // maximal set (same digest; same canonical result file), with instant
 // and with modelled 2 ms network delivery. A launcher must also leave no
-// worker process and no dir of its own behind.
+// worker process and no dir of its own behind, and name each worker log
+// by its rank.
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,15 @@ TEST_P(ClusterParityTest, EveryDeploymentMinesTheBitIdenticalSet) {
   EXPECT_EQ(ReadFile(cluster_out), single_results);
   // No worker outlived its launcher.
   EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+  // The coordinator launches rank R's worker as it admits rank R, so
+  // worker<R>.log is rank R's log.
+  for (int r = 0; r < 3; ++r) {
+    const std::string log = "worker" + std::to_string(r) + ".log";
+    EXPECT_NE(ReadFile(log_dir + "/" + log)
+                  .find("qcm_worker rank " + std::to_string(r) + "/3"),
+              std::string::npos)
+        << log << ":\n" << ReadFile(log_dir + "/" + log);
+  }
 
   // The launcher packed only the input's k-core, in its own compact ids:
   // fewer edges (the reduction engaged) and fewer vertices (the ids were

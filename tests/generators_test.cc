@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <string>
 #include <unordered_set>
 
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "quick/quasi_clique.h"
+#include "util/rng.h"
 
 namespace qcm {
 namespace {
@@ -159,6 +163,60 @@ TEST(PlantedSpecTest, RejectsMalformedNumbers) {
   EXPECT_NE(bad.status().message().find("'-5'"), std::string::npos)
       << bad.status().ToString();
   EXPECT_NE(bad.status().message().find("n:"), std::string::npos);
+}
+
+// Every tool hands its --gen-planted value to ParsePlantedSpec. Seeded
+// mutations of valid specs -- flipped bits, bytes overwritten with spec
+// characters or anything else, cut tails, inserted and erased bytes --
+// must each parse OK or fail with InvalidArgument, never crash; and both
+// outcomes must occur many times.
+TEST(PlantedSpecTest, ParserSurvivesMutations) {
+  const std::string seeds[] = {
+      "n=1134890,communities=160,size=27..27,density=0.92,overlap=0.25,"
+      "edges=12000",
+      "n=200000,size=14..16,density=0.97",
+      "n=1500,communities=5,size=9..13,density=0.95",
+      "size=12",
+  };
+  const std::string spec_chars = "=,.0123456789-+e";
+  Rng rng(20261020);
+  int ok = 0;
+  int invalid = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string m = seeds[rng.Uniform(std::size(seeds))];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const size_t pos = rng.Uniform(m.size());
+      const char spec_char = spec_chars[rng.Uniform(spec_chars.size())];
+      switch (rng.Uniform(5)) {
+        case 0:
+          m[pos] = static_cast<char>(m[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          m[pos] = rng.Uniform(2) == 0 ? spec_char
+                                       : static_cast<char>(rng.Next());
+          break;
+        case 2:
+          m.resize(pos);
+          break;
+        case 3:
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(pos), spec_char);
+          break;
+        default:
+          m.erase(pos, 1);
+      }
+    }
+    const auto parsed = ParsePlantedSpec(m, 1);
+    if (parsed.ok()) {
+      ++ok;
+    } else {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "mutation " << i << ": " << m;
+      ++invalid;
+    }
+  }
+  EXPECT_GT(ok, 1000);
+  EXPECT_GT(invalid, 1000);
 }
 
 TEST(Figure4Test, MatchesPaperFacts) {

@@ -9,10 +9,10 @@
 // message sent as one data frame.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,6 +35,16 @@
 namespace qcm {
 namespace {
 
+/// A coordinator launch callback that runs `worker_main(rank)` on a new
+/// thread of `threads`, which the test joins.
+std::function<Status(int, uint32_t)> LaunchOnThread(
+    std::vector<std::thread>* threads, std::function<void(int)> worker_main) {
+  return [threads, worker_main = std::move(worker_main)](int rank, uint32_t) {
+    threads->emplace_back(worker_main, rank);
+    return Status::OK();
+  };
+}
+
 TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   CoordinatorConfig config;
   config.world_size = 3;
@@ -47,9 +57,6 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
                                 const std::vector<RankStatus>& statuses) {
     samples.push_back(statuses);
   };
-  auto coordinator = Coordinator::Listen(std::move(config));
-  ASSERT_TRUE(coordinator.ok());
-  const uint16_t port = (*coordinator)->port();
 
   struct WorkerState {
     std::unique_ptr<TcpTransport> transport;
@@ -58,6 +65,7 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
     std::atomic<bool> terminated{false};
   };
   std::vector<WorkerState> states(3);
+  uint16_t port = 0;
 
   auto worker_main = [&](int i) {
     auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
@@ -107,8 +115,10 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   };
 
   std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) threads.emplace_back(worker_main, i);
-
+  config.launch = LaunchOnThread(&threads, worker_main);
+  auto coordinator = Coordinator::Listen(std::move(config));
+  ASSERT_TRUE(coordinator.ok());
+  port = (*coordinator)->port();
   ASSERT_TRUE((*coordinator)->RunHandshake().ok());
   auto reports = (*coordinator)->RunToCompletion();
   for (auto& th : threads) th.join();
@@ -158,22 +168,20 @@ TEST(TcpTransportTest, IdleMeshesShutDownPromptly) {
     config.world_size = 3;
     config.config_blob = "idle";
     config.steal_period_sec = 0.0;
+    std::vector<std::unique_ptr<TcpTransport>> transports(3);
+    uint16_t port = 0;
+    std::vector<std::thread> threads;
+    config.launch = LaunchOnThread(&threads, [&transports, &port](int i) {
+      auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      t.value()->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
+      t.value()->SetControlHooks({});
+      ASSERT_TRUE(t.value()->Start().ok());
+      transports[i] = std::move(t).value();
+    });
     auto coordinator = Coordinator::Listen(std::move(config));
     ASSERT_TRUE(coordinator.ok());
-    const uint16_t port = (*coordinator)->port();
-
-    std::vector<std::unique_ptr<TcpTransport>> transports(3);
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 3; ++i) {
-      threads.emplace_back([&transports, port, i] {
-        auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
-        ASSERT_TRUE(t.ok()) << t.status().ToString();
-        t.value()->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
-        t.value()->SetControlHooks({});
-        ASSERT_TRUE(t.value()->Start().ok());
-        transports[i] = std::move(t).value();
-      });
-    }
+    port = (*coordinator)->port();
     ASSERT_TRUE((*coordinator)->RunHandshake().ok());
     for (auto& th : threads) th.join();
     for (auto& t : transports) {
@@ -197,9 +205,6 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
   config.on_sample = [&samples](uint64_t, const std::vector<RankStatus>&) {
     ++samples;
   };
-  auto coordinator = Coordinator::Listen(std::move(config));
-  ASSERT_TRUE(coordinator.ok());
-  const uint16_t port = (*coordinator)->port();
 
   struct WorkerState {
     std::unique_ptr<TcpTransport> transport;
@@ -208,6 +213,7 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
     std::atomic<uint64_t> steal_want{0};
   };
   std::vector<WorkerState> states(2);
+  uint16_t port = 0;
 
   auto worker_main = [&](int i) {
     auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
@@ -242,7 +248,10 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
   };
 
   std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) threads.emplace_back(worker_main, i);
+  config.launch = LaunchOnThread(&threads, worker_main);
+  auto coordinator = Coordinator::Listen(std::move(config));
+  ASSERT_TRUE(coordinator.ok());
+  port = (*coordinator)->port();
   ASSERT_TRUE((*coordinator)->RunHandshake().ok());
   auto reports = (*coordinator)->RunToCompletion();
   for (auto& th : threads) th.join();
@@ -274,29 +283,28 @@ TEST(TcpTransportTest, SilentRankIsDeclaredDeadFromStatusesAlone) {
   config.config_blob = "silent";
   config.steal_period_sec = 0.0;
   config.status_deadline_sec = 1.0;
-  auto coordinator = Coordinator::Listen(std::move(config));
-  ASSERT_TRUE(coordinator.ok());
-  const uint16_t port = (*coordinator)->port();
-
   std::atomic<bool> stop{false};
   std::vector<std::unique_ptr<TcpTransport>> transports(3);
+  uint16_t port = 0;
   std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&transports, &stop, port, i] {
-      auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      transports[i] = std::move(t).value();
-      TcpTransport* tr = transports[i].get();
-      tr->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
-      tr->SetControlHooks({});
-      ASSERT_TRUE(tr->Start().ok());
-      if (tr->rank() == 2) return;
-      while (!stop.load()) {
-        tr->PublishStatus(RankStatus{});
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
+  config.launch =
+      LaunchOnThread(&threads, [&transports, &stop, &port](int i) {
+        auto t = TcpTransport::ConnectWorker("127.0.0.1", port);
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        transports[i] = std::move(t).value();
+        TcpTransport* tr = transports[i].get();
+        tr->SetDataHandler([](int, uint8_t, std::string, uint64_t) {});
+        tr->SetControlHooks({});
+        ASSERT_TRUE(tr->Start().ok());
+        if (tr->rank() == 2) return;
+        while (!stop.load()) {
+          tr->PublishStatus(RankStatus{});
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+  auto coordinator = Coordinator::Listen(std::move(config));
+  ASSERT_TRUE(coordinator.ok());
+  port = (*coordinator)->port();
   ASSERT_TRUE((*coordinator)->RunHandshake().ok());
   auto reports = (*coordinator)->RunToCompletion();
   stop = true;
@@ -311,22 +319,25 @@ TEST(TcpTransportTest, SilentRankIsDeclaredDeadFromStatusesAlone) {
   (*coordinator)->Close();
 }
 
-// Runs a one-rank job's handshake against a raw socket that connects and
-// sends `frame`, or against no worker at all.
+// Runs a one-rank job's handshake against a raw socket, launched as rank
+// 0, that connects and sends `frame`, or against no worker at all.
 Status HandshakeWithRawWorker(std::optional<Frame> frame, double timeout_sec) {
   CoordinatorConfig config;
   config.world_size = 1;
   config.timeout_sec = timeout_sec;
+  uint16_t port = 0;
+  int fd = -1;
+  config.launch = [&](int, uint32_t) -> Status {
+    if (!frame) return Status::OK();  // a worker that never connects
+    auto connected = ConnectTcp("127.0.0.1", port);
+    QCM_RETURN_IF_ERROR(connected.status());
+    fd = connected.value();
+    return WriteFrame(fd, *frame);
+  };
   auto coordinator = Coordinator::Listen(std::move(config));
   if (!coordinator.ok()) return coordinator.status();
-  int fd = -1;
-  if (frame) {
-    auto connected = ConnectTcp("127.0.0.1", (*coordinator)->port());
-    if (!connected.ok()) return connected.status();
-    fd = connected.value();
-  }
-  Status s = frame ? WriteFrame(fd, *frame) : Status::OK();
-  if (s.ok()) s = (*coordinator)->RunHandshake();
+  port = (*coordinator)->port();
+  Status s = (*coordinator)->RunHandshake();
   CloseSocket(fd);
   (*coordinator)->Close();
   return s;
@@ -338,7 +349,7 @@ Status HandshakeWithRawWorker(std::optional<Frame> frame, double timeout_sec) {
 TEST(TcpTransportTest, AdmissionRejectsWrongVersionWrongFrameAndNoShow) {
   Encoder hello;
   hello.PutU32(kWireProtocolVersion + 1);
-  hello.PutU64(static_cast<uint64_t>(::getpid()));
+  hello.PutU32(40001);  // a listener port
   Status s = HandshakeWithRawWorker(
       Frame{FrameKind::kHello, kUnassignedRank, hello.Release()}, 5.0);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();

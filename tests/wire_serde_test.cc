@@ -308,13 +308,13 @@ TEST(WireFrameTest, ExactBytes) {
   frame.src = 2;
   frame.payload = "hi";
   const std::string bytes = EncodeFrame(frame);
-  // magic "QCMW" | kind 0x0b | src 2 | len 2 | "hi" | fnv64("hi").
+  // magic "QCMW" | kind 0x0a | src 2 | len 2 | "hi" | fnv64("hi").
   const uint64_t sum = Fingerprint(std::string("hi"));
   Encoder trailer;
   trailer.PutU64(sum);
   EXPECT_EQ(Hex(bytes.substr(0, 13)),
             "51434d57"   // 'Q' 'C' 'M' 'W'
-            "0b"         // FrameKind::kData
+            "0a"         // FrameKind::kData
             "02000000"   // src rank 2
             "02000000")  // payload length 2
       << Hex(bytes);
@@ -506,11 +506,36 @@ TEST(WireFrameTest, ControlPayloadsRoundTrip) {
   EXPECT_EQ(EncodeRankStatus(RankStatus{}).size(), 8u + 1 + 8 + 8 + 8 + 36);
 
   uint32_t version = 0, rank = 0, world = 0, receiver = 0, epoch = 0;
-  uint64_t pid = 0, want = 0;
+  uint16_t listener_port = 0;
+  uint64_t want = 0;
   std::string blob;
-  ASSERT_TRUE(DecodeHello(EncodeHello(4242), &version, &pid).ok());
+  ASSERT_TRUE(
+      DecodeHello(EncodeHello(40001), &version, &listener_port).ok());
   EXPECT_EQ(version, kWireProtocolVersion);
-  EXPECT_EQ(pid, 4242u);
+  EXPECT_EQ(listener_port, 40001);
+  // The hello is {version u32, listener port u32}; every port in
+  // [1, 65535] round-trips, and port 0, a port past 65535, trailing bytes
+  // and truncation are corruption.
+  EXPECT_EQ(EncodeHello(40001).size(), 8u);
+  for (const uint16_t port : {uint16_t{1}, uint16_t{65535}}) {
+    ASSERT_TRUE(DecodeHello(EncodeHello(port), &version, &listener_port).ok());
+    EXPECT_EQ(listener_port, port);
+  }
+  for (const uint32_t port : {0u, 65536u, 0xFFFFFFFFu}) {
+    Encoder bad_port;
+    bad_port.PutU32(kWireProtocolVersion);
+    bad_port.PutU32(port);
+    EXPECT_EQ(DecodeHello(bad_port.Release(), &version, &listener_port).code(),
+              StatusCode::kCorruption)
+        << port;
+  }
+  const std::string hello = EncodeHello(40001);
+  EXPECT_EQ(DecodeHello(hello + "x", &version, &listener_port).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeHello(hello.substr(0, 7), &version, &listener_port).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeHello(hello.substr(0, 3), &version, &listener_port).code(),
+            StatusCode::kCorruption);
   ASSERT_TRUE(DecodeAssign(EncodeAssign(2, 3, "cfg", 5), &rank, &world,
                            &blob, &epoch)
                   .ok());
@@ -563,14 +588,11 @@ TEST(WireFrameTest, FaultTolerancePayloadsRoundTrip) {
 /// One encoded frame of every kind (index = kind), each with a payload of
 /// the shape its producer sends.
 std::vector<std::string> SeedFrames() {
-  Encoder port;
-  port.PutU32(40001);
   Encoder ports;
   ports.PutU32Vector({40000, 40001, 40002});
   const std::string payloads[] = {
-      EncodeHello(4242),                               // kHello
+      EncodeHello(40001),                              // kHello
       EncodeAssign(1, 3, "job-spec", 2),               // kAssign
-      port.Release(),                                  // kListening
       ports.Release(),                                 // kPeers
       EncodePeerHello(2),                              // kPeerHello
       "",                                              // kReady
@@ -598,13 +620,14 @@ std::vector<std::string> SeedFrames() {
 /// Runs the typed decoder of `frame`'s kind, where it has one.
 Status DecodeFramePayload(const Frame& frame) {
   uint32_t u32a = 0, u32b = 0, u32c = 0;
+  uint16_t u16 = 0;
   uint64_t u64 = 0;
   std::string text;
   uint8_t type = 0;
   RankStatus status;
   switch (frame.kind) {
     case FrameKind::kHello:
-      return DecodeHello(frame.payload, &u32a, &u64);
+      return DecodeHello(frame.payload, &u32a, &u16);
     case FrameKind::kAssign:
       return DecodeAssign(frame.payload, &u32a, &u32b, &text, &u32c);
     case FrameKind::kPeerHello:

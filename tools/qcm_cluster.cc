@@ -1,6 +1,6 @@
 // qcm_cluster: launcher for the real multi-process deployment.
 //
-// Spawns N qcm_worker processes (one per machine), distributes the run
+// Runs one qcm_worker process per machine, distributes the run
 // configuration over the wire handshake, masters load balancing,
 // distributed termination detection, and rank recovery from the
 // coordinator side, then merges every rank's EngineReport and raw
@@ -50,17 +50,24 @@
 // from the environment, and every rank's EngineReport comes back inside
 // the launcher's --stats-json.
 //
-// Worker stdout/stderr are redirected to <log-dir>/worker<rank>.log
-// (a replacement incarnation logs to worker<rank>.r<restart>.log so the
-// dead incarnation's last words survive) so a crashed rank's story is
-// always on disk for CI to upload. The log and checkpoint dirs are made
-// before the graph loads, and a dir that cannot be made fails the run
-// there, naming it. The default log dir is a fresh temp dir (path
-// printed), removed with the packed graph in it unless the run fails
-// after its workers start; a --log-dir is never removed. Every rank and
-// incarnation of the job spills into one launcher-made temp dir (files
-// prefixed w<rank>_), removed on every exit: a SIGKILLed worker never
-// cleans up after itself.
+// Bring-up is one launch path: the coordinator starts every rank it
+// admits through the launch callback below, ranks 0..N-1 one at a time
+// and a replacement after a death, and the next connection it accepts is
+// that rank's. So rank r's worker is forked into workers[r], and its
+// stdout/stderr go to <log-dir>/worker<r>.log (a replacement logs to
+// worker<r>.r<k>.log, k its epoch, so the dead incarnation's last words
+// survive): a crashed rank's story is on disk, under its rank, for CI to
+// upload. A worker that exits before the handshake is over fails the run
+// at once, naming its rank; after it, a dead worker's closed control
+// connection is the coordinator's `disconnect`.
+//
+// The log and checkpoint dirs are made before the graph loads, and a dir
+// that cannot be made fails the run there, naming it. The default log
+// dir is a fresh temp dir (path printed), removed with the packed graph
+// in it unless the run fails after its workers start; a --log-dir is
+// never removed. Every rank and incarnation of the job spills into one
+// launcher-made temp dir (files prefixed w<rank>_), removed on every
+// exit: a SIGKILLed worker never cleans up after itself.
 //
 // Fault-injection hook (tests/recovery_test.cc): QCM_SMOKE_KILL_RANK=<r>
 // makes the launcher SIGKILL rank r's worker once it verifiably holds
@@ -118,23 +125,26 @@ std::string DefaultWorkerBin() {
   return std::string(::dirname(buf)) + "/qcm_worker";
 }
 
+/// The current incarnation of one rank's worker (pid -1 until launched).
 struct WorkerProcess {
   pid_t pid = -1;
   std::string log_path;
+  /// 0 for the first launch, k for the rank's k-th replacement.
+  uint32_t epoch = 0;
   bool reaped = false;
   int wstatus = 0;
-  /// Replacement incarnations spawned for this rank so far.
-  int restarts = 0;
 };
 
-void KillAll(std::vector<WorkerProcess>* workers) {
-  for (WorkerProcess& w : *workers) {
-    if (w.pid > 0 && !w.reaped) ::kill(w.pid, SIGKILL);
-  }
+/// "status N" or "signal N", from a waitpid status.
+std::string HowExited(int wstatus) {
+  return WIFSIGNALED(wstatus)
+             ? "signal " + std::to_string(WTERMSIG(wstatus))
+             : "status " + std::to_string(WEXITSTATUS(wstatus));
 }
 
 void PrintLogTails(const std::vector<WorkerProcess>& workers) {
   for (const WorkerProcess& w : workers) {
+    if (w.log_path.empty()) continue;  // never launched
     std::fprintf(stderr, "---- %s ----\n", w.log_path.c_str());
     if (FILE* f = std::fopen(w.log_path.c_str(), "r")) {
       // Last 2 KiB is plenty for a crash message.
@@ -355,12 +365,71 @@ int main(int argc, char** argv) {
     // not hold a resident graph during the run.
   }
 
-  // Bind the control-plane listener before spawning anyone. Its status
-  // deadline is the backstop for wedged-but-alive workers; the child
-  // watchdog below catches crashes far faster.
+  // Worker process table, index = rank: the coordinator's launch callback
+  // forks rank r into workers[r]. Shared between the coordinator's thread
+  // (launch, kill), the bring-up watchdog and the fault-injection hook.
+  std::vector<WorkerProcess> workers(num_workers);
+  std::mutex workers_mu;
+  std::string port_str;  // the coordinator's, once it listens
+
+  // The control-plane listener is bound before anyone is launched. Its
+  // status deadline is the backstop for wedged-but-alive workers; a worker
+  // that dies closes its control connection, which the coordinator sees
+  // at once.
   CoordinatorConfig coord_config = CoordinatorConfigFor(config);
   coord_config.config_blob = EncodeJobSpec(config);
   coord_config.max_rank_restarts = max_rank_restarts;
+  // Forks rank `rank`'s worker, logging to worker<rank>.log, or to
+  // worker<rank>.r<epoch>.log for a replacement so the dead incarnation's
+  // last words survive. Called on the coordinator's thread.
+  coord_config.launch = [&](int rank, uint32_t epoch) -> Status {
+    const std::string log_path =
+        log_dir + "/worker" + std::to_string(rank) +
+        (epoch > 0 ? ".r" + std::to_string(epoch) : "") + ".log";
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      return Status::IOError("fork failed for rank " + std::to_string(rank) +
+                             ": " + std::strerror(errno));
+    }
+    if (pid == 0) {
+      if (FILE* log = std::fopen(log_path.c_str(), "w")) {
+        ::dup2(::fileno(log), STDOUT_FILENO);
+        ::dup2(::fileno(log), STDERR_FILENO);
+      }
+      ::execl(worker_bin.c_str(), worker_bin.c_str(), "--coordinator-port",
+              port_str.c_str(), static_cast<char*>(nullptr));
+      std::fprintf(stderr, "execl %s failed: %s\n", worker_bin.c_str(),
+                   std::strerror(errno));
+      ::_exit(127);
+    }
+    {
+      std::lock_guard<std::mutex> lock(workers_mu);
+      workers[rank] = WorkerProcess{pid, log_path, epoch};
+    }
+    if (epoch > 0) {
+      std::fprintf(stderr,
+                   "qcm_cluster: relaunched rank %d (pid %d, attempt %u, "
+                   "log %s)\n",
+                   rank, static_cast<int>(pid), epoch, log_path.c_str());
+    }
+    return Status::OK();
+  };
+  // Guarantees rank `rank`'s current incarnation is dead and reaped
+  // before the survivors are told so. Setting it turns recovery on.
+  coord_config.kill = [&](int rank) {
+    pid_t pid = -1;
+    {
+      std::lock_guard<std::mutex> lock(workers_mu);
+      if (!workers[rank].reaped) pid = workers[rank].pid;
+    }
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    int wstatus = 0;
+    ::waitpid(pid, &wstatus, 0);
+    std::lock_guard<std::mutex> lock(workers_mu);
+    workers[rank].reaped = true;
+    workers[rank].wstatus = wstatus;
+  };
   // Live telemetry: each coordinator sample of the ranks' statuses
   // appends pre-formatted counter event lines ("ph":"C", pid = rank) for
   // the merged timeline when tracing, and prints a cross-rank telemetry
@@ -408,181 +477,69 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
+  port_str = std::to_string(coordinator->port());
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "
                "workers (logs in %s, checkpoints in %s, spill in %s)\n",
                coordinator->port(), num_workers, log_dir.c_str(),
                config.checkpoint_dir.c_str(), config.spill_dir.c_str());
 
-  // Worker process table, shared between the main thread, the child
-  // watchdog, the recovery callbacks, and the fault-injection hook.
-  const std::string port_str = std::to_string(coordinator->port());
-  std::vector<WorkerProcess> workers(num_workers);
-  // The coordinator assigns ranks in CONNECT order, which need not match
-  // the spawn order this table is indexed by. rank_slot[r] maps rank r to
-  // its process-table slot; filled from the coordinator's rank->pid map
-  // (kHello carries the pid) once the handshake completes. Guarded by
-  // workers_mu.
-  std::vector<int> rank_slot(num_workers, -1);
-  std::mutex workers_mu;
-
-  // Forks one worker for `rank`; returns false on fork failure. The
-  // caller holds workers_mu (or is still single-threaded).
-  auto spawn_worker = [&](int rank) -> bool {
-    WorkerProcess& w = workers[rank];
-    w.log_path = log_dir + "/worker" + std::to_string(rank) +
-                 (w.restarts > 0 ? ".r" + std::to_string(w.restarts) : "") +
-                 ".log";
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "fork failed: %s\n", std::strerror(errno));
-      return false;
+  // The helper threads below poll between naps; `done` ends one and wakes
+  // it at once, so joining it never waits out a nap.
+  std::mutex nap_mu;
+  std::condition_variable nap_cv;
+  auto nap_until = [&](const std::atomic<bool>& done, int64_t ms) {
+    std::unique_lock<std::mutex> lock(nap_mu);
+    nap_cv.wait_for(lock, std::chrono::milliseconds(ms),
+                    [&] { return done.load(); });
+  };
+  auto end_thread = [&](std::atomic<bool>& done, std::thread& thread) {
+    {
+      std::lock_guard<std::mutex> lock(nap_mu);
+      done.store(true);
     }
-    if (pid == 0) {
-      if (FILE* log = std::fopen(w.log_path.c_str(), "w")) {
-        ::dup2(::fileno(log), STDOUT_FILENO);
-        ::dup2(::fileno(log), STDERR_FILENO);
-      }
-      ::execl(worker_bin.c_str(), worker_bin.c_str(), "--coordinator-port",
-              port_str.c_str(), static_cast<char*>(nullptr));
-      std::fprintf(stderr, "execl %s failed: %s\n", worker_bin.c_str(),
-                   std::strerror(errno));
-      ::_exit(127);
-    }
-    w.pid = pid;
-    w.reaped = false;
-    w.wstatus = 0;
-    return true;
+    nap_cv.notify_all();
+    if (thread.joinable()) thread.join();
   };
 
-  for (int i = 0; i < num_workers; ++i) {
-    if (!spawn_worker(i)) {
-      KillAll(&workers);
-      keep_dirs_after_failure();
-      return 1;
-    }
-  }
-
-  // Recovery callbacks: the coordinator's RunToCompletion thread calls
-  // these inline while replacing a dead rank.
-  coordinator->SetRecoveryCallbacks(
-      [&](int rank) {
-        // Guarantee the old incarnation is dead and reaped before the
-        // survivors are told so.
-        pid_t pid = -1;
-        int slot = -1;
-        {
-          std::lock_guard<std::mutex> lock(workers_mu);
-          slot = rank_slot[rank];
-          if (slot >= 0 && !workers[slot].reaped) pid = workers[slot].pid;
-        }
-        if (pid > 0) {
-          ::kill(pid, SIGKILL);
-          int wstatus = 0;
-          ::waitpid(pid, &wstatus, 0);
-          std::lock_guard<std::mutex> lock(workers_mu);
-          workers[slot].reaped = true;
-          workers[slot].wstatus = wstatus;
-        }
-      },
-      [&](int rank) -> Status {
-        std::lock_guard<std::mutex> lock(workers_mu);
-        const int slot = rank_slot[rank];
-        if (slot < 0) {
-          return Status::Internal("no process slot mapped for rank " +
-                                  std::to_string(rank));
-        }
-        ++workers[slot].restarts;
-        if (!spawn_worker(slot)) {
-          return Status::IOError("relaunch fork failed for rank " +
-                                 std::to_string(rank));
-        }
-        std::fprintf(stderr,
-                     "qcm_cluster: relaunched rank %d (pid %d, attempt %d, "
-                     "log %s)\n",
-                     rank, static_cast<int>(workers[slot].pid),
-                     workers[slot].restarts,
-                     workers[slot].log_path.c_str());
-        return Status::OK();
-      });
-
-  // Child watchdog: a worker that dies mid-run is routed into the
-  // coordinator's recovery path (before the handshake completes there is
-  // nothing to recover into, so it still fails the run promptly).
-  std::atomic<bool> run_done{false};
-  std::atomic<bool> handshake_done{false};
-  // The launcher's helper threads poll between naps; ending the run wakes
-  // them at once, so joining them never waits out a nap.
-  std::mutex run_done_mu;
-  std::condition_variable run_done_cv;
-  // Sleeps up to `ms` or until the run is done.
-  auto nap_until_done = [&](int64_t ms) {
-    std::unique_lock<std::mutex> lock(run_done_mu);
-    run_done_cv.wait_for(lock, std::chrono::milliseconds(ms),
-                         [&] { return run_done.load(); });
-  };
+  // Bring-up watchdog: a worker that exits before the handshake is over,
+  // with any status (0 included), would leave the coordinator waiting for
+  // a connection or a kReady that never comes, so it fails the run at
+  // once, naming the rank. It stops when the handshake returns, before
+  // any recovery can reap a worker too.
+  std::atomic<bool> bring_up_done{false};
   std::thread watchdog([&] {
-    while (!run_done.load()) {
-      for (size_t i = 0; i < workers.size(); ++i) {
+    while (!bring_up_done.load()) {
+      for (int rank = 0; rank < num_workers; ++rank) {
         pid_t pid = -1;
         {
           std::lock_guard<std::mutex> lock(workers_mu);
-          if (workers[i].pid <= 0 || workers[i].reaped) continue;
-          pid = workers[i].pid;
+          if (workers[rank].reaped) continue;
+          pid = workers[rank].pid;
         }
         int wstatus = 0;
-        if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
-          bool stale = false;
-          {
-            std::lock_guard<std::mutex> lock(workers_mu);
-            // The recovery callback may have reaped and replaced this
-            // pid between our snapshot and now.
-            if (workers[i].pid != pid || workers[i].reaped) {
-              stale = true;
-            } else {
-              workers[i].reaped = true;
-              workers[i].wstatus = wstatus;
-            }
-          }
-          if (stale) continue;
-          const bool clean =
-              WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-          if (clean) continue;
-          const std::string how =
-              WIFSIGNALED(wstatus)
-                  ? "signal " + std::to_string(WTERMSIG(wstatus))
-                  : "status " + std::to_string(WEXITSTATUS(wstatus));
-          if (!handshake_done.load()) {
-            coordinator->Abort("worker process " + std::to_string(i) +
-                               " died during bring-up (" + how + ")");
-          } else {
-            // Translate the process slot back to the rank the coordinator
-            // knows it as.
-            int rank = -1;
-            {
-              std::lock_guard<std::mutex> lock(workers_mu);
-              for (int r = 0; r < num_workers; ++r) {
-                if (rank_slot[r] == static_cast<int>(i)) rank = r;
-              }
-            }
-            if (rank < 0) continue;
-            std::fprintf(stderr,
-                         "qcm_cluster: rank %d process died (%s)\n", rank,
-                         how.c_str());
-            coordinator->OnRankDeath(rank);
-          }
+        if (pid <= 0 || ::waitpid(pid, &wstatus, WNOHANG) != pid) continue;
+        {
+          std::lock_guard<std::mutex> lock(workers_mu);
+          workers[rank].reaped = true;
+          workers[rank].wstatus = wstatus;
         }
+        coordinator->Abort("rank " + std::to_string(rank) +
+                           " exited during bring-up (" + HowExited(wstatus) +
+                           ")");
       }
-      nap_until_done(20);
+      nap_until(bring_up_done, 20);
     }
   });
+  Status run_status = coordinator->RunHandshake();
+  end_thread(bring_up_done, watchdog);
 
   // Fault injection for the recovery test: SIGKILL the named rank once it
   // verifiably holds pending work, so recovery happens mid-mining. The
   // victim's first incarnation stalls one compute round until this fires
   // (see the file header), so its last status keeps pending > 0 and the
-  // poll below cannot miss it. Statuses are only acted on once the
-  // handshake has mapped ranks to process slots.
+  // poll below cannot miss it.
+  std::atomic<bool> run_done{false};
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
     int kill_rank = -1;
@@ -591,17 +548,13 @@ int main(int argc, char** argv) {
       killer = std::thread([&, kill_rank] {
         while (!run_done.load()) {
           RankStatus status;
-          if (handshake_done.load() &&
-              coordinator->SnapshotStatus(kill_rank, &status) &&
+          if (coordinator->SnapshotStatus(kill_rank, &status) &&
               status.pending > 0) {
             pid_t pid = -1;
             {
               std::lock_guard<std::mutex> lock(workers_mu);
-              const int slot = rank_slot[kill_rank];
-              if (slot >= 0 && !workers[slot].reaped &&
-                  workers[slot].restarts == 0) {
-                pid = workers[slot].pid;
-              }
+              const WorkerProcess& w = workers[kill_rank];
+              if (!w.reaped && w.epoch == 0) pid = w.pid;
             }
             if (pid > 0) {
               std::fprintf(stderr,
@@ -612,7 +565,7 @@ int main(int argc, char** argv) {
             }
             return;
           }
-          nap_until_done(2);
+          nap_until(run_done, 2);
         }
       });
     } else {
@@ -623,21 +576,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Handshake, then drive the run to global termination.
-  Status run_status = coordinator->RunHandshake();
-  if (run_status.ok()) {
-    // Resolve which forked process ended up with which rank (connect
-    // order decides) BEFORE releasing the watchdog/killer onto the
-    // recovery path.
-    std::lock_guard<std::mutex> lock(workers_mu);
-    for (int r = 0; r < num_workers; ++r) {
-      const uint64_t pid = coordinator->RankPid(r);
-      for (int s = 0; s < num_workers; ++s) {
-        if (static_cast<uint64_t>(workers[s].pid) == pid) rank_slot[r] = s;
-      }
-    }
-    handshake_done.store(true);
-  }
+  // Drive the run to global termination.
   std::vector<std::string> report_blobs;
   if (run_status.ok()) {
     auto reports = coordinator->RunToCompletion();
@@ -648,21 +587,16 @@ int main(int argc, char** argv) {
   const std::vector<Coordinator::RecoveryEvent> recoveries =
       coordinator->recovery_events();
   const std::vector<int> restarts = coordinator->restarts();
-  {
-    std::lock_guard<std::mutex> lock(run_done_mu);
-    run_done.store(true);
-  }
-  run_done_cv.notify_all();
-  watchdog.join();
-  if (killer.joinable()) killer.join();
+  end_thread(run_done, killer);
   coordinator->Close();
 
-  // Reap every live worker; a nonzero exit of a CURRENT incarnation fails
-  // the run (superseded incarnations died by design and were already
-  // reaped by the watchdog or the kill callback).
+  // Reap every launched worker; a nonzero exit of a CURRENT incarnation
+  // fails the run (superseded incarnations died by design and were
+  // already reaped by the kill callback).
   bool workers_ok = true;
-  for (int i = 0; i < num_workers; ++i) {
-    WorkerProcess& w = workers[i];
+  for (int rank = 0; rank < num_workers; ++rank) {
+    WorkerProcess& w = workers[rank];
+    if (w.pid <= 0) continue;  // never launched: the bring-up failed first
     if (!w.reaped) {
       if (!run_status.ok()) ::kill(w.pid, SIGKILL);
       ::waitpid(w.pid, &w.wstatus, 0);
@@ -670,14 +604,8 @@ int main(int argc, char** argv) {
     }
     const bool clean = WIFEXITED(w.wstatus) && WEXITSTATUS(w.wstatus) == 0;
     if (!clean && run_status.ok()) {
-      std::fprintf(stderr, "qcm_cluster: worker %d exited abnormally (%s)\n",
-                   i,
-                   WIFSIGNALED(w.wstatus)
-                       ? ("signal " + std::to_string(WTERMSIG(w.wstatus)))
-                             .c_str()
-                       : ("status " +
-                          std::to_string(WEXITSTATUS(w.wstatus)))
-                             .c_str());
+      std::fprintf(stderr, "qcm_cluster: rank %d exited abnormally (%s)\n",
+                   rank, HowExited(w.wstatus).c_str());
       workers_ok = false;
     }
   }
