@@ -52,9 +52,9 @@ ssize_t PreadFull(int fd, void* buf, size_t len, uint64_t offset) {
   return static_cast<ssize_t>(done);
 }
 
-// Serializes the header into its fixed 144-byte image. The checksum field
-// is computed over the first 136 bytes, so callers fill it after a first
-// pass with checksum 0.
+// Serializes the header into its fixed kCsrHeaderBytes image. The checksum
+// field is computed over the bytes before it, so callers fill it after a
+// first pass with checksum 0.
 std::string EncodeHeader(const CsrHeader& h) {
   Encoder enc;
   enc.PutU32(h.magic);
@@ -62,7 +62,6 @@ std::string EncodeHeader(const CsrHeader& h) {
   enc.PutU32(h.page_size);
   enc.PutU32(h.num_vertices);
   enc.PutU64(h.num_edges);
-  enc.PutU64(h.build_seed);
   enc.PutU64(h.file_bytes);
   for (const CsrSectionDesc& s : h.sections) {
     enc.PutU64(s.file_offset);
@@ -135,7 +134,6 @@ class FileWriter {
 
 const char* CsrSectionName(int section) {
   switch (section) {
-    case kCsrDegrees: return "degrees";
     case kCsrOffsets: return "offsets";
     case kCsrOriginalIds: return "original-ids";
     case kCsrAdjacency: return "adjacency";
@@ -144,8 +142,7 @@ const char* CsrSectionName(int section) {
 }
 
 Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
-                        const std::string& path,
-                        const CsrWriteOptions& opts) {
+                        const std::string& path) {
   const uint32_t n = g.NumVertices();
   const uint64_t m = g.NumEdges();
   if (!original_ids.ids.empty() && original_ids.ids.size() != n) {
@@ -157,9 +154,7 @@ Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
   CsrHeader hdr;
   hdr.num_vertices = n;
   hdr.num_edges = m;
-  hdr.build_seed = opts.build_seed;
   const uint64_t psz = hdr.page_size;
-  hdr.sections[kCsrDegrees].bytes = uint64_t{n} * sizeof(uint32_t);
   hdr.sections[kCsrOffsets].bytes = (uint64_t{n} + 1) * sizeof(uint64_t);
   hdr.sections[kCsrOriginalIds].bytes = uint64_t{n} * sizeof(uint64_t);
   hdr.sections[kCsrAdjacency].bytes = 2 * m * sizeof(VertexId);
@@ -188,21 +183,6 @@ Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
   std::string header_img = EncodeHeader(hdr);
   if (Status s = out.Append(header_img.data(), header_img.size()); !s.ok())
     return fail(s);
-
-  // Degrees.
-  if (Status s = out.PadTo(hdr.sections[kCsrDegrees].file_offset); !s.ok())
-    return fail(s);
-  {
-    std::vector<uint32_t> degrees(n);
-    for (VertexId v = 0; v < n; ++v) degrees[v] = g.Degree(v);
-    hdr.sections[kCsrDegrees].checksum =
-        Fingerprint(reinterpret_cast<const char*>(degrees.data()),
-                    hdr.sections[kCsrDegrees].bytes);
-    if (Status s = out.Append(degrees.data(),
-                              hdr.sections[kCsrDegrees].bytes);
-        !s.ok())
-      return fail(s);
-  }
 
   // Offsets.
   if (Status s = out.PadTo(hdr.sections[kCsrOffsets].file_offset); !s.ok())
@@ -318,8 +298,7 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   QCM_CHECK(dec.GetU32(&h.magic).ok() && dec.GetU32(&h.version).ok() &&
             dec.GetU32(&h.page_size).ok() &&
             dec.GetU32(&h.num_vertices).ok() &&
-            dec.GetU64(&h.num_edges).ok() && dec.GetU64(&h.build_seed).ok() &&
-            dec.GetU64(&h.file_bytes).ok());
+            dec.GetU64(&h.num_edges).ok() && dec.GetU64(&h.file_bytes).ok());
   for (CsrSectionDesc& s : h.sections) {
     QCM_CHECK(dec.GetU64(&s.file_offset).ok() && dec.GetU64(&s.bytes).ok() &&
               dec.GetU64(&s.checksum).ok());
@@ -352,7 +331,7 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   }
   if (h.file_bytes != actual_bytes) {
     return Status::Corruption(
-        At(path, 32, "torn tail: header declares " +
+        At(path, 24, "torn tail: header declares " +
                          std::to_string(h.file_bytes) + " bytes, file has " +
                          std::to_string(actual_bytes)));
   }
@@ -371,7 +350,7 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
                          std::to_string(h.file_bytes) + " bytes"));
   }
   const uint64_t expected_bytes[kCsrNumSections] = {
-      n * sizeof(uint32_t), (n + 1) * sizeof(uint64_t), n * sizeof(uint64_t),
+      (n + 1) * sizeof(uint64_t), n * sizeof(uint64_t),
       2 * h.num_edges * sizeof(VertexId)};
   for (int i = 0; i < kCsrNumSections; ++i) {
     const CsrSectionDesc& s = h.sections[i];
@@ -379,7 +358,7 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
         s.file_offset < h.page_size || s.bytes > room ||
         s.file_offset > room - s.bytes) {
       return Status::Corruption(
-          At(path, 40 + static_cast<uint64_t>(i) * 24,
+          At(path, 32 + static_cast<uint64_t>(i) * 24,
              std::string(CsrSectionName(i)) + " section descriptor invalid" +
                  " (offset " + std::to_string(s.file_offset) + ", " +
                  std::to_string(s.bytes) + " bytes, expected " +
@@ -406,8 +385,6 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
   }
   snap->map_ = static_cast<uint8_t*>(map);
   snap->map_len_ = h.file_bytes;
-  snap->degrees_ = reinterpret_cast<const uint32_t*>(
-      snap->map_ + h.sections[kCsrDegrees].file_offset);
   snap->offsets_ = reinterpret_cast<const uint64_t*>(
       snap->map_ + h.sections[kCsrOffsets].file_offset);
   snap->original_ids_ = reinterpret_cast<const uint64_t*>(
@@ -449,19 +426,6 @@ StatusOr<std::shared_ptr<CsrSnapshot>> CsrSnapshot::Open(
                    " section checksum mismatch (stored " + Hex(s.checksum) +
                    ", computed " + Hex(fp) + ")"));
       }
-    }
-  }
-  // Degree(v) and Neighbors(v) must agree: callers size lists by one and
-  // fill them from the other.
-  for (uint64_t v = 0; v < n; ++v) {
-    const uint64_t len = snap->offsets_[v + 1] - snap->offsets_[v];
-    if (snap->degrees_[v] != len) {
-      return Status::Corruption(
-          At(path,
-             h.sections[kCsrDegrees].file_offset + v * sizeof(uint32_t),
-             "degree of vertex " + std::to_string(v) + " is " +
-                 std::to_string(snap->degrees_[v]) + ", its row holds " +
-                 std::to_string(len) + " entries"));
     }
   }
   return snap;

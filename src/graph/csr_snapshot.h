@@ -8,24 +8,25 @@
 // File layout (all integers little-endian; every section starts on a
 // page_size boundary and is padded with zeros up to the next one):
 //
-//   offset 0    header (144 bytes, zero-padded to page_size)
+//   offset 0    header (112 bytes, zero-padded to page_size)
 //     +0   u32  magic "QCSR"
-//     +4   u32  format version
+//     +4   u32  format version (2)
 //     +8   u32  page_size (power of two, >= 4096)
 //     +12  u32  num_vertices
 //     +16  u64  num_edges (undirected)
-//     +24  u64  build_seed (generator provenance; 0 for edge-list inputs)
-//     +32  u64  file_bytes (total size incl. tail sentinel)
-//     +40  4 x {u64 file_offset, u64 bytes, u64 fnv1a checksum}
-//          section table: degrees, offsets, original-ids, adjacency
-//     +136 u64  fnv1a checksum of header bytes [0, 136)
-//   degrees       u32[n]    per-vertex degree (replicated metadata)
+//     +24  u64  file_bytes (total size incl. tail sentinel)
+//     +32  3 x {u64 file_offset, u64 bytes, u64 fnv1a checksum}
+//          section table: offsets, original-ids, adjacency
+//     +104 u64  fnv1a checksum of header bytes [0, 104)
 //   offsets       u64[n+1]  adjacency entry offsets (CSR row starts)
 //   original-ids  u64[n]    dense id -> external id map (IdMap)
 //   adjacency     u32[2m]   concatenated sorted adjacency lists
 //   tail          u64       tail magic at file_bytes-8 (torn-tail guard)
 //
-// The adjacency section is deliberately last: a rank validates the three
+// Each fact is stored once: a vertex's degree is its row's length,
+// offsets[v+1] - offsets[v], as in Graph, so no two sections can disagree.
+//
+// The adjacency section is deliberately last: a rank validates the two
 // metadata sections (a contiguous prefix) and then reads adjacency on
 // demand -- through the mapping, or, under a memory budget, one list at a
 // time with pread (ReadNeighbors; gthinker/vertex_table.h caches the
@@ -47,19 +48,18 @@
 namespace qcm {
 
 inline constexpr uint32_t kCsrMagic = 0x52534351u;  // "QCSR" little-endian
-inline constexpr uint32_t kCsrVersion = 1;
+inline constexpr uint32_t kCsrVersion = 2;
 inline constexpr uint32_t kCsrMinPageSize = 4096;
 inline constexpr uint32_t kCsrDefaultPageSize = 1u << 16;
 inline constexpr uint64_t kCsrTailMagic = 0x4c494154'52534351ull;  // "QCSRTAIL"
-inline constexpr size_t kCsrHeaderBytes = 144;
+inline constexpr size_t kCsrHeaderBytes = 112;
 
 /// Section ids, in file order.
 enum CsrSectionId : int {
-  kCsrDegrees = 0,
-  kCsrOffsets = 1,
-  kCsrOriginalIds = 2,
-  kCsrAdjacency = 3,
-  kCsrNumSections = 4,
+  kCsrOffsets = 0,
+  kCsrOriginalIds = 1,
+  kCsrAdjacency = 2,
+  kCsrNumSections = 3,
 };
 
 const char* CsrSectionName(int section);
@@ -76,14 +76,9 @@ struct CsrHeader {
   uint32_t page_size = kCsrDefaultPageSize;
   uint32_t num_vertices = 0;
   uint64_t num_edges = 0;
-  uint64_t build_seed = 0;
   uint64_t file_bytes = 0;
   CsrSectionDesc sections[kCsrNumSections];
   uint64_t header_checksum = 0;
-};
-
-struct CsrWriteOptions {
-  uint64_t build_seed = 0;
 };
 
 /// Packs `g` into a .qcsr snapshot at `path`, every section padded to
@@ -92,17 +87,15 @@ struct CsrWriteOptions {
 /// table must have exactly NumVertices() entries. Overwrites any existing
 /// file.
 Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
-                        const std::string& path,
-                        const CsrWriteOptions& opts = {});
+                        const std::string& path);
 
 /// A read-only mmap of a .qcsr file. Open() always validates the header
 /// (magic/version/page-size/checksum), the declared-vs-actual file size,
 /// the tail sentinel, section-table geometry (in arithmetic that cannot
-/// wrap), offset-array monotonicity, and that every degree is its row's
-/// length -- so the accessors below can never read out of bounds on a
-/// corrupt file. Section checksum verification is opt-out for the
-/// adjacency section only, because streaming it faults every page (a
-/// budget-constrained rank wants to avoid exactly that).
+/// wrap) and offset-array monotonicity -- so the accessors below can never
+/// read out of bounds on a corrupt file. Section checksum verification is
+/// opt-out for the adjacency section only, because streaming it faults
+/// every page (a budget-constrained rank wants to avoid exactly that).
 ///
 /// Neighbors() returns a span into the mapping, valid for the lifetime of
 /// the CsrSnapshot; ReadNeighbors() copies a list out of the file and
@@ -110,7 +103,7 @@ Status WriteCsrSnapshot(const Graph& g, const IdMap& original_ids,
 class CsrSnapshot {
  public:
   struct OpenOptions {
-    /// Stream-verify the degrees/offsets/original-ids checksums.
+    /// Stream-verify the offsets/original-ids checksums.
     bool verify_sections = true;
     /// Also stream-verify the adjacency checksum (touches every page).
     bool verify_adjacency = false;
@@ -135,10 +128,17 @@ class CsrSnapshot {
   /// Total bytes mapped (the whole file).
   uint64_t MappedBytes() const { return map_len_; }
 
-  uint32_t Degree(VertexId v) const { return degrees_[v]; }
+  /// v's row length.
+  uint32_t Degree(VertexId v) const {
+    return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
+  }
 
   /// CSR row start of v, in adjacency *entries* (not bytes).
   uint64_t AdjOffset(VertexId v) const { return offsets_[v]; }
+
+  /// The mapped row starts (NumVertices()+1 entries) and adjacency.
+  const uint64_t* offsets() const { return offsets_; }
+  const VertexId* adjacency() const { return adj_; }
 
   uint64_t OriginalId(VertexId v) const { return original_ids_[v]; }
 
@@ -168,7 +168,6 @@ class CsrSnapshot {
   uint8_t* map_ = nullptr;
   size_t map_len_ = 0;
   CsrHeader hdr_;
-  const uint32_t* degrees_ = nullptr;
   const uint64_t* offsets_ = nullptr;
   const uint64_t* original_ids_ = nullptr;
   const VertexId* adj_ = nullptr;

@@ -85,6 +85,11 @@ class Graph {
   /// Maximum degree over all vertices (0 for the empty graph).
   uint32_t MaxDegree() const;
 
+  /// The CSR arrays: NumVertices()+1 row starts (none for an empty graph)
+  /// and the adjacency lists they index.
+  const std::vector<uint64_t>& offsets() const { return offsets_; }
+  const std::vector<VertexId>& adjacency() const { return adj_; }
+
   /// Approximate heap footprint in bytes.
   uint64_t MemoryBytes() const {
     return offsets_.size() * sizeof(uint64_t) + adj_.size() * sizeof(VertexId);

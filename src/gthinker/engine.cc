@@ -87,28 +87,26 @@ class Engine::Comper : public ComputeContext {
   // ---- ComputeContext ----
 
   AdjRef Fetch(VertexId v) override {
-    DataService* data = engine_->data_.get();
-    if (active_task_ != nullptr && !data->IsLocal(v)) {
+    if (active_task_ != nullptr && !engine_->table_->IsLocal(v)) {
       if (const auto* pin = active_task_->pulls().Find(v)) {
         engine_->counters_.pin_hits.fetch_add(1, std::memory_order_relaxed);
         return AdjRef{
             std::span<const VertexId>((*pin)->data(), (*pin)->size()), *pin};
       }
     }
-    return data->Fetch(v);
+    return engine_->broker_->Fetch(v);
   }
 
   bool Request(VertexId v) override {
     QCM_CHECK(active_task_ != nullptr)
         << "Request() outside a compute round";
-    DataService* data = engine_->data_.get();
-    if (data->IsLocal(v)) return true;
+    if (engine_->table_->IsLocal(v)) return true;
     TaskPullState& pulls = active_task_->pulls();
     if (pulls.Find(v) != nullptr) {
       engine_->counters_.pin_hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    if (auto cached = data->TryCached(v)) {
+    if (auto cached = engine_->broker_->TryCached(v)) {
       // Pin the cache copy so a later Fetch cannot lose it to eviction.
       pulls.Pin(v, std::move(cached));
       return true;
@@ -381,10 +379,9 @@ StatusOr<EngineReport> Engine::Run() {
   WallTimer wall;
   fabric_ = std::make_unique<CommFabric>(config_.net_latency_sec, &counters_,
                                          transport_);
-  data_ = std::make_unique<DataService>(
-      table_.get(), config_.vertex_cache_capacity, &counters_);
-  broker_ = std::make_unique<PullBroker>(data_.get(), config_.max_pull_batch,
-                                         &counters_);
+  broker_ = std::make_unique<PullBroker>(
+      table_.get(), config_.vertex_cache_capacity, config_.max_pull_batch,
+      &counters_);
   const std::string prefix = "w" + std::to_string(rank_);
   small_spill_ =
       std::make_unique<SpillManager>(config_.spill_dir, prefix + "_small",

@@ -29,10 +29,12 @@
 //      the lifecycle.
 //   3. No work anywhere: idle briefly and look again.
 //
-// A task whose compute round Request()ed vertices that are neither local,
-// pinned, nor cached returns kSuspended: it yields its comper and parks in
-// the machine's PullBroker until batched kPullRequest/kPullResponse
-// messages have delivered (and pinned) every missing adjacency. Compers
+// A comper reads a vertex from its task's pins or through the machine's
+// PullBroker: the local table's list, or the copy in the broker's remote
+// cache. A task whose compute round Request()ed vertices that are neither
+// local, pinned, nor cached returns kSuspended: it yields its comper and
+// parks in the broker until batched kPullRequest/kPullResponse messages
+// have delivered (and pinned) every missing adjacency. Compers
 // never answer a peer's request: the fabric's pull-responder thread
 // serves it from the read-only vertex table while the compers keep mining
 // (paper §5's communication thread). Steal batches ride the same fabric
@@ -128,8 +130,7 @@ class Engine {
   std::unique_ptr<VertexTable> table_;
   std::unique_ptr<CommFabric> fabric_;
   // The machine's parts, built by Run().
-  std::unique_ptr<DataService> data_;
-  std::unique_ptr<PullBroker> broker_;         // batched vertex pulls
+  std::unique_ptr<PullBroker> broker_;         // pulls + remote cache
   std::unique_ptr<SpillManager> small_spill_;  // L_small
   std::unique_ptr<SpillManager> big_spill_;    // L_big
   std::unique_ptr<GlobalQueue> global_queue_;  // Q_global

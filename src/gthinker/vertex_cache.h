@@ -1,9 +1,9 @@
 // The per-machine vertex cache of the pull-based compute model (paper §5,
 // Figure 8): a capacity-bounded, sharded LRU cache of adjacency lists.
 // It serves two owners:
-//   * DataService caches remote adjacency here. Every batched pull
-//     response lands in it, so a vertex pulled for one task is served to
-//     every later task on the machine without another network transfer.
+//   * The machine's PullBroker caches remote adjacency here. Every batched
+//     pull response lands in it, so a vertex pulled for one task is served
+//     to every later task on the machine without another network transfer.
 //     Each entry is charged 1, so the capacity counts lists.
 //   * A VertexTable under a graph memory budget caches its own lists here,
 //     read one at a time from the .qcsr file. Each entry is charged its

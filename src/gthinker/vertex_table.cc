@@ -29,7 +29,7 @@ uint64_t ListCharge(size_t degree) {
   return degree * sizeof(VertexId) + kListChargeOverhead;
 }
 
-/// The counters DataService's remote cache counts into; none for a null
+/// The counters the broker's remote cache counts into; none for a null
 /// `counters`.
 VertexCache::Counters RemoteCacheCounters(EngineCounters* counters) {
   if (counters == nullptr) return {};
@@ -39,11 +39,18 @@ VertexCache::Counters RemoteCacheCounters(EngineCounters* counters) {
 
 }  // namespace
 
-VertexTable::VertexTable(const Graph* graph, int num_machines, int rank)
-    : graph_(graph),
+VertexTable::VertexTable(uint32_t num_vertices, const uint64_t* offsets,
+                         const VertexId* adj, int num_machines, int rank)
+    : num_vertices_(num_vertices),
+      offsets_(offsets),
+      adj_(adj),
       num_machines_(num_machines),
       rank_(rank),
-      owned_(RankVertices(graph->NumVertices(), num_machines, rank)) {}
+      owned_(RankVertices(num_vertices, num_machines, rank)) {}
+
+VertexTable::VertexTable(const Graph* graph, int num_machines, int rank)
+    : VertexTable(graph->NumVertices(), graph->offsets().data(),
+                  graph->adjacency().data(), num_machines, rank) {}
 
 // Budgeted snapshot mode's list cache and the counters behind the
 // report's graph_* fields. `max_charge` is the charge of the largest
@@ -63,17 +70,12 @@ struct VertexTable::ListCache {
 VertexTable::VertexTable(std::shared_ptr<CsrSnapshot> snapshot,
                          int num_machines, int rank,
                          uint64_t graph_memory_budget)
-    : graph_(nullptr),
-      num_machines_(num_machines),
-      rank_(rank),
-      snapshot_(std::move(snapshot)) {
-  QCM_CHECK(snapshot_ != nullptr);
-  owned_ = RankVertices(snapshot_->NumVertices(), num_machines, rank);
+    : VertexTable(snapshot->NumVertices(), snapshot->offsets(),
+                  snapshot->adjacency(), num_machines, rank) {
+  snapshot_ = std::move(snapshot);
   if (graph_memory_budget > 0) {
     uint32_t max_degree = 0;
-    for (VertexId v : owned_) {
-      max_degree = std::max(max_degree, snapshot_->Degree(v));
-    }
+    for (VertexId v : owned_) max_degree = std::max(max_degree, Degree(v));
     lists_ = std::make_unique<ListCache>(graph_memory_budget,
                                          ListCharge(max_degree));
   }
@@ -86,15 +88,15 @@ AdjRef VertexTable::Adjacency(VertexId v) const {
       << "adjacency of vertex " << v << " (owner " << Owner(v)
       << ") read on rank " << rank_
       << ": remote adjacency does not exist in a partitioned table";
-  if (graph_ != nullptr) return AdjRef{graph_->Neighbors(v), nullptr};
-  if (lists_ == nullptr) return AdjRef{snapshot_->Neighbors(v), nullptr};
+  if (lists_ == nullptr) {
+    return AdjRef{{adj_ + offsets_[v], adj_ + offsets_[v + 1]}, nullptr};
+  }
 
   VertexCache::AdjPtr list = lists_->cache.Lookup(v);
   if (list == nullptr) {
     // A miss reads the list outside any lock; two threads missing on the
     // same vertex both read it, and the later insert replaces the earlier.
-    auto copy =
-        std::make_shared<std::vector<VertexId>>(snapshot_->Degree(v));
+    auto copy = std::make_shared<std::vector<VertexId>>(Degree(v));
     {
       QCM_TRACE_SPAN(trace::kPage, "pread", copy->size());
       WallTimer read;
@@ -128,13 +130,15 @@ void VertexTable::AddGraphCounters(EngineCountersSnapshot* out) const {
       lists_->pread_nsec.load(std::memory_order_relaxed) / 1000;
 }
 
-DataService::DataService(const VertexTable* table, size_t cache_capacity,
-                         EngineCounters* counters)
+PullBroker::PullBroker(const VertexTable* table, size_t cache_capacity,
+                       size_t max_batch, EngineCounters* counters)
     : table_(table),
-      cache_(cache_capacity, RemoteCacheCounters(counters)) {}
+      cache_(cache_capacity, RemoteCacheCounters(counters)),
+      max_batch_(std::max<size_t>(max_batch, 1)),
+      counters_(counters) {}
 
-AdjRef DataService::Fetch(VertexId v) {
-  if (IsLocal(v)) return table_->Adjacency(v);
+AdjRef PullBroker::Fetch(VertexId v) {
+  if (table_->IsLocal(v)) return table_->Adjacency(v);
   auto cached = cache_.Lookup(v);
   QCM_CHECK(cached != nullptr)
       << "synchronous remote fetch of vertex " << v << " on machine "
@@ -143,12 +147,6 @@ AdjRef DataService::Fetch(VertexId v) {
   return AdjRef{std::span<const VertexId>(cached->data(), cached->size()),
                 std::move(cached)};
 }
-
-PullBroker::PullBroker(DataService* data, size_t max_batch,
-                       EngineCounters* counters)
-    : data_(data),
-      max_batch_(std::max<size_t>(max_batch, 1)),
-      counters_(counters) {}
 
 void PullBroker::Park(TaskPtr task) {
   std::vector<VertexId> wanted = task->pulls().TakeWanted();
@@ -164,7 +162,7 @@ void PullBroker::Park(TaskPtr task) {
   for (VertexId v : wanted) {
     // Served since the task suspended (by another task's pull): pin
     // without any transfer or waiting.
-    if (auto cached = data_->cache().Lookup(v, /*count_stats=*/false)) {
+    if (auto cached = cache_.Lookup(v, /*count_stats=*/false)) {
       parked.task->pulls().Pin(v, std::move(cached));
       continue;
     }
@@ -201,14 +199,13 @@ std::vector<TaskPtr> PullBroker::PumpRequests(CommFabric* fabric) {
 
   // Recheck the cache: ids cached since they were queued (by another
   // task's pull round) are served without a message.
-  const VertexTable& table = data_->table();
-  std::vector<std::vector<VertexId>> groups(table.NumMachines());
+  std::vector<std::vector<VertexId>> groups(table_->NumMachines());
   for (VertexId v : pending) {
-    if (auto cached = data_->cache().Lookup(v, /*count_stats=*/false)) {
+    if (auto cached = cache_.Lookup(v, /*count_stats=*/false)) {
       DeliverLocked(v, cached, &ready);
       continue;
     }
-    groups[table.Owner(v)].push_back(v);
+    groups[table_->Owner(v)].push_back(v);
   }
 
   // One batched request message per owner machine, split at max_batch.
@@ -249,12 +246,11 @@ std::string PullBroker::ServeRequest(const std::string& request_payload)
   QCM_TRACE_SPAN(trace::kPull, "pull_serve",
                  static_cast<uint32_t>(ids.size()));
 
-  const VertexTable& table = data_->table();
   Encoder enc;
   enc.PutU32Vector(ids);
   uint64_t adj_bytes = 0;
   for (VertexId v : ids) {
-    const AdjRef ref = table.Adjacency(v);
+    const AdjRef ref = table_->Adjacency(v);
     enc.PutU32Span(ref.adj.data(), ref.adj.size());
     adj_bytes += ref.adj.size() * sizeof(VertexId);
   }
@@ -283,7 +279,7 @@ std::vector<TaskPtr> PullBroker::AcceptResponse(
     QCM_CHECK(s.ok()) << "corrupt pull response: " << s.ToString();
     auto copy =
         std::make_shared<const std::vector<VertexId>>(std::move(adj));
-    data_->cache().Insert(v, copy, /*charge=*/1);
+    cache_.Insert(v, copy, /*charge=*/1);
     DeliverLocked(v, copy, &ready);
   }
   return ready;
@@ -311,7 +307,7 @@ size_t PullBroker::RequeueInflightFor(int owner) {
   std::unordered_set<VertexId> queued(pending_.begin(), pending_.end());
   size_t requeued = 0;
   for (VertexId v : inflight_) {
-    if (data_->table().Owner(v) != owner) continue;
+    if (table_->Owner(v) != owner) continue;
     if (!queued.insert(v).second) continue;  // already awaiting a pump
     pending_.push_back(v);
     ++requeued;

@@ -1,22 +1,22 @@
-// The distributed graph store (paper §5, Figure 8), one machine's view:
+// The distributed graph store (paper §5, Figure 8), one machine's view.
+// A machine reads adjacency from two places:
 //   * VertexTable -- the machine's "local vertex table": its hash
 //     partition of the graph (the vertices it owns) plus every vertex's
 //     degree. Under a graph memory budget its own lists live in a bounded
 //     cache too, read from the .qcsr file one list per miss.
-//   * DataService -- the per-machine facade tasks fetch through: local
-//     vertices resolve to the local table, remote ones to the bounded
-//     VertexCache. A remote vertex is readable only once the pull
-//     protocol has delivered it (cached here, or pinned into the task);
-//     a cold read that skipped Request() is a loud error in every
-//     deployment.
-//   * PullBroker -- the request/response protocol endpoint of a machine:
-//     tasks suspended on missing vertices park here; a request pump
-//     aggregates every outstanding id into one batched kPullRequest
-//     CommFabric message per remote machine, the owner's pull-responder
-//     thread serves it into a kPullResponse as soon as it is due (never a
-//     comper -- they keep mining), and accepting the response populates
-//     the cache, pins the adjacencies into the waiting tasks, and releases
-//     tasks whose every request has been delivered.
+//   * PullBroker -- the pull protocol's endpoint, and the owner of the
+//     machine's remote VertexCache, which its pulls fill. Tasks fetch
+//     through it: a local vertex resolves to the local table, a remote
+//     one to the cache. A remote vertex is readable only once the protocol
+//     has delivered it (cached here, or pinned into the task); a cold read
+//     that skipped Request() is a loud error in every deployment. Tasks
+//     suspended on missing vertices park here; a request pump aggregates
+//     every outstanding id into one batched kPullRequest CommFabric
+//     message per remote machine, the owner's pull-responder thread serves
+//     it into a kPullResponse as soon as it is due (never a comper -- they
+//     keep mining), and accepting the response populates the cache, pins
+//     the adjacencies into the waiting tasks, and releases tasks whose
+//     every request has been delivered.
 
 #ifndef QCM_GTHINKER_VERTEX_TABLE_H_
 #define QCM_GTHINKER_VERTEX_TABLE_H_
@@ -52,16 +52,17 @@ inline constexpr uint64_t kListChargeOverhead = 176;
 /// frontier qualification read remote degrees); adjacency is served for
 /// the rank's own vertices only, and reading a remote vertex's adjacency
 /// fails loudly -- exactly the discipline the pull protocol must satisfy.
-/// Two storage backends share this interface:
-///   * a resident Graph, shared read-only by every rank of the process
-///     (the in-process launcher, net/local_cluster.h);
-///   * a mmap'd .qcsr snapshot, as a cluster worker process opens it.
-///     Under a graph memory budget the rank reads its own lists one at a
-///     time with pread into a VertexCache whose total charge (list bytes
-///     plus kListChargeOverhead each) the budget bounds; the adjacency
-///     section of the mapping is then never read. Any list whose charge
-///     fits the budget is cached, hubs included: the cache shards only
-///     when every shard holds the largest owned list.
+/// The table reads one CSR -- row starts and adjacency -- whether it is a
+/// resident Graph, shared read-only by every rank of the process (the
+/// in-process launcher, net/local_cluster.h), or a mmap'd .qcsr snapshot,
+/// as a cluster worker process opens it. A degree is a row's length. The
+/// one other read path is a budgeted snapshot's: under a graph memory
+/// budget the rank reads its own lists one at a time with pread into a
+/// VertexCache whose total charge (list bytes plus kListChargeOverhead
+/// each) the budget bounds; the adjacency section of the mapping is then
+/// never read. Any list whose charge fits the budget is cached, hubs
+/// included: the cache shards only when every shard holds the largest
+/// owned list.
 class VertexTable {
  public:
   /// Rank `rank`'s partition of a resident graph. `graph` must outlive
@@ -98,18 +99,15 @@ class VertexTable {
   AdjRef Adjacency(VertexId v) const;
 
   uint32_t Degree(VertexId v) const {
-    return graph_ != nullptr ? graph_->Degree(v) : snapshot_->Degree(v);
+    return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
-  uint32_t NumVertices() const {
-    return graph_ != nullptr ? graph_->NumVertices()
-                             : snapshot_->NumVertices();
-  }
+  uint32_t NumVertices() const { return num_vertices_; }
 
   /// Vertices this rank owns, ascending.
   const std::vector<VertexId>& OwnedVertices() const { return owned_; }
 
-  /// Non-null in snapshot mode.
+  /// The snapshot the table reads; null over a resident graph.
   const CsrSnapshot* snapshot() const { return snapshot_.get(); }
 
   /// Charge currently cached by a budgeted table (0 otherwise); never
@@ -123,27 +121,44 @@ class VertexTable {
  private:
   struct ListCache;
 
-  const Graph* graph_;  // resident backend; null in snapshot mode
+  /// What both public constructors delegate to: rank `rank`'s partition
+  /// of an n-vertex CSR.
+  VertexTable(uint32_t num_vertices, const uint64_t* offsets,
+              const VertexId* adj, int num_machines, int rank);
+
+  // The CSR every read but a budgeted Adjacency() answers from: the
+  // resident graph's arrays, or the snapshot's mapped sections.
+  uint32_t num_vertices_;
+  const uint64_t* offsets_;
+  const VertexId* adj_;
   int num_machines_;
   int rank_;
   std::vector<VertexId> owned_;
 
-  // Snapshot-mode storage: degrees live in the mapping, and so do the
-  // lists unless `lists_` (budgeted mode only) caches them.
+  // Keeps a snapshot's mapping alive; `lists_` (budgeted only) caches the
+  // lists read from its file.
   std::shared_ptr<CsrSnapshot> snapshot_;
   std::unique_ptr<ListCache> lists_;
 };
 
-/// Per-machine data access facade over the machine's own table.
-class DataService {
+/// One machine's endpoint of the pull protocol (paper §5), and the owner
+/// of its remote vertex cache: compers read through it (Fetch, TryCached);
+/// the "request" side parks suspended tasks and pumps batched
+/// kPullRequest messages onto the CommFabric; the "respond" side serves a
+/// peer's request from the local vertex table (called on the fabric's
+/// pull-responder thread, concurrently with the compers); accepting a
+/// kPullResponse caches and pins the delivered adjacencies and releases
+/// the tasks whose pulls completed. Transfer time is whatever the
+/// fabric's latency model says -- tasks stay parked (still counted in
+/// Engine::pending_) until delivery.
+class PullBroker {
  public:
-  /// The remote cache holds up to `cache_capacity` lists and counts its
-  /// traffic in `counters`' cache_* fields (nowhere if `counters` is
-  /// null).
-  DataService(const VertexTable* table, size_t cache_capacity,
-              EngineCounters* counters);
-
-  bool IsLocal(VertexId v) const { return table_->IsLocal(v); }
+  /// `table` is this machine's partition; the remote cache holds up to
+  /// `cache_capacity` lists and counts its traffic in `counters`' cache_*
+  /// fields. `max_batch` caps ids per batched request message. `counters`
+  /// may be null (nothing is counted).
+  PullBroker(const VertexTable* table, size_t cache_capacity,
+             size_t max_batch, EngineCounters* counters);
 
   /// Immediate vertex read: the local table's list or the cached remote
   /// copy, either one pinned for as long as the caller holds the AdjRef.
@@ -151,35 +166,14 @@ class DataService {
   /// Anything else is a pull-protocol violation (the caller never
   /// Request()ed v) and fails a QCM_CHECK -- also over a resident graph
   /// that another rank of the process holds, so a UDF that skips the
-  /// protocol fails in-process tests too.
+  /// protocol fails in-process tests too. Thread-safe.
   AdjRef Fetch(VertexId v);
 
-  /// Cache-only probe (counts hit/miss); null on miss.
+  /// Cache-only probe of a remote vertex (counts a hit or a miss); null on
+  /// a miss. Thread-safe.
   VertexCache::AdjPtr TryCached(VertexId v) { return cache_.Lookup(v); }
 
-  uint32_t Degree(VertexId v) const { return table_->Degree(v); }
-
-  const VertexTable& table() const { return *table_; }
   VertexCache& cache() { return cache_; }
-
- private:
-  const VertexTable* table_;
-  VertexCache cache_;
-};
-
-/// One machine's endpoint of the pull protocol (paper §5): the "request"
-/// side parks suspended tasks and pumps batched kPullRequest messages
-/// onto the CommFabric; the "respond" side serves a peer's request from
-/// the local vertex table (called on the fabric's pull-responder thread,
-/// concurrently with the compers); accepting a kPullResponse pins the
-/// delivered adjacencies and releases the tasks whose pulls completed.
-/// Transfer time is whatever the fabric's latency model says -- tasks stay
-/// parked (still counted in Engine::pending_) until delivery.
-class PullBroker {
- public:
-  /// `data` is this machine's DataService (responses populate its cache);
-  /// `max_batch` caps ids per batched request message.
-  PullBroker(DataService* data, size_t max_batch, EngineCounters* counters);
 
   /// Parks `task` until every id in its TaskPullState wanted-set has been
   /// delivered. The wanted-set is consumed (deduplicated; ids already in
@@ -232,7 +226,8 @@ class PullBroker {
   void DeliverLocked(VertexId v, const TaskPullState::AdjPtr& adj,
                      std::vector<TaskPtr>* ready);
 
-  DataService* data_;
+  const VertexTable* table_;
+  VertexCache cache_;  // remote adjacency delivered by pulls
   size_t max_batch_;
   EngineCounters* counters_;
 

@@ -140,25 +140,32 @@ Status Coordinator::Handshake() {
 }
 
 Status Coordinator::Admit(int rank, uint32_t epoch) {
-  // No other rank is launched until this one is admitted, so the next
-  // connection is this rank's.
+  // A failed run launches nothing more. No other rank is launched until
+  // this one is admitted, so the next connection is this rank's.
+  auto aborted = [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Status::Aborted(failure_);
+  };
+  if (failed_.load()) return aborted();
   QCM_RETURN_IF_ERROR(config_.launch(rank, epoch));
   // The accept poll is kept short so an Abort() (a worker process died
   // before connecting) fails the admission promptly instead of after the
-  // full timeout.
+  // full timeout. A replacement is allowed the silence a live rank is,
+  // when that is bounded: one that dies before it connects fails the
+  // recovery then.
+  const double connect_sec = epoch > 0 && config_.status_deadline_sec > 0
+                                 ? config_.status_deadline_sec
+                                 : config_.timeout_sec;
   WallTimer waited;
   int fd = -1;
   while (fd < 0) {
-    if (failed_.load()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return Status::Aborted(failure_);
-    }
+    if (failed_.load()) return aborted();
     auto accepted = AcceptTcp(listen_fd_, 0.1);
     if (accepted.ok()) {
       fd = accepted.value();
     } else if (accepted.status().message() != "accept timed out") {
       return accepted.status();
-    } else if (waited.Seconds() > config_.timeout_sec) {
+    } else if (waited.Seconds() > connect_sec) {
       return Status::IOError("timed out waiting for rank " +
                              std::to_string(rank) + " to connect");
     }
@@ -274,6 +281,8 @@ void Coordinator::Fail(const std::string& reason) {
 void Coordinator::Abort(const std::string& reason) { Fail(reason); }
 
 void Coordinator::RequestRecovery(int rank, const char* method) {
+  // A failed run recovers nothing: its teardown closes every connection.
+  if (failed_.load()) return;
   const bool recovery_available = static_cast<bool>(config_.kill);
   {
     std::lock_guard<std::mutex> lock(mu_);

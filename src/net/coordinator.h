@@ -44,9 +44,10 @@
 //     max_rank_restarts -- a death fails the run loudly.
 //
 // A rank joins the job one way, at first launch and as a replacement
-// alike: Admit(rank, epoch) launches it (config.launch), accepts the next
-// connection (polling, so an Abort ends the wait), which can only be this
-// rank's because no other rank is launched until this one is admitted,
+// alike: Admit(rank, epoch) launches it (config.launch) unless the run has
+// failed, accepts the next connection (polling, so an Abort ends the wait;
+// a replacement gets status_deadline_sec to connect), which can only be
+// this rank's because no other rank is launched until this one is admitted,
 // checks the protocol version in its kHello, records its peer listener
 // port and sends kAssign {rank, world, job, epoch}; kPeers and the kReady
 // barrier follow, and StartRank(rank) resets the slot, arms its liveness
@@ -105,9 +106,10 @@ struct CoordinatorConfig {
   /// Bring-up / report-collection guard.
   double timeout_sec = 120.0;
   /// A rank silent (no frame of any kind; a mining rank publishes a
-  /// status every 0.5 ms) for this long is declared dead and recovered.
-  /// <= 0 disables status-based detection; connection-loss detection
-  /// still applies.
+  /// status every 0.5 ms) for this long is declared dead and recovered,
+  /// and a replacement that has not connected within it fails the
+  /// recovery. <= 0 disables status-based detection (a replacement then
+  /// waits timeout_sec); connection-loss detection still applies.
   double status_deadline_sec = 5.0;
   /// Hard cap on replacements of any single rank before the run fails.
   int max_rank_restarts = 2;
@@ -254,7 +256,8 @@ class Coordinator {
                    int except = -1);
   Status SendTo(int rank, FrameKind kind, const std::string& payload);
   /// Declares `rank` dead (idempotent) and queues it for recovery; fails
-  /// the run instead when recovery is unavailable or exhausted.
+  /// the run instead when recovery is unavailable or exhausted. A no-op
+  /// once the run has failed.
   void RequestRecovery(int rank, const char* method);
   /// Kills, replaces, and re-wires one rank. RunToCompletion thread only.
   Status RecoverRank(const PendingRecovery& death);

@@ -7,8 +7,8 @@
 
 namespace qcm {
 
-StatusOr<SerialMineReport> SerialMiner::Run(const Graph& g, ResultSink* sink,
-                                            const RootObserver& observer) {
+StatusOr<SerialMineReport> SerialMiner::Run(const Graph& g,
+                                            ResultSink* sink) {
   QCM_RETURN_IF_ERROR(options_.Validate());
   SerialMineReport report;
   WallTimer total;
@@ -49,17 +49,9 @@ StatusOr<SerialMineReport> SerialMiner::Run(const Graph& g, ResultSink* sink,
       if (u != local_root) ext.push_back(u);
     }
     RecursiveMine(ctx, std::span(&local_root, 1), ext);
-    const double mine_secs = mine_timer.Seconds();
-    report.mine_seconds += mine_secs;
+    report.mine_seconds += mine_timer.Seconds();
     report.stats.Add(ctx.stats);
     ++report.roots_processed;
-
-    if (observer) {
-      observer(RootTaskInfo{.root = root,
-                            .subgraph_vertices = ego.n(),
-                            .subgraph_edges = ego.NumEdges(),
-                            .seconds = mine_secs});
-    }
   }
   report.total_seconds = total.Seconds();
   return report;

@@ -7,7 +7,6 @@
 #ifndef QCM_QUICK_SERIAL_MINER_H_
 #define QCM_QUICK_SERIAL_MINER_H_
 
-#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -29,16 +28,6 @@ struct SerialMineReport {
   double total_seconds = 0.0;
 };
 
-/// Observer invoked after each root's task completes (used by the
-/// figure-reproduction benches to record per-task cost).
-struct RootTaskInfo {
-  VertexId root = 0;
-  uint32_t subgraph_vertices = 0;
-  uint64_t subgraph_edges = 0;
-  double seconds = 0.0;
-};
-using RootObserver = std::function<void(const RootTaskInfo&)>;
-
 /// Serial maximal quasi-clique miner. Task-subgraph materialization goes
 /// through the shared EgoBuilder layer (graph/ego_builder.h) -- the same
 /// Alg. 6-7 code the parallel engine's compute() iterations drive.
@@ -47,9 +36,8 @@ class SerialMiner {
   explicit SerialMiner(const MiningOptions& options) : options_(options) {}
 
   /// Mines all candidates into `sink` (postprocess with FilterMaximal to
-  /// obtain exactly the maximal sets). `observer` may be null.
-  StatusOr<SerialMineReport> Run(const Graph& g, ResultSink* sink,
-                                 const RootObserver& observer = nullptr);
+  /// obtain exactly the maximal sets).
+  StatusOr<SerialMineReport> Run(const Graph& g, ResultSink* sink);
 
  private:
   MiningOptions options_;

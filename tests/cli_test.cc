@@ -9,14 +9,20 @@
 // of being patched; a results or stats file that cannot be written in
 // full exits 1, and so does a launcher dir that cannot be made, before
 // the load; a qcm_cluster worker that exits during bring-up, cleanly or
-// not, fails the run at once, naming its rank; qcm_mine prints one
-// "graph: " line, whose counts parse, before its "k-core: " line; and
-// --help lists exactly the flags the tool accepts. The table test checks
-// that every shared row sets the field it names.
+// not, fails the run at once, naming its rank, and so does a replacement
+// that never connects, within the status deadline; a SIGTERM, or a SIGINT
+// to the launcher's whole process group, fails its run through the same
+// exit, leaving no dir or process behind and starting no recovery;
+// qcm_mine prints one "graph: " line, whose counts parse, before its
+// "k-core: " line; and --help lists exactly the flags the tool accepts.
+// The table test checks that every shared row sets the field it names.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <functional>
@@ -256,6 +262,193 @@ TEST(CliContractTest, WorkerThatExitsDuringBringUpFailsTheRunAtOnce) {
     std::filesystem::remove_all(log_dir, ec);
     if (!ckpt_dir.empty()) std::filesystem::remove_all(ckpt_dir, ec);
   }
+}
+
+/// Writes an executable shell script to `path`.
+void WriteScript(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr) << path;
+  std::fputs(("#!/bin/sh\n" + body).c_str(), f);
+  ASSERT_EQ(std::fclose(f), 0) << path;
+  ASSERT_EQ(::chmod(path.c_str(), 0755), 0) << path;
+}
+
+// Rank 1's replacement exits before it connects: the coordinator waits for
+// it at most the status deadline (5 s for worker processes), the silence
+// it tolerates from a live rank, and then fails the run naming the rank,
+// not after the 120 s bring-up timeout. The wrapper execs qcm_worker for
+// the first three launches and exits 1 on the fourth (the replacement);
+// the failed run keeps the replacement's log, removes its spill dir and
+// leaves no process behind.
+TEST(CliContractTest, ReplacementThatNeverConnectsFailsTheRecovery) {
+  const std::string dir = ::testing::TempDir() + "/cli_test_dead_replacement";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string wrapper = dir + "/worker.sh";
+  WriteScript(wrapper, "n=$(($(cat " + dir + "/launches 2>/dev/null || " +
+                           "echo 0) + 1))\necho $n > " + dir +
+                           "/launches\n[ $n -le 3 ] && exec " +
+                           QCM_BIN_DIR + "/qcm_worker \"$@\"\nexit 1\n");
+  const std::string log_dir = dir + "/logs";
+  WallTimer waited;
+  const RunResult r = RunTool(
+      "qcm_cluster",
+      "--gen-planted n=1500,communities=5,size=9..13,density=0.95 "
+      "--gamma 0.85 --min-size 8 --seed 3 --workers 3 --threads 2 "
+      "--checkpoint-interval 0.05 --log-dir " +
+          log_dir + " --worker-bin " + wrapper,
+      "QCM_SMOKE_KILL_RANK=1");
+  EXPECT_LT(waited.Seconds(), 15.0) << r.output;
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("fault injection: SIGKILL rank 1"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("recovery of rank 1 failed: IOError: timed out "
+                          "waiting for rank 1 to connect"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(ReadFile(dir + "/launches"), "4\n");
+  EXPECT_TRUE(std::filesystem::exists(log_dir + "/worker1.r1.log"))
+      << log_dir;
+  const std::string spill_dir = PrintedDir(r.output, "spill in ");
+  ASSERT_FALSE(spill_dir.empty()) << r.output;
+  EXPECT_FALSE(std::filesystem::exists(spill_dir)) << spill_dir;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+  const std::string ckpt_dir = PrintedDir(r.output, "checkpoints in ");
+  if (!ckpt_dir.empty()) std::filesystem::remove_all(ckpt_dir, ec);
+  std::filesystem::remove_all(dir, ec);
+}
+
+/// A qcm_cluster run in the background, its stdout and stderr on a pipe
+/// that the test reads line by line.
+struct BackgroundCluster {
+  pid_t pid = -1;
+  std::FILE* out = nullptr;
+  std::string output;
+
+  /// Starts qcm_cluster with `args`, in a process group of its own (so
+  /// that the whole group, workers included, can be signalled) when
+  /// `own_group`.
+  BackgroundCluster(const std::string& args, bool own_group) {
+    int fds[2];
+    if (::pipe(fds) != 0) return;
+    const std::string command =
+        std::string("exec ") + QCM_BIN_DIR + "/qcm_cluster " + args;
+    pid = ::fork();
+    if (pid == 0) {
+      if (own_group) ::setsid();
+      ::dup2(fds[1], STDOUT_FILENO);
+      ::dup2(fds[1], STDERR_FILENO);
+      ::close(fds[0]);
+      ::close(fds[1]);
+      ::execl("/bin/sh", "sh", "-c", command.c_str(),
+              static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    ::close(fds[1]);
+    out = ::fdopen(fds[0], "r");
+  }
+
+  /// Reads lines until one contains `text`; false at the end of output.
+  bool ReadUntil(const std::string& text) {
+    char line[4096];
+    while (output.find(text) == std::string::npos) {
+      if (out == nullptr || std::fgets(line, sizeof(line), out) == nullptr) {
+        return false;
+      }
+      output += line;
+    }
+    return true;
+  }
+
+  /// Reads the rest of the output and reaps the launcher: its exit code,
+  /// or -1 if a signal ended it.
+  int Finish() {
+    char line[4096];
+    while (out != nullptr && std::fgets(line, sizeof(line), out) != nullptr) {
+      output += line;
+    }
+    if (out != nullptr) std::fclose(out);
+    out = nullptr;
+    int status = 0;
+    if (pid <= 0 || ::waitpid(pid, &status, 0) != pid) return -1;
+    pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  ~BackgroundCluster() {
+    if (pid > 0) ::kill(pid, SIGKILL);
+    Finish();
+  }
+};
+
+/// Checks what a launcher that `signal` stopped leaves: exit 1 naming the
+/// signal, its spill dir removed, its log and checkpoint dirs named as
+/// kept, and no process holding a file under its log dir; then removes
+/// the kept dirs.
+void ExpectStoppedCleanly(const std::string& output, int exit_code,
+                          const std::string& signal) {
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("FAILED -- Aborted: stopped by " + signal),
+            std::string::npos)
+      << output;
+  const std::string log_dir = PrintedDir(output, "logs in ");
+  const std::string ckpt_dir = PrintedDir(output, "checkpoints in ");
+  const std::string spill_dir = PrintedDir(output, "spill in ");
+  ASSERT_FALSE(log_dir.empty()) << output;
+  ASSERT_FALSE(spill_dir.empty()) << output;
+  EXPECT_FALSE(std::filesystem::exists(spill_dir)) << spill_dir;
+  EXPECT_NE(output.find("logs kept in " + log_dir + ", checkpoints kept in " +
+                        ckpt_dir),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(ProcessesHoldingFilesUnder(log_dir), std::vector<std::string>{});
+  std::error_code ec;
+  std::filesystem::remove_all(log_dir, ec);
+  if (!ckpt_dir.empty()) std::filesystem::remove_all(ckpt_dir, ec);
+}
+
+// A SIGTERM fails a launcher's run through its failure exit. A worker that
+// only sleeps holds the launcher in bring-up; once it has printed its
+// "coordinator on" line, SIGTERM must end it within 5 s, exiting 1 naming
+// the signal, with its spill dir removed, its log and checkpoint dirs
+// named as kept, and no process holding a file under its log dir.
+TEST(CliContractTest, SigtermFailsTheRunAndLeavesNothingBehind) {
+  const std::string wrapper =
+      ::testing::TempDir() + "/cli_test_sleeping_worker.sh";
+  WriteScript(wrapper, "exec sleep 30\n");
+  BackgroundCluster run(std::string(kTinyGraph) +
+                            " --min-size 8 --worker-bin " + wrapper,
+                        /*own_group=*/false);
+  ASSERT_TRUE(run.ReadUntil("coordinator on")) << run.output;
+  WallTimer stopped;
+  ASSERT_EQ(::kill(run.pid, SIGTERM), 0);
+  const int exit_code = run.Finish();
+  EXPECT_LT(stopped.Seconds(), 5.0) << run.output;
+  ExpectStoppedCleanly(run.output, exit_code, "SIGTERM");
+  std::remove(wrapper.c_str());
+}
+
+// A terminal's ^C sends SIGINT to the launcher's whole process group,
+// workers included. It must stop the run as SIGTERM does, and start no
+// recovery: the workers ignore SIGINT, and the launcher kills them. The
+// 2 s modelled network latency keeps the workers mining, waiting on their
+// pulls, when the signal lands after the first telemetry line.
+TEST(CliContractTest, SigintToTheProcessGroupStopsTheRunWithoutRecoveries) {
+  BackgroundCluster run(std::string(kTinyGraph) +
+                            " --min-size 8 --net-latency 2 "
+                            "--stats-interval-ms 50",
+                        /*own_group=*/true);
+  ASSERT_TRUE(run.ReadUntil("telemetry: ")) << run.output;
+  WallTimer stopped;
+  ASSERT_EQ(::kill(-run.pid, SIGINT), 0);
+  const int exit_code = run.Finish();
+  EXPECT_LT(stopped.Seconds(), 5.0) << run.output;
+  ExpectStoppedCleanly(run.output, exit_code, "SIGINT");
+  EXPECT_EQ(run.output.find("declared dead"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("relaunched"), std::string::npos) << run.output;
 }
 
 /// The lines of `output` that start with `prefix`, in order, each with

@@ -1,12 +1,12 @@
 // .qcsr snapshot format + budgeted vertex table tests: byte-pinned header
 // layout, round-trip fidelity (also of a file laid out on 4 KiB pages),
-// original-ids sections read back as id maps, corrupt-header / torn-tail /
-// checksum-mismatch / wrapping-section-table rejection with file:offset
-// errors, a seeded mutation fuzz loop over snapshots of the edge-list
-// corpus, parity between resident, snapshot-mmap and budgeted tables under
-// eviction churn, the budget's bound on what the rank holds, hub lists
-// cached whole, pins that outlive eviction, and the loud failure of a
-// read past a truncated file's end.
+// original-ids sections read back as id maps, corrupt-header / old-version
+// / torn-tail / checksum-mismatch / wrapping-section-table rejection with
+// file:offset errors, a seeded mutation fuzz loop over snapshots of the
+// edge-list corpus, parity between resident, snapshot-mmap and budgeted
+// tables (also under eviction churn), the budget's bound on what the rank
+// holds, hub lists cached whole, pins that outlive eviction, and the loud
+// failure of a read past a truncated file's end.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -85,16 +85,16 @@ std::string OnSmallestPages(const std::string& wide) {
   std::string header = wide.substr(0, kCsrHeaderBytes);
   std::string body;  // everything after the header page
   for (int i = 0; i < kCsrNumSections; ++i) {
-    const uint64_t offset = ReadAt<uint64_t>(wide, 40 + 24 * i);
-    const uint64_t size = ReadAt<uint64_t>(wide, 48 + 24 * i);
+    const uint64_t offset = ReadAt<uint64_t>(wide, 32 + 24 * i);
+    const uint64_t size = ReadAt<uint64_t>(wide, 40 + 24 * i);
     body.resize((body.size() + kPage - 1) / kPage * kPage, '\0');
-    WriteAt<uint64_t>(&header, 40 + 24 * i, kPage + body.size());
+    WriteAt<uint64_t>(&header, 32 + 24 * i, kPage + body.size());
     body += wide.substr(offset, size);
   }
   body += wide.substr(wide.size() - sizeof(kCsrTailMagic));
   WriteAt<uint32_t>(&header, 8, kPage);
-  WriteAt<uint64_t>(&header, 32, kPage + body.size());
-  WriteAt<uint64_t>(&header, 136, Fingerprint(header.data(), 136));
+  WriteAt<uint64_t>(&header, 24, kPage + body.size());
+  WriteAt<uint64_t>(&header, 104, Fingerprint(header.data(), 104));
   header.resize(kPage, '\0');
   return header + body;
 }
@@ -134,9 +134,7 @@ bool SameList(const Graph& g, VertexId v, std::span<const VertexId> got) {
 TEST(CsrSnapshotTest, HeaderLayoutIsBytePinned) {
   const Graph g = MakePlanted(64, 3);
   const std::string path = TempPath("pinned.qcsr");
-  CsrWriteOptions opts;
-  opts.build_seed = 3;
-  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path, opts).ok());
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
 
   const std::string bytes = ReadAll(path);
   // Fixed field offsets: any change here is a format break that must come
@@ -144,24 +142,30 @@ TEST(CsrSnapshotTest, HeaderLayoutIsBytePinned) {
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 0), kCsrMagic);
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 0), 0x52534351u);  // "QCSR"
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 4), kCsrVersion);
+  EXPECT_EQ(kCsrVersion, 2u);
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 8), 65536u);  // page size
   EXPECT_EQ(ReadAt<uint32_t>(bytes, 12), g.NumVertices());
   EXPECT_EQ(ReadAt<uint64_t>(bytes, 16), g.NumEdges());
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 24), 3u);  // build seed
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 32), bytes.size());
-  // Section table: 4 x {offset, bytes, checksum} from byte 40; degrees
-  // first, page-aligned right after the header page.
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 40), 65536u);
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 48),
-            uint64_t{g.NumVertices()} * sizeof(uint32_t));
-  // Header checksum over bytes [0, 136).
-  EXPECT_EQ(ReadAt<uint64_t>(bytes, 136),
-            Fingerprint(bytes.data(), 136));
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 24), bytes.size());
+  // Section table: 3 x {offset, bytes, checksum} from byte 32; offsets
+  // first, page-aligned right after the header page, then original ids
+  // and adjacency.
+  EXPECT_EQ(kCsrNumSections, 3);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 32), 65536u);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 40),
+            (uint64_t{g.NumVertices()} + 1) * sizeof(uint64_t));
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 64),
+            uint64_t{g.NumVertices()} * sizeof(uint64_t));
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 88), 2 * g.NumEdges() * sizeof(VertexId));
+  // Header checksum over bytes [0, 104), the header's last field.
+  EXPECT_EQ(kCsrHeaderBytes, 112u);
+  EXPECT_EQ(ReadAt<uint64_t>(bytes, 104),
+            Fingerprint(bytes.data(), 104));
   // Tail sentinel closes the file.
   EXPECT_EQ(ReadAt<uint64_t>(bytes, bytes.size() - 8), kCsrTailMagic);
   // Every section starts on a page boundary.
   for (int i = 0; i < kCsrNumSections; ++i) {
-    EXPECT_EQ(ReadAt<uint64_t>(bytes, 40 + 24 * i) % 65536, 0u)
+    EXPECT_EQ(ReadAt<uint64_t>(bytes, 32 + 24 * i) % 65536, 0u)
         << CsrSectionName(i);
   }
 }
@@ -233,6 +237,27 @@ TEST(CsrSnapshotTest, RejectsBadMagicWithFileOffset) {
   EXPECT_NE(snap.status().ToString().find("magic"), std::string::npos);
 }
 
+// A version-1 file (a degrees section of its own and a build seed in a
+// 144-byte header) is refused by its version field, the first one checked
+// after the magic.
+TEST(CsrSnapshotTest, RejectsVersionOneNamingIt) {
+  const Graph g = MakePlanted(32, 1);
+  const std::string path = TempPath("version1.qcsr");
+  ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
+  std::string bytes = ReadAll(path);
+  WriteAt<uint32_t>(&bytes, 4, 1);
+  WriteAll(path, bytes);
+
+  auto snap = CsrSnapshot::Open(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snap.status().ToString().find(
+                path + ":4: unsupported snapshot version 1 (this build "
+                       "reads v2)"),
+            std::string::npos)
+      << snap.status().ToString();
+}
+
 TEST(CsrSnapshotTest, RejectsHeaderFieldCorruption) {
   const Graph g = MakePlanted(32, 1);
   const std::string path = TempPath("badheader.qcsr");
@@ -256,61 +281,53 @@ TEST(CsrSnapshotTest, RejectsHeaderFieldCorruption) {
 void Reseal(std::string* bytes) {
   const uint64_t size = bytes->size();
   if (size < kCsrHeaderBytes + sizeof(kCsrTailMagic)) return;
-  WriteAt<uint64_t>(bytes, 32, size);
+  WriteAt<uint64_t>(bytes, 24, size);
   WriteAt<uint64_t>(bytes, size - sizeof(kCsrTailMagic), kCsrTailMagic);
   for (int i = 0; i < kCsrNumSections; ++i) {
-    const uint64_t offset = ReadAt<uint64_t>(*bytes, 40 + 24 * i);
-    const uint64_t len = ReadAt<uint64_t>(*bytes, 48 + 24 * i);
+    const uint64_t offset = ReadAt<uint64_t>(*bytes, 32 + 24 * i);
+    const uint64_t len = ReadAt<uint64_t>(*bytes, 40 + 24 * i);
     if (len > size || offset > size - len) continue;
-    WriteAt<uint64_t>(bytes, 56 + 24 * i,
+    WriteAt<uint64_t>(bytes, 48 + 24 * i,
                       Fingerprint(bytes->data() + offset, len));
   }
-  WriteAt<uint64_t>(bytes, 136, Fingerprint(bytes->data(), 136));
+  WriteAt<uint64_t>(bytes, 104, Fingerprint(bytes->data(), 104));
 }
 
 // Structural corruption re-sealed behind valid checksums, so that only
 // Open's structural checks stand in its way, with and without section
-// verification. Two section-table sums that wrap: the degrees section of a
-// 16,384-vertex file moved to 64 KiB below 2^64, so its end wraps to 0
+// verification. Two section-table sums that wrap: the offsets section of
+// an 8,191-vertex file moved to 64 KiB below 2^64, so its end wraps to 0
 // (Open used to read 64 KiB before the mapping), and an edge count 2^61
 // too high, whose adjacency size of 8 bytes per edge wraps to the
 // section's true size (the last row offset moved to match; Neighbors used
-// to read 2^64 bytes past the section). And a degree that disagrees with
-// its row, so Degree(v) and Neighbors(v) would tell a caller two lengths.
+// to read 2^64 bytes past the section).
 TEST(CsrSnapshotTest, RejectsResealedStructuralCorruption) {
-  const Graph g = MakePlanted(16384, 1);
+  const Graph g = MakePlanted(8191, 1);
   const uint64_t n = g.NumVertices();
   const uint64_t m = g.NumEdges();
   const std::string path = TempPath("resealed.qcsr");
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   const std::string pristine = ReadAll(path);
-  const uint64_t degrees_at = ReadAt<uint64_t>(pristine, 40);
-  ASSERT_EQ(ReadAt<uint64_t>(pristine, 48), 65536u);  // degrees bytes
+  const uint64_t offsets_at = ReadAt<uint64_t>(pristine, 32);
+  ASSERT_EQ(ReadAt<uint64_t>(pristine, 40), 65536u);  // offsets bytes
 
   std::string offset_wraps = pristine;
-  WriteAt<uint64_t>(&offset_wraps, 40, 0 - uint64_t{65536});
+  WriteAt<uint64_t>(&offset_wraps, 32, 0 - uint64_t{65536});
   Reseal(&offset_wraps);
   std::string edges_wrap = pristine;
   WriteAt<uint64_t>(&edges_wrap, 16, m + (uint64_t{1} << 61));
-  WriteAt<uint64_t>(&edges_wrap, ReadAt<uint64_t>(pristine, 64) + 8 * n,
+  WriteAt<uint64_t>(&edges_wrap, offsets_at + 8 * n,
                     2 * m + (uint64_t{1} << 62));
   Reseal(&edges_wrap);
-  std::string bad_degree = pristine;
-  WriteAt<uint32_t>(&bad_degree, degrees_at + 4 * 3, g.Degree(3) + 1);
-  Reseal(&bad_degree);
 
   const struct {
     const std::string& bytes;
     std::string error;
   } cases[] = {
-      {offset_wraps, ":40: degrees section descriptor invalid (offset " +
+      {offset_wraps, ":32: offsets section descriptor invalid (offset " +
                          std::to_string(0 - uint64_t{65536})},
       {edges_wrap, ":16: " + std::to_string(m + (uint64_t{1} << 61)) +
                        " edges cannot fit in a file of"},
-      {bad_degree, ":" + std::to_string(degrees_at + 12) +
-                       ": degree of vertex 3 is " +
-                       std::to_string(g.Degree(3) + 1) + ", its row holds " +
-                       std::to_string(g.Degree(3)) + " entries"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.error);
@@ -436,13 +453,14 @@ std::string MutateSnapshot(std::string bytes, std::mt19937_64& rng) {
         break;
       case 5:  // a section descriptor field
         if (bytes.size() >= kCsrHeaderBytes) {
-          WriteAt<uint64_t>(&bytes, 40 + 8 * (rng() % 12), value());
+          WriteAt<uint64_t>(&bytes, 32 + 8 * (rng() % (3 * kCsrNumSections)),
+                            value());
         }
         break;
       default:  // a section offset whose end wraps
         if (bytes.size() >= kCsrHeaderBytes) {
           const uint64_t page = ReadAt<uint32_t>(bytes, 8);
-          WriteAt<uint64_t>(&bytes, 40 + 24 * (rng() % kCsrNumSections),
+          WriteAt<uint64_t>(&bytes, 32 + 24 * (rng() % kCsrNumSections),
                             0 - page * (1 + rng() % 2));
         }
         break;
@@ -462,8 +480,8 @@ void ExpectOpenedSnapshotInBounds(const CsrSnapshot& snap) {
   using Wide = unsigned __int128;
   const CsrHeader& h = snap.header();
   const uint64_t n = snap.NumVertices();
-  const Wide want[kCsrNumSections] = {Wide{n} * 4, (Wide{n} + 1) * 8,
-                                      Wide{n} * 8, Wide{h.num_edges} * 8};
+  const Wide want[kCsrNumSections] = {(Wide{n} + 1) * 8, Wide{n} * 8,
+                                      Wide{h.num_edges} * 8};
   for (int i = 0; i < kCsrNumSections; ++i) {
     const CsrSectionDesc& s = h.sections[i];
     ASSERT_TRUE(Wide{s.bytes} == want[i]) << CsrSectionName(i);
@@ -566,15 +584,20 @@ TEST(CsrSnapshotTest, RejectsSectionChecksumMismatchNamingSection) {
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   const std::string pristine = ReadAll(path);
 
-  // Degrees section (validated by default).
+  // Offsets section (validated by default): the row start of a vertex
+  // with neighbours moved up by one, which keeps the rows monotone, so
+  // only the checksum can catch it.
+  VertexId v = 1;
+  while (g.Degree(v) == 0) ++v;
+  const uint64_t row_at = kCsrDefaultPageSize + v * sizeof(uint64_t);
   std::string bytes = pristine;
-  bytes[kCsrDefaultPageSize] ^= 0x01;
+  WriteAt<uint64_t>(&bytes, row_at, ReadAt<uint64_t>(pristine, row_at) + 1);
   WriteAll(path, bytes);
   auto snap = CsrSnapshot::Open(path);
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
   EXPECT_NE(
-      snap.status().ToString().find("degrees section checksum mismatch"),
+      snap.status().ToString().find("offsets section checksum mismatch"),
       std::string::npos)
       << snap.status().ToString();
   EXPECT_NE(snap.status().ToString().find(
@@ -583,7 +606,7 @@ TEST(CsrSnapshotTest, RejectsSectionChecksumMismatchNamingSection) {
 
   // Adjacency section: caught only when verify_adjacency is on.
   bytes = pristine;
-  const uint64_t adj_off = ReadAt<uint64_t>(pristine, 40 + 24 * 3);
+  const uint64_t adj_off = ReadAt<uint64_t>(pristine, 32 + 24 * 2);
   bytes[adj_off] ^= 0x01;
   WriteAll(path, bytes);
   snap = CsrSnapshot::Open(path);  // metadata-only validation passes
@@ -763,27 +786,42 @@ TEST(CsrSnapshotDeathTest, TruncatedSnapshotReadFailsLoudly) {
                    std::to_string(last) + "'s");
 }
 
-TEST(CsrSnapshotTest, UnboundedSnapshotTableServesItsPartition) {
+// A resident graph, an unbudgeted mapping and a budgeted snapshot give a
+// rank the same partition: the first two read one CSR, every owned list
+// an unpinned span and no list cache; the third reads the same lists from
+// the file, each pinned.
+TEST(CsrSnapshotTest, ResidentMappedAndBudgetedTablesAgree) {
   const Graph g = MakePlanted(300, 13);
   const std::string path = TempPath("serve_partition.qcsr");
   ASSERT_TRUE(WriteCsrSnapshot(g, {}, path).ok());
   auto snap = CsrSnapshot::Open(path);
   ASSERT_TRUE(snap.ok());
 
-  // Budget 0: every owned adjacency is an unpinned span of the mapping.
   for (int rank = 0; rank < 2; ++rank) {
-    VertexTable table(*snap, /*num_machines=*/2, rank,
-                      /*graph_memory_budget=*/0);
-    EXPECT_EQ(table.NumVertices(), g.NumVertices());
-    for (VertexId v : table.OwnedVertices()) {
-      const AdjRef got = table.Adjacency(v);
-      EXPECT_EQ(got.pin, nullptr);
-      ASSERT_TRUE(SameList(g, v, got.adj));
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    const VertexTable resident(&g, /*num_machines=*/2, rank);
+    const VertexTable mapped(*snap, /*num_machines=*/2, rank,
+                             /*graph_memory_budget=*/0);
+    const VertexTable budgeted(*snap, /*num_machines=*/2, rank,
+                               /*graph_memory_budget=*/4096);
+    for (const VertexTable* table : {&resident, &mapped, &budgeted}) {
+      EXPECT_EQ(table->NumVertices(), g.NumVertices());
+      ASSERT_EQ(table->OwnedVertices(), resident.OwnedVertices());
+      for (VertexId v : table->OwnedVertices()) {
+        ASSERT_EQ(table->Degree(v), g.Degree(v)) << "vertex " << v;
+        const AdjRef got = table->Adjacency(v);
+        EXPECT_EQ(got.pin != nullptr, table == &budgeted) << "vertex " << v;
+        ASSERT_TRUE(SameList(g, v, got.adj)) << "vertex " << v;
+      }
     }
-    const EngineCountersSnapshot c = GraphCounters(table);
-    EXPECT_EQ(c.graph_page_pins, 0u);  // no list cache at all
-    EXPECT_EQ(c.graph_page_ins, 0u);
-    EXPECT_EQ(table.CachedBytes(), 0u);
+    for (const VertexTable* table : {&resident, &mapped}) {
+      const EngineCountersSnapshot c = GraphCounters(*table);
+      EXPECT_EQ(c.graph_page_pins, 0u);  // no list cache at all
+      EXPECT_EQ(c.graph_page_ins, 0u);
+      EXPECT_EQ(table->CachedBytes(), 0u);
+    }
+    EXPECT_EQ(GraphCounters(budgeted).graph_page_pins,
+              budgeted.OwnedVertices().size());
   }
 }
 

@@ -104,23 +104,6 @@ TEST(SerialMinerTest, ReportCountsWork) {
   EXPECT_LE(report->kcore_size, g.NumVertices());
 }
 
-TEST(SerialMinerTest, ObserverSeesEveryProcessedRoot) {
-  auto g = std::move(GenErdosRenyi(50, 200, 9)).value();
-  MiningOptions opts;
-  opts.gamma = 0.7;
-  opts.min_size = 4;
-  VectorSink sink;
-  SerialMiner miner(opts);
-  uint64_t observed = 0;
-  auto report = miner.Run(g, &sink, [&](const RootTaskInfo& info) {
-    ++observed;
-    EXPECT_GT(info.subgraph_vertices, 0u);
-    EXPECT_GE(info.seconds, 0.0);
-  });
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(observed, report->roots_processed);
-}
-
 // ---- Property suite: serial miner == oracle over a parameter sweep ----
 
 struct SweepParam {

@@ -1,8 +1,8 @@
 // Tests for the pull-based vertex access subsystem (paper §5, Fig. 8):
 // VertexCache LRU eviction by count and by charge and the capacity=0
-// (cache off) mode, the DataService fetch paths (including the loud
-// failure of a remote read that skipped the pull protocol), the
-// PullBroker request/response protocol over the CommFabric, and the
+// (cache off) mode, the PullBroker's fetch paths (including the loud
+// failure of a remote read that skipped the pull protocol) and its
+// request/response protocol over the CommFabric, and the
 // end-to-end invariant that ParallelMiner results stay bit-identical to
 // the direct-read path under cache pressure, cross-machine pulls, and
 // modeled network latency.
@@ -32,7 +32,7 @@ VertexCache::AdjPtr Adj(std::vector<VertexId> v) {
   return std::make_shared<const std::vector<VertexId>>(std::move(v));
 }
 
-/// The counters DataService hands its remote cache.
+/// The counters PullBroker hands its remote cache.
 VertexCache::Counters RemoteCounters(EngineCounters* c) {
   return {&c->cache_hits, &c->cache_misses, &c->cache_evictions};
 }
@@ -145,22 +145,23 @@ VertexCache::AdjPtr CopyOf(const Graph& g, VertexId v) {
   return Adj(std::vector<VertexId>(adj.begin(), adj.end()));
 }
 
-TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
+TEST(PullBrokerTest, LocalVsCachedRemoteFetch) {
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
   VertexTable table(&g, 2, /*rank=*/0);
   EngineCounters counters;
-  DataService svc(&table, /*cache_capacity=*/1024, &counters);
+  PullBroker broker(&table, /*cache_capacity=*/1024, /*max_batch=*/16,
+                    &counters);
 
   // Local fetch: no pin, no cache traffic.
   VertexId local_v = table.OwnedVertices()[0];
-  AdjRef local_ref = svc.Fetch(local_v);
+  AdjRef local_ref = broker.Fetch(local_v);
   EXPECT_EQ(local_ref.pin, nullptr);
   EXPECT_EQ(counters.cache_misses.load(), 0u);
 
   // Remote fetch of a delivered (cached) vertex: a pinned cache hit.
   const VertexId remote_v = VertexTable(&g, 2, 1).OwnedVertices()[0];
-  svc.cache().Insert(remote_v, CopyOf(g, remote_v), 1);
-  AdjRef r = svc.Fetch(remote_v);
+  broker.cache().Insert(remote_v, CopyOf(g, remote_v), 1);
+  AdjRef r = broker.Fetch(remote_v);
   EXPECT_NE(r.pin, nullptr);
   EXPECT_EQ(counters.cache_hits.load(), 1u);
   EXPECT_EQ(counters.cache_misses.load(), 0u);
@@ -173,26 +174,26 @@ TEST(DataServiceTest, LocalVsCachedRemoteFetch) {
 // a remote vertex that was never Request()ed (nor cached) must fail
 // exactly as it does on a cluster worker, whose snapshot table does not
 // serve it.
-TEST(DataServiceDeathTest, UnrequestedRemoteFetchAbortsOnSharedGraph) {
+TEST(PullBrokerDeathTest, UnrequestedRemoteFetchAbortsOnSharedGraph) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto g = std::move(GenErdosRenyi(50, 200, 2)).value();
   VertexTable table(&g, 2, /*rank=*/0);
   EngineCounters counters;
-  DataService svc(&table, /*cache_capacity=*/1024, &counters);
+  PullBroker broker(&table, /*cache_capacity=*/1024, /*max_batch=*/16,
+                    &counters);
   const VertexId remote_v = VertexTable(&g, 2, 1).OwnedVertices()[0];
-  EXPECT_DEATH(svc.Fetch(remote_v),
+  EXPECT_DEATH(broker.Fetch(remote_v),
                "never Request\\(\\)ed/pinned \\(pull-protocol violation\\)");
 }
 
 /// One machine of an n-machine cluster over a resident graph: its
-/// partition, data service, pull broker and fabric, wired to the other
-/// machines through `net` as the engine wires them.
+/// partition, pull broker and fabric, wired to the other machines through
+/// `net` as the engine wires them.
 struct TestMachine {
   TestMachine(const Graph& g, int n, int rank, MemoryNetwork* net,
               size_t max_batch, EngineCounters* counters)
       : table(&g, n, rank),
-        data(&table, /*cache_capacity=*/1024, counters),
-        broker(&data, max_batch, counters),
+        broker(&table, /*cache_capacity=*/1024, max_batch, counters),
         fabric(/*latency_sec=*/0, counters, net->at(rank)) {
     net->at(rank)->SetDataHandler([this](int src, uint8_t type,
                                          std::string payload,
@@ -203,7 +204,6 @@ struct TestMachine {
   }
 
   VertexTable table;
-  DataService data;
   PullBroker broker;
   CommFabric fabric;
 };
@@ -307,7 +307,7 @@ TEST(PullBrokerTest, RequestResponseBatchesPinsAndCaches) {
     auto src = g.Neighbors(v);
     EXPECT_TRUE(std::equal((*pin)->begin(), (*pin)->end(), src.begin(),
                            src.end()));
-    EXPECT_NE(cluster[0].data.cache().Lookup(v, /*count_stats=*/false),
+    EXPECT_NE(cluster[0].broker.cache().Lookup(v, /*count_stats=*/false),
               nullptr);
   }
   // Nothing left: a second pump sends nothing and resumes nothing.
@@ -322,7 +322,7 @@ TEST(PullBrokerTest, CachedRequestsTransferNothing) {
 
   VertexId v = cluster[1].table.OwnedVertices()[0];
   // An earlier pull delivered v.
-  cluster[0].data.cache().Insert(v, CopyOf(g, v), 1);
+  cluster[0].broker.cache().Insert(v, CopyOf(g, v), 1);
   const uint64_t bytes_before = counters.pull_bytes.load();
 
   TaskPtr task = QCTask::MakeSpawn(0, 1);

@@ -69,6 +69,13 @@
 // launcher-made temp dir (files prefixed w<rank>_), removed on every
 // exit: a SIGKILLed worker never cleans up after itself.
 //
+// SIGTERM and SIGINT fail the run through that same exit (workers killed
+// and reaped, spill dir removed, kept dirs named, exit 1 naming the
+// signal): main() blocks both before any thread starts, and one thread
+// takes them with sigwait() once the coordinator listens (a signal during
+// the load is taken then). Workers ignore SIGINT: a terminal's ^C reaches
+// the whole process group, and a worker it killed would be recovered.
+//
 // Fault-injection hook (tests/recovery_test.cc): QCM_SMOKE_KILL_RANK=<r>
 // makes the launcher SIGKILL rank r's worker once it verifiably holds
 // pending work, exercising the detection -> kPeerDown -> relaunch ->
@@ -81,6 +88,8 @@
 
 #include <libgen.h>
 #include <limits.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -160,6 +169,33 @@ void PrintLogTails(const std::vector<WorkerProcess>& workers) {
   }
 }
 
+/// Fails the run on the first SIGTERM or SIGINT, which main() blocked
+/// before any thread started: this thread takes it with sigwait() and
+/// aborts the coordinator. The destructor wakes and joins the thread.
+class StopOnSignal {
+ public:
+  StopOnSignal(const sigset_t& signals, Coordinator* coordinator)
+      : thread_([this, signals, coordinator] {
+          int sig = 0;
+          if (::sigwait(&signals, &sig) != 0 || done_.load()) return;
+          coordinator->Abort(std::string("stopped by ") +
+                             (sig == SIGINT ? "SIGINT" : "SIGTERM"));
+        }) {}
+
+  ~StopOnSignal() {
+    done_.store(true);
+    ::pthread_kill(thread_.native_handle(), SIGTERM);
+    thread_.join();
+  }
+
+  StopOnSignal(const StopOnSignal&) = delete;
+  StopOnSignal& operator=(const StopOnSignal&) = delete;
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -195,6 +231,15 @@ bool MakeRunDir(const char* what, std::string temp_template,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Blocked before any thread starts, so that only StopOnSignal's
+  // sigwait() takes them (see the file comment).
+  sigset_t stop_signals;
+  sigset_t worker_mask;  // the mask this process started with
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  ::pthread_sigmask(SIG_BLOCK, &stop_signals, &worker_mask);
+
   cli::RunOptions run;
   EngineConfig& config = run.config;
   config.num_machines = 3;
@@ -344,10 +389,8 @@ int main(int argc, char** argv) {
     IdMap packed_ids;
     packed_ids.ids.reserve(core.ids.size());
     for (const VertexId v : core.ids) packed_ids.ids.push_back(file_ids[v]);
-    CsrWriteOptions opts;
-    if (!run.source.gen_planted.empty()) opts.build_seed = run.source.seed;
-    Status packed = WriteCsrSnapshot(core.graph, packed_ids,
-                                     config.graph_snapshot, opts);
+    Status packed =
+        WriteCsrSnapshot(core.graph, packed_ids, config.graph_snapshot);
     if (!packed.ok()) {
       std::fprintf(stderr, "snapshot pack failed: %s\n",
                    packed.ToString().c_str());
@@ -392,6 +435,8 @@ int main(int argc, char** argv) {
                              ": " + std::strerror(errno));
     }
     if (pid == 0) {
+      ::sigprocmask(SIG_SETMASK, &worker_mask, nullptr);
+      std::signal(SIGINT, SIG_IGN);
       if (FILE* log = std::fopen(log_path.c_str(), "w")) {
         ::dup2(::fileno(log), STDOUT_FILENO);
         ::dup2(::fileno(log), STDERR_FILENO);
@@ -477,6 +522,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::unique_ptr<Coordinator> coordinator = std::move(listening).value();
+  const StopOnSignal stop_on_signal(stop_signals, coordinator.get());
   port_str = std::to_string(coordinator->port());
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "

@@ -56,11 +56,9 @@ int main(int argc, char** argv) {
   }
   const double load_seconds = load_timer.Seconds();
 
-  CsrWriteOptions opts;
-  opts.build_seed = source.gen_planted.empty() ? 0 : source.seed;
   WallTimer pack_timer;
-  if (Status s = WriteCsrSnapshot(loaded->graph, loaded->original_ids,
-                                  output, opts);
+  if (Status s =
+          WriteCsrSnapshot(loaded->graph, loaded->original_ids, output);
       !s.ok()) {
     std::fprintf(stderr, "pack failed: %s\n", s.ToString().c_str());
     return 1;
