@@ -30,7 +30,7 @@ class Engine::Comper : public ComputeContext {
       : engine_(engine),
         local_(engine->config_.local_queue_capacity,
                engine->config_.batch_size, engine->small_spill_.get(),
-               engine->app_, &engine->counters_.lifecycle) {
+               engine->app_) {
     metrics_.machine = engine->rank_;
     metrics_.thread = thread;
     // Pre-size the materialization scratch so the first task already runs
@@ -197,8 +197,7 @@ void Engine::StatusLoop() {
 
 void Engine::ReinjectStealPayload(const std::string& payload,
                                   bool add_pending) {
-  auto tasks = DecodeTaskBatch(payload, *app_, TaskState::kStolen,
-                               &counters_.lifecycle);
+  auto tasks = DecodeTaskBatch(payload, *app_);
   QCM_CHECK(tasks.ok()) << "corrupt retained steal batch: "
                         << tasks.status().ToString();
   if (add_pending) pending_.fetch_add(tasks->size());
@@ -291,8 +290,7 @@ void Engine::OnStealCommand(int receiver, uint64_t want) {
   if (root_progress_ != nullptr) {
     for (const TaskPtr& t : tasks) root_progress_->Taint(t->root());
   }
-  std::string payload =
-      EncodeTaskBatch(tasks, TaskState::kStolen, &counters_.lifecycle);
+  std::string payload = EncodeTaskBatch(tasks);
   const uint64_t bytes = payload.size();
   // Retention-before-ship: a copy of the batch enters retained_steals_
   // under the same mutex OnPeerDown drains, so whichever of the two runs
@@ -391,7 +389,7 @@ StatusOr<EngineReport> Engine::Run() {
                                      &counters_);
   global_queue_ = std::make_unique<GlobalQueue>(
       config_.global_queue_capacity, config_.batch_size, big_spill_.get(),
-      app_, &counters_);
+      app_);
   Scheduler::Deps deps;
   deps.config = &config_;
   deps.app = app_;

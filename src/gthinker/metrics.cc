@@ -32,7 +32,6 @@ EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
 #define QCM_LOAD_COUNTER(name, shape, merge) ForEachCell(load, c.name, s.name);
   QCM_ENGINE_COUNTERS(QCM_LOAD_COUNTER)
 #undef QCM_LOAD_COUNTER
-  ForEachCell(load, c.lifecycle.transitions, s.lifecycle);
   return s;
 }
 
@@ -172,7 +171,7 @@ struct JsonObject {
 };
 
 /// Where the registry rows land in --stats-json: keys under "counters",
-/// and top-level tables (histograms, the lifecycle matrix).
+/// and top-level tables (the histograms).
 struct RowJson {
   JsonObject counters;
   JsonObject tables;
@@ -196,21 +195,6 @@ void AddRowJson(Buckets<kBuckets>, const char* name,
   std::string list;
   for (uint64_t n : v) list += (list.empty() ? "" : ", ") + std::to_string(n);
   out->tables.Add(name, "[" + list + "]");
-}
-
-void AddRowJson(StateMatrix, const char* name,
-                const uint64_t (&v)[kNumTaskStates][kNumTaskStates],
-                RowJson* out) {
-  JsonObject cells;
-  for (int from = 0; from < kNumTaskStates; ++from) {
-    for (int to = 0; to < kNumTaskStates; ++to) {
-      if (v[from][to] == 0) continue;  // the matrix is sparse
-      cells.Add(std::string(TaskStateName(static_cast<TaskState>(from))) +
-                    "->" + TaskStateName(static_cast<TaskState>(to)),
-                std::to_string(v[from][to]));
-    }
-  }
-  out->tables.Add(name, cells.Render(4));
 }
 
 }  // namespace

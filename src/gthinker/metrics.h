@@ -24,7 +24,6 @@
 #include "net/transport.h"
 #include "quick/mining_context.h"
 #include "quick/quasi_clique.h"
-#include "sched/lifecycle.h"
 
 namespace qcm {
 
@@ -85,12 +84,6 @@ template <int kBuckets>
 struct Buckets {
   template <typename Cell>
   using Cells = Cell[kBuckets];
-};
-/// A TaskState x TaskState transition matrix: a top-level object of its
-/// nonzero cells, keyed "from->to".
-struct StateMatrix {
-  template <typename Cell>
-  using Cells = Cell[kNumTaskStates][kNumTaskStates];
 };
 
 /// How a row folds across ranks.
@@ -160,10 +153,9 @@ enum class CounterMerge { kSum, kMax };
   X(checkpoint_flushes, Scalar, kSum)                                         \
   X(checkpoint_bytes, Scalar, kSum)
 
-/// Rows with no atomic: filled when the snapshot is taken or after the
-/// run, from the transport (AddFlushStats), the budgeted vertex table
-/// (VertexTable::AddGraphCounters), the compers' scratch and
-/// EngineCounters::lifecycle.
+/// Rows with no atomic: filled after the run, from the transport
+/// (AddFlushStats), the budgeted vertex table
+/// (VertexTable::AddGraphCounters) and the compers' scratch.
 #define QCM_SNAPSHOT_COUNTERS(X)                                             \
   /* Always 0 since the coordinator plans steals; perfbench reads it. */     \
   X(steal_active_usec, Scalar, kSum)                                         \
@@ -186,9 +178,7 @@ enum class CounterMerge { kSum, kMax };
   X(graph_fault_stall_usec, Scalar, kSum)                                    \
   /* Largest comper's EgoScratch plus MiningScratch bytes at the end of */   \
   /* the run: per-vertex arrays sized by the mined graph, and pools. */      \
-  X(scratch_bytes, Scalar, kMax)                                             \
-  /* Every task state transition (sched/lifecycle.h). */                     \
-  X(lifecycle, StateMatrix, kSum)
+  X(scratch_bytes, Scalar, kMax)
 
 /// Cross-thread counters (atomics; relaxed ordering is sufficient --
 /// counters are read only after the engine quiesces).
@@ -200,9 +190,6 @@ struct EngineCounters {
 
   /// Serialized bytes in flight: a live gauge (the report keeps its peak).
   std::atomic<uint64_t> msg_inflight_bytes{0};
-  /// Task lifecycle transition matrix: every state move of every task,
-  /// recorded by AdvanceTaskState.
-  LifecycleCounters lifecycle;
 };
 
 /// Plain-value snapshot of EngineCounters for reports.
@@ -222,10 +209,6 @@ struct EngineCountersSnapshot {
   /// Mean microseconds from a frame's send timestamp to the end of its
   /// write (0.0 before any frame).
   double MeanFlushParkUsec() const;
-
-  uint64_t LifecycleTransitions(TaskState from, TaskState to) const {
-    return lifecycle[static_cast<int>(from)][static_cast<int>(to)];
-  }
 
   /// Fraction of remote-adjacency demands served without a transfer
   /// (cache or pin); 1.0 when there was no remote traffic at all.
@@ -301,9 +284,6 @@ void VisitThreadSeconds(Visit&& visit, Summary&... t) {
 /// Metrics owned by one mining thread (no synchronization; merged at end).
 /// Its ThreadSummary part goes into the report as is.
 struct ThreadMetrics : ThreadSummary {
-  uint64_t tasks_spawned = 0;
-  uint64_t subtasks_created = 0;
-
   MiningStats mining_stats;
 
   /// root -> aggregate; only filled when EngineConfig::record_task_log.

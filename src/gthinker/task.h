@@ -79,7 +79,7 @@ class TaskPullState {
 
 /// Scheduling metadata the src/sched layer attaches to every task: its
 /// lifecycle state (sched/lifecycle.h). Engine-managed; never serialized
-/// -- a decoded task is rehydrated via RehydrateTaskState.
+/// -- DecodeTaskBatch admits each decoded task afresh.
 struct TaskSchedInfo {
   TaskState state = TaskState::kSpawned;
 };
@@ -109,8 +109,7 @@ class Task {
   const TaskPullState& pulls() const { return pulls_; }
 
   /// Lifecycle metadata (scheduler-managed; mutate the state
-  /// only through AdvanceTaskState/RehydrateTaskState so every move is
-  /// legality-checked and counted).
+  /// only through AdvanceTaskState so every move is legality-checked).
   TaskSchedInfo& sched_info() { return sched_info_; }
   const TaskSchedInfo& sched_info() const { return sched_info_; }
 

@@ -8,12 +8,13 @@
 
 namespace qcm {
 
-std::string EncodeTaskBatch(const std::vector<TaskPtr>& tasks,
-                            TaskState state, LifecycleCounters* lifecycle) {
+std::string EncodeTaskBatch(const std::vector<TaskPtr>& tasks) {
   Encoder enc;
   enc.PutU32(static_cast<uint32_t>(tasks.size()));
   for (const TaskPtr& t : tasks) {
-    AdvanceTaskState(*t, state, lifecycle);
+    QCM_CHECK(t->sched_info().state == TaskState::kReady)
+        << "batching a task in state " << TaskStateName(t->sched_info().state)
+        << " (root " << t->root() << ")";
     t->Encode(&enc);
   }
   return enc.Release();
@@ -27,9 +28,7 @@ StatusOr<uint32_t> TaskBatchCount(const std::string& batch) {
 }
 
 StatusOr<std::vector<TaskPtr>> DecodeTaskBatch(const std::string& batch,
-                                               const App& app,
-                                               TaskState state,
-                                               LifecycleCounters* lifecycle) {
+                                               const App& app) {
   Decoder dec(batch);
   uint32_t count = 0;
   QCM_RETURN_IF_ERROR(dec.GetU32(&count));
@@ -52,17 +51,13 @@ StatusOr<std::vector<TaskPtr>> DecodeTaskBatch(const std::string& batch,
                               " bytes after its " + std::to_string(count) +
                               " tasks");
   }
-  for (TaskPtr& t : tasks) RehydrateTaskState(*t, state, lifecycle);
+  for (TaskPtr& t : tasks) AdvanceTaskState(*t, TaskState::kReady);
   return tasks;
 }
 
 TaskQueue::TaskQueue(size_t capacity, size_t batch, SpillManager* spill,
-                     const App* app, LifecycleCounters* lifecycle)
-    : capacity_(capacity),
-      batch_(batch),
-      spill_(spill),
-      app_(app),
-      lifecycle_(lifecycle) {}
+                     const App* app)
+    : capacity_(capacity), batch_(batch), spill_(spill), app_(app) {}
 
 void TaskQueue::Push(TaskPtr task) {
   q_.push_back(std::move(task));
@@ -76,8 +71,7 @@ void TaskQueue::Push(TaskPtr task) {
   }
   // The tasks exist only in the batch now: a failed write cannot be
   // recovered mid-run.
-  const Status s = spill_->SpillBatch(
-      EncodeTaskBatch(tail, TaskState::kSpilled, lifecycle_), tail.size());
+  const Status s = spill_->SpillBatch(EncodeTaskBatch(tail), tail.size());
   QCM_CHECK(s.ok()) << "task queue spill failed: " << s.ToString();
 }
 
@@ -90,8 +84,7 @@ bool TaskQueue::Refill() {
   // Traced only when a batch comes back: an idle comper polls this path
   // constantly and must not flood the ring.
   QCM_TRACE_SPAN(trace::kLifecycle, "refill_spill", batch->size());
-  auto tasks = DecodeTaskBatch(*batch, *app_, TaskState::kSpilled,
-                               lifecycle_);
+  auto tasks = DecodeTaskBatch(*batch, *app_);
   QCM_CHECK(tasks.ok()) << "task queue refill failed: "
                         << tasks.status().ToString();
   for (TaskPtr& t : tasks.value()) q_.push_back(std::move(t));
@@ -106,9 +99,8 @@ TaskPtr TaskQueue::PopFront() {
 }
 
 GlobalQueue::GlobalQueue(size_t capacity, size_t batch, SpillManager* spill,
-                         const App* app, EngineCounters* counters)
-    : q_(capacity, batch, spill, app,
-         counters != nullptr ? &counters->lifecycle : nullptr) {}
+                         const App* app)
+    : q_(capacity, batch, spill, app) {}
 
 void GlobalQueue::Push(TaskPtr task) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -29,32 +29,29 @@
 
 namespace qcm {
 
-/// Encodes `tasks` as one batch, moving each to `state` (kSpilled or
-/// kStolen). `lifecycle` may be null.
-std::string EncodeTaskBatch(const std::vector<TaskPtr>& tasks,
-                            TaskState state, LifecycleCounters* lifecycle);
+/// Encodes `tasks` as one batch. Each must be kReady: only a queued task
+/// leaves memory.
+std::string EncodeTaskBatch(const std::vector<TaskPtr>& tasks);
 
 /// The task count a batch opens with, read without decoding the tasks (a
 /// receiver counts a stolen batch as pending before its inbox holds it).
 StatusOr<uint32_t> TaskBatchCount(const std::string& batch);
 
-/// Decodes a batch written by EncodeTaskBatch; each task comes back
-/// rehydrated from `state` to kReady. Corruption unless exactly the
+/// Decodes a batch written by EncodeTaskBatch; each decoded task is a new
+/// object, admitted kSpawned -> kReady. Corruption unless exactly the
 /// batch's count of tasks decodes and the last one ends where `batch`
 /// ends.
 StatusOr<std::vector<TaskPtr>> DecodeTaskBatch(const std::string& batch,
-                                               const App& app,
-                                               TaskState state,
-                                               LifecycleCounters* lifecycle);
+                                               const App& app);
 
 /// A FIFO of ready tasks backed by one spill list. Not thread-safe: a
 /// comper owns its local queue, and GlobalQueue locks around its own.
 class TaskQueue {
  public:
   /// Spills to and refills from `spill`; `app` decodes refilled tasks.
-  /// Both must outlive the queue; `lifecycle` may be null.
+  /// Both must outlive the queue.
   TaskQueue(size_t capacity, size_t batch, SpillManager* spill,
-            const App* app, LifecycleCounters* lifecycle);
+            const App* app);
 
   /// Appends `task`. Past capacity, up to C tasks at the tail (never the
   /// front one) are spilled as one batch.
@@ -78,7 +75,6 @@ class TaskQueue {
   const size_t batch_;
   SpillManager* spill_;
   const App* app_;
-  LifecycleCounters* lifecycle_;
   std::deque<TaskPtr> q_;
 };
 
@@ -88,9 +84,9 @@ class TaskQueue {
 class GlobalQueue {
  public:
   /// `spill` backs L_big; `app` decodes refilled tasks; both must outlive
-  /// the queue. `counters` may be null.
+  /// the queue.
   GlobalQueue(size_t capacity, size_t batch, SpillManager* spill,
-              const App* app, EngineCounters* counters);
+              const App* app);
 
   /// Appends a big task (TaskQueue::Push).
   void Push(TaskPtr task);

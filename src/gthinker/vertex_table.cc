@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/serde.h"
@@ -166,9 +167,10 @@ void PullBroker::Park(TaskPtr task) {
       parked.task->pulls().Pin(v, std::move(cached));
       continue;
     }
-    waiters_[v].push_back(id);
+    auto [it, first] = waiters_.try_emplace(v);
+    it->second.push_back(id);
     ++parked.remaining;
-    if (inflight_.insert(v).second) pending_.push_back(v);
+    if (first) pending_.push_back(v);
   }
   if (parked.remaining == 0) {
     // Everything was locally servable after all; hand the task back on
@@ -287,7 +289,6 @@ std::vector<TaskPtr> PullBroker::AcceptResponse(
 
 void PullBroker::DeliverLocked(VertexId v, const TaskPullState::AdjPtr& adj,
                                std::vector<TaskPtr>* ready) {
-  inflight_.erase(v);
   auto it = waiters_.find(v);
   if (it == waiters_.end()) return;
   for (uint64_t id : it->second) {
@@ -306,7 +307,7 @@ size_t PullBroker::RequeueInflightFor(int owner) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unordered_set<VertexId> queued(pending_.begin(), pending_.end());
   size_t requeued = 0;
-  for (VertexId v : inflight_) {
+  for (const auto& [v, task_ids] : waiters_) {
     if (table_->Owner(v) != owner) continue;
     if (!queued.insert(v).second) continue;  // already awaiting a pump
     pending_.push_back(v);
@@ -322,7 +323,7 @@ size_t PullBroker::ParkedCount() const {
 
 size_t PullBroker::InFlightVertices() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return inflight_.size();
+  return waiters_.size();
 }
 
 }  // namespace qcm

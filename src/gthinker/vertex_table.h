@@ -25,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gthinker/comm.h"
@@ -236,13 +235,12 @@ class PullBroker {
   std::unordered_map<uint64_t, Parked> parked_;
   /// Tasks whose pulls all completed, awaiting the next pump.
   std::vector<TaskPtr> ready_;
-  /// vertex id -> parked-task ids waiting on it.
+  /// vertex id -> parked-task ids waiting on it. Its keys are the ids
+  /// whose kPullRequest is queued or in flight (dedup across tasks and
+  /// pumps); a key is erased when its response delivers.
   std::unordered_map<VertexId, std::vector<uint64_t>> waiters_;
   /// Ids queued for the next request pump (insertion order).
   std::vector<VertexId> pending_;
-  /// Ids whose kPullRequest is queued or in flight (dedup across tasks
-  /// and pumps); erased when the response delivers.
-  std::unordered_set<VertexId> inflight_;
 };
 
 }  // namespace qcm

@@ -208,7 +208,6 @@ void QCApp::MineTask(QCTask& t, ComputeContext& ctx) {
       ctx.AddTask(QCTask::MakeSubtask(t.root(), std::move(s_global),
                                       std::move(ext_global),
                                       std::move(sub)));
-      ++ctx.metrics().subtasks_created;
     });
   }
 

@@ -204,7 +204,6 @@ void Coordinator::StartRank(int rank) {
     slot.report_received = false;
     slot.report.clear();
     slot.disconnected = false;
-    slot.superseded = false;
     liveness_->Arm(rank, NowSec());
   }
   SetRecvTimeout(slot.fd, 0);
@@ -223,7 +222,7 @@ void Coordinator::RecvLoop(int rank) {
         slot.disconnected = true;
         // The coordinator itself tore this connection down (the rank was
         // already declared dead): expected exit, nothing more to do.
-        if (slot.superseded) return;
+        if (liveness_->IsDead(rank)) return;
         reported = slot.report_received;
       }
       // EOF after the report (or after termination) is the worker's
@@ -236,7 +235,7 @@ void Coordinator::RecvLoop(int rank) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       liveness_->Observe(rank, NowSec());
-      if (slot.superseded) {
+      if (liveness_->IsDead(rank)) {
         // Late frame from a killed incarnation racing its teardown.
         continue;
       }
@@ -286,14 +285,13 @@ void Coordinator::RequestRecovery(int rank, const char* method) {
   const bool recovery_available = static_cast<bool>(config_.kill);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (workers_[rank].superseded) return;  // already declared this death
+    if (liveness_->IsDead(rank)) return;  // already declared this death
     if (recovery_available && restarts_[rank] < config_.max_rank_restarts) {
       PendingRecovery death;
       death.rank = rank;
       death.method = method;
       death.detection_latency_usec = static_cast<uint64_t>(
           liveness_->SilenceSec(rank, NowSec()) * 1e6);
-      workers_[rank].superseded = true;
       liveness_->MarkDead(rank);
       QCM_TRACE_INSTANT(trace::kRecovery, "rank_declared_dead", rank);
       QCM_WLOG << "rank " << rank << " declared dead (" << method
@@ -335,8 +333,8 @@ Status Coordinator::RecoverRank(const PendingRecovery& death) {
     // peers that have already reset its counters.
     config_.kill(rank);
 
-    // 2. Tear down the old control connection (its RecvLoop sees
-    // superseded and exits quietly).
+    // 2. Tear down the old control connection (its RecvLoop sees the
+    // rank marked dead and exits quietly).
     ShutdownSocket(slot.fd);
     if (slot.recv_thread.joinable()) slot.recv_thread.join();
     CloseSocket(slot.fd);

@@ -147,6 +147,8 @@ class LivenessTracker {
   /// moment of declaring death); 0 when never armed.
   double SilenceSec(int rank, double now_sec) const;
 
+  /// Marked dead and not re-armed since: the coordinator has declared
+  /// this incarnation dead, so its connection's teardown is expected.
   bool IsDead(int rank) const { return dead_[rank]; }
 
  private:
@@ -227,9 +229,6 @@ class Coordinator {
     bool report_received = false;
     std::string report;
     bool disconnected = false;
-    /// The coordinator has declared this incarnation dead; its RecvLoop
-    /// exit is expected and must not re-queue a recovery.
-    bool superseded = false;
   };
 
   /// A declared death awaiting inline recovery in RunToCompletion.

@@ -138,7 +138,10 @@ inline constexpr char kWireMagic[4] = {'Q', 'C', 'M', 'W'};
 // listener port in place of its pid, and the frame that used to report
 // the port is gone: every later kind moves down by one (kPeers is 2,
 // kPeerUp 13).
-inline constexpr uint32_t kWireProtocolVersion = 18;
+// v19: EngineReport lost the 49-cell task lifecycle transition matrix
+// (its moves are counted by tasks_completed, task_suspensions,
+// spilled_tasks and stolen_tasks); the report carries 64 counter cells.
+inline constexpr uint32_t kWireProtocolVersion = 19;
 /// Frame header bytes before the payload (magic + kind + src + length).
 inline constexpr size_t kWireHeaderBytes = 13;
 /// Trailing checksum bytes after the payload.

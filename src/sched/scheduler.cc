@@ -31,8 +31,7 @@ void Scheduler::ServiceFabric(CommFabric* fabric, TaskQueue& local) {
       case MessageType::kStealBatch: {
         // Stolen big tasks arrive for this machine's global queue; they
         // stayed counted in pending_ during flight.
-        auto tasks = DecodeTaskBatch(m.payload, *deps_.app,
-                                     TaskState::kStolen, lifecycle());
+        auto tasks = DecodeTaskBatch(m.payload, *deps_.app);
         QCM_CHECK(tasks.ok()) << "corrupt steal batch from machine " << m.src
                               << ": " << tasks.status().ToString();
         deps_.global_queue->PushStolenFront(std::move(tasks).value());
@@ -54,7 +53,7 @@ TaskPtr Scheduler::NextTask(TaskQueue& local, ComputeContext& ctx) {
     task = local.PopFront();
   }
   if (task != nullptr) {
-    AdvanceTaskState(*task, TaskState::kRunning, lifecycle());
+    AdvanceTaskState(*task, TaskState::kRunning);
   }
   return task;
 }
@@ -62,7 +61,7 @@ TaskPtr Scheduler::NextTask(TaskQueue& local, ComputeContext& ctx) {
 void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
                                 TaskQueue& local) {
   if (status == ComputeStatus::kRequeue) {
-    AdvanceTaskState(*task, TaskState::kReady, lifecycle());
+    AdvanceTaskState(*task, TaskState::kReady);
     Enqueue(std::move(task), local);  // still counted in pending_
   } else if (status == ComputeStatus::kSuspended &&
              task->pulls().HasWanted()) {
@@ -72,14 +71,14 @@ void Scheduler::OnComputeResult(TaskPtr task, ComputeStatus status,
     // resumes it.
     deps_.counters->task_suspensions.fetch_add(1,
                                                std::memory_order_relaxed);
-    AdvanceTaskState(*task, TaskState::kSuspended, lifecycle());
+    AdvanceTaskState(*task, TaskState::kSuspended);
     deps_.broker->Park(std::move(task));
   } else if (status == ComputeStatus::kSuspended) {
     // Nothing actually outstanding: degenerate to a requeue.
-    AdvanceTaskState(*task, TaskState::kReady, lifecycle());
+    AdvanceTaskState(*task, TaskState::kReady);
     Enqueue(std::move(task), local);
   } else {
-    AdvanceTaskState(*task, TaskState::kDone, lifecycle());
+    AdvanceTaskState(*task, TaskState::kDone);
     deps_.counters->tasks_completed.fetch_add(1, std::memory_order_relaxed);
     // Root-progress update happens-after the comper appended this round's
     // results to the checkpoint log, so a root-done record can never
@@ -99,7 +98,7 @@ void Scheduler::SubmitNew(TaskPtr task, TaskQueue& local) {
   if (deps_.root_progress != nullptr) {
     deps_.root_progress->OnSubtask(task->root());
   }
-  AdvanceTaskState(*task, TaskState::kReady, lifecycle());
+  AdvanceTaskState(*task, TaskState::kReady);
   Enqueue(std::move(task), local);
 }
 
@@ -121,14 +120,14 @@ void Scheduler::Enqueue(TaskPtr task, TaskQueue& local) {
 }
 
 void Scheduler::OnResumed(TaskPtr task, TaskQueue& local) {
-  AdvanceTaskState(*task, TaskState::kReady, lifecycle());
+  AdvanceTaskState(*task, TaskState::kReady);
   Enqueue(std::move(task), local);
 }
 
 bool Scheduler::AdmitSpawned(TaskPtr task, TaskQueue& local) {
   deps_.pending->fetch_add(1);
   const bool big = task->SizeHint() > deps_.config->tau_split;
-  AdvanceTaskState(*task, TaskState::kReady, lifecycle());
+  AdvanceTaskState(*task, TaskState::kReady);
   Enqueue(std::move(task), local);
   return big;
 }
@@ -159,7 +158,6 @@ void Scheduler::SpawnBatch(TaskQueue& local, ComputeContext& ctx) {
     if (deps_.root_progress != nullptr) {
       deps_.root_progress->OnSpawn(owned[idx]);
     }
-    ++ctx.metrics().tasks_spawned;
     const bool big = AdmitSpawned(std::move(task), local);
     ++admitted;
     if (big) break;  // avoid generating many big tasks out of one refill

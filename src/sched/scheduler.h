@@ -5,7 +5,7 @@
 // gthinker/task_queue.h). The engine's compute loop is a thin driver over
 // this layer: a comper asks the scheduler for work, hands back the compute
 // outcome, and services the fabric through it; every task state move
-// funnels through the checked lifecycle helpers.
+// funnels through the checked AdvanceTaskState.
 //
 // A freshly spawned task has one admission path: kSpawned -> kReady ->
 // its queue. Its first compute round Request()s what it reads and
@@ -110,8 +110,6 @@ class Scheduler {
   /// Spawns a batch of up to C small tasks from the machine's unspawned
   /// vertices into `local`, stopping early after a big one.
   void SpawnBatch(TaskQueue& local, ComputeContext& ctx);
-
-  LifecycleCounters* lifecycle() { return &deps_.counters->lifecycle; }
 
   Deps deps_;
   std::atomic<size_t> spawn_cursor_{0};

@@ -26,7 +26,7 @@ namespace trace {
 
 // Fixed category set; one byte per record. Names in kCategoryNames.
 enum Category : uint8_t {
-  kLifecycle = 0,  // task state machine + comper compute spans
+  kLifecycle = 0,  // task compute/spawn/spill spans, steal flows, load steps
   kPull = 1,       // PullBroker rounds, vertex-cache misses
   kNet = 2,        // transport frame writes
   kCheckpoint = 3, // checkpoint appends + replay
@@ -174,38 +174,12 @@ class Span {
   ::qcm::trace::Span QCM_TRACE_CONCAT(qcm_trace_span_, __LINE__)(    \
       cat, QCM_TRACE_NAME(name_literal), static_cast<uint32_t>(arg))
 
-// Point / counter / flow events; fully gated, one relaxed load when off.
+// Point event; fully gated, one relaxed load when off.
 #define QCM_TRACE_INSTANT(cat, name_literal, arg)                    \
   do {                                                               \
     if (::qcm::trace::Enabled()) {                                   \
       ::qcm::trace::EmitInstant(QCM_TRACE_NAME(name_literal), cat,   \
                                 static_cast<uint32_t>(arg));         \
-    }                                                                \
-  } while (0)
-
-#define QCM_TRACE_COUNTER(cat, name_literal, value)                  \
-  do {                                                               \
-    if (::qcm::trace::Enabled()) {                                   \
-      ::qcm::trace::EmitCounter(QCM_TRACE_NAME(name_literal), cat,   \
-                                static_cast<uint64_t>(value));       \
-    }                                                                \
-  } while (0)
-
-#define QCM_TRACE_FLOW_START(cat, name_literal, flow_id)             \
-  do {                                                               \
-    if (::qcm::trace::Enabled()) {                                   \
-      ::qcm::trace::EmitFlow(::qcm::trace::EventType::kFlowStart,    \
-                             QCM_TRACE_NAME(name_literal), cat,      \
-                             static_cast<uint64_t>(flow_id));        \
-    }                                                                \
-  } while (0)
-
-#define QCM_TRACE_FLOW_END(cat, name_literal, flow_id)               \
-  do {                                                               \
-    if (::qcm::trace::Enabled()) {                                   \
-      ::qcm::trace::EmitFlow(::qcm::trace::EventType::kFlowEnd,      \
-                             QCM_TRACE_NAME(name_literal), cat,      \
-                             static_cast<uint64_t>(flow_id));        \
     }                                                                \
   } while (0)
 

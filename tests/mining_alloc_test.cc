@@ -110,11 +110,10 @@ TEST(QueueAllocTest, NothingSpilledCheckAllocatesNothing) {
   EngineCounters counters;
   SpillManager spill(::testing::TempDir(), "alloc_check", &counters);
   const QCApp app{EngineConfig{}};
-  TaskQueue local(/*capacity=*/8, /*batch=*/4, &spill, &app,
-                  &counters.lifecycle);
-  GlobalQueue global(/*capacity=*/8, /*batch=*/4, &spill, &app, &counters);
+  TaskQueue local(/*capacity=*/8, /*batch=*/4, &spill, &app);
+  GlobalQueue global(/*capacity=*/8, /*batch=*/4, &spill, &app);
   TaskPtr task = QCTask::MakeSpawn(1, 1);
-  AdvanceTaskState(*task, TaskState::kReady, nullptr);
+  AdvanceTaskState(*task, TaskState::kReady);
   local.Push(std::move(task));
 
   int refilled = 0;

@@ -1,7 +1,7 @@
 // The src/sched/ scheduling layer in isolation: the task lifecycle state
-// machine (legality table, transition counting, spill and steal round
-// trips, illegal-transition assertions), the paper's flat steal plan, and
-// EngineConfig validation rejects (file:line, contradictions).
+// machine (legality table, the batch round trip, illegal-transition
+// assertions), the paper's flat steal plan, and EngineConfig validation
+// rejects (file:line, contradictions).
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,6 @@ TEST(LifecycleTest, StateNamesAreStable) {
   EXPECT_STREQ(TaskStateName(TaskState::kReady), "ready");
   EXPECT_STREQ(TaskStateName(TaskState::kRunning), "running");
   EXPECT_STREQ(TaskStateName(TaskState::kSuspended), "suspended");
-  EXPECT_STREQ(TaskStateName(TaskState::kSpilled), "spilled");
-  EXPECT_STREQ(TaskStateName(TaskState::kStolen), "stolen");
   EXPECT_STREQ(TaskStateName(TaskState::kDone), "done");
 }
 
@@ -36,10 +34,8 @@ TEST(LifecycleTest, LegalityTableMatchesTheDiagram) {
   // The full legal set, row by row.
   const std::pair<S, S> legal[] = {
       {S::kSpawned, S::kReady},      {S::kReady, S::kRunning},
-      {S::kReady, S::kSpilled},      {S::kReady, S::kStolen},
       {S::kRunning, S::kReady},      {S::kRunning, S::kSuspended},
       {S::kRunning, S::kDone},       {S::kSuspended, S::kReady},
-      {S::kSpilled, S::kReady},      {S::kStolen, S::kReady},
   };
   int legal_count = 0;
   for (int from = 0; from < kNumTaskStates; ++from) {
@@ -55,81 +51,31 @@ TEST(LifecycleTest, LegalityTableMatchesTheDiagram) {
       legal_count += expect ? 1 : 0;
     }
   }
-  EXPECT_EQ(legal_count, 10);
+  EXPECT_EQ(legal_count, 6);
   // kDone is terminal: nothing leaves it.
   for (int to = 0; to < kNumTaskStates; ++to) {
     EXPECT_FALSE(IsLegalTransition(S::kDone, static_cast<S>(to)));
   }
 }
 
-TEST(LifecycleTest, AdvanceCountsEveryTransition) {
-  LifecycleCounters counters;
-  TaskPtr t = QCTask::MakeSpawn(7, 3);
-  EXPECT_EQ(t->sched_info().state, TaskState::kSpawned);
-
-  AdvanceTaskState(*t, TaskState::kReady, &counters);
-  AdvanceTaskState(*t, TaskState::kRunning, &counters);
-  AdvanceTaskState(*t, TaskState::kSuspended, &counters);
-  AdvanceTaskState(*t, TaskState::kReady, &counters);
-  AdvanceTaskState(*t, TaskState::kRunning, &counters);
-  AdvanceTaskState(*t, TaskState::kDone, &counters);
-
-  EXPECT_EQ(counters.Transitions(TaskState::kSpawned, TaskState::kReady),
-            1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kReady, TaskState::kRunning),
-            2u);
-  EXPECT_EQ(
-      counters.Transitions(TaskState::kRunning, TaskState::kSuspended), 1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kSuspended, TaskState::kReady),
-            1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kRunning, TaskState::kDone),
-            1u);
-  EXPECT_EQ(counters.TotalEntering(TaskState::kReady), 2u);
-  EXPECT_EQ(counters.TotalEntering(TaskState::kDone), 1u);
-}
-
-TEST(LifecycleTest, SpillRoundTripIsVisibleInTheMatrix) {
-  LifecycleCounters counters;
+// A spill file and a steal batch carry queued tasks as bytes; the far side
+// decodes new objects and admits each one, ready to run.
+TEST(LifecycleTest, BatchRoundTripAdmitsEachDecodedTask) {
   const QCApp app{EngineConfig{}};
-  // Donor side: a queued task is encoded into a spill batch ...
   std::vector<TaskPtr> batch;
   batch.push_back(QCTask::MakeSpawn(3, 2));
-  AdvanceTaskState(*batch[0], TaskState::kReady, &counters);
-  const std::string bytes =
-      EncodeTaskBatch(batch, TaskState::kSpilled, &counters);
-  batch.clear();
-  // ... and the refill decodes a fresh object whose round trip counts as
-  // kSpilled -> kReady, not as a new spawn.
-  auto reloaded =
-      DecodeTaskBatch(bytes, app, TaskState::kSpilled, &counters);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  ASSERT_EQ(reloaded->size(), 1u);
-  EXPECT_EQ((*reloaded)[0]->sched_info().state, TaskState::kReady);
-  EXPECT_EQ(counters.Transitions(TaskState::kReady, TaskState::kSpilled),
-            1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kSpilled, TaskState::kReady),
-            1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kSpawned, TaskState::kReady),
-            1u);  // only the original admission
-}
-
-TEST(LifecycleTest, StealRoundTripIsVisibleInTheMatrix) {
-  LifecycleCounters counters;
-  const QCApp app{EngineConfig{}};
-  std::vector<TaskPtr> batch;
   batch.push_back(QCTask::MakeSpawn(9, 200));
-  AdvanceTaskState(*batch[0], TaskState::kReady, &counters);
-  const std::string bytes =
-      EncodeTaskBatch(batch, TaskState::kStolen, &counters);
-  batch.clear();
-  auto arrived = DecodeTaskBatch(bytes, app, TaskState::kStolen, &counters);
-  ASSERT_TRUE(arrived.ok()) << arrived.status().ToString();
-  ASSERT_EQ(arrived->size(), 1u);
-  EXPECT_EQ((*arrived)[0]->sched_info().state, TaskState::kReady);
-  EXPECT_EQ(counters.Transitions(TaskState::kReady, TaskState::kStolen),
-            1u);
-  EXPECT_EQ(counters.Transitions(TaskState::kStolen, TaskState::kReady),
-            1u);
+  for (TaskPtr& t : batch) AdvanceTaskState(*t, TaskState::kReady);
+  const std::string bytes = EncodeTaskBatch(batch);
+  EXPECT_EQ(batch[0]->sched_info().state, TaskState::kReady);  // untouched
+
+  auto decoded = DecodeTaskBatch(bytes, app);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 2u);
+  for (const TaskPtr& t : *decoded) {
+    EXPECT_EQ(t->sched_info().state, TaskState::kReady);
+  }
+  EXPECT_EQ((*decoded)[1]->root(), 9u);
 }
 
 using LifecycleDeathTest = ::testing::Test;
@@ -138,19 +84,21 @@ TEST(LifecycleDeathTest, IllegalTransitionsAssert) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // kSpawned may not run before admission.
   TaskPtr t1 = QCTask::MakeSpawn(1, 1);
-  EXPECT_DEATH(AdvanceTaskState(*t1, TaskState::kRunning, nullptr),
+  EXPECT_DEATH(AdvanceTaskState(*t1, TaskState::kRunning),
                "illegal task lifecycle transition spawned -> running");
   // kDone is terminal.
   TaskPtr t2 = QCTask::MakeSpawn(2, 1);
-  AdvanceTaskState(*t2, TaskState::kReady, nullptr);
-  AdvanceTaskState(*t2, TaskState::kRunning, nullptr);
-  AdvanceTaskState(*t2, TaskState::kDone, nullptr);
-  EXPECT_DEATH(AdvanceTaskState(*t2, TaskState::kReady, nullptr),
+  AdvanceTaskState(*t2, TaskState::kReady);
+  AdvanceTaskState(*t2, TaskState::kRunning);
+  AdvanceTaskState(*t2, TaskState::kDone);
+  EXPECT_DEATH(AdvanceTaskState(*t2, TaskState::kReady),
                "illegal task lifecycle transition done -> ready");
-  // Only serialized states rehydrate.
-  TaskPtr t3 = QCTask::MakeSpawn(3, 1);
-  EXPECT_DEATH(RehydrateTaskState(*t3, TaskState::kSuspended, nullptr),
-               "rehydrate from non-serialized state");
+  // Only a queued task leaves memory: a running one is mid-compute.
+  std::vector<TaskPtr> running;
+  running.push_back(QCTask::MakeSpawn(3, 1));
+  AdvanceTaskState(*running[0], TaskState::kReady);
+  AdvanceTaskState(*running[0], TaskState::kRunning);
+  EXPECT_DEATH(EncodeTaskBatch(running), "batching a task in state running");
 }
 
 // ---------------------------------------------------------------------------

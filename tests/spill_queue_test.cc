@@ -32,7 +32,7 @@ std::string TempSpillDir() {
 /// before routing it. Mirror that admission here.
 TaskPtr ReadyTask(VertexId root, uint64_t hint) {
   TaskPtr t = QCTask::MakeSpawn(root, hint);
-  AdvanceTaskState(*t, TaskState::kReady, nullptr);
+  AdvanceTaskState(*t, TaskState::kReady);
   return t;
 }
 
@@ -245,7 +245,7 @@ TEST(TaskQueueTest, RefillFalseOnlyBelowBatchWithNothingOnDisk) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "q0", &counters);
   QueueApp app;
-  TaskQueue q(/*capacity=*/4, /*batch=*/2, &spill, &app, &counters.lifecycle);
+  TaskQueue q(/*capacity=*/4, /*batch=*/2, &spill, &app);
   EXPECT_FALSE(q.Refill());
   for (VertexId v = 0; v < 5; ++v) q.Push(ReadyTask(v, 10));
   EXPECT_EQ(q.size(), 3u);  // the fifth push spilled {4, 3}
@@ -260,19 +260,16 @@ TEST(TaskQueueTest, RefillFalseOnlyBelowBatchWithNothingOnDisk) {
   while (TaskPtr t = q.PopFront()) order.push_back(t->root());
   EXPECT_EQ(order, (std::vector<VertexId>{0, 1, 2, 4, 3}));
   EXPECT_FALSE(q.Refill());
-  EXPECT_EQ(counters.lifecycle.Transitions(TaskState::kReady,
-                                           TaskState::kSpilled),
-            2u);
-  EXPECT_EQ(counters.lifecycle.Transitions(TaskState::kSpilled,
-                                           TaskState::kReady),
-            2u);
+  EXPECT_EQ(counters.spilled_tasks.load(), 2u);
+  EXPECT_EQ(counters.spill_bytes_read.load(),
+            counters.spill_bytes_written.load());
 }
 
 TEST(GlobalQueueTest, FifoWithinCapacity) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "q1", &counters);
   QueueApp app;
-  GlobalQueue q(/*capacity=*/100, /*batch=*/4, &spill, &app, &counters);
+  GlobalQueue q(/*capacity=*/100, /*batch=*/4, &spill, &app);
   q.Push(ReadyTask(1, 10));
   q.Push(ReadyTask(2, 10));
   TaskPtr t = q.TryPop();
@@ -288,7 +285,7 @@ TEST(GlobalQueueTest, OverflowSpillsAndRefills) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "q2", &counters);
   QueueApp app;
-  GlobalQueue q(/*capacity=*/8, /*batch=*/4, &spill, &app, &counters);
+  GlobalQueue q(/*capacity=*/8, /*batch=*/4, &spill, &app);
   for (VertexId v = 0; v < 32; ++v) {
     q.Push(ReadyTask(v, 10));
   }
@@ -310,13 +307,13 @@ TEST(GlobalQueueTest, StealBatchMovesTail) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "q3", &counters);
   QueueApp app;
-  GlobalQueue q(100, 4, &spill, &app, &counters);
+  GlobalQueue q(100, 4, &spill, &app);
   for (VertexId v = 0; v < 10; ++v) q.Push(ReadyTask(v, 10));
   auto stolen = q.StealBatch(3);
   EXPECT_EQ(stolen.size(), 3u);
   EXPECT_EQ(q.ApproxSize(), 7u);
 
-  GlobalQueue q2(100, 4, &spill, &app, &counters);
+  GlobalQueue q2(100, 4, &spill, &app);
   q2.Push(ReadyTask(99, 10));
   q2.PushStolenFront(std::move(stolen));
   // Stolen tasks are prioritized: popped before the resident task.
@@ -329,7 +326,7 @@ TEST(GlobalQueueTest, StealRoundTripPreservesTaskOrder) {
   EngineCounters counters;
   SpillManager spill(TempSpillDir(), "q4", &counters);
   QueueApp app;
-  GlobalQueue donor(100, 4, &spill, &app, &counters);
+  GlobalQueue donor(100, 4, &spill, &app);
   for (VertexId v = 0; v < 8; ++v) donor.Push(ReadyTask(v, 10));
 
   // StealBatch removes from the tail, most-recent first: 7, 6, 5.
@@ -348,7 +345,7 @@ TEST(GlobalQueueTest, StealRoundTripPreservesTaskOrder) {
 
   // PushStolenFront preserves the batch's order ahead of resident tasks:
   // the receiver pops 7, 6, 5, then its own.
-  GlobalQueue receiver(100, 4, &spill, &app, &counters);
+  GlobalQueue receiver(100, 4, &spill, &app);
   receiver.Push(ReadyTask(99, 10));
   receiver.PushStolenFront(std::move(stolen));
   const VertexId expected[] = {7, 6, 5, 99};

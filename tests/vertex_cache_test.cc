@@ -360,6 +360,46 @@ TEST(PullBrokerTest, SharedInFlightVertexRequestedOnce) {
   }
 }
 
+// A recovered owner's replacement serves the same partition but never saw
+// the request its predecessor died with: the broker queues exactly that
+// owner's outstanding ids again, once each, and the parked task resumes.
+TEST(PullBrokerTest, RequeueInflightForQueuesOnlyThatOwnersOutstandingIds) {
+  auto g = std::move(GenErdosRenyi(60, 300, 7)).value();
+  TestCluster cluster(g, 3, /*max_batch=*/1024);
+  PullBroker& b0 = cluster[0].broker;
+  const int req = static_cast<int>(MessageType::kPullRequest);
+
+  TaskPtr task = QCTask::MakeSpawn(0, 1);
+  std::vector<VertexId> wanted;
+  for (int m : {1, 2}) {
+    for (size_t i = 0; i < 2; ++i) {
+      wanted.push_back(cluster[m].table.OwnedVertices()[i]);
+    }
+  }
+  for (VertexId v : wanted) task->pulls().Want(v);
+  b0.Park(std::move(task));
+  EXPECT_TRUE(b0.PumpRequests(&cluster[0].fabric).empty());
+  EXPECT_EQ(cluster.counters.msg_sent[req].load(), 2u);
+
+  // Machine 1's old incarnation takes its unanswered request with it.
+  EXPECT_EQ(cluster[1].fabric.DropRequestsFrom(0), 1u);
+  EXPECT_EQ(b0.RequeueInflightFor(0), 0u);  // nothing outstanding there
+  EXPECT_EQ(b0.RequeueInflightFor(1), 2u);
+  EXPECT_EQ(b0.RequeueInflightFor(1), 0u);  // already awaiting the pump
+  EXPECT_EQ(b0.InFlightVertices(), wanted.size());
+
+  auto ready = CompletePullRound(cluster);  // pumps, then serves
+  ASSERT_EQ(ready.size(), 1u);
+  for (VertexId v : wanted) {
+    EXPECT_NE(ready[0]->pulls().Find(v), nullptr) << "missing pin for " << v;
+  }
+  // One request went again, to machine 1 alone: each id was served once.
+  EXPECT_EQ(cluster.counters.msg_sent[req].load(), 3u);
+  EXPECT_EQ(cluster.counters.pulled_vertices.load(), wanted.size());
+  EXPECT_EQ(b0.InFlightVertices(), 0u);
+  EXPECT_EQ(b0.RequeueInflightFor(1), 0u);
+}
+
 // ---- End-to-end: pull-based access must not change mining results ----
 
 Graph PlantedGraph() {
@@ -464,12 +504,13 @@ TEST(PullPathTest, WallLatencyDoesNotChangeResults) {
   // The modeled wire delay is observable in the delivery latencies.
   EXPECT_GT(report.counters.MeanDeliveryLatencySeconds(), 0.0004);
   EXPECT_EQ(report.counters.msg_drained, 0u);
-  // Lifecycle bookkeeping closes at nonzero latency: every task that ever
-  // ran eventually retired.
+  // Every compute round at nonzero latency ended in a retirement or a
+  // suspension on an outstanding pull (QCApp never requeues).
   EXPECT_GT(report.counters.tasks_completed, 0u);
-  EXPECT_EQ(report.counters.LifecycleTransitions(TaskState::kRunning,
-                                                 TaskState::kDone),
-            report.counters.tasks_completed);
+  uint64_t rounds = 0;
+  for (const ThreadSummary& t : report.threads) rounds += t.tasks_processed;
+  EXPECT_EQ(rounds, report.counters.tasks_completed +
+                        report.counters.task_suspensions);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ class CountingTaskApp : public App {
 
 /// `tasks`, admitted (kReady) as the queues hold them.
 std::vector<TaskPtr> ReadyBatch(std::vector<TaskPtr> tasks) {
-  for (TaskPtr& t : tasks) AdvanceTaskState(*t, TaskState::kReady, nullptr);
+  for (TaskPtr& t : tasks) AdvanceTaskState(*t, TaskState::kReady);
   return tasks;
 }
 
@@ -133,8 +133,7 @@ TEST(MessagePayloadTest, StealBatchRoundTrip) {
   std::vector<TaskPtr> batch;
   batch.push_back(QCTask::MakeSpawn(11, 42));
   batch.push_back(QCTask::MakeSpawn(12, 7));
-  const std::string payload = EncodeTaskBatch(
-      ReadyBatch(std::move(batch)), TaskState::kStolen, nullptr);
+  const std::string payload = EncodeTaskBatch(ReadyBatch(std::move(batch)));
   EXPECT_EQ(Hex(payload), Hex(pinned));
 
   auto count = TaskBatchCount(payload);
@@ -142,7 +141,7 @@ TEST(MessagePayloadTest, StealBatchRoundTrip) {
   EXPECT_EQ(count.value(), 2u);
 
   CountingTaskApp app;
-  auto tasks = DecodeTaskBatch(payload, app, TaskState::kStolen, nullptr);
+  auto tasks = DecodeTaskBatch(payload, app);
   ASSERT_TRUE(tasks.ok()) << tasks.status().ToString();
   ASSERT_EQ(tasks->size(), 2u);
   EXPECT_EQ((*tasks)[0]->root(), 11u);
@@ -207,11 +206,10 @@ TEST(MessagePayloadTest, CorruptStealBatchIsRejected) {
   EXPECT_FALSE(TaskBatchCount("ab").ok());  // < 4 bytes
   std::vector<TaskPtr> one;
   one.push_back(QCTask::MakeSpawn(11, 42));
-  const std::string payload =
-      EncodeTaskBatch(ReadyBatch(std::move(one)), TaskState::kStolen, nullptr);
+  const std::string payload = EncodeTaskBatch(ReadyBatch(std::move(one)));
   CountingTaskApp app;
   auto decode = [&app](const std::string& bytes) {
-    return DecodeTaskBatch(bytes, app, TaskState::kStolen, nullptr).status();
+    return DecodeTaskBatch(bytes, app).status();
   };
   ASSERT_TRUE(decode(payload).ok());
   EXPECT_EQ(decode("ab").code(), StatusCode::kCorruption);
@@ -247,14 +245,12 @@ TEST(MessagePayloadTest, TaskBatchDecoderSurvivesMutations) {
   subtasks.push_back(QCTask::MakeSubtask(10, {10}, {11, 12, 13}, g));
   subtasks.push_back(QCTask::MakeSubtask(10, {10, 11}, {12}, g));
   const std::string seeds[] = {
-      EncodeTaskBatch(ReadyBatch(std::move(spawns)), TaskState::kSpilled,
-                      nullptr),
-      EncodeTaskBatch(ReadyBatch(std::move(subtasks)), TaskState::kStolen,
-                      nullptr),
+      EncodeTaskBatch(ReadyBatch(std::move(spawns))),
+      EncodeTaskBatch(ReadyBatch(std::move(subtasks))),
   };
   CountingTaskApp app;
   for (const std::string& seed : seeds) {
-    ASSERT_TRUE(DecodeTaskBatch(seed, app, TaskState::kSpilled, nullptr).ok());
+    ASSERT_TRUE(DecodeTaskBatch(seed, app).ok());
   }
 
   Rng rng(20261019);
@@ -288,7 +284,7 @@ TEST(MessagePayloadTest, TaskBatchDecoderSurvivesMutations) {
           }
       }
     }
-    auto tasks = DecodeTaskBatch(m, app, TaskState::kSpilled, nullptr);
+    auto tasks = DecodeTaskBatch(m, app);
     ASSERT_TRUE(tasks.ok() ||
                 tasks.status().code() == StatusCode::kCorruption)
         << "mutation " << i << ": " << tasks.status().ToString();
@@ -979,7 +975,7 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
             want, got);
       },
       a.counters, b.counters);
-  EXPECT_GT(cells, 100);  // the arrays' cells are visited too
+  EXPECT_EQ(cells, 64);  // the arrays' cells are visited too
   VisitMiningStats(
       [](const char* name, uint64_t w, uint64_t g) { EXPECT_EQ(w, g) << name; },
       a.mining, b.mining);
@@ -1037,18 +1033,6 @@ TEST(EngineReportSerdeTest, RoundTripAndMerge) {
             const std::string key = std::string(name) + "_" + kTypes[t];
             EXPECT_EQ(KeyCount(json, key), 1) << key;
             EXPECT_EQ(JsonValue(json, key), std::to_string(row[t])) << key;
-          }
-        } else if constexpr (std::is_same_v<Shape, StateMatrix>) {
-          EXPECT_EQ(KeyCount(json, name), 1) << name;
-          for (int from = 0; from < kNumTaskStates; ++from) {
-            for (int to = 0; to < kNumTaskStates; ++to) {
-              const std::string key =
-                  std::string(TaskStateName(static_cast<TaskState>(from))) +
-                  "->" + TaskStateName(static_cast<TaskState>(to));
-              EXPECT_EQ(KeyCount(json, key), 1) << key;
-              EXPECT_EQ(JsonValue(json, key), std::to_string(row[from][to]))
-                  << key;
-            }
           }
         } else {  // a histogram: one list
           std::string list;
