@@ -9,9 +9,9 @@ const char* DecomposeModeName(DecomposeMode mode) {
     case DecomposeMode::kNone:
       return "none";
     case DecomposeMode::kSizeThreshold:
-      return "size-threshold";
+      return "size";
     case DecomposeMode::kTimeDelayed:
-      return "time-delayed";
+      return "time";
   }
   return "?";
 }

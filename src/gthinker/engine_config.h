@@ -37,6 +37,7 @@ enum class DecomposeMode {
   kTimeDelayed,
 };
 
+/// The --mode spelling of `mode`: none, size or time.
 const char* DecomposeModeName(DecomposeMode mode);
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
@@ -105,8 +106,8 @@ struct EngineConfig {
 
   /// Tracing + telemetry (util/trace.h). trace_out names the Chrome
   /// trace-event JSON file to write: qcm_mine writes it directly, while
-  /// cluster workers write per-rank fragments (<trace_out>.rank<R>.jsonl)
-  /// the launcher merges into one timeline. Empty = tracing off (the
+  /// cluster workers write per-rank fragments (trace::FragmentPath) the
+  /// launcher merges into one timeline. Empty = tracing off (the
   /// default; every event site then costs a couple of relaxed atomic
   /// loads, keeping digests and kernel timings bit-identical to an
   /// untraced build). Each thread records into a trace::kRingKb ring.
@@ -114,9 +115,10 @@ struct EngineConfig {
   /// Period of the launcher's telemetry samples in milliseconds: the
   /// coordinator samples every rank's latest status (queue depth,
   /// in-flight bytes, cache hits, busy compers, ...; net/wire.h
-  /// RankStatus), which the launcher renders as trace counter tracks (and
-  /// qcm_cluster's telemetry line). CoordinatorConfigFor reads it; the
-  /// engine does not. 0 = no samples. Must be >= 0.
+  /// RankStatus) and, with tracing on, records each sample as trace
+  /// counter records, one track per gauge and rank; qcm_cluster also
+  /// prints its telemetry line from them. CoordinatorConfigFor reads it;
+  /// the engine does not. 0 = no samples. Must be >= 0.
   int64_t stats_interval_ms = 500;
 
   /// Out-of-core graph storage (graph/csr_snapshot.h). graph_snapshot

@@ -17,13 +17,6 @@ int MsgLatencyBucketIndex(double seconds) {
   return kMsgLatencyBuckets - 1;
 }
 
-const char* MsgLatencyBucketLabel(int bucket) {
-  static constexpr const char* kLabels[kMsgLatencyBuckets] = {
-      "<10us", "<100us", "<1ms", "<10ms", "<100ms", "<1s", "<10s", ">=10s"};
-  if (bucket < 0 || bucket >= kMsgLatencyBuckets) return "?";
-  return kLabels[bucket];
-}
-
 EngineCountersSnapshot EngineCountersSnapshot::From(const EngineCounters& c) {
   EngineCountersSnapshot s;
   const auto load = [](const std::atomic<uint64_t>& live, uint64_t& value) {

@@ -37,8 +37,6 @@ inline constexpr int kMsgLatencyBuckets = 8;
 
 /// Bucket index of an observed delivery latency in seconds.
 int MsgLatencyBucketIndex(double seconds);
-/// Human-readable bucket label ("<1ms", ">=10s").
-const char* MsgLatencyBucketLabel(int bucket);
 
 /// Per-root aggregate across all (sub)tasks of that root: the unit the
 /// paper's Figures 1-3 plot.

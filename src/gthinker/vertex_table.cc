@@ -97,17 +97,15 @@ AdjRef VertexTable::Adjacency(VertexId v) const {
   if (list == nullptr) {
     // A miss reads the list outside any lock; two threads missing on the
     // same vertex both read it, and the later insert replaces the earlier.
+    // The graph_page_ins and graph_fault_stall_usec rows count and time the
+    // read, which runs inside the caller's compute or pull_serve span.
     auto copy = std::make_shared<std::vector<VertexId>>(Degree(v));
-    {
-      QCM_TRACE_SPAN(trace::kPage, "pread", copy->size());
-      WallTimer read;
-      const Status s = snapshot_->ReadNeighbors(v, copy.get());
-      lists_->pread_nsec.fetch_add(
-          static_cast<uint64_t>(read.Seconds() * 1e9),
-          std::memory_order_relaxed);
-      QCM_CHECK(s.ok()) << "budgeted adjacency read on rank " << rank_
-                        << " failed: " << s.ToString();
-    }
+    WallTimer read;
+    const Status s = snapshot_->ReadNeighbors(v, copy.get());
+    lists_->pread_nsec.fetch_add(static_cast<uint64_t>(read.Seconds() * 1e9),
+                                 std::memory_order_relaxed);
+    QCM_CHECK(s.ok()) << "budgeted adjacency read on rank " << rank_
+                      << " failed: " << s.ToString();
     lists_->cache.Insert(v, copy, ListCharge(copy->size()));
     list = std::move(copy);
   }

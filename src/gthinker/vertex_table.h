@@ -59,7 +59,8 @@ inline constexpr uint64_t kListChargeOverhead = 176;
 /// budget the rank reads its own lists one at a time with pread into a
 /// VertexCache whose total charge (list bytes plus kListChargeOverhead
 /// each) the budget bounds; the adjacency section of the mapping is then
-/// never read. Any list whose charge fits the budget is cached, hubs
+/// never read. Those reads are counted and timed (AddGraphCounters), not
+/// traced one by one. Any list whose charge fits the budget is cached, hubs
 /// included: the cache shards only when every shard holds the largest
 /// owned list.
 class VertexTable {

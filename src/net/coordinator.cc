@@ -32,6 +32,26 @@ uint64_t VecAt(const std::vector<uint64_t>& v, size_t idx) {
   return idx < v.size() ? v[idx] : 0;
 }
 
+/// Records one telemetry sample as trace counter records, one per gauge of
+/// every rank's status, on that rank's process track (pid = rank).
+void TraceSample(const std::vector<RankStatus>& statuses) {
+  for (size_t rank = 0; rank < statuses.size(); ++rank) {
+    const RankStatus& s = statuses[rank];
+    const auto counter = [rank](uint16_t name_id, uint64_t value) {
+      trace::EmitCounter(name_id, trace::kStats, static_cast<int>(rank),
+                         value);
+    };
+    counter(QCM_TRACE_NAME("queue_depth"), s.pending_big);
+    counter(QCM_TRACE_NAME("inflight_bytes"), s.inflight_bytes);
+    counter(QCM_TRACE_NAME("busy_compers"), s.busy_compers);
+    counter(QCM_TRACE_NAME("tasks_completed"), s.tasks_completed);
+    counter(QCM_TRACE_NAME("cache_hits"), s.cache_hits);
+    counter(QCM_TRACE_NAME("cache_misses"), s.cache_misses);
+    counter(QCM_TRACE_NAME("pending_tasks"),
+            s.pending < 0 ? 0 : static_cast<uint64_t>(s.pending));
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -437,10 +457,11 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
   // Steal mastering bookkeeping: local estimates so repeated sweeps do
   // not re-plan the same move before fresh statuses arrive.
   WallTimer steal_timer;
-  // Telemetry sampling; the first sample is taken as soon as every rank
-  // has reported.
+  // Telemetry sampling, into the trace's counter tracks and on_sample; the
+  // first sample is taken as soon as every rank has reported.
   const bool sampling =
-      config_.sample_period_sec > 0 && static_cast<bool>(config_.on_sample);
+      config_.sample_period_sec > 0 &&
+      (trace::Enabled() || static_cast<bool>(config_.on_sample));
   double last_sample_sec = -1.0;  // none yet
 
   while (!failed_.load()) {
@@ -491,7 +512,10 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
     if (sampling && (last_sample_sec < 0 ||
                      NowSec() - last_sample_sec >= config_.sample_period_sec)) {
       last_sample_sec = NowSec();
-      config_.on_sample(static_cast<uint64_t>(NowMicros()), statuses);
+      if (trace::Enabled()) TraceSample(statuses);
+      if (config_.on_sample) {
+        config_.on_sample(static_cast<uint64_t>(NowMicros()), statuses);
+      }
     }
 
     // Quiescence: no rank holds work, and every ordered pair's wire is
@@ -609,30 +633,6 @@ StatusOr<std::vector<std::string>> Coordinator::RunToCompletion() {
     for (int r = 0; r < world; ++r) reports[r] = workers_[r].report;
   }
   return reports;
-}
-
-void AppendStatsCounterEvents(uint64_t ts_usec,
-                              const std::vector<RankStatus>& statuses,
-                              std::vector<std::string>* events) {
-  for (size_t rank = 0; rank < statuses.size(); ++rank) {
-    const RankStatus& s = statuses[rank];
-    auto counter = [&](const char* name, uint64_t value) {
-      events->push_back("{\"name\":\"" + std::string(name) +
-                        "\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":" +
-                        std::to_string(ts_usec) +
-                        ",\"pid\":" + std::to_string(rank) +
-                        ",\"tid\":0,\"args\":{\"value\":" +
-                        std::to_string(value) + "}}");
-    };
-    counter("queue_depth", s.pending_big);
-    counter("inflight_bytes", s.inflight_bytes);
-    counter("busy_compers", s.busy_compers);
-    counter("tasks_completed", s.tasks_completed);
-    counter("cache_hits", s.cache_hits);
-    counter("cache_misses", s.cache_misses);
-    counter("pending_tasks",
-            s.pending < 0 ? 0 : static_cast<uint64_t>(s.pending));
-  }
 }
 
 void Coordinator::Close() {

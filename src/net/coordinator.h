@@ -25,9 +25,11 @@
 //     which ships the batch rank-to-rank as a kStealBatch fabric
 //     message.
 //
-//   * Telemetry. Every sample_period_sec the sweep hands the latest
-//     status of every rank to the on_sample callback (the trace counter
-//     tracks, qcm_cluster's telemetry line).
+//   * Telemetry. Every sample_period_sec the sweep samples the latest
+//     status of every rank: with tracing on it records the sample itself,
+//     one trace counter record per gauge on each rank's process track
+//     (pid = rank), and it hands the sample to on_sample (qcm_cluster's
+//     telemetry line).
 //
 //   * Liveness + recovery. Every frame a rank sends refreshes its
 //     liveness deadline; a mining rank's status thread publishes every
@@ -115,8 +117,10 @@ struct CoordinatorConfig {
   int max_rank_restarts = 2;
   /// Telemetry sampling: every sample_period_sec (<= 0 disables), and
   /// first as soon as every rank has reported, RunToCompletion's sweep
-  /// hands on_sample every rank's latest status. Invoked on the
-  /// RunToCompletion thread.
+  /// samples every rank's latest status. With tracing on the sample
+  /// becomes counter records in the RunToCompletion thread's ring (seven
+  /// per rank; the ring keeps its first trace::kRingKb KiB); on_sample,
+  /// when set, receives it on that thread too.
   double sample_period_sec = 0.0;
   StatusSampler on_sample;
 };
@@ -288,13 +292,6 @@ class Coordinator {
   std::vector<RecoveryEvent> recovery_events_;
   std::vector<int> restarts_;
 };
-
-/// Appends one Chrome trace counter event ("ph":"C", pid = rank, at
-/// `ts_usec`) per sampled gauge of every rank's status to `events`: the
-/// counter tracks of a launcher's merged timeline.
-void AppendStatsCounterEvents(uint64_t ts_usec,
-                              const std::vector<RankStatus>& statuses,
-                              std::vector<std::string>* events);
 
 }  // namespace qcm
 

@@ -58,8 +58,7 @@ Status RunRank(const Graph& graph, const EngineConfig& config, App* app,
 }  // namespace
 
 StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
-                                       const EngineConfig& config, App* app,
-                                       StatusSampler on_sample) {
+                                       const EngineConfig& config, App* app) {
   QCM_RETURN_IF_ERROR(config.Validate());
   const int world = config.num_machines;
 
@@ -85,7 +84,6 @@ StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
   std::unique_ptr<Coordinator> coordinator;
   CoordinatorConfig coord_config = CoordinatorConfigFor(config);
   coord_config.status_deadline_sec = 0.0;  // the ranks live and die together
-  coord_config.on_sample = std::move(on_sample);
   // Each rank is launched once, by the handshake: no kill callback, so no
   // replacement.
   coord_config.launch = [&](int rank, uint32_t) {

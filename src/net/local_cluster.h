@@ -33,13 +33,12 @@ CoordinatorConfig CoordinatorConfigFor(const EngineConfig& config);
 
 /// Mines `graph` with config.num_machines in-process ranks sharing `app`
 /// (which must be thread-safe across compers, as for one engine) and
-/// returns the merged report; its `results` are the raw candidates.
-/// `on_sample`, when set, receives the coordinator's telemetry samples
-/// (CoordinatorConfig::on_sample) on the calling thread. A rank that
+/// returns the merged report; its `results` are the raw candidates. With
+/// tracing on, the coordinator records its telemetry samples as counter
+/// records in the calling thread's ring (CoordinatorConfig). A rank that
 /// fails aborts the run at once.
 StatusOr<EngineReport> RunLocalCluster(const Graph& graph,
-                                       const EngineConfig& config, App* app,
-                                       StatusSampler on_sample = nullptr);
+                                       const EngineConfig& config, App* app);
 
 }  // namespace qcm
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -17,7 +18,6 @@ namespace {
 
 const char* const kCategoryNames[kNumCategories] = {
     "lifecycle", "pull", "net", "checkpoint", "recovery", "kernel", "stats",
-    "page",
 };
 
 // One per emitting thread. Records are written by the owner thread only;
@@ -85,16 +85,62 @@ void EmitRecord(const Record& rec) {
   ring->size.store(n + 1, std::memory_order_release);
 }
 
-void AppendCommon(const State& s, const Record& rec, int pid, int tid,
+// One "M" metadata line naming process `pid` (kind "process_name") or its
+// thread `tid` (kind "thread_name").
+void AppendMetadata(const char* kind, int pid, int tid,
+                    const std::string& name, std::string* out) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "{\"name\":\"%s\",\"ph\":\"M\",\"ts\":0,\"pid\":%d,"
+                "\"tid\":%d,\"args\":{\"name\":\"",
+                kind, pid, tid);
+  out->append(buf);
+  out->append(name);
+  out->append("\"}}\n");
+}
+
+// One record as a JSON line on process `pid`'s thread `tid`, except a
+// counter, which extends its own pid's track on tid 0.
+void AppendRecord(const State& s, const Record& rec, int pid, int tid,
                   std::string* out) {
+  const auto type = static_cast<EventType>(rec.type);
+  if (type == EventType::kCounter) {
+    pid = static_cast<int>(rec.arg);
+    tid = 0;
+  }
   out->append("{\"name\":\"");
   out->append(s.names[rec.name_id]);
   out->append("\",\"cat\":\"");
   out->append(kCategoryNames[rec.category]);
   out->append("\"");
-  char buf[96];
+  char buf[128];
   std::snprintf(buf, sizeof(buf), ",\"ts\":%llu,\"pid\":%d,\"tid\":%d",
                 static_cast<unsigned long long>(rec.ts_usec), pid, tid);
+  out->append(buf);
+  const auto value = static_cast<unsigned long long>(rec.dur_or_value);
+  switch (type) {
+    case EventType::kSpan:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"ph\":\"X\",\"dur\":%llu,\"args\":{\"a\":%u}}\n", value,
+                    rec.arg);
+      break;
+    case EventType::kInstant:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":%u}}\n",
+                    rec.arg);
+      break;
+    case EventType::kCounter:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"ph\":\"C\",\"args\":{\"value\":%llu}}\n", value);
+      break;
+    case EventType::kFlowStart:
+      std::snprintf(buf, sizeof(buf), ",\"ph\":\"s\",\"id\":%llu}\n", value);
+      break;
+    case EventType::kFlowEnd:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"ph\":\"f\",\"bp\":\"e\",\"id\":%llu}\n", value);
+      break;
+  }
   out->append(buf);
 }
 
@@ -149,10 +195,11 @@ void EmitInstant(uint16_t name_id, Category cat, uint32_t arg) {
                     static_cast<uint8_t>(EventType::kInstant), arg});
 }
 
-void EmitCounter(uint16_t name_id, Category cat, uint64_t value) {
+void EmitCounter(uint16_t name_id, Category cat, int pid, uint64_t value) {
   if (!Enabled()) return;
   EmitRecord(Record{TraceNowMicros(), value, name_id, cat,
-                    static_cast<uint8_t>(EventType::kCounter), 0});
+                    static_cast<uint8_t>(EventType::kCounter),
+                    static_cast<uint32_t>(pid)});
 }
 
 void EmitFlow(EventType type, uint16_t name_id, Category cat,
@@ -176,138 +223,86 @@ uint64_t TraceNowMicros() {
   return fn != nullptr ? fn() : static_cast<uint64_t>(NowMicros());
 }
 
-uint64_t DroppedRecords() {
-  State& s = GlobalState();
-  std::lock_guard<std::mutex> lock(s.mu);
-  uint64_t total = 0;
-  for (const auto& ring : s.rings) {
-    total += ring->dropped.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void SetClockForTest(uint64_t (*now_fn)()) {
   g_clock_for_test.store(now_fn, std::memory_order_relaxed);
 }
 
 std::string DrainJsonLines(int pid) {
+  static const uint16_t dropped_name = InternName("trace_dropped_records");
   State& s = GlobalState();
   std::lock_guard<std::mutex> lock(s.mu);
   std::string out;
-  char buf[128];
   uint64_t dropped = 0;
   uint64_t last_ts = 0;
   for (const auto& ring : s.rings) {
     const size_t n = ring->size.load(std::memory_order_acquire);
     dropped += ring->dropped.load(std::memory_order_relaxed);
     if (!ring->thread_name.empty()) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,"
-                    "\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"",
-                    pid, ring->tid);
-      out.append(buf);
-      out.append(ring->thread_name);
-      out.append("\"}}\n");
+      AppendMetadata("thread_name", pid, ring->tid, ring->thread_name, &out);
     }
     for (size_t i = 0; i < n; ++i) {
-      const Record& rec = ring->records[i];
-      last_ts = std::max(last_ts, rec.ts_usec);
-      AppendCommon(s, rec, pid, ring->tid, &out);
-      switch (static_cast<EventType>(rec.type)) {
-        case EventType::kSpan:
-          std::snprintf(buf, sizeof(buf),
-                        ",\"ph\":\"X\",\"dur\":%llu,\"args\":{\"a\":%u}}\n",
-                        static_cast<unsigned long long>(rec.dur_or_value),
-                        rec.arg);
-          break;
-        case EventType::kInstant:
-          std::snprintf(buf, sizeof(buf),
-                        ",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":%u}}\n",
-                        rec.arg);
-          break;
-        case EventType::kCounter:
-          std::snprintf(buf, sizeof(buf),
-                        ",\"ph\":\"C\",\"args\":{\"value\":%llu}}\n",
-                        static_cast<unsigned long long>(rec.dur_or_value));
-          break;
-        case EventType::kFlowStart:
-          std::snprintf(buf, sizeof(buf), ",\"ph\":\"s\",\"id\":%llu}\n",
-                        static_cast<unsigned long long>(rec.dur_or_value));
-          break;
-        case EventType::kFlowEnd:
-          std::snprintf(buf, sizeof(buf),
-                        ",\"ph\":\"f\",\"bp\":\"e\",\"id\":%llu}\n",
-                        static_cast<unsigned long long>(rec.dur_or_value));
-          break;
-      }
-      out.append(buf);
+      last_ts = std::max(last_ts, ring->records[i].ts_usec);
+      AppendRecord(s, ring->records[i], pid, ring->tid, &out);
     }
   }
   if (dropped > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"trace_dropped_records\",\"cat\":\"stats\","
-                  "\"ph\":\"C\",\"ts\":%llu,\"pid\":%d,\"tid\":0,"
-                  "\"args\":{\"value\":%llu}}\n",
-                  static_cast<unsigned long long>(last_ts), pid,
-                  static_cast<unsigned long long>(dropped));
-    out.append(buf);
+    AppendRecord(s,
+                 Record{last_ts, dropped, dropped_name, kStats,
+                        static_cast<uint8_t>(EventType::kCounter),
+                        static_cast<uint32_t>(pid)},
+                 pid, 0, &out);
   }
   return out;
 }
 
-Status WriteFragment(const std::string& path, int pid) {
-  const std::string lines = DrainJsonLines(pid);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open trace fragment: " + path);
-  out.write(lines.data(), static_cast<std::streamsize>(lines.size()));
-  out.flush();
-  if (!out) return Status::IOError("short write to trace fragment: " + path);
-  return Status::OK();
+std::string FragmentPath(const std::string& trace_out, int rank) {
+  return trace_out + ".rank" + std::to_string(rank) + ".jsonl";
 }
 
 namespace {
 
-// Extracts the integer after `"ts":` so fragments can be merged into one
-// time-ordered stream without a full JSON parser. Events we emit always
-// carry a ts field.
-bool ParseEventTs(const std::string& line, uint64_t* ts) {
-  const char* pos = std::strstr(line.c_str(), "\"ts\":");
+// Reads the unsigned integer after `key` (e.g. "ts":) in `line`, so
+// fragments merge into one time-ordered stream without a full JSON parser.
+bool ParseField(const std::string& line, const char* key, uint64_t* value) {
+  const char* pos = std::strstr(line.c_str(), key);
   if (pos == nullptr) return false;
-  pos += 5;
+  pos += std::strlen(key);
   if (*pos < '0' || *pos > '9') return false;
-  uint64_t value = 0;
-  while (*pos >= '0' && *pos <= '9') {
-    value = value * 10 + static_cast<uint64_t>(*pos - '0');
-    ++pos;
-  }
-  *ts = value;
+  *value = std::strtoull(pos, nullptr, 10);
   return true;
 }
 
 }  // namespace
 
-StatusOr<size_t> MergeFragments(
+StatusOr<MergeSummary> MergeFragments(
     const std::vector<std::string>& fragment_paths,
     const std::string& local_lines,
-    const std::vector<std::string>& extra_event_lines,
+    const std::vector<std::string>& process_names,
     const std::string& out_path) {
+  static const std::string kDroppedLine =
+      "{\"name\":\"trace_dropped_records\",";
   struct Entry {
     uint64_t ts;
     std::string line;
   };
   std::vector<Entry> entries;
-  auto add_line = [&entries](const std::string& line) {
-    if (line.empty()) return Status::OK();
-    uint64_t ts = 0;
-    if (!ParseEventTs(line, &ts)) {
-      return Status::Corruption("trace event line without ts field: " + line);
-    }
-    entries.push_back(Entry{ts, line});
-    return Status::OK();
-  };
-  auto add_lines = [&add_line](std::istream& in) {
+  MergeSummary summary;
+  auto add_lines = [&](std::istream& in) {
     std::string line;
-    while (std::getline(in, line)) QCM_RETURN_IF_ERROR(add_line(line));
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      uint64_t ts = 0;
+      if (!ParseField(line, "\"ts\":", &ts)) {
+        return Status::Corruption("trace event line without ts field: " +
+                                  line);
+      }
+      uint64_t dropped = 0;
+      if (line.rfind(kDroppedLine, 0) == 0 &&
+          ParseField(line, "\"value\":", &dropped)) {
+        summary.dropped_records += dropped;
+      }
+      entries.push_back(Entry{ts, std::move(line)});
+    }
     return Status::OK();
   };
   for (const std::string& path : fragment_paths) {
@@ -315,11 +310,13 @@ StatusOr<size_t> MergeFragments(
     if (!in) continue;  // rank died before draining; merge what exists
     QCM_RETURN_IF_ERROR(add_lines(in));
   }
-  std::istringstream local(local_lines);
-  QCM_RETURN_IF_ERROR(add_lines(local));
-  for (const std::string& line : extra_event_lines) {
-    QCM_RETURN_IF_ERROR(add_line(line));
+  std::string labels;
+  for (size_t pid = 0; pid < process_names.size(); ++pid) {
+    AppendMetadata("process_name", static_cast<int>(pid), 0,
+                   process_names[pid], &labels);
   }
+  std::istringstream local(local_lines + labels);
+  QCM_RETURN_IF_ERROR(add_lines(local));
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.ts < b.ts; });
 
@@ -334,7 +331,8 @@ StatusOr<size_t> MergeFragments(
   out << "]}\n";
   out.flush();
   if (!out) return Status::IOError("short write to merged trace: " + out_path);
-  return entries.size();
+  summary.events = entries.size();
+  return summary;
 }
 
 }  // namespace trace

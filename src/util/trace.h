@@ -5,7 +5,8 @@
 // JSON (one object per line) which Perfetto / chrome://tracing load
 // directly; multi-rank runs write per-rank fragments that MergeFragments
 // stitches into one timeline (all ranks share the machine's steady clock
-// on loopback, so timestamps are directly comparable).
+// on loopback, so timestamps are directly comparable). Nothing else
+// writes trace-event JSON: sampled gauges are counter records too.
 //
 // Overflow policy: keep-first. Once a ring is full further records bump a
 // per-ring drop counter and are discarded — a comper is never blocked or
@@ -32,9 +33,8 @@ enum Category : uint8_t {
   kCheckpoint = 3, // checkpoint appends + replay
   kRecovery = 4,   // coordinator detect/kill/relaunch phases
   kKernel = 5,     // dense vs sparse kernel selection
-  kStats = 6,      // periodic counter samples
-  kPage = 7,       // budgeted adjacency list reads (pread)
-  kNumCategories = 8,
+  kStats = 6,      // sampled counter tracks
+  kNumCategories = 7,
 };
 
 enum class EventType : uint8_t {
@@ -53,7 +53,8 @@ struct Record {
   uint16_t name_id;       // index into the interned name table
   uint8_t category;       // Category
   uint8_t type;           // EventType
-  uint32_t arg;           // free-form small argument ("args":{"a":N})
+  uint32_t arg;           // span/instant: small argument ("args":{"a":N});
+                          // counter: the pid whose track it extends
 };
 static_assert(sizeof(Record) == 24, "trace records are packed to 24 bytes");
 
@@ -85,7 +86,9 @@ uint16_t InternName(const char* name);
 void EmitSpan(uint16_t name_id, Category cat, uint64_t ts_usec,
               uint64_t dur_usec, uint32_t arg);
 void EmitInstant(uint16_t name_id, Category cat, uint32_t arg);
-void EmitCounter(uint16_t name_id, Category cat, uint64_t value);
+/// A counter extends process `pid`'s track `name_id` (pid and tid 0,
+/// whichever process drains it): a coordinator samples each rank this way.
+void EmitCounter(uint16_t name_id, Category cat, int pid, uint64_t value);
 void EmitFlow(EventType type, uint16_t name_id, Category cat,
               uint64_t flow_id);
 
@@ -96,34 +99,39 @@ void SetThreadName(const char* name);
 /// Current steady-clock timestamp for trace purposes (test-overridable).
 uint64_t TraceNowMicros();
 
-/// Total records discarded because a ring was full.
-uint64_t DroppedRecords();
-
 /// Test hook: replaces the clock behind TraceNowMicros. Pass nullptr to
 /// restore the real steady clock.
 void SetClockForTest(uint64_t (*now_fn)());
 
 /// Serializes every ring to Chrome trace-event JSON objects, one per line
-/// (no surrounding array). `pid` labels the process track — ranks pass
-/// their rank id. Deterministic: rings in registration order, records in
-/// write order, fixed key order. Includes thread_name metadata lines and,
-/// when records were dropped, a trace_dropped_records counter line.
+/// (no surrounding array). `pid` labels the process track of every record
+/// but a counter, which names its own -- ranks pass their rank id.
+/// Deterministic: rings in registration order, records in write order,
+/// fixed key order. Includes thread_name metadata lines and, when records
+/// were dropped, a trace_dropped_records counter line.
 std::string DrainJsonLines(int pid);
 
-/// Writes DrainJsonLines(pid) to `path` (one JSON object per line).
-Status WriteFragment(const std::string& path, int pid);
+/// The file rank `rank` of a cluster run drains its rings to, beside the
+/// launcher's `trace_out` path: `<trace_out>.rank<R>.jsonl`.
+std::string FragmentPath(const std::string& trace_out, int rank);
 
-/// Reads per-rank fragment files, `local_lines` (this process's own
-/// DrainJsonLines output, or empty) and optional pre-formatted event lines
-/// (e.g. sampled counter tracks or coordinator metadata), sorts every
-/// event by its "ts" field, and writes one {"traceEvents":[...]} file that
-/// Perfetto loads directly. Returns the number of events written. Missing
-/// fragment files are skipped (a rank that died before draining), not an
-/// error.
-StatusOr<size_t> MergeFragments(
+/// What MergeFragments wrote: its events, and the sum of the
+/// trace_dropped_records counters it merged (every process's drops).
+struct MergeSummary {
+  size_t events = 0;
+  uint64_t dropped_records = 0;
+};
+
+/// Reads per-rank fragment files and `local_lines` (this process's own
+/// DrainJsonLines output, or empty), labels process `pid` with
+/// `process_names[pid]` (process_name metadata), sorts every event by its
+/// "ts" field, and writes one {"traceEvents":[...]} file that Perfetto
+/// loads directly. Missing fragment files are skipped (a rank that died
+/// before draining), not an error.
+StatusOr<MergeSummary> MergeFragments(
     const std::vector<std::string>& fragment_paths,
     const std::string& local_lines,
-    const std::vector<std::string>& extra_event_lines,
+    const std::vector<std::string>& process_names,
     const std::string& out_path);
 
 /// RAII complete-span: stamps begin at construction, emits one "X" record

@@ -314,8 +314,6 @@ TEST(CommFabricTest, LatencyBucketBoundaries) {
   EXPECT_EQ(MsgLatencyBucketIndex(0.5), 5);
   EXPECT_EQ(MsgLatencyBucketIndex(5.0), 6);
   EXPECT_EQ(MsgLatencyBucketIndex(50.0), kMsgLatencyBuckets - 1);
-  EXPECT_STREQ(MsgLatencyBucketLabel(0), "<10us");
-  EXPECT_STREQ(MsgLatencyBucketLabel(kMsgLatencyBuckets - 1), ">=10s");
 }
 
 }  // namespace

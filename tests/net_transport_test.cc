@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "quick/serial_miner.h"
 #include "util/serde.h"
 #include "util/timer.h"
+#include "util/trace.h"
 
 namespace qcm {
 namespace {
@@ -45,7 +47,49 @@ std::function<Status(int, uint32_t)> LaunchOnThread(
   };
 }
 
+/// Turns tracing on for one test and drops every ring after it.
+struct ScopedTracing {
+  ScopedTracing() {
+    trace::ResetForTest();
+    trace::Start(/*ring_kb=*/1024);
+  }
+  ~ScopedTracing() { trace::ResetForTest(); }
+};
+
+/// The values of the counter records named `name` on process `pid`'s
+/// track (tid 0) in drained trace lines, in record order.
+std::vector<uint64_t> CounterValues(const std::string& json,
+                                    const std::string& name, int pid) {
+  const std::string head = "{\"name\":\"" + name + "\",\"cat\":\"stats\",";
+  const std::string track = ",\"pid\":" + std::to_string(pid) +
+                            ",\"tid\":0,\"ph\":\"C\",\"args\":{\"value\":";
+  std::vector<uint64_t> values;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t at = line.find(track);
+    if (line.rfind(head, 0) == 0 && at != std::string::npos) {
+      values.push_back(std::stoull(line.substr(at + track.size())));
+    }
+  }
+  return values;
+}
+
+/// The telemetry rank `rank` publishes: a value of its own in every gauge.
+RankStatus GaugeStatus(int rank) {
+  RankStatus status;
+  status.pending_big = 10 * rank + 1;
+  status.inflight_bytes = 10 * rank + 2;
+  status.busy_compers = rank + 1;
+  status.tasks_completed = 10 * rank + 4;
+  status.cache_hits = 10 * rank + 5;
+  status.cache_misses = 10 * rank + 6;
+  return status;
+}
+
+// Traced, so each telemetry sample must leave one counter record per
+// gauge on each rank's track, with the values that rank published.
 TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
+  const ScopedTracing tracing;
   CoordinatorConfig config;
   config.world_size = 3;
   config.config_blob = "opaque-config";
@@ -95,7 +139,7 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
     // Publish quiescent statuses until termination is declared. The sent/
     // processed counters must genuinely match for detection to fire.
     while (!states[i].terminated.load()) {
-      RankStatus status;
+      RankStatus status = GaugeStatus(rank);
       status.pending = 0;
       status.spawn_done = true;
       // Per-pair accounting: credit each processed frame to its sender
@@ -107,7 +151,6 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
           ++status.processed_from[r[0] - '0'];
         }
       }
-      status.pending_big = 0;
       tr->PublishStatus(status);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -129,7 +172,30 @@ TEST(TcpTransportTest, HandshakeMeshAndDataDelivery) {
   ASSERT_FALSE(samples.empty());
   for (const std::vector<RankStatus>& sample : samples) {
     ASSERT_EQ(sample.size(), 3u);
-    for (const RankStatus& status : sample) EXPECT_TRUE(status.spawn_done);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_TRUE(sample[r].spawn_done);
+      EXPECT_EQ(sample[r].busy_compers, static_cast<uint32_t>(r + 1));
+    }
+  }
+  // The coordinator recorded each of those samples on the rank tracks,
+  // and no ring dropped a record.
+  const std::string json = trace::DrainJsonLines(/*pid=*/3);
+  EXPECT_EQ(json.find("trace_dropped_records"), std::string::npos);
+  for (int r = 0; r < 3; ++r) {
+    const RankStatus want = GaugeStatus(r);
+    const std::pair<const char*, uint64_t> gauges[] = {
+        {"queue_depth", want.pending_big},
+        {"inflight_bytes", want.inflight_bytes},
+        {"busy_compers", want.busy_compers},
+        {"tasks_completed", want.tasks_completed},
+        {"cache_hits", want.cache_hits},
+        {"cache_misses", want.cache_misses},
+        {"pending_tasks", 0}};
+    for (const auto& [name, value] : gauges) {
+      EXPECT_EQ(CounterValues(json, name, r),
+                std::vector<uint64_t>(samples.size(), value))
+          << name << " on rank " << r << "'s track";
+    }
   }
 
   // Ranks were assigned 0..2 exactly once; each rank's report arrived in
@@ -195,12 +261,13 @@ TEST(TcpTransportTest, IdleMeshesShutDownPromptly) {
 }
 
 TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
+  const ScopedTracing tracing;
   CoordinatorConfig config;
   config.world_size = 2;
   config.config_blob = "x";
   config.steal_period_sec = 0.002;
   config.steal_batch_cap = 4;
-  // sample_period_sec stays 0, which disables sampling.
+  // sample_period_sec stays 0, which disables sampling, traced or not.
   int samples = 0;
   config.on_sample = [&samples](uint64_t, const std::vector<RankStatus>&) {
     ++samples;
@@ -258,6 +325,9 @@ TEST(TcpTransportTest, CoordinatorIssuesStealCommandsTowardTheAverage) {
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   EXPECT_GE((*coordinator)->steal_commands_issued(), 1u);
   EXPECT_EQ(samples, 0);
+  EXPECT_EQ(trace::DrainJsonLines(/*pid=*/2).find("\"ph\":\"C\""),
+            std::string::npos)
+      << "a counter record without sampling";
 
   // The donor (rank 0) was told to ship at most one batch to rank 1.
   for (auto& s : states) {

@@ -2,12 +2,13 @@
 // tracing off no site of an engine run reads the clock, ring overflow
 // keeps the prefix and counts drops, concurrent writers are race-free
 // (run under TSan in CI), the JSON drain is byte-stable under a
-// pinned clock, fragment merging is time-ordered and takes this
-// process's own drain, a file input's timeline shows the load's steps,
-// and — the acceptance
-// gate — a real 3-process qcm_cluster run produces ONE merged,
-// time-ordered, Perfetto-loadable timeline with spans from every rank
-// plus kStats counter tracks, without changing the result digest.
+// pinned clock (a counter on the track of the pid it names), fragment
+// merging is time-ordered, labels the processes, sums the drop counters
+// and takes this process's own drain, a file input's timeline shows the
+// load's steps, and — the acceptance gate — a real 3-process qcm_cluster
+// run produces ONE merged, time-ordered, Perfetto-loadable timeline with
+// spans from every rank plus every rank's seven counter tracks, without
+// changing the result digest.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -58,6 +62,18 @@ size_t CountOccurrences(const std::string& haystack,
   return count;
 }
 
+/// The value of the one trace_dropped_records counter line in drained
+/// `json`, or 0 without one.
+uint64_t DroppedIn(const std::string& json) {
+  const std::string line = "{\"name\":\"trace_dropped_records\",";
+  const size_t at = json.find(line);
+  if (at == std::string::npos) return 0;
+  EXPECT_EQ(json.find(line, at + 1), std::string::npos) << "two drop lines";
+  const std::string value = "\"value\":";
+  return std::strtoull(json.c_str() + json.find(value, at) + value.size(),
+                       nullptr, 10);
+}
+
 std::atomic<uint64_t> g_clock_reads{0};
 uint64_t CountingClock() {
   return g_clock_reads.fetch_add(1, std::memory_order_relaxed);
@@ -67,9 +83,11 @@ uint64_t CountingClock() {
 // neither the emitters called directly nor the instrumented layers of a
 // whole in-process engine run: kernel selection, the task lifecycle,
 // spill and refill (tiny queues), pull rounds and the responder,
-// transport frames and the k-core step. A budgeted table reading its
-// lists from a snapshot file and a checkpoint log's append, flush and
-// replay cover the page and checkpoint sites. Not reached: the
+// transport frames, the k-core step and the coordinator's telemetry
+// samples (the engine's default sampling period; with tracing off and no
+// on_sample the sweep takes none). A budgeted table reading its lists
+// from a snapshot file and a checkpoint log's append, flush and replay
+// cover the list-read path and the checkpoint sites. Not reached: the
 // coordinator's recovery spans (src/net/coordinator.cc), which need a
 // dead rank, the engine's steal flow (src/gthinker/engine.cc), which
 // needs a steal, and the CLIs' thread names (tools/).
@@ -79,7 +97,7 @@ TEST_F(TraceTest, DisabledEmitIsFreeAndRecordsNothing) {
   trace::SetClockForTest(&CountingClock);
   const uint16_t id = trace::InternName("disabled_site");
   trace::EmitInstant(id, trace::kPull, 1);
-  trace::EmitCounter(id, trace::kStats, 2);
+  trace::EmitCounter(id, trace::kStats, /*pid=*/1, 2);
   { QCM_TRACE_SPAN(trace::kNet, "disabled_span", 3); }
 
   const Graph g = std::move(GenPlantedCommunities(
@@ -145,8 +163,7 @@ TEST_F(TraceTest, DisabledEmitIsFreeAndRecordsNothing) {
   std::filesystem::remove_all(ckpt_dir);
 
   EXPECT_EQ(g_clock_reads.load(), 0u);
-  EXPECT_EQ(trace::DrainJsonLines(/*pid=*/0), "");
-  EXPECT_EQ(trace::DroppedRecords(), 0u);
+  EXPECT_EQ(trace::DrainJsonLines(/*pid=*/0), "");  // no drop counter either
 }
 
 TEST_F(TraceTest, OverflowKeepsPrefixAndCountsDrops) {
@@ -156,8 +173,6 @@ TEST_F(TraceTest, OverflowKeepsPrefixAndCountsDrops) {
   for (size_t i = 0; i < emitted; ++i) {
     trace::EmitInstant(id, trace::kKernel, static_cast<uint32_t>(i));
   }
-  EXPECT_EQ(trace::DroppedRecords(), 58u);
-
   const std::string json = trace::DrainJsonLines(/*pid=*/0);
   EXPECT_EQ(CountOccurrences(json, "\"ph\":\"i\""), kOneKbCapacity);
   // Keep-first: the retained prefix is records 0..capacity-1.
@@ -169,9 +184,7 @@ TEST_F(TraceTest, OverflowKeepsPrefixAndCountsDrops) {
                       "}"),
             std::string::npos);
   // The drop count itself is surfaced as a counter event.
-  EXPECT_NE(json.find("\"name\":\"trace_dropped_records\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"value\":58}"), std::string::npos);
+  EXPECT_EQ(DroppedIn(json), 58u);
 }
 
 TEST_F(TraceTest, ConcurrentWritersNeverBlockOrRace) {
@@ -196,7 +209,7 @@ TEST_F(TraceTest, ConcurrentWritersNeverBlockOrRace) {
   const std::string json = trace::DrainJsonLines(/*pid=*/0);
   const size_t kept = CountOccurrences(json, "\"ph\":\"i\"");
   EXPECT_EQ(kept, kThreads * kOneKbCapacity);
-  EXPECT_EQ(kept + trace::DroppedRecords(), kThreads * kPerThread);
+  EXPECT_EQ(kept + DroppedIn(json), kThreads * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_NE(json.find("\"name\":\"writer" + std::to_string(t) + "\""),
               std::string::npos);
@@ -218,7 +231,7 @@ TEST_F(TraceTest, DrainJsonIsByteStableUnderPinnedClock) {
   g_fake_now = 150;
   trace::EmitInstant(inst_id, trace::kPull, 3);
   g_fake_now = 160;
-  trace::EmitCounter(ctr_id, trace::kStats, 42);
+  trace::EmitCounter(ctr_id, trace::kStats, /*pid=*/1, 42);
   g_fake_now = 170;
   trace::EmitFlow(trace::EventType::kFlowStart, flow_id, trace::kLifecycle,
                   9);
@@ -233,8 +246,9 @@ TEST_F(TraceTest, DrainJsonIsByteStableUnderPinnedClock) {
       "\"tid\":1,\"ph\":\"X\",\"dur\":40,\"args\":{\"a\":7}}\n"
       "{\"name\":\"pinned_instant\",\"cat\":\"pull\",\"ts\":150,\"pid\":2,"
       "\"tid\":1,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":3}}\n"
-      "{\"name\":\"pinned_counter\",\"cat\":\"stats\",\"ts\":160,\"pid\":2,"
-      "\"tid\":1,\"ph\":\"C\",\"args\":{\"value\":42}}\n"
+      // A counter extends the track of the pid it names, on tid 0.
+      "{\"name\":\"pinned_counter\",\"cat\":\"stats\",\"ts\":160,\"pid\":1,"
+      "\"tid\":0,\"ph\":\"C\",\"args\":{\"value\":42}}\n"
       "{\"name\":\"pinned_flow\",\"cat\":\"lifecycle\",\"ts\":170,"
       "\"pid\":2,\"tid\":1,\"ph\":\"s\",\"id\":9}\n"
       "{\"name\":\"pinned_flow\",\"cat\":\"lifecycle\",\"ts\":180,"
@@ -260,6 +274,8 @@ TEST_F(TraceTest, SpanRaiiStampsDurationFromTheClock) {
       << json;
 }
 
+// Fragments merge in ts order, a missing one is skipped, each listed
+// process is labeled, and the drop counters of every fragment are summed.
 TEST_F(TraceTest, MergeFragmentsSortsByTimestampAndSkipsMissingRanks) {
   const std::string dir = ::testing::TempDir();
   const std::string frag0 = dir + "/trace_merge.rank0.jsonl";
@@ -272,33 +288,41 @@ TEST_F(TraceTest, MergeFragmentsSortsByTimestampAndSkipsMissingRanks) {
     f << "{\"name\":\"a\",\"cat\":\"net\",\"ts\":300,\"pid\":0,\"tid\":1,"
          "\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":1}}\n"
       << "{\"name\":\"b\",\"cat\":\"net\",\"ts\":100,\"pid\":0,\"tid\":1,"
-         "\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":2}}\n";
+         "\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":2}}\n"
+      << "{\"name\":\"trace_dropped_records\",\"cat\":\"stats\",\"ts\":300,"
+         "\"pid\":0,\"tid\":0,\"ph\":\"C\",\"args\":{\"value\":5}}\n";
   }
   {
     std::ofstream f(frag1);
     f << "{\"name\":\"c\",\"cat\":\"pull\",\"ts\":200,\"pid\":1,\"tid\":1,"
-         "\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":3}}\n";
+         "\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":3}}\n"
+      << "{\"name\":\"d\",\"cat\":\"stats\",\"ts\":150,\"pid\":1,\"tid\":0,"
+         "\"ph\":\"C\",\"args\":{\"value\":5}}\n"
+      << "{\"name\":\"trace_dropped_records\",\"cat\":\"stats\",\"ts\":200,"
+         "\"pid\":1,\"tid\":0,\"ph\":\"C\",\"args\":{\"value\":7}}\n";
   }
-  const std::vector<std::string> extra = {
-      "{\"name\":\"d\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":150,"
-      "\"pid\":1,\"tid\":0,\"args\":{\"value\":5}}",
-  };
-  const StatusOr<size_t> events =
-      trace::MergeFragments({frag0, frag1, missing}, "", extra, out);
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events.value(), 4u);
+  const StatusOr<trace::MergeSummary> merged = trace::MergeFragments(
+      {frag0, frag1, missing}, "", {"rank0", "rank1"}, out);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->events, 8u);  // 4 events, 2 drop counters, 2 labels
+  EXPECT_EQ(merged->dropped_records, 12u);
 
-  const std::string merged = ReadFile(out);
-  EXPECT_EQ(merged.rfind("{\"traceEvents\":[", 0), 0u);
+  const std::string json = ReadFile(out);
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_NE(json.find("{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,"
+                      "\"pid\":1,\"tid\":0,\"args\":{\"name\":\"rank1\"}}"),
+            std::string::npos)
+      << json;
   // All four events present, ordered 100 < 150 < 200 < 300.
-  const size_t p100 = merged.find("\"ts\":100");
-  const size_t p150 = merged.find("\"ts\":150");
-  const size_t p200 = merged.find("\"ts\":200");
-  const size_t p300 = merged.find("\"ts\":300");
+  const size_t p100 = json.find("\"ts\":100");
+  const size_t p150 = json.find("\"ts\":150");
+  const size_t p200 = json.find("\"ts\":200");
+  const size_t p300 = json.find("\"ts\":300");
   ASSERT_NE(p100, std::string::npos);
   ASSERT_NE(p150, std::string::npos);
   ASSERT_NE(p200, std::string::npos);
   ASSERT_NE(p300, std::string::npos);
+  EXPECT_LT(json.find("\"name\":\"rank0\""), p100);
   EXPECT_LT(p100, p150);
   EXPECT_LT(p150, p200);
   EXPECT_LT(p200, p300);
@@ -308,11 +332,17 @@ TEST_F(TraceTest, MergeFragmentsSortsByTimestampAndSkipsMissingRanks) {
 }
 
 TEST_F(TraceTest, MergeFragmentsRejectsEventWithoutTimestamp) {
-  const std::string out = ::testing::TempDir() + "/trace_bad_merge.json";
-  const std::vector<std::string> extra = {
-      "{\"name\":\"no_ts\",\"ph\":\"i\"}"};
-  EXPECT_FALSE(trace::MergeFragments({}, "", extra, out).ok());
-  EXPECT_FALSE(trace::MergeFragments({}, extra[0] + "\n", {}, out).ok());
+  const std::string dir = ::testing::TempDir();
+  const std::string frag = dir + "/trace_bad_merge.rank0.jsonl";
+  const std::string out = dir + "/trace_bad_merge.json";
+  const std::string no_ts = "{\"name\":\"no_ts\",\"ph\":\"i\"}\n";
+  {
+    std::ofstream f(frag);
+    f << no_ts;
+  }
+  EXPECT_FALSE(trace::MergeFragments({frag}, "", {}, out).ok());
+  EXPECT_FALSE(trace::MergeFragments({}, no_ts, {}, out).ok());
+  ::remove(frag.c_str());
 }
 
 // Both CLIs hand MergeFragments their own DrainJsonLines output whole: it
@@ -327,26 +357,30 @@ TEST_F(TraceTest, MergeFragmentsTakesThisProcesssDrain) {
   const std::string drained = trace::DrainJsonLines(/*pid=*/3);
   ASSERT_EQ(CountOccurrences(drained, "\n"), 2u) << drained;
 
-  const std::string out = ::testing::TempDir() + "/trace_merge_local.json";
-  const std::vector<std::string> extra = {
-      "{\"name\":\"late\",\"cat\":\"stats\",\"ph\":\"C\",\"ts\":500,"
-      "\"pid\":0,\"tid\":0,\"args\":{\"value\":1}}",
-  };
-  const StatusOr<size_t> events =
-      trace::MergeFragments({}, drained, extra, out);
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events.value(), 3u);
-  const std::string merged = ReadFile(out);
-  const size_t name = merged.find("\"name\":\"launcher\"");
-  const size_t local = merged.find("\"name\":\"local_event\"");
-  const size_t late = merged.find("\"name\":\"late\"");
-  ASSERT_NE(name, std::string::npos) << merged;
-  ASSERT_NE(local, std::string::npos) << merged;
-  ASSERT_NE(late, std::string::npos) << merged;
+  const std::string dir = ::testing::TempDir();
+  const std::string frag = dir + "/trace_merge_local.rank0.jsonl";
+  const std::string out = dir + "/trace_merge_local.json";
+  {
+    std::ofstream f(frag);
+    f << "{\"name\":\"late\",\"cat\":\"stats\",\"ts\":500,\"pid\":0,"
+         "\"tid\":0,\"ph\":\"C\",\"args\":{\"value\":1}}\n";
+  }
+  const StatusOr<trace::MergeSummary> merged =
+      trace::MergeFragments({frag}, drained, {}, out);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->events, 3u);
+  EXPECT_EQ(merged->dropped_records, 0u);
+  const std::string json = ReadFile(out);
+  const size_t name = json.find("\"name\":\"launcher\"");
+  const size_t local = json.find("\"name\":\"local_event\"");
+  const size_t late = json.find("\"name\":\"late\"");
+  ASSERT_NE(name, std::string::npos) << json;
+  ASSERT_NE(local, std::string::npos) << json;
+  ASSERT_NE(late, std::string::npos) << json;
   EXPECT_LT(name, local);
   EXPECT_LT(local, late);
-  EXPECT_NE(merged.find("\"ts\":400,\"pid\":3"), std::string::npos)
-      << merged;
+  EXPECT_NE(json.find("\"ts\":400,\"pid\":3"), std::string::npos) << json;
+  ::remove(frag.c_str());
   ::remove(out.c_str());
 }
 
@@ -443,7 +477,7 @@ TEST_P(TraceClusterE2ETest,
   EXPECT_EQ(Digest(off.output), Digest(on.output)) << on.output;
 
   // ONE merged timeline with spans from every rank, rank-labeled process
-  // tracks, and kStats counter tracks.
+  // tracks, and every rank's seven counter tracks.
   const std::string trace = ReadFile(trace_path);
   ASSERT_FALSE(trace.empty()) << on.output;
   EXPECT_EQ(trace.rfind("{\"traceEvents\":[", 0), 0u);
@@ -455,8 +489,37 @@ TEST_P(TraceClusterE2ETest,
               std::string::npos)
         << "rank " << r << " process track is unlabeled";
   }
-  EXPECT_NE(trace.find("\"name\":\"busy_compers\""), std::string::npos)
-      << "kStats counter tracks missing from the merged timeline";
+  // Each counter record's (name, pid), and the sum of the drop counters.
+  std::set<std::pair<std::string, int>> tracks;
+  unsigned long long dropped = 0;
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"C\"") == std::string::npos) continue;
+    const size_t name_end = line.find('"', 9);  // after {"name":"
+    const size_t pid = line.find("\"pid\":");
+    ASSERT_NE(pid, std::string::npos) << line;
+    const std::string name = line.substr(9, name_end - 9);
+    tracks.emplace(name, std::atoi(line.c_str() + pid + 6));
+    if (name == "trace_dropped_records") {
+      dropped += std::strtoull(
+          line.c_str() + line.find("\"value\":") + 8, nullptr, 10);
+    }
+  }
+  for (int r = 0; r < 3; ++r) {
+    for (const char* gauge :
+         {"queue_depth", "inflight_bytes", "busy_compers", "tasks_completed",
+          "cache_hits", "cache_misses", "pending_tasks"}) {
+      EXPECT_TRUE(tracks.count({gauge, r}))
+          << "no " << gauge << " counter track for rank " << r;
+    }
+  }
+  // The trace line prints every merged process's drops, not the
+  // launcher's alone.
+  EXPECT_NE(on.output.find("events, " + std::to_string(dropped) +
+                           " records dropped)"),
+            std::string::npos)
+      << "the merged file holds " << dropped << " dropped records:\n"
+      << on.output;
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   // The ranks' events are interleaved in time order.
   long long last_ts = -1;
@@ -468,8 +531,7 @@ TEST_P(TraceClusterE2ETest,
   }
   // The per-rank fragments were stitched in and cleaned up.
   for (int r = 0; r < 3; ++r) {
-    const std::string frag =
-        trace_path + ".rank" + std::to_string(r) + ".jsonl";
+    const std::string frag = trace::FragmentPath(trace_path, r);
     EXPECT_NE(::access(frag.c_str(), F_OK), 0)
         << frag << " left behind after merge";
   }

@@ -12,9 +12,6 @@ namespace qcm::cli {
 
 namespace {
 
-/// Spellings of --mode, in DecomposeMode order.
-constexpr const char* kModeNames[] = {"none", "size", "time"};
-
 /// Appends `words` to `out`, breaking lines before column 79 and
 /// indenting continuation lines by `indent` spaces.
 void Wrap(const std::string& words, size_t indent, size_t column,
@@ -145,11 +142,13 @@ Flag OutputFlag(std::string* path, const char* help) {
 std::vector<Flag> EngineFlags(EngineConfig* c) {
   Flag mode{"--mode", "M",
             std::string("task decomposition: none | size | time (default ") +
-                kModeNames[static_cast<int>(c->mode)] + ")",
+                DecomposeModeName(c->mode) + ")",
             &c->mode, [c](const std::string& v) {
-              for (int m = 0; m < 3; ++m) {
-                if (v == kModeNames[m]) {
-                  c->mode = static_cast<DecomposeMode>(m);
+              for (DecomposeMode m :
+                   {DecomposeMode::kNone, DecomposeMode::kSizeThreshold,
+                    DecomposeMode::kTimeDelayed}) {
+                if (v == DecomposeModeName(m)) {
+                  c->mode = m;
                   return Status::OK();
                 }
               }

@@ -41,10 +41,10 @@
 //
 // --trace-out records one MERGED Chrome trace-event timeline of the whole
 // cluster (launcher recovery phases + every rank's spans + counter tracks
-// sampled from the ranks' statuses; pid = rank). Workers write
-// <path>.rank<R>.jsonl fragments which the launcher stitches into <path>
-// after the run and deletes. While the run is live, the same samples
-// print a telemetry line on stderr, at most every 250 ms (sampling
+// the coordinator records from the ranks' sampled statuses; pid = rank).
+// Workers write <path>.rank<R>.jsonl fragments which the launcher stitches
+// into <path> after the run and deletes. While the run is live, the same
+// samples print a telemetry line on stderr, at most every 250 ms (sampling
 // cadence --stats-interval-ms; 0 disables both).
 // --log-level sets the launcher's level; workers inherit QCM_LOG_LEVEL
 // from the environment, and every rank's EngineReport comes back inside
@@ -475,21 +475,13 @@ int main(int argc, char** argv) {
     workers[rank].reaped = true;
     workers[rank].wstatus = wstatus;
   };
-  // Live telemetry: each coordinator sample of the ranks' statuses
-  // appends pre-formatted counter event lines ("ph":"C", pid = rank) for
-  // the merged timeline when tracing, and prints a cross-rank telemetry
-  // line at most every 250 ms. Called on the RunToCompletion thread (this
-  // one).
-  std::vector<std::string> stats_events;
+  // Live telemetry: a cross-rank line from the coordinator's samples of
+  // the ranks' statuses, at most every 250 ms (the coordinator records
+  // the samples' counter tracks itself). Called on the RunToCompletion
+  // thread (this one).
   uint64_t telemetry_printed_usec = static_cast<uint64_t>(NowMicros());
   coord_config.on_sample = [&](uint64_t ts_usec,
                                const std::vector<RankStatus>& statuses) {
-    // ~7 small lines per sample per rank; a day-long run at the default
-    // 500 ms cadence stays well under typical trace sizes, but cap the
-    // buffer so a pathological cadence cannot eat RAM.
-    if (!trace_out.empty() && stats_events.size() <= 2'000'000) {
-      AppendStatsCounterEvents(ts_usec, statuses, &stats_events);
-    }
     if (ts_usec < telemetry_printed_usec + 250'000) return;
     telemetry_printed_usec = ts_usec;
     unsigned long long pending = 0, queue = 0, busy = 0, inflight = 0,
@@ -750,34 +742,28 @@ int main(int argc, char** argv) {
                  duplicates_suppressed);
   }
 
-  // Stitch the per-rank fragments, the launcher's own events (recovery
-  // spans, under a pid past every rank), the sampled counter tracks, and
-  // rank-naming metadata into ONE Perfetto-loadable timeline.
+  // Stitch the per-rank fragments and the launcher's own events (recovery
+  // spans and the sampled counter tracks) into ONE Perfetto-loadable
+  // timeline, each process labeled: rank<R>, and the launcher under a pid
+  // past every rank.
   if (!trace_out.empty()) {
     std::vector<std::string> fragments;
+    std::vector<std::string> names;
     for (int r = 0; r < num_workers; ++r) {
-      fragments.push_back(trace_out + ".rank" + std::to_string(r) +
-                          ".jsonl");
+      fragments.push_back(trace::FragmentPath(trace_out, r));
+      names.push_back("rank" + std::to_string(r));
     }
-    std::vector<std::string> extra = std::move(stats_events);
-    for (int r = 0; r <= num_workers; ++r) {
-      const std::string label =
-          r == num_workers ? "launcher" : "rank" + std::to_string(r);
-      extra.push_back(
-          "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":" +
-          std::to_string(r) + ",\"tid\":0,\"args\":{\"name\":\"" + label +
-          "\"}}");
-    }
-    const StatusOr<size_t> merged = trace::MergeFragments(
-        fragments, trace::DrainJsonLines(/*pid=*/num_workers), extra,
+    names.push_back("launcher");
+    const StatusOr<trace::MergeSummary> merged = trace::MergeFragments(
+        fragments, trace::DrainJsonLines(/*pid=*/num_workers), names,
         trace_out);
     if (merged.ok()) {
       for (const std::string& f : fragments) ::remove(f.c_str());
       std::fprintf(stderr,
-                   "trace: %s (%d rank fragments merged, %llu launcher "
+                   "trace: %s (%d rank fragments merged, %zu events, %llu "
                    "records dropped)\n",
-                   trace_out.c_str(), num_workers,
-                   static_cast<unsigned long long>(trace::DroppedRecords()));
+                   trace_out.c_str(), num_workers, merged->events,
+                   static_cast<unsigned long long>(merged->dropped_records));
     } else {
       std::fprintf(stderr, "trace merge failed: %s\n",
                    merged.status().ToString().c_str());

@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
 
   std::vector<VertexSet> candidates;
   std::string stats_json;
-  std::vector<std::string> stats_events;
   double seconds = 0;
   if (serial) {
     VectorSink sink;
@@ -167,18 +166,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long>(report->stats.bitset_words_touched));
     }
   } else {
-    // With --trace-out, the coordinator's samples of every rank's status
-    // become counter tracks (pid = rank) of the timeline.
-    StatusSampler on_sample;
-    if (!config.trace_out.empty()) {
-      on_sample = [&](uint64_t ts_usec,
-                      const std::vector<RankStatus>& statuses) {
-        AppendStatsCounterEvents(ts_usec, statuses, &stats_events);
-      };
-    }
     // The raw candidates are filtered once, below, like the serial ones.
     QCApp app(config);
-    auto report = RunLocalCluster(graph, config, &app, std::move(on_sample));
+    auto report = RunLocalCluster(graph, config, &app);
     if (!report.ok()) {
       std::fprintf(stderr, "mining failed: %s\n",
                    report.status().ToString().c_str());
@@ -191,6 +181,11 @@ int main(int argc, char** argv) {
     candidates = std::move(report->results);
     if (run.stats) {
       const EngineReport& r = *report;
+      // Hits over lookups, as qcm_cluster's telemetry line has it
+      // (CacheHitRatio also counts pin hits).
+      const uint64_t lookups = r.counters.cache_hits + r.counters.cache_misses;
+      const double hit_pct =
+          lookups == 0 ? 100.0 : 100.0 * r.counters.cache_hits / lookups;
       std::fprintf(stderr,
                    "engine: %lu tasks, queue admissions %lu big/%lu small, "
                    "spill %lu tasks/%s, steals %lu, cache %lu/%lu (%.1f%% "
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long>(r.counters.stolen_tasks),
                    static_cast<unsigned long>(r.counters.cache_hits),
                    static_cast<unsigned long>(r.counters.cache_misses),
-                   100.0 * r.counters.CacheHitRatio(), r.BusyImbalance(),
+                   hit_pct, r.BusyImbalance(),
                    HumanBytes(r.peak_rss_bytes).c_str());
       std::fprintf(stderr,
                    "pulls: %lu suspensions, %lu rounds, %lu batches, %lu "
@@ -281,17 +276,16 @@ int main(int argc, char** argv) {
   // Single-process run: the whole timeline is local, so merge straight
   // from the in-memory rings (no fragment files).
   if (!config.trace_out.empty()) {
-    StatusOr<size_t> events = trace::MergeFragments(
-        {}, trace::DrainJsonLines(/*pid=*/0), stats_events,
-        config.trace_out);
-    if (!events.ok()) {
+    const StatusOr<trace::MergeSummary> merged = trace::MergeFragments(
+        {}, trace::DrainJsonLines(/*pid=*/0), {}, config.trace_out);
+    if (!merged.ok()) {
       std::fprintf(stderr, "trace write failed: %s\n",
-                   events.status().ToString().c_str());
+                   merged.status().ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr, "trace: %s (%zu events, %lu dropped)\n",
-                 config.trace_out.c_str(), events.value(),
-                 static_cast<unsigned long>(trace::DroppedRecords()));
+    std::fprintf(stderr, "trace: %s (%zu events, %llu records dropped)\n",
+                 config.trace_out.c_str(), merged->events,
+                 static_cast<unsigned long long>(merged->dropped_records));
   }
   return 0;
 }

@@ -51,6 +51,7 @@
 #include "tools/cli.h"
 #include "util/logging.h"
 #include "util/mem.h"
+#include "util/output.h"
 #include "util/serde.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -139,9 +140,8 @@ int main(int argc, char** argv) {
   // beside the launcher's --trace-out path; qcm_cluster merges them into
   // one timeline after the run.
   const std::string trace_fragment =
-      config.trace_out.empty()
-          ? ""
-          : config.trace_out + ".rank" + std::to_string(rank) + ".jsonl";
+      config.trace_out.empty() ? ""
+                               : trace::FragmentPath(config.trace_out, rank);
   if (!trace_fragment.empty()) {
     trace::Start(trace::kRingKb);
     trace::SetThreadName("worker_main");
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_fragment.empty()) {
-    Status ts = trace::WriteFragment(trace_fragment, rank);
+    Status ts = WriteOutput(trace_fragment, trace::DrainJsonLines(rank));
     if (!ts.ok()) {
       std::fprintf(stderr, "qcm_worker rank %d: trace fragment failed: %s\n",
                    rank, ts.ToString().c_str());
